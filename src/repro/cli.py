@@ -27,12 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
 from typing import Optional, Sequence
 
 from repro.analysis.trace import write_trace
-from repro.faults import SCENARIOS, FaultPlan, scenario
-from repro.hardware.platform import Platform
-from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.simulator import SimulationConfig
 from repro.obs import (
     LOG_LEVELS,
     ObsContext,
@@ -46,32 +45,48 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.export import read_jsonl
-from repro.runner.factories import (
-    BALANCERS,
-    PLATFORMS,
-    make_balancer,
-    make_platform,
-    make_workload,
-)
-from repro.workload.parsec import BENCHMARKS, MIXES
-from repro.workload.synthetic import IMB_CONFIGS
+from repro.runner.engine import execute_spec
+from repro.runner.factories import make_balancer, make_platform, make_workload  # noqa: F401
+from repro.runner.spec import KNOBS, RunSpec, knob_type
 
 _log = get_logger("cli")
 
 
-def make_fault_plan(args, platform: Platform) -> "FaultPlan | None":
-    """Resolve ``--faults``/``--fault-seed`` into a plan, if requested."""
-    if not getattr(args, "faults", None):
-        return None
-    config = SimulationConfig(seed=args.seed)
-    duration_s = args.epochs * config.epoch_s
-    fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
-    return scenario(
-        args.faults,
-        seed=fault_seed,
-        n_cores=len(platform),
-        duration_s=duration_s,
-    )
+def add_spec_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One flag per :class:`RunSpec` knob that ``command`` carries."""
+    for f, knob in KNOBS:
+        if knob.flag is None or command not in knob.commands:
+            continue
+        base, _ = knob_type(f.name)
+        kwargs = {"dest": f.name, "help": knob.help}
+        if base is bool:
+            kwargs["action"] = (
+                "store_false" if knob.flag.startswith("--no-")
+                else argparse.BooleanOptionalAction
+            )
+        else:
+            kwargs.update(type=base, metavar=knob.metavar,
+                          choices=knob.choices or None)
+        if f.default is MISSING:
+            kwargs["required"] = True
+        else:
+            kwargs["default"] = (
+                f.default if knob.cli_default is None else knob.cli_default
+            )
+        parser.add_argument(knob.flag, **kwargs)
+
+
+def spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:
+    """The :class:`RunSpec` a ``run``/``submit``/``compare`` command line
+    describes; ``overrides`` set fields the command has no flag for."""
+    values = {
+        f.name: getattr(args, f.name) for f, knob in KNOBS
+        if knob.flag is not None and args.command in knob.commands
+    }
+    try:
+        return RunSpec(**{**values, **overrides})
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def print_resilience(result) -> None:
@@ -101,61 +116,31 @@ def print_resilience(result) -> None:
 
 
 def cmd_list(args) -> int:
-    from repro.governor.config import GOVERNOR_STRATEGIES
     from repro.runner.factories import catalogue
 
-    if getattr(args, "json", False):
-        user_output(json.dumps(catalogue(), indent=2, sort_keys=True))
+    names = catalogue()
+    if args.json:
+        user_output(json.dumps(names, indent=2, sort_keys=True))
         return 0
-    user_output("platforms :", ", ".join(sorted(PLATFORMS)), "+ hmp:<n>")
-    user_output("balancers :", ", ".join(sorted(BALANCERS) + ["smartbalance"]))
-    user_output("governors :", ", ".join(sorted(GOVERNOR_STRATEGIES)),
-                "+ pinned:<level>")
-    user_output("imb       :", ", ".join(IMB_CONFIGS))
-    user_output("benchmarks:", ", ".join(sorted(BENCHMARKS)))
-    user_output("mixes     :", ", ".join(sorted(MIXES)))
-    user_output("faults    :", ", ".join(SCENARIOS))
-    from repro.scenarios import SCENARIO_FAMILIES
-
-    user_output("scenarios :", ", ".join(SCENARIO_FAMILIES),
-                "+ <family>:<key>=<value>,...")
+    scenarios = names["scenarios"]
+    rows = [
+        ("platforms", names["platforms"] + names["platform_patterns"]),
+        ("balancers", names["balancers"]),
+        ("governors", names["governors"] + names["governor_patterns"]),
+        *names["workloads"].items(),
+        ("faults", names["faults"]),
+        ("scenarios", scenarios["families"] + scenarios["patterns"]),
+    ]
+    width = max(len(label) for label, _ in rows)
+    for label, values in rows:
+        user_output(f"{label:<{width}}:", ", ".join(values))
     return 0
 
 
 def cmd_run(args) -> int:
-    platform = make_platform(args.platform)
-    workload = make_workload(args.workload, args.threads, args.seed)
-    balancer = make_balancer(
-        args.balancer,
-        mitigations=not args.no_mitigations,
-        adaptation=args.adapt,
-        governor=args.governor,
-    )
-    plan = make_fault_plan(args, platform)
+    spec = spec_from_args(args, config=SimulationConfig(kernel=args.kernel))
     obs = ObsContext() if args.trace_out else None
-    config = SimulationConfig(seed=args.seed, faults=plan, kernel=args.kernel)
-    scenario_rt = None
-    if getattr(args, "scenario", "none") != "none":
-        from repro.scenarios import build_scenario
-
-        try:
-            workload, scenario_rt = build_scenario(
-                args.scenario,
-                workload,
-                seed=args.seed,
-                period_s=config.period_s,
-                periods_per_epoch=config.periods_per_epoch,
-                n_epochs=args.epochs,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    system = System(
-        platform, workload, balancer,
-        config,
-        obs=obs,
-        scenario=scenario_rt,
-    )
-    result = system.run(n_epochs=args.epochs)
+    result = execute_spec(spec, obs=obs)
     if args.json:
         # Machine mode: the deterministic metrics document is the whole
         # of stdout (wall-clock timings excluded), so two runs of the
@@ -236,17 +221,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    platform = make_platform(args.platform)
-    plan = make_fault_plan(args, platform)
     names = args.balancers or ["vanilla", "smartbalance"]
     results = {}
     for name in names:
-        workload = make_workload(args.workload, args.threads, args.seed)
-        system = System(
-            platform, workload, make_balancer(name),
-            SimulationConfig(seed=args.seed, faults=plan),
-        )
-        results[name] = system.run(n_epochs=args.epochs)
+        results[name] = execute_spec(spec_from_args(args, balancer=name))
         user_output(f"{name:>13}: {results[name].ips_per_watt:.4e} instructions/J")
     baseline = results[names[0]]
     for name in names[1:]:
@@ -467,29 +445,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _spec_payload_from_args(args) -> dict:
-    """The job payload equivalent to ``repro run``'s flags."""
-    payload = {
-        "workload": args.workload,
-        "platform": args.platform,
-        "threads": args.threads,
-        "balancer": args.balancer,
-        "n_epochs": args.epochs,
-        "seed": args.seed,
-        "mitigations": not args.no_mitigations,
-        "adaptation": args.adapt,
-    }
-    if getattr(args, "governor", "fixed") != "fixed":
-        payload["governor"] = args.governor
-    if getattr(args, "scenario", "none") != "none":
-        payload["scenario"] = args.scenario
-    if args.faults:
-        payload["faults"] = args.faults
-        if args.fault_seed is not None:
-            payload["fault_seed"] = args.fault_seed
-    return payload
-
-
 def cmd_serve(args) -> int:
     """Run the job service until SIGTERM/SIGINT, then drain."""
     from repro.runner import resolve_jobs
@@ -513,7 +468,7 @@ def cmd_submit(args) -> int:
     client = Client(host=args.host, port=args.port)
     try:
         (job,) = client.submit(
-            _spec_payload_from_args(args),
+            spec_from_args(args),
             priority=args.priority,
             timeout_s=args.timeout,
         )
@@ -625,12 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="simulate one workload under one balancer")
-    run.add_argument("--platform", default="quad")
-    run.add_argument("--workload", required=True)
-    run.add_argument("--threads", type=int, default=8)
-    run.add_argument("--balancer", default="smartbalance")
-    run.add_argument("--epochs", type=int, default=40)
-    run.add_argument("--seed", type=int, default=0)
+    add_spec_flags(run, "run")
     run.add_argument("--trace", help="write per-epoch trace (.csv or .json)")
     run.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -639,39 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Chrome/Perfetto trace",
     )
     run.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into the run",
-    )
-    run.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="seed of the fault schedule (default: --seed)",
-    )
-    run.add_argument(
-        "--no-mitigations", action="store_true",
-        help="ablate every resilience defence (smartbalance only)",
-    )
-    run.add_argument(
-        "--adapt", action=argparse.BooleanOptionalAction, default=False,
-        help="online model maintenance: drift-triggered RLS re-fits "
-        "with registry rollback (smartbalance only; default off)",
-    )
-    run.add_argument(
-        "--governor", default="fixed", metavar="STRATEGY",
-        help="joint placement + per-cluster DVFS co-optimisation "
-        "(smartbalance only): fixed (off, default), two_level, "
-        "coupled_anneal or pinned:<level>",
-    )
-    run.add_argument(
         "--kernel", choices=("soa", "reference"), default="soa",
         help="kernel engine: vectorised structure-of-arrays core (soa, "
         "default) or the object-per-task reference path; both are "
         "digest-identical (see docs/kernel.md)",
-    )
-    run.add_argument(
-        "--scenario", default="none", metavar="SPEC",
-        help="workload scenario (docs/scenarios.md): none (default), "
-        "openloop[:rate=..,slo_ms=..], barrier[:groups=..,members=..] "
-        "or smt[:cores=..,corunners=..]",
     )
     run.add_argument(
         "--json", action="store_true",
@@ -680,19 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     compare = sub.add_parser("compare", help="run several balancers on one workload")
-    compare.add_argument("--platform", default="quad")
-    compare.add_argument("--workload", required=True)
-    compare.add_argument("--threads", type=int, default=8)
-    compare.add_argument("--epochs", type=int, default=40)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into every run",
-    )
-    compare.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="seed of the fault schedule (default: --seed)",
-    )
+    add_spec_flags(compare, "compare")
     compare.add_argument("balancers", nargs="*", metavar="balancer")
 
     experiments = sub.add_parser("experiments", help="regenerate paper artifacts")
@@ -871,30 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=None,
         help="service port (default: REPRO_SERVICE_PORT or 8642)",
     )
-    submit.add_argument("--platform", default="quad")
-    submit.add_argument("--workload", required=True)
-    submit.add_argument("--threads", type=int, default=8)
-    submit.add_argument("--balancer", default="smartbalance")
-    submit.add_argument("--epochs", type=int, default=40)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into the run",
-    )
-    submit.add_argument("--fault-seed", type=int, default=None)
-    submit.add_argument("--no-mitigations", action="store_true")
-    submit.add_argument(
-        "--adapt", action=argparse.BooleanOptionalAction, default=False,
-        help="online model maintenance (smartbalance only; default off)",
-    )
-    submit.add_argument(
-        "--governor", default="fixed", metavar="STRATEGY",
-        help="DVFS governor strategy (smartbalance only; default fixed)",
-    )
-    submit.add_argument(
-        "--scenario", default="none", metavar="SPEC",
-        help="workload scenario (default none; see docs/scenarios.md)",
-    )
+    add_spec_flags(submit, "submit")
     submit.add_argument(
         "--priority", type=int, default=0,
         help="scheduling priority (higher runs first)",

@@ -98,30 +98,33 @@ def _smart_balancer(
         adaptation=AdaptationConfig(enabled=adaptation),
     )
     if governor != "fixed":
-        if variant != "stock":
-            raise SystemExit(
-                f"balancer variant {variant!r} cannot be combined with a "
-                "DVFS governor"
-            )
         from repro.governor import GovernorKernelAdapter, parse_governor
 
-        try:
-            parsed = parse_governor(governor)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        return GovernorKernelAdapter(parsed, config=config)
+        return GovernorKernelAdapter(parse_governor(governor), config=config)
     return SmartBalanceKernelAdapter(config=config, variant=variant)
 
 
 def make_platform(spec: str) -> Platform:
     """Resolve a platform spec: a preset name or ``hmp:<n>``."""
+    try:
+        check_platform(spec)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if spec in PLATFORMS:
         return PLATFORMS[spec]()
-    if spec.startswith("hmp:"):
-        return scaled_hmp(int(spec.split(":", 1)[1]))
-    raise SystemExit(
-        f"unknown platform {spec!r}; use one of {sorted(PLATFORMS)} or hmp:<n>"
-    )
+    return scaled_hmp(int(spec.split(":", 1)[1]))
+
+
+def check_platform(name: str) -> None:
+    """Raise ``ValueError`` unless :func:`make_platform` resolves ``name``."""
+    prefix, _, size = name.partition(":")
+    if name not in PLATFORMS and not (
+        prefix == "hmp" and size.isdigit() and int(size) >= 1
+    ):
+        raise ValueError(
+            f"unknown platform {name!r}; use one of {sorted(PLATFORMS)} "
+            "or hmp:<n>"
+        )
 
 
 def make_workload(spec: str, n_threads: int, seed: int = 0):
@@ -162,7 +165,7 @@ def catalogue() -> dict:
         "platforms": sorted(PLATFORMS),
         "platform_patterns": ["hmp:<n>"],
         "balancers": sorted(BALANCERS) + sorted(SMART_BALANCERS),
-        "governors": sorted(GOVERNOR_STRATEGIES),
+        "governors": sorted(set(GOVERNOR_STRATEGIES) - {"pinned"}),
         "governor_patterns": ["pinned:<level>"],
         "workloads": {
             "imb": list(IMB_CONFIGS),
@@ -185,6 +188,24 @@ def workload_names() -> "set[str]":
     return set().union(*names.values())
 
 
+def check_workload(name: str) -> None:
+    """Raise ``ValueError`` unless :func:`make_workload` resolves ``name``."""
+    if name not in workload_names():
+        raise ValueError(
+            f"unknown workload {name!r}; see GET /v1/catalogue or "
+            "`repro list --json`"
+        )
+
+
+def check_balancer(name: str) -> None:
+    """Raise ``ValueError`` unless :func:`make_balancer` resolves ``name``."""
+    if name not in BALANCERS and name not in SMART_BALANCERS:
+        raise ValueError(
+            f"unknown balancer {name!r}; use one of "
+            f"{sorted(BALANCERS) + list(SMART_BALANCERS)}"
+        )
+
+
 def make_balancer(
     name: str,
     mitigations: bool = True,
@@ -197,18 +218,16 @@ def make_balancer(
     the joint placement + DVFS co-optimiser (both smartbalance only;
     the other balancers have neither a model nor an OPP search).
     """
-    if name in SMART_BALANCERS:
-        variant = "stock" if name == "smartbalance" else name
-        return _smart_balancer(mitigations, adaptation, governor, variant)
-    if governor != "fixed":
+    if governor != "fixed" and name != "smartbalance":
         raise SystemExit(
             f"governor {governor!r} requires the smartbalance balancer, "
             f"got {name!r}"
         )
+    if name in SMART_BALANCERS:
+        variant = "stock" if name == "smartbalance" else name
+        return _smart_balancer(mitigations, adaptation, governor, variant)
     try:
-        return BALANCERS[name]()
-    except KeyError:
-        raise SystemExit(
-            f"unknown balancer {name!r}; use one of "
-            f"{sorted(BALANCERS) + list(SMART_BALANCERS)}"
-        ) from None
+        check_balancer(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return BALANCERS[name]()

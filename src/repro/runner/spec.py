@@ -12,6 +12,11 @@ using only strings and scalars, so it can be
 * **compared** for deduplication when several experiments request the
   same run inside one sweep.
 
+Each field also carries a :class:`Knob` descriptor, which makes the
+dataclass the single table of run knobs: the CLI flags, the job-service
+validation and payloads, the canonical form and the label are all
+generated from it.
+
 Per-job seeds for replicated sweeps derive from a base seed and the
 spec identity (:func:`derive_seed`): jobs are decorrelated from each
 other yet fully reproducible, independent of worker scheduling order.
@@ -22,10 +27,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field
+from typing import Any, Callable, Optional, Tuple, get_type_hints
 
+from repro.faults import SCENARIOS as FAULT_SCENARIOS
 from repro.kernel.simulator import SimulationConfig
+from repro.runner.factories import check_balancer, check_platform, check_workload
 
 #: Bumped whenever the cached result layout changes shape; part of the
 #: cache key, so old cache files simply miss instead of misparsing.
@@ -77,66 +84,183 @@ def stable_hash(payload: dict, length: int = 40) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
 
 
+class SpecError(ValueError):
+    """A :class:`RunSpec` field holds a value no run can use."""
+
+    def __init__(self, field_name: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field_name
+
+
+@dataclass(frozen=True)
+class Knob:
+    """How one :class:`RunSpec` field shows up outside Python.
+
+    The CLI flags, the job-service validation and payloads, the hashed
+    identity and the label are all generated from these descriptors,
+    so a new run knob is one annotated field and nothing else.
+    """
+
+    #: CLI spelling; ``None`` keeps the field off the command line.  A
+    #: boolean flag spelled ``--no-<x>`` stores ``False``; any other
+    #: boolean flag gets the ``--x``/``--no-x`` pair.
+    flag: Optional[str] = None
+    #: Subcommands that carry the flag.
+    commands: Tuple[str, ...] = ("run", "submit", "compare")
+    #: CLI default where it differs from the spec default (``None``:
+    #: the same).
+    cli_default: Any = None
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+    #: ``check(name, value)`` raises ``ValueError`` for an unusable
+    #: value; run at construction for every non-default value.  Checks
+    #: import their parsers lazily to keep ``import repro.runner`` light.
+    check: Optional[Callable[[str, Any], None]] = None
+    #: Catalogue membership ``known(value)``, raising ``ValueError``:
+    #: the job service checks it before queueing and the factories
+    #: refuse the same names at resolve time.  Not run at construction,
+    #: so a spec naming an unknown workload stays constructible.
+    known: Optional[Callable[[Any], None]] = None
+    #: Closed set of names: argparse choices and service validation.
+    choices: Tuple[str, ...] = ()
+    #: A non-default value needs ``balancer="smartbalance"``.
+    smart_only: bool = False
+    #: ``(position, format)`` of the field's part of :meth:`RunSpec.label`.
+    label: Optional[Tuple[int, str]] = None
+    #: Leave the label part out while the field holds its default.
+    label_when_set: bool = False
+
+
+def knob(default: Any = MISSING, *, default_factory: Any = MISSING, **kwargs):
+    """A dataclass field carrying its :class:`Knob` descriptor."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"knob": Knob(**kwargs)})
+
+
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _governor(name: str, value: str) -> None:
+    from repro.governor.config import parse_governor
+
+    parse_governor(value)
+
+
+def _scenario(name: str, value: str) -> None:
+    from repro.scenarios import parse_scenario
+
+    parse_scenario(value)
+
+
+def _no_fault_plan(name: str, config: SimulationConfig) -> None:
+    if config.faults is not None:
+        raise ValueError(
+            "RunSpec.config must not embed a FaultPlan; name the "
+            "scenario via RunSpec.faults so the spec stays hashable"
+        )
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One (platform, workload, balancer, scale, seed, faults) job.
 
-    Field semantics match the CLI flags of ``python -m repro run``;
-    resolution happens through :mod:`repro.runner.factories`, so a spec
+    This class is the knob table: each field's :class:`Knob` generates
+    its ``python -m repro run``/``submit``/``compare`` flag, its
+    job-service validation and its part of the identity, and the CLI
+    executes through :func:`repro.runner.engine.execute_spec`, so a spec
     and the equivalent command line produce identical runs.
     """
 
     #: Workload name: IMB config, PARSEC benchmark, mix or ``random``.
-    workload: str
-    platform: str = "quad"
-    threads: int = 8
-    balancer: str = "smartbalance"
-    n_epochs: int = 12
+    workload: str = knob(flag="--workload", known=check_workload,
+                         label=(1, "{}"))
+    platform: str = knob("quad", flag="--platform", known=check_platform,
+                         label=(0, "{}"))
+    threads: int = knob(8, flag="--threads", check=_at_least_one,
+                        label=(2, "x{}"))
+    balancer: str = knob("smartbalance", flag="--balancer",
+                         commands=("run", "submit"), known=check_balancer,
+                         label=(3, "{}"))
+    n_epochs: int = knob(12, flag="--epochs", cli_default=40,
+                         metavar="EPOCHS", check=_at_least_one)
     #: Simulation (sensing-noise) seed.
-    seed: int = 0
+    seed: int = knob(0, flag="--seed", label=(7, "seed={}"))
     #: Workload instantiation seed; ``None`` follows ``seed``.
-    workload_seed: Optional[int] = None
+    workload_seed: Optional[int] = knob(None)
     #: Named fault scenario from :mod:`repro.faults`; ``None`` = clean.
-    faults: Optional[str] = None
+    faults: Optional[str] = knob(
+        None, flag="--faults", choices=tuple(FAULT_SCENARIOS),
+        help="inject a named fault scenario into the run",
+        label=(6, "faults={}"), label_when_set=True,
+    )
     #: Fault-schedule seed; ``None`` follows ``seed``.
-    fault_seed: Optional[int] = None
+    fault_seed: Optional[int] = knob(
+        None, flag="--fault-seed",
+        help="seed of the fault schedule (default: --seed)",
+    )
     #: SmartBalance resilience defences on/off (smartbalance only).
-    mitigations: bool = True
+    mitigations: bool = knob(
+        True, flag="--no-mitigations", commands=("run", "submit"),
+        help="ablate every resilience defence (smartbalance only)",
+    )
     #: Online model maintenance on/off (smartbalance only; see
     #: :mod:`repro.adaptation`).  Off keeps runs byte-identical to
     #: builds without the adaptation subsystem.
-    adaptation: bool = False
+    adaptation: bool = knob(
+        False, flag="--adapt", commands=("run", "submit"),
+        help="online model maintenance: drift-triggered RLS re-fits "
+        "with registry rollback (smartbalance only; default off)",
+    )
     #: DVFS governor strategy (smartbalance only): ``"fixed"`` (no
     #: governor — byte-identical to pre-governor builds), ``"two_level"``,
     #: ``"coupled_anneal"`` or ``"pinned:<level>"``.  Parsed by
     #: :func:`repro.governor.parse_governor`.
-    governor: str = "fixed"
+    governor: str = knob(
+        "fixed", flag="--governor", commands=("run", "submit"),
+        metavar="STRATEGY", check=_governor, smart_only=True,
+        help="joint placement + per-cluster DVFS co-optimisation "
+        "(smartbalance only): fixed (off, default), two_level, "
+        "coupled_anneal or pinned:<level>",
+        label=(4, "gov={}"), label_when_set=True,
+    )
     #: Workload scenario from :mod:`repro.scenarios`: ``"none"`` (no
     #: scenario — byte-identical to pre-scenario builds) or a scenario
     #: string like ``"openloop:rate=120"``, ``"barrier:groups=2"``,
     #: ``"smt:cores=big"``.  Parsed by
     #: :func:`repro.scenarios.parse_scenario`.
-    scenario: str = "none"
+    scenario: str = knob(
+        "none", flag="--scenario", commands=("run", "submit"),
+        metavar="SPEC", check=_scenario,
+        help="workload scenario (docs/scenarios.md): none (default), "
+        "openloop[:rate=..,slo_ms=..], barrier[:groups=..,members=..] "
+        "or smt[:cores=..,corunners=..]",
+        label=(5, "scenario={}"), label_when_set=True,
+    )
     #: Simulator knobs.  ``config.seed`` and ``config.faults`` are
     #: ignored in favour of the spec's own fields.
-    config: SimulationConfig = field(default_factory=SimulationConfig)
+    config: SimulationConfig = knob(default_factory=SimulationConfig,
+                                    check=_no_fault_plan)
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.n_epochs < 1:
-            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
-        if self.config.faults is not None:
-            raise ValueError(
-                "RunSpec.config must not embed a FaultPlan; name the "
-                "scenario via RunSpec.faults so the spec stays hashable"
-            )
-        if self.scenario != "none":
-            # Validate eagerly so a bad scenario string fails at spec
-            # construction, not minutes later inside a worker.
-            from repro.scenarios import parse_scenario
-
-            parse_scenario(self.scenario)
+        # Validate eagerly so a bad value fails at spec construction,
+        # not minutes later inside a worker.
+        for f, spec_knob in KNOBS:
+            value = getattr(self, f.name)
+            if value == f.default:
+                continue
+            if spec_knob.check is not None:
+                try:
+                    spec_knob.check(f.name, value)
+                except ValueError as exc:
+                    raise SpecError(f.name, str(exc)) from None
+            if spec_knob.smart_only and self.balancer != "smartbalance":
+                raise SpecError(
+                    f.name,
+                    f"{f.name} {value!r} requires the smartbalance "
+                    f"balancer, got {self.balancer!r}",
+                )
 
     # ------------------------------------------------------------------
     # Identity
@@ -144,22 +268,9 @@ class RunSpec:
 
     def canonical(self) -> dict:
         """JSON-ready canonical form (the hashed identity)."""
-        return {
-            "workload": self.workload,
-            "platform": self.platform,
-            "threads": self.threads,
-            "balancer": self.balancer,
-            "n_epochs": self.n_epochs,
-            "seed": self.seed,
-            "workload_seed": self.workload_seed,
-            "faults": self.faults,
-            "fault_seed": self.fault_seed,
-            "mitigations": self.mitigations,
-            "adaptation": self.adaptation,
-            "governor": self.governor,
-            "scenario": self.scenario,
-            "config": config_fingerprint(self.config),
-        }
+        data = {f.name: getattr(self, f.name) for f, _ in KNOBS}
+        data["config"] = config_fingerprint(self.config)
+        return data
 
     def spec_key(self) -> str:
         """Stable cache key: spec identity + config + code version."""
@@ -173,15 +284,16 @@ class RunSpec:
 
     def label(self) -> str:
         """Compact human-readable id for logs and progress lines."""
-        parts = [self.platform, self.workload, f"x{self.threads}", self.balancer]
-        if self.governor != "fixed":
-            parts.append(f"gov={self.governor}")
-        if self.scenario != "none":
-            parts.append(f"scenario={self.scenario}")
-        if self.faults:
-            parts.append(f"faults={self.faults}")
-        parts.append(f"seed={self.seed}")
-        return "/".join(parts)
+        parts = []
+        for f, spec_knob in KNOBS:
+            value = getattr(self, f.name)
+            if spec_knob.label is None or (
+                spec_knob.label_when_set and value == f.default
+            ):
+                continue
+            position, fmt = spec_knob.label
+            parts.append((position, fmt.format(value)))
+        return "/".join(part for _, part in sorted(parts))
 
     # ------------------------------------------------------------------
     # Derived seeds
@@ -195,6 +307,21 @@ class RunSpec:
         job's identity — never on pool scheduling order.
         """
         return dataclasses.replace(self, seed=derive_seed(base_seed, self))
+
+
+#: ``(field, Knob)`` per :class:`RunSpec` field, in declaration order.
+#: A field declared without a :class:`Knob` fails right here.
+KNOBS = tuple((f, f.metadata["knob"]) for f in dataclasses.fields(RunSpec))
+
+_FIELD_TYPES = get_type_hints(RunSpec)
+
+
+def knob_type(name: str) -> "tuple[type, bool]":
+    """``(base type, nullable)`` of a :class:`RunSpec` field, e.g.
+    ``(int, True)`` for ``fault_seed: Optional[int]``."""
+    hint = _FIELD_TYPES[name]
+    args = getattr(hint, "__args__", (hint,))
+    return args[0], type(None) in args
 
 
 def derive_seed(base_seed: int, spec: RunSpec) -> int:

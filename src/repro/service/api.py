@@ -1,10 +1,11 @@
 """Request validation: JSON payloads <-> :class:`RunSpec`.
 
 The service speaks the same vocabulary as the CLI: a job payload is
-the JSON shape of a :class:`~repro.runner.spec.RunSpec`, with names
-validated against :func:`repro.runner.factories.catalogue` — the same
-source of truth ``repro list --json`` prints — so a spec the API
-accepts is exactly a spec the runner can execute.
+the JSON shape of a :class:`~repro.runner.spec.RunSpec`, validated
+field by field from the spec's own knob table, with names checked
+against :func:`repro.runner.factories.catalogue` — the same source of
+truth ``repro list --json`` prints — so a spec the API accepts is
+exactly a spec the runner can execute.
 
 Validation errors raise :class:`ApiError` with an HTTP status and a
 ``field`` naming the offending key; the server maps them straight to
@@ -13,14 +14,19 @@ JSON error responses without ever calling into the simulator.
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import MISSING
 from typing import Optional
 
 from repro.hardware.sensors import NoiseModel
 from repro.kernel.simulator import SimulationConfig
-from repro.runner.factories import catalogue, workload_names
-from repro.runner.spec import RunSpec, config_fingerprint
-from repro.scenarios import parse_scenario
+from repro.runner.spec import (
+    KNOBS,
+    Knob,
+    RunSpec,
+    SpecError,
+    config_fingerprint,
+    knob_type,
+)
 
 
 class ApiError(Exception):
@@ -39,24 +45,6 @@ class ApiError(Exception):
         return payload
 
 
-#: Payload keys accepted on a job spec, mirroring ``RunSpec`` fields.
-SPEC_FIELDS = (
-    "workload",
-    "platform",
-    "threads",
-    "balancer",
-    "n_epochs",
-    "seed",
-    "workload_seed",
-    "faults",
-    "fault_seed",
-    "mitigations",
-    "adaptation",
-    "governor",
-    "scenario",
-    "config",
-)
-
 #: ``SimulationConfig`` fields settable through the API.  ``seed`` and
 #: ``faults`` are owned by the spec (same rule as ``RunSpec.config``).
 CONFIG_FIELDS = {
@@ -68,25 +56,7 @@ CONFIG_FIELDS = {
     "power_noise": dict,
 }
 
-
-def _require_int(payload: dict, key: str, default: int,
-                 minimum: Optional[int] = None) -> int:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ApiError(f"{key} must be an integer, got {value!r}", field=key)
-    if minimum is not None and value < minimum:
-        raise ApiError(f"{key} must be >= {minimum}, got {value}", field=key)
-    return value
-
-
-def _optional_int(payload: dict, key: str) -> Optional[int]:
-    value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ApiError(f"{key} must be an integer or null, got {value!r}",
-                       field=key)
-    return value
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def _noise_model(data: object, key: str) -> NoiseModel:
@@ -133,127 +103,55 @@ def _config_from_payload(data: object) -> SimulationConfig:
         raise ApiError(f"invalid config: {exc}", field="config") from None
 
 
+def _knob_value(name: str, spec_knob: Knob, value: object) -> object:
+    """Type-check one payload value and its name against the catalogue."""
+    base, nullable = knob_type(name)
+    if base is SimulationConfig:
+        return SimulationConfig() if value is None else _config_from_payload(value)
+    if nullable and value is None:
+        return None
+    if not isinstance(value, base) or (base is not bool and isinstance(value, bool)):
+        raise ApiError(
+            f"{name} must be {_JSON_TYPE_NAMES[base]}"
+            f"{' or null' if nullable else ''}, got {value!r}",
+            field=name,
+        )
+    if spec_knob.choices and value not in spec_knob.choices:
+        raise ApiError(
+            f"unknown {name} {value!r}; one of {list(spec_knob.choices)}",
+            field=name,
+        )
+    if spec_knob.known is not None:
+        try:
+            spec_knob.known(value)
+        except ValueError as exc:
+            raise ApiError(str(exc), field=name) from None
+    return value
+
+
 def spec_from_payload(payload: object) -> RunSpec:
     """Validate one job payload and build its :class:`RunSpec`.
 
-    Every name is checked against the catalogue *before* touching the
+    Every key is checked against the :class:`~repro.runner.spec.Knob`
+    table and every name against the catalogue *before* touching the
     simulator, so a bad request costs microseconds, not a traceback in
     a worker process.
     """
     if not isinstance(payload, dict):
         raise ApiError("job spec must be a JSON object")
-    unknown = set(payload) - set(SPEC_FIELDS)
+    unknown = set(payload) - {f.name for f, _ in KNOBS}
     if unknown:
         raise ApiError(f"unknown spec field(s) {sorted(unknown)}")
-    names = catalogue()
-
-    workload = payload.get("workload")
-    if not isinstance(workload, str) or not workload:
-        raise ApiError("workload is required and must be a string",
-                       field="workload")
-    if workload not in workload_names():
-        raise ApiError(
-            f"unknown workload {workload!r}; see GET /v1/catalogue or "
-            "`repro list --json`",
-            field="workload",
-        )
-
-    platform = payload.get("platform", "quad")
-    if not isinstance(platform, str):
-        raise ApiError("platform must be a string", field="platform")
-    if platform not in names["platforms"]:
-        if platform.startswith("hmp:"):
-            suffix = platform.split(":", 1)[1]
-            if not suffix.isdigit() or int(suffix) < 1:
-                raise ApiError(
-                    f"malformed hmp platform {platform!r}; use hmp:<n>",
-                    field="platform",
-                )
-        else:
-            raise ApiError(
-                f"unknown platform {platform!r}; one of "
-                f"{names['platforms']} or hmp:<n>",
-                field="platform",
-            )
-
-    balancer = payload.get("balancer", "smartbalance")
-    if balancer not in names["balancers"]:
-        raise ApiError(
-            f"unknown balancer {balancer!r}; one of {names['balancers']}",
-            field="balancer",
-        )
-
-    faults = payload.get("faults")
-    if faults is not None and faults not in names["faults"]:
-        raise ApiError(
-            f"unknown fault scenario {faults!r}; one of {names['faults']}",
-            field="faults",
-        )
-
-    mitigations = payload.get("mitigations", True)
-    if not isinstance(mitigations, bool):
-        raise ApiError("mitigations must be a boolean", field="mitigations")
-
-    adaptation = payload.get("adaptation", False)
-    if not isinstance(adaptation, bool):
-        raise ApiError("adaptation must be a boolean", field="adaptation")
-
-    governor = payload.get("governor", "fixed")
-    if not isinstance(governor, str):
-        raise ApiError("governor must be a string", field="governor")
-    if governor not in names["governors"]:
-        if governor.startswith("pinned:"):
-            suffix = governor.split(":", 1)[1]
-            if not suffix.isdigit():
-                raise ApiError(
-                    f"malformed governor {governor!r}; use pinned:<level>",
-                    field="governor",
-                )
-        else:
-            raise ApiError(
-                f"unknown governor {governor!r}; one of "
-                f"{names['governors']} or pinned:<level>",
-                field="governor",
-            )
-    if governor != "fixed" and balancer != "smartbalance":
-        raise ApiError(
-            f"governor {governor!r} requires the smartbalance balancer",
-            field="governor",
-        )
-
-    scenario = payload.get("scenario", "none")
-    if not isinstance(scenario, str):
-        raise ApiError("scenario must be a string", field="scenario")
-    if scenario != "none":
-        try:
-            parse_scenario(scenario)
-        except ValueError as exc:
-            raise ApiError(str(exc), field="scenario") from None
-
-    config = (
-        _config_from_payload(payload["config"])
-        if payload.get("config") is not None
-        else SimulationConfig()
-    )
+    values = {}
+    for f, spec_knob in KNOBS:
+        if f.name in payload:
+            values[f.name] = _knob_value(f.name, spec_knob, payload[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ApiError(f"{f.name} is required", field=f.name)
     try:
-        return RunSpec(
-            workload=workload,
-            platform=platform,
-            threads=_require_int(payload, "threads", 8, minimum=1),
-            balancer=balancer,
-            n_epochs=_require_int(payload, "n_epochs", 12, minimum=1),
-            seed=_require_int(payload, "seed", 0),
-            workload_seed=_optional_int(payload, "workload_seed"),
-            faults=faults,
-            fault_seed=_optional_int(payload, "fault_seed"),
-            mitigations=mitigations,
-            adaptation=adaptation,
-            governor=governor,
-            scenario=scenario,
-            config=config,
-        )
-    except ValueError as exc:
-        raise ApiError(str(exc)) from None
+        return RunSpec(**values)
+    except SpecError as exc:
+        raise ApiError(str(exc), field=exc.field) from None
 
 
 def payload_from_spec(spec: RunSpec) -> dict:
@@ -263,28 +161,14 @@ def payload_from_spec(spec: RunSpec) -> dict:
     inverses (pinned by the API tests), which is what lets the client
     submit real :class:`RunSpec` objects over the wire.
     """
-    payload = {
-        "workload": spec.workload,
-        "platform": spec.platform,
-        "threads": spec.threads,
-        "balancer": spec.balancer,
-        "n_epochs": spec.n_epochs,
-        "seed": spec.seed,
-        "workload_seed": spec.workload_seed,
-        "faults": spec.faults,
-        "fault_seed": spec.fault_seed,
-        "mitigations": spec.mitigations,
-        "adaptation": spec.adaptation,
-        "governor": spec.governor,
-        "scenario": spec.scenario,
+    payload = spec.canonical()
+    default = config_fingerprint(SimulationConfig())
+    payload["config"] = {
+        key: value for key, value in payload["config"].items()
+        if value != default[key]
     }
-    if spec.config != SimulationConfig():
-        config = config_fingerprint(spec.config)
-        default = config_fingerprint(SimulationConfig())
-        payload["config"] = {
-            key: value for key, value in config.items()
-            if value != default[key]
-        }
+    if not payload["config"]:
+        del payload["config"]
     return payload
 
 
@@ -329,6 +213,4 @@ def specs_from_request(body: object) -> "tuple[list[RunSpec], dict]":
 
 def spec_to_dict(spec: RunSpec) -> dict:
     """Spec as shown in job-status responses (canonical identity)."""
-    data = dataclasses.asdict(spec)
-    data["config"] = config_fingerprint(spec.config)
-    return data
+    return spec.canonical()

@@ -11,7 +11,8 @@ from repro.kernel.simulator import SimulationConfig
 from repro.obs import ObsContext, build_report, render_report, validate_events
 from repro.runner.engine import execute_spec
 from repro.runner.serialize import metrics_digest
-from repro.runner.spec import RunSpec
+from repro.runner.factories import catalogue
+from repro.runner.spec import RunSpec, SpecError
 from repro.service.api import ApiError, spec_from_payload
 
 
@@ -168,3 +169,34 @@ class TestServiceApi:
             spec_from_payload(
                 self.payload(balancer="vanilla", governor="two_level")
             )
+
+    def test_bare_pinned_rejected_with_field(self):
+        """``pinned`` without a level used to pass validation and die in
+        the worker; the catalogue lists it only as ``pinned:<level>``."""
+        with pytest.raises(ApiError, match="needs a level") as excinfo:
+            spec_from_payload(self.payload(governor="pinned"))
+        assert excinfo.value.field == "governor"
+
+
+class TestSpecValidation:
+    """A governor no worker could build fails at RunSpec construction."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"governor": "pinned"},
+            {"governor": "warp"},
+            {"governor": "pinned:-1"},
+            {"governor": "two_level", "balancer": "vanilla"},
+            {"governor": "two_level", "balancer": "tpeq"},
+        ],
+    )
+    def test_unbuildable_governor_refused(self, overrides):
+        with pytest.raises(SpecError) as excinfo:
+            RunSpec(workload="MTMI", **overrides)
+        assert excinfo.value.field == "governor"
+
+    def test_catalogue_lists_only_standalone_strategies(self):
+        names = catalogue()
+        assert "pinned" not in names["governors"]
+        assert names["governor_patterns"] == ["pinned:<level>"]

@@ -194,3 +194,5 @@ class TestCatalogueConsistency:
             spec_from_payload({"workload": "MTMI", "platform": platform})
         for fault in names["faults"]:
             spec_from_payload({"workload": "MTMI", "faults": fault})
+        for governor in names["governors"]:
+            spec_from_payload({"workload": "MTMI", "governor": governor})
