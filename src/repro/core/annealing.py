@@ -24,6 +24,25 @@ Design notes / deliberate choices:
 * Iterations are capped per platform scale by
   :func:`default_iteration_cap` — the Fig. 8(a) trade of solution
   quality for bounded overhead on large systems.
+* The acceptance rule is one function, :func:`accept_move`, shared
+  with the governor's joint (allocation, OPP) walk.
+
+Bit-identity contract: the loop is written for host speed (hot names
+bound to locals, one evaluator call per move, positions drawn as
+``randi() % total_slots``), but every decision is a pure function of
+the seed and the objective.  Each RNG draw keeps its position, every
+float operation keeps its operands and order, the evaluator's starting
+aggregates are numpy reductions and ``J_E``'s power is a scalar
+``**`` (see :class:`~repro.core.objective.IncrementalEvaluator`), so
+run digests do not depend on how fast the loop is.  A differential
+fuzz against a reference copy of the straightforward loop pins this
+with exact equality.
+
+Rejected alternative: batching the governor's hundreds of short inner
+anneals into one numpy walk in lockstep would amortise the Python
+per-move cost, but ``J_E`` would then go through array ``np.power``,
+whose SIMD path differs from scalar ``pow`` in the last bit on some
+inputs — enough to flip an acceptance decision and move digests.
 """
 
 from __future__ import annotations
@@ -170,6 +189,33 @@ class SAResult:
         return (self.best_value - self.initial_value) / abs(self.initial_value)
 
 
+def accept_move(
+    diff: float,
+    current: float,
+    acceptance: float,
+    use_fixed_point_exp: bool,
+    rng: Xorshift32,
+) -> bool:
+    """Algorithm 1's acceptance rule for a move that changes ``J`` by ``diff``.
+
+    Improving and neutral moves (e.g. an empty–empty swap) are taken: a
+    neutral move costs nothing and keeps the walk moving.  A worse move
+    is taken with probability ``e^(-|ΔJ| / (accept·|J|))`` through the
+    paper's integer trick ``randi() mod round(1/p) == 0``, which draws
+    from ``rng`` only when ``p > 0``.
+    """
+    if not diff < 0:
+        return True
+    scale = acceptance * max(abs(current), 1e-30)
+    # An underflowed scale makes the ratio +inf, which the cap absorbs.
+    x = min(-diff / scale, 11.0) if scale else 11.0
+    probability = exp_neg(x) if use_fixed_point_exp else math.exp(-x)
+    if probability > 0:
+        inverse = max(int(round(1.0 / probability)), 1)
+        return rng.randi() % inverse == 0
+    return False
+
+
 def anneal(
     objective: EnergyEfficiencyObjective,
     initial: Allocation,
@@ -209,6 +255,24 @@ def anneal(
         trace = SATrace(stride=max(iterations // TRACE_SAMPLES, 1))
         trace.record(0, current, best_value, perturb, accept)
 
+    # Hot-loop locals.  ``randi() % total_slots`` is exactly
+    # ``randi_range(0, total_slots)``, and ``randi() % total_slots - pos``
+    # is ``randi_range(-pos, total_slots - pos)``: same draws, same order.
+    randi = rng.randi
+    sqrt = math.sqrt
+    if config.incremental:
+        move = undo = evaluator.apply_swap
+    else:
+
+        def move(pos_a: int, pos_b: int) -> float:
+            working.swap(pos_a, pos_b)
+            return objective.evaluate(working)
+
+        undo = working.swap
+    fixed_point = config.use_fixed_point_exp
+    perturbation_decay = config.perturbation_decay
+    acceptance_decay = config.acceptance_decay
+    last_slot = total_slots - 1
     performed = 0
     for _ in range(iterations):
         if deadline is not None and performed % 32 == 0 and performed > 0:
@@ -216,35 +280,18 @@ def anneal(
                 truncated = True
                 break
         performed += 1
-        pos = rng.randi_range(0, total_slots)
-        span = math.sqrt(perturb)
-        offset = rng.randi_range(-pos, total_slots - pos)
+        pos = randi() % total_slots
+        span = sqrt(perturb)
+        offset = randi() % total_slots - pos
         pos_new = pos + int(span * offset)
-        pos_new = min(max(pos_new, 0), total_slots - 1)
+        if pos_new < 0:
+            pos_new = 0
+        elif pos_new > last_slot:
+            pos_new = last_slot
 
-        if config.incremental:
-            new_value = evaluator.apply_swap(pos, pos_new)
-        else:
-            working.swap(pos, pos_new)
-            new_value = objective.evaluate(working)
+        new_value = move(pos, pos_new)
         diff = new_value - current
-
-        take = False
-        if diff > 0:
-            take = True
-        elif diff < 0:
-            scale = accept * max(abs(current), 1e-30)
-            x = min(-diff / scale, 11.0)
-            probability = exp_neg(x) if config.use_fixed_point_exp else math.exp(-x)
-            if probability > 0:
-                inverse = max(int(round(1.0 / probability)), 1)
-                take = rng.randi() % inverse == 0
-        else:
-            # Neutral move (e.g. empty-empty swap): accept, it costs
-            # nothing and keeps the walk moving.
-            take = True
-
-        if take:
+        if accept_move(diff, current, accept, fixed_point, rng):
             current = new_value
             accepted += 1
             if diff < 0:
@@ -254,13 +301,10 @@ def anneal(
                 best_allocation = working.copy()
         else:
             # Swaps are involutive: undo by re-applying.
-            if config.incremental:
-                evaluator.apply_swap(pos, pos_new)
-            else:
-                working.swap(pos, pos_new)
+            undo(pos, pos_new)
 
-        perturb *= config.perturbation_decay
-        accept *= config.acceptance_decay
+        perturb *= perturbation_decay
+        accept *= acceptance_decay
         if trace is not None and performed % trace.stride == 0:
             trace.record(performed, current, best_value, perturb, accept)
 

@@ -73,7 +73,13 @@ every infeasible one.
 
 Because each core's term depends only on three per-core sums, a thread
 move updates ``J_E`` in O(1) — the "keeping track of previous
-computations" optimisation the paper describes for its SA inner loop.
+computations" optimisation the paper describes for its SA inner loop
+(:meth:`IncrementalEvaluator.apply_swap`).
+
+The incremental path is bit-identical to the straightforward per-move
+form, not an approximation of it: same operation order, numpy starting
+sums, scalar ``pow`` for ``J_E`` (details on
+:class:`IncrementalEvaluator`).  How fast it runs never moves a digest.
 """
 
 from __future__ import annotations
@@ -233,13 +239,23 @@ class EnergyEfficiencyObjective:
             pwr = sum_up / sum_u
         return ips, pwr
 
-    def combine(self, core_ips: np.ndarray, core_power: np.ndarray) -> float:
-        """Fold per-core (IPS, P) terms into the scalar ``J_E``."""
+    def aggregates(
+        self, core_ips: np.ndarray, core_power: np.ndarray
+    ) -> tuple[float, float, float]:
+        """``(Σ ω·IPS, Σ P, Σ ω·IPS/P)`` over per-core terms.
+
+        numpy reductions (pairwise summation), shared by the full
+        evaluation and the incremental evaluator's starting state.
+        """
         weighted_ips = float((self.weights * core_ips).sum())
         total_power = float(core_power.sum())
         ratios = np.where(core_power > 0, core_ips / np.maximum(core_power, 1e-30), 0.0)
         ratio_sum = float((self.weights * ratios).sum())
-        return self.scalar_value(weighted_ips, total_power, ratio_sum)
+        return weighted_ips, total_power, ratio_sum
+
+    def combine(self, core_ips: np.ndarray, core_power: np.ndarray) -> float:
+        """Fold per-core (IPS, P) terms into the scalar ``J_E``."""
+        return self.scalar_value(*self.aggregates(core_ips, core_power))
 
     def scalar_value(
         self, weighted_ips: float, total_power: float, ratio_sum: float
@@ -336,6 +352,27 @@ class IncrementalEvaluator:
     :meth:`apply_swap` only, so the running sums stay consistent.
     Swaps are involutive, so rejecting a move is just applying the same
     swap again.
+
+    Per-core state is kept in lists of Python floats, and each
+    (thread, core) cell is read through a flat zero-copy ``memoryview``
+    of the objective's cached matrices, so a move is one Python call
+    with no numpy-scalar arithmetic.  The value is bit-identical to
+    the straightforward form (``Allocation.swap``, ± accounting and
+    :meth:`~EnergyEfficiencyObjective.core_terms` per move, over numpy
+    per-core arrays) because:
+
+    * every running sum sees the same operands in the same order: the
+      starting sums add a core's threads in slot order; a move books
+      thread ``a`` before thread ``b`` and refreshes core ``a`` before
+      core ``b``;
+    * the starting aggregates are the numpy reductions that
+      :meth:`~EnergyEfficiencyObjective.evaluate` uses (numpy's
+      pairwise sum is not a left-to-right Python sum);
+    * ``J_E``'s power is a scalar ``**``, which for Python and numpy
+      floats alike is the C library's ``pow``; array ``np.power`` may
+      take a SIMD path that differs in the last bit.  Where Python's
+      ``**`` would return a complex number (a round-off-negative
+      throughput sum under a fractional exponent), numpy's NaN is kept.
     """
 
     def __init__(self, objective: EnergyEfficiencyObjective, allocation: Allocation) -> None:
@@ -343,84 +380,147 @@ class IncrementalEvaluator:
         self.objective = objective
         self.allocation = allocation
         n = objective.n_cores
-        self._sum_u = np.zeros(n)
-        self._sum_uips = np.zeros(n)
-        self._sum_up = np.zeros(n)
-        self._core_ips = np.zeros(n)
-        self._core_power = np.zeros(n)
+        self._n_cores = n
+        self._slots = allocation.slots
+        self._thread_slot = allocation._thread_slot
+        self._slots_per_core = allocation.slots_per_core
+        # Flat views: cell (thread, core) is item ``thread * n + core``.
+        self._u = memoryview(objective.utilization.ravel())
+        self._uips = memoryview(objective._uips.ravel())
+        self._up = memoryview(objective._up.ravel())
+        allowed = objective.allowed
+        self._allowed = None if allowed is None else memoryview(allowed.ravel())
+        self._weights = objective.weights.tolist()
+        self._idle = objective.idle_power.tolist()
+        self._sleep = objective.sleep_power.tolist()
+        self._global = objective.mode == "global"
+        self._exponent = objective.throughput_exponent
+
+        # Each core's sums accumulate its threads in slot order.
+        sum_u, sum_uips, sum_up = [0.0] * n, [0.0] * n, [0.0] * n
+        thread_slot = self._thread_slot
+        for thread in sorted(range(objective.n_threads), key=thread_slot.__getitem__):
+            core = thread_slot[thread] // self._slots_per_core
+            k = thread * n + core
+            sum_u[core] += self._u[k]
+            sum_uips[core] += self._uips[k]
+            sum_up[core] += self._up[k]
+        self._sum_u, self._sum_uips, self._sum_up = sum_u, sum_uips, sum_up
+        self._core_ips = [0.0] * n
+        self._core_power = [0.0] * n
         for core in range(n):
-            for thread in allocation.threads_on(core):
-                self._account(thread, core, +1.0)
-            self._core_ips[core], self._core_power[core] = objective.core_terms(
-                core, self._sum_u[core], self._sum_uips[core], self._sum_up[core]
+            ips, power = objective.core_terms(
+                core, sum_u[core], sum_uips[core], sum_up[core]
             )
+            self._core_ips[core] = float(ips)
+            self._core_power[core] = float(power)
+        self._core_ratio = [
+            ips / power if power > 0 else 0.0
+            for ips, power in zip(self._core_ips, self._core_power)
+        ]
         self._violations = objective.violations(allocation)
-        self._weighted_ips = float((objective.weights * self._core_ips).sum())
-        self._total_power = float(self._core_power.sum())
-        self._ratio_sum = float(
-            (
-                objective.weights
-                * np.where(
-                    self._core_power > 0,
-                    self._core_ips / np.maximum(self._core_power, 1e-30),
-                    0.0,
-                )
-            ).sum()
+        self._weighted_ips, self._total_power, self._ratio_sum = objective.aggregates(
+            np.array(self._core_ips), np.array(self._core_power)
         )
+        self._value = objective.scalar_value(
+            self._weighted_ips, self._total_power, self._ratio_sum
+        ) - AFFINITY_VIOLATION_PENALTY * self._violations
 
     @property
     def value(self) -> float:
         """Current ``J_E``."""
-        value = self.objective.scalar_value(
-            self._weighted_ips, self._total_power, self._ratio_sum
-        )
-        return value - AFFINITY_VIOLATION_PENALTY * self._violations
-
-    def _account(self, thread: int, core: int, sign: float) -> None:
-        obj = self.objective
-        self._sum_u[core] += sign * obj.utilization[thread, core]
-        # Reuse the objective's cached u·ips / u·p vectors instead of
-        # re-multiplying on every annealer move.
-        self._sum_uips[core] += sign * obj._uips[thread, core]
-        self._sum_up[core] += sign * obj._up[thread, core]
-
-    def _refresh_core(self, core: int) -> None:
-        obj = self.objective
-        new_ips, new_power = obj.core_terms(
-            core, self._sum_u[core], self._sum_uips[core], self._sum_up[core]
-        )
-        old_ips, old_power = self._core_ips[core], self._core_power[core]
-        weight = obj.weights[core]
-        self._weighted_ips += weight * (new_ips - old_ips)
-        self._total_power += new_power - old_power
-        old_ratio = old_ips / old_power if old_power > 0 else 0.0
-        new_ratio = new_ips / new_power if new_power > 0 else 0.0
-        self._ratio_sum += weight * (new_ratio - old_ratio)
-        self._core_ips[core] = new_ips
-        self._core_power[core] = new_power
+        return self._value
 
     def apply_swap(self, pos_a: int, pos_b: int) -> float:
         """Swap two slots, update ``J_E`` incrementally, return new value."""
-        alloc = self.allocation
-        thread_a = alloc.slots[pos_a]
-        thread_b = alloc.slots[pos_b]
-        core_a, core_b = alloc.swap(pos_a, pos_b)
-        if core_a != core_b:
-            allowed = self.objective.allowed
-            if thread_a != EMPTY:
-                self._account(thread_a, core_a, -1.0)
-                self._account(thread_a, core_b, +1.0)
-                if allowed is not None:
-                    self._violations += int(not allowed[thread_a, core_b]) - int(
-                        not allowed[thread_a, core_a]
-                    )
-            if thread_b != EMPTY:
-                self._account(thread_b, core_b, -1.0)
-                self._account(thread_b, core_a, +1.0)
-                if allowed is not None:
-                    self._violations += int(not allowed[thread_b, core_a]) - int(
-                        not allowed[thread_b, core_b]
-                    )
-            self._refresh_core(core_a)
-            self._refresh_core(core_b)
-        return self.value
+        slots = self._slots
+        n_slots = len(slots)
+        if not (0 <= pos_a < n_slots and 0 <= pos_b < n_slots):
+            raise IndexError(f"slot pair ({pos_a}, {pos_b}) out of range")
+        thread_a = slots[pos_a]
+        thread_b = slots[pos_b]
+        if thread_a == thread_b:
+            # A self or empty–empty swap changes nothing.
+            return self._value
+        slots[pos_a] = thread_b
+        slots[pos_b] = thread_a
+        if thread_a != EMPTY:
+            self._thread_slot[thread_a] = pos_b
+        if thread_b != EMPTY:
+            self._thread_slot[thread_b] = pos_a
+        core_a = pos_a // self._slots_per_core
+        core_b = pos_b // self._slots_per_core
+        if core_a == core_b:
+            return self._value
+
+        n = self._n_cores
+        u, uips, up = self._u, self._uips, self._up
+        sum_u, sum_uips, sum_up = self._sum_u, self._sum_uips, self._sum_up
+        allowed = self._allowed
+        violations = self._violations
+        if thread_a != EMPTY:
+            ka = thread_a * n
+            sum_u[core_a] -= u[ka + core_a]
+            sum_uips[core_a] -= uips[ka + core_a]
+            sum_up[core_a] -= up[ka + core_a]
+            sum_u[core_b] += u[ka + core_b]
+            sum_uips[core_b] += uips[ka + core_b]
+            sum_up[core_b] += up[ka + core_b]
+            if allowed is not None:
+                violations += allowed[ka + core_a] - allowed[ka + core_b]
+        if thread_b != EMPTY:
+            kb = thread_b * n
+            sum_u[core_b] -= u[kb + core_b]
+            sum_uips[core_b] -= uips[kb + core_b]
+            sum_up[core_b] -= up[kb + core_b]
+            sum_u[core_a] += u[kb + core_a]
+            sum_uips[core_a] += uips[kb + core_a]
+            sum_up[core_a] += up[kb + core_a]
+            if allowed is not None:
+                violations += allowed[kb + core_b] - allowed[kb + core_a]
+        self._violations = violations
+
+        # Refresh both cores' terms (core_terms' branches) and fold the
+        # differences into the three aggregates.
+        core_ips, core_power, core_ratio = (
+            self._core_ips, self._core_power, self._core_ratio
+        )
+        weights = self._weights
+        weighted_ips = self._weighted_ips
+        total_power = self._total_power
+        ratio_sum = self._ratio_sum
+        for core in (core_a, core_b):
+            load = sum_u[core]
+            if load <= 1e-9:
+                ips = 0.0
+                power = self._sleep[core]
+            elif load <= 1.0:
+                ips = sum_uips[core]
+                power = sum_up[core] + (1.0 - load) * self._idle[core]
+            else:
+                ips = sum_uips[core] / load
+                power = sum_up[core] / load
+            ratio = ips / power if power > 0 else 0.0
+            weight = weights[core]
+            weighted_ips += weight * (ips - core_ips[core])
+            total_power += power - core_power[core]
+            ratio_sum += weight * (ratio - core_ratio[core])
+            core_ips[core] = ips
+            core_power[core] = power
+            core_ratio[core] = ratio
+        self._weighted_ips = weighted_ips
+        self._total_power = total_power
+        self._ratio_sum = ratio_sum
+
+        if not self._global:
+            value = self.objective.scalar_value(weighted_ips, total_power, ratio_sum)
+        elif total_power <= 0:
+            value = 0.0
+        elif weighted_ips < 0.0:
+            value = float(np.float64(weighted_ips) ** self._exponent) / total_power
+        else:
+            value = weighted_ips ** self._exponent / total_power
+        if violations:
+            value -= AFFINITY_VIOLATION_PENALTY * violations
+        self._value = value
+        return value

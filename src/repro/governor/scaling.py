@@ -156,7 +156,33 @@ class ConditionedObjectiveFactory:
                 phi = 1.0
             self._shallow.append(min(max(phi, 0.0), 1.0))
         self._cache: dict[tuple[int, ...], EnergyEfficiencyObjective] = {}
+        #: ``(core, applied type) -> (ips, power, util columns, idle, sleep)``.
+        #: A full enumeration scores every level vector, but each core
+        #: only ever sees its own ladder's few rungs.
+        self._rungs: dict = {}
         self.evaluations = 0
+
+    def _rung(self, j: int, nom: CoreType, app: CoreType) -> tuple:
+        """Core ``j``'s conditioned matrix columns and idle/sleep power
+        at applied type ``app`` (memoised)."""
+        key = (j, app)
+        rung = self._rungs.get(key)
+        if rung is None:
+            r = freq_ratio(nom, app)
+            s = dynamic_ratio(nom, app)
+            leak_nom = power_model.leakage_power(nom)
+            leak_app = power_model.leakage_power(app)
+            sleep = power_model.sleep_power(app)
+            phi = self._shallow[j]
+            rung = (
+                self.ips[:, j] * r,
+                (self.power[:, j] - leak_nom) * s + leak_app,
+                np.minimum(self.utilization[:, j] / r, 1.0),
+                phi * power_model.idle_power(app).total_w + (1.0 - phi) * sleep,
+                sleep,
+            )
+            self._rungs[key] = rung
+        return rung
 
     def objective(self, levels: "tuple[int, ...]") -> EnergyEfficiencyObjective:
         cached = self._cache.get(levels)
@@ -173,18 +199,8 @@ class ConditionedObjectiveFactory:
         for j, (nom, app) in enumerate(zip(self.nominal_types, applied)):
             if app == nom:
                 continue
-            r = freq_ratio(nom, app)
-            s = dynamic_ratio(nom, app)
-            leak_nom = power_model.leakage_power(nom)
-            leak_app = power_model.leakage_power(app)
-            ips[:, j] = self.ips[:, j] * r
-            power[:, j] = (self.power[:, j] - leak_nom) * s + leak_app
-            util[:, j] = np.minimum(self.utilization[:, j] / r, 1.0)
-            sleep[j] = power_model.sleep_power(app)
-            phi = self._shallow[j]
-            idle[j] = (
-                phi * power_model.idle_power(app).total_w
-                + (1.0 - phi) * sleep[j]
+            ips[:, j], power[:, j], util[:, j], idle[j], sleep[j] = self._rung(
+                j, nom, app
             )
         obj = EnergyEfficiencyObjective(
             ips=ips,

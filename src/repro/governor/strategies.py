@@ -12,9 +12,10 @@ the experiments compare against:
     One annealing walk over the product space: the move set mixes
     thread swaps (incremental O(1) evaluation) with single-cluster
     OPP steps (full re-evaluation + evaluator rebuild on acceptance).
-    Probabilistic primitives (xorshift32, fixed-point ``e^x``, the
-    integer acceptance trick) are the same as
-    :func:`repro.core.annealing.anneal`.
+    Both move kinds go through Algorithm 1's acceptance rule,
+    :func:`repro.core.annealing.accept_move`, the one
+    :func:`repro.core.annealing.anneal` uses (xorshift32, fixed-point
+    ``e^x``, the integer acceptance trick).
 
 ``pinned``
     Clamp every cluster to one level and run the stock placement
@@ -36,8 +37,14 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.allocation import Allocation
-from repro.core.annealing import SAConfig, SAResult, anneal, default_iteration_cap
-from repro.core.fixed_point import Xorshift32, exp_neg
+from repro.core.annealing import (
+    SAConfig,
+    SAResult,
+    accept_move,
+    anneal,
+    default_iteration_cap,
+)
+from repro.core.fixed_point import Xorshift32
 from repro.core.objective import IncrementalEvaluator
 from repro.governor.config import GovernorConfig
 from repro.governor.scaling import ConditionedObjectiveFactory
@@ -199,28 +206,6 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     )
 
 
-def _sa_accept(
-    diff: float,
-    current: float,
-    acceptance: float,
-    config: SAConfig,
-    rng: Xorshift32,
-) -> "tuple[bool, bool]":
-    """Algorithm 1's acceptance rule; returns ``(take, was_uphill)``."""
-    if diff > 0:
-        return True, False
-    if diff == 0:
-        return True, False
-    scale = acceptance * max(abs(current), 1e-30)
-    x = min(-diff / scale, 11.0)
-    probability = exp_neg(x) if config.use_fixed_point_exp else math.exp(-x)
-    if probability > 0:
-        inverse = max(int(round(1.0 / probability)), 1)
-        if rng.randi() % inverse == 0:
-            return True, True
-    return False, False
-
-
 def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
     """One annealing walk over the joint (allocation, OPP) space."""
     factory = ctx.factory
@@ -278,10 +263,10 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
                 trial[cluster] = new_level
                 trial_objective = factory.objective(tuple(trial))
                 new_value = trial_objective.evaluate(working)
-                take, was_uphill = _sa_accept(
-                    new_value - current, current, acceptance, config, rng
-                )
-                if take:
+                diff = new_value - current
+                if accept_move(
+                    diff, current, acceptance, config.use_fixed_point_exp, rng
+                ):
                     levels = trial
                     objective = trial_objective
                     # The running sums are per-objective: rebuild the
@@ -289,7 +274,8 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
                     evaluator = IncrementalEvaluator(objective, working)
                     current = new_value
                     accepted += 1
-                    uphill += int(was_uphill)
+                    if diff < 0:
+                        uphill += 1
                     if current > best_value:
                         best_value = current
                         best_allocation = working.copy()
@@ -302,13 +288,14 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
             pos_new = pos + int(span * offset)
             pos_new = min(max(pos_new, 0), total_slots - 1)
             new_value = evaluator.apply_swap(pos, pos_new)
-            take, was_uphill = _sa_accept(
-                new_value - current, current, acceptance, config, rng
-            )
-            if take:
+            diff = new_value - current
+            if accept_move(
+                diff, current, acceptance, config.use_fixed_point_exp, rng
+            ):
                 current = new_value
                 accepted += 1
-                uphill += int(was_uphill)
+                if diff < 0:
+                    uphill += 1
                 if current > best_value:
                     best_value = current
                     best_allocation = working.copy()

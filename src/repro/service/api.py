@@ -54,6 +54,7 @@ CONFIG_FIELDS = {
     "thermal_enabled": bool,
     "counter_noise": dict,
     "power_noise": dict,
+    "kernel": str,
 }
 
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
@@ -86,18 +87,21 @@ def _config_from_payload(data: object) -> SimulationConfig:
                        field="config")
     kwargs: dict = {}
     for key, value in data.items():
-        if key in ("counter_noise", "power_noise"):
+        expected = CONFIG_FIELDS[key]
+        if expected is dict:
             kwargs[key] = _noise_model(value, key)
-        elif key == "thermal_enabled":
-            if not isinstance(value, bool):
-                raise ApiError(f"{key} must be a boolean", field=key)
+        elif expected in (bool, str):
+            if not isinstance(value, expected):
+                raise ApiError(
+                    f"{key} must be {_JSON_TYPE_NAMES[expected]}", field=key
+                )
             kwargs[key] = value
         else:
-            expected = CONFIG_FIELDS[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ApiError(f"{key} must be a number", field=key)
             kwargs[key] = expected(value)
     try:
+        # Value checks (e.g. kernel in soa/reference) are the config's own.
         return SimulationConfig(**kwargs)
     except ValueError as exc:
         raise ApiError(f"invalid config: {exc}", field="config") from None

@@ -211,6 +211,17 @@ class TestIncrementalEvaluator:
         evaluator.apply_swap(0, 1)  # both slots on core 0
         assert evaluator.value == before
 
+    @pytest.mark.parametrize("pair", [(0, 8), (8, 0), (-1, 0), (0, -1)])
+    def test_out_of_range_slot_raises_without_moving(self, pair):
+        obj = make_objective(m=4, n=2)
+        alloc = Allocation.round_robin(4, 2)
+        evaluator = IncrementalEvaluator(obj, alloc)
+        before, slots = evaluator.value, list(alloc.slots)
+        with pytest.raises(IndexError):
+            evaluator.apply_swap(*pair)
+        assert alloc.slots == slots
+        assert evaluator.value == before
+
 
 class TestEvaluateMapping:
     def test_matches_allocation_evaluate(self):

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import Allocation
 from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_vector
-from repro.core.objective import EnergyEfficiencyObjective, IncrementalEvaluator
+from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
 from repro.core.prediction import (
     IPC_FEATURE_INDEX,
     MatrixBuilder,
@@ -227,23 +227,19 @@ class TestIncrementalObjectiveEquivalence:
         assert_allclose(objective._up, util * power, "u*p cache")
 
 
-@pytest.mark.parametrize("mode", ["global", "per_core"])
+@pytest.mark.parametrize("mode", MODES)
 def test_vectorized_evaluate_matches_mapping_path(mode):
     """bincount-based evaluate vs evaluate_mapping on the same layout."""
-    if mode not in ("global", "per_core"):
-        pytest.skip("unknown mode")
     rng = np.random.default_rng(11)
     n_threads, n_cores = 5, 3
-    try:
-        objective = EnergyEfficiencyObjective(
-            ips=rng.uniform(1e6, 1e9, size=(n_threads, n_cores)),
-            power=rng.uniform(0.05, 8.0, size=(n_threads, n_cores)),
-            utilization=rng.uniform(0.0, 1.0, size=(n_threads, n_cores)),
-            idle_power=np.ones(n_cores),
-            mode=mode,
-        )
-    except ValueError:
-        pytest.skip(f"mode {mode!r} unsupported")
+    objective = EnergyEfficiencyObjective(
+        ips=rng.uniform(1e6, 1e9, size=(n_threads, n_cores)),
+        power=rng.uniform(0.05, 8.0, size=(n_threads, n_cores)),
+        utilization=rng.uniform(0.0, 1.0, size=(n_threads, n_cores)),
+        idle_power=np.ones(n_cores),
+        mode=mode,
+        power_cap_w=5.0 if mode == "power_cap" else None,
+    )
     mapping = [i % n_cores for i in range(n_threads)]
     allocation = Allocation.from_mapping(mapping, n_cores)
     assert math.isclose(

@@ -8,6 +8,7 @@ effect of refactoring how the knobs are declared.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -139,3 +140,12 @@ def test_every_field_is_hashed_settable_and_round_trips(name):
     assert spec_from_payload(payload) == spec
     alone = spec_from_payload({"workload": "MTMI", name: payload[name]})
     assert getattr(alone, name) == getattr(spec, name)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_payload_round_trips_over_json(name):
+    """``payload_from_spec`` and ``spec_from_payload`` are exact
+    inverses for every corpus spec, ``kernel="reference"`` included."""
+    spec = CORPUS[name]
+    payload = json.loads(json.dumps(payload_from_spec(spec)))
+    assert spec_from_payload(payload) == spec
