@@ -16,11 +16,11 @@ import pytest
 
 from repro.core.allocation import Allocation
 from repro.core.annealing import SAConfig, anneal
+from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
 from repro.experiments import fig8
 from repro.experiments.common import compare_balancers
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.synthetic import imb_threads
@@ -64,7 +64,7 @@ def bench_ablation_objective_mode(benchmark, mode):
             lambda: imb_threads("MTMI", 8),
             (
                 VanillaBalancer,
-                lambda: SmartBalanceKernelAdapter(
+                lambda: SmartBalance(
                     config=SmartBalanceConfig(objective_mode=mode)
                 ),
             ),
@@ -111,7 +111,7 @@ def bench_ablation_epoch_length(benchmark, periods_per_epoch):
 
     def run_smart():
         config = SimulationConfig(periods_per_epoch=periods_per_epoch)
-        balancer = SmartBalanceKernelAdapter(epoch_periods=periods_per_epoch)
+        balancer = SmartBalance(epoch_periods=periods_per_epoch)
         system = System(platform, imb_threads("MTMI", 8), balancer, config)
         return system.run(duration_s=1.2)
 

@@ -50,11 +50,11 @@ def bench_adaptation_controller_overhead(benchmark):
     """
 
     def run():
-        _, _, adapter = drift.drift_scenario_run(
+        _, _, balancer = drift.drift_scenario_run(
             adapted=True, n_epochs=2 * QUICK.n_epochs
         )
-        controller = adapter.engine.adaptation
-        epoch_total_s = sum(t.total_s for t in adapter.timings)
+        controller = balancer.adaptation
+        epoch_total_s = sum(t.total_s for t in balancer.timings)
         return controller, epoch_total_s
 
     controller, epoch_total_s = benchmark.pedantic(run, rounds=1, iterations=1)

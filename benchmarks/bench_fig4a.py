@@ -7,10 +7,10 @@ complete figure is regenerated once and written to
 gain; the assertion checks the shape (SmartBalance wins clearly).
 """
 
+from repro.core.balancer import SmartBalance
 from repro.experiments import fig4
 from repro.experiments.common import QUICK, compare_balancers
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.workload.synthetic import imb_threads
 
@@ -23,7 +23,7 @@ def bench_fig4a_single_case(benchmark):
         return compare_balancers(
             platform,
             lambda: imb_threads("MTMI", 8),
-            (VanillaBalancer, SmartBalanceKernelAdapter),
+            (VanillaBalancer, SmartBalance),
             n_epochs=QUICK.n_epochs,
         )
 

@@ -4,10 +4,10 @@ PARSEC benchmarks and the Table 3 mixes.
 Paper headline: 52 % average IPS/W gain for PARSEC and mixes.
 """
 
+from repro.core.balancer import SmartBalance
 from repro.experiments import fig4
 from repro.experiments.common import QUICK, compare_balancers
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.workload.parsec import mix_threads
 
@@ -20,7 +20,7 @@ def bench_fig4b_single_mix(benchmark):
         return compare_balancers(
             platform,
             lambda: mix_threads("Mix6", 2),
-            (VanillaBalancer, SmartBalanceKernelAdapter),
+            (VanillaBalancer, SmartBalance),
             n_epochs=QUICK.n_epochs,
         )
 

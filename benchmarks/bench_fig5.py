@@ -4,11 +4,11 @@ ARM GTS (and vanilla/IKS) on the octa-core big.LITTLE.
 Paper headline: SmartBalance ~20 % above GTS.
 """
 
+from repro.core.balancer import SmartBalance
 from repro.experiments import fig5
 from repro.experiments.common import QUICK, compare_balancers
 from repro.hardware.platform import big_little_octa
 from repro.kernel.balancers.gts import GtsBalancer
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.workload.parsec import benchmark as parsec_benchmark
 
 
@@ -20,7 +20,7 @@ def bench_fig5_single_case(benchmark):
         return compare_balancers(
             platform,
             lambda: parsec_benchmark("x264_L_bow").threads(8),
-            (GtsBalancer, SmartBalanceKernelAdapter),
+            (GtsBalancer, SmartBalance),
             n_epochs=QUICK.n_epochs,
         )
 

@@ -13,7 +13,7 @@ Run:  python examples/biglittle_vs_gts.py
 from repro import (
     GtsBalancer,
     IksBalancer,
-    SmartBalanceKernelAdapter,
+    SmartBalance,
     System,
     VanillaBalancer,
     benchmark,
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"Platform: {platform.describe()}\n")
 
     benchmarks = ["x264_L_bow", "x264_H_crew", "bodytrack", "blackscholes"]
-    balancers = [VanillaBalancer, IksBalancer, GtsBalancer, SmartBalanceKernelAdapter]
+    balancers = [VanillaBalancer, IksBalancer, GtsBalancer, SmartBalance]
 
     rows = []
     smart_vs_gts = []

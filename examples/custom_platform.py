@@ -15,7 +15,7 @@ from repro import (
     HUGE,
     MEDIUM,
     SMALL,
-    SmartBalanceKernelAdapter,
+    SmartBalance,
     System,
     VanillaBalancer,
     benchmark,
@@ -57,7 +57,7 @@ def main() -> None:
     results = {}
     for balancer in (
         VanillaBalancer(),
-        SmartBalanceKernelAdapter(predictor=predictor),
+        SmartBalance(predictor=predictor),
     ):
         system = System(platform, workload(), balancer)
         result = system.run(n_epochs=30)

@@ -11,7 +11,7 @@ Run:  python examples/dvfs_platform.py
 
 from repro import (
     MEDIUM,
-    SmartBalanceKernelAdapter,
+    SmartBalance,
     System,
     VanillaBalancer,
     imb_threads,
@@ -41,7 +41,7 @@ def main() -> None:
     results = {}
     for balancer in (
         VanillaBalancer(),
-        SmartBalanceKernelAdapter(predictor=predictor),
+        SmartBalance(predictor=predictor),
     ):
         system = System(platform, workload(), balancer)
         result = system.run(n_epochs=30)

@@ -11,7 +11,7 @@ Run:  python examples/parsec_mixes.py
 
 from repro import (
     MIXES,
-    SmartBalanceKernelAdapter,
+    SmartBalance,
     System,
     VanillaBalancer,
     mix_threads,
@@ -27,7 +27,7 @@ def main() -> None:
     labels, gains = [], []
     for mix_name in MIXES:
         results = {}
-        for balancer in (VanillaBalancer(), SmartBalanceKernelAdapter()):
+        for balancer in (VanillaBalancer(), SmartBalance()):
             system = System(platform, mix_threads(mix_name, 2), balancer)
             results[balancer.name] = system.run(n_epochs=30)
         vanilla = results["vanilla"]

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    SmartBalanceKernelAdapter,
+    SmartBalance,
     System,
     VanillaBalancer,
     imb_threads,
@@ -27,7 +27,7 @@ def main() -> None:
     workload = lambda: imb_threads("MTMI", n_threads=8)  # noqa: E731
 
     results = {}
-    for balancer in (VanillaBalancer(), SmartBalanceKernelAdapter()):
+    for balancer in (VanillaBalancer(), SmartBalance()):
         system = System(platform, workload(), balancer)
         result = system.run(n_epochs=40)
         results[result.balancer_name] = result

@@ -14,10 +14,10 @@ Run:  python examples/resilience.py
 """
 
 from repro.analysis import format_table
+from repro.core.balancer import SmartBalance
 from repro.core.config import ResilienceConfig, SmartBalanceConfig
 from repro.faults import scenario
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.generator import random_thread_set
 
@@ -25,7 +25,7 @@ N_EPOCHS = 16
 
 
 def run_once(plan, resilience: ResilienceConfig, seed: int = 0):
-    balancer = SmartBalanceKernelAdapter(
+    balancer = SmartBalance(
         config=SmartBalanceConfig(resilience=resilience)
     )
     system = System(

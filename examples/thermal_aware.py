@@ -15,14 +15,14 @@ power-gates it.
 Run:  python examples/thermal_aware.py
 """
 
-from repro import SmartBalanceKernelAdapter, System, benchmark, quad_hmp
+from repro import SmartBalance, System, benchmark, quad_hmp
 from repro.analysis import format_table
 from repro.core import SmartBalanceConfig
 from repro.kernel import SimulationConfig
 
 
 def run_variant(thermal_aware: bool):
-    balancer = SmartBalanceKernelAdapter(
+    balancer = SmartBalance(
         config=SmartBalanceConfig(
             thermal_aware=thermal_aware,
             # Aggressive thermal envelope: de-rate from 60 C, forbid 78 C.

@@ -3,11 +3,11 @@ energy efficiency of heterogeneous MPSoCs (Sarma et al., DAC 2015).
 
 Quick start::
 
-    from repro import quad_hmp, System, SmartBalanceKernelAdapter, imb_threads
+    from repro import quad_hmp, System, SmartBalance, imb_threads
 
     platform = quad_hmp()
     threads = imb_threads("HTMI", n_threads=8)
-    system = System(platform, threads, SmartBalanceKernelAdapter())
+    system = System(platform, threads, SmartBalance())
     result = system.run(n_epochs=50)
     print(result.ips_per_watt)
 
@@ -52,7 +52,6 @@ from repro.kernel.balancers import (
     IksBalancer,
     LoadBalancer,
     NullBalancer,
-    SmartBalanceKernelAdapter,
     VanillaBalancer,
 )
 from repro.workload import (
@@ -101,7 +100,6 @@ __all__ = [
     "VanillaBalancer",
     "GtsBalancer",
     "IksBalancer",
-    "SmartBalanceKernelAdapter",
     # core
     "SmartBalance",
     "SmartBalanceConfig",

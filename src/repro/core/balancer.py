@@ -5,11 +5,13 @@ boundary and returns the thread migrations to apply.  Each phase is
 wall-clock timed — those timings are the per-phase overhead the paper
 reports in Fig. 7.
 
-The class is kernel-agnostic: it consumes the observable
-:class:`~repro.kernel.view.SystemView` and produces a placement, so it
-can run against the full simulator (via
-:class:`repro.kernel.balancers.smart.SmartBalanceKernelAdapter`) or be
-driven directly with synthetic views in tests and benchmarks.
+:class:`SmartBalance` is the kernel load balancer itself, the role of
+the reimplemented ``rebalance_domains()`` in the paper's Linux
+prototype (Section 5.1): the simulator calls :meth:`SmartBalance.rebalance`
+once per epoch (every ``L`` CFS periods).  It decides from the
+observable :class:`~repro.kernel.view.SystemView` alone, so
+:meth:`SmartBalance.decide` can also be driven directly with synthetic
+views in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,12 +29,15 @@ from repro.adaptation.controller import (
     PowerSample,
 )
 from repro.core.allocation import Allocation
-from repro.core.annealing import SAResult, anneal
+from repro.core.annealing import SAConfig, SAResult, anneal
 from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import feature_vector
 from repro.core.objective import EnergyEfficiencyObjective
 from repro.core.prediction import CharacterisationMatrices, MatrixBuilder, PredictorModel
 from repro.core.sensing import ThreadObservation, observation_fault, sense
+from repro.core.training import default_predictor
+from repro.hardware.thermal import thermal_weights
+from repro.kernel.balancers.base import LoadBalancer, Placement
 from repro.kernel.view import SystemView
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
@@ -114,15 +119,27 @@ class BalanceDecision:
     rejected_samples: int = 0
 
 
-class SmartBalance:
-    """Closed-loop sensing-driven load balancer (the paper's system)."""
+class SmartBalance(LoadBalancer):
+    """Closed-loop sensing-driven load balancer (the paper's system).
+
+    Runs every ``epoch_periods`` CFS periods; ``predictor`` defaults to
+    the trained :func:`~repro.core.training.default_predictor`.
+    """
+
+    name = "smartbalance"
 
     def __init__(
         self,
-        predictor: PredictorModel,
+        predictor: Optional[PredictorModel] = None,
         config: SmartBalanceConfig | None = None,
+        epoch_periods: int = 10,
         obs: Optional[ObsContext] = None,
     ) -> None:
+        if epoch_periods < 1:
+            raise ValueError(f"epoch_periods must be >= 1, got {epoch_periods}")
+        self.interval_periods = epoch_periods
+        if predictor is None:
+            predictor = default_predictor()
         self.predictor = predictor
         self.config = config or SmartBalanceConfig()
         #: Observability sink; the shared disabled context by default,
@@ -143,6 +160,8 @@ class SmartBalance:
         #: Per-tid consecutive epochs with a rejected sample.
         self._reject_streak: dict[int, int] = {}
         self.health = BalancerHealth()
+        #: Per-epoch phase timings of :meth:`rebalance` (Fig. 7 raw data).
+        self.timings: list[PhaseTimings] = []
         #: Observability-only prediction provenance, maintained only
         #: while ``obs.enabled`` (the simulation never reads these):
         #: the core-type name each thread ran on when the last
@@ -515,6 +534,77 @@ class SmartBalance:
             view, include_kernel_threads=self.config.include_kernel_threads
         )
 
+    def _objective_weights(self, observation) -> "Optional[Sequence[float]]":
+        """Per-core objective weights: the configured ones, or thermal
+        headroom weights when thermal-aware balancing has temperatures."""
+        if self.config.thermal_aware and observation.core_temperatures_c:
+            return thermal_weights(
+                list(observation.core_temperatures_c),
+                knee_c=self.config.thermal_knee_c,
+                zero_c=self.config.thermal_zero_c,
+            )
+        return self.config.core_weights
+
+    def _epoch_sa_config(self, t0: float, t_s: float) -> "Optional[SAConfig]":
+        """The annealer configuration left by the epoch time budget.
+
+        Whatever sensing and predicting consumed since ``t0`` is gone;
+        the balance phase gets only the remainder and truncates cleanly
+        when it runs out.  Returns ``None`` when nothing is left (the
+        epoch keeps its incumbent) and ``config.sa`` itself when no
+        budget is set.
+        """
+        sa_config = self.config.sa
+        if self.config.epoch_time_budget_s is None:
+            return sa_config
+        remaining = self.config.epoch_time_budget_s - (time.perf_counter() - t0)
+        if remaining <= 0:
+            self.health.budget_skipped_epochs += 1
+            oc = self.obs
+            if oc.enabled:
+                oc.tracer.emit(
+                    obs_events.MITIGATION,
+                    t_s,
+                    kind="budget_skip",
+                    cause="epoch_budget_exhausted",
+                )
+                oc.metrics.inc("balancer.epoch_budget_overruns")
+            return None
+        if sa_config.time_budget_s is not None:
+            remaining = min(remaining, sa_config.time_budget_s)
+        return replace(sa_config, time_budget_s=remaining)
+
+    def _note_anneal(self, view: SystemView, result: SAResult, t_s: float) -> None:
+        """Count a truncated run and emit the epoch's ``anneal`` event."""
+        oc = self.obs
+        if result.truncated:
+            self.health.truncated_epochs += 1
+            if oc.enabled:
+                oc.tracer.emit(
+                    obs_events.MITIGATION,
+                    t_s,
+                    kind="sa_truncated",
+                    cause="sa_time_budget",
+                )
+                oc.metrics.inc("balancer.truncated_epochs")
+        if oc.enabled:
+            oc.tracer.emit(
+                obs_events.ANNEAL,
+                t_s,
+                epoch=view.epoch_index,
+                iterations=result.iterations,
+                accepted=result.accepted_moves,
+                uphill=result.uphill_accepts,
+                truncated=result.truncated,
+                initial_value=result.initial_value,
+                best_value=result.best_value,
+                improvement_pct=result.improvement * 100.0,
+                samples=result.trace.samples if result.trace else None,
+            )
+            oc.metrics.inc("annealer.runs")
+            oc.metrics.inc("annealer.iterations", result.iterations)
+            oc.metrics.inc("annealer.accepted_moves", result.accepted_moves)
+
     def _optimize(
         self,
         view: SystemView,
@@ -536,25 +626,13 @@ class SmartBalance:
         ``(placement, sa_result, incumbent_value)``; ``placement`` is
         ``None`` when the incumbent is kept.
         """
-        oc = self.obs
-        placement: Optional[dict[int, int]] = None
-        sa_result: Optional[SAResult] = None
-        weights = self.config.core_weights
-        if self.config.thermal_aware and observation.core_temperatures_c:
-            from repro.hardware.thermal import thermal_weights
-
-            weights = thermal_weights(
-                list(observation.core_temperatures_c),
-                knee_c=self.config.thermal_knee_c,
-                zero_c=self.config.thermal_zero_c,
-            )
         objective = EnergyEfficiencyObjective(
             ips=matrices.ips,
             power=matrices.power,
             utilization=matrices.utilization,
             idle_power=list(observation.idle_power_w),
             sleep_power=list(observation.sleep_power_w),
-            weights=weights,
+            weights=self._objective_weights(observation),
             mode=self.config.objective_mode,
             throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
@@ -563,84 +641,38 @@ class SmartBalance:
             [obs.core_id for obs in participants], n_cores=len(core_types)
         )
         incumbent_value = objective.evaluate(incumbent)
+        sa_config = self._epoch_sa_config(t0, t_s)
+        if sa_config is None:
+            return None, None, incumbent_value
+        result = anneal(
+            objective, incumbent, sa_config, keep_trace=self.obs.enabled
+        )
+        self._note_anneal(view, result, t_s)
+        changes = incumbent.diff(result.best_allocation)
+        # Adoption gate: the predicted gain must clear both the churn
+        # threshold and the warm-up cost of the migrations it needs.
+        required = (
+            1.0
+            + self.config.min_improvement
+            + self.config.migration_penalty
+            * len(changes)
+            / max(len(participants), 1)
+        )
+        placement: Optional[dict[int, int]] = None
+        if changes and result.best_value > incumbent_value * required:
+            placement = {
+                matrices.tids[thread]: core for thread, core in changes.items()
+            }
+        return placement, result, incumbent_value
 
-        # Epoch time budget: whatever sensing and predicting
-        # consumed is gone; the SA balance phase gets only the
-        # remainder and truncates cleanly when it runs out.
-        sa_config = self.config.sa
-        skipped = False
-        if self.config.epoch_time_budget_s is not None:
-            remaining = self.config.epoch_time_budget_s - (
-                time.perf_counter() - t0
-            )
-            if remaining <= 0:
-                self.health.budget_skipped_epochs += 1
-                if oc.enabled:
-                    oc.tracer.emit(
-                        obs_events.MITIGATION,
-                        t_s,
-                        kind="budget_skip",
-                        cause="epoch_budget_exhausted",
-                    )
-                    oc.metrics.inc("balancer.epoch_budget_overruns")
-                skipped = True
-            else:
-                if sa_config.time_budget_s is not None:
-                    remaining = min(remaining, sa_config.time_budget_s)
-                sa_config = replace(sa_config, time_budget_s=remaining)
-        if not skipped:
-            result = anneal(
-                objective, incumbent, sa_config, keep_trace=oc.enabled
-            )
-            sa_result = result
-            if result.truncated:
-                self.health.truncated_epochs += 1
-                if oc.enabled:
-                    oc.tracer.emit(
-                        obs_events.MITIGATION,
-                        t_s,
-                        kind="sa_truncated",
-                        cause="sa_time_budget",
-                    )
-                    oc.metrics.inc("balancer.truncated_epochs")
-            if oc.enabled:
-                oc.tracer.emit(
-                    obs_events.ANNEAL,
-                    t_s,
-                    epoch=view.epoch_index,
-                    iterations=result.iterations,
-                    accepted=result.accepted_moves,
-                    uphill=result.uphill_accepts,
-                    truncated=result.truncated,
-                    initial_value=result.initial_value,
-                    best_value=result.best_value,
-                    improvement_pct=result.improvement * 100.0,
-                    samples=(
-                        result.trace.samples if result.trace else None
-                    ),
-                )
-                oc.metrics.inc("annealer.runs")
-                oc.metrics.inc("annealer.iterations", result.iterations)
-                oc.metrics.inc(
-                    "annealer.accepted_moves", result.accepted_moves
-                )
-            changes = incumbent.diff(result.best_allocation)
-            # Adoption gate: the predicted gain must clear both
-            # the churn threshold and the warm-up cost of the
-            # migrations it needs.
-            required = (
-                1.0
-                + self.config.min_improvement
-                + self.config.migration_penalty
-                * len(changes)
-                / max(len(participants), 1)
-            )
-            if changes and result.best_value > incumbent_value * required:
-                placement = {
-                    matrices.tids[thread]: core
-                    for thread, core in changes.items()
-                }
-        return placement, sa_result, incumbent_value
+    def rebalance(self, view: SystemView) -> Optional[Placement]:
+        """One epoch as the kernel balancer: :meth:`decide`, keeping the
+        phase timings for the Fig. 7 overhead analysis."""
+        decision = self.decide(view)
+        self.timings.append(decision.timings)
+        if decision.placement:
+            self.validate_placement(view, decision.placement)
+        return decision.placement
 
     def decide(self, view: SystemView) -> BalanceDecision:
         """Run one epoch's sense → predict → balance pass."""

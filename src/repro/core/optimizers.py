@@ -205,8 +205,6 @@ def optimize(
         raise KeyError(
             f"unknown optimizer {method!r}; known: {sorted(OPTIMIZERS)}"
         ) from None
-    if method == "exhaustive":
-        return runner(objective, initial, **kwargs)
     return runner(objective, initial, **kwargs)
 
 

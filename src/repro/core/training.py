@@ -17,7 +17,7 @@ against the simulated hardware:
 
 ``train_predictor`` returns a :class:`~repro.core.prediction.PredictorModel`;
 ``default_predictor`` caches one trained over all built-in core types
-(used by the kernel adapter and the experiments).
+(used by SmartBalance and the experiments).
 """
 
 from __future__ import annotations

@@ -83,6 +83,7 @@ class TpeqBalance(_RowScaledBalance):
     to big cores.
     """
 
+    name = "tpeq"
     _pacesetter_frac: "float | None" = None
 
     def _sense_observation(self, view):
@@ -110,6 +111,8 @@ class SloAwareBalance(_RowScaledBalance):
     overdue requests), boosting a request's row up to
     ``1 + 2 * SLO_GAIN`` as its deadline closes in.
     """
+
+    name = "slo"
 
     def _row_weight(self, task_view) -> "float | None":
         slack = task_view.slo_slack_frac

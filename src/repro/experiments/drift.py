@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 
 from repro.adaptation.controller import AdaptationConfig
 from repro.analysis.reporting import ExperimentResult, Finding
+from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
 from repro.core.prediction import PredictorModel
 from repro.core.training import profile_phase, train_predictor
@@ -46,7 +47,6 @@ from repro.hardware import microarch
 from repro.hardware import power as power_model
 from repro.hardware.features import CoreType
 from repro.hardware.platform import big_little_octa
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.metrics import RunResult
 from repro.kernel.simulator import SimulationConfig, System
 from repro.obs import ObsContext, user_output
@@ -160,11 +160,11 @@ def drift_scenario_run(
     n_epochs: int,
     seed: int = SEED,
     adaptation: Optional[AdaptationConfig] = None,
-) -> "tuple[RunResult, ObsContext, SmartBalanceKernelAdapter]":
+) -> "tuple[RunResult, ObsContext, SmartBalance]":
     """One traced run of the drift scenario (frozen or adapted).
 
     Returns the run result, the trace context, and the balancer (whose
-    ``engine.predictor`` is the final — possibly adapted — model).
+    ``predictor`` is the final — possibly adapted — model).
     """
     predictor = mismatched_predictor(seed=seed)
     config = SmartBalanceConfig(
@@ -174,7 +174,7 @@ def drift_scenario_run(
             else AdaptationConfig()
         )
     )
-    balancer = SmartBalanceKernelAdapter(predictor=predictor, config=config)
+    balancer = SmartBalance(predictor=predictor, config=config)
     obs = ObsContext()
     system = System(
         big_little_octa(),
@@ -244,8 +244,8 @@ def compare(scale: Scale = QUICK, seed: int = SEED) -> dict:
         for thread in evaluation_threads(seed=seed)
         for seg in thread.schedule.segments
     ]
-    frozen_score = score_model(frozen_balancer.engine.predictor, probe_phases)
-    adapted_score = score_model(adapted_balancer.engine.predictor, probe_phases)
+    frozen_score = score_model(frozen_balancer.predictor, probe_phases)
+    adapted_score = score_model(adapted_balancer.predictor, probe_phases)
     pairs = sorted(frozen_score["ipc"])
 
     def reduction(before: float, after: float) -> float:

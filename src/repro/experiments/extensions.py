@@ -162,7 +162,7 @@ def run_replicated_headline(
     """Headline smart-vs-vanilla improvements with bootstrap CIs."""
     from repro.analysis.replication import compare_with_replication
     from repro.hardware.platform import quad_hmp
-    from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
+    from repro.core.balancer import SmartBalance
     from repro.kernel.balancers.vanilla import VanillaBalancer
     from repro.workload.parsec import benchmark
     from repro.workload.synthetic import imb_threads
@@ -180,7 +180,7 @@ def run_replicated_headline(
             platform_factory=quad_hmp,
             workload_factory=workload_factory,
             baseline_factory=VanillaBalancer,
-            candidate_factory=SmartBalanceKernelAdapter,
+            candidate_factory=SmartBalance,
             n_epochs=n_epochs,
             n_seeds=n_seeds,
         )

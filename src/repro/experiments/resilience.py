@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
+from repro.core.balancer import SmartBalance
 from repro.core.config import ResilienceConfig, SmartBalanceConfig
 from repro.experiments.common import QUICK, Scale, run_cases, result_table
 from repro.faults import SCENARIOS, FaultPlan, scenario
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.metrics import RunResult
 from repro.kernel.simulator import SimulationConfig, System
 from repro.obs import user_output
@@ -54,7 +54,7 @@ def run_one(
     """One SmartBalance run on the quad HMP under a fault plan."""
     platform = quad_hmp()
     config = SimulationConfig(seed=seed, faults=plan)
-    balancer = SmartBalanceKernelAdapter(
+    balancer = SmartBalance(
         config=SmartBalanceConfig(resilience=resilience)
     )
     system = System(

@@ -33,7 +33,7 @@ SMARTBALANCE_EVIDENCE = {
     "per-thread util": "Task.utilization (PELT-style EWMA)",
     "per-core IPC": "CoreEstimate.ips_avg (Eq. 6)",
     "per-core power": "CoreEstimate.power_avg (Eq. 7)",
-    "implemented in OS": "SmartBalanceKernelAdapter replaces rebalance_domains()",
+    "implemented in OS": "SmartBalance.rebalance replaces rebalance_domains()",
 }
 
 

@@ -181,7 +181,3 @@ class NodeAgent:
             queue_depth=self.queue_depth,
             busy=self.running is not None,
         )
-
-    def expected_duration_s(self, job: FleetJob) -> float:
-        """Profiled duration of ``job`` here (the hedging yardstick)."""
-        return self._profiles.get(job.slot, self.platform).duration_s

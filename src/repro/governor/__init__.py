@@ -12,7 +12,7 @@ move set mixes thread swaps with OPP steps).
 runs are byte-identical to the pre-governor pipeline.
 """
 
-from repro.governor.balancer import GovernorKernelAdapter, GovernorSmartBalance
+from repro.governor.balancer import GovernorSmartBalance
 from repro.governor.config import (
     GOVERNOR_STRATEGIES,
     GovernorConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "GOVERNOR_STRATEGIES",
     "ClusterLadder",
     "GovernorConfig",
-    "GovernorKernelAdapter",
     "GovernorSmartBalance",
     "OppChange",
     "build_ladders",

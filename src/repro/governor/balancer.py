@@ -9,9 +9,10 @@ fixed-OPP balance phase with a joint (allocation, OPP-vector) search.
 
 Adopted OPP switches are queued as
 :class:`~repro.governor.ladder.OppChange` entries; the simulator
-collects them through the adapter's ``take_opp_request()`` hook right
-after applying the placement, so the next sensing window runs at the
-new operating points.
+collects them through the ``take_opp_request()`` hook of
+:class:`~repro.kernel.balancers.base.LoadBalancer` right after applying
+the placement, so the next sensing window runs at the new operating
+points.
 """
 
 from __future__ import annotations
@@ -30,28 +31,33 @@ from repro.governor.scaling import (
     normalize_observation,
 )
 from repro.governor.strategies import STRATEGIES, SearchContext
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.view import SystemView
 from repro.obs import events as obs_events
 
 
 class GovernorSmartBalance(SmartBalance):
-    """The joint governor riding on the stock sense→predict loop."""
+    """The joint governor riding on the stock sense→predict loop.
+
+    Its balancer name is ``governor:<strategy>``; ``governor_stats``
+    and :meth:`take_opp_request` are the simulator-facing hooks it fills.
+    """
 
     def __init__(
         self,
-        predictor: PredictorModel,
+        predictor: "PredictorModel | None" = None,
         config: "SmartBalanceConfig | None" = None,
+        epoch_periods: int = 10,
         obs=None,
         governor: "GovernorConfig | None" = None,
     ) -> None:
-        super().__init__(predictor, config=config, obs=obs)
+        super().__init__(predictor, config, epoch_periods, obs)
         self.governor = governor or GovernorConfig(strategy="two_level")
         if self.governor.strategy == "fixed":
             raise ValueError(
                 "strategy 'fixed' means no governor: use the stock "
-                "SmartBalance/SmartBalanceKernelAdapter instead"
+                "SmartBalance instead"
             )
+        self.name = f"governor:{self._strategy_label()}"
         #: Lazily built from the first view's (nominal) platform.
         self._ladders = None
         self._levels: tuple[int, ...] = ()
@@ -146,19 +152,7 @@ class GovernorSmartBalance(SmartBalance):
         t_s: float,
         t0: float,
     ):
-        import time
-        from dataclasses import replace as dc_replace
-
         oc = self.obs
-        weights = self.config.core_weights
-        if self.config.thermal_aware and observation.core_temperatures_c:
-            from repro.hardware.thermal import thermal_weights
-
-            weights = thermal_weights(
-                list(observation.core_temperatures_c),
-                knee_c=self.config.thermal_knee_c,
-                zero_c=self.config.thermal_zero_c,
-            )
         factory = ConditionedObjectiveFactory(
             ips=matrices.ips,
             power=matrices.power,
@@ -167,7 +161,7 @@ class GovernorSmartBalance(SmartBalance):
             nominal_idle_w=self._nominal_idle,
             nominal_sleep_w=self._nominal_sleep,
             ladders=self._ladders,
-            weights=weights,
+            weights=self._objective_weights(observation),
             mode=self.config.objective_mode,
             throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
@@ -175,29 +169,10 @@ class GovernorSmartBalance(SmartBalance):
         incumbent = Allocation.from_mapping(
             [obs.core_id for obs in participants], n_cores=len(core_types)
         )
-
-        sa_config = self.config.sa
-        if self.config.epoch_time_budget_s is not None:
-            remaining = self.config.epoch_time_budget_s - (
-                time.perf_counter() - t0
-            )
-            if remaining <= 0:
-                self.health.budget_skipped_epochs += 1
-                if oc.enabled:
-                    oc.tracer.emit(
-                        obs_events.MITIGATION,
-                        t_s,
-                        kind="budget_skip",
-                        cause="epoch_budget_exhausted",
-                    )
-                    oc.metrics.inc("balancer.epoch_budget_overruns")
-                incumbent_value = factory.objective(self._levels).evaluate(
-                    incumbent
-                )
-                return None, None, incumbent_value
-            if sa_config.time_budget_s is not None:
-                remaining = min(remaining, sa_config.time_budget_s)
-            sa_config = dc_replace(sa_config, time_budget_s=remaining)
+        sa_config = self._epoch_sa_config(t0, t_s)
+        if sa_config is None:
+            incumbent_value = factory.objective(self._levels).evaluate(incumbent)
+            return None, None, incumbent_value
 
         ctx = SearchContext(
             factory=factory,
@@ -213,39 +188,8 @@ class GovernorSmartBalance(SmartBalance):
         )
         outcome = STRATEGIES[self.governor.strategy](ctx)
         sa_result = outcome.sa_result
-
         if sa_result is not None:
-            if sa_result.truncated:
-                self.health.truncated_epochs += 1
-                if oc.enabled:
-                    oc.tracer.emit(
-                        obs_events.MITIGATION,
-                        t_s,
-                        kind="sa_truncated",
-                        cause="sa_time_budget",
-                    )
-                    oc.metrics.inc("balancer.truncated_epochs")
-            if oc.enabled:
-                oc.tracer.emit(
-                    obs_events.ANNEAL,
-                    t_s,
-                    epoch=view.epoch_index,
-                    iterations=sa_result.iterations,
-                    accepted=sa_result.accepted_moves,
-                    uphill=sa_result.uphill_accepts,
-                    truncated=sa_result.truncated,
-                    initial_value=sa_result.initial_value,
-                    best_value=sa_result.best_value,
-                    improvement_pct=sa_result.improvement * 100.0,
-                    samples=(
-                        sa_result.trace.samples if sa_result.trace else None
-                    ),
-                )
-                oc.metrics.inc("annealer.runs")
-                oc.metrics.inc("annealer.iterations", sa_result.iterations)
-                oc.metrics.inc(
-                    "annealer.accepted_moves", sa_result.accepted_moves
-                )
+            self._note_anneal(view, sa_result, t_s)
 
         # Adopt the OPP side of the decision: queue one OppChange per
         # switched cluster for the simulator to apply after the
@@ -304,39 +248,3 @@ class GovernorSmartBalance(SmartBalance):
                 oc.metrics.inc("governor.opp_changes", len(changes))
 
         return placement, sa_result, outcome.incumbent_value
-
-
-class GovernorKernelAdapter(SmartBalanceKernelAdapter):
-    """Kernel adapter running the governor-extended epoch loop.
-
-    Exposes ``take_opp_request()`` — the simulator polls it (by duck
-    typing) right after applying each placement and re-bases the
-    affected cores, making the OPP change OS-visible from the next
-    period on.
-    """
-
-    def __init__(
-        self,
-        governor: GovernorConfig,
-        predictor: "PredictorModel | None" = None,
-        config: "SmartBalanceConfig | None" = None,
-        epoch_periods: int = 10,
-    ) -> None:
-        super().__init__(
-            predictor=predictor, config=config, epoch_periods=epoch_periods
-        )
-        # Rebuild the engine as the governor variant, reusing the
-        # (possibly freshly trained) predictor from the stock engine.
-        self.engine = GovernorSmartBalance(
-            predictor=self.engine.predictor,
-            config=config,
-            governor=governor,
-        )
-        self.name = f"governor:{self.engine._strategy_label()}"
-
-    def take_opp_request(self) -> "list[OppChange]":
-        return self.engine.take_opp_request()
-
-    @property
-    def governor_stats(self) -> dict:
-        return self.engine.governor_stats

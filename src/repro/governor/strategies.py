@@ -134,8 +134,33 @@ def _candidate_levels(ctx: SearchContext) -> "list[tuple[int, ...]]":
     return candidates
 
 
+#: Budget handed to an anneal that starts after the deadline.
+_MIN_BUDGET_S = 1e-9
+
+
+def _until(deadline: "float | None", config: SAConfig) -> SAConfig:
+    """``config`` with the time left before ``deadline`` as its budget.
+
+    With no deadline the config is returned as the same object.  Past
+    the deadline the budget is the smallest one ``SAConfig`` accepts,
+    so the anneal stops at its first clock check.
+    """
+    if deadline is None:
+        return config
+    remaining = max(deadline - time.perf_counter(), _MIN_BUDGET_S)
+    return replace(config, time_budget_s=remaining)
+
+
 def two_level(ctx: SearchContext) -> GovernorOutcome:
-    """Outer OPP enumeration, inner annealing, full anneal on the winner."""
+    """Outer OPP enumeration, inner annealing, full anneal on the winner.
+
+    A time budget in ``ctx.sa_config`` covers the whole search: the
+    candidate loop stops once it is spent, and every anneal gets only
+    what is left of it.
+    """
+    deadline = None
+    if ctx.sa_config.time_budget_s is not None:
+        deadline = time.perf_counter() + ctx.sa_config.time_budget_s
     factory = ctx.factory
     current = ctx.current_levels
     incumbent_value = factory.objective(current).evaluate(ctx.incumbent)
@@ -153,7 +178,11 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     best_inner = -math.inf
     evaluated = 0
     for levels in _candidate_levels(ctx):
-        result = anneal(factory.objective(levels), ctx.incumbent, inner_cfg)
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
+        result = anneal(
+            factory.objective(levels), ctx.incumbent, _until(deadline, inner_cfg)
+        )
         evaluated += 1
         if result.best_value > best_inner:
             best_inner = result.best_value
@@ -162,7 +191,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     result = anneal(
         factory.objective(best_levels),
         ctx.incumbent,
-        ctx.sa_config,
+        _until(deadline, ctx.sa_config),
         keep_trace=ctx.keep_trace,
     )
     changes = ctx.incumbent.diff(result.best_allocation)
@@ -185,7 +214,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
         result = anneal(
             factory.objective(current),
             ctx.incumbent,
-            ctx.sa_config,
+            _until(deadline, ctx.sa_config),
             keep_trace=ctx.keep_trace,
         )
         changes = ctx.incumbent.diff(result.best_allocation)

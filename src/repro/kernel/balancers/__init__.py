@@ -1,24 +1,15 @@
 """Cross-core load-balancing policies.
 
-The paper's baseline (vanilla Linux), its state-of-the-art comparators
-(ARM GTS, Linaro IKS) and the SmartBalance kernel adapter, all behind
-one :class:`~repro.kernel.balancers.base.LoadBalancer` interface.
+The paper's baseline (vanilla Linux) and its state-of-the-art
+comparators (ARM GTS, Linaro IKS), behind the
+:class:`~repro.kernel.balancers.base.LoadBalancer` interface that
+:class:`repro.core.balancer.SmartBalance` implements too.
 """
 
 from repro.kernel.balancers.base import LoadBalancer, NullBalancer, Placement
 from repro.kernel.balancers.gts import GtsBalancer
 from repro.kernel.balancers.iks import IksBalancer
 from repro.kernel.balancers.vanilla import VanillaBalancer
-
-
-def __getattr__(name: str):
-    # Imported lazily: the smart adapter pulls in repro.core, which in
-    # turn imports repro.kernel — eager import here would be circular.
-    if name == "SmartBalanceKernelAdapter":
-        from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
-
-        return SmartBalanceKernelAdapter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "LoadBalancer",
@@ -27,5 +18,4 @@ __all__ = [
     "VanillaBalancer",
     "GtsBalancer",
     "IksBalancer",
-    "SmartBalanceKernelAdapter",
 ]

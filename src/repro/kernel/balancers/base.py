@@ -15,15 +15,25 @@ The contract:
   ``L`` (one epoch) for SmartBalance.
 * Balancers must decide from the view alone; they never see workload
   ground truth.
+* After each run the simulator reads four hooks, whose defaults here
+  suit a balancer without that output: ``timings`` (per-epoch
+  :class:`~repro.core.balancer.PhaseTimings`, the Fig. 7 overhead),
+  ``health`` (the :class:`~repro.core.balancer.BalancerHealth` defence
+  telemetry), ``governor_stats`` (the DVFS governor's summary) and, after
+  every placement, :meth:`LoadBalancer.take_opp_request` (cluster OPP
+  switches to apply before the next window).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.kernel.view import SystemView
 from repro.obs import NULL_OBS, ObsContext
+
+if TYPE_CHECKING:
+    from repro.core.balancer import BalancerHealth, PhaseTimings
 
 #: Placement delta returned by a balancer: task id -> target core id.
 Placement = dict[int, int]
@@ -40,10 +50,25 @@ class LoadBalancer(abc.ABC):
     #: before the run starts.  Balancers that trace must guard every
     #: emission with ``self.obs.enabled``.
     obs: ObsContext = NULL_OBS
+    #: Per-call sense/predict/balance wall-clock timings.
+    timings: "Sequence[PhaseTimings]" = ()
+    #: Resilience counters of the balancer's defence layer.
+    health: "Optional[BalancerHealth]" = None
+    #: Summary of the OPP decisions of a DVFS-governing balancer.
+    governor_stats: Optional[dict] = None
 
     @abc.abstractmethod
     def rebalance(self, view: SystemView) -> Optional[Placement]:
         """Return placement changes for the next window, or ``None``."""
+
+    def take_opp_request(self) -> list:
+        """Drain the cluster OPP switches adopted since the last call.
+
+        Entries carry ``core_ids``/``new_types`` plus the fields of the
+        ``opp_change`` event (see ``System._apply_opp_changes``); a
+        balancer that never scales OPPs has none.
+        """
+        return []
 
     def validate_placement(self, view: SystemView, placement: Placement) -> None:
         """Raise ``ValueError`` on malformed placements (helper for

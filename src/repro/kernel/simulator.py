@@ -435,9 +435,10 @@ class System:
     def _apply_opp_changes(self, changes) -> None:
         """Apply cluster OPP switches adopted by a governor balancer.
 
-        Each entry is duck-typed (``repro.kernel`` never imports the
-        governor package): ``core_ids``/``new_types`` drive the
-        re-base, the remaining fields feed the ``opp_change`` event.
+        Entries come from :meth:`LoadBalancer.take_opp_request`
+        (``repro.kernel`` never imports the governor package):
+        ``core_ids``/``new_types`` drive the re-base, the remaining
+        fields feed the ``opp_change`` event.
         """
         for change in changes:
             for core_id, new_type in zip(change.core_ids, change.new_types):
@@ -665,11 +666,9 @@ class System:
                 # A governor balancer may have adopted cluster OPP
                 # switches alongside the placement; collect and apply
                 # them so the next window runs at the new points.
-                taker = getattr(self.balancer, "take_opp_request", None)
-                if taker is not None:
-                    opp_changes = taker()
-                    if opp_changes:
-                        self._apply_opp_changes(opp_changes)
+                opp_changes = self.balancer.take_opp_request()
+                if opp_changes:
+                    self._apply_opp_changes(opp_changes)
                 self._view_counter += 1
                 periods_since_rebalance = 0
 
@@ -864,8 +863,8 @@ class System:
         user_instructions = sum(t.instructions for t in task_stats if self.tasks[t.tid].is_user)
         total_energy = sum(c.energy_j for c in core_stats)
         # Per-phase wall-clock breakdown when the balancer keeps one
-        # (the SmartBalance adapter does; kernel baselines do not).
-        phase_records = getattr(self.balancer, "timings", None)
+        # (SmartBalance does; kernel baselines do not).
+        phase_records = self.balancer.timings
         phase_times: tuple[tuple[str, float], ...] = ()
         if phase_records:
             phase_times = (
@@ -876,7 +875,7 @@ class System:
         return RunResult(
             resilience=self._resilience_stats(),
             phase_times=phase_times,
-            governor=getattr(self.balancer, "governor_stats", None),
+            governor=self.balancer.governor_stats,
             scenario=self.scenario.stats() if self.scenario is not None else None,
             balancer_name=self.balancer.name,
             platform_name=self.platform.name,
@@ -891,7 +890,7 @@ class System:
 
     def _resilience_stats(self) -> "ResilienceStats | None":
         """Merge injector tallies with the balancer's health telemetry."""
-        health = getattr(self.balancer, "health", None)
+        health = self.balancer.health
         if self.faults is None and health is None:
             return None
         counts = self.faults.counts if self.faults else None
@@ -922,9 +921,9 @@ class System:
                 truncated_epochs=health.truncated_epochs,
                 budget_skipped_epochs=health.budget_skipped_epochs,
                 hotplug_masked_epochs=health.hotplug_masked_epochs,
-                drift_detections=getattr(health, "drift_detections", 0),
-                model_updates=getattr(health, "model_updates", 0),
-                model_rollbacks=getattr(health, "model_rollbacks", 0),
-                watchdog_repairs=getattr(health, "watchdog_repairs", 0),
+                drift_detections=health.drift_detections,
+                model_updates=health.model_updates,
+                model_rollbacks=health.model_rollbacks,
+                watchdog_repairs=health.watchdog_repairs,
             )
         return ResilienceStats(**kwargs)

@@ -349,9 +349,6 @@ class SoaKernel:
         self._layout_dirty = True
         self._struct_ver += 1
 
-    def mark_demand_dirty(self) -> None:
-        self._demand_ver += 1
-
     def on_arrival(self, tid: int) -> None:
         self.active[tid] = True
         self._struct_ver += 1
@@ -364,12 +361,6 @@ class SoaKernel:
         self.ctype_idx[core_id] = self._register_ctype(ctype)
         self._demand_ver += 1
         self._ctype_change_ver += 1
-
-    def set_smt(self, core_id: int, smt: bool) -> None:
-        """Flip a core's SMT mode (capacity + contention both change)."""
-        self.smt_core[core_id] = smt
-        self._any_smt = bool(self.smt_core.any())
-        self._struct_ver += 1
 
     def set_blocked(self, tid: int, blocked: bool) -> None:
         """Barrier block/release: mirrors ``TaskState.BLOCKED``."""

@@ -108,10 +108,6 @@ class SystemView:
     def user_tasks(self) -> tuple[TaskView, ...]:
         return tuple(t for t in self.tasks if t.is_user)
 
-    @property
-    def online_core_ids(self) -> frozenset[int]:
-        return frozenset(c.core_id for c in self.cores if c.online)
-
     def tasks_on_core(self, core_id: int) -> tuple[TaskView, ...]:
         return tuple(t for t in self.tasks if t.core_id == core_id)
 

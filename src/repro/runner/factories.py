@@ -81,16 +81,17 @@ SMART_BALANCERS = ("smartbalance", "tpeq", "slo")
 
 
 def _smart_balancer(
+    name: str,
     mitigations: bool = True,
     adaptation: bool = False,
     governor: str = "fixed",
-    variant: str = "stock",
 ) -> LoadBalancer:
     # Imported lazily: training the default predictor takes a moment
     # and commands like `list` should stay instant.
     from repro.adaptation.controller import AdaptationConfig
+    from repro.core.balancer import SmartBalance
     from repro.core.config import ResilienceConfig, SmartBalanceConfig
-    from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
+    from repro.core.variants import SloAwareBalance, TpeqBalance
 
     resilience = ResilienceConfig() if mitigations else ResilienceConfig.disabled()
     config = SmartBalanceConfig(
@@ -98,10 +99,17 @@ def _smart_balancer(
         adaptation=AdaptationConfig(enabled=adaptation),
     )
     if governor != "fixed":
-        from repro.governor import GovernorKernelAdapter, parse_governor
+        from repro.governor import GovernorSmartBalance, parse_governor
 
-        return GovernorKernelAdapter(parse_governor(governor), config=config)
-    return SmartBalanceKernelAdapter(config=config, variant=variant)
+        return GovernorSmartBalance(
+            config=config, governor=parse_governor(governor)
+        )
+    classes = {
+        "smartbalance": SmartBalance,
+        "tpeq": TpeqBalance,
+        "slo": SloAwareBalance,
+    }
+    return classes[name](config=config)
 
 
 def make_platform(spec: str) -> Platform:
@@ -224,8 +232,7 @@ def make_balancer(
             f"got {name!r}"
         )
     if name in SMART_BALANCERS:
-        variant = "stock" if name == "smartbalance" else name
-        return _smart_balancer(mitigations, adaptation, governor, variant)
+        return _smart_balancer(name, mitigations, adaptation, governor)
     try:
         check_balancer(name)
     except ValueError as exc:

@@ -56,7 +56,7 @@ class TestCompareWithReplication:
         """The headline claim holds across seeds: the whole confidence
         interval of the improvement lies above zero."""
         from repro.hardware.platform import quad_hmp
-        from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
+        from repro.core.balancer import SmartBalance
         from repro.kernel.balancers.vanilla import VanillaBalancer
         from repro.workload.synthetic import imb_threads
 
@@ -64,7 +64,7 @@ class TestCompareWithReplication:
             platform_factory=quad_hmp,
             workload_factory=lambda seed: imb_threads("MTMI", 8, seed=seed),
             baseline_factory=VanillaBalancer,
-            candidate_factory=SmartBalanceKernelAdapter,
+            candidate_factory=SmartBalance,
             n_epochs=15,
             n_seeds=4,
         )

@@ -5,13 +5,13 @@ import pytest
 
 from repro.core.allocation import Allocation
 from repro.core.annealing import SAConfig, anneal
+from repro.core.balancer import SmartBalance
 from repro.core.objective import (
     AFFINITY_VIOLATION_PENALTY,
     EnergyEfficiencyObjective,
     IncrementalEvaluator,
 )
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.characteristics import COMPUTE_PHASE
@@ -133,7 +133,7 @@ class TestKernelAffinity:
         run even though the balancer would otherwise move it."""
         threads = [pinned_thread("pin3", {3}, duty=0.8)] + imb_threads("MTMI", 5)
         system = System(
-            quad_hmp(), threads, SmartBalanceKernelAdapter(),
+            quad_hmp(), threads, SmartBalance(),
             SimulationConfig(seed=2),
         )
         result = system.run(n_epochs=15)

@@ -6,8 +6,9 @@ annealer (Algorithm 1's loop, its acceptance rule or the O(1)
 evaluator) could move a decision unnoticed.  Each spec below runs
 anneals that its digest depends on: the paper-scale smartbalance run,
 all three governor strategies, the scenario-aware balancers, faults
-with adaptation, and a hotplug run whose offline-core mask makes
-``objective.allowed`` non-None.
+with adaptation (stock and under ``two_level``), and a hotplug run
+whose offline-core mask makes ``objective.allowed`` non-None.  The
+thermal pins below cover the balance phase's thermal weights.
 
 The digests were recorded before the annealer's fast path landed and
 must never move as a side effect of making it faster.
@@ -15,7 +16,12 @@ must never move as a side effect of making it faster.
 
 import pytest
 
+from repro.core.balancer import SmartBalance
+from repro.core.config import SmartBalanceConfig
+from repro.governor import GovernorSmartBalance, parse_governor
+from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.engine import execute_spec
+from repro.runner.factories import dvfs_quad, make_workload
 from repro.runner.serialize import metrics_digest
 from repro.runner.spec import RunSpec
 
@@ -51,6 +57,10 @@ SPECS = {
         workload="MTMI", platform="biglittle", threads=6, faults="hotplug",
         n_epochs=12, seed=1,
     ),
+    "two_level_faults_adaptation": RunSpec(
+        workload="MTMI", platform="dvfsquad", threads=8, governor="two_level",
+        faults="combined", adaptation=True, n_epochs=6, seed=1,
+    ),
 }
 
 PINNED_DIGESTS = {
@@ -78,12 +88,56 @@ PINNED_DIGESTS = {
     "hotplug": (
         "a395f01db1d413f174d17d0adbcd01b6e008df52d20ee3e33488f717e6347242"
     ),
+    "two_level_faults_adaptation": (
+        "35ed34d104b3aac11c373b0b3f01ecf9c9f0d054c8434970a8155ddee2545432"
+    ),
+}
+
+#: Thermal-aware balancing on a thermally simulated dvfsquad.  The
+#: default 75 °C knee never binds here (cores peak near 48-53 °C), so
+#: the knee is lowered until the thermal weights move decisions.
+THERMAL_KNEE = {"thermal_knee_c": 45.5, "thermal_zero_c": 55.0}
+
+THERMAL_DIGESTS = {
+    "fixed": (
+        "5e3a1be67c14b6e5ba4b478fd6090b49d84a642e19303383041742abe0267f29"
+    ),
+    "two_level": (
+        "c0b478910a6ec8406ce7ea953810261c45fe4efd44354924760744a4a30b9719"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_digest_is_pinned(name):
     assert metrics_digest(execute_spec(SPECS[name])) == PINNED_DIGESTS[name]
+
+
+def thermal_run(governor: str, thermal_aware: bool = True):
+    config = SmartBalanceConfig(thermal_aware=thermal_aware, **THERMAL_KNEE)
+    if governor == "fixed":
+        balancer = SmartBalance(config=config)
+    else:
+        balancer = GovernorSmartBalance(
+            config=config, governor=parse_governor(governor)
+        )
+    system = System(
+        dvfs_quad(), make_workload("MTMI", 8, seed=1), balancer,
+        SimulationConfig(seed=1, thermal_enabled=True),
+    )
+    return system.run(n_epochs=4)
+
+
+@pytest.mark.parametrize("governor", sorted(THERMAL_DIGESTS))
+def test_thermal_digest_is_pinned(governor):
+    assert metrics_digest(thermal_run(governor)) == THERMAL_DIGESTS[governor]
+
+
+def test_thermal_knee_binds():
+    """The thermal pins only cover the weights if they change a decision."""
+    assert metrics_digest(thermal_run("fixed")) != metrics_digest(
+        thermal_run("fixed", thermal_aware=False)
+    )
 
 
 def test_hotplug_spec_anneals_under_an_affinity_mask(monkeypatch):

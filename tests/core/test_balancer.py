@@ -7,7 +7,6 @@ from repro.core.config import SmartBalanceConfig
 from repro.core.training import default_predictor
 from repro.experiments.fig7 import synthetic_view
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.synthetic import imb_threads
 
@@ -104,29 +103,33 @@ class TestDecide:
 
 
 class TestKernelAdapter:
+    """SmartBalance in the simulator's balancer slot, the role of the
+    reimplemented ``rebalance_domains()`` (paper Section 5.1)."""
+
     def test_interval_is_epoch(self):
-        adapter = SmartBalanceKernelAdapter(epoch_periods=10)
-        assert adapter.interval_periods == 10
+        balancer = SmartBalance(epoch_periods=10)
+        assert balancer.interval_periods == 10
 
     def test_invalid_epoch_rejected(self):
         with pytest.raises(ValueError):
-            SmartBalanceKernelAdapter(epoch_periods=0)
+            SmartBalance(epoch_periods=0)
 
     def test_records_timings_per_epoch(self):
-        adapter = SmartBalanceKernelAdapter()
-        system = System(quad_hmp(), imb_threads("MTMI", 4), adapter)
-        system.run(n_epochs=5)
-        assert len(adapter.timings) == 5
-        assert len(adapter.proposed_migrations) == 5
+        balancer = SmartBalance()
+        system = System(quad_hmp(), imb_threads("MTMI", 4), balancer)
+        result = system.run(n_epochs=5)
+        assert len(balancer.timings) == 5
+        assert dict(result.phase_times)["balance"] == pytest.approx(
+            sum(t.balance_s for t in balancer.timings)
+        )
 
     def test_improves_over_initial_placement(self):
         """Closed loop: once sensing data exists the balancer lifts the
         system well above the round-robin initial placement and stays
         there (phase drift may wobble the level, not collapse it)."""
-        adapter = SmartBalanceKernelAdapter()
         system = System(
             quad_hmp(), imb_threads("HTHI", 8),
-            adapter, SimulationConfig(seed=1),
+            SmartBalance(), SimulationConfig(seed=1),
         )
         result = system.run(n_epochs=20)
         first = result.epochs[0].ips_per_watt  # pre-balancing epoch

@@ -5,13 +5,17 @@ CLI, the sweep runner and the service use — so the contracts pinned
 are the ones users get.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.kernel.simulator import SimulationConfig
+from repro.core.config import SmartBalanceConfig
+from repro.governor import GovernorSmartBalance, parse_governor, strategies
+from repro.kernel.simulator import SimulationConfig, System
 from repro.obs import ObsContext, build_report, render_report, validate_events
 from repro.runner.engine import execute_spec
 from repro.runner.serialize import metrics_digest
-from repro.runner.factories import catalogue
+from repro.runner.factories import catalogue, dvfs_quad, make_workload
 from repro.runner.spec import RunSpec, SpecError
 from repro.service.api import ApiError, spec_from_payload
 
@@ -95,6 +99,73 @@ class TestGovernedRuns:
         second = execute_spec(faulted)
         assert first.governor is not None
         assert metrics_digest(first) == metrics_digest(second)
+
+
+class TestEpochBudget:
+    def test_exhausted_budget_skips_every_governed_decision(self):
+        """With no time left after sensing, every measured epoch keeps
+        both its placement and its OPP vector."""
+        balancer = GovernorSmartBalance(
+            config=SmartBalanceConfig(epoch_time_budget_s=1e-9),
+            governor=parse_governor("two_level"),
+        )
+        system = System(
+            dvfs_quad(), make_workload("MTMI", 8, seed=0), balancer,
+            SimulationConfig(kernel="reference"),
+        )
+        result = system.run(n_epochs=6)
+        # The first view carries no measurements, so it never reaches
+        # the balance phase; every later one is skipped there.
+        assert result.resilience.budget_skipped_epochs == 5
+        assert result.resilience.truncated_epochs == 0
+        assert result.governor["opp_changes"] == 0
+        assert result.migrations == 0
+
+    @pytest.fixture
+    def two_level_context(self, monkeypatch):
+        """The search context of a real ``two_level`` epoch."""
+        contexts = []
+
+        def capture(ctx):
+            contexts.append(ctx)
+            return strategies.two_level(ctx)
+
+        monkeypatch.setitem(strategies.STRATEGIES, "two_level", capture)
+        execute_spec(spec("two_level", epochs=2))
+        return contexts[-1]
+
+    def test_two_level_budget_spans_the_candidate_loop(self, two_level_context):
+        """A budget far below one enumeration stops the loop after at
+        most one candidate, and the final anneal truncates."""
+        ctx = two_level_context
+        full = strategies.two_level(ctx)
+        assert full.candidates_evaluated >= len(strategies._candidate_levels(ctx))
+        budgeted = dataclasses.replace(
+            ctx, sa_config=dataclasses.replace(ctx.sa_config, time_budget_s=1e-6)
+        )
+        outcome = strategies.two_level(budgeted)
+        assert outcome.candidates_evaluated <= 1
+        assert outcome.sa_result.truncated
+
+    def test_two_level_without_budget_passes_the_config_through(
+        self, two_level_context, monkeypatch
+    ):
+        """Unbudgeted anneals get ``ctx.sa_config`` itself (the final one)
+        or one shared reduced-iteration copy (the inner ones)."""
+        ctx = two_level_context
+        configs = []
+        original = strategies.anneal
+
+        def spy(objective, initial, config, **kwargs):
+            configs.append(config)
+            return original(objective, initial, config, **kwargs)
+
+        monkeypatch.setattr(strategies, "anneal", spy)
+        strategies.two_level(ctx)
+        inner = [c for c in configs if c is not ctx.sa_config]
+        assert len(inner) == len(strategies._candidate_levels(ctx))
+        assert all(c is inner[0] for c in inner)
+        assert configs[len(inner)] is ctx.sa_config
 
 
 class TestKernelEquivalence:

@@ -232,11 +232,11 @@ class TestKernelIntegration:
     def test_thermal_aware_balancer_runs(self):
         from repro.core.config import SmartBalanceConfig
         from repro.hardware.platform import quad_hmp
-        from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
+        from repro.core.balancer import SmartBalance
         from repro.kernel.simulator import SimulationConfig, System
         from repro.workload.synthetic import imb_threads
 
-        balancer = SmartBalanceKernelAdapter(
+        balancer = SmartBalance(
             config=SmartBalanceConfig(thermal_aware=True)
         )
         config = SimulationConfig(thermal_enabled=True)

@@ -7,12 +7,12 @@ migration -> CFS) must reproduce the paper's orderings.
 
 import pytest
 
+from repro.core.balancer import SmartBalance
 from repro.hardware.platform import big_little_octa, build_platform, quad_hmp
 from repro.hardware.features import MEDIUM, SMALL
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.balancers.gts import GtsBalancer
 from repro.kernel.balancers.iks import IksBalancer
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.parsec import benchmark, mix_threads
@@ -33,7 +33,7 @@ class TestHeadlineOrderings:
     def test_smart_beats_vanilla_on_imbs(self, config):
         platform = quad_hmp()
         vanilla = run(platform, imb_threads(config, 8), VanillaBalancer())
-        smart = run(platform, imb_threads(config, 8), SmartBalanceKernelAdapter())
+        smart = run(platform, imb_threads(config, 8), SmartBalance())
         assert smart.improvement_over(vanilla) > 10.0
 
     @pytest.mark.parametrize("bench", ["x264_L_bow", "bodytrack"])
@@ -41,21 +41,21 @@ class TestHeadlineOrderings:
         platform = quad_hmp()
         vanilla = run(platform, benchmark(bench).threads(4), VanillaBalancer())
         smart = run(
-            platform, benchmark(bench).threads(4), SmartBalanceKernelAdapter()
+            platform, benchmark(bench).threads(4), SmartBalance()
         )
         assert smart.improvement_over(vanilla) > 10.0
 
     def test_smart_beats_vanilla_on_mix(self):
         platform = quad_hmp()
         vanilla = run(platform, mix_threads("Mix6", 2), VanillaBalancer())
-        smart = run(platform, mix_threads("Mix6", 2), SmartBalanceKernelAdapter())
+        smart = run(platform, mix_threads("Mix6", 2), SmartBalance())
         assert smart.improvement_over(vanilla) > 10.0
 
     def test_smart_competitive_with_gts_on_biglittle(self):
         platform = big_little_octa()
         threads = lambda: benchmark("x264_L_bow").threads(8)  # noqa: E731
         gts = run(platform, threads(), GtsBalancer())
-        smart = run(platform, threads(), SmartBalanceKernelAdapter())
+        smart = run(platform, threads(), SmartBalance())
         assert smart.improvement_over(gts) > 5.0
 
     def test_gts_beats_iks(self):
@@ -71,7 +71,7 @@ class TestHeadlineOrderings:
         """SmartBalance must deliver (nearly) the demanded work."""
         platform = quad_hmp()
         vanilla = run(platform, imb_threads("MTMI", 8), VanillaBalancer())
-        smart = run(platform, imb_threads("MTMI", 8), SmartBalanceKernelAdapter())
+        smart = run(platform, imb_threads("MTMI", 8), SmartBalance())
         assert smart.instructions > 0.85 * vanilla.instructions
 
 
@@ -79,7 +79,7 @@ class TestClosedLoopMechanics:
     def test_smart_consolidates_light_load(self):
         """Two light threads should abandon the Huge core entirely."""
         platform = quad_hmp()
-        smart = run(platform, imb_threads("LTHI", 2), SmartBalanceKernelAdapter())
+        smart = run(platform, imb_threads("LTHI", 2), SmartBalance())
         huge = [c for c in smart.core_stats if c.core_type_name == "Huge"][0]
         total = smart.instructions
         assert huge.instructions < 0.25 * total
@@ -96,7 +96,7 @@ class TestClosedLoopMechanics:
     def test_migrations_bounded(self):
         """The adoption gate keeps migration churn bounded."""
         platform = quad_hmp()
-        smart = run(platform, imb_threads("MTMI", 8), SmartBalanceKernelAdapter())
+        smart = run(platform, imb_threads("MTMI", 8), SmartBalance())
         assert smart.migrations < 8 * EPOCHS / 2
 
     def test_custom_heterogeneous_platform_works(self):
@@ -109,7 +109,7 @@ class TestClosedLoopMechanics:
         smart = run(
             platform,
             imb_threads("MTMI", 6),
-            SmartBalanceKernelAdapter(predictor=predictor),
+            SmartBalance(predictor=predictor),
         )
         vanilla = run(platform, imb_threads("MTMI", 6), VanillaBalancer())
         assert smart.improvement_over(vanilla) > 20.0
@@ -117,7 +117,7 @@ class TestClosedLoopMechanics:
     def test_null_balancer_is_the_floor(self):
         platform = quad_hmp()
         null = run(platform, imb_threads("HTHI", 8), NullBalancer())
-        smart = run(platform, imb_threads("HTHI", 8), SmartBalanceKernelAdapter())
+        smart = run(platform, imb_threads("HTHI", 8), SmartBalance())
         assert smart.ips_per_watt > null.ips_per_watt
 
 
@@ -132,7 +132,7 @@ class TestDynamicWorkloads:
             steady_thread("late", late_phase, arrival_s=0.3)
         ]
         platform = quad_hmp()
-        system = System(platform, threads, SmartBalanceKernelAdapter())
+        system = System(platform, threads, SmartBalance())
         result = system.run(n_epochs=EPOCHS)
         late_stats = [t for t in result.task_stats if t.name == "late"][0]
         assert late_stats.instructions > 0.0
@@ -143,7 +143,7 @@ class TestDynamicWorkloads:
         short = make("HTLI", 2, total_instructions=5e7)
         long = make("HTLI", 2, seed=1)
         platform = quad_hmp()
-        system = System(platform, short + long, SmartBalanceKernelAdapter())
+        system = System(platform, short + long, SmartBalance())
         result = system.run(n_epochs=EPOCHS)
         from repro.kernel.task import TaskState
 
@@ -157,7 +157,7 @@ class TestReproducibility:
 
         def once():
             return run(
-                platform, imb_threads("MTMI", 6), SmartBalanceKernelAdapter(), seed=3
+                platform, imb_threads("MTMI", 6), SmartBalance(), seed=3
             )
 
         a, b = once(), once()

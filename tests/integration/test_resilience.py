@@ -12,11 +12,11 @@ import dataclasses
 
 import pytest
 
+from repro.core.balancer import SmartBalance
 from repro.core.config import ResilienceConfig, SmartBalanceConfig
 from repro.experiments.resilience import retention_under, run_one
 from repro.faults import SCENARIOS, scenario
 from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.generator import random_thread_set
 
@@ -24,7 +24,7 @@ N_EPOCHS = 8
 
 
 def smart_run(plan, resilience=None, seed=0, n_epochs=N_EPOCHS):
-    balancer = SmartBalanceKernelAdapter(
+    balancer = SmartBalance(
         config=SmartBalanceConfig(resilience=resilience or ResilienceConfig())
     )
     system = System(

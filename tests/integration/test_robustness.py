@@ -9,10 +9,10 @@ catastrophically below the capability-blind baseline.
 
 import pytest
 
+from repro.core.balancer import SmartBalance
 from repro.hardware.features import BIG
 from repro.hardware.platform import build_platform, quad_hmp
 from repro.hardware.sensors import NoiseModel
-from repro.kernel.balancers.smart import SmartBalanceKernelAdapter
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.characteristics import COMPUTE_PHASE
@@ -31,7 +31,7 @@ class TestDegradedSensing:
             seed=3,
         )
         smart = System(
-            quad_hmp(), imb_threads("MTMI", 8), SmartBalanceKernelAdapter(), noisy
+            quad_hmp(), imb_threads("MTMI", 8), SmartBalance(), noisy
         ).run(n_epochs=20)
         vanilla = System(
             quad_hmp(), imb_threads("MTMI", 8), VanillaBalancer(), noisy
@@ -45,7 +45,7 @@ class TestDegradedSensing:
             seed=4,
         )
         smart = System(
-            quad_hmp(), imb_threads("MTMI", 8), SmartBalanceKernelAdapter(), noisy
+            quad_hmp(), imb_threads("MTMI", 8), SmartBalance(), noisy
         ).run(n_epochs=20)
         # well under one full reshuffle per epoch
         assert smart.migrations < 8 * 20 / 2
@@ -56,7 +56,7 @@ class TestDegeneratePlatforms:
         """One core: nothing to balance, nothing to crash."""
         platform = build_platform([(BIG, 1)])
         result = System(
-            platform, imb_threads("MTMI", 4), SmartBalanceKernelAdapter()
+            platform, imb_threads("MTMI", 4), SmartBalance()
         ).run(n_epochs=5)
         assert result.migrations == 0
         assert result.instructions > 0
@@ -73,14 +73,14 @@ class TestDegeneratePlatforms:
         result = System(
             platform,
             imb_threads("MTMI", 6),
-            SmartBalanceKernelAdapter(predictor=predictor),
+            SmartBalance(predictor=predictor),
         ).run(n_epochs=10)
         assert result.instructions > 0
 
     def test_many_more_threads_than_cores(self):
         platform = quad_hmp()
         result = System(
-            platform, imb_threads("LTLI", 32), SmartBalanceKernelAdapter()
+            platform, imb_threads("LTLI", 32), SmartBalance()
         ).run(n_epochs=8)
         assert result.instructions > 0
         assert result.ips_per_watt > 0
@@ -89,14 +89,14 @@ class TestDegeneratePlatforms:
 class TestPathologicalWorkloads:
     def test_single_thread(self):
         result = System(
-            quad_hmp(), imb_threads("HTHI", 1), SmartBalanceKernelAdapter()
+            quad_hmp(), imb_threads("HTHI", 1), SmartBalance()
         ).run(n_epochs=10)
         assert result.instructions > 0
 
     def test_all_threads_exit_mid_run(self):
         threads = imb_threads("MTMI", 4, total_instructions=1e7)
         result = System(
-            quad_hmp(), threads, SmartBalanceKernelAdapter()
+            quad_hmp(), threads, SmartBalance()
         ).run(n_epochs=10)
 
         # All work finished; the system idles through the remaining
@@ -108,7 +108,7 @@ class TestPathologicalWorkloads:
         lazy = with_duty(COMPUTE_PHASE, duty=0.05)
         threads = [steady_thread("lazy", lazy)] + imb_threads("MTMI", 4)
         result = System(
-            quad_hmp(), threads, SmartBalanceKernelAdapter()
+            quad_hmp(), threads, SmartBalance()
         ).run(n_epochs=10)
         assert result.instructions > 0
 
@@ -116,7 +116,7 @@ class TestPathologicalWorkloads:
         config = SimulationConfig(os_noise_tasks=6, seed=5)
         result = System(
             quad_hmp(), imb_threads("MTMI", 4),
-            SmartBalanceKernelAdapter(), config,
+            SmartBalance(), config,
         ).run(n_epochs=10)
         assert result.instructions > 0
         assert len(result.task_stats) == 10
@@ -134,7 +134,7 @@ class TestBalancerContracts:
         ):
             smart = System(
                 quad_hmp(), imb_threads(config_name, n, seed=seed),
-                SmartBalanceKernelAdapter(), SimulationConfig(seed=seed),
+                SmartBalance(), SimulationConfig(seed=seed),
             ).run(n_epochs=15)
             vanilla = System(
                 quad_hmp(), imb_threads(config_name, n, seed=seed),

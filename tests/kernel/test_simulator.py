@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.platform import quad_hmp
 from repro.hardware.sensors import NoiseModel
-from repro.kernel.balancers.base import NullBalancer
+from repro.kernel.balancers.base import LoadBalancer, NullBalancer
 from repro.kernel.balancers.vanilla import VanillaBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.kernel.task import TaskState
@@ -130,6 +130,24 @@ class TestRun:
             t.instructions for t in result.task_stats if system.tasks[t.tid].is_user
         )
         assert result.instructions == pytest.approx(user)
+
+
+class TestBalancerHooks:
+    def test_bare_balancer_runs_on_hook_defaults(self):
+        """A balancer that defines only ``rebalance`` reports no phase
+        timings, no governor and no resilience telemetry."""
+
+        class Bare(LoadBalancer):
+            name = "bare"
+
+            def rebalance(self, view):
+                return None
+
+        result = make_system(balancer=Bare()).run(n_epochs=2)
+        assert result.phase_times == ()
+        assert result.governor is None
+        assert result.resilience is None
+        assert result.balancer_name == "bare"
 
 
 class TestMigration:

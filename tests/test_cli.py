@@ -32,6 +32,10 @@ class TestResolvers:
         assert make_balancer("vanilla").name == "vanilla"
         assert make_balancer("gts").name == "gts"
         assert make_balancer("smartbalance").name == "smartbalance"
+        assert make_balancer("tpeq").name == "tpeq"
+        assert make_balancer("slo").name == "slo"
+        governed = make_balancer("smartbalance", governor="two_level")
+        assert governed.name == "governor:two_level"
 
     def test_unknown_balancer_exits(self):
         with pytest.raises(SystemExit):
