@@ -318,41 +318,17 @@ def _experiment_cache(args):
 
 
 def cmd_experiments(args) -> int:
-    from repro import experiments
+    from repro.experiments import EXPERIMENTS
     from repro.experiments.common import scale_by_name
 
     scale = scale_by_name(args.scale)
-    jobs = args.jobs
     cache = _experiment_cache(args)
-    registry = {
-        "table1": lambda: experiments.table1.run(),
-        "table2": lambda: experiments.table2.run(),
-        "table3": lambda: experiments.table3.run(),
-        "table4": lambda: experiments.table4.run(),
-        "fig4a": lambda: experiments.fig4.run_fig4a(scale, jobs=jobs, cache=cache),
-        "fig4b": lambda: experiments.fig4.run_fig4b(scale, jobs=jobs, cache=cache),
-        "fig5": lambda: experiments.fig5.run(scale, jobs=jobs, cache=cache),
-        "fig6": lambda: experiments.fig6.run(),
-        "fig7a": lambda: experiments.fig7.run_fig7a(scale),
-        "fig7b": lambda: experiments.fig7.run_fig7b(),
-        "fig8a": lambda: experiments.fig8.run_fig8a(),
-        "fig8b": lambda: experiments.fig8.run_fig8b(),
-        "ext_virtual_sensing": lambda: experiments.extensions.run_virtual_sensing(),
-        "ext_optimizers": lambda: experiments.extensions.run_optimizer_comparison(),
-        "ext_replicated": lambda: experiments.extensions.run_replicated_headline(),
-        "resilience": lambda: experiments.resilience.run(scale, jobs=jobs, cache=cache),
-        "table4_adapted": lambda: experiments.table4.run_adapted(scale),
-        "drift": lambda: experiments.drift.run(scale),
-        "fleet": lambda: experiments.fleet.run(scale, jobs=jobs, cache=cache),
-        "governor": lambda: experiments.governor.run(scale, jobs=jobs, cache=cache),
-        "scenarios": lambda: experiments.scenarios.run(scale, jobs=jobs, cache=cache),
-    }
-    selected = args.ids or list(registry)
-    unknown = [i for i in selected if i not in registry]
+    selected = args.ids or list(EXPERIMENTS)
+    unknown = [i for i in selected if i not in EXPERIMENTS]
     if unknown:
-        raise SystemExit(f"unknown experiment ids {unknown}; known: {list(registry)}")
+        raise SystemExit(f"unknown experiment ids {unknown}; known: {list(EXPERIMENTS)}")
     for exp_id in selected:
-        user_output(registry[exp_id]().render())
+        user_output(EXPERIMENTS[exp_id](scale, args.jobs, cache).render())
         user_output()
     return 0
 

@@ -41,7 +41,6 @@ from repro.core.prediction import (
     PowerLine,
     PredictorModel,
 )
-from repro.core.sensing import EpochObservation, ThreadObservation, sense
 from repro.core.training import (
     default_predictor,
     parsec_phases,
@@ -87,9 +86,6 @@ __all__ = [
     "PowerLine",
     "MatrixBuilder",
     "CharacterisationMatrices",
-    "EpochObservation",
-    "ThreadObservation",
-    "sense",
     "CoreEstimate",
     "estimate_cores",
     "core_ips_from_counters",

@@ -34,11 +34,11 @@ from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import feature_vector
 from repro.core.objective import EnergyEfficiencyObjective
 from repro.core.prediction import CharacterisationMatrices, MatrixBuilder, PredictorModel
-from repro.core.sensing import ThreadObservation, observation_fault, sense
+from repro.core.sensing import observation_fault
 from repro.core.training import default_predictor
 from repro.hardware.thermal import thermal_weights
 from repro.kernel.balancers.base import LoadBalancer, Placement
-from repro.kernel.view import SystemView
+from repro.kernel.view import SystemView, TaskView
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
 
@@ -194,13 +194,13 @@ class SmartBalance(LoadBalancer):
         self.predictor = model
         self._builder = MatrixBuilder(model)
 
-    def _opp_bin_for(self, obs: ThreadObservation) -> "int | None":
+    def _opp_bin_for(self, task: TaskView) -> "int | None":
         """OPP level of the observed core, for (pair, bin)-keyed drift
         detection.  The stock balancer never scales OPPs, so there is
         nothing to bin by; the governor subclass overrides this."""
         return None
 
-    def _adaptation_step(self, healthy: list[ThreadObservation], view, t_s: float) -> None:
+    def _adaptation_step(self, healthy: list[TaskView], view, t_s: float) -> None:
         """Feed this epoch's observations to the adaptation controller
         and adopt whatever model it decides is active afterwards.
 
@@ -211,25 +211,26 @@ class SmartBalance(LoadBalancer):
         ctrl = self._adaptation
         ipc_samples: list[PairSample] = []
         power_samples: list[PowerSample] = []
-        for obs in healthy:
-            dst = obs.core_type.name
-            prev = self._adapt_prev.get(obs.tid)
-            if prev is not None and prev[0] != dst and obs.ipc_measured > 0:
+        for task in healthy:
+            dst = task.core_type.name
+            ipc = task.rates.ipc
+            prev = self._adapt_prev.get(task.tid)
+            if prev is not None and prev[0] != dst and ipc > 0:
                 ipc_samples.append(
                     PairSample(
                         src=prev[0],
                         dst=dst,
                         features=prev[1],
-                        ipc=obs.ipc_measured,
-                        opp_bin=self._opp_bin_for(obs),
+                        ipc=ipc,
+                        opp_bin=self._opp_bin_for(task),
                     )
                 )
-            if obs.ipc_measured > 0 and obs.power_measured > 0:
+            if ipc > 0 and task.power_w > 0:
                 power_samples.append(
                     PowerSample(
                         type_name=dst,
-                        ipc=obs.ipc_measured,
-                        power_w=obs.power_measured,
+                        ipc=ipc,
+                        power_w=task.power_w,
                     )
                 )
         report = ctrl.observe_epoch(
@@ -248,8 +249,8 @@ class SmartBalance(LoadBalancer):
         self.health.model_rollbacks = ctrl.model_rollbacks
         # Remember this epoch's measurement context for next epoch's
         # cross-type samples; forget threads that no longer exist.
-        for obs in healthy:
-            self._adapt_prev[obs.tid] = (obs.core_type.name, feature_vector(obs))
+        for task in healthy:
+            self._adapt_prev[task.tid] = (task.core_type.name, feature_vector(task))
         live = {task.tid for task in view.tasks}
         for tid in list(self._adapt_prev):
             if tid not in live:
@@ -326,7 +327,7 @@ class SmartBalance(LoadBalancer):
     def _append_fallback_rows(
         self,
         matrices: CharacterisationMatrices,
-        fallback: list[ThreadObservation],
+        fallback: list[TaskView],
     ) -> CharacterisationMatrices:
         """Extend the matrices with stored last-good rows for threads
         whose fresh sample was rejected (all of them must be in
@@ -335,15 +336,15 @@ class SmartBalance(LoadBalancer):
         ips_rows = []
         power_rows = []
         util_rows = []
-        for obs in fallback:
-            row_ips, row_power, row_util = self._rows[obs.tid]
+        for task in fallback:
+            row_ips, row_power, row_util = self._rows[task.tid]
             ips_rows.append(row_ips)
             power_rows.append(row_power)
             util_rows.append(row_util)
         extra = len(fallback)
         return replace(
             matrices,
-            tids=matrices.tids + tuple(obs.tid for obs in fallback),
+            tids=matrices.tids + tuple(task.tid for task in fallback),
             ips=np.vstack([matrices.ips, np.array(ips_rows)]),
             power=np.vstack([matrices.power, np.array(power_rows)]),
             utilization=np.vstack([matrices.utilization, np.array(util_rows)]),
@@ -353,7 +354,7 @@ class SmartBalance(LoadBalancer):
         )
 
     def _watchdog_update(
-        self, healthy: list[ThreadObservation], t_s: float = 0.0
+        self, healthy: list[TaskView], t_s: float = 0.0
     ) -> None:
         """Advance the predictor-divergence watchdog one epoch.
 
@@ -365,13 +366,13 @@ class SmartBalance(LoadBalancer):
         it cannot see) pushes the median out of band epoch after epoch.
         """
         errors = []
-        for obs in healthy:
-            row = self._last_prediction.get(obs.tid)
-            if row is None or not 0 <= obs.core_id < len(row):
+        for task in healthy:
+            row = self._last_prediction.get(task.tid)
+            if row is None or not 0 <= task.core_id < len(row):
                 continue
-            predicted = row[obs.core_id]
+            predicted = row[task.core_id]
             if predicted > 0:
-                errors.append(abs(obs.ips_measured - predicted) / predicted)
+                errors.append(abs(task.rates.ips - predicted) / predicted)
         if not errors:
             return
         out_of_band = statistics.median(errors) > self.config.resilience.watchdog_tolerance
@@ -410,7 +411,7 @@ class SmartBalance(LoadBalancer):
 
     def _capability_placement(
         self,
-        participants: list[ThreadObservation],
+        participants: list[TaskView],
         view: SystemView,
         allowed: Optional[np.ndarray],
     ) -> dict[int, int]:
@@ -433,23 +434,23 @@ class SmartBalance(LoadBalancer):
         )
         placement: dict[int, int] = {}
         for i in order:
-            obs = participants[i]
+            task = participants[i]
             if allowed is not None:
                 candidates = [j for j in range(len(cores)) if allowed[i, j]]
             else:
                 candidates = list(range(len(cores)))
             if not candidates:
-                candidates = [obs.core_id]
+                candidates = [task.core_id]
             best = min(
                 candidates,
-                key=lambda j: (load[j] + obs.utilization) / capability[j],
+                key=lambda j: (load[j] + task.utilization) / capability[j],
             )
-            load[best] += obs.utilization
-            if best != obs.core_id:
-                placement[obs.tid] = best
+            load[best] += task.utilization
+            if best != task.core_id:
+                placement[task.tid] = best
         return placement
 
-    def _emit_prediction_checks(self, healthy: list[ThreadObservation], t_s: float) -> None:
+    def _emit_prediction_checks(self, healthy: list[TaskView], t_s: float) -> None:
         """Score last epoch's per-thread predictions against this
         epoch's realised measurements (the Table 4 accuracy data).
 
@@ -458,30 +459,30 @@ class SmartBalance(LoadBalancer):
         called while ``obs.enabled``; touches no simulation state.
         """
         oc = self.obs
-        for obs in healthy:
-            row = self._last_prediction.get(obs.tid)
-            if row is None or not 0 <= obs.core_id < len(row):
+        for task in healthy:
+            row = self._last_prediction.get(task.tid)
+            if row is None or not 0 <= task.core_id < len(row):
                 continue
-            predicted = float(row[obs.core_id])
-            measured = obs.ips_measured
-            src_type = self._obs_src_type.get(obs.tid)
+            predicted = float(row[task.core_id])
+            measured = task.rates.ips
+            src_type = self._obs_src_type.get(task.tid)
             if predicted <= 0 or measured <= 0 or src_type is None:
                 continue
-            dst_type = obs.core_type.name
+            dst_type = task.core_type.name
             ipc_error = abs(measured - predicted) / measured * 100.0
             payload: dict = {
-                "tid": obs.tid,
+                "tid": task.tid,
                 "src_type": src_type,
                 "dst_type": dst_type,
-                "core": obs.core_id,
+                "core": task.core_id,
                 "predicted_ips": predicted,
                 "measured_ips": measured,
                 "ipc_abs_pct_error": ipc_error,
             }
-            power_row = self._obs_power_prediction.get(obs.tid)
-            if power_row is not None and 0 <= obs.core_id < len(power_row):
-                predicted_power = float(power_row[obs.core_id])
-                measured_power = obs.power_measured
+            power_row = self._obs_power_prediction.get(task.tid)
+            if power_row is not None and 0 <= task.core_id < len(power_row):
+                predicted_power = float(power_row[task.core_id])
+                measured_power = task.power_w
                 if predicted_power > 0 and measured_power > 0:
                     payload["predicted_power_w"] = predicted_power
                     payload["measured_power_w"] = measured_power
@@ -520,26 +521,24 @@ class SmartBalance(LoadBalancer):
                 )
         return decision
 
-    def _sense_observation(self, view: SystemView):
-        """Sense-phase hook: the raw window observation the sanity
-        checks and predictor consume.
+    def _sense(self, view: SystemView) -> SystemView:
+        """Sense-phase hook: the view the sanity checks and predictor
+        consume.
 
-        Subclasses may override to post-process the observation — the
+        Subclasses may override to post-process the view — the
         governor tier normalises measurements taken at a scaled
         operating point back into the nominal-frequency frame here,
         *after* the kernel-side sensing but before any model sees the
         numbers.
         """
-        return sense(
-            view, include_kernel_threads=self.config.include_kernel_threads
-        )
+        return view
 
-    def _objective_weights(self, observation) -> "Optional[Sequence[float]]":
+    def _objective_weights(self, view: SystemView) -> "Optional[Sequence[float]]":
         """Per-core objective weights: the configured ones, or thermal
         headroom weights when thermal-aware balancing has temperatures."""
-        if self.config.thermal_aware and observation.core_temperatures_c:
+        if self.config.thermal_aware and view.cores:
             return thermal_weights(
-                list(observation.core_temperatures_c),
+                [core.temperature_c for core in view.cores],
                 knee_c=self.config.thermal_knee_c,
                 zero_c=self.config.thermal_zero_c,
             )
@@ -608,12 +607,9 @@ class SmartBalance(LoadBalancer):
     def _optimize(
         self,
         view: SystemView,
-        observation,
         matrices: CharacterisationMatrices,
-        participants: list[ThreadObservation],
-        core_types: list,
+        participants: list[TaskView],
         allowed: "Optional[np.ndarray]",
-        t_s: float,
         t0: float,
     ) -> "tuple[Optional[dict[int, int]], Optional[SAResult], float]":
         """Balance-phase hook: pick the next placement given this
@@ -626,19 +622,20 @@ class SmartBalance(LoadBalancer):
         ``(placement, sa_result, incumbent_value)``; ``placement`` is
         ``None`` when the incumbent is kept.
         """
+        t_s = view.time_s
         objective = EnergyEfficiencyObjective(
             ips=matrices.ips,
             power=matrices.power,
             utilization=matrices.utilization,
-            idle_power=list(observation.idle_power_w),
-            sleep_power=list(observation.sleep_power_w),
-            weights=self._objective_weights(observation),
+            idle_power=[core.idle_power_w for core in view.cores],
+            sleep_power=[core.sleep_power_w for core in view.cores],
+            weights=self._objective_weights(view),
             mode=self.config.objective_mode,
             throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
         )
         incumbent = Allocation.from_mapping(
-            [obs.core_id for obs in participants], n_cores=len(core_types)
+            [task.core_id for task in participants], n_cores=len(view.platform)
         )
         incumbent_value = objective.evaluate(incumbent)
         sa_config = self._epoch_sa_config(t0, t_s)
@@ -681,62 +678,59 @@ class SmartBalance(LoadBalancer):
         t0 = time.perf_counter()
         res = self.config.resilience
         with oc.span("sense") as sense_span:
-            observation = self._sense_observation(view)
-            measured = list(observation.measured_threads)
+            view = self._sense(view)
+            # Only user threads are balanced by default (paper Section
+            # 5.1: kernel threads are marked at ``sched_fork`` and left
+            # to CFS since user threads dominate).
+            tasks = view.user_tasks
+            if self.config.include_kernel_threads:
+                tasks = view.tasks
+            measured = [task for task in tasks if task.has_measurement]
 
             # Sanity-check the samples before they touch the predictor:
             # a corrupt observation poisons not just this epoch but
             # (through the EWMA) several following ones.
             healthy = measured
-            rejected: list[ThreadObservation] = []
+            rejected: list[TaskView] = []
             reject_reasons: dict[int, str] = {}
-            rebaselined: list[ThreadObservation] = []
-            if res.sanity_checks and measured:
+            rebaselined: list[TaskView] = []
+            if res.enabled and measured:
                 healthy = []
-                for obs in measured:
-                    reason = observation_fault(
-                        obs,
-                        max_ipc=res.max_ipc,
-                        min_power_w=res.min_power_w,
-                        max_power_w=res.max_power_w,
-                        clock_identity_tolerance=res.clock_identity_tolerance,
-                    )
+                for task in measured:
+                    reason = observation_fault(task)
                     if reason is None:
-                        healthy.append(obs)
-                        self._reject_streak.pop(obs.tid, None)
+                        healthy.append(task)
+                        self._reject_streak.pop(task.tid, None)
                         continue
-                    streak = self._reject_streak.get(obs.tid, 0) + 1
+                    streak = self._reject_streak.get(task.tid, 0) + 1
                     if streak >= res.rebaseline_epochs:
                         # The anomaly has persisted long enough that it
                         # is the new normal (e.g. a silently throttled
                         # core): accept the sample and re-baseline
                         # rather than optimise against a world that no
                         # longer exists.
-                        self._reject_streak.pop(obs.tid, None)
+                        self._reject_streak.pop(task.tid, None)
                         self.health.samples_rebaselined += 1
-                        rebaselined.append(obs)
-                        healthy.append(obs)
+                        rebaselined.append(task)
+                        healthy.append(task)
                     else:
-                        self._reject_streak[obs.tid] = streak
-                        rejected.append(obs)
-                        reject_reasons[obs.tid] = reason
+                        self._reject_streak[task.tid] = streak
+                        rejected.append(task)
+                        reject_reasons[task.tid] = reason
                         self.health.note_reject(reason)
             # Last-good-row fallback: a rejected thread with history
             # keeps participating through its stored EWMA row; one with
-            # no history sits this epoch out.
-            fallback_obs: list[ThreadObservation] = []
-            dropped: list[ThreadObservation] = []
-            if res.last_good_fallback:
-                for obs in rejected:
-                    if obs.tid in self._rows:
-                        fallback_obs.append(obs)
-                        self.health.fallback_rows_used += 1
-                    else:
-                        dropped.append(obs)
-                        self.health.threads_dropped += 1
-            else:
-                dropped = list(rejected)
-                self.health.threads_dropped += len(rejected)
+            # no history sits this epoch out.  (Only the enabled
+            # defences reject samples in the first place.)
+            fallback: list[TaskView] = []
+            dropped: list[TaskView] = []
+            for task in rejected:
+                if task.tid in self._rows:
+                    fallback.append(task)
+                    self.health.fallback_rows_used += 1
+                else:
+                    dropped.append(task)
+                    self.health.threads_dropped += 1
 
         if oc.enabled:
             oc.tracer.emit(
@@ -748,43 +742,43 @@ class SmartBalance(LoadBalancer):
                 measured=len(measured),
                 healthy=len(healthy),
                 rejected=len(rejected),
-                fallback_rows=len(fallback_obs),
+                fallback_rows=len(fallback),
             )
-            for obs in rebaselined:
+            for task in rebaselined:
                 oc.tracer.emit(
                     obs_events.MITIGATION,
                     t_s,
                     kind="rebaseline",
                     cause="persistent_anomaly",
-                    tid=obs.tid,
+                    tid=task.tid,
                 )
                 oc.metrics.inc("balancer.samples_rebaselined")
-            for obs in rejected:
-                reason = reject_reasons.get(obs.tid, "unknown")
+            for task in rejected:
+                reason = reject_reasons.get(task.tid, "unknown")
                 oc.tracer.emit(
                     obs_events.MITIGATION,
                     t_s,
                     kind="sample_rejected",
                     cause=reason,
-                    tid=obs.tid,
+                    tid=task.tid,
                 )
                 oc.metrics.inc(f"balancer.samples_rejected[{reason}]")
-            for obs in fallback_obs:
+            for task in fallback:
                 oc.tracer.emit(
                     obs_events.MITIGATION,
                     t_s,
                     kind="fallback_row",
                     cause="sample_rejected",
-                    tid=obs.tid,
+                    tid=task.tid,
                 )
                 oc.metrics.inc("balancer.fallback_rows_used")
-            for obs in dropped:
+            for task in dropped:
                 oc.tracer.emit(
                     obs_events.MITIGATION,
                     t_s,
                     kind="thread_dropped",
                     cause="sample_rejected_no_history",
-                    tid=obs.tid,
+                    tid=task.tid,
                 )
                 oc.metrics.inc("balancer.threads_dropped")
 
@@ -806,7 +800,7 @@ class SmartBalance(LoadBalancer):
                 # Before this epoch's rows overwrite the prediction
                 # state, score last epoch's predictions (Table 4 data).
                 self._emit_prediction_checks(healthy, t_s)
-            if res.watchdog_enabled:
+            if res.enabled:
                 self._watchdog_update(healthy, t_s=t_s)
             if self._adaptation is not None:
                 # Online maintenance: fold this epoch's observations in;
@@ -815,16 +809,16 @@ class SmartBalance(LoadBalancer):
                 # tripped watchdog asks for repair first — capability
                 # fallback below is the last resort.
                 self._adaptation_step(healthy, view, t_s)
-                if res.watchdog_enabled and self._watchdog_tripped:
+                if res.enabled and self._watchdog_tripped:
                     self._attempt_watchdog_repair(view, t_s)
             core_types = [core.core_type for core in view.platform]
             matrices = self._blend(
                 self._builder.build(healthy, core_types),
-                keep={obs.tid for obs in fallback_obs},
+                keep={task.tid for task in fallback},
             )
-            if fallback_obs:
-                matrices = self._append_fallback_rows(matrices, fallback_obs)
-            participants = healthy + fallback_obs
+            if fallback:
+                matrices = self._append_fallback_rows(matrices, fallback)
+            participants = healthy + fallback
 
             self._last_prediction = {
                 tid: matrices.ips[i].copy() for i, tid in enumerate(matrices.tids)
@@ -834,26 +828,26 @@ class SmartBalance(LoadBalancer):
                     tid: matrices.power[i].copy()
                     for i, tid in enumerate(matrices.tids)
                 }
-                for obs in participants:
-                    self._obs_src_type[obs.tid] = obs.core_type.name
+                for task in participants:
+                    self._obs_src_type[task.tid] = task.core_type.name
 
         with oc.span("balance") as balance_span:
             # Affinity constraints (paper Section 5.1): build the
             # allowed mask when any participating thread carries a
             # cpuset.
             allowed = None
-            if any(obs.allowed_cores is not None for obs in participants):
+            if any(task.allowed_cores is not None for task in participants):
                 allowed = np.ones((len(participants), len(core_types)), dtype=bool)
-                for i, obs in enumerate(participants):
-                    if obs.allowed_cores is not None:
+                for i, task in enumerate(participants):
+                    if task.allowed_cores is not None:
                         allowed[i, :] = False
-                        for core_id in obs.allowed_cores:
+                        for core_id in task.allowed_cores:
                             if 0 <= core_id < len(core_types):
                                 allowed[i, core_id] = True
 
             # Hotplug awareness: an offline core must never be a
             # placement target, whatever the cpusets say.
-            if res.hotplug_aware:
+            if res.enabled:
                 online = np.ones(len(core_types), dtype=bool)
                 for core in view.cores:
                     if not core.online and 0 <= core.core_id < len(core_types):
@@ -883,7 +877,7 @@ class SmartBalance(LoadBalancer):
             sa_result: Optional[SAResult] = None
             incumbent_value = 0.0
             fallback_mode = False
-            if res.watchdog_enabled and self._watchdog_tripped:
+            if res.enabled and self._watchdog_tripped:
                 # The predictor is out of band: its matrices are
                 # exactly what we must not optimise against.  Place by
                 # capability-aware load equalisation until it recovers.
@@ -900,14 +894,7 @@ class SmartBalance(LoadBalancer):
                 fallback_mode = True
             else:
                 placement, sa_result, incumbent_value = self._optimize(
-                    view,
-                    observation,
-                    matrices,
-                    participants,
-                    core_types,
-                    allowed,
-                    t_s,
-                    t0,
+                    view, matrices, participants, allowed, t0
                 )
 
         timings = PhaseTimings(

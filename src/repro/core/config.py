@@ -22,40 +22,33 @@ class ResilienceConfig:
 
     Attributes
     ----------
-    sanity_checks:
-        Reject physically impossible observations (non-finite values,
-        IPC beyond any core's issue capability, implausible power,
-        cycle counts inconsistent with the core clock) before they can
-        poison the characterisation matrices.
-    last_good_fallback:
-        Threads whose current sample was rejected keep participating in
-        the balance phase through their last good (EWMA-smoothed)
-        characterisation row instead of being dropped.
-    watchdog_enabled:
-        Track per-epoch prediction error (predicted vs measured IPS on
-        the core each thread actually ran on); after
-        ``watchdog_trip_epochs`` consecutive epochs above
-        ``watchdog_tolerance``, stop trusting the predictor and fall
-        back to capability-aware load equalisation until the error has
-        been back in band for ``watchdog_recovery_epochs`` epochs.
-    hotplug_aware:
-        Mask offline cores out of the allocation search so a placement
-        can never target an unplugged core.
-    max_ipc / min_power_w / max_power_w:
-        The physical-plausibility band of the sanity checks.
-    clock_identity_tolerance:
-        Allowed relative deviation of the observed cycles-per-busy-
-        second (``ips / ipc``) from the core clock before an
-        observation is declared corrupt (catches counter wrap).
+    enabled:
+        Switches every defence at once:
+
+        * sanity checks reject physically impossible observations
+          (non-finite values, IPC beyond any core's issue capability,
+          implausible power, cycle counts inconsistent with the core
+          clock; see :func:`repro.core.sensing.observation_fault`)
+          before they can poison the characterisation matrices;
+        * last-good fallback keeps threads whose current sample was
+          rejected in the balance phase through their last good
+          (EWMA-smoothed) characterisation row instead of dropping
+          them;
+        * the watchdog tracks per-epoch prediction error (predicted vs
+          measured IPS on the core each thread actually ran on); after
+          ``watchdog_trip_epochs`` consecutive epochs above
+          ``watchdog_tolerance`` it stops trusting the predictor and
+          falls back to capability-aware load equalisation until the
+          error has been back in band for ``watchdog_recovery_epochs``
+          epochs;
+        * hotplug awareness masks offline cores out of the allocation
+          search so a placement can never target an unplugged core.
     """
 
-    sanity_checks: bool = True
-    last_good_fallback: bool = True
-    watchdog_enabled: bool = True
+    enabled: bool = True
     watchdog_tolerance: float = 0.6
     watchdog_trip_epochs: int = 3
     watchdog_recovery_epochs: int = 2
-    hotplug_aware: bool = True
     #: Consecutive epochs a thread's samples may be rejected before the
     #: next one is accepted anyway.  A transient glitch (spike, wrap)
     #: clears within an epoch or two; an anomaly that persists is a
@@ -63,10 +56,6 @@ class ResilienceConfig:
     #: "corrupt" readings are the new truth — staying blind to them
     #: forever would be worse than any fault.
     rebaseline_epochs: int = 3
-    max_ipc: float = 16.0
-    min_power_w: float = 1e-3
-    max_power_w: float = 64.0
-    clock_identity_tolerance: float = 0.5
 
     def __post_init__(self) -> None:
         if self.watchdog_tolerance <= 0:
@@ -86,28 +75,11 @@ class ResilienceConfig:
             raise ValueError(
                 f"rebaseline_epochs must be >= 1, got {self.rebaseline_epochs}"
             )
-        if self.max_ipc <= 0:
-            raise ValueError(f"max_ipc must be positive, got {self.max_ipc}")
-        if not 0 < self.min_power_w < self.max_power_w:
-            raise ValueError(
-                f"need 0 < min_power_w < max_power_w, got "
-                f"{self.min_power_w} and {self.max_power_w}"
-            )
-        if not 0 < self.clock_identity_tolerance < 1:
-            raise ValueError(
-                "clock_identity_tolerance must be in (0, 1), got "
-                f"{self.clock_identity_tolerance}"
-            )
 
     @classmethod
     def disabled(cls) -> "ResilienceConfig":
         """Every defence off — the ablation configuration."""
-        return cls(
-            sanity_checks=False,
-            last_good_fallback=False,
-            watchdog_enabled=False,
-            hotplug_aware=False,
-        )
+        return cls(enabled=False)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Estimation phase: per-thread and per-core aggregates (Eqs. 4–7).
 
 The per-thread measured throughput and power (Eqs. 4–5) arrive with the
-:class:`~repro.core.sensing.ThreadObservation`; this module adds the
-core-level aggregates the paper defines —
+:class:`~repro.kernel.view.TaskView`; this module adds the core-level
+aggregates the paper defines —
 
 * Eq. 6: ``IPS_j``, the average of the member threads' throughputs,
 * Eq. 7: ``P_j``, the average of the member threads' powers,
@@ -16,12 +16,13 @@ Eq. 8, with the Table 4 feature ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.sensing import EpochObservation, ThreadObservation
 from repro.hardware.counters import CounterBlock
 from repro.hardware.features import CoreType
+from repro.kernel.view import TaskView
 
 #: Feature ordering of the Θ regressor — the Table 4 columns (source
 #: frequency, L1I/L1D miss rates, memory/branch instruction shares,
@@ -47,11 +48,11 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def feature_vector(observation: ThreadObservation) -> np.ndarray:
+def feature_vector(task: TaskView) -> np.ndarray:
     """The ``X_ij`` characterisation vector of Eq. 8 for one thread."""
-    rates = observation.rates
+    rates = task.rates
     return features_from_rates(
-        freq_mhz=observation.core_type.freq_mhz,
+        freq_mhz=task.core_type.freq_mhz,
         mr_l1i=rates.l1i_miss_rate,
         mr_l1d=rates.l1d_miss_rate,
         i_msh=rates.mem_share,
@@ -106,18 +107,19 @@ class CoreEstimate:
     n_threads: int
 
 
-def estimate_cores(observation: EpochObservation) -> dict[int, CoreEstimate]:
-    """Per-core Eq. 6/7 estimates from the epoch's thread observations."""
-    groups: dict[int, list[ThreadObservation]] = {}
-    for thread in observation.measured_threads:
-        groups.setdefault(thread.core_id, []).append(thread)
+def estimate_cores(tasks: Iterable[TaskView]) -> dict[int, CoreEstimate]:
+    """Per-core Eq. 6/7 estimates from the measured threads among ``tasks``."""
+    groups: dict[int, list[TaskView]] = {}
+    for task in tasks:
+        if task.has_measurement:
+            groups.setdefault(task.core_id, []).append(task)
     estimates = {}
     for core_id, threads in groups.items():
         n = len(threads)
         estimates[core_id] = CoreEstimate(
             core_id=core_id,
-            ips_avg=sum(t.ips_measured for t in threads) / n,
-            power_avg=sum(t.power_measured for t in threads) / n,
+            ips_avg=sum(t.rates.ips for t in threads) / n,
+            power_avg=sum(t.power_w for t in threads) / n,
             n_threads=n,
         )
     return estimates

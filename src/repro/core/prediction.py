@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_vector
-from repro.core.sensing import ThreadObservation
 from repro.hardware.features import CoreType
+from repro.kernel.view import TaskView
 
 #: Index of the source-IPC feature, inverted to CPI in design space.
 IPC_FEATURE_INDEX = FEATURE_NAMES.index("ipc_src")
@@ -308,13 +308,13 @@ class MatrixBuilder:
 
     def build(
         self,
-        observations: list[ThreadObservation],
+        tasks: list[TaskView],
         cores: list[CoreType],
     ) -> CharacterisationMatrices:
-        """Assemble S and P for ``observations`` across ``cores``.
+        """Assemble S and P for ``tasks`` across ``cores``.
 
-        Every observation must carry a measurement (filter with
-        ``EpochObservation.measured_threads`` first).
+        Every task must carry a measurement (filter on
+        ``TaskView.has_measurement`` first).
 
         This is the vectorized epoch hot path: threads are grouped by
         source core type and each group's Eq. 8 predictions for *all*
@@ -323,21 +323,21 @@ class MatrixBuilder:
         loop.  :meth:`build_scalar` keeps the literal per-thread
         formulation as the equivalence-tested reference.
         """
-        m, n = len(observations), len(cores)
+        m, n = len(tasks), len(cores)
         if m == 0:
             raise ValueError("need at least one measured thread")
         features = np.empty((m, len(FEATURE_NAMES)))
-        for i, obs in enumerate(observations):
-            if not obs.has_measurement:
+        for i, task in enumerate(tasks):
+            if not task.has_measurement:
                 raise ValueError(
-                    f"thread {obs.tid} ({obs.name}) has no measurement"
+                    f"thread {task.tid} ({task.name}) has no measurement"
                 )
-            features[i] = feature_vector(obs)
-        src_names = [obs.core_type.name for obs in observations]
-        ipc_meas = np.array([obs.ipc_measured for obs in observations])
-        power_meas = np.array([obs.power_measured for obs in observations])
-        util_obs = np.array([obs.utilization for obs in observations])
-        core_ids = np.array([obs.core_id for obs in observations], dtype=np.intp)
+            features[i] = feature_vector(task)
+        src_names = [task.core_type.name for task in tasks]
+        ipc_meas = np.array([task.rates.ipc for task in tasks])
+        power_meas = np.array([task.power_w for task in tasks])
+        util_obs = np.array([task.utilization for task in tasks])
+        core_ids = np.array([task.core_id for task in tasks], dtype=np.intp)
 
         # Distinct target types, in first-appearance platform order.
         core_type_names = [core.name for core in cores]
@@ -380,7 +380,7 @@ class MatrixBuilder:
         util[util_obs >= CPU_BOUND_UTILIZATION] = 1.0
 
         return CharacterisationMatrices(
-            tids=tuple(obs.tid for obs in observations),
+            tids=tuple(task.tid for task in tasks),
             ips=ips,
             power=power,
             utilization=util,
@@ -389,7 +389,7 @@ class MatrixBuilder:
 
     def build_scalar(
         self,
-        observations: list[ThreadObservation],
+        tasks: list[TaskView],
         cores: list[CoreType],
     ) -> CharacterisationMatrices:
         """Reference per-thread scalar formulation of :meth:`build`.
@@ -397,20 +397,20 @@ class MatrixBuilder:
         Kept for the vectorization-equivalence property tests and the
         ablation benchmark; semantics are the paper's, entry by entry.
         """
-        m, n = len(observations), len(cores)
+        m, n = len(tasks), len(cores)
         if m == 0:
             raise ValueError("need at least one measured thread")
         ips = np.zeros((m, n))
         power = np.zeros((m, n))
         measured = np.zeros((m, n), dtype=bool)
         util = np.zeros((m, n))
-        for i, obs in enumerate(observations):
-            if not obs.has_measurement:
+        for i, task in enumerate(tasks):
+            if not task.has_measurement:
                 raise ValueError(
-                    f"thread {obs.tid} ({obs.name}) has no measurement"
+                    f"thread {task.tid} ({task.name}) has no measurement"
                 )
-            features = feature_vector(obs)
-            src = obs.core_type.name
+            features = feature_vector(task)
+            src = task.core_type.name
             # Predict once per distinct target type, then broadcast to
             # the cores of that type (same type => same prediction).
             ipc_by_type: dict[str, float] = {}
@@ -418,27 +418,27 @@ class MatrixBuilder:
                 dst = core_type.name
                 if dst not in ipc_by_type:
                     if dst == src:
-                        ipc_by_type[dst] = obs.ipc_measured
+                        ipc_by_type[dst] = task.rates.ipc
                     else:
                         ipc_by_type[dst] = self.model.predict_ipc(src, dst, features)
                 ipc = ipc_by_type[dst]
                 ips[i, j] = ipc * core_type.freq_hz
                 if dst == src:
-                    power[i, j] = max(obs.power_measured, 1e-6)
+                    power[i, j] = max(task.power_w, 1e-6)
                     measured[i, j] = True
                 else:
                     power[i, j] = self.model.predict_power(dst, ipc)
             # Demand translation across cores (see class docstring).
-            if obs.utilization >= CPU_BOUND_UTILIZATION:
+            if task.utilization >= CPU_BOUND_UTILIZATION:
                 util[i, :] = 1.0
             else:
-                delivered_rate = obs.utilization * ips[i, obs.core_id]
+                delivered_rate = task.utilization * ips[i, task.core_id]
                 with np.errstate(divide="ignore"):
                     util[i, :] = np.minimum(
                         delivered_rate / np.maximum(ips[i, :], 1e-9), 1.0
                     )
         return CharacterisationMatrices(
-            tids=tuple(obs.tid for obs in observations),
+            tids=tuple(task.tid for task in tasks),
             ips=ips,
             power=power,
             utilization=util,

@@ -1,12 +1,13 @@
-"""Sense phase: turn the kernel's epoch view into thread observations.
+"""Sense phase: the plausibility check on each thread's measurement.
 
 Section 4.1/4.2.1 of the paper: per-thread counters sampled at context
 switches are aggregated over the epoch, giving each thread's measured
 throughput ``ips_ij = Σ I / Σ τ`` (Eq. 4) and power ``p_ij = Σ ε / Σ τ``
-(Eq. 5) *on the core it actually ran on*.  This module extracts those
-per-thread observations — and the counter-derived characterisation
-rates the predictor consumes — from a
-:class:`~repro.kernel.view.SystemView`.
+(Eq. 5) *on the core it actually ran on*.  The kernel's
+:class:`~repro.kernel.view.TaskView` already carries both
+(``rates.ips`` and ``power_w``) together with the counter-derived
+characterisation rates the predictor consumes; this module decides
+whether such a measurement is physically plausible.
 
 Threads with no execution time in the window (e.g. just-arrived) carry
 ``has_measurement=False`` and are passed through to the balance phase
@@ -16,93 +17,29 @@ with utilisation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.hardware.counters import DerivedRates
-from repro.hardware.features import CoreType
-from repro.kernel.view import SystemView, TaskView
+from repro.kernel.view import TaskView
 
-
-@dataclass(frozen=True)
-class ThreadObservation:
-    """One thread's sensed state for the epoch just ended."""
-
-    tid: int
-    name: str
-    core_id: int
-    core_type: CoreType
-    utilization: float
-    #: Eq. 4 — measured throughput on the current core (instr/s of own
-    #: busy time); 0 when the thread never ran.
-    ips_measured: float
-    #: Measured IPC on the current core (non-sleep cycles).
-    ipc_measured: float
-    #: Eq. 5 — measured average power while running (W).
-    power_measured: float
-    rates: DerivedRates
-    busy_time_s: float
-    #: cpuset affinity (core ids); None = any core.
-    allowed_cores: "frozenset[int] | None" = None
-
-    @property
-    def has_measurement(self) -> bool:
-        return self.busy_time_s > 0 and self.ips_measured > 0
+#: No core retires more instructions per cycle than this generous
+#: multiple of its issue width.
+MAX_IPC = 16.0
+#: A running thread draws neither zero nor data-centre-rack power (W).
+MIN_POWER_W = 1e-3
+MAX_POWER_W = 64.0
+#: Allowed relative deviation of the observed cycles per busy second
+#: (``ips / ipc``) from the core clock (catches counter wrap).
+CLOCK_IDENTITY_TOLERANCE = 0.5
 
 
-@dataclass(frozen=True)
-class EpochObservation:
-    """All sensed thread state plus static core facts for one epoch."""
-
-    epoch_index: int
-    window_s: float
-    threads: tuple[ThreadObservation, ...]
-    #: Per-core idle power (W), indexed by core id (firmware table).
-    idle_power_w: tuple[float, ...]
-    #: Per-core power-gated sleep power (W).
-    sleep_power_w: tuple[float, ...]
-    #: Per-core temperatures (deg C; ambient when thermal disabled).
-    core_temperatures_c: tuple[float, ...] = ()
-
-    @property
-    def measured_threads(self) -> tuple[ThreadObservation, ...]:
-        return tuple(t for t in self.threads if t.has_measurement)
-
-
-def observe_task(task: TaskView, core_type: CoreType) -> ThreadObservation:
-    """Build one thread's observation from its task view."""
-    rates = task.rates
-    return ThreadObservation(
-        tid=task.tid,
-        name=task.name,
-        core_id=task.core_id,
-        core_type=core_type,
-        utilization=task.utilization,
-        ips_measured=rates.ips,
-        ipc_measured=rates.ipc,
-        power_measured=task.power_w,
-        rates=rates,
-        busy_time_s=task.busy_time_s,
-        allowed_cores=task.allowed_cores,
-    )
-
-
-def observation_fault(
-    obs: ThreadObservation,
-    max_ipc: float = 16.0,
-    min_power_w: float = 1e-3,
-    max_power_w: float = 64.0,
-    clock_identity_tolerance: float = 0.5,
-) -> "str | None":
-    """Sanity-check one measured observation; returns the fault reason
+def observation_fault(task: TaskView) -> "str | None":
+    """Sanity-check one measured task view; returns the fault reason
     or ``None`` when the sample is physically plausible.
 
     The checks encode invariants no healthy sensor can violate:
 
     * every reading is finite;
-    * IPC lies in ``(0, max_ipc]`` — no core retires more instructions
-      per cycle than a generous multiple of its issue width;
-    * per-thread power lies in ``[min_power_w, max_power_w]`` — a
-      running thread draws neither zero nor data-centre-rack power;
+    * IPC lies in ``(0, MAX_IPC]``;
+    * per-thread power lies in ``[MIN_POWER_W, MAX_POWER_W]``;
     * every derived rate is a ratio of event counts and must lie in
       [0, 1] — a memory-instruction share of 15 can only mean a
       corrupted numerator;
@@ -112,7 +49,7 @@ def observation_fault(
       wrapped instruction or cycle count breaks the ratio even though
       each value alone still looks plausible.
     """
-    rates = obs.rates
+    rates = task.rates
     ratio_fields = (
         rates.mem_share,
         rates.branch_share,
@@ -124,48 +61,25 @@ def observation_fault(
         rates.stall_fraction,
     )
     values = (
-        obs.ips_measured,
-        obs.ipc_measured,
-        obs.power_measured,
-        obs.utilization,
+        rates.ips,
+        rates.ipc,
+        task.power_w,
+        task.utilization,
     ) + ratio_fields
     if not all(math.isfinite(v) for v in values):
         return "non-finite reading"
-    if obs.ipc_measured <= 0 or obs.ipc_measured > max_ipc:
+    if rates.ipc <= 0 or rates.ipc > MAX_IPC:
         return "impossible IPC"
-    if obs.power_measured < min_power_w or obs.power_measured > max_power_w:
+    if task.power_w < MIN_POWER_W or task.power_w > MAX_POWER_W:
         return "implausible power"
-    if obs.ips_measured <= 0:
+    if rates.ips <= 0:
         return "non-positive throughput"
     if any(r < 0 or r > 1 for r in ratio_fields):
         return "rate outside [0, 1]"
-    implied_clock_hz = obs.ips_measured / obs.ipc_measured
-    nominal_hz = obs.core_type.freq_hz
+    implied_clock_hz = rates.ips / rates.ipc
+    nominal_hz = task.core_type.freq_hz
     if nominal_hz > 0:
         deviation = abs(implied_clock_hz - nominal_hz) / nominal_hz
-        if deviation > clock_identity_tolerance:
+        if deviation > CLOCK_IDENTITY_TOLERANCE:
             return "cycle/clock identity violated"
     return None
-
-
-def sense(view: SystemView, include_kernel_threads: bool = False) -> EpochObservation:
-    """Sense phase over a system view.
-
-    Only user threads are balanced by default (paper Section 5.1:
-    kernel threads are marked at ``sched_fork`` and left to CFS since
-    user threads dominate).
-    """
-    core_types = {c.core_id: c.core_type for c in view.cores}
-    idle_power = tuple(c.idle_power_w for c in view.cores)
-    sleep_power = tuple(c.sleep_power_w for c in view.cores)
-    temperatures = tuple(c.temperature_c for c in view.cores)
-    tasks = view.tasks if include_kernel_threads else view.user_tasks
-    threads = tuple(observe_task(t, core_types[t.core_id]) for t in tasks)
-    return EpochObservation(
-        epoch_index=view.epoch_index,
-        window_s=view.window_s,
-        threads=threads,
-        idle_power_w=idle_power,
-        sleep_power_w=sleep_power,
-        core_temperatures_c=temperatures,
-    )

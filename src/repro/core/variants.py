@@ -50,10 +50,7 @@ class _RowScaledBalance(SmartBalance):
         """Weight for one thread, or ``None`` to leave it unscaled."""
         raise NotImplementedError
 
-    def _optimize(
-        self, view, observation, matrices, participants, core_types,
-        allowed, t_s, t0,
-    ):
+    def _optimize(self, view, matrices, participants, allowed, t0):
         weights = {}
         for task_view in view.tasks:
             weight = self._row_weight(task_view)
@@ -66,10 +63,7 @@ class _RowScaledBalance(SmartBalance):
                 if weight is not None:
                     ips[row] *= weight
             matrices = dataclasses.replace(matrices, ips=ips)
-        return super()._optimize(
-            view, observation, matrices, participants, core_types,
-            allowed, t_s, t0,
-        )
+        return super()._optimize(view, matrices, participants, allowed, t0)
 
 
 class TpeqBalance(_RowScaledBalance):
@@ -86,14 +80,14 @@ class TpeqBalance(_RowScaledBalance):
     name = "tpeq"
     _pacesetter_frac: "float | None" = None
 
-    def _sense_observation(self, view):
+    def _sense(self, view):
         fracs = [
             tv.progress_frac
             for tv in view.tasks
             if tv.progress_frac is not None
         ]
         self._pacesetter_frac = max(fracs) if fracs else None
-        return super()._sense_observation(view)
+        return super()._sense(view)
 
     def _row_weight(self, task_view) -> "float | None":
         frac = task_view.progress_frac

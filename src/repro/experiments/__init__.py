@@ -2,7 +2,8 @@
 
 Each module exposes ``run(...) -> ExperimentResult`` (or ``run_<id>``
 where one paper figure has multiple panels) and a ``main()`` that
-prints the rendered result.  ``run_all()`` regenerates everything.
+prints the rendered result.  :data:`EXPERIMENTS` maps every artifact id
+to its runner; ``repro experiments`` and ``run_all()`` both iterate it.
 
 | module  | paper artifact                                     |
 |---------|----------------------------------------------------|
@@ -52,30 +53,37 @@ from repro.experiments.common import FULL, QUICK, Scale
 from repro.obs import user_output
 
 
+#: Every artifact, in regeneration order: id -> callable of
+#: ``(scale, jobs, cache)``.  ``jobs`` and ``cache`` reach the
+#: experiments that decompose into runner jobs; the rest ignore them.
+EXPERIMENTS = {
+    "table1": lambda scale, jobs, cache: table1.run(),
+    "table2": lambda scale, jobs, cache: table2.run(),
+    "table3": lambda scale, jobs, cache: table3.run(),
+    "table4": lambda scale, jobs, cache: table4.run(),
+    "fig4a": lambda scale, jobs, cache: fig4.run_fig4a(scale, jobs=jobs, cache=cache),
+    "fig4b": lambda scale, jobs, cache: fig4.run_fig4b(scale, jobs=jobs, cache=cache),
+    "fig5": lambda scale, jobs, cache: fig5.run(scale, jobs=jobs, cache=cache),
+    "fig6": lambda scale, jobs, cache: fig6.run(),
+    "fig7a": lambda scale, jobs, cache: fig7.run_fig7a(scale),
+    "fig7b": lambda scale, jobs, cache: fig7.run_fig7b(),
+    "fig8a": lambda scale, jobs, cache: fig8.run_fig8a(),
+    "fig8b": lambda scale, jobs, cache: fig8.run_fig8b(),
+    "ext_virtual_sensing": lambda scale, jobs, cache: extensions.run_virtual_sensing(),
+    "ext_optimizers": lambda scale, jobs, cache: extensions.run_optimizer_comparison(),
+    "ext_replicated": lambda scale, jobs, cache: extensions.run_replicated_headline(),
+    "resilience": lambda scale, jobs, cache: resilience.run(scale, jobs=jobs, cache=cache),
+    "table4_adapted": lambda scale, jobs, cache: table4.run_adapted(scale),
+    "drift": lambda scale, jobs, cache: drift.run(scale),
+    "fleet": lambda scale, jobs, cache: fleet.run(scale, jobs=jobs, cache=cache),
+    "governor": lambda scale, jobs, cache: governor.run(scale, jobs=jobs, cache=cache),
+    "scenarios": lambda scale, jobs, cache: scenarios.run(scale, jobs=jobs, cache=cache),
+}
+
+
 def run_all(scale: Scale = QUICK) -> list:
-    """Regenerate every table and figure; returns the results."""
-    results = [
-        table1.run(),
-        table2.run(),
-        table3.run(),
-        table4.run(),
-        fig4.run_fig4a(scale),
-        fig4.run_fig4b(scale),
-        fig5.run(scale),
-        fig6.run(),
-        fig7.run_fig7a(scale),
-        fig7.run_fig7b(),
-        fig8.run_fig8a(),
-        fig8.run_fig8b(),
-        extensions.run_virtual_sensing(),
-        extensions.run_optimizer_comparison(),
-        resilience.run(scale),
-        drift.run(scale),
-        fleet.run(scale),
-        governor.run(scale),
-        scenarios.run(scale),
-    ]
-    return results
+    """Regenerate every artifact in :data:`EXPERIMENTS`; returns the results."""
+    return [experiment(scale, None, None) for experiment in EXPERIMENTS.values()]
 
 
 def main() -> None:
@@ -85,6 +93,7 @@ def main() -> None:
 
 
 __all__ = [
+    "EXPERIMENTS",
     "run_all",
     "main",
     "Scale",

@@ -69,6 +69,7 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
                 tid=tid,
                 name=f"synt-{tid}",
                 core_id=core.core_id,
+                core_type=core.core_type,
                 weight=1.0,
                 is_user=True,
                 utilization=demanded_fraction_on(phase, core.core_type),

@@ -28,8 +28,8 @@ RELATED_WORK = [
 SMARTBALANCE_EVIDENCE = {
     "core types > 2": "quad_hmp() runs 4 types; scaled_hmp(n) arbitrary",
     "thread:core > 1": "CFS run queues multiplex; objective compresses D_j > 1",
-    "per-thread IPC": "ThreadObservation.ipc_measured (Eq. 4)",
-    "per-thread power": "ThreadObservation.power_measured (Eq. 5)",
+    "per-thread IPC": "TaskView.rates.ipc and .ips (Eq. 4)",
+    "per-thread power": "TaskView.power_w (Eq. 5)",
     "per-thread util": "Task.utilization (PELT-style EWMA)",
     "per-core IPC": "CoreEstimate.ips_avg (Eq. 6)",
     "per-core power": "CoreEstimate.power_avg (Eq. 7)",

@@ -1,7 +1,7 @@
 """SmartBalance with the joint placement + DVFS governor plugged in.
 
 :class:`GovernorSmartBalance` subclasses the epoch loop at its two
-extension points: ``_sense_observation`` normalises scaled-OPP
+extension points: ``_sense`` normalises scaled-OPP
 measurements back into the nominal frame (so the Eq. 8/9 predictors,
 the sanity checks and the adaptation layer keep operating on the data
 they were characterised for), and ``_optimize`` replaces the
@@ -23,15 +23,11 @@ from repro.core.allocation import Allocation
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
 from repro.core.prediction import PredictorModel
-from repro.core.sensing import ThreadObservation
-from repro.governor.config import GovernorConfig
+from repro.governor.config import N_POINTS, GovernorConfig
 from repro.governor.ladder import OppChange, build_ladders, opp_change
-from repro.governor.scaling import (
-    ConditionedObjectiveFactory,
-    normalize_observation,
-)
+from repro.governor.scaling import ConditionedObjectiveFactory, normalize_view
 from repro.governor.strategies import STRATEGIES, SearchContext
-from repro.kernel.view import SystemView
+from repro.kernel.view import SystemView, TaskView
 from repro.obs import events as obs_events
 
 
@@ -69,7 +65,7 @@ class GovernorSmartBalance(SmartBalance):
         self._pending_opp: list[OppChange] = []
         self.governor_stats: dict = {
             "strategy": self._strategy_label(),
-            "n_points": self.governor.n_points,
+            "n_points": N_POINTS,
             "epochs": 0,
             "opp_changes": 0,
             "candidates_evaluated": 0,
@@ -88,7 +84,7 @@ class GovernorSmartBalance(SmartBalance):
     def _ensure_ladders(self, view: SystemView) -> None:
         if self._ladders is not None:
             return
-        self._ladders = build_ladders(view.platform, self.governor.n_points)
+        self._ladders = build_ladders(view.platform, N_POINTS)
         self._levels = tuple(
             ladder.top for ladder in self._ladders
         )
@@ -106,12 +102,12 @@ class GovernorSmartBalance(SmartBalance):
         pending, self._pending_opp = self._pending_opp, []
         return pending
 
-    def _opp_bin_for(self, obs: ThreadObservation) -> "int | None":
+    def _opp_bin_for(self, task: TaskView) -> "int | None":
         """The OPP level the observed core was running at — the
         adaptation layer bins its drift detectors by it so a residual
         shift caused by an OPP change is never mistaken for model
         drift on the nominal-frame pair."""
-        index = self._core_cluster_index.get(obs.core_id)
+        index = self._core_cluster_index.get(task.core_id)
         if index is None:
             return None
         return self._levels[index]
@@ -120,22 +116,17 @@ class GovernorSmartBalance(SmartBalance):
     # Epoch-loop hooks
     # ------------------------------------------------------------------
 
-    def _sense_observation(self, view: SystemView):
-        observation = super()._sense_observation(view)
+    def _sense(self, view: SystemView) -> SystemView:
+        view = super()._sense(view)
         self._ensure_ladders(view)
         if not self._nominal_idle:
             # First epoch runs with every cluster at its top (nominal)
-            # rung, so this observation's firmware-table vectors *are*
-            # the nominal ones — stash them for the normalised frame.
-            self._nominal_idle = tuple(observation.idle_power_w)
-            self._nominal_sleep = tuple(observation.sleep_power_w)
-        if all(
-            level == ladder.top
-            for ladder, level in zip(self._ladders, self._levels)
-        ):
-            return observation
-        return normalize_observation(
-            observation,
+            # rung, so this view's firmware-table vectors *are* the
+            # nominal ones — stash them for the normalised frame.
+            self._nominal_idle = tuple(core.idle_power_w for core in view.cores)
+            self._nominal_sleep = tuple(core.sleep_power_w for core in view.cores)
+        return normalize_view(
+            view,
             self._nominal_by_core,
             self._nominal_idle,
             self._nominal_sleep,
@@ -144,15 +135,14 @@ class GovernorSmartBalance(SmartBalance):
     def _optimize(
         self,
         view: SystemView,
-        observation,
         matrices,
         participants,
-        core_types,
         allowed,
-        t_s: float,
         t0: float,
     ):
         oc = self.obs
+        t_s = view.time_s
+        core_types = [core.core_type for core in view.platform]
         factory = ConditionedObjectiveFactory(
             ips=matrices.ips,
             power=matrices.power,
@@ -161,13 +151,13 @@ class GovernorSmartBalance(SmartBalance):
             nominal_idle_w=self._nominal_idle,
             nominal_sleep_w=self._nominal_sleep,
             ladders=self._ladders,
-            weights=self._objective_weights(observation),
+            weights=self._objective_weights(view),
             mode=self.config.objective_mode,
             throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
         )
         incumbent = Allocation.from_mapping(
-            [obs.core_id for obs in participants], n_cores=len(core_types)
+            [task.core_id for task in participants], n_cores=len(core_types)
         )
         sa_config = self._epoch_sa_config(t0, t_s)
         if sa_config is None:

@@ -15,9 +15,28 @@ from typing import Optional
 
 #: Strategy names the governor understands.  ``pinned`` is written as
 #: ``pinned:<level>`` on the CLI (e.g. ``pinned:0`` clamps every
-#: cluster to its lowest OPP; ``pinned:3`` with the default 4-point
-#: ladder is race-to-idle at nominal V/f).
+#: cluster to its lowest OPP; ``pinned:3`` with the 4-point ladder is
+#: race-to-idle at nominal V/f).
 GOVERNOR_STRATEGIES = ("fixed", "two_level", "coupled_anneal", "pinned")
+
+#: OPP ladder depth per cluster (levels 0..N_POINTS-1, ascending
+#: frequency; the top level is the exact nominal core type).
+N_POINTS = 4
+#: Extra relative gain required *per changed cluster* before an OPP
+#: switch is adopted — the hysteresis that stands in for the
+#: transition cost (the ~50 us dead time is far below the 6 ms
+#: period, so it is charged as decision friction, not as simulated
+#: stall time; see docs/governor.md).
+OPP_MIN_IMPROVEMENT = 0.02
+#: Fraction of the full annealing budget each candidate OPP vector
+#: gets in the two-level search's inner scoring pass.
+INNER_ITERATION_FRACTION = 0.25
+#: Ceiling on full-cartesian OPP enumeration in the two-level
+#: search; above it only single-cluster deviations are scored.
+MAX_ENUMERATION = 256
+#: In the coupled annealer, roughly one in ``OPP_MOVE_PERIOD`` moves
+#: is an OPP step instead of a thread swap.
+OPP_MOVE_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -26,24 +45,6 @@ class GovernorConfig:
 
     #: ``fixed`` | ``two_level`` | ``coupled_anneal`` | ``pinned``.
     strategy: str = "fixed"
-    #: OPP ladder depth per cluster (levels 0..n_points-1, ascending
-    #: frequency; the top level is the exact nominal core type).
-    n_points: int = 4
-    #: Extra relative gain required *per changed cluster* before an OPP
-    #: switch is adopted — the hysteresis that stands in for the
-    #: transition cost (the ~50 us dead time is far below the 6 ms
-    #: period, so it is charged as decision friction, not as simulated
-    #: stall time; see docs/governor.md).
-    opp_min_improvement: float = 0.02
-    #: Fraction of the full annealing budget each candidate OPP vector
-    #: gets in the two-level search's inner scoring pass.
-    inner_iteration_fraction: float = 0.25
-    #: Ceiling on full-cartesian OPP enumeration in the two-level
-    #: search; above it only single-cluster deviations are scored.
-    max_enumeration: int = 256
-    #: In the coupled annealer, roughly one in ``opp_move_period``
-    #: moves is an OPP step instead of a thread swap.
-    opp_move_period: int = 8
     #: Target level for the ``pinned`` strategy (clamped to the ladder).
     pinned_level: Optional[int] = None
 
@@ -52,21 +53,6 @@ class GovernorConfig:
             raise ValueError(
                 f"strategy must be one of {GOVERNOR_STRATEGIES}, "
                 f"got {self.strategy!r}"
-            )
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-        if self.opp_min_improvement < 0:
-            raise ValueError("opp_min_improvement must be non-negative")
-        if not 0.0 < self.inner_iteration_fraction <= 1.0:
-            raise ValueError(
-                "inner_iteration_fraction must be in (0, 1], got "
-                f"{self.inner_iteration_fraction}"
-            )
-        if self.max_enumeration < 1:
-            raise ValueError("max_enumeration must be >= 1")
-        if self.opp_move_period < 2:
-            raise ValueError(
-                f"opp_move_period must be >= 2, got {self.opp_move_period}"
             )
         if self.strategy == "pinned" and self.pinned_level is None:
             raise ValueError("pinned strategy requires pinned_level")

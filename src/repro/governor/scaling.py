@@ -16,8 +16,8 @@ locked by tests against the hardware model):
   ``P(opp) = (P(nom) − leak_nom) · s + leak_opp`` with
   ``s = (V_opp² f_opp) / (V_nom² f_nom)``.
 
-This module applies those laws in both directions: *normalising*
-measurements taken at a scaled OPP back into the nominal frame the
+This module applies those laws in both directions: *normalising* a
+view sensed at a scaled OPP back into the nominal frame the
 predictors and the adaptation layer expect, and *conditioning* the
 nominal-frame characterisation matrices onto a candidate OPP vector so
 one epoch's sensing scores every rung of every cluster's ladder.
@@ -30,9 +30,9 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.objective import EnergyEfficiencyObjective
-from repro.core.sensing import EpochObservation, ThreadObservation
 from repro.hardware import power as power_model
 from repro.hardware.features import CoreType
+from repro.kernel.view import SystemView, TaskView
 
 
 def freq_ratio(nominal: CoreType, applied: CoreType) -> float:
@@ -47,13 +47,11 @@ def dynamic_ratio(nominal: CoreType, applied: CoreType) -> float:
     )
 
 
-def normalize_thread(
-    obs: ThreadObservation, nominal: CoreType
-) -> ThreadObservation:
+def normalize_thread(task: TaskView, nominal: CoreType) -> TaskView:
     """Re-express one scaled-OPP measurement in the nominal frame.
 
-    Identity when the observation was already taken at nominal — the
-    common case returns the frozen observation object untouched.
+    Identity when the task was already measured at nominal — the
+    common case returns the frozen task view untouched.
 
     The inverse laws: ``ips_nom = ips / r`` (IPC invariant, so the
     clock identity ``ips_nom / ipc ≈ f_nom`` still holds and throttle
@@ -63,42 +61,52 @@ def normalize_thread(
     (clamped non-negative; sensor noise can push the dynamic part
     below zero).
     """
-    applied = obs.core_type
+    applied = task.core_type
     if applied == nominal:
-        return obs
+        return task
     r = freq_ratio(nominal, applied)
     s = dynamic_ratio(nominal, applied)
     leak_applied = power_model.leakage_power(applied)
     leak_nominal = power_model.leakage_power(nominal)
-    power_w = obs.power_measured
+    power_w = task.power_w
     if power_w > 0:
         power_w = max((power_w - leak_applied) / s + leak_nominal, 0.0)
     return replace(
-        obs,
+        task,
         core_type=nominal,
-        ips_measured=obs.ips_measured / r,
-        utilization=min(obs.utilization * r, 1.0),
-        power_measured=power_w,
+        rates=replace(task.rates, ips=task.rates.ips / r),
+        utilization=min(task.utilization * r, 1.0),
+        power_w=power_w,
     )
 
 
-def normalize_observation(
-    observation: EpochObservation,
+def normalize_view(
+    view: SystemView,
     nominal_by_core: "dict[int, CoreType]",
     nominal_idle_w: "tuple[float, ...]",
     nominal_sleep_w: "tuple[float, ...]",
-) -> EpochObservation:
-    """Normalise a whole epoch observation into the nominal frame."""
-    threads = tuple(
-        normalize_thread(t, nominal_by_core[t.core_id])
-        for t in observation.threads
+) -> SystemView:
+    """Normalise a whole system view into the nominal frame.
+
+    Returns ``view`` itself while every core runs its nominal type;
+    otherwise every task and core is re-expressed at nominal, with the
+    firmware idle/sleep power of the nominal types.
+    """
+    if all(core.core_type == nominal_by_core[core.core_id] for core in view.cores):
+        return view
+    tasks = tuple(
+        normalize_thread(t, nominal_by_core[t.core_id]) for t in view.tasks
     )
-    return replace(
-        observation,
-        threads=threads,
-        idle_power_w=nominal_idle_w,
-        sleep_power_w=nominal_sleep_w,
+    cores = tuple(
+        replace(
+            core,
+            core_type=nominal_by_core[core.core_id],
+            idle_power_w=idle_w,
+            sleep_power_w=sleep_w,
+        )
+        for core, idle_w, sleep_w in zip(view.cores, nominal_idle_w, nominal_sleep_w)
     )
+    return replace(view, tasks=tasks, cores=cores)
 
 
 class ConditionedObjectiveFactory:

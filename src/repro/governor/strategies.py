@@ -46,7 +46,13 @@ from repro.core.annealing import (
 )
 from repro.core.fixed_point import Xorshift32
 from repro.core.objective import IncrementalEvaluator
-from repro.governor.config import GovernorConfig
+from repro.governor.config import (
+    INNER_ITERATION_FRACTION,
+    MAX_ENUMERATION,
+    OPP_MIN_IMPROVEMENT,
+    OPP_MOVE_PERIOD,
+    GovernorConfig,
+)
 from repro.governor.scaling import ConditionedObjectiveFactory
 
 
@@ -91,14 +97,14 @@ def _required_gain(
 
     The stock churn gate (minimum improvement + per-migration warm-up
     penalty) extended with OPP hysteresis: each switched cluster must
-    buy :attr:`GovernorConfig.opp_min_improvement` extra relative gain,
+    buy :data:`~repro.governor.config.OPP_MIN_IMPROVEMENT` extra relative gain,
     the decision-side stand-in for the transition dead time.
     """
     return (
         1.0
         + ctx.min_improvement
         + ctx.migration_penalty * n_changes / max(ctx.participants, 1)
-        + ctx.gov.opp_min_improvement * n_opp_changed
+        + OPP_MIN_IMPROVEMENT * n_opp_changed
     )
 
 
@@ -120,7 +126,7 @@ def _candidate_levels(ctx: SearchContext) -> "list[tuple[int, ...]]":
         return [current]
     n_levels = ctx.ladders[0].n_levels
     candidates = [current]
-    if n_levels**n_clusters <= ctx.gov.max_enumeration:
+    if n_levels**n_clusters <= MAX_ENUMERATION:
         for combo in itertools.product(range(n_levels), repeat=n_clusters):
             if combo != current:
                 candidates.append(combo)
@@ -168,7 +174,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     m, n = factory.ips.shape
     inner_iterations = max(
         1,
-        int(default_iteration_cap(n, m) * ctx.gov.inner_iteration_fraction),
+        int(default_iteration_cap(n, m) * INNER_ITERATION_FRACTION),
     )
     inner_cfg = replace(
         ctx.sa_config, max_iterations=inner_iterations
@@ -281,7 +287,7 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
         performed += 1
         opp_move = (
             opp_moves_possible
-            and rng.randi() % ctx.gov.opp_move_period == 0
+            and rng.randi() % OPP_MOVE_PERIOD == 0
         )
         if opp_move:
             cluster = rng.randi_range(0, n_clusters)

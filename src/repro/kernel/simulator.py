@@ -19,7 +19,7 @@ scheduling periods.  At each balancer interval boundary the simulator
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from repro.faults import DELAY, DELIVER, FaultInjector, FaultPlan
@@ -531,6 +531,7 @@ class System:
                     tid=task.tid,
                     name=task.name,
                     core_id=task.core_id,
+                    core_type=self._base_cores[task.core_id].core_type,
                     weight=task.weight,
                     is_user=task.is_user,
                     utilization=task.utilization,
@@ -893,37 +894,11 @@ class System:
         health = self.balancer.health
         if self.faults is None and health is None:
             return None
-        counts = self.faults.counts if self.faults else None
         kwargs: dict = {
             "offline_placements_blocked": self._offline_placements_blocked
         }
-        if counts is not None:
-            kwargs.update(
-                sensor_dropouts=counts.sensor_dropouts,
-                sensor_stuck=counts.sensor_stuck,
-                sensor_spikes=counts.sensor_spikes,
-                counter_wraps=counts.counter_wraps,
-                counter_saturations=counts.counter_saturations,
-                migrations_lost=counts.migrations_lost,
-                migrations_delayed=counts.migrations_delayed,
-                hotplug_events=counts.hotplug_events,
-                throttle_events=counts.throttle_events,
-            )
+        if self.faults is not None:
+            kwargs.update(asdict(self.faults.counts))
         if health is not None:
-            kwargs.update(
-                samples_rejected=health.samples_rejected,
-                rejects_by_reason=dict(health.rejects_by_reason),
-                fallback_rows_used=health.fallback_rows_used,
-                threads_dropped=health.threads_dropped,
-                samples_rebaselined=health.samples_rebaselined,
-                watchdog_trips=health.watchdog_trips,
-                watchdog_fallback_epochs=health.watchdog_fallback_epochs,
-                truncated_epochs=health.truncated_epochs,
-                budget_skipped_epochs=health.budget_skipped_epochs,
-                hotplug_masked_epochs=health.hotplug_masked_epochs,
-                drift_detections=health.drift_detections,
-                model_updates=health.model_updates,
-                model_rollbacks=health.model_rollbacks,
-                watchdog_repairs=health.watchdog_repairs,
-            )
+            kwargs.update(asdict(health))
         return ResilienceStats(**kwargs)

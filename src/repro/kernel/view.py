@@ -28,11 +28,19 @@ from repro.hardware.platform import Platform
 
 @dataclass(frozen=True)
 class TaskView:
-    """Observed state of one task over the last sensing window."""
+    """Observed state of one task over the last sensing window.
+
+    This is the sense phase's per-thread record (Section 4.1):
+    ``rates.ips`` is Eq. 4's measured throughput and ``power_w`` Eq. 5's
+    measured power, both on ``core_type``.
+    """
 
     tid: int
     name: str
     core_id: int
+    #: OS-visible type of ``core_id`` (the one its :class:`CoreView`
+    #: reports): the governor's operating point, never a throttled clone.
+    core_type: CoreType
     weight: float
     is_user: bool
     #: PELT-style demanded-CPU fraction estimate in [0, 1].

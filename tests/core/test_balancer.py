@@ -152,7 +152,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.config import ResilienceConfig
-from repro.core.sensing import observation_fault, sense
+from repro.core.sensing import observation_fault
 
 
 def corrupt_task(view, index=0, **overrides):
@@ -162,8 +162,13 @@ def corrupt_task(view, index=0, **overrides):
     return replace(view, tasks=tuple(tasks))
 
 
+def measured_tasks(view):
+    """The user threads ``decide`` would sanity-check this epoch."""
+    return [task for task in view.user_tasks if task.has_measurement]
+
+
 def observation_from(view, index=0):
-    return sense(view).measured_threads[index]
+    return measured_tasks(view)[index]
 
 
 class TestObservationFault:
@@ -181,7 +186,7 @@ class TestObservationFault:
 
     def test_impossible_ipc_rejected(self):
         obs = observation_from(synthetic_view(4, 4, seed=1))
-        bad = replace(obs, ipc_measured=100.0, ips_measured=obs.ips_measured)
+        bad = replace(obs, rates=replace(obs.rates, ipc=100.0))
         assert observation_fault(bad) == "impossible IPC"
 
     def test_ratio_outside_unit_interval_rejected(self):
@@ -196,7 +201,6 @@ class TestObservationFault:
         # x3 keeps the IPC itself plausible while the implied clock
         # (ips/ipc = f/3) deviates 67 % from the nominal frequency.
         bad = replace(obs, rates=replace(obs.rates, ipc=obs.rates.ipc * 3.0))
-        bad = replace(bad, ipc_measured=bad.rates.ipc)
         assert observation_fault(bad) == "cycle/clock identity violated"
 
 
@@ -288,9 +292,9 @@ class TestWatchdog:
             resilience=ResilienceConfig(watchdog_recovery_epochs=2)
         )
         view = synthetic_view(4, 4, seed=13)
-        healthy = list(sense(view).measured_threads)
+        healthy = measured_tasks(view)
         eng._last_prediction = {
-            obs.tid: np.full(4, obs.ips_measured) for obs in healthy
+            obs.tid: np.full(4, obs.rates.ips) for obs in healthy
         }
         eng._watchdog_tripped = True
         eng._watchdog_update(healthy)
@@ -301,7 +305,7 @@ class TestWatchdog:
     def test_fallback_placement_respects_masks(self):
         view = synthetic_view(4, 6, seed=14)
         eng = engine()
-        healthy = list(sense(view).measured_threads)
+        healthy = measured_tasks(view)
         allowed = np.zeros((len(healthy), 4), dtype=bool)
         allowed[:, 2] = True
         placement = eng._capability_placement(healthy, view, allowed)

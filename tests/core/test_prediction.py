@@ -12,31 +12,31 @@ from repro.core.prediction import (
     PredictorModel,
     design_vector,
 )
-from repro.core.sensing import ThreadObservation
 from repro.core.training import default_predictor, profile_phase, train_predictor
 from repro.hardware import microarch
 from repro.hardware import power as power_model
 from repro.hardware.counters import CounterBlock
 from repro.hardware.features import BIG, HUGE, MEDIUM, SMALL, TABLE2_TYPES
+from repro.kernel.view import TaskView
 from repro.workload.characteristics import COMPUTE_PHASE, MEMORY_PHASE
 
 
-def observation_for(phase, core_type, tid=0, utilization=0.5) -> ThreadObservation:
-    """Ground-truth-driven observation of a thread on one core type."""
+def observation_for(phase, core_type, tid=0, utilization=0.5) -> TaskView:
+    """Ground-truth-driven view of a thread measured on one core type."""
     block = CounterBlock()
     perf = microarch.estimate(phase, core_type)
     block.charge_execution(perf, core_type, 0.03, phase.mem_share, phase.branch_share)
-    rates = block.derive_rates()
-    return ThreadObservation(
+    return TaskView(
         tid=tid,
         name=f"t{tid}",
         core_id=0,
         core_type=core_type,
+        weight=1.0,
+        is_user=True,
         utilization=utilization,
-        ips_measured=rates.ips,
-        ipc_measured=rates.ipc,
-        power_measured=power_model.busy_power(core_type, perf.ipc).total_w,
-        rates=rates,
+        counters=block,
+        rates=block.derive_rates(),
+        power_w=power_model.busy_power(core_type, perf.ipc).total_w,
         busy_time_s=0.03,
     )
 
@@ -173,9 +173,9 @@ class TestMatrixBuilder:
         obs = observation_for(COMPUTE_PHASE, HUGE, tid=0)
         matrices = MatrixBuilder(model).build([obs], list(TABLE2_TYPES))
         assert matrices.ips[0, 0] == pytest.approx(
-            obs.ipc_measured * HUGE.freq_hz
+            obs.rates.ipc * HUGE.freq_hz
         )
-        assert matrices.power[0, 0] == pytest.approx(obs.power_measured)
+        assert matrices.power[0, 0] == pytest.approx(obs.power_w)
 
     def test_same_type_cores_get_same_prediction(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE)
@@ -199,7 +199,7 @@ class TestMatrixBuilder:
     def test_unmeasured_thread_rejected(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE)
         empty = obs.__class__(
-            **{**obs.__dict__, "busy_time_s": 0.0, "ips_measured": 0.0}
+            **{**obs.__dict__, "busy_time_s": 0.0, "counters": CounterBlock()}
         )
         with pytest.raises(ValueError, match="no measurement"):
             MatrixBuilder(model).build([empty], list(TABLE2_TYPES))

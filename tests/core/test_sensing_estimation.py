@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core.balancer import SmartBalance
+from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import (
     core_ips_from_counters,
     estimate_cores,
     feature_vector,
 )
-from repro.core.sensing import sense
 from repro.hardware.counters import CounterBlock
 from repro.hardware import microarch
 from repro.hardware.platform import quad_hmp
@@ -33,67 +34,71 @@ def sensed_view(n_threads=4, os_tasks=0, n_epochs=2):
     return system, system.build_view(window_s=n_epochs * 0.06)
 
 
+def measured(tasks):
+    return [task for task in tasks if task.has_measurement]
+
+
 class TestSense:
     def test_all_user_threads_observed(self):
         _, view = sensed_view(4)
-        observation = sense(view)
-        assert len(observation.threads) == 4
-        assert len(observation.measured_threads) == 4
+        assert len(view.user_tasks) == 4
+        assert len(measured(view.user_tasks)) == 4
 
     def test_kernel_threads_excluded_by_default(self):
+        """decide() balances user threads only (marked at sched_fork)
+        unless ``include_kernel_threads`` is set."""
         _, view = sensed_view(2, os_tasks=3)
-        observation = sense(view)
-        assert len(observation.threads) == 2
-        included = sense(view, include_kernel_threads=True)
-        assert len(included.threads) == 5
+        user_tids = {task.tid for task in view.user_tasks}
+        assert len(user_tids) == 2 and len(measured(view.tasks)) == 5
+        decision = SmartBalance().decide(view)
+        assert set(decision.matrices.tids) == user_tids
+        everyone = SmartBalance(
+            config=SmartBalanceConfig(include_kernel_threads=True)
+        ).decide(view)
+        assert len(everyone.matrices.tids) == 5
 
     def test_idle_and_sleep_power_vectors(self):
         _, view = sensed_view(2)
-        observation = sense(view)
-        assert len(observation.idle_power_w) == 4
-        assert len(observation.sleep_power_w) == 4
-        for idle, sleep in zip(observation.idle_power_w, observation.sleep_power_w):
-            assert 0 < sleep < idle
+        assert len(view.cores) == 4
+        for core in view.cores:
+            assert 0 < core.sleep_power_w < core.idle_power_w
 
     def test_eq4_ips_identity(self):
         """ips_ij = sum(I) / sum(tau) — verified against ground truth."""
         system, view = sensed_view(4)
-        observation = sense(view)
-        for obs in observation.measured_threads:
+        for obs in measured(view.user_tasks):
             task = system.tasks[obs.tid]
             expected = task.counters.instructions / task.counters.busy_time_s
-            assert obs.ips_measured == pytest.approx(expected, rel=1e-9)
+            assert obs.rates.ips == pytest.approx(expected, rel=1e-9)
 
     def test_eq5_power_identity(self):
         """p_ij = sum(energy) / sum(tau)."""
         system, view = sensed_view(4)
-        observation = sense(view)
-        for obs in observation.measured_threads:
+        for obs in measured(view.user_tasks):
             task = system.tasks[obs.tid]
             expected = task.epoch_energy_j / task.counters.busy_time_s
-            assert obs.power_measured == pytest.approx(expected, rel=1e-9)
+            assert obs.power_w == pytest.approx(expected, rel=1e-9)
 
 
 class TestEstimateCores:
     def test_eq6_eq7_are_member_averages(self):
         _, view = sensed_view(8)
-        observation = sense(view)
-        estimates = estimate_cores(observation)
+        estimates = estimate_cores(view.user_tasks)
         for core_id, estimate in estimates.items():
             members = [
-                t for t in observation.measured_threads if t.core_id == core_id
+                t for t in measured(view.user_tasks) if t.core_id == core_id
             ]
             assert estimate.n_threads == len(members)
             assert estimate.ips_avg == pytest.approx(
-                sum(t.ips_measured for t in members) / len(members)
+                sum(t.rates.ips for t in members) / len(members)
             )
             assert estimate.power_avg == pytest.approx(
-                sum(t.power_measured for t in members) / len(members)
+                sum(t.power_w for t in members) / len(members)
             )
 
     def test_empty_core_absent(self):
         _, view = sensed_view(2)  # cores 2, 3 have no threads
-        estimates = estimate_cores(sense(view))
+        estimates = estimate_cores(view.user_tasks)
         assert set(estimates) == {0, 1}
 
 
@@ -117,8 +122,7 @@ class TestCoreIpsIdentity:
 class TestFeatureVector:
     def test_matches_observed_rates(self):
         _, view = sensed_view(2)
-        observation = sense(view)
-        obs = observation.measured_threads[0]
+        obs = measured(view.user_tasks)[0]
         features = feature_vector(obs)
         assert features[0] == obs.core_type.freq_mhz
         assert features[-3] == pytest.approx(obs.rates.ipc)

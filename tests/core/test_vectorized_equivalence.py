@@ -29,10 +29,10 @@ from repro.core.prediction import (
     design_matrix,
     design_vector,
 )
-from repro.core.sensing import ThreadObservation
 from repro.core.training import default_predictor
-from repro.hardware.counters import DerivedRates
+from repro.hardware.counters import CounterBlock, DerivedRates
 from repro.hardware.features import BUILTIN_TYPES
+from repro.kernel.view import TaskView
 
 RTOL = 1e-9
 
@@ -73,6 +73,25 @@ def derived_rates(draw):
         itlb_miss_rate=draw(rate),
         dtlb_miss_rate=draw(rate),
         stall_fraction=draw(st.floats(0.0, 0.95, allow_nan=False)),
+    )
+
+
+def measured_task(tid, core_id, core_type, utilization, rates, power_w, busy_time_s):
+    """A user thread's view carrying ``rates`` as its measurement."""
+    return TaskView(
+        tid=tid,
+        name=f"t{tid}",
+        core_id=core_id,
+        core_type=core_type,
+        weight=1.0,
+        is_user=True,
+        utilization=utilization,
+        counters=CounterBlock(
+            instructions=rates.ips * busy_time_s, busy_time_s=busy_time_s
+        ),
+        rates=rates,
+        power_w=power_w,
+        busy_time_s=busy_time_s,
     )
 
 
@@ -148,16 +167,13 @@ class TestMatrixBuilderEquivalence:
         for tid in range(n_threads):
             core_id = data.draw(st.integers(0, n_cores - 1))
             observations.append(
-                ThreadObservation(
-                    tid=tid,
-                    name=f"t{tid}",
-                    core_id=core_id,
-                    core_type=cores[core_id],
+                measured_task(
+                    tid,
+                    core_id,
+                    cores[core_id],
                     utilization=data.draw(share),
-                    ips_measured=data.draw(st.floats(1e6, 1e10)),
-                    ipc_measured=data.draw(ipc_value),
-                    power_measured=data.draw(st.floats(0.01, 10.0)),
                     rates=data.draw(derived_rates()),
+                    power_w=data.draw(st.floats(0.01, 10.0)),
                     busy_time_s=data.draw(st.floats(1e-4, 0.06)),
                 )
             )
@@ -173,9 +189,8 @@ class TestMatrixBuilderEquivalence:
     def test_feature_vector_round_trip(self):
         """The stacked feature matrix is built from feature_vector itself."""
         big = BUILTIN_TYPES["Big"]
-        obs = ThreadObservation(
-            tid=0, name="t0", core_id=0, core_type=big, utilization=0.5,
-            ips_measured=1e9, ipc_measured=1.2, power_measured=1.0,
+        obs = measured_task(
+            0, 0, big, utilization=0.5, power_w=1.0,
             rates=DerivedRates(
                 ipc=1.2, ips=1e9, mem_share=0.3, branch_share=0.1,
                 branch_miss_rate=0.05, l1i_miss_rate=0.01,

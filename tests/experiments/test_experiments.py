@@ -8,10 +8,14 @@ content.  Full-scale numbers live in EXPERIMENTS.md and the benchmark
 harness.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import fig4, fig5, fig6, fig7, fig8, table1, table2, table3, table4
 from repro.experiments.common import QUICK, Scale
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 #: A minimal scale so the whole module stays CI-fast.
 TINY = Scale(
@@ -49,6 +53,18 @@ class TestStaticTables:
         result = table4.run()
         assert len(result.rows) == 12  # 4 types -> 12 ordered pairs
         assert result.finding("mean training fit error").measured < 10.0
+
+    @pytest.mark.parametrize(
+        "module", [table1, table2, table3], ids=["table1", "table2", "table3"]
+    )
+    def test_committed_artifact_matches_render(self, module):
+        """``benchmarks/out/<id>.txt`` and ``full_experiments.txt`` hold
+        exactly what the code renders today."""
+        result = module.run()
+        rendered = result.render() + "\n"
+        artifact = REPO_ROOT / "benchmarks" / "out" / f"{result.experiment_id}.txt"
+        assert artifact.read_text() == rendered
+        assert rendered in (REPO_ROOT / "full_experiments.txt").read_text()
 
 
 class TestFig4:
@@ -129,3 +145,42 @@ class TestFig8:
         names = {row[0] for row in result.rows}
         assert any("perturb" in n for n in names)
         assert any("accept" in n for n in names)
+
+
+class TestExperimentTable:
+    """``repro experiments`` and ``run_all`` run the same table."""
+
+    def test_cli_and_run_all_iterate_one_table(self, monkeypatch, capsys):
+        from repro import experiments
+        from repro.analysis.reporting import ExperimentResult
+        from repro.cli import main
+
+        calls = []
+
+        def fake(exp_id):
+            def run(scale, jobs, cache):
+                calls.append((exp_id, scale.name, jobs))
+                return ExperimentResult(
+                    experiment_id=exp_id,
+                    title=f"title {exp_id}",
+                    headers=["id"],
+                    rows=[[exp_id]],
+                )
+
+            return run
+
+        ids = list(experiments.EXPERIMENTS)
+        assert {"ext_replicated", "table4_adapted"} <= set(ids)
+        monkeypatch.setattr(
+            experiments, "EXPERIMENTS", {exp_id: fake(exp_id) for exp_id in ids}
+        )
+        results = experiments.run_all(QUICK)
+        assert [r.experiment_id for r in results] == ids
+        assert calls == [(exp_id, "quick", None) for exp_id in ids]
+
+        calls.clear()
+        assert main(["experiments", "--jobs", "2"]) == 0
+        assert calls == [(exp_id, "quick", 2) for exp_id in ids]
+        out = capsys.readouterr().out
+        for exp_id in ids:
+            assert f"title {exp_id}" in out

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.governor import GOVERNOR_STRATEGIES, GovernorConfig, parse_governor
+from repro.governor.config import N_POINTS, OPP_MIN_IMPROVEMENT
 
 
 class TestGovernorConfig:
     def test_defaults_valid(self):
         config = GovernorConfig(strategy="two_level")
-        assert config.n_points == 4
-        assert config.opp_min_improvement > 0
+        assert config.pinned_level is None
+        assert N_POINTS == 4
+        assert OPP_MIN_IMPROVEMENT > 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -22,21 +24,6 @@ class TestGovernorConfig:
     def test_negative_pinned_level_rejected(self):
         with pytest.raises(ValueError, match="pinned_level"):
             GovernorConfig(strategy="pinned", pinned_level=-1)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_points": 0},
-            {"opp_min_improvement": -0.1},
-            {"inner_iteration_fraction": 0.0},
-            {"inner_iteration_fraction": 1.5},
-            {"max_enumeration": 0},
-            {"opp_move_period": 1},
-        ],
-    )
-    def test_bad_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            GovernorConfig(strategy="two_level", **kwargs)
 
 
 class TestParseGovernor:

@@ -5,16 +5,18 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sensing import ThreadObservation
 from repro.governor.scaling import (
     dynamic_ratio,
     freq_ratio,
     normalize_thread,
+    normalize_view,
 )
 from repro.hardware import power as power_model
-from repro.hardware.counters import DerivedRates
+from repro.hardware.counters import CounterBlock, DerivedRates
 from repro.hardware.dvfs import opp_table, type_at_opp
 from repro.hardware.features import BIG, HUGE, MEDIUM, SMALL
+from repro.hardware.platform import quad_hmp
+from repro.kernel.view import CoreView, SystemView, TaskView
 
 CORE_TYPES = (HUGE, BIG, MEDIUM, SMALL)
 
@@ -32,17 +34,18 @@ RATES = DerivedRates(
 )
 
 
-def observation_at(core_type, ips, utilization, power_w):
-    return ThreadObservation(
-        tid=1,
-        name="t1",
-        core_id=0,
+def observation_at(core_type, ips, utilization, power_w, tid=1, core_id=0):
+    return TaskView(
+        tid=tid,
+        name=f"t{tid}",
+        core_id=core_id,
         core_type=core_type,
+        weight=1.0,
+        is_user=True,
         utilization=utilization,
-        ips_measured=ips,
-        ipc_measured=RATES.ipc,
-        power_measured=power_w,
-        rates=RATES,
+        counters=CounterBlock(instructions=ips * 0.004, busy_time_s=0.004),
+        rates=replace(RATES, ips=ips),
+        power_w=power_w,
         busy_time_s=0.004,
     )
 
@@ -97,9 +100,9 @@ class TestNormalizeThread:
         )
         recovered = normalize_thread(scaled, nominal)
         assert recovered.core_type == nominal
-        assert recovered.ips_measured == pytest.approx(ips_nom, rel=1e-12)
+        assert recovered.rates.ips == pytest.approx(ips_nom, rel=1e-12)
         assert recovered.utilization == pytest.approx(util_nom, rel=1e-12)
-        assert recovered.power_measured == pytest.approx(
+        assert recovered.power_w == pytest.approx(
             dyn_w + leak_nom, rel=1e-9, abs=1e-12
         )
 
@@ -111,7 +114,7 @@ class TestNormalizeThread:
         ips_scaled = RATES.ipc * applied.freq_mhz * 1e6
         obs = observation_at(applied, ips=ips_scaled, utilization=0.4, power_w=0.8)
         recovered = normalize_thread(obs, nominal)
-        clock_hz = recovered.ips_measured / recovered.ipc_measured
+        clock_hz = recovered.rates.ips / recovered.rates.ipc
         assert clock_hz == pytest.approx(nominal.freq_mhz * 1e6, rel=1e-9)
 
     def test_negative_dynamic_power_clamped(self):
@@ -124,13 +127,13 @@ class TestNormalizeThread:
             applied, ips=1e8, utilization=0.3, power_w=0.5 * leak_app
         )
         recovered = normalize_thread(obs, nominal)
-        assert recovered.power_measured >= 0.0
+        assert recovered.power_w >= 0.0
 
     def test_zero_power_passes_through(self):
         nominal = BIG
         applied = type_at_opp(nominal, opp_table(nominal, 4)[0])
         obs = observation_at(applied, ips=1e8, utilization=0.3, power_w=0.0)
-        assert normalize_thread(obs, nominal).power_measured == 0.0
+        assert normalize_thread(obs, nominal).power_w == 0.0
 
     def test_other_fields_untouched(self):
         nominal = BIG
@@ -139,6 +142,74 @@ class TestNormalizeThread:
         obs = replace(obs, allowed_cores=frozenset({0, 2}))
         recovered = normalize_thread(obs, nominal)
         assert recovered.tid == obs.tid
-        assert recovered.rates is obs.rates
+        assert recovered.counters is obs.counters
+        assert replace(recovered.rates, ips=obs.rates.ips) == obs.rates
         assert recovered.busy_time_s == obs.busy_time_s
         assert recovered.allowed_cores == frozenset({0, 2})
+
+
+def view_at(applied_by_core):
+    """A quad-HMP view, one task per core, each core at ``applied_by_core``."""
+    platform = quad_hmp()
+    tasks = tuple(
+        observation_at(
+            applied, ips=1e9, utilization=0.5, power_w=1.0, tid=core_id,
+            core_id=core_id,
+        )
+        for core_id, applied in enumerate(applied_by_core)
+    )
+    cores = tuple(
+        CoreView(
+            core_id=core.core_id,
+            core_type=applied,
+            cluster=core.cluster,
+            power_w=1.0,
+            idle_power_w=power_model.idle_power(applied).total_w,
+            sleep_power_w=power_model.sleep_power(applied),
+            counters=CounterBlock(),
+            nr_running=1,
+            load=1.0,
+        )
+        for core, applied in zip(platform, applied_by_core)
+    )
+    return SystemView(
+        epoch_index=1, time_s=0.06, window_s=0.06, platform=platform,
+        tasks=tasks, cores=cores,
+    )
+
+
+class TestNormalizeView:
+    NOMINAL = {core.core_id: core.core_type for core in quad_hmp()}
+    IDLE = tuple(power_model.idle_power(t).total_w for t in NOMINAL.values())
+    SLEEP = tuple(power_model.sleep_power(t) for t in NOMINAL.values())
+
+    def normalize(self, view):
+        return normalize_view(view, self.NOMINAL, self.IDLE, self.SLEEP)
+
+    def test_top_rung_is_the_same_object(self):
+        view = view_at(list(self.NOMINAL.values()))
+        assert self.normalize(view) is view
+
+    def test_lower_rung_replaced_in_the_nominal_frame(self):
+        applied = list(self.NOMINAL.values())
+        applied[1] = type_at_opp(applied[1], opp_table(applied[1], 4)[0])
+        view = view_at(applied)
+        normalized = self.normalize(view)
+        scaled, nominal = view.tasks[1], normalized.tasks[1]
+        r = freq_ratio(self.NOMINAL[1], applied[1])
+        assert nominal.core_type == self.NOMINAL[1]
+        assert nominal.rates.ips == pytest.approx(scaled.rates.ips / r)
+        assert nominal.utilization == pytest.approx(scaled.utilization * r)
+        assert nominal.power_w != scaled.power_w
+        assert nominal == normalize_thread(scaled, self.NOMINAL[1])
+        # Tasks already at nominal come back untouched.
+        for i in (0, 2, 3):
+            assert normalized.tasks[i] is view.tasks[i]
+        for core in normalized.cores:
+            assert core.core_type == self.NOMINAL[core.core_id]
+            assert core.idle_power_w == self.IDLE[core.core_id]
+            assert core.sleep_power_w == self.SLEEP[core.core_id]
+        assert view.cores[1].idle_power_w != self.IDLE[1]
+        assert view.cores[1].sleep_power_w != self.SLEEP[1]
+        for task in normalized.tasks:
+            assert task.core_type == normalized.core(task.core_id).core_type

@@ -24,6 +24,7 @@ def make_view(platform, placements, utils=None):
                 tid=tid,
                 name=f"t{tid}",
                 core_id=core_id,
+                core_type=platform[core_id].core_type,
                 weight=1.0,
                 is_user=True,
                 utilization=utils.get(tid, 0.5),

@@ -5,6 +5,8 @@ import pytest
 from repro.hardware.platform import big_little_octa, quad_hmp
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
+from repro.runner.engine import execute_spec
+from repro.runner.spec import RunSpec
 from repro.workload.synthetic import imb_threads
 
 
@@ -64,3 +66,69 @@ class TestSystemViewHelpers:
         view = view_for()
         assert view.window_s == pytest.approx(0.12)
         assert view.epoch_index >= 0
+
+
+class TestTaskCoreType:
+    """A task reports the OS-visible type of its core — the one its
+    CoreView reports: a governor's operating point is visible, a
+    firmware throttle is not."""
+
+    @staticmethod
+    def views_of(monkeypatch, spec):
+        """Run ``spec``; return its views, each with whether a throttle
+        was live on some core while it was built."""
+        recorded = []
+        build_view = System.build_view
+
+        def recording(system, window_s):
+            view = build_view(system, window_s)
+            throttled = any(
+                queue.core.core_type != view.core(queue.core.core_id).core_type
+                for queue in system.runqueues
+            )
+            recorded.append((view, throttled))
+            return view
+
+        monkeypatch.setattr(System, "build_view", recording)
+        return recorded, execute_spec(spec)
+
+    @staticmethod
+    def assert_consistent(view):
+        for task in view.tasks:
+            assert task.core_type == view.core(task.core_id).core_type
+
+    def test_thermal_throttle_is_invisible(self, monkeypatch):
+        recorded, result = self.views_of(
+            monkeypatch,
+            RunSpec(
+                workload="MTMI", platform="biglittle", threads=6,
+                faults="thermal", n_epochs=12, seed=1,
+            ),
+        )
+        assert result.resilience.throttle_events >= 1
+        assert any(throttled for _, throttled in recorded)
+        for view, _ in recorded:
+            self.assert_consistent(view)
+            for task in view.tasks:
+                assert task.core_type == view.platform[task.core_id].core_type
+
+    def test_governor_operating_point_is_visible(self, monkeypatch):
+        recorded, result = self.views_of(
+            monkeypatch,
+            RunSpec(
+                workload="MTMI", platform="dvfsquad", threads=8,
+                governor="two_level", n_epochs=6, seed=1,
+            ),
+        )
+        assert result.governor["opp_changes"] >= 1
+        scaled = [
+            view
+            for view, _ in recorded
+            if any(
+                task.core_type != view.platform[task.core_id].core_type
+                for task in view.tasks
+            )
+        ]
+        assert scaled, "no view taken after an OPP change"
+        for view, _ in recorded:
+            self.assert_consistent(view)
