@@ -2,8 +2,10 @@
 
 The structure-of-arrays engine exists for one reason — simulating
 hundreds-to-thousands of cores at interactive speed — so this file
-measures exactly that: epochs simulated per wall-second, same spec,
-both kernels, at every Table-2-style scale from 16 to 1024 cores.
+measures exactly that: epochs simulated per wall-second, same spec, on
+the SoA engine and on the object-per-task reference kernel (the test
+oracle in ``tests/kernel/reference_kernel.py``), at every
+Table-2-style scale from 16 to 1024 cores.
 
 Methodology
 -----------
@@ -29,10 +31,12 @@ go to benchmarks/out/ so the committed scorecard only ever holds
 full-fidelity numbers.
 """
 
+import contextlib
 import json
 import os
 import time
 
+from reference_kernel import reference_kernel
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.factories import make_balancer, make_platform, make_workload
 from repro.runner.serialize import metrics_digest
@@ -61,14 +65,16 @@ def platform_spec(n_cores: int) -> str:
     return PRESETS.get(n_cores, f"hmp:{n_cores}")
 
 
-def timed_run(kernel, n_cores, balancer, n_epochs):
-    """(epochs/second, digest) for one run; construction excluded."""
-    system = System(
-        make_platform(platform_spec(n_cores)),
-        make_workload(WORKLOAD, THREADS_PER_CORE * n_cores, seed=0),
-        make_balancer(balancer),
-        SimulationConfig(seed=0, kernel=kernel),
-    )
+def timed_run(engine, n_cores, balancer, n_epochs):
+    """(epochs/second, digest) of one run built inside the ``engine``
+    context; construction excluded."""
+    with engine:
+        system = System(
+            make_platform(platform_spec(n_cores)),
+            make_workload(WORKLOAD, THREADS_PER_CORE * n_cores, seed=0),
+            make_balancer(balancer),
+            SimulationConfig(seed=0),
+        )
     start = time.perf_counter()
     result = system.run(n_epochs=n_epochs)
     elapsed = time.perf_counter() - start
@@ -76,8 +82,12 @@ def timed_run(kernel, n_cores, balancer, n_epochs):
 
 
 def measure_row(n_cores, balancer, n_epochs):
-    soa_tps, soa_digest = timed_run("soa", n_cores, balancer, n_epochs)
-    ref_tps, ref_digest = timed_run("reference", n_cores, balancer, n_epochs)
+    soa_tps, soa_digest = timed_run(
+        contextlib.nullcontext(), n_cores, balancer, n_epochs
+    )
+    ref_tps, ref_digest = timed_run(
+        reference_kernel(), n_cores, balancer, n_epochs
+    )
     assert soa_digest == ref_digest, (
         f"kernel divergence at {n_cores} cores ({balancer}): "
         f"reference={ref_digest} soa={soa_digest}"

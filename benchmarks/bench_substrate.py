@@ -1,21 +1,18 @@
 """Micro-benchmarks of the substrate hot paths.
 
 Not a paper artifact — these guard the simulator's own performance
-(the model evaluation and CFS scheduling loops every experiment sits
-on) against regressions.
+(the model evaluation and the kernel period every experiment sits on)
+against regressions.
 """
 
 from repro.hardware import microarch
 from repro.hardware.features import BIG
 from repro.hardware.microarch import _estimate_cached
-from repro.hardware.platform import Core, quad_hmp
+from repro.hardware.platform import quad_hmp
 from repro.kernel.balancers.base import NullBalancer
-from repro.kernel.cfs import CfsRunQueue, fair_shares
 from repro.kernel.simulator import System
-from repro.kernel.task import Task, TaskState
 from repro.workload.characteristics import MEMORY_PHASE
 from repro.workload.synthetic import imb_threads
-from repro.workload.thread import steady_thread
 
 
 def bench_microarch_estimate_uncached(benchmark):
@@ -31,28 +28,6 @@ def bench_microarch_estimate_cached(benchmark):
     microarch.estimate(MEMORY_PHASE, BIG)  # prime
     perf = benchmark(lambda: microarch.estimate(MEMORY_PHASE, BIG))
     assert perf.ipc > 0
-
-
-def bench_cfs_period_8_tasks(benchmark):
-    queue = CfsRunQueue(Core(core_id=0, core_type=BIG))
-    for tid in range(8):
-        task = Task(
-            tid=tid,
-            behavior=steady_thread(f"t{tid}", MEMORY_PHASE),
-            core_id=0,
-            state=TaskState.ACTIVE,
-        )
-        queue.enqueue(task)
-
-    result = benchmark(lambda: queue.schedule_period(0.006))
-    assert result.busy_s > 0
-
-
-def bench_fair_shares_32_tasks(benchmark):
-    demands = [0.01 * (i % 7 + 1) for i in range(32)]
-    weights = [1.0 + (i % 3) for i in range(32)]
-    grants = benchmark(lambda: fair_shares(demands, weights, 0.006))
-    assert sum(grants) <= 0.006 + 1e-12
 
 
 def bench_full_system_epoch(benchmark):

@@ -1,12 +1,15 @@
 """Ensure the in-tree package is importable when running pytest from the
-repository root, independent of whether an editable install succeeded."""
+repository root, independent of whether an editable install succeeded,
+and that the reference-kernel oracle (``tests/kernel/reference_kernel.py``)
+is importable from every test and benchmark directory."""
 
 import os
 import sys
 
-_SRC = os.path.join(os.path.dirname(__file__), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(__file__)
+for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests", "kernel")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def pytest_addoption(parser):

@@ -31,7 +31,6 @@ from dataclasses import MISSING
 from typing import Optional, Sequence
 
 from repro.analysis.trace import write_trace
-from repro.kernel.simulator import SimulationConfig
 from repro.obs import (
     LOG_LEVELS,
     ObsContext,
@@ -138,14 +137,13 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = spec_from_args(args, config=SimulationConfig(kernel=args.kernel))
+    spec = spec_from_args(args)
     obs = ObsContext() if args.trace_out else None
     result = execute_spec(spec, obs=obs)
     if args.json:
         # Machine mode: the deterministic metrics document is the whole
         # of stdout (wall-clock timings excluded), so two runs of the
-        # same spec — e.g. --kernel soa vs --kernel reference — compare
-        # byte-for-byte.
+        # same spec compare byte-for-byte.
         from repro.runner.serialize import metrics_dict
 
         user_output(json.dumps(metrics_dict(result), indent=2, sort_keys=True))
@@ -563,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a structured event trace: .jsonl for the raw "
         "event stream (repro report input), anything else for a "
         "Chrome/Perfetto trace",
-    )
-    run.add_argument(
-        "--kernel", choices=("soa", "reference"), default="soa",
-        help="kernel engine: vectorised structure-of-arrays core (soa, "
-        "default) or the object-per-task reference path; both are "
-        "digest-identical (see docs/kernel.md)",
     )
     run.add_argument(
         "--json", action="store_true",

@@ -320,8 +320,8 @@ class MatrixBuilder:
         source core type and each group's Eq. 8 predictions for *all*
         target types come from one matrix multiply against the
         memoized Θ stack, instead of a per-(thread, target) Python
-        loop.  :meth:`build_scalar` keeps the literal per-thread
-        formulation as the equivalence-tested reference.
+        loop.  ``tests/core/scalar_matrices.py`` keeps the literal
+        per-thread formulation as the equivalence-tested reference.
         """
         m, n = len(tasks), len(cores)
         if m == 0:
@@ -379,64 +379,6 @@ class MatrixBuilder:
             )
         util[util_obs >= CPU_BOUND_UTILIZATION] = 1.0
 
-        return CharacterisationMatrices(
-            tids=tuple(task.tid for task in tasks),
-            ips=ips,
-            power=power,
-            utilization=util,
-            measured_mask=measured,
-        )
-
-    def build_scalar(
-        self,
-        tasks: list[TaskView],
-        cores: list[CoreType],
-    ) -> CharacterisationMatrices:
-        """Reference per-thread scalar formulation of :meth:`build`.
-
-        Kept for the vectorization-equivalence property tests and the
-        ablation benchmark; semantics are the paper's, entry by entry.
-        """
-        m, n = len(tasks), len(cores)
-        if m == 0:
-            raise ValueError("need at least one measured thread")
-        ips = np.zeros((m, n))
-        power = np.zeros((m, n))
-        measured = np.zeros((m, n), dtype=bool)
-        util = np.zeros((m, n))
-        for i, task in enumerate(tasks):
-            if not task.has_measurement:
-                raise ValueError(
-                    f"thread {task.tid} ({task.name}) has no measurement"
-                )
-            features = feature_vector(task)
-            src = task.core_type.name
-            # Predict once per distinct target type, then broadcast to
-            # the cores of that type (same type => same prediction).
-            ipc_by_type: dict[str, float] = {}
-            for j, core_type in enumerate(cores):
-                dst = core_type.name
-                if dst not in ipc_by_type:
-                    if dst == src:
-                        ipc_by_type[dst] = task.rates.ipc
-                    else:
-                        ipc_by_type[dst] = self.model.predict_ipc(src, dst, features)
-                ipc = ipc_by_type[dst]
-                ips[i, j] = ipc * core_type.freq_hz
-                if dst == src:
-                    power[i, j] = max(task.power_w, 1e-6)
-                    measured[i, j] = True
-                else:
-                    power[i, j] = self.model.predict_power(dst, ipc)
-            # Demand translation across cores (see class docstring).
-            if task.utilization >= CPU_BOUND_UTILIZATION:
-                util[i, :] = 1.0
-            else:
-                delivered_rate = task.utilization * ips[i, task.core_id]
-                with np.errstate(divide="ignore"):
-                    util[i, :] = np.minimum(
-                        delivered_rate / np.maximum(ips[i, :], 1e-9), 1.0
-                    )
         return CharacterisationMatrices(
             tids=tuple(task.tid for task in tasks),
             ips=ips,

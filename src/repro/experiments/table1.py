@@ -30,7 +30,7 @@ SMARTBALANCE_EVIDENCE = {
     "thread:core > 1": "CFS run queues multiplex; objective compresses D_j > 1",
     "per-thread IPC": "TaskView.rates.ipc and .ips (Eq. 4)",
     "per-thread power": "TaskView.power_w (Eq. 5)",
-    "per-thread util": "Task.utilization (PELT-style EWMA)",
+    "per-thread util": "SoaKernel.util (PELT-style EWMA)",
     "per-core IPC": "CoreEstimate.ips_avg (Eq. 6)",
     "per-core power": "CoreEstimate.power_avg (Eq. 7)",
     "implemented in OS": "SmartBalance.rebalance replaces rebalance_domains()",

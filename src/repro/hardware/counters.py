@@ -10,11 +10,12 @@ ten counters the paper enumerates:
 * performance-event counters — branch mispredictions, L1I misses,
   L1D misses, I-TLB misses, D-TLB misses.
 
-:class:`CounterBlock` is the raw accumulating register file; the kernel
-simulator owns one per thread and one per core, charging events from
-the micro-architecture model's :class:`~repro.hardware.microarch.PerfEstimate`
-whenever a thread executes for a time slice.  Derived rates (miss
-rates, instruction shares) are computed by
+:class:`CounterBlock` is one bank of the register file, in the column
+order of the kernel engine's per-thread and per-core counter arrays;
+events are charged from the micro-architecture model's
+:class:`~repro.hardware.microarch.PerfEstimate` whenever a thread
+executes for a time slice, and the sensing views carry noisy copies.
+Derived rates (miss rates, instruction shares) are computed by
 :meth:`CounterBlock.derive_rates` exactly as the paper defines them.
 """
 
@@ -30,8 +31,8 @@ from repro.hardware.microarch import PerfEstimate
 class CounterBlock:
     """One set of accumulating hardware counters.
 
-    All values are event *counts* since the last :meth:`reset` (the
-    epoch boundary, in SmartBalance's usage).
+    All values are event *counts* since the start of the sensing
+    window (the epoch boundary, in SmartBalance's usage).
     """
 
     cy_busy: float = 0.0
@@ -47,11 +48,6 @@ class CounterBlock:
     dtlb_misses: float = 0.0
     #: Accumulated busy wall time (seconds) — the τ of Eqs. 4–5.
     busy_time_s: float = 0.0
-
-    def reset(self) -> None:
-        """Zero all counters (epoch rollover)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0.0)
 
     def charge_execution(
         self,
@@ -91,17 +87,6 @@ class CounterBlock:
         self.dtlb_misses += mem_instr * perf.dtlb_miss_rate
         self.busy_time_s += duration_s
         return instructions
-
-    def charge_sleep(self, core: CoreType, duration_s: float) -> None:
-        """Charge quiescent (no-runnable-thread) time."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        self.cy_sleep += duration_s * core.freq_hz
-
-    def merge(self, other: "CounterBlock") -> None:
-        """Accumulate another block into this one (in place)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "CounterBlock":
         """Return an independent copy of the current counter values."""

@@ -119,7 +119,7 @@ def decay_factor(core: CoreType, dt_s: float) -> float:
     Computed through the exact same call chain as the scalar step
     (``thermal_resistance * thermal_capacitance`` then ``math.exp``) so
     a cached value is bit-identical to what the step would compute.
-    The kernel engines cache this per (core type, period) — ``tau`` is
+    The kernel engine caches this per (core type, period) — ``tau`` is
     mathematically uniform across areas, but the float product
     ``(R/area)·(C·area)`` may differ in the last ulp per area, so the
     cache must be per type, never global.

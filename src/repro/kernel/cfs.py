@@ -1,34 +1,28 @@
-"""Per-core Completely Fair Scheduler (fluid-flow approximation).
+"""Per-core CFS run queues and the constants of the scheduling core.
 
 SmartBalance keeps Linux CFS for *within-core* scheduling and only
 replaces the *cross-core* balancer (paper Fig. 1/2).  The experiments
 therefore need CFS fidelity at the granularity the balancers observe:
-per-period time shares, vruntime fairness, context-switch sampling
-points and idle/sleep accounting — not instruction-level interleaving.
+per-period time shares, context-switch sampling points and idle/sleep
+accounting — not instruction-level interleaving.
 
-This module implements the standard fluid (GPS) approximation of CFS:
+The scheduling core itself is :class:`~repro.kernel.soa.SoaKernel`:
 within one scheduling period, runnable tasks receive CPU time
 proportional to their load weight, capped by their own demand (duty
-cycle), with leftover capacity redistributed (progressive filling).
-Task vruntimes advance by ``granted / weight``, so the classic CFS
-invariant — bounded vruntime spread — holds and is property-tested.
-
-Each granted slice is executed against the hardware model in
-sub-slices that respect workload phase boundaries, charging performance
-counters and energy exactly as the simulated chip would.
+cycle), with leftover capacity redistributed (progressive filling),
+and each granted slice is executed against the hardware model in
+sub-slices that respect workload phase boundaries.  A
+:class:`CfsRunQueue` is the queue's identity and membership only: the
+core it runs on, the tasks placed on it in run-queue slot order, and
+its SMT flag.  Every number the period produces lives in the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro.hardware import microarch, power
-from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import Core
-from repro.hardware.thermal import ThermalState
 from repro.kernel.task import Task, TaskState
-
-from typing import Optional
 
 #: Kernel time consumed per context switch (seconds); charged against
 #: the period's capacity, one switch per runnable task per period.
@@ -39,124 +33,30 @@ CACHE_WARMUP_S = 2e-3
 #: cpuidle governor latency: idle time beyond this within one period is
 #: spent in the power-gated sleep state rather than shallow idle.
 IDLE_TO_SLEEP_LATENCY_S = 1.5e-3
-
-
-@dataclass
-class SliceResult:
-    """Execution outcome of one task's slice within a period."""
-
-    task: Task
-    granted_s: float
-    instructions: float
-    energy_j: float
-
-
-@dataclass
-class PeriodResult:
-    """Outcome of one CFS scheduling period on one core."""
-
-    core: Core
-    period_s: float
-    slices: list[SliceResult] = field(default_factory=list)
-    busy_s: float = 0.0
-    idle_s: float = 0.0
-    sleep_s: float = 0.0
-    busy_energy_j: float = 0.0
-    idle_energy_j: float = 0.0
-    sleep_energy_j: float = 0.0
-    #: Extra leakage from thermal feedback (0 unless thermal enabled).
-    thermal_energy_j: float = 0.0
-    context_switches: int = 0
-
-    @property
-    def energy_j(self) -> float:
-        return (
-            self.busy_energy_j
-            + self.idle_energy_j
-            + self.sleep_energy_j
-            + self.thermal_energy_j
-        )
-
-
-def fair_shares(
-    demands: list[float], weights: list[float], capacity: float
-) -> list[float]:
-    """Weighted progressive filling: GPS/CFS fluid allocation.
-
-    Distributes ``capacity`` seconds among tasks proportionally to
-    ``weights``, never granting a task more than its ``demand``;
-    capacity freed by satisfied tasks is re-distributed among the rest.
-    Runs in O(n^2) worst case, n = runnable tasks on one core (small).
-
-    Accumulation order is part of the contract: ``remaining`` holds
-    small contiguous ints, which CPython sets iterate in ascending
-    order, and in-place ``-=`` preserves that order — so every
-    cross-task float sum here runs left-to-right over ascending task
-    index.  The batched waterfill in :mod:`repro.kernel.soa` replays
-    exactly that order (masked cumulative sums) to stay bit-identical.
-    """
-    if len(demands) != len(weights):
-        raise ValueError("demands and weights must have equal length")
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    grants = [0.0] * len(demands)
-    remaining = {i for i, d in enumerate(demands) if d > 0}
-    available = capacity
-    while remaining and available > 1e-15:
-        total_weight = sum(weights[i] for i in remaining)
-        satisfied: set[int] = set()
-        consumed = 0.0
-        for i in remaining:
-            offer = available * weights[i] / total_weight
-            need = demands[i] - grants[i]
-            take = min(offer, need)
-            grants[i] += take
-            consumed += take
-            if grants[i] >= demands[i] - 1e-15:
-                satisfied.add(i)
-        available -= consumed
-        if not satisfied:
-            break
-        remaining -= satisfied
-    return grants
+#: Geometric decay of the utilisation EWMA per scheduling period,
+#: approximating Linux PELT's 32 ms half-life at a 6 ms period.
+UTIL_DECAY = 0.82
 
 
 class CfsRunQueue:
-    """The per-core CFS run queue and execution engine."""
+    """One core's run queue: the core, its members and its SMT flag."""
 
     def __init__(self, core: Core) -> None:
         self.core = core
+        #: Members in run-queue slot order (arrival on this queue); the
+        #: engine's per-queue reductions run in exactly this order.
         self.tasks: list[Task] = []
         #: Opt-in SMT mode (set by the SMT co-run scenario before the
-        #: engine is built): the core exposes two hardware threads, so
+        #: first period): the core exposes two hardware threads, so
         #: the period's time capacity doubles and co-running tasks
         #: degrade each other through
         #: :func:`repro.hardware.microarch.estimate`'s contention term.
         self.smt = False
-        #: Optional per-core thermal state (enabled by the simulator).
-        self.thermal: Optional[ThermalState] = None
-        #: Per-core hardware counters (epoch-scoped, like the tasks').
-        self.counters = CounterBlock()
-        #: Per-core lifetime energy split.
-        self.total_energy_j = 0.0
-        self.total_busy_s = 0.0
-        self.total_idle_s = 0.0
-        self.total_sleep_s = 0.0
-        #: Epoch-scoped energy (reset at sensing boundaries).
-        self.epoch_energy_j = 0.0
-        self.epoch_time_s = 0.0
 
     def enqueue(self, task: Task) -> None:
-        """Place a task on this core's queue; normalises its vruntime.
-
-        As in CFS, an incoming task's vruntime is floored to the
-        queue's minimum so it cannot monopolise nor be starved.
-        """
+        """Place a task on this core's queue (last slot)."""
         if task in self.tasks:
             raise ValueError(f"task {task.tid} already on core {self.core.core_id}")
-        if self.tasks:
-            min_vruntime = min(t.vruntime for t in self.tasks)
-            task.vruntime = max(task.vruntime, min_vruntime)
         task.core_id = self.core.core_id
         self.tasks.append(task)
 
@@ -166,192 +66,14 @@ class CfsRunQueue:
     def runnable_tasks(self) -> list[Task]:
         return [t for t in self.tasks if t.state is TaskState.ACTIVE]
 
-    def load(self) -> float:
-        """CFS-style load: utilisation-weighted sum of task weights."""
-        return sum(t.weight * max(t.utilization, 0.05) for t in self.runnable_tasks())
-
     def nr_running(self) -> int:
         return len(self.runnable_tasks())
 
-    def schedule_period(self, period_s: float) -> PeriodResult:
-        """Run one CFS scheduling period on this core.
+    def load(self, utilization: Sequence[float]) -> float:
+        """CFS-style load: utilisation-weighted sum of task weights.
 
-        Grants each runnable task its fluid fair share (bounded by its
-        demand), executes the slices against the hardware model, and
-        accounts idle/sleep time and energy for the remainder.
+        ``utilization`` is the engine's per-task EWMA, indexed by tid.
         """
-        if period_s <= 0:
-            raise ValueError(f"period must be positive, got {period_s}")
-        result = PeriodResult(core=self.core, period_s=period_s)
-        runnable = self.runnable_tasks()
-        core_type = self.core.core_type
-
-        if not runnable:
-            # Quiescent core: power-gated sleep (paper Section 4.1).
-            result.sleep_s = period_s
-            result.sleep_energy_j = power.sleep_power(core_type) * period_s
-            self.counters.charge_sleep(core_type, period_s)
-            self._account(result)
-            return result
-
-        result.context_switches = len(runnable)
-        capacity = max(period_s - CONTEXT_SWITCH_COST_S * len(runnable), 0.0)
-        if self.smt and len(runnable) > 1:
-            # Two hardware threads: twice the thread-seconds per wall
-            # period.  A lone occupant owns the whole core exactly as
-            # on a non-SMT core — the second hardware thread is idle —
-            # so the doubling only applies when the queue is shared.
-            # ``* 2.0`` is exact in binary floating point.
-            capacity = capacity * 2.0
-        demands = [t.demanded_fraction(core_type) * period_s for t in runnable]
-        weights = [t.weight for t in runnable]
-        grants = fair_shares(demands, weights, capacity)
-
-        # Per-task SMT co-runner pressure, fixed for the period: the
-        # summed memory share of the *other* runnable tasks on this
-        # core, from their phases at period start.  The total runs
-        # left-to-right over run-queue slot order — the SoA kernel
-        # replays it as a masked cumsum row — and ``total - own`` is
-        # exactly 0.0 for a single occupant, so a lone task on an SMT
-        # core sees contention level 0 (the unshared code path).
-        smt_contentions = [0.0] * len(runnable)
-        if self.smt and len(runnable) > 1:
-            mem_shares = [t.current_phase().mem_share for t in runnable]
-            total = 0.0
-            for share in mem_shares:
-                total += share
-            smt_contentions = [min(total - share, 1.0) for share in mem_shares]
-
-        for task, granted, contention in zip(runnable, grants, smt_contentions):
-            if granted <= 0:
-                continue
-            slice_result = self._execute_slice(task, granted, contention)
-            result.slices.append(slice_result)
-            result.busy_s += slice_result.granted_s
-            result.busy_energy_j += slice_result.energy_j
-            task.vruntime += granted / task.weight
-
-        leftover = max(period_s - result.busy_s, 0.0)
-        if leftover > 0:
-            # Tasks exist but none want the CPU for the remainder:
-            # shallow (clock-gated) idle up to the cpuidle latency,
-            # power-gated sleep beyond it.
-            shallow = min(leftover, IDLE_TO_SLEEP_LATENCY_S)
-            deep = leftover - shallow
-            result.idle_s = shallow
-            result.idle_energy_j = power.idle_power(core_type).total_w * shallow
-            result.sleep_s += deep
-            result.sleep_energy_j += power.sleep_power(core_type) * deep
-            if deep > 0:
-                self.counters.charge_sleep(core_type, deep)
-        self._account(result)
-        return result
-
-    def _execute_slice(
-        self, task: Task, granted_s: float, smt_contention: float = 0.0
-    ) -> SliceResult:
-        """Execute one task for ``granted_s`` seconds on this core.
-
-        Sub-steps across workload phase boundaries so multi-phase
-        threads see per-phase IPC/power.  Decrements migration warm-up
-        as the task executes.  ``smt_contention`` is the period-fixed
-        co-runner pressure on an SMT core (0.0 elsewhere); a barrier
-        stop (:attr:`Task.barrier_stop_instr`) caps the slice exactly
-        like a phase boundary — the default ``inf`` stop keeps every
-        ``min()`` an identity.
-
-        Counters accumulate into a slice-local block that is merged
-        exactly once into the task's and the core's accumulators when
-        the slice ends.  This single-merge contract is what the SoA
-        kernel (:mod:`repro.kernel.soa`) reproduces bit-for-bit — one
-        float add per counter per task per period, in run-queue slot
-        order — so keep it if you touch this loop.
-        """
-        core_type = self.core.core_type
-        slice_block = CounterBlock()
-        remaining = granted_s
-        instructions = 0.0
-        energy = 0.0
-        while remaining > 1e-12 and task.state is TaskState.ACTIVE:
-            barrier_room = max(
-                task.barrier_stop_instr - task.progress_instructions, 0.0
-            )
-            if barrier_room <= 0.0:
-                break
-            phase = task.current_phase()
-            warmup_fraction = (
-                task.warmup_remaining_s / CACHE_WARMUP_S
-                if task.warmup_remaining_s > 0
-                else 0.0
-            )
-            perf = microarch.estimate(
-                phase, core_type, warmup_fraction, smt_contention
-            )
-            ips = perf.ips(core_type)
-
-            boundary = task.behavior.schedule.instructions_until_phase_change(
-                task.progress_instructions
-            )
-            step_limit_instr = min(
-                boundary, task.remaining_instructions(), barrier_room
-            )
-            step_s = remaining
-            if step_limit_instr != float("inf") and ips > 0:
-                step_s = min(step_s, step_limit_instr / ips)
-            step_s = max(step_s, 1e-9)  # forward progress guard
-            step_s = min(step_s, remaining)
-
-            retired = slice_block.charge_execution(
-                perf, core_type, step_s, phase.mem_share, phase.branch_share
-            )
-            slice_energy = power.busy_power(core_type, perf.ipc).total_w * step_s
-            task.progress_instructions += retired
-            if task.remaining_instructions() <= 0:
-                task.state = TaskState.EXITED
-            task.warmup_remaining_s = max(task.warmup_remaining_s - step_s, 0.0)
-
-            instructions += retired
-            energy += slice_energy
-            remaining -= step_s
-        granted_used = granted_s - remaining
-        task.counters.merge(slice_block)
-        self.counters.merge(slice_block)
-        task.total_instructions += instructions
-        task.total_busy_time_s += granted_used
-        task.total_energy_j += energy
-        task.epoch_energy_j += energy
-        return SliceResult(
-            task=task,
-            granted_s=granted_used,
-            instructions=instructions,
-            energy_j=energy,
+        return sum(
+            t.weight * max(utilization[t.tid], 0.05) for t in self.runnable_tasks()
         )
-
-    def _account(self, result: PeriodResult) -> None:
-        if self.thermal is not None:
-            # Temperature-dependent leakage: step the RC model under
-            # this period's average power, then charge the extra
-            # leakage of the powered-on (non-power-gated) time.
-            base_power = result.energy_j / result.period_s
-            self.thermal.step(base_power, result.period_s)
-            powered_fraction = (
-                (result.busy_s + result.idle_s) / result.period_s
-            )
-            base_leak = power.leakage_power(self.core.core_type)
-            result.thermal_energy_j = (
-                self.thermal.extra_leakage_w(base_leak)
-                * powered_fraction
-                * result.period_s
-            )
-        self.total_energy_j += result.energy_j
-        self.epoch_energy_j += result.energy_j
-        self.epoch_time_s += result.period_s
-        self.total_busy_s += result.busy_s
-        self.total_idle_s += result.idle_s
-        self.total_sleep_s += result.sleep_s
-
-    def reset_epoch_accounting(self) -> None:
-        """Zero epoch-scoped counters and energy (sensing rollover)."""
-        self.counters.reset()
-        self.epoch_energy_j = 0.0
-        self.epoch_time_s = 0.0

@@ -183,11 +183,6 @@ class RunResult:
         return self.instructions / self.duration_s if self.duration_s > 0 else 0.0
 
     @property
-    def balancer_overhead_s(self) -> float:
-        """Total wall-clock time spent inside the balancer."""
-        return sum(e.balancer_time_s for e in self.epochs)
-
-    @property
     def degenerate_epochs(self) -> int:
         """Epochs whose energy accounting was unusable (see
         :attr:`EpochRecord.degenerate`)."""

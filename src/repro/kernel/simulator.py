@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from repro.faults import DELAY, DELIVER, FaultInjector, FaultPlan
 from repro.hardware import power as power_model
+from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import Platform
-from repro.hardware.thermal import AMBIENT_C, ThermalState
 from repro.hardware.sensors import (
     DEFAULT_COUNTER_NOISE,
     DEFAULT_POWER_NOISE,
@@ -33,7 +33,7 @@ from repro.hardware.sensors import (
     SensingInterface,
 )
 from repro.kernel.balancers.base import LoadBalancer, Placement
-from repro.kernel.cfs import CACHE_WARMUP_S, CfsRunQueue
+from repro.kernel.cfs import CACHE_WARMUP_S, IDLE_TO_SLEEP_LATENCY_S, CfsRunQueue
 from repro.kernel.metrics import (
     CoreStats,
     EpochRecord,
@@ -41,6 +41,7 @@ from repro.kernel.metrics import (
     RunResult,
     TaskStats,
 )
+from repro.kernel.soa import SoaKernel
 from repro.kernel.task import Task, TaskState
 from repro.kernel.view import CoreView, SystemView, TaskView
 from repro.obs import NULL_OBS, ObsContext
@@ -81,11 +82,6 @@ class SimulationConfig:
     #: hotplug, throttle and migration faults are executed here on the
     #: simulator timeline.
     faults: Optional[FaultPlan] = None
-    #: Kernel engine: ``"soa"`` (vectorised structure-of-arrays core,
-    #: the default) or ``"reference"`` (the original object-per-task
-    #: path).  Both produce digest-identical results — the equivalence
-    #: is enforced by ``tests/kernel/test_soa_equivalence.py``.
-    kernel: str = "soa"
 
     def __post_init__(self) -> None:
         if self.period_s <= 0:
@@ -96,10 +92,6 @@ class SimulationConfig:
             )
         if self.os_noise_tasks < 0:
             raise ValueError("os_noise_tasks must be non-negative")
-        if self.kernel not in ("soa", "reference"):
-            raise ValueError(
-                f"kernel must be 'soa' or 'reference', got {self.kernel!r}"
-            )
 
     @property
     def epoch_s(self) -> float:
@@ -177,9 +169,6 @@ class System:
         self._pending_migrations: list[tuple[int, int, int]] = []
         self._period_counter = 0
         self._offline_placements_blocked = 0
-        if self.config.thermal_enabled:
-            for queue in self.runqueues:
-                queue.thermal = ThermalState(core=queue.core.core_type)
         self.tasks: list[Task] = []
         self.time_s = 0.0
         self.total_migrations = 0
@@ -189,7 +178,6 @@ class System:
         self._epoch_migrations = 0
         self._epoch_records: list[EpochRecord] = []
         self._view_counter = 0
-        self._core_instructions = [0.0] * len(platform)
         #: Per-core (instructions, energy, busy) totals at the current
         #: epoch's start; maintained only while ``obs.enabled`` so the
         #: trace can carry per-core epoch deltas (the Perfetto tracks).
@@ -215,17 +203,15 @@ class System:
             for t in self.tasks
             if t.state is TaskState.PENDING
         )
-        # The scenario attaches before the engine is built: attach-time
-        # state (barrier stops on tasks, SMT flags on run queues) must
-        # be visible to the SoA kernel's construction snapshot so both
-        # kernels start from identical state.
+        #: The kernel engine: every numeric scheduling state (progress,
+        #: utilisation, warm-up, counters, energy, temperatures) lives
+        #: in its arrays.
+        self.engine = SoaKernel(self)
+        # The scenario attaches to the built engine: barrier stops are
+        # engine state, and SMT flags on the run queues are read when
+        # the engine lays the queues out for the first period.
         if self.scenario is not None:
             self.scenario.attach(self)
-        self.engine = None
-        if self.config.kernel == "soa":
-            from repro.kernel.soa import SoaKernel
-
-            self.engine = SoaKernel(self)
 
     # ------------------------------------------------------------------
     # Placement & migration
@@ -269,15 +255,9 @@ class System:
         if core_id == task.core_id:
             return
         from_core = task.core_id
-        if self.engine is not None:
-            # enqueue() floors the incoming vruntime against the target
-            # queue's minimum — refresh the object fields it reads.
-            self.engine.sync_migration_inputs(task, self.runqueues[core_id])
         self.runqueues[from_core].dequeue(task)
         self.runqueues[core_id].enqueue(task)
-        task.warmup_remaining_s = CACHE_WARMUP_S + MIGRATION_KERNEL_COST_S
-        if self.engine is not None:
-            self.engine.after_migration(task)
+        self.engine.on_migration(task.tid, CACHE_WARMUP_S + MIGRATION_KERNEL_COST_S)
         task.migrations += 1
         self.total_migrations += 1
         self._window_migrations += 1
@@ -294,7 +274,15 @@ class System:
             self.obs.metrics.inc(f"migrations.applied[{cause}]")
 
     def apply_placement(self, placement: Placement) -> int:
-        """Apply a balancer's placement delta; returns migration count."""
+        """Apply a balancer's placement delta; returns migration count.
+
+        A tid outside ``[0, n_tasks)`` rejects the whole placement
+        before any task moves, as :meth:`migrate` rejects an invalid
+        core.
+        """
+        unknown = [tid for tid in placement if not 0 <= tid < len(self.tasks)]
+        if unknown:
+            raise ValueError(f"placement names unknown task(s) {sorted(unknown)}")
         moved = 0
         for tid, core_id in placement.items():
             task = self.task_by_tid(tid)
@@ -347,12 +335,7 @@ class System:
         if not online and sum(self._online) <= 1:
             return  # never unplug the last core
         self._online[core_id] = online
-        if self.engine is not None:
-            self.engine.set_online(core_id, online)
-            if not online:
-                # The evacuation below picks targets by queue.load(),
-                # which reads task utilisations off the objects.
-                self.engine.sync_loads()
+        self.engine.set_online(core_id, online)
         if self.faults:
             self.faults.counts.hotplug_events += 1
             self.faults._emit(
@@ -365,6 +348,7 @@ class System:
         # allowed nowhere else stays parked (and starves) — exactly
         # what Linux does with an impossible cpuset.
         queue = self.runqueues[core_id]
+        utilization = self.engine.util.tolist()
         for task in list(queue.tasks):
             candidates = [
                 q
@@ -375,7 +359,7 @@ class System:
             ]
             if not candidates:
                 continue
-            target = min(candidates, key=lambda q: q.load())
+            target = min(candidates, key=lambda q: q.load(utilization))
             self.migrate(task, target.core.core_id, cause="hotplug")
 
     def _set_throttle(self, core_id: int, freq_scale: Optional[float]) -> None:
@@ -391,15 +375,13 @@ class System:
         queue = self.runqueues[core_id]
         if freq_scale is None:
             queue.core = base
-            if self.engine is not None:
-                self.engine.on_core_type_changed(core_id, base.core_type)
+            self.engine.on_core_type_changed(core_id, base.core_type)
             return
         throttled_type = replace(
             base.core_type, freq_mhz=base.core_type.freq_mhz * freq_scale
         )
         queue.core = replace(base, core_type=throttled_type)
-        if self.engine is not None:
-            self.engine.on_core_type_changed(core_id, throttled_type)
+        self.engine.on_core_type_changed(core_id, throttled_type)
         if self.faults:
             self.faults.counts.throttle_events += 1
             self.faults._emit("throttle", core=core_id, detail=freq_scale)
@@ -429,8 +411,7 @@ class System:
             )
         else:
             queue.core = new_base
-        if self.engine is not None:
-            self.engine.on_core_type_changed(core_id, queue.core.core_type)
+        self.engine.on_core_type_changed(core_id, queue.core.core_type)
 
     def _apply_opp_changes(self, changes) -> None:
         """Apply cluster OPP switches adopted by a governor balancer.
@@ -501,26 +482,31 @@ class System:
     # ------------------------------------------------------------------
 
     def build_view(self, window_s: float) -> SystemView:
-        """Construct the observable system view for the last window."""
-        if self.engine is not None:
-            # The sensing path reads counters, utilisation and energy
-            # off the Task/CfsRunQueue objects — refresh them from the
-            # array state first.  (The noise RNG draw order below is
-            # unchanged: tasks in tid order, then cores in id order.)
-            self.engine.sync_to_objects()
+        """Construct the observable system view for the last window.
+
+        Reads the window's counters, energy and utilisation straight
+        from the engine's arrays.  The noise RNG draw order is part of
+        the contract: tasks in tid order (skipping pending ones), then
+        cores in id order.
+        """
+        engine = self.engine
         # Scenario observables (progress fractions, SLO slack) ride on
         # the TaskViews so scenario-aware balancers can weight threads.
         extras_by_tid: "dict[int, dict]" = (
             self.scenario.task_extras(self) if self.scenario is not None else {}
         )
+        task_counters = engine.t_cnt.tolist()
+        task_energy = engine.epoch_energy.tolist()
+        utilization = engine.util.tolist()
         task_views = []
         for task in self.tasks:
             if task.state is TaskState.PENDING:
                 continue
-            noisy = self.sensing.read_counters(task.counters, owner=("task", task.tid))
-            busy = task.counters.busy_time_s
+            counters = CounterBlock(*task_counters[task.tid])
+            noisy = self.sensing.read_counters(counters, owner=("task", task.tid))
+            busy = counters.busy_time_s
             if busy > 0:
-                true_power = task.epoch_energy_j / busy
+                true_power = task_energy[task.tid] / busy
                 measured_power = self.sensing.read_power(
                     true_power, owner=("task", task.tid)
                 )
@@ -534,7 +520,7 @@ class System:
                     core_type=self._base_cores[task.core_id].core_type,
                     weight=task.weight,
                     is_user=task.is_user,
-                    utilization=task.utilization,
+                    utilization=utilization[task.tid],
                     counters=noisy,
                     rates=noisy.derive_rates(),
                     power_w=measured_power,
@@ -543,19 +529,22 @@ class System:
                     **extras_by_tid.get(task.tid, {}),
                 )
             )
+        core_counters = engine.c_cnt.tolist()
+        core_energy = engine.q_epoch_energy.tolist()
+        core_time = engine.q_epoch_time.tolist()
+        temperature = engine.thermal_temp.tolist()
         core_views = []
         for queue in self.runqueues:
+            core_id = queue.core.core_id
             # The view reports the *nominal* core type: firmware-level
             # thermal throttling is invisible to the OS, so a throttled
             # core shows up only as prediction error downstream.
-            core_type = self._base_cores[queue.core.core_id].core_type
-            elapsed = queue.epoch_time_s
-            avg_power = queue.epoch_energy_j / elapsed if elapsed > 0 else 0.0
+            core_type = self._base_cores[core_id].core_type
+            elapsed = core_time[core_id]
+            avg_power = core_energy[core_id] / elapsed if elapsed > 0 else 0.0
             # Effective cost of unused capacity: shallow idle up to the
             # cpuidle latency, power-gated sleep beyond — what the
             # kernel's own cpuidle accounting would report.
-            from repro.kernel.cfs import IDLE_TO_SLEEP_LATENCY_S
-
             shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
             effective_idle = (
                 shallow_frac * power_model.idle_power(core_type).total_w
@@ -563,23 +552,23 @@ class System:
             )
             core_views.append(
                 CoreView(
-                    core_id=queue.core.core_id,
+                    core_id=core_id,
                     core_type=core_type,
                     cluster=queue.core.cluster,
                     power_w=self.sensing.read_power(
-                        avg_power, owner=("core", queue.core.core_id)
+                        avg_power, owner=("core", core_id)
                     ),
                     idle_power_w=effective_idle,
                     sleep_power_w=power_model.sleep_power(core_type),
                     counters=self.sensing.read_counters(
-                        queue.counters, owner=("core", queue.core.core_id)
+                        CounterBlock(*core_counters[core_id]),
+                        owner=("core", core_id),
                     ),
                     nr_running=queue.nr_running(),
-                    load=queue.load(),
-                    temperature_c=(
-                        queue.thermal.temp_c if queue.thermal else AMBIENT_C
-                    ),
-                    online=self._online[queue.core.core_id],
+                    load=queue.load(utilization),
+                    # Ambient on every core when the thermal model is off.
+                    temperature_c=temperature[core_id],
+                    online=self._online[core_id],
                 )
             )
         return SystemView(
@@ -592,12 +581,7 @@ class System:
         )
 
     def _reset_window_accounting(self) -> None:
-        for task in self.tasks:
-            task.reset_epoch_accounting()
-        for queue in self.runqueues:
-            queue.reset_epoch_accounting()
-        if self.engine is not None:
-            self.engine.reset_window_accounting()
+        self.engine.reset_window_accounting()
         self._window_migrations = 0
 
     # ------------------------------------------------------------------
@@ -738,16 +722,14 @@ class System:
 
     def _core_snapshot(self) -> "list[tuple[float, float, float]]":
         """Per-core cumulative (instructions, energy_j, busy_s)."""
-        if self.engine is not None:
-            self.engine.sync_to_objects()
-        return [
-            (
-                self._core_instructions[q.core.core_id],
-                q.total_energy_j,
-                q.total_busy_s,
+        engine = self.engine
+        return list(
+            zip(
+                engine.core_instr.tolist(),
+                engine.q_total_energy.tolist(),
+                engine.q_total_busy.tolist(),
             )
-            for q in self.runqueues
-        ]
+        )
 
     def _emit_epoch_end(self, record: EpochRecord) -> None:
         """Emit the epoch's trace events (per-core deltas included)."""
@@ -797,69 +779,53 @@ class System:
             task = self.tasks[tid]
             if task.state is TaskState.PENDING:
                 task.state = TaskState.ACTIVE
-                if self.engine is not None:
-                    self.engine.on_arrival(tid)
+                self.engine.on_arrival(tid)
 
     def _simulate_period(self) -> tuple[float, float]:
         """Advance all cores by one CFS period; returns (instr, energy)."""
-        if self.engine is not None:
-            instructions, energy = self.engine.simulate_period(
-                self.config.period_s
-            )
-            self.time_s += self.config.period_s
-            return instructions, energy
-        instructions = 0.0
-        energy = 0.0
-        for queue in self.runqueues:
-            if not self._online[queue.core.core_id]:
-                # An unplugged core executes nothing and draws nothing.
-                continue
-            result = queue.schedule_period(self.config.period_s)
-            # Accumulate this queue's period total slot-by-slot, then
-            # fold it into the lifetime counter with ONE add — the SoA
-            # kernel reproduces exactly that float sequence (cumsum row
-            # + one array add), so keep the shape if you touch this.
-            period_core_instr = 0.0
-            for sl in result.slices:
-                if sl.task.is_user:
-                    instructions += sl.instructions
-                period_core_instr += sl.instructions
-            self._core_instructions[queue.core.core_id] += period_core_instr
-            energy += result.energy_j
-        for task in self.tasks:
-            if task.state is TaskState.ACTIVE and self._online[task.core_id]:
-                # The queue's current core reflects any active throttle.
-                core_type = self.runqueues[task.core_id].core.core_type
-                task.update_utilization(task.demanded_fraction(core_type))
+        instructions, energy = self.engine.simulate_period(self.config.period_s)
         self.time_s += self.config.period_s
         return instructions, energy
 
     def _result(self) -> RunResult:
-        if self.engine is not None:
-            self.engine.sync_to_objects()
+        engine = self.engine
+        thermal = self.config.thermal_enabled
         core_stats = tuple(
             CoreStats(
                 core_id=q.core.core_id,
                 core_type_name=q.core.core_type.name,
-                instructions=self._core_instructions[q.core.core_id],
-                energy_j=q.total_energy_j,
-                busy_s=q.total_busy_s,
-                idle_s=q.total_idle_s,
-                sleep_s=q.total_sleep_s,
-                peak_temp_c=q.thermal.peak_c if q.thermal else None,
+                instructions=instructions,
+                energy_j=energy,
+                busy_s=busy,
+                idle_s=idle,
+                sleep_s=sleep,
+                peak_temp_c=peak if thermal else None,
             )
-            for q in self.runqueues
+            for q, instructions, energy, busy, idle, sleep, peak in zip(
+                self.runqueues,
+                engine.core_instr.tolist(),
+                engine.q_total_energy.tolist(),
+                engine.q_total_busy.tolist(),
+                engine.q_total_idle.tolist(),
+                engine.q_total_sleep.tolist(),
+                engine.thermal_peak.tolist(),
+            )
         )
         task_stats = tuple(
             TaskStats(
                 tid=t.tid,
                 name=t.name,
-                instructions=t.total_instructions,
-                busy_s=t.total_busy_time_s,
-                energy_j=t.total_energy_j,
+                instructions=instructions,
+                busy_s=busy,
+                energy_j=energy,
                 migrations=t.migrations,
             )
-            for t in self.tasks
+            for t, instructions, busy, energy in zip(
+                self.tasks,
+                engine.total_instr.tolist(),
+                engine.total_busy.tolist(),
+                engine.total_energy.tolist(),
+            )
         )
         user_instructions = sum(t.instructions for t in task_stats if self.tasks[t.tid].is_user)
         total_energy = sum(c.energy_j for c in core_stats)

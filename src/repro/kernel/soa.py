@@ -1,18 +1,21 @@
-"""Structure-of-arrays kernel core (the ``kernel="soa"`` engine).
+"""Structure-of-arrays kernel core: the simulator's only kernel state.
 
-The reference kernel (:mod:`repro.kernel.cfs`) walks one Python object
-per task per period — per-core run-queue loops, a dozen float attribute
-adds per counter block, an lru-cache hit per perf estimate.  At 1024
-cores that object walk dominates epoch wall-clock.  This module holds
-the same simulation state as flat numpy arrays — vruntimes, weights,
-progress, warm-up, the 12 hardware counters — indexed by task id, plus
-per-core accumulator arrays, and advances one CFS period for *every*
-core with batched array ops.
+A CFS period could walk one Python object per task — per-core run-queue
+loops, a dozen float attribute adds per counter block, an lru-cache hit
+per perf estimate — and at 1024 cores that object walk would dominate
+epoch wall-clock.  This module holds the simulation state as flat numpy
+arrays — weights, progress, warm-up, utilisation, the 12 hardware
+counters, energy — indexed by task id, plus per-core accumulator and
+thermal arrays, and advances one CFS period for *every* core with
+batched array ops.  :class:`~repro.kernel.simulator.System` reads its
+views and results straight from these arrays; no object mirror exists.
 
 **Bit-identity contract.**  ``SoaKernel`` is not an approximation: for
 any run it must produce results whose
-:func:`~repro.runner.serialize.metrics_digest` equals the reference
-kernel's.  That works because every float operation here is either
+:func:`~repro.runner.serialize.metrics_digest` equals the object-per-task
+reference kernel's — the readable statement of the CFS semantics, kept
+as a test oracle in ``tests/kernel/reference_kernel.py``.  That works
+because every float operation here is either
 
 * elementwise (IEEE-754 ops are deterministic per element, so a numpy
   float64 lane equals the equivalent Python float expression), or
@@ -30,18 +33,18 @@ Anything the reference computes through a memoised scalar helper
 through the *same* helper once per distinct (phase, core-type, warm-up
 level) group and broadcast, so the floats are identical by
 construction.  Tasks that sub-step within one slice (phase boundary or
-exit inside the slice) fall back to a scalar loop that mirrors
-``CfsRunQueue._execute_slice`` line for line; everything else takes the
+exit inside the slice) fall back to a scalar loop that mirrors the
+reference's ``_execute_slice`` line for line; everything else takes the
 single-step vector path.  The differential-equivalence suite
 (``tests/kernel/test_soa_equivalence.py``) enforces the contract.
 
 See ``docs/kernel.md`` for the array layout and the rules to follow
-when extending either kernel.
+when extending the kernel.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,8 +54,9 @@ from repro.kernel.cfs import (
     CACHE_WARMUP_S,
     CONTEXT_SWITCH_COST_S,
     IDLE_TO_SLEEP_LATENCY_S,
+    UTIL_DECAY,
 )
-from repro.kernel.task import UTIL_DECAY, TaskState
+from repro.kernel.task import TaskState
 from repro.workload.demand import demanded_fraction_on
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,11 +94,13 @@ _SMT_Q = microarch.SMT_QUANTISATION
 class SoaKernel:
     """Vectorised per-period engine behind :class:`~repro.kernel.simulator.System`.
 
-    Owns the authoritative mutable state between sync points; the Task
-    and CfsRunQueue objects stay allocated (queue membership, core
-    identity and the sensing path still live there) and are refreshed
-    from the arrays by :meth:`sync_to_objects` before any observer
-    reads them (view building, hotplug load checks, final results).
+    Owns every numeric kernel state.  The Task and CfsRunQueue objects
+    hold only identity, lifecycle state and run-queue membership; the
+    System tells the engine when those change (arrival, migration,
+    hotplug, core-type change, barrier block) through the narrow
+    ``on_*``/``set_*`` hooks below, and everything that observes the
+    kernel — views, hotplug load checks, results, scenario runtimes —
+    reads the arrays directly.
     """
 
     def __init__(self, system: "System") -> None:
@@ -108,7 +114,6 @@ class SoaKernel:
         # --- per-task state -------------------------------------------------
         self.weight = np.array([t.weight for t in tasks], dtype=np.float64)
         self.progress = np.zeros(n)
-        self.vruntime = np.zeros(n)
         self.warmup = np.zeros(n)
         self.util = np.zeros(n)
         self.epoch_energy = np.zeros(n)
@@ -136,9 +141,7 @@ class SoaKernel:
         #: Next barrier stop per task (``inf`` = none); every ``min``
         #: against it is then the identity, keeping barrier-free runs
         #: bit-identical.  Updated through :meth:`set_barrier_stop`.
-        self.barrier_stop = np.array(
-            [t.barrier_stop_instr for t in tasks], dtype=np.float64
-        )
+        self.barrier_stop = np.full(n, np.inf)
 
         # --- per-core state -------------------------------------------------
         self.c_cnt = np.zeros((m, N_COUNTERS))
@@ -150,34 +153,31 @@ class SoaKernel:
         self.q_epoch_time = np.zeros(m)
         self.core_instr = np.zeros(m)
         self.online = np.array(system._online, dtype=bool)
-        #: Opt-in SMT cores (mirrors ``CfsRunQueue.smt``): doubled
-        #: period capacity, co-runner contention fed to the estimate.
+        #: Opt-in SMT cores (``CfsRunQueue.smt``, read with the queue
+        #: layout): doubled period capacity, co-runner contention fed
+        #: to the estimate.
         self.smt_core = np.zeros(m, dtype=bool)
-        for q in system.runqueues:
-            self.smt_core[q.core.core_id] = bool(q.smt)
-        self._any_smt = bool(self.smt_core.any())
+        self._any_smt = False
 
-        # --- per-core thermal state (vectorised ThermalState) ---------------
-        # R and the per-period decay come from the ThermalState's *own*
-        # core type (fixed when the queue was built), matching the
-        # scalar path; base leakage is gathered per current core type
-        # (throttle/OPP changes move it) via ``_ct_leak_w``.
+        # --- per-core thermal state (vectorised RC model) -------------------
+        # R and the per-period decay come from each core's type at
+        # construction (its nominal type, fixed for the run); base
+        # leakage is gathered per current core type (throttle/OPP
+        # changes move it) via ``_ct_leak_w``.  Cores without the
+        # thermal model stay at ambient.
         self.thermal_temp = np.full(m, thermal.AMBIENT_C)
         self.thermal_peak = np.full(m, thermal.AMBIENT_C)
         self._thermal_r = np.zeros(m)
         self._thermal_decay = np.zeros(m)
         thermal_ids = []
-        for q in system.runqueues:
-            if q.thermal is None:
-                continue
-            qid = q.core.core_id
-            thermal_ids.append(qid)
-            self.thermal_temp[qid] = q.thermal.temp_c
-            self.thermal_peak[qid] = q.thermal.peak_c
-            self._thermal_r[qid] = thermal.thermal_resistance(q.thermal.core)
-            self._thermal_decay[qid] = thermal.decay_factor(
-                q.thermal.core, system.config.period_s
-            )
+        if system.config.thermal_enabled:
+            for q in system.runqueues:
+                qid = q.core.core_id
+                thermal_ids.append(qid)
+                self._thermal_r[qid] = thermal.thermal_resistance(q.core.core_type)
+                self._thermal_decay[qid] = thermal.decay_factor(
+                    q.core.core_type, system.config.period_s
+                )
         self._thermal_idx = np.array(sorted(thermal_ids), dtype=np.intp)
 
         # --- registries -----------------------------------------------------
@@ -254,12 +254,6 @@ class SoaKernel:
         self._core_pw_cache: "tuple[int, np.ndarray, np.ndarray, np.ndarray] | None" = None
         if n_multi:
             self._refresh_phase_state()
-
-        #: Test hook: called as ``hook(engine, period_index)`` after each
-        #: simulated period.  The mutation-sanity suite uses it to flip
-        #: one array cell mid-epoch and prove the digest harness notices.
-        self.on_period_hook: Optional[Callable[["SoaKernel", int], None]] = None
-        self._period_index = 0
 
     # ------------------------------------------------------------------
     # Registries
@@ -407,101 +401,28 @@ class SoaKernel:
             self._demand_ver += 1
         return changed
 
-    def sync_migration_inputs(self, task, target_queue) -> None:
-        """Refresh the object vruntimes enqueue() is about to read."""
-        task.vruntime = float(self.vruntime[task.tid])
-        for member in target_queue.tasks:
-            member.vruntime = float(self.vruntime[member.tid])
-
-    def after_migration(self, task) -> None:
-        self.vruntime[task.tid] = task.vruntime
-        self.warmup[task.tid] = task.warmup_remaining_s
-        self.core_of[task.tid] = task.core_id
+    def on_migration(self, tid: int, warmup_s: float) -> None:
+        """A task moved queues: follow it and start its cache warm-up."""
+        self.warmup[tid] = warmup_s
+        self.core_of[tid] = self.system.tasks[tid].core_id
         self.mark_structure_dirty()
 
-    def sync_loads(self) -> None:
-        """Push utilisation back to tasks (queue.load() inputs)."""
-        util = self.util
-        for task in self.system.tasks:
-            task.utilization = float(util[task.tid])
-
     def _ensure_layout(self) -> None:
+        """Gather run-queue membership (slot order) and SMT flags."""
         if not self._layout_dirty:
             return
         members: list[int] = []
         member_queue: list[int] = []
         for q in self.system.runqueues:
             qid = q.core.core_id
+            self.smt_core[qid] = q.smt
             for task in q.tasks:
                 members.append(task.tid)
                 member_queue.append(qid)
         self._members = np.array(members, dtype=np.intp)
         self._member_queue = np.array(member_queue, dtype=np.intp)
+        self._any_smt = bool(self.smt_core.any())
         self._layout_dirty = False
-
-    # ------------------------------------------------------------------
-    # Sync back to objects
-    # ------------------------------------------------------------------
-
-    def sync_to_objects(self) -> None:
-        """Write array state back into the Task/CfsRunQueue objects.
-
-        Called before anything outside the engine reads kernel state:
-        sensing views, hotplug target selection, obs snapshots and the
-        final result.  Plain copies — bit-exact by construction.
-        """
-        t_cnt = self.t_cnt
-        for i, task in enumerate(self.system.tasks):
-            row = t_cnt[i]
-            c = task.counters
-            c.cy_busy = float(row[0])
-            c.cy_idle = float(row[1])
-            c.cy_sleep = float(row[2])
-            c.instructions = float(row[3])
-            c.mem_instructions = float(row[4])
-            c.branch_instructions = float(row[5])
-            c.branch_mispredicts = float(row[6])
-            c.l1i_misses = float(row[7])
-            c.l1d_misses = float(row[8])
-            c.itlb_misses = float(row[9])
-            c.dtlb_misses = float(row[10])
-            c.busy_time_s = float(row[11])
-            task.progress_instructions = float(self.progress[i])
-            task.vruntime = float(self.vruntime[i])
-            task.utilization = float(self.util[i])
-            task.warmup_remaining_s = float(self.warmup[i])
-            task.epoch_energy_j = float(self.epoch_energy[i])
-            task.total_instructions = float(self.total_instr[i])
-            task.total_busy_time_s = float(self.total_busy[i])
-            task.total_energy_j = float(self.total_energy[i])
-        c_cnt = self.c_cnt
-        core_instructions = self.system._core_instructions
-        for q in self.system.runqueues:
-            qid = q.core.core_id
-            row = c_cnt[qid]
-            c = q.counters
-            c.cy_busy = float(row[0])
-            c.cy_idle = float(row[1])
-            c.cy_sleep = float(row[2])
-            c.instructions = float(row[3])
-            c.mem_instructions = float(row[4])
-            c.branch_instructions = float(row[5])
-            c.branch_mispredicts = float(row[6])
-            c.l1i_misses = float(row[7])
-            c.l1d_misses = float(row[8])
-            c.itlb_misses = float(row[9])
-            c.dtlb_misses = float(row[10])
-            c.busy_time_s = float(row[11])
-            q.total_energy_j = float(self.q_total_energy[qid])
-            q.total_busy_s = float(self.q_total_busy[qid])
-            q.total_idle_s = float(self.q_total_idle[qid])
-            q.total_sleep_s = float(self.q_total_sleep[qid])
-            q.epoch_energy_j = float(self.q_epoch_energy[qid])
-            q.epoch_time_s = float(self.q_epoch_time[qid])
-            core_instructions[qid] = float(self.core_instr[qid])
-            if q.thermal is not None:
-                q.thermal.temp_c = float(self.thermal_temp[qid])
-                q.thermal.peak_c = float(self.thermal_peak[qid])
 
     def reset_window_accounting(self) -> None:
         self.t_cnt[:] = 0.0
@@ -656,11 +577,9 @@ class SoaKernel:
             limit_over_ips = limit / ips_t
         runnable_t = np.zeros(n, dtype=bool)
         runnable_t[r_mem] = True
-        # vruntime advances for every positive grant, but the slice
-        # loop in the reference (`while remaining > 1e-12`) never runs
-        # for grants at or below its floor — an underweight task can
-        # be granted ~1e-150 s and execute exactly nothing.
-        granted_t = runnable_t & (granted > 0.0)
+        # The slice loop in the reference (`while remaining > 1e-12`)
+        # never runs for grants at or below its floor — an underweight
+        # task can be granted ~1e-150 s and execute exactly nothing.
         exec_t = runnable_t & (granted > 1e-12)
         slow = exec_t & (limit_over_ips < granted)
         fast = exec_t & ~slow
@@ -715,8 +634,6 @@ class SoaKernel:
         self.total_busy += gu
         self.total_energy += E
         self.epoch_energy += E
-        with np.errstate(invalid="ignore"):
-            self.vruntime += np.where(granted_t, granted / self.weight, 0.0)
 
         # Core-side accounting, in run-queue slot order.
         if r_mem.size:
@@ -843,10 +760,6 @@ class SoaKernel:
             UTIL_DECAY * self.util + self._one_minus_decay * demand_post,
             self.util,
         )
-
-        if self.on_period_hook is not None:
-            self.on_period_hook(self, self._period_index)
-        self._period_index += 1
         return period_instr, period_energy
 
     # ------------------------------------------------------------------
@@ -862,7 +775,7 @@ class SoaKernel:
         valid: np.ndarray,
         M_safe: np.ndarray,
     ) -> np.ndarray:
-        """Replay :func:`repro.kernel.cfs.fair_shares` for all queues.
+        """Replay the reference kernel's ``fair_shares`` for all queues.
 
         Rows are queues, columns run-queue slots (ascending — the order
         the scalar set iteration visits).  Masked lanes contribute
@@ -912,7 +825,7 @@ class SoaKernel:
         exited: np.ndarray,
         smt_contention: float = 0.0,
     ) -> None:
-        """Mirror of ``CfsRunQueue._execute_slice`` for one task.
+        """Mirror of the reference kernel's ``_execute_slice`` for one task.
 
         Runs when a slice sub-steps (phase boundary, exit or barrier
         stop inside the slice) — the identical scalar float sequence,

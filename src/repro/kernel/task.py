@@ -3,25 +3,18 @@
 Mirrors the Linux model the paper builds on: processes and threads are
 all *task entities* scheduled independently (Section 3).  A
 :class:`Task` pairs an immutable :class:`~repro.workload.thread.ThreadBehavior`
-with the mutable runtime state the kernel owns — placement, CFS
-vruntime, per-epoch hardware counters, a PELT-style utilisation
-estimate, migration warm-up state and lifetime accounting.
+with the task's identity and lifecycle — placement, state and
+migration count.  Its numeric scheduling state (progress, utilisation,
+warm-up, hardware counters, energy) lives in the kernel engine's
+arrays, indexed by ``tid``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hardware.counters import CounterBlock
-from repro.hardware.features import CoreType
-from repro.workload.characteristics import WorkloadPhase
-from repro.workload.demand import demanded_fraction_on
 from repro.workload.thread import ThreadBehavior
-
-#: Geometric decay of the utilisation EWMA per scheduling period,
-#: approximating Linux PELT's 32 ms half-life at a 6 ms period.
-UTIL_DECAY = 0.82
 
 
 class TaskState(enum.Enum):
@@ -49,27 +42,6 @@ class Task:
     core_id: int
     is_user: bool = True
     state: TaskState = TaskState.PENDING
-    progress_instructions: float = 0.0
-    vruntime: float = 0.0
-    #: PELT-like EWMA of the demanded CPU fraction, in [0, 1].
-    utilization: float = 0.0
-    #: Remaining cache warm-up wall time after a migration (seconds of
-    #: own execution).
-    warmup_remaining_s: float = 0.0
-    #: Progress point (instructions) at which the task hits its next
-    #: synchronisation barrier and must stop executing; ``inf`` (the
-    #: default) means no barrier, and every ``min()`` it joins is then
-    #: the identity — barrier-free runs are bit-identical to before the
-    #: field existed.  Advanced by the barrier scenario on release.
-    barrier_stop_instr: float = float("inf")
-    #: Per-epoch hardware counters (reset at each sensing boundary).
-    counters: CounterBlock = field(default_factory=CounterBlock)
-    #: Per-epoch attributed energy (Joule) while this task ran.
-    epoch_energy_j: float = 0.0
-    #: Lifetime accounting.
-    total_instructions: float = 0.0
-    total_busy_time_s: float = 0.0
-    total_energy_j: float = 0.0
     migrations: int = 0
 
     @property
@@ -84,50 +56,3 @@ class Task:
         """cpuset check: may this task be placed on ``core_id``?"""
         allowed = self.behavior.allowed_cores
         return allowed is None or core_id in allowed
-
-    def current_phase(self) -> WorkloadPhase:
-        """Ground-truth phase at the task's current progress point."""
-        return self.behavior.phase_at(self.progress_instructions)
-
-    def demanded_fraction(self, core_type: CoreType) -> float:
-        """CPU time fraction the task wants on ``core_type`` right now.
-
-        Rate-limited tasks demand more of a slower core (ground truth;
-        the kernel observes the resulting runnable time).
-        """
-        if self.state is not TaskState.ACTIVE:
-            return 0.0
-        return demanded_fraction_on(self.current_phase(), core_type)
-
-    def remaining_instructions(self) -> float:
-        """Instructions left before exit (``inf`` for unbounded tasks)."""
-        if self.behavior.total_instructions is None:
-            return float("inf")
-        return max(self.behavior.total_instructions - self.progress_instructions, 0.0)
-
-    def retire(self, instructions: float, busy_time_s: float, energy_j: float) -> None:
-        """Account one execution slice and exit when work is done."""
-        if instructions < 0 or busy_time_s < 0 or energy_j < 0:
-            raise ValueError("retire() arguments must be non-negative")
-        self.progress_instructions += instructions
-        self.total_instructions += instructions
-        self.total_busy_time_s += busy_time_s
-        self.total_energy_j += energy_j
-        self.epoch_energy_j += energy_j
-        if self.remaining_instructions() <= 0:
-            self.state = TaskState.EXITED
-
-    def update_utilization(self, demanded_fraction: float) -> None:
-        """Fold one period's demanded CPU fraction into the EWMA."""
-        if not 0.0 <= demanded_fraction <= 1.0:
-            raise ValueError(
-                f"demanded fraction must be in [0, 1], got {demanded_fraction}"
-            )
-        self.utilization = (
-            UTIL_DECAY * self.utilization + (1.0 - UTIL_DECAY) * demanded_fraction
-        )
-
-    def reset_epoch_accounting(self) -> None:
-        """Zero the per-epoch counters and energy (sensing rollover)."""
-        self.counters.reset()
-        self.epoch_energy_j = 0.0

@@ -46,7 +46,10 @@ from repro.runner.factories import check_balancer, check_platform, check_workloa
 #: ``governor`` stats dict.
 #: 7: RunSpec grew the ``scenario`` field and RunResult the optional
 #: ``scenario`` stats dict (repro.scenarios).
-CACHE_FORMAT = 7
+#: 8: SimulationConfig lost the ``kernel`` knob (the structure-of-arrays
+#: engine is the only kernel), so the config fingerprint changed shape;
+#: simulated results are unchanged.
+CACHE_FORMAT = 8
 
 
 def _code_version() -> str:

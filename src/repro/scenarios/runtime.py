@@ -5,10 +5,9 @@ builders in :mod:`repro.scenarios.builders` are the static half).  The
 simulator owns the contract:
 
 * :meth:`ScenarioRuntime.attach` runs inside ``System.__init__`` after
-  tasks are placed but **before** the kernel engine is constructed, so
-  object-side state it sets (``Task.barrier_stop_instr``,
-  ``CfsRunQueue.smt``) is captured by the structure-of-arrays kernel's
-  initial snapshot;
+  tasks are placed and the kernel engine is built, before the first
+  period: barrier stops go straight into the engine, and SMT flags set
+  on the run queues are read when the engine lays the queues out;
 * :meth:`ScenarioRuntime.on_period` runs once per simulated CFS
   period, after execution — this is where barriers block and release
   and request completions are timestamped;
@@ -18,11 +17,11 @@ simulator owns the contract:
 * :meth:`ScenarioRuntime.stats` is folded into
   :class:`~repro.kernel.metrics.RunResult` as the ``scenario`` dict.
 
-Everything here mutates *object-side* task state plus the engine's
-mirror arrays through its narrow hooks (``set_blocked``,
-``set_barrier_stop``), so the SoA and reference kernels stay
-bit-identical under every scenario — the equivalence suite fuzzes
-exactly that.
+Everything here reads kernel state from the engine's arrays
+(``progress``, ``barrier_stop``) and changes it through the engine's
+narrow hooks (``set_blocked``, ``set_barrier_stop``); the task's
+lifecycle ``state`` stays on the :class:`~repro.kernel.task.Task`.  The
+equivalence suite fuzzes every scenario against the reference kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class ScenarioRuntime:
     family = "none"
 
     def attach(self, system) -> None:  # pragma: no cover - trivial
-        """Bind to a freshly-built :class:`System` (pre-engine)."""
+        """Bind to a freshly-built :class:`System` (before its first period)."""
 
     def on_period(self, system) -> None:  # pragma: no cover - trivial
         """Advance the scenario one CFS period (post-execution)."""
@@ -53,17 +52,6 @@ class ScenarioRuntime:
     def stats(self) -> dict:
         """JSON-ready scenario metrics for ``RunResult.scenario``."""
         return {"family": self.family}
-
-
-def _task_progress(system, tid: int) -> float:
-    """Current progress of ``tid`` without forcing a full object sync.
-
-    The SoA engine keeps progress in its arrays between sensing
-    boundaries; the reference path keeps it on the task objects.
-    """
-    if system.engine is not None:
-        return float(system.engine.progress[tid])
-    return system.tasks[tid].progress_instructions
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +222,8 @@ class BarrierRuntime(ScenarioRuntime):
     """The barrier state machine (``pthread_barrier_wait`` semantics).
 
     Each period, every ``ACTIVE`` member whose progress has reached its
-    ``barrier_stop_instr`` is parked ``BLOCKED`` (the kernel engines
-    already refuse to execute past the stop, so no instructions leak
+    barrier stop is parked ``BLOCKED`` (the kernel engine already
+    refuses to execute past the stop, so no instructions leak
     across the barrier; the state flip stops the parked thread from
     demanding CPU).  Once every member has arrived — ``BLOCKED``, or
     ``EXITED``, which counts as arrived so a thread departing at (or
@@ -259,9 +247,7 @@ class BarrierRuntime(ScenarioRuntime):
                         "from the built workload"
                     )
                 group.tids.append(task.tid)
-                # First stop: the engines snapshot this field at
-                # construction, which is why attach() runs pre-engine.
-                task.barrier_stop_instr = group.interval_instr
+                system.engine.set_barrier_stop(task.tid, group.interval_instr)
 
     def on_period(self, system) -> None:
         now = system.time_s
@@ -274,11 +260,10 @@ class BarrierRuntime(ScenarioRuntime):
             for tid in group.tids:
                 task = system.tasks[tid]
                 if task.state is TaskState.ACTIVE:
-                    if _task_progress(system, tid) >= task.barrier_stop_instr:
+                    if engine.progress[tid] >= engine.barrier_stop[tid]:
                         task.state = TaskState.BLOCKED
                         group.blocked_since[tid] = now
-                        if engine is not None:
-                            engine.set_blocked(tid, True)
+                        engine.set_blocked(tid, True)
                     else:
                         arrived = False
             if arrived and group.blocked_since:
@@ -298,12 +283,11 @@ class BarrierRuntime(ScenarioRuntime):
                     )
                     obs.metrics.inc("scenario.barriers_released")
                 for tid in group.blocked_since:
-                    task = system.tasks[tid]
-                    task.barrier_stop_instr += group.interval_instr
-                    task.state = TaskState.ACTIVE
-                    if engine is not None:
-                        engine.set_barrier_stop(tid, task.barrier_stop_instr)
-                        engine.set_blocked(tid, False)
+                    engine.set_barrier_stop(
+                        tid, float(engine.barrier_stop[tid]) + group.interval_instr
+                    )
+                    system.tasks[tid].state = TaskState.ACTIVE
+                    engine.set_blocked(tid, False)
                 group.blocked_since.clear()
             if all(
                 system.tasks[tid].state is TaskState.EXITED
@@ -315,15 +299,14 @@ class BarrierRuntime(ScenarioRuntime):
         """Progress fraction of every member, for progress-equalising
         placement (the ``tpeq`` balancer's input)."""
         extras: "dict[int, dict]" = {}
+        progress = system.engine.progress
         for group in self.groups:
             total = group.interval_instr * group.n_intervals
             for tid in group.tids:
                 task = system.tasks[tid]
                 if task.state in (TaskState.ACTIVE, TaskState.BLOCKED):
                     extras[tid] = {
-                        "progress_frac": min(
-                            task.progress_instructions / total, 1.0
-                        )
+                        "progress_frac": min(float(progress[tid]) / total, 1.0)
                     }
         return extras
 
@@ -350,13 +333,13 @@ class BarrierRuntime(ScenarioRuntime):
 class SmtRuntime(ScenarioRuntime):
     """Switches selected cores into SMT co-run mode (attach-time only).
 
-    The execution model itself lives in the kernels: an SMT core runs
+    The execution model itself lives in the kernel: an SMT core runs
     its runnable threads concurrently with a doubled issue budget, and
     each thread's miss rates and issue share degrade with the summed
     memory appetite of its co-runners (see
     :data:`repro.hardware.microarch.SMT_MISS_INFLATION`).  Nothing to
     do per period — the runtime exists to pick the cores before the
-    engine snapshots them and to report which ones co-ran.
+    first period and to report which ones co-ran.
     """
 
     family = "smt"

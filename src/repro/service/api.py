@@ -54,7 +54,6 @@ CONFIG_FIELDS = {
     "thermal_enabled": bool,
     "counter_noise": dict,
     "power_noise": dict,
-    "kernel": str,
 }
 
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
@@ -90,7 +89,7 @@ def _config_from_payload(data: object) -> SimulationConfig:
         expected = CONFIG_FIELDS[key]
         if expected is dict:
             kwargs[key] = _noise_model(value, key)
-        elif expected in (bool, str):
+        elif expected is bool:
             if not isinstance(value, expected):
                 raise ApiError(
                     f"{key} must be {_JSON_TYPE_NAMES[expected]}", field=key
@@ -101,7 +100,7 @@ def _config_from_payload(data: object) -> SimulationConfig:
                 raise ApiError(f"{key} must be a number", field=key)
             kwargs[key] = expected(value)
     try:
-        # Value checks (e.g. kernel in soa/reference) are the config's own.
+        # Value checks (e.g. a positive period) are the config's own.
         return SimulationConfig(**kwargs)
     except ValueError as exc:
         raise ApiError(f"invalid config: {exc}", field="config") from None

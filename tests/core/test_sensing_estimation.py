@@ -67,16 +67,16 @@ class TestSense:
         """ips_ij = sum(I) / sum(tau) — verified against ground truth."""
         system, view = sensed_view(4)
         for obs in measured(view.user_tasks):
-            task = system.tasks[obs.tid]
-            expected = task.counters.instructions / task.counters.busy_time_s
+            truth = CounterBlock(*system.engine.t_cnt[obs.tid].tolist())
+            expected = truth.instructions / truth.busy_time_s
             assert obs.rates.ips == pytest.approx(expected, rel=1e-9)
 
     def test_eq5_power_identity(self):
         """p_ij = sum(energy) / sum(tau)."""
         system, view = sensed_view(4)
         for obs in measured(view.user_tasks):
-            task = system.tasks[obs.tid]
-            expected = task.epoch_energy_j / task.counters.busy_time_s
+            truth = CounterBlock(*system.engine.t_cnt[obs.tid].tolist())
+            expected = system.engine.epoch_energy[obs.tid] / truth.busy_time_s
             assert obs.power_w == pytest.approx(expected, rel=1e-9)
 
 

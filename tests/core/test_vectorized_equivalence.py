@@ -5,8 +5,8 @@ Three equivalences lock down the epoch-loop optimisations:
 * batched Eq. 8/9 (``predict_ipc_batch``/``predict_power_batch``)
   agrees with the per-pair scalar path within 1e-9 relative error over
   randomized counter vectors;
-* the vectorized :meth:`MatrixBuilder.build` agrees with the retained
-  per-thread reference :meth:`MatrixBuilder.build_scalar`;
+* the vectorized :meth:`MatrixBuilder.build` agrees with the
+  per-thread reference ``build_scalar`` (``scalar_matrices.py``);
 * the annealer's memoized :class:`IncrementalEvaluator` agrees with a
   from-scratch ``J_E`` evaluation after arbitrary swap sequences.
 
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_matrices import build_scalar
 from repro.core.allocation import Allocation
 from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_vector
 from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
@@ -179,7 +180,7 @@ class TestMatrixBuilderEquivalence:
             )
         builder = MatrixBuilder(model)
         fast = builder.build(observations, cores)
-        reference = builder.build_scalar(observations, cores)
+        reference = build_scalar(model, observations, cores)
         assert fast.tids == reference.tids
         assert np.array_equal(fast.measured_mask, reference.measured_mask)
         assert_allclose(fast.ips, reference.ips, "ips")

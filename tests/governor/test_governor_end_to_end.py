@@ -9,9 +9,10 @@ import dataclasses
 
 import pytest
 
+from reference_kernel import reference_kernel
 from repro.core.config import SmartBalanceConfig
 from repro.governor import GovernorSmartBalance, parse_governor, strategies
-from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.simulator import System
 from repro.obs import ObsContext, build_report, render_report, validate_events
 from repro.runner.engine import execute_spec
 from repro.runner.serialize import metrics_digest
@@ -20,7 +21,7 @@ from repro.runner.spec import RunSpec, SpecError
 from repro.service.api import ApiError, spec_from_payload
 
 
-def spec(governor="fixed", *, platform="dvfsquad", kernel="reference", epochs=6):
+def spec(governor="fixed", *, platform="dvfsquad", epochs=6):
     return RunSpec(
         workload="MTMI",
         platform=platform,
@@ -29,7 +30,6 @@ def spec(governor="fixed", *, platform="dvfsquad", kernel="reference", epochs=6)
         n_epochs=epochs,
         seed=0,
         governor=governor,
-        config=SimulationConfig(kernel=kernel),
     )
 
 
@@ -109,10 +109,8 @@ class TestEpochBudget:
             config=SmartBalanceConfig(epoch_time_budget_s=1e-9),
             governor=parse_governor("two_level"),
         )
-        system = System(
-            dvfs_quad(), make_workload("MTMI", 8, seed=0), balancer,
-            SimulationConfig(kernel="reference"),
-        )
+        with reference_kernel():
+            system = System(dvfs_quad(), make_workload("MTMI", 8, seed=0), balancer)
         result = system.run(n_epochs=6)
         # The first view carries no measurements, so it never reaches
         # the balance phase; every later one is skipped there.
@@ -173,8 +171,9 @@ class TestKernelEquivalence:
     def test_soa_matches_reference_under_opp_changes(self, strategy):
         """The SoA engine's on_core_type_changed path must track
         mid-run OPP re-basing exactly."""
-        reference = execute_spec(spec(strategy, kernel="reference"))
-        soa = execute_spec(spec(strategy, kernel="soa"))
+        with reference_kernel():
+            reference = execute_spec(spec(strategy))
+        soa = execute_spec(spec(strategy))
         assert reference.governor["opp_changes"] > 0
         assert metrics_digest(reference) == metrics_digest(soa)
 

@@ -67,30 +67,10 @@ class TestChargeExecution:
 
 
 class TestSleepAndReset:
-    def test_sleep_charges_sleep_cycles_only(self):
-        block = CounterBlock()
-        block.charge_sleep(BIG, 0.01)
-        assert block.cy_sleep == pytest.approx(0.01 * BIG.freq_hz)
-        assert block.instructions == 0.0
-
-    def test_reset_zeroes_everything(self):
-        block = charged_block()
-        block.reset()
-        assert all(
-            getattr(block, name) == 0.0 for name in block.__dataclass_fields__
-        )
-
-    def test_merge_adds(self):
-        a = charged_block(duration=0.01)
-        b = charged_block(duration=0.02)
-        total = a.instructions + b.instructions
-        a.merge(b)
-        assert a.instructions == pytest.approx(total)
-
     def test_snapshot_is_independent(self):
         block = charged_block()
         snap = block.snapshot()
-        block.reset()
+        block.instructions = 0.0
         assert snap.instructions > 0.0
 
 

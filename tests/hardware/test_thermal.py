@@ -248,6 +248,9 @@ class TestKernelIntegration:
         """End-to-end lock: the SoA kernel's vectorised thermal path is
         digest-identical to the reference kernel's scalar ThermalState
         stepping."""
+        import contextlib
+
+        from reference_kernel import reference_kernel
         from repro.hardware.platform import quad_hmp
         from repro.kernel.simulator import SimulationConfig, System
         from repro.runner.factories import make_balancer
@@ -255,13 +258,15 @@ class TestKernelIntegration:
         from repro.workload.synthetic import imb_threads
 
         digests = {}
-        for kernel in ("reference", "soa"):
-            system = System(
-                quad_hmp(),
-                imb_threads("HTLI", 8),
-                make_balancer("smartbalance"),
-                SimulationConfig(thermal_enabled=True, kernel=kernel),
-            )
+        engines = {"reference": reference_kernel(), "soa": contextlib.nullcontext()}
+        for kernel, engine in engines.items():
+            with engine:
+                system = System(
+                    quad_hmp(),
+                    imb_threads("HTLI", 8),
+                    make_balancer("smartbalance"),
+                    SimulationConfig(thermal_enabled=True),
+                )
             digests[kernel] = metrics_digest(system.run(n_epochs=6))
         assert digests["soa"] == digests["reference"]
 

@@ -1,33 +1,34 @@
-"""Tests for the per-core CFS run queue and fluid allocation."""
+"""Tests for the per-core CFS run queue and fluid allocation.
+
+The run queue's membership lives in :class:`repro.kernel.cfs.CfsRunQueue`;
+the period semantics are the reference kernel's
+(``reference_kernel.py``), the oracle the SoA engine is held to.
+"""
 
 import pytest
 
+from reference_kernel import RefQueue, RefTask, fair_shares
 from repro.hardware.platform import Core
 from repro.hardware.features import BIG, MEDIUM, SMALL
-from repro.kernel.cfs import (
-    CACHE_WARMUP_S,
-    CONTEXT_SWITCH_COST_S,
-    CfsRunQueue,
-    fair_shares,
-)
+from repro.kernel.cfs import CACHE_WARMUP_S, CONTEXT_SWITCH_COST_S, CfsRunQueue
 from repro.kernel.task import Task, TaskState
 from repro.workload.characteristics import COMPUTE_PHASE, MEMORY_PHASE
 from repro.workload.demand import with_duty
 from repro.workload.thread import steady_thread
 
 
-def make_task(tid=0, duty=1.0, weight=1.0, total=None) -> Task:
+def make_task(tid=0, duty=1.0, weight=1.0, total=None) -> RefTask:
     phase = with_duty(COMPUTE_PHASE, duty=duty)
     behavior = steady_thread(f"t{tid}", phase, total_instructions=total)
     behavior = behavior.__class__(
         name=behavior.name, schedule=behavior.schedule,
         total_instructions=behavior.total_instructions, nice_weight=weight,
     )
-    return Task(tid=tid, behavior=behavior, core_id=0, state=TaskState.ACTIVE)
+    return RefTask(Task(tid=tid, behavior=behavior, core_id=0, state=TaskState.ACTIVE))
 
 
-def make_queue(core_type=BIG) -> CfsRunQueue:
-    return CfsRunQueue(Core(core_id=0, core_type=core_type))
+def make_queue(core_type=BIG) -> RefQueue:
+    return RefQueue(CfsRunQueue(Core(core_id=0, core_type=core_type)))
 
 
 class TestFairShares:
@@ -71,16 +72,16 @@ class TestFairShares:
 
 class TestEnqueueDequeue:
     def test_enqueue_sets_core(self):
-        queue = make_queue()
-        task = make_task()
+        queue = CfsRunQueue(Core(core_id=0, core_type=BIG))
+        task = make_task().task
         task.core_id = 99
         queue.enqueue(task)
         assert task.core_id == 0
         assert queue.nr_running() == 1
 
     def test_double_enqueue_rejected(self):
-        queue = make_queue()
-        task = make_task()
+        queue = CfsRunQueue(Core(core_id=0, core_type=BIG))
+        task = make_task().task
         queue.enqueue(task)
         with pytest.raises(ValueError):
             queue.enqueue(task)
@@ -189,8 +190,8 @@ class TestSchedulePeriod:
 
         def memory_task(tid):
             behavior = steady_thread(f"m{tid}", MEMORY_PHASE)
-            return Task(tid=tid, behavior=behavior, core_id=0,
-                        state=TaskState.ACTIVE)
+            return RefTask(Task(tid=tid, behavior=behavior, core_id=0,
+                                state=TaskState.ACTIVE))
 
         cold = memory_task(0)
         cold.warmup_remaining_s = 100.0  # stays cold all period
@@ -218,8 +219,6 @@ class TestEpochAccounting:
         assert queue.total_energy_j > 0.0  # lifetime survives
 
     def test_load_reflects_utilization(self):
-        queue = make_queue()
-        task = make_task()
-        task.utilization = 0.8
-        queue.enqueue(task)
-        assert queue.load() == pytest.approx(0.8)
+        queue = CfsRunQueue(Core(core_id=0, core_type=BIG))
+        queue.enqueue(make_task().task)
+        assert queue.load([0.8]) == pytest.approx(0.8)

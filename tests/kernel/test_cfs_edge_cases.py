@@ -1,17 +1,19 @@
-"""CFS run-queue edge cases, pinned against both kernels.
+"""CFS run-queue edge cases, pinned against the reference kernel.
 
 Each scenario here is a boundary condition of the scheduling core that
-the structure-of-arrays refactor could plausibly mishandle — empty
+the structure-of-arrays engine could plausibly mishandle — empty
 masks, single-lane reductions, one hot queue against many empty ones,
 denormal-range weights.  Every test asserts (a) the physics is sane
-and (b) the SoA digest equals the reference digest, so a regression in
-either kernel trips it.
+and (b) the SoA digest equals the reference-kernel oracle's digest, so
+a regression in either trips it.
 """
 
+import contextlib
 import math
 
 import pytest
 
+from reference_kernel import reference_kernel
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.factories import make_balancer, make_platform
 from repro.runner.serialize import metrics_digest
@@ -19,23 +21,21 @@ from repro.workload.characteristics import COMPUTE_PHASE, MEMORY_PHASE
 from repro.workload.phases import PhaseSchedule
 from repro.workload.thread import ThreadBehavior, steady_thread
 
-KERNELS = ("reference", "soa")
-
-
-def run(kernel, behaviors, platform="quad", balancer="vanilla", n_epochs=2):
-    system = System(
-        make_platform(platform),
-        behaviors,
-        make_balancer(balancer),
-        SimulationConfig(seed=0, kernel=kernel),
-    )
+def run(engine, behaviors, platform="quad", balancer="vanilla", n_epochs=2):
+    with engine:
+        system = System(
+            make_platform(platform),
+            behaviors,
+            make_balancer(balancer),
+            SimulationConfig(seed=0),
+        )
     return system.run(n_epochs=n_epochs)
 
 
 def both_kernels(behaviors, **kwargs):
     """Run both kernels, assert digest identity, return the results."""
-    ref = run("reference", behaviors, **kwargs)
-    soa = run("soa", behaviors, **kwargs)
+    ref = run(reference_kernel(), behaviors, **kwargs)
+    soa = run(contextlib.nullcontext(), behaviors, **kwargs)
     assert metrics_digest(soa) == metrics_digest(ref)
     return ref, soa
 

@@ -56,7 +56,7 @@ class TestMigrationMechanics:
         balancer = OneShotMigrator(target_core=2)
         system = System(quad_hmp(), [steady_thread("t", MEMORY_PHASE)], balancer)
         system.migrate(system.tasks[0], 1)
-        assert system.tasks[0].warmup_remaining_s == pytest.approx(
+        assert system.engine.warmup[0] == pytest.approx(
             CACHE_WARMUP_S + MIGRATION_KERNEL_COST_S
         )
 

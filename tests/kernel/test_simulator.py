@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import quad_hmp
 from repro.hardware.sensors import NoiseModel
 from repro.kernel.balancers.base import LoadBalancer, NullBalancer
@@ -25,6 +26,11 @@ def make_system(n_threads=4, balancer=None, config=None) -> System:
         balancer or NullBalancer(),
         config,
     )
+
+
+def true_counters(system: System, tid: int) -> CounterBlock:
+    """Ground-truth window counters of ``tid``, from the engine."""
+    return CounterBlock(*system.engine.t_cnt[tid].tolist())
 
 
 class TestConstruction:
@@ -110,7 +116,7 @@ class TestRun:
         system = System(quad_hmp(), behaviors, NullBalancer())
         system.run(n_epochs=2)
         assert system.tasks[0].state is TaskState.EXITED
-        assert system.tasks[0].total_instructions == pytest.approx(1e6, rel=1e-6)
+        assert system.engine.total_instr[0] == pytest.approx(1e6, rel=1e-6)
 
     def test_pending_task_arrives_mid_run(self):
         behaviors = [
@@ -120,7 +126,7 @@ class TestRun:
         system = System(quad_hmp(), behaviors, NullBalancer())
         system.run(n_epochs=3)
         assert system.tasks[1].state is TaskState.ACTIVE
-        assert system.tasks[1].total_instructions > 0.0
+        assert system.engine.total_instr[1] > 0.0
 
     def test_kernel_threads_excluded_from_user_instructions(self):
         config = SimulationConfig(os_noise_tasks=2)
@@ -156,7 +162,7 @@ class TestMigration:
         task = system.tasks[0]
         system.migrate(task, 3)
         assert task.core_id == 3
-        assert task.warmup_remaining_s > 0.0
+        assert system.engine.warmup[task.tid] > 0.0
         assert task.migrations == 1
         assert system.total_migrations == 1
 
@@ -175,6 +181,17 @@ class TestMigration:
         system.tasks[0].state = TaskState.EXITED
         moved = system.apply_placement({0: 2})
         assert moved == 0
+
+    @pytest.mark.parametrize("tid", [-1, 7])
+    def test_apply_placement_rejects_unknown_tid(self, tid):
+        """A tid outside [0, n_tasks) is refused before any migration,
+        even when a valid move is listed first."""
+        system = make_system()
+        before = [t.core_id for t in system.tasks]
+        with pytest.raises(ValueError, match="unknown task"):
+            system.apply_placement({0: 2, tid: 0})
+        assert [t.core_id for t in system.tasks] == before
+        assert system.total_migrations == 0
 
     def test_vanilla_run_migrates(self):
         system = make_system(5, balancer=VanillaBalancer())
@@ -202,7 +219,7 @@ class TestView:
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:
-            truth = system.tasks[task_view.tid].counters.instructions
+            truth = true_counters(system, task_view.tid).instructions
             if truth > 0:
                 assert task_view.counters.instructions == pytest.approx(
                     truth, rel=0.3
@@ -213,7 +230,7 @@ class TestView:
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:
-            truth = system.tasks[task_view.tid].counters.instructions
+            truth = true_counters(system, task_view.tid).instructions
             assert task_view.counters.instructions == truth
 
     def test_view_power_attribution(self):
@@ -221,9 +238,9 @@ class TestView:
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:
-            task = system.tasks[task_view.tid]
-            if task.counters.busy_time_s > 0:
-                expected = task.epoch_energy_j / task.counters.busy_time_s
+            busy = true_counters(system, task_view.tid).busy_time_s
+            if busy > 0:
+                expected = system.engine.epoch_energy[task_view.tid] / busy
                 assert task_view.power_w == pytest.approx(expected)
 
     def test_placement_map(self):

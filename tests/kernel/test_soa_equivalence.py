@@ -1,10 +1,11 @@
 """Differential equivalence: SoA kernel vs reference kernel.
 
 The structure-of-arrays engine (:mod:`repro.kernel.soa`) promises
-**bit identity** with the object-per-task reference path: for any
-platform, workload, balancer, seed and fault schedule, the two kernels
-must produce byte-for-byte equal :func:`metrics_digest` fingerprints.
-This file is the lock on that promise.
+**bit identity** with the object-per-task reference kernel
+(``reference_kernel.py``, the test oracle): for any platform, workload,
+balancer, seed and fault schedule, the two kernels must produce
+byte-for-byte equal :func:`metrics_digest` fingerprints.  This file is
+the lock on that promise.
 
 * Hypothesis fuzzes the full cross-product — platform shapes up to
   1024 cores, steady/phased/arriving/pinned/weighted workloads, every
@@ -15,13 +16,16 @@ This file is the lock on that promise.
   would dominate fuzz wall-clock if sampled freely.
 
 Equivalence failures print both digests; rerun the shrunken example
-with ``--kernel reference`` / ``--kernel soa`` to bisect.
+under ``reference_kernel()`` and plainly to bisect (``docs/kernel.md``).
 """
+
+import contextlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_kernel import reference_kernel
 from repro.faults import SCENARIOS, scenario
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.factories import make_balancer, make_platform, make_workload
@@ -62,7 +66,7 @@ FUZZ_SCENARIOS = (
 
 
 def run_digest(
-    kernel,
+    engine,
     platform,
     behaviors,
     balancer="none",
@@ -72,7 +76,7 @@ def run_digest(
     workload_scenario=None,
     **config_kwargs,
 ):
-    """Digest of one complete run under the given kernel."""
+    """Digest of one complete run inside the ``engine`` context."""
     plat = make_platform(platform)
     plan = None
     if faults is not None:
@@ -82,9 +86,7 @@ def run_digest(
             n_cores=len(plat.cores),
             duration_s=n_epochs * 0.06,
         )
-    config = SimulationConfig(
-        seed=seed, kernel=kernel, faults=plan, **config_kwargs
-    )
+    config = SimulationConfig(seed=seed, faults=plan, **config_kwargs)
     scenario_rt = None
     if workload_scenario is not None:
         from repro.scenarios import build_scenario
@@ -97,15 +99,16 @@ def run_digest(
             periods_per_epoch=config.periods_per_epoch,
             n_epochs=n_epochs,
         )
-    system = System(
-        plat, behaviors, make_balancer(balancer), config, scenario=scenario_rt
-    )
+    with engine:
+        system = System(
+            plat, behaviors, make_balancer(balancer), config, scenario=scenario_rt
+        )
     return metrics_digest(system.run(n_epochs=n_epochs))
 
 
 def assert_equivalent(platform, behaviors, **kwargs):
-    ref = run_digest("reference", platform, behaviors, **kwargs)
-    soa = run_digest("soa", platform, behaviors, **kwargs)
+    ref = run_digest(reference_kernel(), platform, behaviors, **kwargs)
+    soa = run_digest(contextlib.nullcontext(), platform, behaviors, **kwargs)
     assert soa == ref, (
         f"kernel divergence on {platform} ({len(behaviors)} threads, "
         f"{kwargs}): reference={ref} soa={soa}"
@@ -307,15 +310,17 @@ class TestScenarioEquivalence:
 
         digests = {}
         stats = {}
-        for kernel in ("reference", "soa"):
+        engines = {"reference": reference_kernel(), "soa": contextlib.nullcontext()}
+        for kernel, engine in engines.items():
             behaviors, runtime = build()
-            system = System(
-                make_platform("quad"),
-                behaviors,
-                make_balancer("none"),
-                SimulationConfig(seed=0, kernel=kernel),
-                scenario=runtime,
-            )
+            with engine:
+                system = System(
+                    make_platform("quad"),
+                    behaviors,
+                    make_balancer("none"),
+                    SimulationConfig(seed=0),
+                    scenario=runtime,
+                )
             digests[kernel] = metrics_digest(system.run(n_epochs=3))
             stats[kernel] = runtime.stats()
         assert digests["reference"] == digests["soa"]
@@ -336,9 +341,10 @@ class TestScenarioEquivalence:
         from repro.workload.characteristics import COMPUTE_PHASE
         from repro.workload.thread import steady_thread
 
-        for kernel in ("reference", "soa"):
+        engines = {"reference": reference_kernel, "soa": contextlib.nullcontext}
+        for kernel, engine in engines.items():
             plat = make_platform("quad")
-            config = SimulationConfig(seed=0, kernel=kernel)
+            config = SimulationConfig(seed=0)
             metrics = []
             for scenario_text in ("smt:cores=all,corunners=0", None):
                 behaviors = [steady_thread("solo", COMPUTE_PHASE)]
@@ -352,10 +358,11 @@ class TestScenarioEquivalence:
                         periods_per_epoch=config.periods_per_epoch,
                         n_epochs=2,
                     )
-                system = System(
-                    plat, behaviors, make_balancer("none"), config,
-                    scenario=scenario_rt,
-                )
+                with engine():
+                    system = System(
+                        plat, behaviors, make_balancer("none"), config,
+                        scenario=scenario_rt,
+                    )
                 data = metrics_dict(system.run(n_epochs=2))
                 data.pop("scenario", None)
                 metrics.append(data)

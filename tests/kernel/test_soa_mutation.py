@@ -2,14 +2,18 @@
 
 A differential harness is vacuous if the fingerprint it compares is
 insensitive to the state it claims to cover.  These tests perturb one
-cell of one SoA array mid-epoch — via the engine's ``on_period_hook``
-test seam — and assert the run's :func:`metrics_digest` diverges from
-the unperturbed reference.  If a refactor ever stops folding an array
-into the observable results, the corresponding test here fails even
-though every equivalence test still (vacuously) passes.
+cell of one SoA array mid-epoch — by swapping in a ``SoaKernel``
+subclass whose ``simulate_period`` mutates the arrays after a chosen
+period, through the same substitution that installs the reference
+kernel — and assert the run's :func:`metrics_digest` diverges from the
+unperturbed one.  If a refactor ever stops folding an array into the
+observable results, the corresponding test here fails even though
+every equivalence test still (vacuously) passes.
 """
 
+from reference_kernel import kernel_engine, reference_kernel
 from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.soa import SoaKernel
 from repro.runner.factories import make_balancer, make_platform, make_workload
 from repro.runner.serialize import metrics_digest
 
@@ -21,12 +25,12 @@ N_EPOCHS = 2
 PERTURB_PERIOD = 3  # mid-epoch: after some periods, before sensing
 
 
-def build(kernel, balancer="vanilla"):
+def build(balancer="vanilla"):
     return System(
         make_platform("quad"),
         make_workload("MTMI", 6, seed=0),
         make_balancer(balancer),
-        SimulationConfig(seed=0, kernel=kernel),
+        SimulationConfig(seed=0),
     )
 
 
@@ -35,20 +39,34 @@ def digest(system):
 
 
 def perturbed_digest(mutate, balancer="vanilla"):
-    system = build("soa", balancer)
+    """Digest of a SoA run whose arrays ``mutate`` edits once, right
+    after period ``PERTURB_PERIOD``."""
 
-    def hook(engine, period_index):
-        if period_index == PERTURB_PERIOD:
-            mutate(engine)
+    class PerturbedKernel(SoaKernel):
+        periods = 0
 
-    system.engine.on_period_hook = hook
+        def simulate_period(self, period_s):
+            result = super().simulate_period(period_s)
+            if self.periods == PERTURB_PERIOD:
+                mutate(self)
+            self.periods += 1
+            return result
+
+    with kernel_engine(PerturbedKernel):
+        system = build(balancer)
+    return digest(system)
+
+
+def reference_digest(balancer="vanilla"):
+    with reference_kernel():
+        system = build(balancer)
     return digest(system)
 
 
 class TestMutationsDiverge:
     def test_clean_soa_matches_reference(self):
         """Baseline for the tests below: unperturbed runs agree."""
-        assert digest(build("soa")) == digest(build("reference"))
+        assert digest(build()) == reference_digest()
 
     def test_counter_cell_perturbation_diverges(self):
         """+1e9 phantom instructions in one task's counter bank must
@@ -59,7 +77,7 @@ class TestMutationsDiverge:
         def mutate(engine):
             engine.t_cnt[0, INSTR_COL] += 1e9
 
-        ref = digest(build("reference", balancer="smartbalance"))
+        ref = reference_digest(balancer="smartbalance")
         assert perturbed_digest(mutate, balancer="smartbalance") != ref
 
     def test_progress_cell_perturbation_diverges(self):
@@ -69,7 +87,7 @@ class TestMutationsDiverge:
         def mutate(engine):
             engine.progress[0] += 5e8
 
-        assert perturbed_digest(mutate) != digest(build("reference"))
+        assert perturbed_digest(mutate) != reference_digest()
 
     def test_energy_cell_perturbation_diverges(self):
         """A phantom joule in one task's energy accumulator must
@@ -78,13 +96,4 @@ class TestMutationsDiverge:
         def mutate(engine):
             engine.total_energy[0] += 1.0
 
-        assert perturbed_digest(mutate) != digest(build("reference"))
-
-    def test_hook_is_periodic_not_oneshot(self):
-        """The seam fires every period with the running index."""
-        system = build("soa", balancer="none")
-        seen = []
-        system.engine.on_period_hook = lambda engine, i: seen.append(i)
-        system.run(n_epochs=1)
-        assert seen == list(range(len(seen)))
-        assert len(seen) == system.config.periods_per_epoch
+        assert perturbed_digest(mutate) != reference_digest()

@@ -129,15 +129,12 @@ class TestRefusals:
         with pytest.raises(ApiError, match="unknown config field"):
             spec_from_payload({"workload": "MTMI", "config": {"warp": 9}})
 
-    def test_config_kernel_is_checked_by_the_config(self):
-        with pytest.raises(ApiError, match="kernel must be") as excinfo:
-            spec_from_payload({"workload": "MTMI", "config": {"kernel": "warp"}})
+    def test_config_kernel_is_an_unknown_field(self):
+        """There is one kernel engine, so ``config.kernel`` is refused
+        like any other unknown config field."""
+        with pytest.raises(ApiError, match="unknown config field") as excinfo:
+            spec_from_payload({"workload": "MTMI", "config": {"kernel": "soa"}})
         assert excinfo.value.field == "config"
-
-    def test_config_kernel_must_be_a_string(self):
-        with pytest.raises(ApiError, match="a string") as excinfo:
-            spec_from_payload({"workload": "MTMI", "config": {"kernel": 1}})
-        assert excinfo.value.field == "kernel"
 
     def test_config_bad_noise_model(self):
         with pytest.raises(ApiError) as excinfo:

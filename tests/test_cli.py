@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from reference_kernel import reference_kernel
 from repro.cli import main, make_balancer, make_platform, make_workload
 from repro.obs import validate_events
 from repro.obs.export import read_jsonl
@@ -80,20 +81,23 @@ class TestCommands:
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out) == first
 
-    def test_run_kernel_flag_digest_identity(self, capsys):
-        """--kernel reference and --kernel soa agree byte-for-byte."""
-        docs = {}
-        for kernel in ("reference", "soa"):
-            args = ["run", "--workload", "MTMI", "--threads", "4",
-                    "--balancer", "vanilla", "--epochs", "3",
-                    "--kernel", kernel, "--json"]
+    def test_run_json_matches_reference_kernel(self, capsys):
+        """The CLI's JSON document is byte-identical when the run goes
+        through the reference kernel instead of the SoA engine."""
+        args = ["run", "--workload", "MTMI", "--threads", "4",
+                "--balancer", "vanilla", "--epochs", "3", "--json"]
+        assert main(args) == 0
+        soa = capsys.readouterr().out
+        with reference_kernel():
             assert main(args) == 0
-            docs[kernel] = json.loads(capsys.readouterr().out)
-        assert docs["reference"] == docs["soa"]
+        assert capsys.readouterr().out == soa
 
-    def test_run_rejects_unknown_kernel(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--workload", "MTMI", "--kernel", "scalar"])
+    def test_run_rejects_kernel_flag(self, capsys):
+        """There is one kernel engine, so ``--kernel`` is no option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "MTMI", "--kernel", "soa"])
+        assert excinfo.value.code != 0
+        assert "--kernel" in capsys.readouterr().err
 
     def test_run_preset_platform_hmp256(self, capsys):
         code = main(

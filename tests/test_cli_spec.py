@@ -84,7 +84,7 @@ SMART_FLAGS = {
     "command,expected",
     [
         ("run", KNOB_FLAGS | SMART_FLAGS | {
-            "-h", "--help", "--trace", "--trace-out", "--kernel", "--json",
+            "-h", "--help", "--trace", "--trace-out", "--json",
         }),
         ("submit", KNOB_FLAGS | SMART_FLAGS | {
             "-h", "--help", "--host", "--port", "--priority", "--timeout",
