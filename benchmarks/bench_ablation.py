@@ -111,8 +111,7 @@ def bench_ablation_epoch_length(benchmark, periods_per_epoch):
 
     def run_smart():
         config = SimulationConfig(periods_per_epoch=periods_per_epoch)
-        balancer = SmartBalance(epoch_periods=periods_per_epoch)
-        system = System(platform, imb_threads("MTMI", 8), balancer, config)
+        system = System(platform, imb_threads("MTMI", 8), SmartBalance(), config)
         return system.run(duration_s=1.2)
 
     result = benchmark.pedantic(run_smart, rounds=1, iterations=1)

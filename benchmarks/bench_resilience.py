@@ -13,7 +13,6 @@ The acceptance bar for the fault-injection framework:
 
 import dataclasses
 
-from repro.core.config import ResilienceConfig
 from repro.experiments import resilience as resilience_exp
 from repro.experiments.resilience import RETENTION_FLOOR, retention_under, run_one
 from repro.faults import SCENARIOS, scenario
@@ -54,8 +53,8 @@ def bench_resilience_seed_reproducibility(benchmark):
     plan = scenario("combined", seed=0, n_cores=4, duration_s=duration_s)
 
     def twice():
-        first = run_one(plan, ResilienceConfig(), seed=0)
-        second = run_one(plan, ResilienceConfig(), seed=0)
+        first = run_one(plan, mitigations=True, seed=0)
+        second = run_one(plan, mitigations=True, seed=0)
         return first, second
 
     first, second = benchmark.pedantic(twice, rounds=1, iterations=1)

@@ -15,7 +15,7 @@ Run:  python examples/resilience.py
 
 from repro.analysis import format_table
 from repro.core.balancer import SmartBalance
-from repro.core.config import ResilienceConfig, SmartBalanceConfig
+from repro.core.config import SmartBalanceConfig
 from repro.faults import scenario
 from repro.hardware.platform import quad_hmp
 from repro.kernel.simulator import SimulationConfig, System
@@ -24,10 +24,8 @@ from repro.workload.generator import random_thread_set
 N_EPOCHS = 16
 
 
-def run_once(plan, resilience: ResilienceConfig, seed: int = 0):
-    balancer = SmartBalance(
-        config=SmartBalanceConfig(resilience=resilience)
-    )
+def run_once(plan, mitigations: bool, seed: int = 0):
+    balancer = SmartBalance(config=SmartBalanceConfig(mitigations=mitigations))
     system = System(
         quad_hmp(),
         random_thread_set(6, seed=42),
@@ -41,9 +39,9 @@ def main() -> None:
     duration_s = N_EPOCHS * SimulationConfig().epoch_s
     plan = scenario("combined", seed=0, n_cores=4, duration_s=duration_s)
 
-    fault_free = run_once(None, ResilienceConfig())
-    mitigated = run_once(plan, ResilienceConfig())
-    unmitigated = run_once(plan, ResilienceConfig.disabled())
+    fault_free = run_once(None, mitigations=True)
+    mitigated = run_once(plan, mitigations=True)
+    unmitigated = run_once(plan, mitigations=False)
 
     rows = []
     for label, result in (

@@ -14,13 +14,13 @@ package keeps them honest without giving up determinism:
   drives: ingest → detect → gated re-fit → probation/rollback, plus
   the watchdog's repair-before-fallback handoff.
 
-Everything is opt-in: with ``AdaptationConfig(enabled=False)`` (the
-default) no controller is created and runs are byte-identical to a
-build without this package.
+Everything is opt-in: with ``SmartBalanceConfig(adaptation=False)``
+(the default) no controller is created and runs are byte-identical to
+a build without this package.  The loop's tuning values are module
+constants of :mod:`~repro.adaptation.controller`.
 """
 
 from repro.adaptation.controller import (
-    AdaptationConfig,
     AdaptationController,
     EpochReport,
     PairSample,
@@ -36,7 +36,6 @@ from repro.adaptation.registry import (
 from repro.adaptation.rls import RLSUpdater, batch_ridge
 
 __all__ = [
-    "AdaptationConfig",
     "AdaptationController",
     "EpochReport",
     "PairSample",

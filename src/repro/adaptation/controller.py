@@ -17,12 +17,12 @@ the Eq. 8/9 predictors honest at runtime:
    single-epoch noise.
 3. **Re-fit, gated** — a candidate model is assembled from every RLS
    updater that has reached its confidence threshold
-   (``min_pair_samples`` / ``min_power_samples``); pairs without
+   (:data:`MIN_PAIR_SAMPLES` / :data:`MIN_POWER_SAMPLES`); pairs without
    enough evidence keep their offline coefficients.  The candidate
    must beat the active model on the held-out buffers by
-   ``min_refit_improvement`` or it is discarded.
+   :data:`MIN_REFIT_IMPROVEMENT` or it is discarded.
 4. **Probation + rollback** — a committed candidate is monitored for
-   ``probation_epochs``; if fresh held-out error shows it *worse* than
+   :data:`PROBATION_EPOCHS`; if fresh held-out error shows it *worse* than
    its parent, the registry rolls back to the parent's byte-identical
    coefficients (:mod:`repro.adaptation.registry`).
 
@@ -55,79 +55,42 @@ from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
 
 
-@dataclass(frozen=True)
-class AdaptationConfig:
-    """Knobs of the online model-maintenance loop.
+# Tuning values of the maintenance loop.  Each is read when it is used,
+# so a test can monkeypatch it on this module.
 
-    ``enabled=False`` (the default) makes the whole subsystem inert:
-    the balancer never instantiates a controller and its decisions are
-    byte-identical to a build without this module.
-    """
-
-    enabled: bool = False
-    #: EW-RLS forgetting factor (1.0 = equal-weight, the batch-
-    #: equivalent setting; < 1 tracks drift with geometric memory).
-    forgetting: float = 0.995
-    #: Initial covariance scale of the RLS prior (see RLSUpdater.p0).
-    p0: float = 1e4
-    #: Cross-type samples a (src, dst) pair must accumulate before its
-    #: online coefficients are trusted into a candidate model.  Cross-
-    #: type samples only flow on migrations (a few per epoch at best),
-    #: so this gate dominates repair latency; the RLS prior plus the
-    #: held-out commit gate keep small-sample candidates safe.
-    min_pair_samples: int = 6
-    #: (IPC, power) samples a core type needs before its Eq. 9 line is
-    #: re-fitted.
-    min_power_samples: int = 12
-    #: Page–Hinkley slack per sample (relative-error units).
-    drift_delta: float = 0.02
-    #: Page–Hinkley alarm threshold.
-    drift_threshold: float = 0.8
-    #: Samples before a drift detector may fire.
-    drift_min_samples: int = 6
-    #: Held-out ring-buffer depth per pair / per type.
-    holdout_window: int = 48
-    #: Relative held-out error reduction a candidate must deliver to be
-    #: committed (0.05 = at least 5 % better than the active model).
-    min_refit_improvement: float = 0.05
-    #: Epochs a freshly committed model is monitored against its
-    #: parent before it is accepted for good.
-    probation_epochs: int = 4
-    #: Rollback when the committed model's fresh held-out error exceeds
-    #: its parent's by this factor during probation.
-    probation_tolerance: float = 1.05
-    #: Minimum epochs between re-fit attempts (commit or reject).
-    refit_cooldown_epochs: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError(
-                f"forgetting must be in (0, 1], got {self.forgetting}"
-            )
-        if self.p0 <= 0:
-            raise ValueError(f"p0 must be positive, got {self.p0}")
-        for name in ("min_pair_samples", "min_power_samples",
-                     "drift_min_samples", "holdout_window",
-                     "probation_epochs", "refit_cooldown_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.drift_delta < 0:
-            raise ValueError(
-                f"drift_delta must be non-negative, got {self.drift_delta}"
-            )
-        if self.drift_threshold <= 0:
-            raise ValueError(
-                f"drift_threshold must be positive, got {self.drift_threshold}"
-            )
-        if self.min_refit_improvement < 0:
-            raise ValueError(
-                "min_refit_improvement must be non-negative, got "
-                f"{self.min_refit_improvement}"
-            )
-        if self.probation_tolerance < 1.0:
-            raise ValueError(
-                f"probation_tolerance must be >= 1, got {self.probation_tolerance}"
-            )
+#: EW-RLS forgetting factor (1.0 = equal-weight, the batch-equivalent
+#: setting; < 1 tracks drift with geometric memory).
+FORGETTING = 0.995
+#: Initial covariance scale of the RLS prior (see RLSUpdater.p0).
+P0 = 1e4
+#: Cross-type samples a (src, dst) pair must accumulate before its
+#: online coefficients are trusted into a candidate model.  Cross-type
+#: samples only flow on migrations (a few per epoch at best), so this
+#: gate dominates repair latency; the RLS prior plus the held-out
+#: commit gate keep small-sample candidates safe.
+MIN_PAIR_SAMPLES = 6
+#: (IPC, power) samples a core type needs before its Eq. 9 line is
+#: re-fitted.
+MIN_POWER_SAMPLES = 12
+#: Page–Hinkley slack per sample (relative-error units).
+DRIFT_DELTA = 0.02
+#: Page–Hinkley alarm threshold.
+DRIFT_THRESHOLD = 0.8
+#: Samples before a drift detector may fire.
+DRIFT_MIN_SAMPLES = 6
+#: Held-out ring-buffer depth per pair / per type.
+HOLDOUT_WINDOW = 48
+#: Relative held-out error reduction a candidate must deliver to be
+#: committed (0.05 = at least 5 % better than the active model).
+MIN_REFIT_IMPROVEMENT = 0.05
+#: Epochs a freshly committed model is monitored against its parent
+#: before it is accepted for good.
+PROBATION_EPOCHS = 4
+#: Rollback when the committed model's fresh held-out error exceeds its
+#: parent's by this factor during probation.
+PROBATION_TOLERANCE = 1.05
+#: Minimum epochs between re-fit attempts (commit or reject).
+REFIT_COOLDOWN_EPOCHS = 2
 
 
 @dataclass(frozen=True)
@@ -193,12 +156,7 @@ class _Probation:
 class AdaptationController:
     """Online recalibration of one :class:`PredictorModel`."""
 
-    def __init__(
-        self,
-        model: PredictorModel,
-        config: Optional[AdaptationConfig] = None,
-    ) -> None:
-        self.config = config or AdaptationConfig()
+    def __init__(self, model: PredictorModel) -> None:
         self.registry = ModelRegistry(model)
         self._theta_rls: "dict[tuple[str, str], RLSUpdater]" = {}
         self._power_rls: "dict[str, RLSUpdater]" = {}
@@ -245,8 +203,8 @@ class AdaptationController:
             prior = self.registry.get(0).model.theta.get(pair)
             updater = RLSUpdater(
                 N_FEATURES,
-                forgetting=self.config.forgetting,
-                p0=self.config.p0,
+                forgetting=FORGETTING,
+                p0=P0,
                 prior=prior,
             )
             self._theta_rls[pair] = updater
@@ -259,8 +217,8 @@ class AdaptationController:
             prior = None if line is None else (line.alpha1, line.alpha0)
             updater = RLSUpdater(
                 2,
-                forgetting=self.config.forgetting,
-                p0=self.config.p0,
+                forgetting=FORGETTING,
+                p0=P0,
                 prior=prior,
             )
             self._power_rls[type_name] = updater
@@ -273,9 +231,9 @@ class AdaptationController:
         detector = self._detectors.get(key)
         if detector is None:
             detector = PageHinkley(
-                delta=self.config.drift_delta,
-                threshold=self.config.drift_threshold,
-                min_samples=self.config.drift_min_samples,
+                delta=DRIFT_DELTA,
+                threshold=DRIFT_THRESHOLD,
+                min_samples=DRIFT_MIN_SAMPLES,
             )
             self._detectors[key] = detector
         return detector
@@ -346,7 +304,7 @@ class AdaptationController:
         theta = dict(active.theta)
         for pair in sorted(self._theta_rls):
             updater = self._theta_rls[pair]
-            if updater.count >= self.config.min_pair_samples and pair in theta:
+            if updater.count >= MIN_PAIR_SAMPLES and pair in theta:
                 theta[pair] = updater.coefficients
                 updated_pairs.append(pair)
 
@@ -354,7 +312,7 @@ class AdaptationController:
         power_lines = dict(active.power_lines)
         for name in sorted(self._power_rls):
             updater = self._power_rls[name]
-            if updater.count >= self.config.min_power_samples and name in power_lines:
+            if updater.count >= MIN_POWER_SAMPLES and name in power_lines:
                 alpha1, alpha0 = updater.coefficients
                 power_lines[name] = PowerLine(
                     alpha1=float(alpha1), alpha0=float(alpha0)
@@ -418,7 +376,7 @@ class AdaptationController:
             y = 1.0 / max(sample.ipc, 1e-6)
             self._updater_for(pair).update(x, y)
             self._holdout.setdefault(
-                pair, deque(maxlen=self.config.holdout_window)
+                pair, deque(maxlen=HOLDOUT_WINDOW)
             ).append((np.asarray(sample.features, dtype=float).copy(),
                       float(sample.ipc)))
             lo, hi = self._ipc_seen.get(sample.dst, (sample.ipc, sample.ipc))
@@ -459,7 +417,7 @@ class AdaptationController:
                 (float(sample.ipc), 1.0), float(sample.power_w)
             )
             self._power_holdout.setdefault(
-                sample.type_name, deque(maxlen=self.config.holdout_window)
+                sample.type_name, deque(maxlen=HOLDOUT_WINDOW)
             ).append((float(sample.ipc), float(sample.power_w)))
 
         report = EpochReport(drifted_pairs=tuple(drifted), version=self.version)
@@ -520,7 +478,7 @@ class AdaptationController:
             return False  # judge the current candidate first
         if self._last_refit_epoch is None:
             return True
-        return epoch - self._last_refit_epoch >= self.config.refit_cooldown_epochs
+        return epoch - self._last_refit_epoch >= REFIT_COOLDOWN_EPOCHS
 
     def _attempt_refit(
         self, epoch: int, t_s: float, cause: str, oc: ObsContext
@@ -534,7 +492,7 @@ class AdaptationController:
         candidate_score = self._holdout_score(candidate)
         if active_score is None or candidate_score is None:
             return False
-        if candidate_score > active_score * (1.0 - self.config.min_refit_improvement):
+        if candidate_score > active_score * (1.0 - MIN_REFIT_IMPROVEMENT):
             self.refits_rejected += 1
             if oc.enabled:
                 oc.metrics.inc("adaptation.refits_rejected")
@@ -548,7 +506,7 @@ class AdaptationController:
         self._probation = _Probation(
             version=snapshot.version,
             parent=snapshot.parent,
-            epochs_left=self.config.probation_epochs,
+            epochs_left=PROBATION_EPOCHS,
             pairs=updated_pairs,
         )
         # The error regime the detectors learned is gone with the old
@@ -580,7 +538,7 @@ class AdaptationController:
         if (
             active_score is not None
             and parent_score is not None
-            and active_score > parent_score * self.config.probation_tolerance
+            and active_score > parent_score * PROBATION_TOLERANCE
         ):
             from_version = self.version
             snapshot = self.registry.rollback()

@@ -42,6 +42,64 @@ from repro.kernel.view import SystemView, TaskView
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
 
+# Fixed tuning values.  Each is read when it is used, so a test can
+# monkeypatch it on this module.
+
+#: Algorithm 1's inputs for every epoch's anneal; the epoch time budget
+#: (``SmartBalanceConfig.epoch_time_budget_s``) is the only per-epoch
+#: change.
+SA_CONFIG = SAConfig()
+#: Relative objective gain the annealer must find before the new
+#: allocation is adopted; guards against migration churn when the
+#: incumbent allocation is already near-optimal.  The paper's overhead
+#: analysis assumes ~50 % of threads migrate per epoch; a small
+#: threshold keeps migrations purposeful.
+MIN_IMPROVEMENT = 0.02
+#: Extra relative objective gain demanded per migrated thread (scaled
+#: by the fraction of threads moving).  Models the cache warm-up cost a
+#: migration actually incurs, so the balancer does not chase marginal
+#: predicted gains with real migrations.
+MIGRATION_PENALTY = 0.25
+#: EWMA weight of the newest epoch when smoothing per-thread
+#: characterisation rows across epochs.  Smoothing keeps the balancer
+#: targeting a thread's *time-averaged* behaviour instead of chasing
+#: phases faster than a migration can pay off.
+SMOOTHING = 0.4
+#: Median relative prediction error above which an epoch counts
+#: against the predictor watchdog.
+WATCHDOG_TOLERANCE = 0.6
+#: Consecutive out-of-band epochs that trip the watchdog.
+WATCHDOG_TRIP_EPOCHS = 3
+#: Consecutive in-band epochs that clear a tripped watchdog.
+WATCHDOG_RECOVERY_EPOCHS = 2
+#: Consecutive epochs a thread's samples may be rejected before the
+#: next one is accepted anyway.  A transient glitch (spike, wrap)
+#: clears within an epoch or two; an anomaly that persists is a regime
+#: change (e.g. invisible firmware throttling) and the "corrupt"
+#: readings are the new truth — staying blind to them forever would be
+#: worse than any fault.
+REBASELINE_EPOCHS = 3
+
+
+def adoption_threshold(
+    n_changes: int, participants: int, opp_gain: float = 0.0
+) -> float:
+    """The adoption gate: the factor by which a new decision's predicted
+    objective must beat the incumbent's.
+
+    :data:`MIN_IMPROVEMENT` guards against churn and
+    :data:`MIGRATION_PENALTY`, scaled by the fraction of the
+    ``participants`` that move, prices their cache warm-up.
+    ``opp_gain`` is the governor's hysteresis for switched clusters;
+    stock SmartBalance adds nothing.
+    """
+    return (
+        1.0
+        + MIN_IMPROVEMENT
+        + MIGRATION_PENALTY * n_changes / max(participants, 1)
+        + opp_gain
+    )
+
 
 @dataclass(frozen=True)
 class PhaseTimings:
@@ -72,7 +130,7 @@ class BalancerHealth:
     #: Rejected threads with no history, excluded for the epoch.
     threads_dropped: int = 0
     #: Samples accepted despite failing the checks because the same
-    #: thread had been rejected for ``rebaseline_epochs`` straight —
+    #: thread had been rejected for ``REBASELINE_EPOCHS`` straight —
     #: a persistent anomaly is treated as the new operating regime.
     samples_rebaselined: int = 0
     watchdog_trips: int = 0
@@ -122,22 +180,26 @@ class BalanceDecision:
 class SmartBalance(LoadBalancer):
     """Closed-loop sensing-driven load balancer (the paper's system).
 
-    Runs every ``epoch_periods`` CFS periods; ``predictor`` defaults to
-    the trained :func:`~repro.core.training.default_predictor`.
+    Decides once per simulator epoch, every
+    ``SimulationConfig.periods_per_epoch`` (L) CFS periods;
+    ``predictor`` defaults to the trained
+    :func:`~repro.core.training.default_predictor`.  ``config`` holds
+    the settings a run can choose; the fixed tuning values are this
+    module's constants (:data:`SA_CONFIG`, :data:`MIN_IMPROVEMENT`,
+    :data:`MIGRATION_PENALTY`, :data:`SMOOTHING`, the watchdog values
+    and :data:`REBASELINE_EPOCHS`).
     """
 
     name = "smartbalance"
+    #: Once per simulator epoch: ``System.run`` supplies L.
+    interval_periods = None
 
     def __init__(
         self,
         predictor: Optional[PredictorModel] = None,
         config: SmartBalanceConfig | None = None,
-        epoch_periods: int = 10,
         obs: Optional[ObsContext] = None,
     ) -> None:
-        if epoch_periods < 1:
-            raise ValueError(f"epoch_periods must be >= 1, got {epoch_periods}")
-        self.interval_periods = epoch_periods
         if predictor is None:
             predictor = default_predictor()
         self.predictor = predictor
@@ -174,10 +236,8 @@ class SmartBalance(LoadBalancer):
         #: the epoch's observations and swaps its own predictor when a
         #: re-fit commits or rolls back.
         self._adaptation: Optional[AdaptationController] = None
-        if self.config.adaptation.enabled:
-            self._adaptation = AdaptationController(
-                predictor, self.config.adaptation
-            )
+        if self.config.adaptation:
+            self._adaptation = AdaptationController(predictor)
         #: Per-tid ``(core-type name, feature vector)`` of the previous
         #: epoch's measurement, kept only while adaptation is on: a
         #: thread measured on type A one epoch and on type B the next is
@@ -300,9 +360,7 @@ class SmartBalance(LoadBalancer):
         survive the garbage collection so the last-good-row fallback
         can read them.
         """
-        beta = self.config.smoothing
-        if beta >= 1.0:
-            return matrices
+        beta = SMOOTHING
         ips = matrices.ips.copy()
         power = matrices.power.copy()
         util = matrices.utilization.copy()
@@ -375,13 +433,13 @@ class SmartBalance(LoadBalancer):
                 errors.append(abs(task.rates.ips - predicted) / predicted)
         if not errors:
             return
-        out_of_band = statistics.median(errors) > self.config.resilience.watchdog_tolerance
+        out_of_band = statistics.median(errors) > WATCHDOG_TOLERANCE
         if self._watchdog_tripped:
             if out_of_band:
                 self._watchdog_recoveries = 0
             else:
                 self._watchdog_recoveries += 1
-                if self._watchdog_recoveries >= self.config.resilience.watchdog_recovery_epochs:
+                if self._watchdog_recoveries >= WATCHDOG_RECOVERY_EPOCHS:
                     self._watchdog_tripped = False
                     self._watchdog_recoveries = 0
                     if self.obs.enabled:
@@ -394,7 +452,7 @@ class SmartBalance(LoadBalancer):
         else:
             if out_of_band:
                 self._watchdog_strikes += 1
-                if self._watchdog_strikes >= self.config.resilience.watchdog_trip_epochs:
+                if self._watchdog_strikes >= WATCHDOG_TRIP_EPOCHS:
                     self._watchdog_tripped = True
                     self._watchdog_strikes = 0
                     self.health.watchdog_trips += 1
@@ -550,10 +608,10 @@ class SmartBalance(LoadBalancer):
         Whatever sensing and predicting consumed since ``t0`` is gone;
         the balance phase gets only the remainder and truncates cleanly
         when it runs out.  Returns ``None`` when nothing is left (the
-        epoch keeps its incumbent) and ``config.sa`` itself when no
+        epoch keeps its incumbent) and :data:`SA_CONFIG` itself when no
         budget is set.
         """
-        sa_config = self.config.sa
+        sa_config = SA_CONFIG
         if self.config.epoch_time_budget_s is None:
             return sa_config
         remaining = self.config.epoch_time_budget_s - (time.perf_counter() - t0)
@@ -631,7 +689,6 @@ class SmartBalance(LoadBalancer):
             sleep_power=[core.sleep_power_w for core in view.cores],
             weights=self._objective_weights(view),
             mode=self.config.objective_mode,
-            throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
         )
         incumbent = Allocation.from_mapping(
@@ -646,15 +703,7 @@ class SmartBalance(LoadBalancer):
         )
         self._note_anneal(view, result, t_s)
         changes = incumbent.diff(result.best_allocation)
-        # Adoption gate: the predicted gain must clear both the churn
-        # threshold and the warm-up cost of the migrations it needs.
-        required = (
-            1.0
-            + self.config.min_improvement
-            + self.config.migration_penalty
-            * len(changes)
-            / max(len(participants), 1)
-        )
+        required = adoption_threshold(len(changes), len(participants))
         placement: Optional[dict[int, int]] = None
         if changes and result.best_value > incumbent_value * required:
             placement = {
@@ -676,7 +725,7 @@ class SmartBalance(LoadBalancer):
         oc = self.obs
         t_s = view.time_s
         t0 = time.perf_counter()
-        res = self.config.resilience
+        mitigations = self.config.mitigations
         with oc.span("sense") as sense_span:
             view = self._sense(view)
             # Only user threads are balanced by default (paper Section
@@ -694,7 +743,7 @@ class SmartBalance(LoadBalancer):
             rejected: list[TaskView] = []
             reject_reasons: dict[int, str] = {}
             rebaselined: list[TaskView] = []
-            if res.enabled and measured:
+            if mitigations and measured:
                 healthy = []
                 for task in measured:
                     reason = observation_fault(task)
@@ -703,7 +752,7 @@ class SmartBalance(LoadBalancer):
                         self._reject_streak.pop(task.tid, None)
                         continue
                     streak = self._reject_streak.get(task.tid, 0) + 1
-                    if streak >= res.rebaseline_epochs:
+                    if streak >= REBASELINE_EPOCHS:
                         # The anomaly has persisted long enough that it
                         # is the new normal (e.g. a silently throttled
                         # core): accept the sample and re-baseline
@@ -800,7 +849,7 @@ class SmartBalance(LoadBalancer):
                 # Before this epoch's rows overwrite the prediction
                 # state, score last epoch's predictions (Table 4 data).
                 self._emit_prediction_checks(healthy, t_s)
-            if res.enabled:
+            if mitigations:
                 self._watchdog_update(healthy, t_s=t_s)
             if self._adaptation is not None:
                 # Online maintenance: fold this epoch's observations in;
@@ -809,7 +858,7 @@ class SmartBalance(LoadBalancer):
                 # tripped watchdog asks for repair first — capability
                 # fallback below is the last resort.
                 self._adaptation_step(healthy, view, t_s)
-                if res.enabled and self._watchdog_tripped:
+                if mitigations and self._watchdog_tripped:
                     self._attempt_watchdog_repair(view, t_s)
             core_types = [core.core_type for core in view.platform]
             matrices = self._blend(
@@ -847,7 +896,7 @@ class SmartBalance(LoadBalancer):
 
             # Hotplug awareness: an offline core must never be a
             # placement target, whatever the cpusets say.
-            if res.enabled:
+            if mitigations:
                 online = np.ones(len(core_types), dtype=bool)
                 for core in view.cores:
                     if not core.online and 0 <= core.core_id < len(core_types):
@@ -877,7 +926,7 @@ class SmartBalance(LoadBalancer):
             sa_result: Optional[SAResult] = None
             incumbent_value = 0.0
             fallback_mode = False
-            if res.enabled and self._watchdog_tripped:
+            if mitigations and self._watchdog_tripped:
                 # The predictor is out of band: its matrices are
                 # exactly what we must not optimise against.  Place by
                 # capability-aware load equalisation until it recovers.

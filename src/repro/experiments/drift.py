@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from repro.adaptation.controller import AdaptationConfig
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
@@ -159,7 +158,6 @@ def drift_scenario_run(
     adapted: bool,
     n_epochs: int,
     seed: int = SEED,
-    adaptation: Optional[AdaptationConfig] = None,
 ) -> "tuple[RunResult, ObsContext, SmartBalance]":
     """One traced run of the drift scenario (frozen or adapted).
 
@@ -167,14 +165,9 @@ def drift_scenario_run(
     ``predictor`` is the final — possibly adapted — model).
     """
     predictor = mismatched_predictor(seed=seed)
-    config = SmartBalanceConfig(
-        adaptation=(
-            (adaptation or AdaptationConfig(enabled=True))
-            if adapted
-            else AdaptationConfig()
-        )
+    balancer = SmartBalance(
+        predictor=predictor, config=SmartBalanceConfig(adaptation=adapted)
     )
-    balancer = SmartBalance(predictor=predictor, config=config)
     obs = ObsContext()
     system = System(
         big_little_octa(),

@@ -7,8 +7,8 @@ thermal throttling.  This experiment runs every named fault scenario
 from :mod:`repro.faults` three ways —
 
 * **fault-free** — the clean baseline,
-* **mitigated** — faults injected, all :class:`ResilienceConfig`
-  defences on (the default),
+* **mitigated** — faults injected, every
+  ``SmartBalanceConfig.mitigations`` defence on (the default),
 * **unmitigated** — same faults, every defence ablated off,
 
 and reports *retention*: faulty-run IPS/W as a fraction of the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
 from repro.core.balancer import SmartBalance
-from repro.core.config import ResilienceConfig, SmartBalanceConfig
+from repro.core.config import SmartBalanceConfig
 from repro.experiments.common import QUICK, Scale, run_cases, result_table
 from repro.faults import SCENARIOS, FaultPlan, scenario
 from repro.hardware.platform import quad_hmp
@@ -47,16 +47,14 @@ RETENTION_FLOOR = 0.80
 
 def run_one(
     plan: "FaultPlan | None",
-    resilience: ResilienceConfig,
+    mitigations: bool = True,
     seed: int = 0,
     n_epochs: int = N_EPOCHS,
 ) -> RunResult:
     """One SmartBalance run on the quad HMP under a fault plan."""
     platform = quad_hmp()
     config = SimulationConfig(seed=seed, faults=plan)
-    balancer = SmartBalance(
-        config=SmartBalanceConfig(resilience=resilience)
-    )
+    balancer = SmartBalance(config=SmartBalanceConfig(mitigations=mitigations))
     system = System(
         platform, random_thread_set(N_THREADS, seed=WORKLOAD_SEED), balancer, config
     )
@@ -73,10 +71,9 @@ def retention_under(
     """
     duration_s = n_epochs * SimulationConfig().epoch_s
     plan = scenario(name, seed=seed, n_cores=4, duration_s=duration_s)
-    baseline = run_one(None, ResilienceConfig(), seed=seed, n_epochs=n_epochs)
-    resilience = ResilienceConfig() if mitigated else ResilienceConfig.disabled()
+    baseline = run_one(None, seed=seed, n_epochs=n_epochs)
     try:
-        faulty = run_one(plan, resilience, seed=seed, n_epochs=n_epochs)
+        faulty = run_one(plan, mitigated, seed=seed, n_epochs=n_epochs)
     except Exception:
         if mitigated:  # the mitigated loop must never raise
             raise

@@ -31,7 +31,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hardware.counters import CounterBlock, apply_overflow, apply_saturation
+from repro.hardware.counters import (
+    COUNT_FIELDS,
+    CounterBlock,
+    apply_overflow,
+    apply_saturation,
+)
 from repro.obs import NULL_OBS
 from repro.obs.events import FAULT_INJECTED
 
@@ -185,22 +190,6 @@ class FaultPlan:
 # Runtime injector
 # ----------------------------------------------------------------------
 
-#: Counter-block channels subject to sensor read-out faults (timing is
-#: kernel bookkeeping and cannot glitch this way).
-SENSOR_CHANNELS = (
-    "cy_busy",
-    "cy_idle",
-    "cy_sleep",
-    "instructions",
-    "mem_instructions",
-    "branch_instructions",
-    "branch_mispredicts",
-    "l1i_misses",
-    "l1d_misses",
-    "itlb_misses",
-    "dtlb_misses",
-)
-
 #: Migration fates the injector can decree.
 DELIVER, LOSE, DELAY = "deliver", "lose", "delay"
 
@@ -222,7 +211,12 @@ def _channel_str(channel: object) -> str:
 
 @dataclass
 class InjectionCounts:
-    """Mutable tally of every fault actually injected."""
+    """Mutable tally of every fault actually injected.
+
+    Its fields are the injection side of
+    :class:`~repro.kernel.metrics.ResilienceStats`, whose
+    ``faults_injected`` sums them.
+    """
 
     sensor_dropouts: int = 0
     sensor_stuck: int = 0
@@ -233,20 +227,6 @@ class InjectionCounts:
     migrations_delayed: int = 0
     hotplug_events: int = 0
     throttle_events: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.sensor_dropouts
-            + self.sensor_stuck
-            + self.sensor_spikes
-            + self.counter_wraps
-            + self.counter_saturations
-            + self.migrations_lost
-            + self.migrations_delayed
-            + self.hotplug_events
-            + self.throttle_events
-        )
 
 
 class FaultInjector:
@@ -323,7 +303,9 @@ class FaultInjector:
     def corrupt_block(self, owner: object, block: CounterBlock) -> None:
         """Apply sensor + counter faults to a snapshot, in place."""
         if self.plan.sensor.active:
-            for name in SENSOR_CHANNELS:
+            # Every counter register; busy time is kernel bookkeeping
+            # and cannot glitch this way.
+            for name in COUNT_FIELDS:
                 corrupted = self.corrupt_value((owner, name), getattr(block, name))
                 setattr(block, name, corrupted)
         model = self.plan.counter

@@ -42,11 +42,10 @@ class GovernorSmartBalance(SmartBalance):
         self,
         predictor: "PredictorModel | None" = None,
         config: "SmartBalanceConfig | None" = None,
-        epoch_periods: int = 10,
         obs=None,
         governor: "GovernorConfig | None" = None,
     ) -> None:
-        super().__init__(predictor, config, epoch_periods, obs)
+        super().__init__(predictor, config, obs)
         self.governor = governor or GovernorConfig(strategy="two_level")
         if self.governor.strategy == "fixed":
             raise ValueError(
@@ -153,7 +152,6 @@ class GovernorSmartBalance(SmartBalance):
             ladders=self._ladders,
             weights=self._objective_weights(view),
             mode=self.config.objective_mode,
-            throughput_exponent=self.config.throughput_exponent,
             allowed=allowed,
         )
         incumbent = Allocation.from_mapping(
@@ -171,8 +169,6 @@ class GovernorSmartBalance(SmartBalance):
             current_levels=self._levels,
             participants=len(participants),
             sa_config=sa_config,
-            min_improvement=self.config.min_improvement,
-            migration_penalty=self.config.migration_penalty,
             gov=self.governor,
             keep_trace=oc.enabled,
         )

@@ -137,7 +137,6 @@ class ConditionedObjectiveFactory:
         ladders,
         weights,
         mode: str,
-        throughput_exponent: float,
         allowed,
     ) -> None:
         self.ips = np.asarray(ips, dtype=float)
@@ -149,7 +148,6 @@ class ConditionedObjectiveFactory:
         self.ladders = ladders
         self.weights = weights
         self.mode = mode
-        self.throughput_exponent = throughput_exponent
         self.allowed = allowed
         self.n_cores = len(nominal_types)
         #: Shallow-idle mix per core, recovered from the observation.
@@ -218,7 +216,6 @@ class ConditionedObjectiveFactory:
             sleep_power=sleep,
             weights=self.weights,
             mode=self.mode,
-            throughput_exponent=self.throughput_exponent,
             allowed=self.allowed,
         )
         self._cache[levels] = obj

@@ -25,7 +25,10 @@ the experiments compare against:
 Every strategy returns a :class:`GovernorOutcome`; adoption gates are
 applied here so the balancer wrapper only has to translate thread
 indices to tids and levels to :class:`~repro.governor.ladder.OppChange`
-entries.
+entries.  The gate is the stock one,
+:func:`~repro.core.balancer.adoption_threshold`, plus
+:data:`~repro.governor.config.OPP_MIN_IMPROVEMENT` per switched
+cluster.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.core.annealing import (
     anneal,
     default_iteration_cap,
 )
+from repro.core.balancer import adoption_threshold
 from repro.core.fixed_point import Xorshift32
 from repro.core.objective import IncrementalEvaluator
 from repro.governor.config import (
@@ -67,8 +71,6 @@ class SearchContext:
     #: Number of participating threads (adoption-gate denominator).
     participants: int
     sa_config: SAConfig
-    min_improvement: float
-    migration_penalty: float
     gov: GovernorConfig
     keep_trace: bool = False
 
@@ -88,24 +90,6 @@ class GovernorOutcome:
     candidates_evaluated: int
     best_value: float
     adopted_opp: bool
-
-
-def _required_gain(
-    ctx: SearchContext, n_changes: int, n_opp_changed: int
-) -> float:
-    """The multiplicative adoption threshold.
-
-    The stock churn gate (minimum improvement + per-migration warm-up
-    penalty) extended with OPP hysteresis: each switched cluster must
-    buy :data:`~repro.governor.config.OPP_MIN_IMPROVEMENT` extra relative gain,
-    the decision-side stand-in for the transition dead time.
-    """
-    return (
-        1.0
-        + ctx.min_improvement
-        + ctx.migration_penalty * n_changes / max(ctx.participants, 1)
-        + OPP_MIN_IMPROVEMENT * n_opp_changed
-    )
 
 
 def _levels_changed(a: "tuple[int, ...]", b: "tuple[int, ...]") -> int:
@@ -202,7 +186,9 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     )
     changes = ctx.incumbent.diff(result.best_allocation)
     n_opp = _levels_changed(best_levels, current)
-    required = _required_gain(ctx, len(changes), n_opp)
+    required = adoption_threshold(
+        len(changes), ctx.participants, OPP_MIN_IMPROVEMENT * n_opp
+    )
     if (changes or n_opp) and result.best_value > incumbent_value * required:
         return GovernorOutcome(
             changes=changes,
@@ -225,7 +211,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
         )
         changes = ctx.incumbent.diff(result.best_allocation)
         evaluated += 1
-        required = _required_gain(ctx, len(changes), 0)
+        required = adoption_threshold(len(changes), ctx.participants)
         if not (changes and result.best_value > incumbent_value * required):
             changes = {}
     else:
@@ -351,7 +337,9 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
     )
     changes = ctx.incumbent.diff(best_allocation)
     n_opp = _levels_changed(best_levels, current_levels)
-    required = _required_gain(ctx, len(changes), n_opp)
+    required = adoption_threshold(
+        len(changes), ctx.participants, OPP_MIN_IMPROVEMENT * n_opp
+    )
     if (changes or n_opp) and best_value > incumbent_value * required:
         return GovernorOutcome(
             changes=changes,
@@ -390,7 +378,7 @@ def pinned(ctx: SearchContext) -> GovernorOutcome:
         objective, ctx.incumbent, ctx.sa_config, keep_trace=ctx.keep_trace
     )
     changes = ctx.incumbent.diff(result.best_allocation)
-    required = _required_gain(ctx, len(changes), 0)
+    required = adoption_threshold(len(changes), ctx.participants)
     if not (changes and result.best_value > incumbent_value * required):
         changes = {}
     return GovernorOutcome(

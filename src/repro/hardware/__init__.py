@@ -19,7 +19,6 @@ from repro.hardware.dvfs import (
 from repro.hardware.thermal import (
     AMBIENT_C,
     T_JUNCTION_MAX_C,
-    ThermalState,
     leakage_multiplier,
     steady_state_temperature,
     thermal_weights,
@@ -101,7 +100,6 @@ __all__ = [
     "type_at_opp",
     "voltage_for_frequency",
     "dvfs_platform",
-    "ThermalState",
     "AMBIENT_C",
     "T_JUNCTION_MAX_C",
     "leakage_multiplier",

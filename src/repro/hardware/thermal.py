@@ -21,7 +21,6 @@ the leakage term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,53 +71,13 @@ def leakage_multiplier(temp_c: float) -> float:
     return 2.0 ** ((temp_c - AMBIENT_C) / LEAK_DOUBLE_C)
 
 
-@dataclass
-class ThermalState:
-    """Mutable thermal state of one core (explicit-Euler RC integration)."""
-
-    core: CoreType
-    temp_c: float = AMBIENT_C
-    peak_c: float = field(default=AMBIENT_C)
-
-    def step(self, power_w: float, dt_s: float) -> float:
-        """Advance the RC model by ``dt_s`` under ``power_w``; returns
-        the new temperature.
-
-        Uses the exact exponential solution of the first-order ODE for
-        a constant-power interval, so arbitrarily long steps stay
-        stable.
-        """
-        if power_w < 0:
-            raise ValueError(f"power must be non-negative, got {power_w}")
-        if dt_s < 0:
-            raise ValueError(f"dt must be non-negative, got {dt_s}")
-        target = steady_state_temperature(self.core, power_w)
-        tau = thermal_time_constant(self.core)
-        decay = math.exp(-dt_s / tau) if tau > 0 else 0.0
-        self.temp_c = target + (self.temp_c - target) * decay
-        self.peak_c = max(self.peak_c, self.temp_c)
-        return self.temp_c
-
-    @property
-    def over_limit(self) -> bool:
-        """True when the core exceeds the junction limit."""
-        return self.temp_c > T_JUNCTION_MAX_C
-
-    def extra_leakage_w(self, base_leakage_w: float) -> float:
-        """Additional leakage power due to self-heating (W)."""
-        if base_leakage_w < 0:
-            raise ValueError(
-                f"base leakage must be non-negative, got {base_leakage_w}"
-            )
-        return base_leakage_w * (leakage_multiplier(self.temp_c) - 1.0)
-
-
 def decay_factor(core: CoreType, dt_s: float) -> float:
-    """The per-step RC decay ``e^(-dt/tau)`` of :meth:`ThermalState.step`.
+    """The per-step RC decay ``e^(-dt/tau)`` of one core.
 
-    Computed through the exact same call chain as the scalar step
-    (``thermal_resistance * thermal_capacitance`` then ``math.exp``) so
-    a cached value is bit-identical to what the step would compute.
+    Computed through the exact same call chain as the scalar oracle's
+    step (``thermal_resistance * thermal_capacitance`` then
+    ``math.exp``) so a cached value is bit-identical to what that step
+    would compute.
     The kernel engine caches this per (core type, period) — ``tau`` is
     mathematically uniform across areas, but the float product
     ``(R/area)·(C·area)`` may differ in the last ulp per area, so the
@@ -137,15 +96,18 @@ def step_batch(
     resistance: np.ndarray,
     decay: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorised :meth:`ThermalState.step` over many cores at once.
+    """One explicit RC step of many cores at once.
 
-    ``resistance`` and ``decay`` are per-core vectors of
-    :func:`thermal_resistance` and :func:`decay_factor` values (cached
-    by the caller — recomputing ``math.exp`` per core per period is
-    what the scalar path spends most of its time on).  Every operation
-    is elementwise, so each lane reproduces the scalar step's float
-    sequence bit for bit; the returned ``(temps, peaks)`` are fresh
-    arrays.
+    Each lane advances by the exact exponential solution of the
+    first-order ODE for a constant-power interval, so arbitrarily long
+    steps stay stable.  ``resistance`` and ``decay`` are per-core
+    vectors of :func:`thermal_resistance` and :func:`decay_factor`
+    values (cached by the caller — recomputing ``math.exp`` per core
+    per period is what a scalar step spends most of its time on).
+    Every operation is elementwise, so each lane reproduces the scalar
+    step's float sequence bit for bit (the scalar oracle is
+    ``ThermalState`` in ``tests/kernel/reference_kernel.py``); the
+    returned ``(temps, peaks)`` are fresh arrays.
     """
     target = AMBIENT_C + power_w * resistance
     new_temps = target + (temps_c - target) * decay
@@ -156,7 +118,8 @@ def step_batch(
 def extra_leakage_batch(
     temps_c: np.ndarray, base_leakage_w: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :meth:`ThermalState.extra_leakage_w`.
+    """Additional leakage power due to self-heating (W), per core:
+    ``base · (leakage_multiplier(T) − 1)``.
 
     The leakage multiplier is ``2.0 ** u`` — and neither ``np.exp2``
     nor ``np.power(2.0, u)`` is bit-identical to CPython's scalar

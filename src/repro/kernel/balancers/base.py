@@ -11,8 +11,10 @@ The contract:
   (no changes) or a partial ``tid -> core_id`` placement; the simulator
   migrates every task whose assignment changed.
 * ``interval_periods`` sets how many CFS periods pass between calls —
-  1 for the vanilla balancer (it runs with every scheduler tick),
-  ``L`` (one epoch) for SmartBalance.
+  1 for the vanilla balancer (it runs with every scheduler tick).
+  ``None`` means once per simulator epoch, every
+  ``SimulationConfig.periods_per_epoch`` (L) periods: SmartBalance and
+  its subclasses decide at that one epoch length.
 * Balancers must decide from the view alone; they never see workload
   ground truth.
 * After each run the simulator reads four hooks, whose defaults here
@@ -44,8 +46,8 @@ class LoadBalancer(abc.ABC):
 
     #: Human-readable policy name (used in results and figures).
     name: str = "abstract"
-    #: CFS periods between rebalance calls.
-    interval_periods: int = 1
+    #: CFS periods between rebalance calls; ``None`` is once per epoch.
+    interval_periods: Optional[int] = 1
     #: Observability sink; the simulator assigns its own context here
     #: before the run starts.  Balancers that trace must guard every
     #: emission with ``self.obs.enabled``.

@@ -9,7 +9,9 @@ history so experiments can plot convergence and count migrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.faults import InjectionCounts
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,9 @@ class ResilienceStats:
 
     @property
     def faults_injected(self) -> int:
-        """Total fault events the plan actually delivered."""
-        return (
-            self.sensor_dropouts
-            + self.sensor_stuck
-            + self.sensor_spikes
-            + self.counter_wraps
-            + self.counter_saturations
-            + self.migrations_lost
-            + self.migrations_delayed
-            + self.hotplug_events
-            + self.throttle_events
-        )
+        """Total fault events the plan actually delivered: the sum of
+        the :class:`~repro.faults.InjectionCounts` fields."""
+        return sum(getattr(self, f.name) for f in fields(InjectionCounts))
 
 
 @dataclass(frozen=True)

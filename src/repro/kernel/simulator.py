@@ -276,13 +276,16 @@ class System:
     def apply_placement(self, placement: Placement) -> int:
         """Apply a balancer's placement delta; returns migration count.
 
-        A tid outside ``[0, n_tasks)`` rejects the whole placement
-        before any task moves, as :meth:`migrate` rejects an invalid
-        core.
+        A tid outside ``[0, n_tasks)`` or a core outside
+        ``[0, n_cores)`` rejects the whole placement before any task
+        moves, as :meth:`migrate` rejects an invalid core.
         """
         unknown = [tid for tid in placement if not 0 <= tid < len(self.tasks)]
         if unknown:
             raise ValueError(f"placement names unknown task(s) {sorted(unknown)}")
+        invalid = [c for c in placement.values() if not 0 <= c < len(self.runqueues)]
+        if invalid:
+            raise ValueError(f"placement names invalid core(s) {sorted(invalid)}")
         moved = 0
         for tid, core_id in placement.items():
             task = self.task_by_tid(tid)
@@ -292,7 +295,7 @@ class System:
                 # The kernel enforces cpusets regardless of what a
                 # balancer asks for.
                 continue
-            if not 0 <= core_id < len(self._online) or not self._online[core_id]:
+            if not self._online[core_id]:
                 # The kernel refuses to migrate onto an unplugged core
                 # no matter what the balancer believes exists.
                 self._offline_placements_blocked += 1
@@ -598,7 +601,7 @@ class System:
             raise ValueError("specify exactly one of duration_s or n_epochs")
         if n_epochs is None:
             n_epochs = max(int(round(duration_s / self.config.epoch_s)), 1)
-        interval = max(self.balancer.interval_periods, 1)
+        interval = self.balancer.interval_periods or self.config.periods_per_epoch
         periods_total = n_epochs * self.config.periods_per_epoch
 
         obs = self.obs

@@ -88,16 +88,11 @@ def _smart_balancer(
 ) -> LoadBalancer:
     # Imported lazily: training the default predictor takes a moment
     # and commands like `list` should stay instant.
-    from repro.adaptation.controller import AdaptationConfig
     from repro.core.balancer import SmartBalance
-    from repro.core.config import ResilienceConfig, SmartBalanceConfig
+    from repro.core.config import SmartBalanceConfig
     from repro.core.variants import SloAwareBalance, TpeqBalance
 
-    resilience = ResilienceConfig() if mitigations else ResilienceConfig.disabled()
-    config = SmartBalanceConfig(
-        resilience=resilience,
-        adaptation=AdaptationConfig(enabled=adaptation),
-    )
+    config = SmartBalanceConfig(mitigations=mitigations, adaptation=adaptation)
     if governor != "fixed":
         from repro.governor import GovernorSmartBalance, parse_governor
 

@@ -49,7 +49,11 @@ from repro.runner.factories import check_balancer, check_platform, check_workloa
 #: 8: SimulationConfig lost the ``kernel`` knob (the structure-of-arrays
 #: engine is the only kernel), so the config fingerprint changed shape;
 #: simulated results are unchanged.
-CACHE_FORMAT = 8
+#: 9: SmartBalance and its variants decide once per
+#: ``SimulationConfig.periods_per_epoch`` (L) instead of every 10
+#: periods, so their cached runs at L != 10 are stale; runs at L = 10
+#: are unchanged.
+CACHE_FORMAT = 9
 
 
 def _code_version() -> str:

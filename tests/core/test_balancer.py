@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import balancer as balancer_module
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
 from repro.core.training import default_predictor
@@ -21,10 +22,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_improvement": -0.1},
-            {"migration_penalty": -1.0},
-            {"smoothing": 0.0},
-            {"smoothing": 1.5},
+            # Modes SmartBalance cannot run fail at construction, not
+            # at the first decision: power_cap needs a cap it never has.
+            {"objective_mode": "power_cap"},
+            {"objective_mode": "ips_per_watt"},
+            {"thermal_aware": True, "core_weights": (1.0, 1.0, 1.0, 1.0)},
+            {"thermal_knee_c": 95.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -71,19 +74,33 @@ class TestDecide:
             + decision.timings.balance_s
         )
 
-    def test_adoption_gate_blocks_marginal_gains(self):
+    def test_adoption_gate_blocks_marginal_gains(self, monkeypatch):
         """With an enormous required improvement nothing is adopted."""
         view = synthetic_view(4, 8, seed=4)
-        decision = engine(min_improvement=1e9).decide(view)
+        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 1e9)
+        decision = engine().decide(view)
         assert decision.placement is None
 
-    def test_migration_penalty_reduces_churn(self):
+    def test_migration_penalty_reduces_churn(self, monkeypatch):
         view = synthetic_view(4, 12, seed=5)
-        free = engine(migration_penalty=0.0, min_improvement=0.0).decide(view)
-        taxed = engine(migration_penalty=50.0, min_improvement=0.0).decide(view)
+        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
+        monkeypatch.setattr(balancer_module, "MIGRATION_PENALTY", 0.0)
+        free = engine().decide(view)
+        monkeypatch.setattr(balancer_module, "MIGRATION_PENALTY", 50.0)
+        taxed = engine().decide(view)
         n_free = len(free.placement or {})
         n_taxed = len(taxed.placement or {})
         assert n_taxed <= n_free
+
+    def test_anneals_with_module_sa_config(self, monkeypatch):
+        """Algorithm 1's inputs are ``SA_CONFIG``, read each epoch."""
+        from repro.core.annealing import SAConfig
+
+        monkeypatch.setattr(
+            balancer_module, "SA_CONFIG", SAConfig(max_iterations=7)
+        )
+        decision = engine().decide(synthetic_view(4, 8, seed=1))
+        assert decision.sa_result.iterations == 7
 
     def test_smoothing_state_tracks_threads(self):
         eng = engine()
@@ -93,8 +110,9 @@ class TestDecide:
         eng.decide(synthetic_view(4, 3, seed=7))
         assert len(eng._rows) == 3
 
-    def test_blend_moves_toward_new_observation(self):
-        eng = engine(smoothing=0.5)
+    def test_blend_moves_toward_new_observation(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "SMOOTHING", 0.5)
+        eng = engine()
         first = eng.decide(synthetic_view(4, 4, seed=8))
         second = eng.decide(synthetic_view(4, 4, seed=9))
         assert first.matrices is not None and second.matrices is not None
@@ -107,12 +125,12 @@ class TestKernelAdapter:
     reimplemented ``rebalance_domains()`` (paper Section 5.1)."""
 
     def test_interval_is_epoch(self):
-        balancer = SmartBalance(epoch_periods=10)
-        assert balancer.interval_periods == 10
-
-    def test_invalid_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            SmartBalance(epoch_periods=0)
+        """One decision per simulator epoch, at the config's L."""
+        balancer = SmartBalance()
+        config = SimulationConfig(periods_per_epoch=5)
+        system = System(quad_hmp(), imb_threads("MTMI", 4), balancer, config)
+        system.run(n_epochs=4)
+        assert len(balancer.timings) == 4
 
     def test_records_timings_per_epoch(self):
         balancer = SmartBalance()
@@ -151,7 +169,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.config import ResilienceConfig
 from repro.core.sensing import observation_fault
 
 
@@ -216,13 +233,14 @@ class TestAdversarialViews:
         if decision.placement:
             assert set(decision.placement.values()) == {0}
 
-    def test_all_cores_offline_but_one(self):
+    def test_all_cores_offline_but_one(self, monkeypatch):
         view = synthetic_view(4, 6, seed=4)
         cores = tuple(
             replace(c, online=(c.core_id == 1)) for c in view.cores
         )
         view = replace(view, cores=cores)
-        eng = engine(min_improvement=0.0)
+        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
+        eng = engine()
         decision = eng.decide(view)
         assert eng.health.hotplug_masked_epochs == 1
         for core_id in (decision.placement or {}).values():
@@ -232,7 +250,7 @@ class TestAdversarialViews:
         view = synthetic_view(4, 6, seed=4)
         cores = tuple(replace(c, online=(c.core_id == 1)) for c in view.cores)
         view = replace(view, cores=cores)
-        eng = engine(resilience=ResilienceConfig.disabled())
+        eng = engine(mitigations=False)
         eng.decide(view)
         assert eng.health.hotplug_masked_epochs == 0
 
@@ -258,8 +276,9 @@ class TestSanityDefences:
         # The corrupt thread still participates, via its stored row.
         assert len(decision.matrices.tids) == 4
 
-    def test_persistent_anomaly_rebaselines(self):
-        eng = engine(resilience=ResilienceConfig(rebaseline_epochs=2))
+    def test_persistent_anomaly_rebaselines(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "REBASELINE_EPOCHS", 2)
+        eng = engine()
         for seed in (8, 9):
             view = corrupt_task(synthetic_view(4, 4, seed=seed), power_w=1e9)
             eng.decide(view)
@@ -268,29 +287,26 @@ class TestSanityDefences:
 
     def test_sanity_checks_can_be_disabled(self):
         view = corrupt_task(synthetic_view(4, 4, seed=10), power_w=1e9)
-        eng = engine(resilience=ResilienceConfig.disabled())
+        eng = engine(mitigations=False)
         decision = eng.decide(view)
         assert decision.rejected_samples == 0
         assert eng.health.samples_rejected == 0
 
 
 class TestWatchdog:
-    def test_trips_on_systematic_divergence(self):
-        eng = engine(
-            resilience=ResilienceConfig(
-                watchdog_tolerance=1e-6, watchdog_trip_epochs=1
-            )
-        )
+    def test_trips_on_systematic_divergence(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "WATCHDOG_TOLERANCE", 1e-6)
+        monkeypatch.setattr(balancer_module, "WATCHDOG_TRIP_EPOCHS", 1)
+        eng = engine()
         eng.decide(synthetic_view(4, 4, seed=11))
         decision = eng.decide(synthetic_view(4, 4, seed=12))
         assert eng.health.watchdog_trips == 1
         assert decision.fallback is True
         assert eng.health.watchdog_fallback_epochs == 1
 
-    def test_recovers_after_in_band_epochs(self):
-        eng = engine(
-            resilience=ResilienceConfig(watchdog_recovery_epochs=2)
-        )
+    def test_recovers_after_in_band_epochs(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "WATCHDOG_RECOVERY_EPOCHS", 2)
+        eng = engine()
         view = synthetic_view(4, 4, seed=13)
         healthy = measured_tasks(view)
         eng._last_prediction = {
@@ -314,14 +330,16 @@ class TestWatchdog:
 
 
 class TestEpochBudget:
-    def test_exhausted_budget_keeps_placement(self):
-        eng = engine(epoch_time_budget_s=1e-9, min_improvement=0.0)
+    def test_exhausted_budget_keeps_placement(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
+        eng = engine(epoch_time_budget_s=1e-9)
         decision = eng.decide(synthetic_view(4, 8, seed=15))
         assert decision.placement is None
         assert eng.health.budget_skipped_epochs == 1
 
-    def test_generous_budget_changes_nothing(self):
-        eng = engine(epoch_time_budget_s=60.0, min_improvement=0.0)
+    def test_generous_budget_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
+        eng = engine(epoch_time_budget_s=60.0)
         decision = eng.decide(synthetic_view(4, 8, seed=16))
         assert decision.sa_result is not None
         assert eng.health.budget_skipped_epochs == 0

@@ -1,8 +1,11 @@
 """Tests for SmartBalanceConfig validation and defaults."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.annealing import SAConfig
+from repro.core import balancer as balancer_module
+from repro.core import objective as objective_module
 from repro.core.config import SmartBalanceConfig
 
 
@@ -10,20 +13,30 @@ class TestDefaults:
     def test_default_objective_is_global(self):
         config = SmartBalanceConfig()
         assert config.objective_mode == "global"
-        assert config.throughput_exponent == pytest.approx(1.7)
+        assert objective_module.THROUGHPUT_EXPONENT == pytest.approx(1.7)
 
     def test_default_gates_nontrivial(self):
-        config = SmartBalanceConfig()
-        assert config.min_improvement > 0
-        assert config.migration_penalty > 0
-        assert 0 < config.smoothing < 1
+        assert balancer_module.MIN_IMPROVEMENT > 0
+        assert balancer_module.MIGRATION_PENALTY > 0
+        assert 0 < balancer_module.SMOOTHING < 1
 
     def test_kernel_threads_excluded_by_default(self):
         assert SmartBalanceConfig().include_kernel_threads is False
 
-    def test_sa_config_embedded(self):
-        config = SmartBalanceConfig(sa=SAConfig(max_iterations=42))
-        assert config.sa.max_iterations == 42
+    def test_settable_values(self):
+        """The epoch length and the tuning values are not settable here:
+        L is the simulator's and the tuning values are constants."""
+        assert [f.name for f in dataclasses.fields(SmartBalanceConfig)] == [
+            "include_kernel_threads",
+            "core_weights",
+            "thermal_aware",
+            "thermal_knee_c",
+            "thermal_zero_c",
+            "objective_mode",
+            "epoch_time_budget_s",
+            "mitigations",
+            "adaptation",
+        ]
 
 
 class TestValidation:
@@ -31,59 +44,64 @@ class TestValidation:
         with pytest.raises(ValueError, match="thermal_knee_c"):
             SmartBalanceConfig(thermal_knee_c=90.0, thermal_zero_c=80.0)
 
-    def test_negative_gates_rejected(self):
-        with pytest.raises(ValueError):
-            SmartBalanceConfig(min_improvement=-0.01)
-        with pytest.raises(ValueError):
-            SmartBalanceConfig(migration_penalty=-0.01)
+    @pytest.mark.parametrize("mode", ["global", "per_core_sum", "performance"])
+    def test_accepted_modes_decide(self, mode):
+        """Every mode the config accepts runs a decision (the rejected
+        ones are in test_balancer.py's invalid-config table)."""
+        from repro.core.balancer import SmartBalance
+        from repro.experiments.fig7 import synthetic_view
 
-    def test_smoothing_bounds(self):
-        SmartBalanceConfig(smoothing=1.0)  # no smoothing is valid
-        with pytest.raises(ValueError):
-            SmartBalanceConfig(smoothing=0.0)
+        balancer = SmartBalance(config=SmartBalanceConfig(objective_mode=mode))
+        assert balancer.decide(synthetic_view(4, 6, seed=1)).sa_result is not None
 
     def test_frozen(self):
         config = SmartBalanceConfig()
         with pytest.raises(AttributeError):
-            config.min_improvement = 0.5  # type: ignore[misc]
+            config.objective_mode = "performance"  # type: ignore[misc]
 
 
 class TestResilienceConfig:
-    def test_defaults_all_defences_on(self):
-        from repro.core.config import ResilienceConfig
+    """The defences: ``SmartBalanceConfig.mitigations`` switches all of
+    them; their tuning values are :mod:`repro.core.balancer` constants."""
 
-        res = ResilienceConfig()
-        assert res.enabled
-        assert res.rebaseline_epochs >= 1
+    def test_defaults_all_defences_on(self):
+        assert SmartBalanceConfig().mitigations
+        assert balancer_module.REBASELINE_EPOCHS >= 1
+        assert balancer_module.WATCHDOG_TRIP_EPOCHS >= 1
+        assert balancer_module.WATCHDOG_RECOVERY_EPOCHS >= 1
+        assert balancer_module.WATCHDOG_TOLERANCE > 0
 
     def test_disabled_turns_every_defence_off(self):
-        from repro.core.config import ResilienceConfig
+        """A corrupt sample is used as measured and offline cores are
+        not masked."""
+        from dataclasses import replace
 
-        res = ResilienceConfig.disabled()
-        assert not res.enabled
-        assert res == ResilienceConfig(enabled=False)
+        from repro.core.balancer import SmartBalance
+        from repro.experiments.fig7 import synthetic_view
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"watchdog_tolerance": 0.0},
-            {"watchdog_trip_epochs": 0},
-            {"watchdog_recovery_epochs": 0},
-            {"rebaseline_epochs": 0},
-        ],
-    )
-    def test_invalid_values_rejected(self, kwargs):
-        from repro.core.config import ResilienceConfig
-
-        with pytest.raises(ValueError):
-            ResilienceConfig(**kwargs)
+        view = synthetic_view(4, 4, seed=10)
+        tasks = list(view.tasks)
+        tasks[0] = replace(tasks[0], power_w=1e9)
+        cores = tuple(replace(c, online=c.core_id != 3) for c in view.cores)
+        view = replace(view, tasks=tuple(tasks), cores=cores)
+        balancer = SmartBalance(config=SmartBalanceConfig(mitigations=False))
+        decision = balancer.decide(view)
+        assert decision.rejected_samples == 0
+        assert balancer.health.samples_rejected == 0
+        assert balancer.health.hotplug_masked_epochs == 0
+        assert len(decision.matrices.tids) == 4
 
     def test_embedded_in_smartbalance_config(self):
-        from repro.core.config import ResilienceConfig
+        """The RunSpec booleans reach the balancer's config unchanged."""
+        from repro.runner.factories import make_balancer
 
-        config = SmartBalanceConfig(resilience=ResilienceConfig.disabled())
-        assert not config.resilience.enabled
-        assert SmartBalanceConfig().resilience.enabled
+        for name in ("smartbalance", "tpeq", "slo"):
+            config = make_balancer(name, mitigations=False, adaptation=True).config
+            assert (config.mitigations, config.adaptation) == (False, True)
+        config = make_balancer(
+            "smartbalance", mitigations=True, adaptation=False, governor="two_level"
+        ).config
+        assert (config.mitigations, config.adaptation) == (True, False)
 
 
 class TestEpochTimeBudget:

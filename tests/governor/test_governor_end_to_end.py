@@ -65,6 +65,13 @@ class TestGovernedRuns:
         assert stats["transition_energy_j"] > 0.0
         assert set(stats["levels"]) == {"Huge", "Big", "Medium", "Small"}
 
+    @pytest.mark.parametrize("strategy", ["two_level", "coupled_anneal"])
+    def test_opp_hysteresis_gates_every_switch(self, strategy, monkeypatch):
+        """The adoption gate charges ``OPP_MIN_IMPROVEMENT`` per switched
+        cluster: priced out of reach, no OPP switch is ever adopted."""
+        monkeypatch.setattr(strategies, "OPP_MIN_IMPROVEMENT", 1e9)
+        assert execute_spec(spec(strategy)).governor["opp_changes"] == 0
+
     def test_two_level_beats_fixed_on_efficiency(self):
         fixed = execute_spec(spec())
         governed = execute_spec(spec("two_level"))

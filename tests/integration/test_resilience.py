@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.balancer import SmartBalance
-from repro.core.config import ResilienceConfig, SmartBalanceConfig
+from repro.core.config import SmartBalanceConfig
 from repro.experiments.resilience import retention_under, run_one
 from repro.faults import SCENARIOS, scenario
 from repro.hardware.platform import quad_hmp
@@ -23,10 +23,8 @@ from repro.workload.generator import random_thread_set
 N_EPOCHS = 8
 
 
-def smart_run(plan, resilience=None, seed=0, n_epochs=N_EPOCHS):
-    balancer = SmartBalance(
-        config=SmartBalanceConfig(resilience=resilience or ResilienceConfig())
-    )
+def smart_run(plan, mitigations=True, seed=0, n_epochs=N_EPOCHS):
+    balancer = SmartBalance(config=SmartBalanceConfig(mitigations=mitigations))
     system = System(
         quad_hmp(),
         random_thread_set(6, seed=42),
@@ -78,7 +76,7 @@ class TestMitigatedRuns:
 class TestUnmitigatedRuns:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_ablated_runs_complete(self, name):
-        result = smart_run(plan_for(name), resilience=ResilienceConfig.disabled())
+        result = smart_run(plan_for(name), mitigations=False)
         assert result.instructions > 0
         stats = result.resilience
         assert stats is not None
@@ -91,7 +89,7 @@ class TestUnmitigatedRuns:
         ablated balancer cannot actually place onto an offline core."""
         result = smart_run(
             plan_for("hotplug", n_epochs=16),
-            resilience=ResilienceConfig.disabled(),
+            mitigations=False,
             n_epochs=16,
         )
         stats = result.resilience
@@ -132,6 +130,6 @@ class TestRetentionHelper:
 
     def test_run_one_matches_direct_run(self):
         plan = plan_for("counter", n_epochs=16)
-        via_helper = run_one(plan, ResilienceConfig(), seed=0)
+        via_helper = run_one(plan, mitigations=True, seed=0)
         direct = smart_run(plan, seed=0, n_epochs=16)
         assert via_helper.instructions == direct.instructions

@@ -21,6 +21,9 @@ the differential suite can hold the vectorised engine to it:
 * :meth:`ReferenceKernel.simulate_period` is the per-period object
   loop: every online queue's period, then the PELT-style utilisation
   update of every active task on an online core.
+* :class:`ThermalState` steps one core's RC thermal model and its
+  leakage feedback with scalar floats, the oracle of the engine's
+  batched thermal helpers.
 
 :class:`ReferenceKernel` answers the engine interface ``System`` uses
 (the ``on_*``/``set_*`` notifications, ``simulate_period`` and the
@@ -45,7 +48,13 @@ from repro.hardware import microarch, power
 from repro.hardware.counters import CounterBlock
 from repro.hardware.features import CoreType
 from repro.hardware.platform import Core
-from repro.hardware.thermal import AMBIENT_C, ThermalState
+from repro.hardware.thermal import (
+    AMBIENT_C,
+    T_JUNCTION_MAX_C,
+    leakage_multiplier,
+    steady_state_temperature,
+    thermal_time_constant,
+)
 from repro.kernel import simulator
 from repro.kernel.cfs import (
     CACHE_WARMUP_S,
@@ -76,6 +85,50 @@ def reset_counters(block: CounterBlock) -> None:
     """Zero every counter (sensing-window rollover)."""
     for name in _COUNTER_FIELDS:
         setattr(block, name, 0.0)
+
+
+@dataclass
+class ThermalState:
+    """Mutable thermal state of one core: the scalar oracle of
+    :func:`repro.hardware.thermal.step_batch` and
+    :func:`~repro.hardware.thermal.extra_leakage_batch`, which the
+    engine runs over every core at once."""
+
+    core: CoreType
+    temp_c: float = AMBIENT_C
+    peak_c: float = field(default=AMBIENT_C)
+
+    def step(self, power_w: float, dt_s: float) -> float:
+        """Advance the RC model by ``dt_s`` under ``power_w``; returns
+        the new temperature.
+
+        Uses the exact exponential solution of the first-order ODE for
+        a constant-power interval, so arbitrarily long steps stay
+        stable.
+        """
+        if power_w < 0:
+            raise ValueError(f"power must be non-negative, got {power_w}")
+        if dt_s < 0:
+            raise ValueError(f"dt must be non-negative, got {dt_s}")
+        target = steady_state_temperature(self.core, power_w)
+        tau = thermal_time_constant(self.core)
+        decay = math.exp(-dt_s / tau) if tau > 0 else 0.0
+        self.temp_c = target + (self.temp_c - target) * decay
+        self.peak_c = max(self.peak_c, self.temp_c)
+        return self.temp_c
+
+    @property
+    def over_limit(self) -> bool:
+        """True when the core exceeds the junction limit."""
+        return self.temp_c > T_JUNCTION_MAX_C
+
+    def extra_leakage_w(self, base_leakage_w: float) -> float:
+        """Additional leakage power due to self-heating (W)."""
+        if base_leakage_w < 0:
+            raise ValueError(
+                f"base leakage must be non-negative, got {base_leakage_w}"
+            )
+        return base_leakage_w * (leakage_multiplier(self.temp_c) - 1.0)
 
 
 @dataclass

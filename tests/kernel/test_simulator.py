@@ -193,6 +193,18 @@ class TestMigration:
         assert [t.core_id for t in system.tasks] == before
         assert system.total_migrations == 0
 
+    @pytest.mark.parametrize("core", [-1, 4, 99])
+    def test_apply_placement_rejects_invalid_core(self, core):
+        """A core outside [0, n_cores) is refused before any migration,
+        like an unknown tid — not counted as a blocked offline move."""
+        system = make_system()
+        before = [t.core_id for t in system.tasks]
+        with pytest.raises(ValueError, match="invalid core"):
+            system.apply_placement({0: core, 1: 2})
+        assert [t.core_id for t in system.tasks] == before
+        assert system.total_migrations == 0
+        assert system._offline_placements_blocked == 0
+
     def test_vanilla_run_migrates(self):
         system = make_system(5, balancer=VanillaBalancer())
         result = system.run(n_epochs=3)

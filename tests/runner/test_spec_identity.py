@@ -61,53 +61,54 @@ CORPUS = {
 
 #: (spec_key, label) per corpus entry.  Moving any of them is a cache
 #: format change, never a side effect of how the knobs are declared.
-#: The keys last moved at CACHE_FORMAT 8, when the config fingerprint
-#: lost the ``kernel`` knob; no label moved.
+#: The keys last moved at CACHE_FORMAT 9, when SmartBalance's decision
+#: interval became the config's ``periods_per_epoch`` (results at L != 10
+#: changed); no label moved.
 PINNED = {
     "default": (
-        "ba88923e2ae9591c35fd14437b20dd629eae6dff",
+        "1613993da594d855ae91bb2d45f207a23c8cc1dc",
         "quad/MTMI/x8/smartbalance/seed=0",
     ),
     "seeds_faults_no_mitigations": (
-        "58876269d5f7cab9e899e09558023702d17d55aa",
+        "3de260b48cc8bad212b7056ce31c31277cb60200",
         "hmp:6/Mix3/x2/gts/faults=sensor/seed=42",
     ),
     "adaptation_combined": (
-        "4b50dc62d3db88428aec25e86fd30aedeb3742c5",
+        "62a78e89846b0635ac68836cffccb34aad48a055",
         "quad/random/x6/smartbalance/faults=combined/seed=0",
     ),
     "two_level": (
-        "48445ed687f3cd46b10c7f58514c88f2c59bbdef",
+        "e0b36366a06470308de45067a81449d5a417a49c",
         "dvfsquad/MTMI/x8/smartbalance/gov=two_level/seed=0",
     ),
     "coupled_anneal": (
-        "c8695d6a327cd0b08c38b951e60a145fef666802",
+        "07244f824bbd17b255aa75596fea16871f51403a",
         "dvfsquad/HTHI/x4/smartbalance/gov=coupled_anneal/seed=5",
     ),
     "pinned": (
-        "1c3306ac8c8b13f0396c2f15b6772af7f6875f8a",
+        "4289b2e6fd40c3f64538da96806b3d17dd0e5dd1",
         "dvfsquad/LTLI/x8/smartbalance/gov=pinned:1/seed=0",
     ),
     "openloop": (
-        "68d8f5e4aef974816267aaa54142e0b08ad91e22",
+        "afe6431acd92eecbe2cbf4888a2e01986a429a48",
         "biglittle/MTMI/x4/slo/scenario=openloop:rate=80,slo_ms=15,"
         "work_minstr=2/seed=0",
     ),
     "barrier": (
-        "c731f0f228a426a239a93f7e9b96238d25fce914",
+        "c27ea0c749e264bb071a8b979d8a6527f2c65446",
         "biglittle/MTMI/x4/tpeq/scenario=barrier:groups=1,members=3,"
         "intervals=3/seed=0",
     ),
     "smt": (
-        "0ac88d809588b353072bbbe1bc9a16e32370109e",
+        "6c1027d0cbe3a482c3bdc495917c44d8ac1bc990",
         "biglittle/bodytrack/x8/smartbalance/scenario=smt:cores=big/seed=0",
     ),
     "governor_scenario": (
-        "5e33790d4e85b1019084b3e4f60db67bcfe3afe8",
+        "b07a84236dd6b75d6f9580fc2edb663a9592342f",
         "dvfsquad/MTMI/x4/smartbalance/gov=two_level/scenario=openloop/seed=0",
     ),
     "config": (
-        "a6ea5e2d594b4b724f26a73b0bfe5e21da5c8616",
+        "8535b85d21bc42eda92ad06d894ac721ed1f42ae",
         "quad/MTMI/x2/smartbalance/seed=0",
     ),
 }
