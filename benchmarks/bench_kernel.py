@@ -1,4 +1,5 @@
-"""Kernel-core benchmark: SoA vs reference epoch throughput.
+"""Kernel-core benchmark: SoA vs reference epoch throughput, and
+batched vs per-owner sensing.
 
 The structure-of-arrays engine exists for one reason — simulating
 hundreds-to-thousands of cores at interactive speed — so this file
@@ -9,11 +10,12 @@ Table-2-style scale from 16 to 1024 cores.
 
 Methodology
 -----------
-* ``balancer="none"`` for the headline rows: the balancer and the
-  sensing RNG are shared scalar code outside the kernel core, so the
+* ``balancer="none"`` for the headline rows: the balancer and sensing
+  run the same code on both engines, outside the kernel core, so the
   null balancer isolates what the refactor actually changed.  The
   smartbalance rows are recorded for context (end-to-end gains are
-  bounded by the shared sensing cost; no floor is enforced there).
+  bounded by the sensing and balancer cost; no floor is enforced
+  there).
 * Construction (workload instantiation, engine layout) is excluded:
   the timer brackets ``System.run`` only.
 * Every timed pair doubles as a differential check — the two runs
@@ -29,14 +31,25 @@ kernel-perf regressions show up as diffs in review:
 ``--quick`` drops to two scales and two epochs for CI; quick results
 go to benchmarks/out/ so the committed scorecard only ever holds
 full-fidelity numbers.
+
+The sensing gate times ``System.build_view`` (one batched read of the
+window) against the per-owner scalar oracle
+(``tests/kernel/reference_sensing.py``), alternating in one process
+from the same RNG state, after a one-epoch vanilla run on hmp:128 ×
+256 threads (and hmp:1024 in full mode).  Every pair must build equal
+views and leave the sensing RNG in the same state; the median per-pair
+speedup must be **>= 1.5x** at 128 cores.  Its numbers go to
+``benchmark.extra_info`` only.
 """
 
 import contextlib
 import json
 import os
+import statistics
 import time
 
 from reference_kernel import reference_kernel
+from reference_sensing import build_view as reference_build_view
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.factories import make_balancer, make_platform, make_workload
 from repro.runner.serialize import metrics_digest
@@ -155,3 +168,83 @@ def bench_kernel_epoch_throughput(benchmark, quick, artifact_dir):
     with open(target, "w") as handle:
         json.dump(scorecard, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+SENSING_FLOOR = 1.5
+SENSING_FLOOR_CORES = 128
+SENSING_CORES_QUICK = (128,)
+SENSING_CORES_FULL = (128, 1024)
+#: Alternating (batched, oracle) view pairs timed per scale, after one
+#: untimed warm-up pair.
+SENSING_PAIRS = 30
+
+
+def measure_sensing(n_cores, n_pairs):
+    """Per-view times of the batched and the oracle ``build_view``.
+
+    The speedup is the median over pairs of oracle time / batched time:
+    each pair runs back to back, so host drift between pairs cancels.
+    """
+    system = System(
+        make_platform(platform_spec(n_cores)),
+        make_workload(WORKLOAD, THREADS_PER_CORE * n_cores, seed=0),
+        make_balancer("vanilla"),
+        SimulationConfig(seed=0),
+    )
+    system.run(n_epochs=1)
+    window_s = system.config.period_s
+    rng = system.sensing._rng
+    paths = {
+        "batched": system.build_view,
+        "oracle": lambda w: reference_build_view(system, w),
+    }
+    times = {name: [] for name in paths}
+    for pair in range(n_pairs + 1):
+        start_state = rng.getstate()
+        # Alternate which path goes first so neither always runs warm.
+        order = ("batched", "oracle") if pair % 2 == 0 else ("oracle", "batched")
+        views, end_states, elapsed = {}, [], {}
+        for name in order:
+            rng.setstate(start_state)
+            start = time.perf_counter()
+            views[name] = paths[name](window_s)
+            elapsed[name] = time.perf_counter() - start
+            end_states.append(rng.getstate())
+        assert views["batched"] == views["oracle"], (
+            f"batched view differs from the oracle at {n_cores} cores"
+        )
+        assert end_states[0] == end_states[1], (
+            f"batched read consumed a different draw count at {n_cores} cores"
+        )
+        if pair > 0:
+            for name in paths:
+                times[name].append(elapsed[name])
+    speedups = [o / b for o, b in zip(times["oracle"], times["batched"])]
+    return {
+        "cores": n_cores,
+        "tasks": len(views["batched"].tasks),
+        "batched_ms_per_view": round(statistics.median(times["batched"]) * 1e3, 3),
+        "oracle_ms_per_view": round(statistics.median(times["oracle"]) * 1e3, 3),
+        "speedup": round(statistics.median(speedups), 2),
+    }
+
+
+def bench_sensing_view_speedup(benchmark, quick):
+    core_counts = SENSING_CORES_QUICK if quick else SENSING_CORES_FULL
+
+    def measure():
+        return [measure_sensing(n, SENSING_PAIRS) for n in core_counts]
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    for row in rows:
+        for key in ("batched_ms_per_view", "oracle_ms_per_view", "speedup"):
+            benchmark.extra_info[f"sensing_{key}_{row['cores']}c"] = row[key]
+    for row in rows:
+        if row["cores"] == SENSING_FLOOR_CORES:
+            assert row["speedup"] >= SENSING_FLOOR, (
+                f"batched sensing below the {SENSING_FLOOR}x floor at "
+                f"{row['cores']} cores: {row['speedup']}x "
+                f"({row['batched_ms_per_view']} vs "
+                f"{row['oracle_ms_per_view']} ms per view)"
+            )
+

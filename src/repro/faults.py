@@ -10,7 +10,7 @@ measurable rather than asserted:
 * **sensor faults** — dropout (a read returns zero), stuck-at (the
   sensor latches its current value for a number of reads) and spike
   (a read is multiplied by a large factor), applied per counter channel
-  by :class:`repro.hardware.sensors.SensingInterface`;
+  to the noisy readings by :meth:`repro.kernel.simulator.System.build_view`;
 * **counter faults** — overflow wrap at a register width and hard
   saturation, applied by :func:`repro.hardware.counters.apply_overflow`
   / :func:`repro.hardware.counters.apply_saturation`;

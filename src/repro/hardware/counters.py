@@ -16,12 +16,17 @@ events are charged from the micro-architecture model's
 :class:`~repro.hardware.microarch.PerfEstimate` whenever a thread
 executes for a time slice, and the sensing views carry noisy copies.
 Derived rates (miss rates, instruction shares) are computed by
-:meth:`CounterBlock.derive_rates` exactly as the paper defines them.
+:func:`derived_rates`, one vectorised formula over a counter matrix,
+exactly as the paper defines them; :meth:`CounterBlock.derive_rates`
+applies it to one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from repro.hardware.features import CoreType
 from repro.hardware.microarch import PerfEstimate
@@ -88,34 +93,10 @@ class CounterBlock:
         self.busy_time_s += duration_s
         return instructions
 
-    def snapshot(self) -> "CounterBlock":
-        """Return an independent copy of the current counter values."""
-        return CounterBlock(
-            **{name: getattr(self, name) for name in self.__dataclass_fields__}
-        )
-
     def derive_rates(self) -> "DerivedRates":
         """Compute the paper's derived per-epoch rates from raw counts."""
-        instr = self.instructions
-        mem = self.mem_instructions
-        branch = self.branch_instructions
-        active_cycles = self.cy_busy + self.cy_idle
-
-        def ratio(num: float, den: float) -> float:
-            return num / den if den > 0 else 0.0
-
-        return DerivedRates(
-            ipc=ratio(instr, active_cycles),
-            mem_share=ratio(mem, instr),
-            branch_share=ratio(branch, instr),
-            branch_miss_rate=ratio(self.branch_mispredicts, branch),
-            l1i_miss_rate=ratio(self.l1i_misses, instr),
-            l1d_miss_rate=ratio(self.l1d_misses, mem),
-            itlb_miss_rate=ratio(self.itlb_misses, instr),
-            dtlb_miss_rate=ratio(self.dtlb_misses, mem),
-            stall_fraction=ratio(self.cy_idle, active_cycles),
-            ips=ratio(instr, self.busy_time_s),
-        )
+        row = np.array([counter_row(self)])
+        return DerivedRates(*derived_rates(row)[0].tolist())
 
 
 #: Count-valued fields of a :class:`CounterBlock` — everything a real
@@ -134,6 +115,10 @@ COUNT_FIELDS = (
     "itlb_misses",
     "dtlb_misses",
 )
+#: Column of ``busy_time_s`` in a counter row, after the registers.
+BUSY_COLUMN = len(COUNT_FIELDS)
+#: A block's counter row: its field values in field order, as a tuple.
+counter_row = attrgetter(*COUNT_FIELDS, "busy_time_s")
 
 
 def apply_overflow(block: CounterBlock, bits: int) -> int:
@@ -192,3 +177,28 @@ class DerivedRates:
     #: (``cyIdle / (cyBusy + cyIdle)``).
     stall_fraction: float
     ips: float
+
+
+#: ``derived_rates`` columns (:class:`DerivedRates` field order) as
+#: (numerator, denominator) columns of a counter row extended by the
+#: active-cycle count ``cy_busy + cy_idle``.
+_ACTIVE = BUSY_COLUMN + 1
+_RATE_NUM = (3, 4, 5, 6, 7, 8, 9, 10, 1, 3)
+_RATE_DEN = (_ACTIVE, 3, 3, 5, 3, 4, 3, 4, _ACTIVE, BUSY_COLUMN)
+
+
+def derived_rates(counts: np.ndarray) -> np.ndarray:
+    """The paper's derived rates of every row of a counter matrix.
+
+    ``counts`` is ``(n, 12)`` in :class:`CounterBlock` field order; the
+    result is ``(n, 10)`` in :class:`DerivedRates` field order.  Each
+    rate is one float division, and reads 0 where its denominator is
+    not positive.  Like a Python float division, an overflow reads
+    ``inf`` without a warning.
+    """
+    active = counts[:, 0] + counts[:, 1]
+    extended = np.column_stack((counts, active))
+    num = extended[:, _RATE_NUM]
+    den = extended[:, _RATE_DEN]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)

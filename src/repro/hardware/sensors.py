@@ -10,21 +10,27 @@ seeded, reproducible noise model so that:
 * the *observed* values the OS sees carry configurable error.
 
 Noise is multiplicative Gaussian, clipped to keep readings physical.
-Beyond noise, an optional :class:`~repro.faults.FaultInjector` lets a
-run inject hard sensor faults — dropout, stuck-at, spikes — on every
-channel, which the resilience layer upstream must survive.
+A sensing window is read in one batch over the kernel engine's counter
+matrices and power vectors (:meth:`SensingInterface.read`).  Hard
+sensor faults — dropout, stuck-at, spikes, counter wrap — are applied
+on top of the noisy readings by the simulator, per owner, through
+:class:`~repro.faults.FaultInjector`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
-from repro.hardware.counters import CounterBlock
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultInjector
+from repro.hardware.counters import COUNT_FIELDS
+
+#: Hardware counter registers per bank: every
+#: :class:`~repro.hardware.counters.CounterBlock` column except the
+#: last, ``busy_time_s`` (kernel bookkeeping, read exactly).
+N_REGISTERS = len(COUNT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,10 @@ class NoiseModel:
     clip: float = 0.30
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(
+                f"sigma must be finite and non-negative, got {self.sigma}"
+            )
         if not 0.0 < self.clip < 1.0:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
 
@@ -67,9 +75,7 @@ class SensingInterface:
 
     One instance per platform; owns a private RNG so noisy readings are
     reproducible for a given seed regardless of other randomness in the
-    simulation.  When a fault injector is attached, every reading also
-    passes through the active fault models *after* noise — faults
-    corrupt what the OS observes, never the simulated hardware itself.
+    simulation.
     """
 
     def __init__(
@@ -77,80 +83,75 @@ class SensingInterface:
         counter_noise: NoiseModel = DEFAULT_COUNTER_NOISE,
         power_noise: NoiseModel = DEFAULT_POWER_NOISE,
         seed: int = 0,
-        faults: "Optional[FaultInjector]" = None,
     ) -> None:
         self.counter_noise = counter_noise
         self.power_noise = power_noise
-        self.faults = faults
         self._rng = random.Random(seed)
 
-    def read_counters(
-        self, block: CounterBlock, owner: object = None
-    ) -> CounterBlock:
-        """Return a noisy snapshot of a counter block.
+    def read(
+        self,
+        task_counts: np.ndarray,
+        task_power: np.ndarray,
+        core_counts: np.ndarray,
+        core_power: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+        """Noisy readings of one sensing window, as new arrays.
 
-        Each counter gets an independent noise draw, as independent
-        hardware counters would — but the three cycle counters are then
-        rescaled so ``cy_busy + cy_idle + cy_sleep`` matches the true
-        total exactly.  The cycle budget is anchored to the core clock
-        and the epoch length; a sensor may mis-split it, it cannot
-        mint cycles, so derived utilisation fractions stay in [0, 1].
-        Timing (``busy_time_s``) is kernel bookkeeping, not a hardware
-        counter, and is read exactly.
+        ``task_counts`` (n, 12) and ``core_counts`` (m, 12) are counter
+        rows in :class:`~repro.hardware.counters.CounterBlock` field
+        order; ``task_power`` (n,) and ``core_power`` (m,) are the true
+        average powers.  Returns the noisy counterparts in the same
+        shapes: ``(task_counts, task_power, core_counts, core_power)``.
 
-        ``owner`` is a stable identity for the counter bank (e.g. a
-        tid) used to key per-channel fault state; it defaults to the
-        block's own identity.
+        The RNG draw order is part of the contract: each task's eleven
+        hardware counters in field order, then its power; then each
+        core's power, then its eleven counters.  A slot whose value or
+        whose model's sigma is zero takes no draw; every other slot
+        takes one ``gauss(1.0, sigma)``, clipped to ``[1 - clip,
+        1 + clip]``, as its multiplier.  The three cycle counters of a
+        bank are then rescaled so ``cy_busy + cy_idle + cy_sleep``
+        matches the true total exactly: the cycle budget is anchored to
+        the core clock and the window, so a sensor may mis-split it but
+        cannot mint cycles, and derived utilisation fractions stay in
+        [0, 1].  ``busy_time_s`` is kernel bookkeeping and is read
+        exactly; a power reading is floored at zero.
         """
-        noise = self.counter_noise
-        sigma = noise.sigma
-        if sigma == 0.0:
-            noisy = block.snapshot()
-        else:
-            # Inline NoiseModel.apply over the eleven hardware counters
-            # (field order matters: it is the RNG draw order, and runs
-            # with thousands of blocks per sensing window).  A zero
-            # count consumes no draw, as apply() specifies.
-            rng_gauss = self._rng.gauss
-            lo = 1.0 - noise.clip
-            hi = 1.0 + noise.clip
+        n = len(task_counts)
+        counts = np.concatenate((task_counts, core_counts))
+        # One row per bank in draw order: a task row holds its counters
+        # then its power, a core row its power then its counters.
+        slots = np.empty((len(counts), N_REGISTERS + 1))
+        slots[:n, :N_REGISTERS] = task_counts[:, :N_REGISTERS]
+        slots[:n, N_REGISTERS] = task_power
+        slots[n:, 0] = core_power
+        slots[n:, 1:] = core_counts[:, :N_REGISTERS]
+        is_power = np.zeros(slots.shape, dtype=bool)
+        is_power[:n, N_REGISTERS] = True
+        is_power[n:, 0] = True
 
-            def rd(value: float) -> float:
-                if value == 0.0:
-                    return value
-                factor = min(max(rng_gauss(1.0, sigma), lo), hi)
-                return value * factor
+        # Flat views in draw order; scaling ``values`` scales ``slots``.
+        values = slots.ravel()
+        is_power = is_power.ravel()
+        cn, pn = self.counter_noise, self.power_noise
+        sigma = np.where(is_power, pn.sigma, cn.sigma)
+        drawn = np.flatnonzero((values != 0.0) & (sigma != 0.0))
+        if len(drawn):
+            gauss = self._rng.gauss
+            draws = np.array([gauss(1.0, s) for s in sigma[drawn].tolist()])
+            power_slot = is_power[drawn]
+            lo = np.where(power_slot, 1.0 - pn.clip, 1.0 - cn.clip)
+            hi = np.where(power_slot, 1.0 + pn.clip, 1.0 + cn.clip)
+            values[drawn] *= np.minimum(np.maximum(draws, lo), hi)
 
-            noisy = CounterBlock(
-                cy_busy=rd(block.cy_busy),
-                cy_idle=rd(block.cy_idle),
-                cy_sleep=rd(block.cy_sleep),
-                instructions=rd(block.instructions),
-                mem_instructions=rd(block.mem_instructions),
-                branch_instructions=rd(block.branch_instructions),
-                branch_mispredicts=rd(block.branch_mispredicts),
-                l1i_misses=rd(block.l1i_misses),
-                l1d_misses=rd(block.l1d_misses),
-                itlb_misses=rd(block.itlb_misses),
-                dtlb_misses=rd(block.dtlb_misses),
-                busy_time_s=block.busy_time_s,
-            )
-        true_cycles = block.cy_busy + block.cy_idle + block.cy_sleep
-        noisy_cycles = noisy.cy_busy + noisy.cy_idle + noisy.cy_sleep
-        if true_cycles > 0 and noisy_cycles > 0:
-            scale = true_cycles / noisy_cycles
-            noisy.cy_busy *= scale
-            noisy.cy_idle *= scale
-            noisy.cy_sleep *= scale
-        if self.faults is not None:
-            key = owner if owner is not None else id(block)
-            self.faults.corrupt_block(key, noisy)
-        return noisy
-
-    def read_power(self, true_power_w: float, owner: object = None) -> float:
-        """Return a noisy reading from a per-core power sensor."""
-        reading = max(self.power_noise.apply(true_power_w, self._rng), 0.0)
-        if self.faults is not None:
-            key = owner if owner is not None else "power-rail"
-            reading = self.faults.corrupt_power(key, reading)
-        return reading
+        noisy = counts.copy()
+        noisy[:n, :N_REGISTERS] = slots[:n, :N_REGISTERS]
+        noisy[n:, :N_REGISTERS] = slots[n:, 1:]
+        true_cycles = counts[:, 0] + counts[:, 1] + counts[:, 2]
+        noisy_cycles = noisy[:, 0] + noisy[:, 1] + noisy[:, 2]
+        repair = (true_cycles > 0) & (noisy_cycles > 0)
+        noisy[repair, :3] *= (true_cycles[repair] / noisy_cycles[repair])[:, None]
+        power = np.concatenate((slots[:n, N_REGISTERS], slots[n:, 0]))
+        # Python's max(reading, 0.0) exactly: the reading is kept
+        # unless zero exceeds it (a NaN or -0.0 reading stays as is).
+        power = np.where(power < 0.0, 0.0, power)
+        return noisy[:n], power[:n], noisy[n:], power[n:]

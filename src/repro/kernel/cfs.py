@@ -66,9 +66,6 @@ class CfsRunQueue:
     def runnable_tasks(self) -> list[Task]:
         return [t for t in self.tasks if t.state is TaskState.ACTIVE]
 
-    def nr_running(self) -> int:
-        return len(self.runnable_tasks())
-
     def load(self, utilization: Sequence[float]) -> float:
         """CFS-style load: utilisation-weighted sum of task weights.
 

@@ -22,9 +22,17 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.faults import DELAY, DELIVER, FaultInjector, FaultPlan
 from repro.hardware import power as power_model
-from repro.hardware.counters import CounterBlock
+from repro.hardware.counters import (
+    BUSY_COLUMN,
+    CounterBlock,
+    DerivedRates,
+    counter_row,
+    derived_rates,
+)
 from repro.hardware.platform import Platform
 from repro.hardware.sensors import (
     DEFAULT_COUNTER_NOISE,
@@ -149,7 +157,6 @@ class System:
             counter_noise=self.config.counter_noise,
             power_noise=self.config.power_noise,
             seed=self.config.seed,
-            faults=self.faults,
         )
         self.runqueues = [CfsRunQueue(core) for core in platform]
         #: Nominal (unthrottled) core of each queue; ``queue.core`` is
@@ -487,10 +494,14 @@ class System:
     def build_view(self, window_s: float) -> SystemView:
         """Construct the observable system view for the last window.
 
-        Reads the window's counters, energy and utilisation straight
-        from the engine's arrays.  The noise RNG draw order is part of
-        the contract: tasks in tid order (skipping pending ones), then
-        cores in id order.
+        Gathers the window's counters, energy and utilisation from the
+        engine's arrays and reads them through the sensing interface in
+        one batch (tasks in tid order, skipping pending ones, then
+        cores in id order — the noise draw order).  An attached fault
+        plan then corrupts the noisy readings owner by owner in that
+        same order: each task's counters, then its power if it ran;
+        each core's power, then its counters.  Rates are derived from
+        the final counters.
         """
         engine = self.engine
         # Scenario observables (progress fractions, SLO slack) ride on
@@ -498,77 +509,111 @@ class System:
         extras_by_tid: "dict[int, dict]" = (
             self.scenario.task_extras(self) if self.scenario is not None else {}
         )
-        task_counters = engine.t_cnt.tolist()
-        task_energy = engine.epoch_energy.tolist()
-        utilization = engine.util.tolist()
-        task_views = []
-        for task in self.tasks:
-            if task.state is TaskState.PENDING:
-                continue
-            counters = CounterBlock(*task_counters[task.tid])
-            noisy = self.sensing.read_counters(counters, owner=("task", task.tid))
-            busy = counters.busy_time_s
-            if busy > 0:
-                true_power = task_energy[task.tid] / busy
-                measured_power = self.sensing.read_power(
-                    true_power, owner=("task", task.tid)
-                )
-            else:
-                measured_power = 0.0
-            task_views.append(
-                TaskView(
-                    tid=task.tid,
-                    name=task.name,
-                    core_id=task.core_id,
-                    core_type=self._base_cores[task.core_id].core_type,
-                    weight=task.weight,
-                    is_user=task.is_user,
-                    utilization=utilization[task.tid],
-                    counters=noisy,
-                    rates=noisy.derive_rates(),
-                    power_w=measured_power,
-                    busy_time_s=busy,
-                    allowed_cores=task.behavior.allowed_cores,
-                    **extras_by_tid.get(task.tid, {}),
-                )
+        live = [t for t in self.tasks if t.state is not TaskState.PENDING]
+        tids = [t.tid for t in live]
+        task_true = engine.t_cnt[tids]
+        busy = task_true[:, BUSY_COLUMN]
+        task_power = np.divide(
+            engine.epoch_energy[tids], busy, out=np.zeros_like(busy), where=busy > 0
+        )
+        core_time = engine.q_epoch_time
+        core_power = np.divide(
+            engine.q_epoch_energy,
+            core_time,
+            out=np.zeros_like(core_time),
+            where=core_time > 0,
+        )
+        task_counts, task_power, core_counts, core_power = self.sensing.read(
+            task_true, task_power, engine.c_cnt, core_power
+        )
+        task_blocks = [CounterBlock(*row) for row in task_counts.tolist()]
+        core_blocks = [CounterBlock(*row) for row in core_counts.tolist()]
+        task_power_w = task_power.tolist()
+        core_power_w = core_power.tolist()
+        busy_s = busy.tolist()
+        if self.faults is not None:
+            corrupt_block = self.faults.corrupt_block
+            corrupt_power = self.faults.corrupt_power
+            for i, tid in enumerate(tids):
+                owner = ("task", tid)
+                corrupt_block(owner, task_blocks[i])
+                if busy_s[i] > 0:
+                    task_power_w[i] = corrupt_power(owner, task_power_w[i])
+            for core_id, block in enumerate(core_blocks):
+                owner = ("core", core_id)
+                core_power_w[core_id] = corrupt_power(owner, core_power_w[core_id])
+                corrupt_block(owner, block)
+            task_counts = np.array([counter_row(b) for b in task_blocks]).reshape(
+                task_counts.shape
             )
-        core_counters = engine.c_cnt.tolist()
-        core_energy = engine.q_epoch_energy.tolist()
-        core_time = engine.q_epoch_time.tolist()
+        rates = derived_rates(task_counts).tolist()
+
+        # The view reports each core's *nominal* type: firmware-level
+        # thermal throttling is invisible to the OS, so a throttled core
+        # shows up only as prediction error downstream.
+        core_types = [
+            self._base_cores[core_id].core_type
+            for core_id in range(len(self.runqueues))
+        ]
+        utilization = engine.util.tolist()
+        task_views = [
+            TaskView(
+                tid=task.tid,
+                name=task.name,
+                core_id=task.core_id,
+                core_type=core_types[task.core_id],
+                weight=task.weight,
+                is_user=task.is_user,
+                utilization=utilization[task.tid],
+                counters=block,
+                rates=DerivedRates(*task_rates),
+                power_w=power_w,
+                busy_time_s=busy_time_s,
+                allowed_cores=task.behavior.allowed_cores,
+                **extras_by_tid.get(task.tid, {}),
+            )
+            for task, block, task_rates, power_w, busy_time_s in zip(
+                live, task_blocks, rates, task_power_w, busy_s
+            )
+        ]
+
+        # Effective cost of unused capacity: shallow idle up to the
+        # cpuidle latency, power-gated sleep beyond — what the kernel's
+        # own cpuidle accounting would report.  Firmware tables, so one
+        # lookup per distinct core type.
+        shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
+        firmware: "dict[object, tuple[float, float]]" = {}
         temperature = engine.thermal_temp.tolist()
         core_views = []
-        for queue in self.runqueues:
-            core_id = queue.core.core_id
-            # The view reports the *nominal* core type: firmware-level
-            # thermal throttling is invisible to the OS, so a throttled
-            # core shows up only as prediction error downstream.
-            core_type = self._base_cores[core_id].core_type
-            elapsed = core_time[core_id]
-            avg_power = core_energy[core_id] / elapsed if elapsed > 0 else 0.0
-            # Effective cost of unused capacity: shallow idle up to the
-            # cpuidle latency, power-gated sleep beyond — what the
-            # kernel's own cpuidle accounting would report.
-            shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
-            effective_idle = (
-                shallow_frac * power_model.idle_power(core_type).total_w
-                + (1.0 - shallow_frac) * power_model.sleep_power(core_type)
-            )
+        for core_id, queue in enumerate(self.runqueues):
+            core_type = core_types[core_id]
+            idle_sleep = firmware.get(core_type)
+            if idle_sleep is None:
+                sleep = power_model.sleep_power(core_type)
+                idle_sleep = firmware[core_type] = (
+                    shallow_frac * power_model.idle_power(core_type).total_w
+                    + (1.0 - shallow_frac) * sleep,
+                    sleep,
+                )
+            # Run-queue statistics in one walk; the load is summed in
+            # queue order, as CfsRunQueue.load sums it.
+            nr_running = 0
+            load = 0
+            for task in queue.tasks:
+                if task.state is TaskState.ACTIVE:
+                    nr_running += 1
+                    load += task.weight * max(utilization[task.tid], 0.05)
             core_views.append(
                 CoreView(
                     core_id=core_id,
                     core_type=core_type,
                     cluster=queue.core.cluster,
-                    power_w=self.sensing.read_power(
-                        avg_power, owner=("core", core_id)
-                    ),
-                    idle_power_w=effective_idle,
-                    sleep_power_w=power_model.sleep_power(core_type),
-                    counters=self.sensing.read_counters(
-                        CounterBlock(*core_counters[core_id]),
-                        owner=("core", core_id),
-                    ),
-                    nr_running=queue.nr_running(),
-                    load=queue.load(utilization),
+                    power_w=core_power_w[core_id],
+                    idle_power_w=idle_sleep[0],
+                    sleep_power_w=idle_sleep[1],
+                    counters=core_blocks[core_id],
+                    nr_running=nr_running,
+                    load=load,
                     # Ambient on every core when the thermal model is off.
                     temperature_c=temperature[core_id],
                     online=self._online[core_id],
@@ -639,9 +684,10 @@ class System:
             # Rebalance at interval boundaries, including t=0 (the
             # first call sees an empty window, as a real kernel would).
             if period_index % interval == 0:
-                view = self.build_view(
-                    window_s=periods_since_rebalance * self.config.period_s
-                )
+                with obs.span("build_view"):
+                    view = self.build_view(
+                        window_s=periods_since_rebalance * self.config.period_s
+                    )
                 t0 = time.perf_counter()
                 placement = self.balancer.rebalance(view)
                 window_balancer_time += time.perf_counter() - t0

@@ -1,9 +1,13 @@
 """Tests for the hardware performance counters."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_sensing import derive_rates, snapshot
 from repro.hardware import microarch
-from repro.hardware.counters import CounterBlock
+from repro.hardware.counters import CounterBlock, DerivedRates, derived_rates
 from repro.hardware.features import BIG, MEDIUM
 from repro.workload.characteristics import COMPUTE_PHASE, MEMORY_PHASE
 
@@ -68,8 +72,9 @@ class TestChargeExecution:
 
 class TestSleepAndReset:
     def test_snapshot_is_independent(self):
+        """The sensing oracle's copy of a bank shares no state with it."""
         block = charged_block()
-        snap = block.snapshot()
+        snap = snapshot(block)
         block.instructions = 0.0
         assert snap.instructions > 0.0
 
@@ -108,3 +113,25 @@ class TestDerivedRates:
         rates = CounterBlock().derive_rates()
         assert rates.ipc == 0.0
         assert rates.ips == 0.0
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 3.5e-3, 2.0e7])
+                | st.floats(min_value=0.0, max_value=1e12),
+                min_size=12,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100)
+    def test_batch_matches_scalar_oracle(self, rows):
+        """One vectorised formula, bit-identical to one ratio at a time,
+        zero denominators included."""
+        batch = derived_rates(np.array(rows)).tolist()
+        assert [DerivedRates(*r) for r in batch] == [
+            derive_rates(CounterBlock(*row)) for row in rows
+        ]
+

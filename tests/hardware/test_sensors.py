@@ -1,11 +1,13 @@
 """Tests for the noisy sensing interface."""
 
 import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from repro.hardware import microarch
-from repro.hardware.counters import CounterBlock
+from repro.hardware.counters import COUNT_FIELDS, CounterBlock
 from repro.hardware.features import BIG
 from repro.hardware.sensors import IDEAL_NOISE, NoiseModel, SensingInterface
 from repro.workload.characteristics import COMPUTE_PHASE
@@ -16,6 +18,17 @@ def charged_block() -> CounterBlock:
     perf = microarch.estimate(COMPUTE_PHASE, BIG)
     block.charge_execution(perf, BIG, 0.01, 0.3, 0.1)
     return block
+
+
+NO_BANKS = np.empty((0, len(COUNT_FIELDS) + 1))
+
+
+def read_task(sensing, block, power_w=0.0):
+    """Read one task bank and its power through the batched read."""
+    counts, power, _, _ = sensing.read(
+        np.array([astuple(block)]), np.array([power_w]), NO_BANKS, np.empty(0)
+    )
+    return CounterBlock(*counts[0].tolist()), power[0]
 
 
 class TestNoiseModel:
@@ -41,8 +54,9 @@ class TestNoiseModel:
         assert sum(readings) / len(readings) == pytest.approx(100.0, rel=0.01)
 
     def test_invalid_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                NoiseModel(sigma=sigma)
 
     def test_invalid_clip_rejected(self):
         with pytest.raises(ValueError):
@@ -52,15 +66,15 @@ class TestNoiseModel:
 class TestSensingInterface:
     def test_deterministic_for_seed(self):
         block = charged_block()
-        a = SensingInterface(seed=7).read_counters(block)
-        b = SensingInterface(seed=7).read_counters(block)
+        a, _ = read_task(SensingInterface(seed=7), block)
+        b, _ = read_task(SensingInterface(seed=7), block)
         assert a.instructions == b.instructions
         assert a.l1d_misses == b.l1d_misses
 
     def test_different_seeds_differ(self):
         block = charged_block()
-        a = SensingInterface(seed=1).read_counters(block)
-        b = SensingInterface(seed=2).read_counters(block)
+        a, _ = read_task(SensingInterface(seed=1), block)
+        b, _ = read_task(SensingInterface(seed=2), block)
         assert a.instructions != b.instructions
 
     def test_ideal_sensor_passthrough(self):
@@ -68,31 +82,63 @@ class TestSensingInterface:
         sensing = SensingInterface(
             counter_noise=IDEAL_NOISE, power_noise=IDEAL_NOISE
         )
-        noisy = sensing.read_counters(block)
+        noisy, power = read_task(sensing, block, power_w=3.2)
         assert noisy.instructions == block.instructions
-        assert sensing.read_power(3.2) == 3.2
+        assert power == 3.2
 
     def test_read_does_not_mutate_source(self):
-        block = charged_block()
-        before = block.instructions
-        SensingInterface(seed=3).read_counters(block)
-        assert block.instructions == before
+        counts = np.array([astuple(charged_block())])
+        power = np.array([2.0])
+        before = counts.copy(), power.copy()
+        SensingInterface(seed=3).read(counts, power, counts, power)
+        assert np.array_equal(counts, before[0])
+        assert np.array_equal(power, before[1])
 
     def test_busy_time_read_exactly(self):
         """Timing is kernel bookkeeping, not a noisy hardware counter."""
         block = charged_block()
-        noisy = SensingInterface(seed=4).read_counters(block)
+        noisy, _ = read_task(SensingInterface(seed=4), block)
         assert noisy.busy_time_s == block.busy_time_s
 
     def test_power_reading_non_negative(self):
         sensing = SensingInterface(seed=5)
         for _ in range(100):
-            assert sensing.read_power(0.001) >= 0.0
+            assert read_task(sensing, CounterBlock(), power_w=0.001)[1] >= 0.0
 
     def test_noise_is_relative(self):
         block = charged_block()
-        noisy = SensingInterface(seed=6).read_counters(block)
+        noisy, _ = read_task(SensingInterface(seed=6), block)
         assert noisy.instructions == pytest.approx(block.instructions, rel=0.3)
+
+    def test_draw_order_and_zero_slots(self):
+        """Each task's counters in field order then its power; then each
+        core's power then its counters.  A zero slot takes no draw."""
+        counter, power = NoiseModel(sigma=0.1, clip=0.5), NoiseModel(sigma=0.2)
+        task = charged_block()
+        task.cy_sleep = 0.0
+        core = charged_block()
+        core.itlb_misses = 0.0
+        sensing = SensingInterface(counter, power, seed=11)
+        t_counts, t_power, c_counts, c_power = sensing.read(
+            np.array([astuple(task)]),
+            np.array([1.5]),
+            np.array([astuple(core)]),
+            np.array([0.0]),
+        )
+        rng = random.Random(11)
+
+        def factor(model):
+            return min(max(rng.gauss(1.0, model.sigma), 1 - model.clip), 1 + model.clip)
+
+        expected_task = [v and v * factor(counter) for v in astuple(task)[:11]]
+        expected_power = 1.5 * factor(power)
+        expected_core = [v and v * factor(counter) for v in astuple(core)[:11]]
+        assert t_power[0] == expected_power
+        assert c_power[0] == 0.0
+        # Registers outside the cycle triple are not rescaled.
+        assert t_counts[0, 3:11].tolist() == expected_task[3:]
+        assert c_counts[0, 3:11].tolist() == expected_core[3:]
+        assert sensing._rng.getstate() == rng.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +146,18 @@ class TestSensingInterface:
 # ----------------------------------------------------------------------
 
 from hypothesis import given, settings, strategies as st
+
+#: Registers the cycle-total repair leaves alone.
+EVENT_REGISTERS = slice(3, len(COUNT_FIELDS))
+
+
+def read_flat(value, model, seed):
+    """Every register of one task bank and its power hold ``value``;
+    returns the noisy event registers and the power reading."""
+    block = CounterBlock(*([value] * len(COUNT_FIELDS)), busy_time_s=0.01)
+    sensing = SensingInterface(counter_noise=model, power_noise=model, seed=seed)
+    noisy, power = read_task(sensing, block, power_w=value)
+    return list(astuple(noisy)[EVENT_REGISTERS]) + [power]
 
 
 class TestNoiseModelProperties:
@@ -112,8 +170,8 @@ class TestNoiseModelProperties:
     @settings(max_examples=200)
     def test_reading_bounded_by_clip(self, value, sigma, clip, seed):
         model = NoiseModel(sigma=sigma, clip=clip)
-        reading = model.apply(value, random.Random(seed))
-        assert (1.0 - clip) * value <= reading <= (1.0 + clip) * value
+        for reading in read_flat(value, model, seed):
+            assert (1.0 - clip) * value <= reading <= (1.0 + clip) * value
 
     @given(
         value=st.floats(min_value=0.0, max_value=1e12),
@@ -122,8 +180,8 @@ class TestNoiseModelProperties:
     )
     @settings(max_examples=200)
     def test_reading_never_negative(self, value, sigma, seed):
-        reading = NoiseModel(sigma=sigma).apply(value, random.Random(seed))
-        assert reading >= 0.0
+        for reading in read_flat(value, NoiseModel(sigma=sigma), seed):
+            assert reading >= 0.0
 
     @given(
         value=st.floats(min_value=0.0, max_value=1e12),
@@ -131,7 +189,8 @@ class TestNoiseModelProperties:
     )
     @settings(max_examples=100)
     def test_zero_sigma_is_exact_passthrough(self, value, seed):
-        assert NoiseModel(sigma=0.0).apply(value, random.Random(seed)) == value
+        readings = read_flat(value, NoiseModel(sigma=0.0), seed)
+        assert readings == [value] * len(readings)
 
 
 class TestCycleIdentityRepair:
@@ -153,9 +212,13 @@ class TestCycleIdentityRepair:
         sensing = SensingInterface(
             counter_noise=NoiseModel(sigma=sigma), seed=seed
         )
-        noisy = sensing.read_counters(block)
+        rows = np.array([astuple(block)] * 2)
+        task_counts, _, core_counts, _ = sensing.read(
+            rows[:1], np.zeros(1), rows[1:], np.zeros(1)
+        )
         true_total = block.cy_busy + block.cy_idle + block.cy_sleep
-        noisy_total = noisy.cy_busy + noisy.cy_idle + noisy.cy_sleep
-        assert noisy_total == pytest.approx(true_total, rel=1e-9)
-        share = noisy.cy_busy / noisy_total
-        assert 0.0 <= share <= 1.0
+        for noisy in (task_counts[0], core_counts[0]):
+            noisy_total = noisy[0] + noisy[1] + noisy[2]
+            assert noisy_total == pytest.approx(true_total, rel=1e-9)
+            share = noisy[0] / noisy_total
+            assert 0.0 <= share <= 1.0

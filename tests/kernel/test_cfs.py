@@ -77,7 +77,7 @@ class TestEnqueueDequeue:
         task.core_id = 99
         queue.enqueue(task)
         assert task.core_id == 0
-        assert queue.nr_running() == 1
+        assert queue.runnable_tasks() == [task]
 
     def test_double_enqueue_rejected(self):
         queue = CfsRunQueue(Core(core_id=0, core_type=BIG))

@@ -1,0 +1,157 @@
+"""Differential equivalence: batched sensing vs the scalar oracle.
+
+``System.build_view`` reads a sensing window in one batch: one mask
+over the counter and power arrays fixes which slots take a noise draw
+and in what order, one ``gauss`` call per masked slot, numpy for the
+clip, the cycle-total repair, the power floor and the derived rates,
+then one per-owner fault pass.  ``reference_sensing.py`` (the test
+oracle) reads the same window one owner at a time, the way the scalar
+code always did.  The batch promises bit identity with it.
+
+Every spec below runs with ``System.build_view`` wrapped: at every view
+the oracle builds the view first, the sensing and fault-injector state
+is rewound, and the batched view is built from the same state.  The two
+views must be equal field for field (``==`` and ``repr``, so an int
+``0`` for a float ``0.0`` counts as a difference), and they must leave
+the sensing RNG, both fault-injector RNGs, the stuck-at latch table and
+the injection counts in the same state.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import reference_sensing
+from repro.faults import SCENARIOS
+from repro.hardware.sensors import IDEAL_NOISE, NoiseModel
+from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.task import TaskState
+from repro.runner.engine import execute_spec
+from repro.runner.spec import RunSpec
+
+
+def _state(system):
+    """Everything a view may consume: RNG streams, latches, tallies."""
+    state = [system.sensing._rng.getstate()]
+    faults = system.faults
+    if faults is not None:
+        state += [
+            faults._sensor_rng.getstate(),
+            faults._migration_rng.getstate(),
+            dict(faults._stuck),
+            replace(faults.counts),
+        ]
+    return state
+
+
+def _restore(system, state) -> None:
+    system.sensing._rng.setstate(state[0])
+    faults = system.faults
+    if faults is not None:
+        faults._sensor_rng.setstate(state[1])
+        faults._migration_rng.setstate(state[2])
+        faults._stuck = dict(state[3])
+        faults.counts = replace(state[4])
+
+
+def run_checked(monkeypatch, spec):
+    """Run ``spec`` with every view checked; returns one record per view:
+    (live tasks in the view, pending tasks, exited tasks)."""
+    batched = System.build_view
+    records = []
+
+    def build_view(system, window_s):
+        before = _state(system)
+        expected = reference_sensing.build_view(system, window_s)
+        expected_state = _state(system)
+        _restore(system, before)
+        view = batched(system, window_s)
+        assert view == expected
+        assert repr(view) == repr(expected)
+        assert _state(system) == expected_state
+        states = [t.state for t in system.tasks]
+        records.append(
+            (
+                len(view.tasks),
+                states.count(TaskState.PENDING),
+                states.count(TaskState.EXITED),
+            )
+        )
+        return view
+
+    monkeypatch.setattr(System, "build_view", build_view)
+    execute_spec(spec)
+    assert records, "no view was built"
+    return records
+
+
+def spec(**kwargs):
+    base = dict(workload="MTMI", platform="quad", threads=6, n_epochs=3, seed=3)
+    base.update(kwargs)
+    return RunSpec(**base)
+
+
+NOISE_SPECS = {
+    "ideal_counters": spec(config=SimulationConfig(counter_noise=IDEAL_NOISE)),
+    "ideal_power": spec(config=SimulationConfig(power_noise=IDEAL_NOISE)),
+    "ideal_both": spec(
+        config=SimulationConfig(counter_noise=IDEAL_NOISE, power_noise=IDEAL_NOISE)
+    ),
+    # Wide sigmas so both clips bind often, at different bounds.
+    "unequal_clips": spec(
+        balancer="vanilla",
+        config=SimulationConfig(
+            counter_noise=NoiseModel(sigma=0.4, clip=0.1),
+            power_noise=NoiseModel(sigma=0.3, clip=0.6),
+        ),
+    ),
+    "os_noise_tasks": spec(config=SimulationConfig(os_noise_tasks=4)),
+    "thermal": spec(
+        platform="biglittle", config=SimulationConfig(thermal_enabled=True)
+    ),
+    "two_level": spec(platform="dvfsquad", threads=8, governor="two_level"),
+    "tpeq_barrier": spec(
+        platform="biglittle", threads=4, balancer="tpeq", scenario="barrier",
+        n_epochs=6,
+    ),
+    "slo_openloop": spec(
+        platform="biglittle", threads=4, balancer="slo", scenario="openloop",
+        n_epochs=6,
+    ),
+    "hmp128": spec(platform="hmp:128", threads=256, balancer="vanilla", n_epochs=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_SPECS))
+def test_batched_view_matches_oracle(monkeypatch, name):
+    run_checked(monkeypatch, NOISE_SPECS[name])
+
+
+@pytest.mark.parametrize("preset", SCENARIOS)
+def test_fault_presets_match_oracle(monkeypatch, preset):
+    """Vanilla views every period, so stuck-at latches are re-read."""
+    run_checked(
+        monkeypatch,
+        spec(platform="biglittle", balancer="vanilla", faults=preset, n_epochs=4),
+    )
+
+
+def test_faults_with_defences_and_adaptation_match_oracle(monkeypatch):
+    run_checked(
+        monkeypatch,
+        spec(
+            platform="biglittle", threads=4, scenario="openloop",
+            faults="combined", adaptation=True, n_epochs=8,
+        ),
+    )
+
+
+def test_openloop_pending_and_exited_tasks(monkeypatch):
+    """Pending threads are left out of the view and exited ones stay in;
+    both must keep the draw order."""
+    records = run_checked(
+        monkeypatch,
+        spec(platform="biglittle", threads=4, scenario="openloop", n_epochs=8),
+    )
+    assert any(pending > 0 for _, pending, _ in records)
+    assert any(exited > 0 for _, _, exited in records)

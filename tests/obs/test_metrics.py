@@ -89,6 +89,7 @@ class TestRunMetrics:
         # unhealthy (the graceful-degradation early return).
         timings = obs.metrics.snapshot()["timings"]
         assert timings["span.sense"]["count"] == 6
+        assert timings["span.build_view"]["count"] == 6
         for phase in ("span.predict", "span.balance"):
             assert 1 <= timings[phase]["count"] <= 6
 

@@ -142,6 +142,11 @@ class TestRefusals:
                 {"workload": "MTMI", "config": {"counter_noise": {"omega": 1}}}
             )
         assert excinfo.value.field == "counter_noise"
+        with pytest.raises(ApiError) as excinfo:
+            spec_from_payload(
+                {"workload": "MTMI", "config": {"power_noise": {"sigma": "nan"}}}
+            )
+        assert excinfo.value.field == "power_noise"
 
 
 class TestRequestEnvelope:
