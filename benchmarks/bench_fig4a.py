@@ -7,28 +7,21 @@ complete figure is regenerated once and written to
 gain; the assertion checks the shape (SmartBalance wins clearly).
 """
 
-from repro.core.balancer import SmartBalance
-from repro.experiments import fig4
-from repro.experiments.common import QUICK, compare_balancers
-from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.vanilla import VanillaBalancer
-from repro.workload.synthetic import imb_threads
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import QUICK
+from repro.runner import RunSpec, run_specs, run_sweep
 
 
 def bench_fig4a_single_case(benchmark):
     """Time one Fig. 4(a) data point (MTMI, 8 threads, both balancers)."""
-    platform = quad_hmp()
+    specs = [
+        RunSpec(workload="MTMI", platform="quad", threads=8, balancer=balancer,
+                n_epochs=QUICK.n_epochs)
+        for balancer in ("vanilla", "smartbalance")
+    ]
 
-    def one_case():
-        return compare_balancers(
-            platform,
-            lambda: imb_threads("MTMI", 8),
-            (VanillaBalancer, SmartBalance),
-            n_epochs=QUICK.n_epochs,
-        )
-
-    results = benchmark(one_case)
-    gain = results["smartbalance"].improvement_over(results["vanilla"])
+    vanilla, smart = benchmark(lambda: run_specs(specs))
+    gain = smart.improvement_over(vanilla)
     benchmark.extra_info["ips_per_watt_gain_pct"] = gain
     assert gain > 0
 
@@ -40,7 +33,8 @@ def bench_fig4a_full_figure(benchmark, save_artifact, runner_jobs):
     worker count without changing a single output bit.
     """
     result = benchmark.pedantic(
-        lambda: fig4.run_fig4a(QUICK, jobs=runner_jobs), rounds=1, iterations=1
+        lambda: run_sweep([EXPERIMENTS["fig4a"]], QUICK, jobs=runner_jobs)[0],
+        rounds=1, iterations=1,
     )
     benchmark.extra_info["jobs"] = runner_jobs
     save_artifact(result)

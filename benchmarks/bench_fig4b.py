@@ -4,35 +4,29 @@ PARSEC benchmarks and the Table 3 mixes.
 Paper headline: 52 % average IPS/W gain for PARSEC and mixes.
 """
 
-from repro.core.balancer import SmartBalance
-from repro.experiments import fig4
-from repro.experiments.common import QUICK, compare_balancers
-from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.vanilla import VanillaBalancer
-from repro.workload.parsec import mix_threads
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import QUICK
+from repro.runner import RunSpec, run_specs, run_sweep
 
 
 def bench_fig4b_single_mix(benchmark):
     """Time one Fig. 4(b) data point (Mix6, both balancers)."""
-    platform = quad_hmp()
+    specs = [
+        RunSpec(workload="Mix6", platform="quad", threads=2, balancer=balancer,
+                n_epochs=QUICK.n_epochs)
+        for balancer in ("vanilla", "smartbalance")
+    ]
 
-    def one_case():
-        return compare_balancers(
-            platform,
-            lambda: mix_threads("Mix6", 2),
-            (VanillaBalancer, SmartBalance),
-            n_epochs=QUICK.n_epochs,
-        )
-
-    results = benchmark(one_case)
-    gain = results["smartbalance"].improvement_over(results["vanilla"])
+    vanilla, smart = benchmark(lambda: run_specs(specs))
+    gain = smart.improvement_over(vanilla)
     benchmark.extra_info["mix6_gain_pct"] = gain
 
 
 def bench_fig4b_full_figure(benchmark, save_artifact, runner_jobs):
     """Regenerate the whole Fig. 4(b) set (quick scale) via the runner."""
     result = benchmark.pedantic(
-        lambda: fig4.run_fig4b(QUICK, jobs=runner_jobs), rounds=1, iterations=1
+        lambda: run_sweep([EXPERIMENTS["fig4b"]], QUICK, jobs=runner_jobs)[0],
+        rounds=1, iterations=1,
     )
     benchmark.extra_info["jobs"] = runner_jobs
     save_artifact(result)

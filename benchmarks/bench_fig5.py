@@ -4,34 +4,28 @@ ARM GTS (and vanilla/IKS) on the octa-core big.LITTLE.
 Paper headline: SmartBalance ~20 % above GTS.
 """
 
-from repro.core.balancer import SmartBalance
-from repro.experiments import fig5
-from repro.experiments.common import QUICK, compare_balancers
-from repro.hardware.platform import big_little_octa
-from repro.kernel.balancers.gts import GtsBalancer
-from repro.workload.parsec import benchmark as parsec_benchmark
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import QUICK
+from repro.runner import RunSpec, run_specs, run_sweep
 
 
 def bench_fig5_single_case(benchmark):
     """Time one Fig. 5 data point (x264_L_bow x 8, GTS vs SmartBalance)."""
-    platform = big_little_octa()
+    specs = [
+        RunSpec(workload="x264_L_bow", platform="biglittle", threads=8,
+                balancer=balancer, n_epochs=QUICK.n_epochs)
+        for balancer in ("gts", "smartbalance")
+    ]
 
-    def one_case():
-        return compare_balancers(
-            platform,
-            lambda: parsec_benchmark("x264_L_bow").threads(8),
-            (GtsBalancer, SmartBalance),
-            n_epochs=QUICK.n_epochs,
-        )
-
-    results = benchmark(one_case)
-    gain = results["smartbalance"].improvement_over(results["gts"])
+    gts, smart = benchmark(lambda: run_specs(specs))
+    gain = smart.improvement_over(gts)
     benchmark.extra_info["gain_over_gts_pct"] = gain
 
 
 def bench_fig5_full_figure(benchmark, save_artifact, runner_jobs):
     result = benchmark.pedantic(
-        lambda: fig5.run(QUICK, jobs=runner_jobs), rounds=1, iterations=1
+        lambda: run_sweep([EXPERIMENTS["fig5"]], QUICK, jobs=runner_jobs)[0],
+        rounds=1, iterations=1,
     )
     benchmark.extra_info["jobs"] = runner_jobs
     save_artifact(result)

@@ -19,9 +19,11 @@ git-ignored), so fleet regressions show up as diffs in review:
 import json
 import os
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments import fleet as fleet_exp
 from repro.experiments.common import QUICK
 from repro.fleet import run_fleet
+from repro.runner import run_sweep
 
 #: The committed scorecard (benchmarks/out is git-ignored; this is not).
 SCORECARD = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -102,7 +104,8 @@ def bench_fleet_replayability(benchmark):
 def bench_fleet_experiment_table(benchmark, runner_jobs, save_artifact):
     """The full experiment table, saved as a benchmarks/out artifact."""
     result = benchmark.pedantic(
-        lambda: fleet_exp.run(jobs=runner_jobs), rounds=1, iterations=1
+        lambda: run_sweep([EXPERIMENTS["fleet"]], QUICK, jobs=runner_jobs)[0],
+        rounds=1, iterations=1,
     )
     save_artifact(result)
     by_name = {f.name: f.measured for f in result.findings}

@@ -13,10 +13,11 @@ The acceptance bar for the fault-injection framework:
 
 import dataclasses
 
-from repro.experiments import resilience as resilience_exp
-from repro.experiments.resilience import RETENTION_FLOOR, retention_under, run_one
-from repro.faults import SCENARIOS, scenario
-from repro.kernel.simulator import SimulationConfig
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import QUICK
+from repro.experiments.resilience import RETENTION_FLOOR, resilience_spec
+from repro.faults import SCENARIOS
+from repro.runner import execute_spec, run_specs, run_sweep
 
 #: Fault-schedule seeds averaged over (single runs are noisy).
 SEEDS = (0, 1, 2)
@@ -28,10 +29,17 @@ def bench_resilience_combined_retention(benchmark):
     def measure():
         mitigated, unmitigated = [], []
         for seed in SEEDS:
-            m_ret, _ = retention_under("combined", seed=seed, mitigated=True)
-            u_ret, _ = retention_under("combined", seed=seed, mitigated=False)
-            mitigated.append(m_ret)
-            unmitigated.append(u_ret)
+            baseline, m_run = run_specs(
+                [resilience_spec(None, seed), resilience_spec("combined", seed)]
+            )
+            (u_run,) = run_specs(
+                [resilience_spec("combined", seed, mitigated=False)],
+                on_error="none",
+            )
+            mitigated.append(m_run.ips_per_watt / baseline.ips_per_watt)
+            unmitigated.append(
+                0.0 if u_run is None else u_run.ips_per_watt / baseline.ips_per_watt
+            )
         return mitigated, unmitigated
 
     mitigated, unmitigated = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -39,8 +47,9 @@ def bench_resilience_combined_retention(benchmark):
     mean_unmitigated = sum(unmitigated) / len(unmitigated)
     benchmark.extra_info["retention_mitigated"] = mean_mitigated
     benchmark.extra_info["retention_unmitigated"] = mean_unmitigated
-    # retention_under re-raises any mitigated-run exception, so reaching
-    # this point already proves the mitigated loop never raised.
+    # The baseline and mitigated runs go through run_specs' default
+    # on_error="raise", so reaching this point already proves the
+    # mitigated loop never raised.
     assert mean_mitigated >= RETENTION_FLOOR
     # The unmitigated balancer either crashed (scored 0) or measurably
     # lost efficiency to the same faults.
@@ -49,13 +58,10 @@ def bench_resilience_combined_retention(benchmark):
 
 def bench_resilience_seed_reproducibility(benchmark):
     """Same plan, same run: fault schedules are pure functions of seed."""
-    duration_s = resilience_exp.N_EPOCHS * SimulationConfig().epoch_s
-    plan = scenario("combined", seed=0, n_cores=4, duration_s=duration_s)
+    spec = resilience_spec("combined", seed=0)
 
     def twice():
-        first = run_one(plan, mitigations=True, seed=0)
-        second = run_one(plan, mitigations=True, seed=0)
-        return first, second
+        return execute_spec(spec), execute_spec(spec)
 
     first, second = benchmark.pedantic(twice, rounds=1, iterations=1)
     assert first.resilience is not None
@@ -70,12 +76,13 @@ def bench_resilience_seed_reproducibility(benchmark):
 def bench_resilience_scenario_table(benchmark, save_artifact, runner_jobs):
     """The full retention table across every named scenario.
 
-    The sweep goes through the parallel runner with crash tolerance
-    (``on_error="none"``): an unmitigated run that dies scores zero
-    retention instead of killing its worker.
+    The sweep goes through the parallel runner, and the experiment
+    tolerates crashes: an unmitigated run that dies scores zero
+    retention instead of failing the sweep.
     """
     result = benchmark.pedantic(
-        lambda: resilience_exp.run(jobs=runner_jobs), rounds=1, iterations=1
+        lambda: run_sweep([EXPERIMENTS["resilience"]], QUICK, jobs=runner_jobs)[0],
+        rounds=1, iterations=1,
     )
     benchmark.extra_info["jobs"] = runner_jobs
     save_artifact(result)

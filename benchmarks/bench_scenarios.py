@@ -33,7 +33,8 @@ import json
 import os
 
 from repro.experiments.common import FULL, QUICK
-from repro.experiments.scenarios import CASES, compare
+from repro.experiments.scenarios import CASES, compare, scenario_specs
+from repro.runner import run_specs
 
 #: The committed scorecard (benchmarks/out is git-ignored; this is not).
 SCORECARD = os.path.join(
@@ -54,7 +55,8 @@ def bench_scenario_variants(benchmark, quick, artifact_dir, runner_jobs):
     scale = QUICK if quick else FULL
 
     def measure():
-        return compare(scale, jobs=runner_jobs)
+        specs = scenario_specs(scale)
+        return compare(scale, dict(zip(specs, run_specs(specs, jobs=runner_jobs))))
 
     data = benchmark.pedantic(measure, rounds=1, iterations=1)
 

@@ -3,7 +3,6 @@
 from repro.analysis.replication import (
     Replication,
     bootstrap_ci,
-    compare_with_replication,
     replicate,
 )
 from repro.analysis.reporting import ExperimentResult, Finding
@@ -41,5 +40,4 @@ __all__ = [
     "Replication",
     "bootstrap_ci",
     "replicate",
-    "compare_with_replication",
 ]

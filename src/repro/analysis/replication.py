@@ -4,8 +4,8 @@ The paper reports single-run numbers; a reproduction should show how
 stable its own numbers are across sensing-noise seeds and workload
 jitter.  :func:`replicate` runs any seed-parameterised measurement
 several times and reports summary statistics with a bootstrap
-confidence interval; :func:`compare_with_replication` applies it to the
-balancer-improvement measurements the figures are built from.
+confidence interval; the ``ext_replicated`` experiment applies it to
+the balancer-improvement measurements the figures are built from.
 """
 
 from __future__ import annotations
@@ -89,35 +89,3 @@ def replicate(
         ci_high=high,
         confidence=confidence,
     )
-
-
-def compare_with_replication(
-    platform_factory: Callable[[], object],
-    workload_factory: Callable[[int], list],
-    baseline_factory: Callable[[], object],
-    candidate_factory: Callable[[], object],
-    n_epochs: int = 20,
-    n_seeds: int = 5,
-) -> Replication:
-    """Replicated percent IPS/W improvement of candidate over baseline.
-
-    Each seed parameterises both the workload jitter and the sensing
-    noise, so the interval covers the full stochastic surface.
-    """
-    from repro.kernel.simulator import SimulationConfig, System
-
-    def measure(seed: int) -> float:
-        results = {}
-        for factory in (baseline_factory, candidate_factory):
-            balancer = factory()
-            system = System(
-                platform_factory(),
-                workload_factory(seed),
-                balancer,
-                SimulationConfig(seed=seed),
-            )
-            results[balancer.name] = system.run(n_epochs=n_epochs)
-        names = list(results)
-        return results[names[1]].improvement_over(results[names[0]])
-
-    return replicate(measure, n_seeds=n_seeds)

@@ -6,7 +6,6 @@ writing Python::
     python -m repro experiments --scale quick          # everything
     python -m repro experiments fig4a fig6             # selected
     python -m repro experiments fig4a --jobs 4 --cache # parallel + cached
-    python -m repro sweep --scale quick --jobs 4       # shared-pool sweep
     python -m repro run --platform quad --workload MTMI --threads 8 \
         --balancer smartbalance --epochs 40 --trace out.json
     python -m repro compare --workload Mix6 --threads 2
@@ -88,6 +87,16 @@ def spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:
         raise SystemExit(str(exc)) from None
 
 
+def execute_or_exit(spec: RunSpec, obs=None):
+    """:func:`execute_spec` for a command line: a name no factory
+    resolves ends the command with its one-line message, as a bad flag
+    value does in :func:`spec_from_args`."""
+    try:
+        return execute_spec(spec, obs=obs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def print_resilience(result) -> None:
     """One-line fault/defence summary of a run, when there is one."""
     stats = result.resilience
@@ -139,7 +148,7 @@ def cmd_list(args) -> int:
 def cmd_run(args) -> int:
     spec = spec_from_args(args)
     obs = ObsContext() if args.trace_out else None
-    result = execute_spec(spec, obs=obs)
+    result = execute_or_exit(spec, obs=obs)
     if args.json:
         # Machine mode: the deterministic metrics document is the whole
         # of stdout (wall-clock timings excluded), so two runs of the
@@ -222,7 +231,7 @@ def cmd_compare(args) -> int:
     names = args.balancers or ["vanilla", "smartbalance"]
     results = {}
     for name in names:
-        results[name] = execute_spec(spec_from_args(args, balancer=name))
+        results[name] = execute_or_exit(spec_from_args(args, balancer=name))
         user_output(f"{name:>13}: {results[name].ips_per_watt:.4e} instructions/J")
     baseline = results[names[0]]
     for name in names[1:]:
@@ -316,46 +325,20 @@ def _experiment_cache(args):
 
 
 def cmd_experiments(args) -> int:
+    """Regenerate artifacts: one :func:`run_sweep` over the selection."""
+    import time
+
     from repro.experiments import EXPERIMENTS
     from repro.experiments.common import scale_by_name
+    from repro.runner import resolve_jobs, run_sweep
 
     scale = scale_by_name(args.scale)
-    cache = _experiment_cache(args)
     selected = args.ids or list(EXPERIMENTS)
     unknown = [i for i in selected if i not in EXPERIMENTS]
     if unknown:
         raise SystemExit(f"unknown experiment ids {unknown}; known: {list(EXPERIMENTS)}")
-    for exp_id in selected:
-        user_output(EXPERIMENTS[exp_id](scale, args.jobs, cache).render())
-        user_output()
-    return 0
-
-
-#: Experiments that decompose into RunSpec jobs (see `sweep`).
-SWEEP_IDS = ("fig4a", "fig4b", "fig5", "resilience")
-
-
-def cmd_sweep(args) -> int:
-    """Run the sweep-decomposable experiments through one shared pool."""
-    import time
-
-    from repro import experiments
-    from repro.experiments.common import scale_by_name
-    from repro.runner import ResultCache, resolve_jobs, run_sweep
-
-    scale = scale_by_name(args.scale)
-    selected = args.ids or list(SWEEP_IDS)
-    unknown = [i for i in selected if i not in SWEEP_IDS]
-    if unknown:
-        raise SystemExit(
-            f"unknown sweep ids {unknown}; known: {list(SWEEP_IDS)}"
-        )
-    catalogue = {}
-    for module in (experiments.fig4, experiments.fig5, experiments.resilience):
-        for sweep_exp in module.sweep_experiments():
-            catalogue[sweep_exp.experiment_id] = sweep_exp
-    chosen = [catalogue[i] for i in selected]
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    chosen = [EXPERIMENTS[i] for i in selected]
+    cache = _experiment_cache(args)
     if args.trace_dir and cache is not None:
         _log.info("tracing requested; result cache bypassed for this sweep")
         cache = None
@@ -364,16 +347,12 @@ def cmd_sweep(args) -> int:
         spec for experiment in chosen for spec in experiment.specs(scale)
     })
     started = time.perf_counter()
-    # Resilience tolerates crashed unmitigated runs (scored as zero
-    # retention); outside it a worker crash should propagate.
-    on_error = "none" if "resilience" in selected else "raise"
     reports = run_sweep(
         chosen,
         scale,
         jobs=jobs,
         cache=cache,
         base_seed=args.base_seed,
-        on_error=on_error,
         trace_dir=args.trace_dir,
     )
     elapsed = time.perf_counter() - started
@@ -381,7 +360,7 @@ def cmd_sweep(args) -> int:
         user_output(report.render())
         user_output()
     summary = (
-        f"sweep: {len(chosen)} experiment(s), {n_jobs} distinct job(s), "
+        f"experiments: {len(chosen)} experiment(s), {n_jobs} distinct job(s), "
         f"{jobs} worker(s), {elapsed:.1f}s"
     )
     if cache is not None:
@@ -391,7 +370,8 @@ def cmd_sweep(args) -> int:
         )
     if args.trace_dir:
         summary += f"; traces in {args.trace_dir}"
-    user_output(summary)
+    # Stdout holds only the reports, so two runs compare byte-for-byte.
+    user_output(summary, file=sys.stderr)
     return 0
 
 
@@ -577,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--scale", choices=("quick", "full"), default="quick")
     experiments.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for sweep-decomposable experiments "
+        help="worker processes for the experiments' runs "
         "(default: REPRO_JOBS or serial)",
     )
     experiments.add_argument(
@@ -587,37 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--cache-dir", default=None,
         help="result cache directory (implies --cache; "
-        "default benchmarks/out/cache)",
+        "default benchmarks/out/cache, override with REPRO_CACHE_DIR)",
     )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run the sweep-decomposable experiments through one shared pool",
-    )
-    sweep.add_argument("ids", nargs="*", metavar="id",
-                       help=f"subset of {', '.join(SWEEP_IDS)} (default: all)")
-    sweep.add_argument("--scale", choices=("quick", "full"), default="quick")
-    sweep.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS or serial)",
-    )
-    sweep.add_argument(
+    experiments.add_argument(
         "--base-seed", type=int, default=None,
-        help="re-seed every job as hash(base_seed, spec) — replication sweeps",
+        help="re-seed every run as hash(base_seed, spec) — replication sweeps",
     )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (on by default)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default benchmarks/out/cache, "
-        "override with REPRO_CACHE_DIR)",
-    )
-    sweep.add_argument(
+    experiments.add_argument(
         "--trace-dir", default=None, metavar="DIR",
-        help="trace every job: <spec_key>.jsonl + <spec_key>.metrics.json "
-        "per job (bypasses the result cache)",
+        help="trace every run: <spec_key>.jsonl + <spec_key>.metrics.json "
+        "per distinct run (bypasses the result cache)",
     )
 
     fleet = sub.add_parser(
@@ -795,7 +754,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": cmd_run,
         "compare": cmd_compare,
         "experiments": cmd_experiments,
-        "sweep": cmd_sweep,
         "fleet": cmd_fleet,
         "report": cmd_report,
         "train": cmd_train,

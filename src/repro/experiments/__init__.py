@@ -1,9 +1,15 @@
 """Experiment modules — one per paper table/figure.
 
-Each module exposes ``run(...) -> ExperimentResult`` (or ``run_<id>``
-where one paper figure has multiple panels) and a ``main()`` that
-prints the rendered result.  :data:`EXPERIMENTS` maps every artifact id
-to its runner; ``repro experiments`` and ``run_all()`` both iterate it.
+Every artifact is a :class:`~repro.runner.SweepExperiment` in
+:data:`EXPERIMENTS`: the :class:`~repro.runner.RunSpec` jobs it needs
+and a ``build`` that assembles its report from their results.
+:func:`~repro.runner.run_sweep` is the one runner: it unions the jobs
+of every selected experiment into one deduplicated, cacheable,
+parallel batch, then builds each report.  Experiments that need
+objects a ``RunSpec`` cannot name (trained models, synthetic problems,
+timing harnesses) list no jobs and compute inside ``build``.
+``python -m repro experiments <ids>`` and :func:`run_all` both go
+through it.
 
 | module  | paper artifact                                     |
 |---------|----------------------------------------------------|
@@ -50,52 +56,60 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.common import FULL, QUICK, Scale
-from repro.obs import user_output
+from repro.runner import SweepExperiment, run_sweep
 
 
-#: Every artifact, in regeneration order: id -> callable of
-#: ``(scale, jobs, cache)``.  ``jobs`` and ``cache`` reach the
-#: experiments that decompose into runner jobs; the rest ignore them.
+def _computed(experiment_id: str, run) -> SweepExperiment:
+    """An experiment with no jobs: ``build`` computes it from ``scale``."""
+    return SweepExperiment(
+        experiment_id, lambda scale: (), lambda scale, results: run(scale)
+    )
+
+
+#: Every artifact, in regeneration order, keyed by id.
 EXPERIMENTS = {
-    "table1": lambda scale, jobs, cache: table1.run(),
-    "table2": lambda scale, jobs, cache: table2.run(),
-    "table3": lambda scale, jobs, cache: table3.run(),
-    "table4": lambda scale, jobs, cache: table4.run(),
-    "fig4a": lambda scale, jobs, cache: fig4.run_fig4a(scale, jobs=jobs, cache=cache),
-    "fig4b": lambda scale, jobs, cache: fig4.run_fig4b(scale, jobs=jobs, cache=cache),
-    "fig5": lambda scale, jobs, cache: fig5.run(scale, jobs=jobs, cache=cache),
-    "fig6": lambda scale, jobs, cache: fig6.run(),
-    "fig7a": lambda scale, jobs, cache: fig7.run_fig7a(scale),
-    "fig7b": lambda scale, jobs, cache: fig7.run_fig7b(),
-    "fig8a": lambda scale, jobs, cache: fig8.run_fig8a(),
-    "fig8b": lambda scale, jobs, cache: fig8.run_fig8b(),
-    "ext_virtual_sensing": lambda scale, jobs, cache: extensions.run_virtual_sensing(),
-    "ext_optimizers": lambda scale, jobs, cache: extensions.run_optimizer_comparison(),
-    "ext_replicated": lambda scale, jobs, cache: extensions.run_replicated_headline(),
-    "resilience": lambda scale, jobs, cache: resilience.run(scale, jobs=jobs, cache=cache),
-    "table4_adapted": lambda scale, jobs, cache: table4.run_adapted(scale),
-    "drift": lambda scale, jobs, cache: drift.run(scale),
-    "fleet": lambda scale, jobs, cache: fleet.run(scale, jobs=jobs, cache=cache),
-    "governor": lambda scale, jobs, cache: governor.run(scale, jobs=jobs, cache=cache),
-    "scenarios": lambda scale, jobs, cache: scenarios.run(scale, jobs=jobs, cache=cache),
+    experiment.experiment_id: experiment
+    for experiment in (
+        _computed("table1", lambda scale: table1.run()),
+        _computed("table2", lambda scale: table2.run()),
+        _computed("table3", lambda scale: table3.run()),
+        _computed("table4", lambda scale: table4.run()),
+        SweepExperiment("fig4a", fig4.fig4a_specs, fig4.fig4a_build),
+        SweepExperiment("fig4b", fig4.fig4b_specs, fig4.fig4b_build),
+        SweepExperiment("fig5", fig5.fig5_specs, fig5.fig5_build),
+        _computed("fig6", lambda scale: fig6.run()),
+        _computed("fig7a", fig7.run_fig7a),
+        _computed("fig7b", lambda scale: fig7.run_fig7b()),
+        _computed("fig8a", lambda scale: fig8.run_fig8a()),
+        _computed("fig8b", lambda scale: fig8.run_fig8b()),
+        _computed("ext_virtual_sensing", lambda scale: extensions.run_virtual_sensing()),
+        _computed("ext_optimizers", lambda scale: extensions.run_optimizer_comparison()),
+        SweepExperiment(
+            "ext_replicated", extensions.replicated_specs, extensions.replicated_build
+        ),
+        SweepExperiment(
+            "resilience",
+            resilience.resilience_specs,
+            resilience.resilience_build,
+            tolerate_crashes=True,
+        ),
+        _computed("table4_adapted", table4.run_adapted),
+        _computed("drift", drift.run),
+        SweepExperiment("fleet", fleet.fleet_specs, fleet.fleet_build),
+        SweepExperiment("governor", governor.governor_specs, governor.governor_build),
+        SweepExperiment("scenarios", scenarios.scenario_specs, scenarios.scenario_build),
+    )
 }
 
 
 def run_all(scale: Scale = QUICK) -> list:
     """Regenerate every artifact in :data:`EXPERIMENTS`; returns the results."""
-    return [experiment(scale, None, None) for experiment in EXPERIMENTS.values()]
-
-
-def main() -> None:
-    for result in run_all():
-        user_output(result.render())
-        user_output()
+    return run_sweep(list(EXPERIMENTS.values()), scale)
 
 
 __all__ = [
     "EXPERIMENTS",
     "run_all",
-    "main",
     "Scale",
     "QUICK",
     "FULL",

@@ -9,13 +9,6 @@ who wins, by roughly what factor — hold at both scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
-
-from repro.hardware.platform import Platform
-from repro.kernel.balancers.base import LoadBalancer
-from repro.kernel.metrics import RunResult
-from repro.kernel.simulator import SimulationConfig, System
-from repro.workload.thread import ThreadBehavior
 
 
 @dataclass(frozen=True)
@@ -72,65 +65,3 @@ def scale_by_name(name: str) -> Scale:
         raise ValueError(
             f"unknown scale {name!r}; known: {sorted(SCALES)}"
         ) from None
-
-
-def run_cases(
-    specs: Sequence["RunSpec"],
-    jobs: Optional[int] = None,
-    cache: Optional["ResultCache"] = None,
-    base_seed: Optional[int] = None,
-    on_error: str = "raise",
-) -> "list[RunResult | None]":
-    """Execute experiment jobs through the parallel sweep engine.
-
-    Thin wrapper over :func:`repro.runner.run_specs` so experiment
-    modules share one entry point for the ``--jobs`` / ``REPRO_JOBS``
-    knob and the on-disk result cache.
-    """
-    from repro.runner import run_specs
-
-    return run_specs(
-        specs, jobs=jobs, cache=cache, base_seed=base_seed, on_error=on_error
-    )
-
-
-def result_table(
-    specs: Sequence["RunSpec"],
-    results: Sequence["RunResult | None"],
-) -> "Mapping[RunSpec, RunResult | None]":
-    """Positional results → spec-keyed mapping for report builders."""
-    return dict(zip(specs, results))
-
-
-def run_balancer(
-    platform: Platform,
-    behaviors: Sequence[ThreadBehavior],
-    balancer: LoadBalancer,
-    n_epochs: int,
-    config: SimulationConfig | None = None,
-) -> RunResult:
-    """Simulate one (platform, workload, balancer) combination."""
-    system = System(platform, list(behaviors), balancer, config)
-    return system.run(n_epochs=n_epochs)
-
-
-def compare_balancers(
-    platform: Platform,
-    behavior_factory: Callable[[], list[ThreadBehavior]],
-    balancers: Sequence[Callable[[], LoadBalancer]],
-    n_epochs: int,
-    config: SimulationConfig | None = None,
-) -> dict[str, RunResult]:
-    """Run the same workload under several balancers.
-
-    ``behavior_factory`` is called fresh per balancer so each run gets
-    identical, independent thread objects.
-    """
-    results: dict[str, RunResult] = {}
-    for make_balancer in balancers:
-        balancer = make_balancer()
-        result = run_balancer(
-            platform, behavior_factory(), balancer, n_epochs, config
-        )
-        results[result.balancer_name] = result
-    return results

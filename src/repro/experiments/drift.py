@@ -48,7 +48,7 @@ from repro.hardware.features import CoreType
 from repro.hardware.platform import big_little_octa
 from repro.kernel.metrics import RunResult
 from repro.kernel.simulator import SimulationConfig, System
-from repro.obs import ObsContext, user_output
+from repro.obs import ObsContext
 from repro.workload.characteristics import WorkloadPhase
 from repro.workload.thread import ThreadBehavior, phased_thread
 
@@ -344,11 +344,3 @@ def run(scale: Scale = QUICK) -> ExperimentResult:
             "model)."
         ),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -5,16 +5,19 @@
 * ``run_optimizer_comparison`` — Algorithm 1 vs greedy / random /
   exhaustive on known-optimal problems (the quality argument behind
   choosing SA, as an artifact rather than an assertion);
-* ``run_replicated_headline`` — the Fig. 4 headline improvements with
-  multi-seed confidence intervals (the paper reports single runs).
+* ``replicated_specs``/``replicated_build`` — the Fig. 4 headline
+  improvements with multi-seed confidence intervals (the paper reports
+  single runs).
 """
 
 from __future__ import annotations
 
-import random
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
+from repro.analysis.replication import replicate
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
 from repro.core.allocation import Allocation
@@ -26,10 +29,12 @@ from repro.core.virtual_sensing import (
     sparsify,
     train_virtual_sensors,
 )
+from repro.experiments.common import Scale
 from repro.experiments.fig8 import brute_force_optimum, synthetic_problem
 from repro.hardware import microarch
 from repro.hardware.features import TABLE2_TYPES
-from repro.obs import user_output
+from repro.kernel.metrics import RunResult
+from repro.runner.spec import RunSpec
 from repro.workload.parsec import BENCHMARKS
 
 #: Physical counter subsets swept, minimal -> full.
@@ -156,33 +161,57 @@ def run_optimizer_comparison(
     )
 
 
-def run_replicated_headline(
-    n_seeds: int = 5, n_epochs: int = 20
+#: Replicated-headline cases: row label -> (workload, threads).
+REPLICATED_CASES = {
+    "MTMI x 8 (IMB)": ("MTMI", 8),
+    "HTHI x 4 (IMB)": ("HTHI", 4),
+    "x264_L_bow x 8": ("x264_L_bow", 8),
+    "bodytrack x 4": ("bodytrack", 4),
+}
+#: Seeds per case; each seed redraws workload jitter and sensing noise.
+REPLICATED_SEEDS = 5
+REPLICATED_EPOCHS = 20
+
+
+def _replicated_spec(
+    workload: str, threads: int, balancer: str, seed: int
+) -> RunSpec:
+    return RunSpec(
+        workload=workload,
+        platform="quad",
+        threads=threads,
+        balancer=balancer,
+        n_epochs=REPLICATED_EPOCHS,
+        seed=seed,
+    )
+
+
+def replicated_specs(scale: Scale) -> "list[RunSpec]":
+    """One vanilla and one SmartBalance job per (case, seed), at every
+    scale."""
+    return [
+        _replicated_spec(workload, threads, balancer, seed)
+        for workload, threads in REPLICATED_CASES.values()
+        for seed in range(REPLICATED_SEEDS)
+        for balancer in ("vanilla", "smartbalance")
+    ]
+
+
+def replicated_build(
+    scale: Scale, results: "Mapping[RunSpec, RunResult]"
 ) -> ExperimentResult:
     """Headline smart-vs-vanilla improvements with bootstrap CIs."""
-    from repro.analysis.replication import compare_with_replication
-    from repro.hardware.platform import quad_hmp
-    from repro.core.balancer import SmartBalance
-    from repro.kernel.balancers.vanilla import VanillaBalancer
-    from repro.workload.parsec import benchmark
-    from repro.workload.synthetic import imb_threads
 
-    cases = {
-        "MTMI x 8 (IMB)": lambda seed: imb_threads("MTMI", 8, seed=seed),
-        "HTHI x 4 (IMB)": lambda seed: imb_threads("HTHI", 4, seed=seed),
-        "x264_L_bow x 8": lambda seed: benchmark("x264_L_bow").threads(8, seed),
-        "bodytrack x 4": lambda seed: benchmark("bodytrack").threads(4, seed),
-    }
+    def gain(workload: str, threads: int, seed: int) -> float:
+        smart = results[_replicated_spec(workload, threads, "smartbalance", seed)]
+        vanilla = results[_replicated_spec(workload, threads, "vanilla", seed)]
+        return smart.improvement_over(vanilla)
+
     rows = []
     ci_lows = []
-    for label, workload_factory in cases.items():
-        replication = compare_with_replication(
-            platform_factory=quad_hmp,
-            workload_factory=workload_factory,
-            baseline_factory=VanillaBalancer,
-            candidate_factory=SmartBalance,
-            n_epochs=n_epochs,
-            n_seeds=n_seeds,
+    for label, (workload, threads) in REPLICATED_CASES.items():
+        replication = replicate(
+            partial(gain, workload, threads), n_seeds=REPLICATED_SEEDS
         )
         ci_lows.append(replication.ci_low)
         rows.append(
@@ -196,7 +225,7 @@ def run_replicated_headline(
     return ExperimentResult(
         experiment_id="ext_replicated",
         title=f"Extension: replicated headline improvements over vanilla "
-        f"({n_seeds} seeds, 95 % bootstrap CI)",
+        f"({REPLICATED_SEEDS} seeds, 95 % bootstrap CI)",
         headers=["case", "gain % (mean)", "stdev", "95% CI"],
         rows=rows,
         findings=(
@@ -211,15 +240,3 @@ def run_replicated_headline(
             "noise; the paper reports single runs."
         ),
     )
-
-
-def main() -> None:
-    user_output(run_virtual_sensing().render())
-    user_output()
-    user_output(run_optimizer_comparison().render())
-    user_output()
-    user_output(run_replicated_headline().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -18,13 +18,12 @@ mixes, "over 50 % across all benchmarks".
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
-from repro.experiments.common import FULL, Scale, run_cases, result_table
+from repro.experiments.common import FULL, Scale
 from repro.kernel.metrics import RunResult
-from repro.obs import user_output
 from repro.runner.spec import RunSpec
 
 #: Paper-reported average improvements.
@@ -146,45 +145,3 @@ def fig4b_build(
             ),
         ),
     )
-
-
-def run_fig4a(
-    scale: Scale = FULL,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
-    """Fig. 4(a): IMB energy-efficiency gains over vanilla."""
-    specs = fig4a_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache)
-    return fig4a_build(scale, result_table(specs, results))
-
-
-def run_fig4b(
-    scale: Scale = FULL,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
-    """Fig. 4(b): PARSEC + mixes energy-efficiency gains over vanilla."""
-    specs = fig4b_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache)
-    return fig4b_build(scale, result_table(specs, results))
-
-
-def sweep_experiments() -> "list":
-    """Sweep-engine descriptors for both panels (shared-pool execution)."""
-    from repro.runner import SweepExperiment
-
-    return [
-        SweepExperiment("fig4a", fig4a_specs, fig4a_build),
-        SweepExperiment("fig4b", fig4b_specs, fig4b_build),
-    ]
-
-
-def main() -> None:
-    user_output(run_fig4a().render())
-    user_output()
-    user_output(run_fig4b().render())
-
-
-if __name__ == "__main__":
-    main()

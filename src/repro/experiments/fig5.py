@@ -16,13 +16,12 @@ a worker pool and re-runs are served from the result cache.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
-from repro.experiments.common import FULL, Scale, run_cases, result_table
+from repro.experiments.common import FULL, Scale
 from repro.kernel.metrics import RunResult
-from repro.obs import user_output
 from repro.runner.spec import RunSpec
 
 #: Paper headline: ~20 % over GTS.
@@ -108,29 +107,3 @@ def fig5_build(
             ),
         ),
     )
-
-
-def run(
-    scale: Scale = FULL,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
-    """Fig. 5: normalised IPS/Watt per balancer on big.LITTLE."""
-    specs = fig5_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache)
-    return fig5_build(scale, result_table(specs, results))
-
-
-def sweep_experiments() -> "list":
-    """Sweep-engine descriptor (shared-pool execution)."""
-    from repro.runner import SweepExperiment
-
-    return [SweepExperiment("fig5", fig5_specs, fig5_build)]
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

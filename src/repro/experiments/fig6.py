@@ -22,7 +22,6 @@ from repro.hardware import microarch
 from repro.hardware import power as power_model
 from repro.hardware.features import TABLE2_TYPES
 from repro.hardware.sensors import NoiseModel
-from repro.obs import user_output
 from repro.workload.parsec import BENCHMARKS
 
 PAPER_IPC_ERROR_PCT = 4.2
@@ -93,11 +92,3 @@ def run(model: PredictorModel | None = None) -> ExperimentResult:
             ),
         ),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -30,7 +30,6 @@ from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import quad_hmp, scaled_hmp
 from repro.kernel.simulator import MIGRATION_KERNEL_COST_S
 from repro.kernel.view import CoreView, SystemView, TaskView
-from repro.obs import user_output
 from repro.workload.demand import demanded_fraction_on
 from repro.workload.generator import random_phase
 
@@ -204,13 +203,3 @@ def run_fig7b(scenarios=SCALING_SCENARIOS, n_epochs: int = 3) -> ExperimentResul
             "cap; migrate assumes 50 % of threads move per epoch."
         ),
     )
-
-
-def main() -> None:
-    user_output(run_fig7a().render())
-    user_output()
-    user_output(run_fig7b().render())
-
-
-if __name__ == "__main__":
-    main()

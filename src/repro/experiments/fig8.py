@@ -25,7 +25,6 @@ from repro.experiments.fig7 import SCALING_SCENARIOS
 from repro.hardware import microarch
 from repro.hardware import power as power_model
 from repro.hardware.features import TABLE2_TYPES
-from repro.obs import user_output
 from repro.workload.demand import demanded_fraction_on
 from repro.workload.generator import training_corpus
 
@@ -142,13 +141,3 @@ def run_fig8b() -> ExperimentResult:
         headers=["parameter", "value"],
         rows=rows,
     )
-
-
-def main() -> None:
-    user_output(run_fig8a().render())
-    user_output()
-    user_output(run_fig8b().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -26,11 +26,14 @@ telemetry lies together) so every defence layer fires in one table.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
 from repro.analysis import ExperimentResult, Finding
 from repro.experiments.common import QUICK, Scale
-from repro.fleet import FleetResult, FleetSpec, run_fleet
+from repro.fleet import FleetResult, FleetSim, FleetSpec
+from repro.fleet.profiles import profile_table
+from repro.kernel.metrics import RunResult
+from repro.runner.spec import RunSpec
 
 #: Acceptance floors (ISSUE 6): the chaos run must complete everything
 #: and keep at least this share of fault-free throughput.
@@ -81,19 +84,29 @@ def _row(name: str, result: FleetResult, baseline: "FleetResult | None"):
     ]
 
 
-def run(
-    scale: Scale = QUICK,
-    jobs: Optional[int] = None,
-    cache=None,
+def _fleets(scale: Scale) -> "list[FleetSpec]":
+    """The clean, kill30, chaos and round-robin fleets, in row order."""
+    return [
+        fleet_spec(scale),
+        fleet_spec(scale, faults="kill30"),
+        fleet_spec(scale, faults="chaos"),
+        fleet_spec(scale, policy="round_robin"),
+    ]
+
+
+def fleet_specs(scale: Scale) -> "list[RunSpec]":
+    """The profile-phase jobs of every fleet the table runs."""
+    return [spec for fleet in _fleets(scale) for spec in fleet.profile_specs()]
+
+
+def fleet_build(
+    scale: Scale, results: "Mapping[RunSpec, RunResult]"
 ) -> ExperimentResult:
     """Fault-free vs chaos fleet runs; acceptance findings."""
-    clean = run_fleet(fleet_spec(scale), jobs=jobs, cache=cache)
-    kill30 = run_fleet(fleet_spec(scale, faults="kill30"),
-                       jobs=jobs, cache=cache)
-    chaos = run_fleet(fleet_spec(scale, faults="chaos"),
-                      jobs=jobs, cache=cache)
-    round_robin = run_fleet(fleet_spec(scale, policy="round_robin"),
-                            jobs=jobs, cache=cache)
+    clean, kill30, chaos, round_robin = [
+        FleetSim(fleet, profile_table(fleet, results)).run()
+        for fleet in _fleets(scale)
+    ]
 
     rows = [
         _row("clean", clean, None),
@@ -157,13 +170,3 @@ def run(
             "suppression keeps completions exactly-once."
         ),
     )
-
-
-def main() -> None:
-    from repro.obs import user_output
-
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

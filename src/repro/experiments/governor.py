@@ -30,10 +30,11 @@ being collapsed into the ratio.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
 from repro.analysis.reporting import ExperimentResult, Finding
-from repro.experiments.common import QUICK, Scale, run_cases
+from repro.experiments.common import Scale
+from repro.kernel.metrics import RunResult
 from repro.runner.spec import RunSpec
 
 #: Platform of the sweep: the paper's quad HMP re-clustered one V/f
@@ -74,16 +75,11 @@ def governor_specs(scale: Scale) -> "list[RunSpec]":
     ]
 
 
-def compare(
-    scale: Scale = QUICK,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> dict:
-    """Run the sweep and fold it into a JSON-ready comparison dict."""
-    specs = governor_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache)
+def compare(scale: Scale, results: "Mapping[RunSpec, RunResult]") -> dict:
+    """Fold the sweep's results into a JSON-ready comparison dict."""
     cells: "dict[str, dict[str, dict]]" = {}
-    for spec, result in zip(specs, results):
+    for spec in governor_specs(scale):
+        result = results[spec]
         stats = result.governor or {}
         cells.setdefault(spec.workload, {})[spec.governor] = {
             "ips_per_watt": result.ips_per_watt,
@@ -133,13 +129,11 @@ def compare(
     }
 
 
-def run(
-    scale: Scale = QUICK,
-    jobs: Optional[int] = None,
-    cache=None,
+def governor_build(
+    scale: Scale, results: "Mapping[RunSpec, RunResult]"
 ) -> ExperimentResult:
     """Governor sweep: J_E / IPS / power per (workload, strategy)."""
-    data = compare(scale, jobs=jobs, cache=cache)
+    data = compare(scale, results)
     rows = []
     for workload in sorted(data["workloads"]):
         entry = data["workloads"][workload]
@@ -209,13 +203,3 @@ def run(
             "workload-adaptivity."
         ),
     )
-
-
-def main() -> None:
-    from repro.obs import user_output
-
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

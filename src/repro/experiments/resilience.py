@@ -22,16 +22,9 @@ from __future__ import annotations
 
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
-from repro.core.balancer import SmartBalance
-from repro.core.config import SmartBalanceConfig
-from repro.experiments.common import QUICK, Scale, run_cases, result_table
-from repro.faults import SCENARIOS, FaultPlan, scenario
-from repro.hardware.platform import quad_hmp
-from repro.kernel.metrics import RunResult
-from repro.kernel.simulator import SimulationConfig, System
-from repro.obs import user_output
+from repro.experiments.common import QUICK, Scale
+from repro.faults import SCENARIOS
 from repro.runner.spec import RunSpec
-from repro.workload.generator import random_thread_set
 
 #: Epochs per run — long enough for the staggered hotplug/throttle
 #: windows of the combined scenario to open and close.
@@ -45,47 +38,13 @@ WORKLOAD_SEED = 42
 RETENTION_FLOOR = 0.80
 
 
-def run_one(
-    plan: "FaultPlan | None",
-    mitigations: bool = True,
-    seed: int = 0,
-    n_epochs: int = N_EPOCHS,
-) -> RunResult:
-    """One SmartBalance run on the quad HMP under a fault plan."""
-    platform = quad_hmp()
-    config = SimulationConfig(seed=seed, faults=plan)
-    balancer = SmartBalance(config=SmartBalanceConfig(mitigations=mitigations))
-    system = System(
-        platform, random_thread_set(N_THREADS, seed=WORKLOAD_SEED), balancer, config
-    )
-    return system.run(n_epochs=n_epochs)
-
-
-def retention_under(
-    name: str, seed: int = 0, mitigated: bool = True, n_epochs: int = N_EPOCHS
-) -> "tuple[float, RunResult]":
-    """Retention (faulty / fault-free IPS/W) of one scenario run.
-
-    An unmitigated run that crashes counts as zero retention — that is
-    the deployment-relevant reading of an unhandled fault.
-    """
-    duration_s = n_epochs * SimulationConfig().epoch_s
-    plan = scenario(name, seed=seed, n_cores=4, duration_s=duration_s)
-    baseline = run_one(None, seed=seed, n_epochs=n_epochs)
-    try:
-        faulty = run_one(plan, mitigated, seed=seed, n_epochs=n_epochs)
-    except Exception:
-        if mitigated:  # the mitigated loop must never raise
-            raise
-        return 0.0, baseline
-    return faulty.ips_per_watt / baseline.ips_per_watt, faulty
-
-
 def _seeds_for(scale: Scale) -> "tuple[int, ...]":
     return (0,) if scale.name == "quick" else (0, 1, 2, 3, 4)
 
 
-def _spec(scenario_name: "str | None", seed: int, mitigated: bool = True) -> RunSpec:
+def resilience_spec(
+    scenario_name: "str | None", seed: int, mitigated: bool = True
+) -> RunSpec:
     """One resilience job; ``scenario_name=None`` is the fault-free baseline."""
     return RunSpec(
         workload="random",
@@ -109,20 +68,19 @@ def resilience_specs(scale: Scale = QUICK) -> "list[RunSpec]":
     """
     specs: "list[RunSpec]" = []
     for seed in _seeds_for(scale):
-        specs.append(_spec(None, seed))
+        specs.append(resilience_spec(None, seed))
         for name in SCENARIOS:
-            specs.append(_spec(name, seed, mitigated=True))
-            specs.append(_spec(name, seed, mitigated=False))
+            specs.append(resilience_spec(name, seed, mitigated=True))
+            specs.append(resilience_spec(name, seed, mitigated=False))
     return specs
 
 
 def resilience_build(scale: Scale, results) -> ExperimentResult:
     """Assemble the retention table from executed jobs.
 
-    A crashed unmitigated run arrives as ``None`` (the engine runs this
-    sweep with ``on_error="none"``) and scores zero retention; a crashed
-    baseline or mitigated run violates the never-crash contract and
-    raises.
+    A crashed unmitigated run arrives as ``None`` (the experiment
+    tolerates crashes) and scores zero retention; a crashed baseline or
+    mitigated run violates the never-crash contract and raises.
     """
     seeds = _seeds_for(scale)
     rows = []
@@ -131,15 +89,15 @@ def resilience_build(scale: Scale, results) -> ExperimentResult:
     for name in SCENARIOS:
         mitigated, unmitigated, injected, defended = [], [], [], []
         for seed in seeds:
-            baseline = results[_spec(None, seed)]
-            m_run = results[_spec(name, seed, mitigated=True)]
+            baseline = results[resilience_spec(None, seed)]
+            m_run = results[resilience_spec(name, seed, mitigated=True)]
             if baseline is None or m_run is None:
                 raise RuntimeError(
                     f"{'baseline' if baseline is None else 'mitigated'} run "
                     f"crashed for scenario {name!r}, seed {seed} — the "
                     "mitigated loop must never raise"
                 )
-            u_run = results[_spec(name, seed, mitigated=False)]
+            u_run = results[resilience_spec(name, seed, mitigated=False)]
             mitigated.append(m_run.ips_per_watt / baseline.ips_per_watt)
             unmitigated.append(
                 0.0 if u_run is None else u_run.ips_per_watt / baseline.ips_per_watt
@@ -192,29 +150,3 @@ def resilience_build(scale: Scale, results) -> ExperimentResult:
             "throttle) and in never crashing."
         ),
     )
-
-
-def run(
-    scale: Scale = QUICK,
-    jobs: "int | None" = None,
-    cache=None,
-) -> ExperimentResult:
-    """Retention table over all fault scenarios, mitigated vs not."""
-    specs = resilience_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache, on_error="none")
-    return resilience_build(scale, result_table(specs, results))
-
-
-def sweep_experiments() -> "list":
-    """Sweep-engine descriptor (run with ``on_error="none"``)."""
-    from repro.runner import SweepExperiment
-
-    return [SweepExperiment("resilience", resilience_specs, resilience_build)]
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -27,10 +27,11 @@ sharing; ``benchmarks/bench_scenarios.py`` gates floors on all three.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
 from repro.analysis.reporting import ExperimentResult, Finding
-from repro.experiments.common import QUICK, Scale, run_cases
+from repro.experiments.common import Scale
+from repro.kernel.metrics import RunResult
 from repro.runner.spec import RunSpec
 
 #: big.LITTLE so ARM GTS (two clusters) can join every comparison.
@@ -86,20 +87,14 @@ def _mean(values: "list[float]") -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def compare(
-    scale: Scale = QUICK,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> dict:
-    """Run the sweep and fold it into per-(family, balancer) means."""
-    specs = scenario_specs(scale)
-    results = run_cases(specs, jobs=jobs, cache=cache)
+def compare(scale: Scale, results: "Mapping[RunSpec, RunResult]") -> dict:
+    """Fold the sweep's results into per-(family, balancer) means."""
     seeds = SEEDS_QUICK if scale.name == "quick" else SEEDS_FULL
     by_cell: "dict[tuple[str, str], list]" = {}
     family_of = {text: family for family, (text, _) in CASES.items()}
-    for spec, result in zip(specs, results):
+    for spec in scenario_specs(scale):
         family = family_of[spec.scenario]
-        by_cell.setdefault((family, spec.balancer), []).append(result)
+        by_cell.setdefault((family, spec.balancer), []).append(results[spec])
 
     families: "dict[str, dict[str, dict]]" = {}
     for (family, balancer), runs in by_cell.items():
@@ -161,13 +156,11 @@ def compare(
     }
 
 
-def run(
-    scale: Scale = QUICK,
-    jobs: Optional[int] = None,
-    cache=None,
+def scenario_build(
+    scale: Scale, results: "Mapping[RunSpec, RunResult]"
 ) -> ExperimentResult:
     """Scenario sweep: per-family figures of merit per balancer."""
-    data = compare(scale, jobs=jobs, cache=cache)
+    data = compare(scale, results)
     rows = []
     for family in CASES:
         cells = data["families"][family]
@@ -249,13 +242,3 @@ def run(
             "placement."
         ),
     )
-
-
-def main() -> None:
-    from repro.obs import user_output
-
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

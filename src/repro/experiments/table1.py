@@ -9,7 +9,6 @@ the test-suite exercises (noted in the rightmost column).
 from __future__ import annotations
 
 from repro.analysis.reporting import ExperimentResult
-from repro.obs import user_output
 
 #: (reference, >2 core types, thread:core > 1, per-thread IPC,
 #:  per-thread power, per-thread util, per-core IPC, per-core power,
@@ -58,11 +57,3 @@ def run() -> ExperimentResult:
         notes="SmartBalance row evidence:\n"
         + "\n".join(f"  {k}: {v}" for k, v in SMARTBALANCE_EVIDENCE.items()),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

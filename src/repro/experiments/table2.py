@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.hardware import microarch, power
 from repro.hardware.features import TABLE2_TYPES
-from repro.obs import user_output
 
 #: The paper's derived rows (Gem5 + McPAT, 22 nm).
 PAPER_PEAK_IPC = {"Huge": 4.18, "Big": 2.60, "Medium": 1.31, "Small": 0.91}
@@ -78,11 +77,3 @@ def run() -> ExperimentResult:
             "power from the calibrated power model."
         ),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

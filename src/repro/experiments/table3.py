@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.analysis.reporting import ExperimentResult
 from repro.hardware.features import MEDIUM
-from repro.obs import user_output
 from repro.workload.demand import demanded_fraction_on
 from repro.workload.parsec import MIXES, mix_threads
 
@@ -41,11 +40,3 @@ def run(threads_per_benchmark: int = 2, seed: int = 0) -> ExperimentResult:
             "diversity within each mix."
         ),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

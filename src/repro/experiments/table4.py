@@ -17,7 +17,6 @@ from repro.core.prediction import PredictorModel
 from repro.core.training import default_predictor
 from repro.experiments.common import QUICK, Scale
 from repro.hardware.features import TABLE2_TYPES
-from repro.obs import user_output
 
 
 def run(model: PredictorModel | None = None) -> ExperimentResult:
@@ -124,11 +123,3 @@ def run_adapted(scale: "Scale | None" = None) -> ExperimentResult:
             "for the scenario."
         ),
     )
-
-
-def main() -> None:
-    user_output(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -26,9 +26,10 @@ determinism suite pins jobs=1 == jobs=N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.fleet.spec import FleetSpec, _derive
+from repro.kernel.metrics import RunResult
 from repro.runner.spec import RunSpec
 
 
@@ -87,12 +88,20 @@ def simulated_profiles(
 
     run_specs_list: "list[RunSpec]" = spec.profile_specs()
     results = run_specs(run_specs_list, jobs=jobs, cache=cache)
+    return profile_table(spec, dict(zip(run_specs_list, results)))
+
+
+def profile_table(
+    spec: FleetSpec, results: "Mapping[RunSpec, RunResult]"
+) -> ProfileTable:
+    """The spec's profile table, read from executed profile-phase jobs
+    (a ``RunSpec -> RunResult`` mapping covering
+    :meth:`FleetSpec.profile_specs`)."""
+    run_specs_list = iter(spec.profile_specs())
     profiles: "dict[tuple[int, str], JobProfile]" = {}
-    index = 0
     for platform in spec.platforms:
         for slot in range(spec.distinct_jobs):
-            result = results[index]
-            index += 1
+            result = results[next(run_specs_list)]
             profiles[(slot, platform)] = JobProfile(
                 duration_s=result.duration_s,
                 instructions=result.instructions,

@@ -138,9 +138,7 @@ def _execute_indexed(
         if trace_dir is None:
             return index, execute_spec(spec)
         return index, _execute_traced(spec, trace_dir)
-    # SystemExit included: the factories raise it for unresolvable
-    # names, and it must not tear down a pool worker.
-    except (Exception, SystemExit) as exc:  # disposed of via on_error
+    except Exception as exc:  # disposed of via on_error
         return index, _JobError(label=spec.label(), error=f"{type(exc).__name__}: {exc}")
 
 
@@ -217,13 +215,14 @@ def run_specs(
     * ``base_seed`` — when given, every spec is re-seeded as
       ``hash(base_seed, spec)`` before execution (replicated sweeps).
     * ``on_error`` — ``"raise"`` propagates a worker crash;
-      ``"none"`` maps the crashed job's result to ``None`` (used by the
-      resilience experiment, where an unmitigated run is *allowed* to
-      die and scores zero retention); ``"retry"`` re-executes a failed
-      job up to ``retries`` more times with deterministic exponential
-      backoff (:func:`retry_delays`) before giving up with the usual
-      ``RuntimeError``.  The attempt count of every job is reported in
-      ``RunResult.attempts``.
+      ``"none"`` logs it and maps the crashed job's result to ``None``
+      (:func:`run_sweep` uses it to hand crashes to crash-tolerant
+      experiments such as resilience, where an unmitigated run is
+      *allowed* to die and scores zero retention); ``"retry"``
+      re-executes a failed job up to ``retries`` more times with
+      deterministic exponential backoff (:func:`retry_delays`) before
+      giving up with the usual ``RuntimeError``.  The attempt count of
+      every job is reported in ``RunResult.attempts``.
     * ``trace_dir`` — when given, every executed job runs with
       observability on and writes ``<spec_key>.jsonl`` +
       ``<spec_key>.metrics.json`` into the directory (worker-side, so
@@ -292,6 +291,7 @@ def run_specs(
                     if cache is not None:
                         cache.put(spec, recovered)
                     continue
+                _log.warning("job %s failed: %s", outcome.label, outcome.error)
                 results[index] = None
             elif cache is not None:
                 cache.put(spec, outcome)
@@ -311,18 +311,22 @@ def run_spec(
 
 @dataclasses.dataclass(frozen=True)
 class SweepExperiment:
-    """A sweep-decomposable experiment.
+    """One experiment: the jobs it needs and the report it builds.
 
-    ``specs(scale)`` enumerates the jobs the experiment needs;
+    ``specs(scale)`` enumerates the jobs (possibly none, for an
+    experiment that computes everything in ``build``);
     ``build(scale, results)`` assembles the report from a
     ``RunSpec -> RunResult`` mapping.  Keeping the two sides pure lets
-    the engine union jobs from several experiments into one pool and
-    share duplicated runs between them.
+    :func:`run_sweep` union jobs from several experiments into one pool
+    and share duplicated runs between them.
     """
 
     experiment_id: str
     specs: Callable[..., Sequence[RunSpec]]
     build: Callable[..., object]
+    #: A job of this experiment that crashes reaches ``build`` as
+    #: ``None`` instead of failing the sweep.
+    tolerate_crashes: bool = False
 
 
 def run_sweep(
@@ -331,14 +335,14 @@ def run_sweep(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     base_seed: Optional[int] = None,
-    on_error: str = "raise",
     trace_dir: Optional[str] = None,
 ) -> "list[object]":
     """Run several experiments' jobs through one shared pool.
 
-    Returns one built report per experiment, in input order.
-    ``trace_dir`` is forwarded to :func:`run_specs` (per-job event
-    traces; bypasses the cache).
+    Returns one built report per experiment, in input order.  ``jobs``,
+    ``cache``, ``base_seed`` and ``trace_dir`` are forwarded to
+    :func:`run_specs`.  A crashed job raises ``RuntimeError`` unless
+    every experiment that lists it tolerates crashes.
     """
     per_experiment: "list[list[RunSpec]]" = [
         list(experiment.specs(scale)) for experiment in experiments
@@ -352,10 +356,19 @@ def run_sweep(
                 union.append(spec)
     results = run_specs(
         union, jobs=jobs, cache=cache, base_seed=base_seed,
-        on_error=on_error, trace_dir=trace_dir,
+        on_error="none", trace_dir=trace_dir,
     )
     # run_specs returns results positionally for the specs it was
     # handed, so builders can look up by the identities they emitted
     # even when the engine re-seeded the actual runs.
     table: Mapping[RunSpec, RunResult] = dict(zip(union, results))
+    for experiment, spec_list in zip(experiments, per_experiment):
+        if experiment.tolerate_crashes:
+            continue
+        for spec in spec_list:
+            if table[spec] is None:
+                raise RuntimeError(
+                    f"job {spec.label()} of experiment "
+                    f"{experiment.experiment_id!r} failed"
+                )
     return [experiment.build(scale, table) for experiment in experiments]

@@ -109,10 +109,7 @@ def _smart_balancer(
 
 def make_platform(spec: str) -> Platform:
     """Resolve a platform spec: a preset name or ``hmp:<n>``."""
-    try:
-        check_platform(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    check_platform(spec)
     if spec in PLATFORMS:
         return PLATFORMS[spec]()
     return scaled_hmp(int(spec.split(":", 1)[1]))
@@ -143,7 +140,7 @@ def make_workload(spec: str, n_threads: int, seed: int = 0):
         from repro.workload.generator import random_thread_set
 
         return random_thread_set(n_threads, seed=seed)
-    raise SystemExit(
+    raise ValueError(
         f"unknown workload {spec!r}; see `python -m repro list`"
     )
 
@@ -222,14 +219,11 @@ def make_balancer(
     the other balancers have neither a model nor an OPP search).
     """
     if governor != "fixed" and name != "smartbalance":
-        raise SystemExit(
+        raise ValueError(
             f"governor {governor!r} requires the smartbalance balancer, "
             f"got {name!r}"
         )
     if name in SMART_BALANCERS:
         return _smart_balancer(name, mitigations, adaptation, governor)
-    try:
-        check_balancer(name)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    check_balancer(name)
     return BALANCERS[name]()

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.analysis.replication import (
-    bootstrap_ci,
-    compare_with_replication,
-    replicate,
-)
+from repro.analysis.replication import bootstrap_ci, replicate
+from repro.runner import RunSpec, run_specs
 
 
 class TestBootstrapCi:
@@ -55,17 +52,17 @@ class TestCompareWithReplication:
     def test_smart_vs_vanilla_interval_positive(self):
         """The headline claim holds across seeds: the whole confidence
         interval of the improvement lies above zero."""
-        from repro.hardware.platform import quad_hmp
-        from repro.core.balancer import SmartBalance
-        from repro.kernel.balancers.vanilla import VanillaBalancer
-        from repro.workload.synthetic import imb_threads
 
-        result = compare_with_replication(
-            platform_factory=quad_hmp,
-            workload_factory=lambda seed: imb_threads("MTMI", 8, seed=seed),
-            baseline_factory=VanillaBalancer,
-            candidate_factory=SmartBalance,
-            n_epochs=15,
+        def spec(balancer, seed):
+            return RunSpec(workload="MTMI", platform="quad", threads=8,
+                           balancer=balancer, n_epochs=15, seed=seed)
+
+        specs = [spec(b, seed) for seed in range(4) for b in ("vanilla", "smartbalance")]
+        results = dict(zip(specs, run_specs(specs)))
+        result = replicate(
+            lambda seed: results[spec("smartbalance", seed)].improvement_over(
+                results[spec("vanilla", seed)]
+            ),
             n_seeds=4,
         )
         assert result.n == 4

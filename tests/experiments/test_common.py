@@ -1,11 +1,7 @@
 """Tests for the shared experiment infrastructure."""
 
 
-from repro.experiments.common import FULL, QUICK, compare_balancers, run_balancer
-from repro.hardware.platform import quad_hmp
-from repro.kernel.balancers.base import NullBalancer
-from repro.kernel.balancers.vanilla import VanillaBalancer
-from repro.workload.synthetic import imb_threads
+from repro.experiments.common import FULL, QUICK
 
 
 class TestScales:
@@ -18,35 +14,3 @@ class TestScales:
         assert set(QUICK.imb_configs) <= set(FULL.imb_configs)
         assert set(QUICK.mixes) <= set(FULL.mixes)
         assert QUICK.n_epochs <= FULL.n_epochs
-
-
-class TestRunners:
-    def test_run_balancer_returns_result(self):
-        result = run_balancer(
-            quad_hmp(), imb_threads("MTMI", 4), NullBalancer(), n_epochs=3
-        )
-        assert result.balancer_name == "none"
-        assert len(result.epochs) == 3
-
-    def test_compare_balancers_keys_by_name(self):
-        results = compare_balancers(
-            quad_hmp(),
-            lambda: imb_threads("MTMI", 4),
-            (NullBalancer, VanillaBalancer),
-            n_epochs=3,
-        )
-        assert set(results) == {"none", "vanilla"}
-
-    def test_compare_balancers_fresh_workloads(self):
-        """Each balancer must receive identical but independent thread
-        objects — same results under the same deterministic policy."""
-        results = compare_balancers(
-            quad_hmp(),
-            lambda: imb_threads("MTMI", 4),
-            (NullBalancer, NullBalancer),
-            n_epochs=3,
-        )
-        # Second NullBalancer run overwrites the first key; the single
-        # entry proves name-keying, and determinism is covered by the
-        # simulator tests.
-        assert len(results) == 1

@@ -12,8 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import fig4, fig5, fig6, fig7, fig8, table1, table2, table3, table4
+from repro.experiments import (
+    EXPERIMENTS,
+    fig6,
+    fig7,
+    fig8,
+    table1,
+    table2,
+    table3,
+    table4,
+)
 from repro.experiments.common import QUICK, Scale
+from repro.runner import JOBS_ENV, SweepExperiment, run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -26,6 +36,12 @@ TINY = Scale(
     parsec_benchmarks=("x264_L_bow",),
     mixes=("Mix6",),
 )
+
+
+def run_experiment(experiment_id: str, scale: Scale):
+    """One experiment's report, through the one runner."""
+    (report,) = run_sweep([EXPERIMENTS[experiment_id]], scale)
+    return report
 
 
 class TestStaticTables:
@@ -69,26 +85,28 @@ class TestStaticTables:
 
 class TestFig4:
     def test_fig4a_smart_beats_vanilla(self):
-        result = fig4.run_fig4a(TINY)
+        result = run_experiment("fig4a", TINY)
         improvements = [row[2] for row in result.rows]
         assert all(imp > 0 for imp in improvements)
         finding = result.finding("average IMB improvement")
         assert finding.measured > 30.0
 
     def test_fig4b_smart_beats_vanilla(self):
-        result = fig4.run_fig4b(TINY)
+        result = run_experiment("fig4b", TINY)
         finding = result.finding("average PARSEC improvement")
         assert finding.measured > 20.0
 
 
 class TestFig5:
-    def test_smart_beats_gts_on_average(self):
-        result = fig5.run(TINY)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_experiment("fig5", TINY)
+
+    def test_smart_beats_gts_on_average(self, result):
         finding = result.finding("average gain over GTS")
         assert finding.measured > 5.0
 
-    def test_normalisation_column(self):
-        result = fig5.run(TINY)
+    def test_normalisation_column(self, result):
         for row in result.rows:
             assert row[3] == 1.0  # GTS column is the reference
 
@@ -148,39 +166,48 @@ class TestFig8:
 
 
 class TestExperimentTable:
-    """``repro experiments`` and ``run_all`` run the same table."""
+    """``repro experiments`` and ``run_all`` make one ``run_sweep`` call
+    over the same table."""
 
     def test_cli_and_run_all_iterate_one_table(self, monkeypatch, capsys):
-        from repro import experiments
+        from repro import experiments, runner
         from repro.analysis.reporting import ExperimentResult
         from repro.cli import main
 
-        calls = []
-
-        def fake(exp_id):
-            def run(scale, jobs, cache):
-                calls.append((exp_id, scale.name, jobs))
-                return ExperimentResult(
-                    experiment_id=exp_id,
-                    title=f"title {exp_id}",
-                    headers=["id"],
-                    rows=[[exp_id]],
-                )
-
-            return run
-
         ids = list(experiments.EXPERIMENTS)
         assert {"ext_replicated", "table4_adapted"} <= set(ids)
-        monkeypatch.setattr(
-            experiments, "EXPERIMENTS", {exp_id: fake(exp_id) for exp_id in ids}
-        )
+        for exp_id, experiment in experiments.EXPERIMENTS.items():
+            assert isinstance(experiment, SweepExperiment)
+            assert experiment.experiment_id == exp_id
+
+        calls = []
+
+        def fake_run_sweep(chosen, scale, jobs=None, **kwargs):
+            calls.append(([e.experiment_id for e in chosen], scale.name, jobs))
+            return [
+                ExperimentResult(
+                    experiment_id=e.experiment_id,
+                    title=f"title {e.experiment_id}",
+                    headers=["id"],
+                    rows=[[e.experiment_id]],
+                )
+                for e in chosen
+            ]
+
+        monkeypatch.setattr(runner, "run_sweep", fake_run_sweep)
+        monkeypatch.setattr(experiments, "run_sweep", fake_run_sweep)
+        monkeypatch.delenv(JOBS_ENV, raising=False)
         results = experiments.run_all(QUICK)
         assert [r.experiment_id for r in results] == ids
-        assert calls == [(exp_id, "quick", None) for exp_id in ids]
+        assert calls == [(ids, "quick", None)]
 
         calls.clear()
         assert main(["experiments", "--jobs", "2"]) == 0
-        assert calls == [(exp_id, "quick", 2) for exp_id in ids]
+        assert calls == [(ids, "quick", 2)]
         out = capsys.readouterr().out
         for exp_id in ids:
             assert f"title {exp_id}" in out
+
+        calls.clear()
+        assert main(["experiments", "fig5", "table1"]) == 0
+        assert calls == [(["fig5", "table1"], "quick", 1)]

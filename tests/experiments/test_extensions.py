@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.core.balancer import SmartBalance
 from repro.experiments import extensions
+from repro.experiments.common import QUICK
+from repro.hardware.platform import quad_hmp
+from repro.kernel.balancers.vanilla import VanillaBalancer
+from repro.kernel.simulator import SimulationConfig, System
+from repro.runner import execute_spec, metrics_digest
+from repro.workload.synthetic import imb_threads
 
 
 class TestVirtualSensingExperiment:
@@ -46,3 +53,25 @@ class TestOptimizerComparisonExperiment:
     def test_gaps_non_negative(self, result):
         for row in result.rows:
             assert row[1] >= 0.0
+
+
+class TestReplicatedHeadline:
+    def test_specs_match_direct_runs(self):
+        """A replicated-headline spec runs exactly the hand-built System:
+        quad HMP, ``imb_threads("MTMI", 8, seed)``, the balancer and
+        ``SimulationConfig(seed=seed)``."""
+        seed = 1
+        specs = [
+            spec for spec in extensions.replicated_specs(QUICK)
+            if spec.workload == "MTMI" and spec.seed == seed
+        ]
+        balancers = {"vanilla": VanillaBalancer, "smartbalance": SmartBalance}
+        assert sorted(spec.balancer for spec in specs) == sorted(balancers)
+        for spec in specs:
+            direct = System(
+                quad_hmp(),
+                imb_threads("MTMI", 8, seed=seed),
+                balancers[spec.balancer](),
+                SimulationConfig(seed=seed),
+            ).run(n_epochs=spec.n_epochs)
+            assert metrics_digest(execute_spec(spec)) == metrics_digest(direct)

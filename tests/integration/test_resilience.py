@@ -14,10 +14,11 @@ import pytest
 
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
-from repro.experiments.resilience import retention_under, run_one
+from repro.experiments.resilience import resilience_spec
 from repro.faults import SCENARIOS, scenario
 from repro.hardware.platform import quad_hmp
 from repro.kernel.simulator import SimulationConfig, System
+from repro.runner import execute_spec, metrics_digest, run_specs
 from repro.workload.generator import random_thread_set
 
 N_EPOCHS = 8
@@ -121,15 +122,27 @@ class TestReproducibility:
 
 
 class TestRetentionHelper:
-    def test_retention_is_positive_and_bounded(self):
-        retention, result = retention_under(
-            "sensor", seed=0, mitigated=True, n_epochs=N_EPOCHS
-        )
-        assert 0.0 < retention <= 1.2
-        assert result.resilience is not None
+    """Retention as the resilience experiment computes it, from its
+    own specs."""
 
-    def test_run_one_matches_direct_run(self):
-        plan = plan_for("counter", n_epochs=16)
-        via_helper = run_one(plan, mitigations=True, seed=0)
-        direct = smart_run(plan, seed=0, n_epochs=16)
-        assert via_helper.instructions == direct.instructions
+    def test_retention_is_positive_and_bounded(self):
+        baseline, faulty = run_specs(
+            [
+                dataclasses.replace(resilience_spec(name, seed=0), n_epochs=N_EPOCHS)
+                for name in (None, "sensor")
+            ]
+        )
+        retention = faulty.ips_per_watt / baseline.ips_per_watt
+        assert 0.0 < retention <= 1.2
+        assert faulty.resilience is not None
+
+    def test_resilience_spec_matches_direct_run(self):
+        """A resilience spec runs exactly the hand-built System: same
+        fault plan, workload, seed and mitigations."""
+        for name, mitigated in ((None, True), ("counter", True), ("counter", False)):
+            spec = resilience_spec(name, seed=0, mitigated=mitigated)
+            plan = None if name is None else plan_for(name, n_epochs=spec.n_epochs)
+            direct = smart_run(
+                plan, mitigations=mitigated, seed=0, n_epochs=spec.n_epochs
+            )
+            assert metrics_digest(execute_spec(spec)) == metrics_digest(direct)

@@ -8,6 +8,7 @@ from reference_kernel import reference_kernel
 from repro.cli import main, make_balancer, make_platform, make_workload
 from repro.obs import validate_events
 from repro.obs.export import read_jsonl
+from repro.runner import RunSpec, execute_spec
 
 
 class TestResolvers:
@@ -17,7 +18,7 @@ class TestResolvers:
         assert len(make_platform("hmp:6")) == 6
 
     def test_unknown_platform_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown platform 'toaster'"):
             make_platform("toaster")
 
     def test_workload_kinds(self):
@@ -26,7 +27,7 @@ class TestResolvers:
         assert len(make_workload("Mix1", 2)) == 4  # 2 per member
 
     def test_unknown_workload_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown workload 'doom'"):
             make_workload("doom", 4)
 
     def test_balancers(self):
@@ -39,8 +40,21 @@ class TestResolvers:
         assert governed.name == "governor:two_level"
 
     def test_unknown_balancer_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown balancer 'magic'"):
             make_balancer("magic")
+
+    def test_execute_spec_raises_value_error_for_unknown_name(self):
+        """Library code never exits the interpreter: an unresolvable
+        name is an ordinary exception a caller can catch."""
+        with pytest.raises(ValueError, match="unknown workload 'nope'"):
+            execute_spec(RunSpec(workload="nope", n_epochs=1))
+
+    def test_run_with_unknown_workload_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "nope", "--epochs", "1"])
+        assert excinfo.value.code == (
+            "unknown workload 'nope'; see `python -m repro list`"
+        )
 
 
 class TestCommands:

@@ -91,6 +91,10 @@ SMART_FLAGS = {
             "--wait", "--follow", "--wait-timeout",
         }),
         ("compare", KNOB_FLAGS | {"-h", "--help"}),
+        ("experiments", {
+            "-h", "--help", "--scale", "--jobs", "--cache", "--cache-dir",
+            "--base-seed", "--trace-dir",
+        }),
     ],
 )
 def test_subcommand_flags_are_pinned(command, expected):
