@@ -28,11 +28,20 @@ diffs in review:
 ``--quick`` drops to one workload and fewer epochs for CI; quick
 results go to benchmarks/out/ so the committed scorecard only ever
 holds full-fidelity numbers.
+
+``bench_two_level_screen_speedup`` gates the search's cost: one
+``two_level`` decision with its OPP screen must be at least 5x faster
+than the full search over every vector, on the decisions of a governed
+dvfsquad run.
 """
 
 import json
 import os
+import statistics
+import time
 
+from repro.governor import strategies
+from repro.governor.config import MAX_ENUMERATION
 from repro.runner.engine import execute_spec
 from repro.runner.serialize import metrics_digest
 from repro.runner.spec import RunSpec
@@ -152,3 +161,79 @@ def bench_governor_gain(benchmark, quick, artifact_dir):
     with open(target, "w") as handle:
         json.dump(scorecard, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+#: The screen's gate: median per-decision speedup of screened
+#: ``two_level`` over the full search.
+SCREEN_SPEEDUP_FLOOR = 5.0
+#: Timed (screened, full) pairs per captured decision.
+SCREEN_ROUNDS = 3
+
+
+def measure_screen(monkeypatch) -> dict:
+    """Per-decision time of ``two_level`` with and without its screen.
+
+    The decisions are those of a governed dvfsquad run (MTMI x 8,
+    seed 0, 6 epochs).  The full search is the same code with
+    ``SCREEN_TOP`` raised to ``MAX_ENUMERATION``.  One untimed call of
+    each side per decision warms the factories' objective caches, so
+    neither side pays for building objectives the other already built;
+    then alternating pairs are timed and the speedup is the median of
+    full / screened over the pairs.
+    """
+    contexts = []
+
+    def capture(ctx):
+        contexts.append(ctx)
+        return strategies.two_level(ctx)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(strategies.STRATEGIES, "two_level", capture)
+        execute_spec(_spec("MTMI", "two_level", QUICK_EPOCHS))
+
+    def decide(ctx, screened):
+        with monkeypatch.context() as patch:
+            if not screened:
+                patch.setattr(strategies, "SCREEN_TOP", MAX_ENUMERATION)
+            start = time.perf_counter()
+            outcome = strategies.two_level(ctx)
+            return time.perf_counter() - start, outcome
+
+    for ctx in contexts:
+        decide(ctx, True)
+        decide(ctx, False)
+    times = {True: [], False: []}
+    agreed = 0
+    for pair in range(SCREEN_ROUNDS * len(contexts)):
+        ctx = contexts[pair % len(contexts)]
+        outcomes = {}
+        for screened in ((True, False) if pair % 2 == 0 else (False, True)):
+            elapsed, outcomes[screened] = decide(ctx, screened)
+            times[screened].append(elapsed)
+        if pair < len(contexts):
+            agreed += all(
+                getattr(outcomes[True], field) == getattr(outcomes[False], field)
+                for field in ("changes", "levels", "adopted_opp")
+            )
+    speedups = [full / screen for screen, full in zip(times[True], times[False])]
+    return {
+        "decisions": len(contexts),
+        "agreed": agreed,
+        "screened_ms": round(statistics.median(times[True]) * 1e3, 2),
+        "full_ms": round(statistics.median(times[False]) * 1e3, 2),
+        "speedup": round(statistics.median(speedups), 2),
+    }
+
+
+def bench_two_level_screen_speedup(benchmark, monkeypatch):
+    row = benchmark.pedantic(
+        lambda: measure_screen(monkeypatch), rounds=1, iterations=1
+    )
+    for key in ("speedup", "screened_ms", "full_ms"):
+        benchmark.extra_info[f"screen_{key}"] = row[key]
+    benchmark.extra_info["screen_agreement"] = f"{row['agreed']}/{row['decisions']}"
+    assert row["speedup"] >= SCREEN_SPEEDUP_FLOOR, (
+        f"screened two_level below the {SCREEN_SPEEDUP_FLOOR}x floor: "
+        f"{row['speedup']}x ({row['screened_ms']} vs {row['full_ms']} ms "
+        "per decision)"
+    )

@@ -38,11 +38,12 @@ run digests do not depend on how fast the loop is.  A differential
 fuzz against a reference copy of the straightforward loop pins this
 with exact equality.
 
-Rejected alternative: batching the governor's hundreds of short inner
-anneals into one numpy walk in lockstep would amortise the Python
-per-move cost, but ``J_E`` would then go through array ``np.power``,
-whose SIMD path differs from scalar ``pow`` in the last bit on some
-inputs — enough to flip an acceptance decision and move digests.
+Rejected alternative: batching the governor's short inner anneals
+(up to 16 per decision once its OPP screen has run) into one numpy walk
+in lockstep would amortise the Python per-move cost, but ``J_E`` would
+then go through array ``np.power``, whose SIMD path differs from scalar
+``pow`` in the last bit on some inputs — enough to flip an acceptance
+decision and move digests.
 """
 
 from __future__ import annotations

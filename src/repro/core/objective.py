@@ -112,6 +112,54 @@ POWER_CAP_PENALTY_EXPONENT = 4.0
 POWER_FLOOR_W = 1e-3
 
 
+def checked_terms(
+    ips: np.ndarray,
+    power: np.ndarray,
+    utilization: np.ndarray,
+    idle_power: np.ndarray,
+    sleep_power: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The objective's rules for its inputs, returning ``(ips, power)``
+    cleaned.
+
+    Applies alike to whole matrices and to the conditioned columns of
+    one OPP rung.  Raises ``ValueError`` unless every demand lies in
+    [0, 1], every idle power is positive and finite and every sleep
+    power is non-negative.  Non-finite or negative IPS become 0, and
+    power that is non-finite or below :data:`POWER_FLOOR_W` becomes the
+    floor.
+    """
+    if np.any(utilization < 0) or np.any(utilization > 1):
+        raise ValueError("utilisations must lie in [0, 1]")
+    if np.any(idle_power <= 0) or not np.isfinite(idle_power).all():
+        raise ValueError("idle power entries must be positive and finite")
+    if np.any(sleep_power < 0):
+        raise ValueError("sleep power entries must be non-negative")
+    bad_power = ~np.isfinite(power) | (power < POWER_FLOOR_W)
+    if bad_power.any():
+        power = np.where(bad_power, POWER_FLOOR_W, power)
+    bad_ips = ~np.isfinite(ips) | (ips < 0)
+    if bad_ips.any():
+        ips = np.where(bad_ips, 0.0, ips)
+    return ips, power
+
+
+def per_core_terms(
+    sum_u: float, sum_uips: float, sum_up: float, idle_w: float, sleep_w: float
+) -> tuple[float, float]:
+    """One core's (throughput, power) from its three running sums.
+
+    The emptiness test uses a tolerance so incremental add/remove
+    round-off (sums like 1e-16 after a thread leaves) cannot flip a
+    power-gated core into a paying-idle one.
+    """
+    if sum_u <= 1e-9:
+        return 0.0, float(sleep_w)
+    if sum_u <= 1.0:
+        return sum_uips, sum_up + (1.0 - sum_u) * idle_w
+    return sum_uips / sum_u, sum_up / sum_u
+
+
 class EnergyEfficiencyObjective:
     """``J_E`` over a thread-to-core allocation (see module docstring)."""
 
@@ -166,8 +214,6 @@ class EnergyEfficiencyObjective:
             raise ValueError(
                 f"utilisation must be (m,) or (m x n); got shape {util.shape}"
             )
-        if np.any(util < 0) or np.any(util > 1):
-            raise ValueError("utilisations must lie in [0, 1]")
         self.utilization = util
         self.idle_power = np.asarray(idle_power, dtype=float)
         if self.idle_power.shape != (self.n_cores,):
@@ -184,16 +230,9 @@ class EnergyEfficiencyObjective:
                     f"sleep power vector must have length {self.n_cores}, "
                     f"got shape {self.sleep_power.shape}"
                 )
-        bad_power = ~np.isfinite(self.power) | (self.power < POWER_FLOOR_W)
-        if bad_power.any():
-            self.power = np.where(bad_power, POWER_FLOOR_W, self.power)
-        if np.any(self.idle_power <= 0) or not np.isfinite(self.idle_power).all():
-            raise ValueError("idle power entries must be positive and finite")
-        if np.any(self.sleep_power < 0):
-            raise ValueError("sleep power entries must be non-negative")
-        bad_ips = ~np.isfinite(self.ips) | (self.ips < 0)
-        if bad_ips.any():
-            self.ips = np.where(bad_ips, 0.0, self.ips)
+        self.ips, self.power = checked_terms(
+            self.ips, self.power, util, self.idle_power, self.sleep_power
+        )
         if allowed is None:
             self.allowed = None
         else:
@@ -231,34 +270,29 @@ class EnergyEfficiencyObjective:
     def core_terms(
         self, core: int, sum_u: float, sum_uips: float, sum_up: float
     ) -> tuple[float, float]:
-        """One core's (throughput, power) from its three running sums.
+        """:func:`per_core_terms` at this objective's idle and sleep
+        power of ``core``."""
+        return per_core_terms(
+            sum_u, sum_uips, sum_up, self.idle_power[core], self.sleep_power[core]
+        )
 
-        The emptiness test uses a tolerance so incremental add/remove
-        round-off (sums like 1e-16 after a thread leaves) cannot flip a
-        power-gated core into a paying-idle one.
-        """
-        if sum_u <= 1e-9:
-            return 0.0, float(self.sleep_power[core])
-        if sum_u <= 1.0:
-            ips = sum_uips
-            pwr = sum_up + (1.0 - sum_u) * self.idle_power[core]
-        else:
-            ips = sum_uips / sum_u
-            pwr = sum_up / sum_u
-        return ips, pwr
-
-    def aggregates(
-        self, core_ips: np.ndarray, core_power: np.ndarray
-    ) -> tuple[float, float, float]:
+    def aggregates(self, core_ips: np.ndarray, core_power: np.ndarray) -> tuple:
         """``(Σ ω·IPS, Σ P, Σ ω·IPS/P)`` over per-core terms.
 
-        numpy reductions (pairwise summation), shared by the full
-        evaluation and the incremental evaluator's starting state.
+        numpy reductions (pairwise summation) along the last axis,
+        shared by the full evaluation, the incremental evaluator's
+        starting state and the governor's screen
+        (:meth:`~repro.governor.scaling.ConditionedObjectiveFactory.scores`).
+        One ``(n,)`` row gives three floats; a ``(k, n)`` batch gives
+        three length-``k`` arrays, each entry the sum its row alone
+        gives.
         """
-        weighted_ips = float((self.weights * core_ips).sum())
-        total_power = float(core_power.sum())
+        weighted_ips = (self.weights * core_ips).sum(axis=-1)
+        total_power = core_power.sum(axis=-1)
         ratios = np.where(core_power > 0, core_ips / np.maximum(core_power, 1e-30), 0.0)
-        ratio_sum = float((self.weights * ratios).sum())
+        ratio_sum = (self.weights * ratios).sum(axis=-1)
+        if core_ips.ndim == 1:
+            return float(weighted_ips), float(total_power), float(ratio_sum)
         return weighted_ips, total_power, ratio_sum
 
     def combine(self, core_ips: np.ndarray, core_power: np.ndarray) -> float:

@@ -172,7 +172,8 @@ class GovernorSmartBalance(SmartBalance):
             gov=self.governor,
             keep_trace=oc.enabled,
         )
-        outcome = STRATEGIES[self.governor.strategy](ctx)
+        with oc.span("governor_search"):
+            outcome = STRATEGIES[self.governor.strategy](ctx)
         sa_result = outcome.sa_result
         if sa_result is not None:
             self._note_anneal(view, sa_result, t_s)

@@ -34,6 +34,14 @@ INNER_ITERATION_FRACTION = 0.25
 #: Ceiling on full-cartesian OPP enumeration in the two-level
 #: search; above it only single-cluster deviations are scored.
 MAX_ENUMERATION = 256
+#: Inner anneals per two-level decision when more vectors than this
+#: are enumerated: the incumbent vector plus the ``SCREEN_TOP - 1``
+#: others under which the incumbent allocation scores best.  16 is the
+#: measured knee: over 40 dvfsquad decisions (8 threads, 6 epochs:
+#: HTHI/MTMI/LTLI at seeds 0-1, and MTMI with combined faults and
+#: adaptation at seeds 1-2) the screened and the full search agreed on
+#: 34, 37, 37 and 38 at 8, 16, 24 and 32.
+SCREEN_TOP = 16
 #: In the coupled annealer, roughly one in ``OPP_MOVE_PERIOD`` moves
 #: is an OPP step instead of a thread swap.
 OPP_MOVE_PERIOD = 8

@@ -29,7 +29,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.objective import EnergyEfficiencyObjective
+from repro.core.allocation import Allocation
+from repro.core.objective import (
+    EnergyEfficiencyObjective,
+    checked_terms,
+    per_core_terms,
+)
 from repro.hardware import power as power_model
 from repro.hardware.features import CoreType
 from repro.kernel.view import SystemView, TaskView
@@ -124,6 +129,9 @@ class ConditionedObjectiveFactory:
     the applied type, mixed with the shallow-idle fraction recovered
     from the nominal observation (``idle_eff = φ·idle + (1−φ)·sleep``,
     so φ is algebraically recoverable and level-independent).
+
+    :meth:`scores` gives one allocation's ``J_E`` under many vectors
+    without building their objectives (the two-level search's screen).
     """
 
     def __init__(
@@ -166,7 +174,11 @@ class ConditionedObjectiveFactory:
         #: A full enumeration scores every level vector, but each core
         #: only ever sees its own ladder's few rungs.
         self._rungs: dict = {}
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        """Distinct level vectors whose objective has been built."""
+        return len(self._cache)
 
     def _rung(self, j: int, nom: CoreType, app: CoreType) -> tuple:
         """Core ``j``'s conditioned matrix columns and idle/sleep power
@@ -190,10 +202,9 @@ class ConditionedObjectiveFactory:
             self._rungs[key] = rung
         return rung
 
-    def objective(self, levels: "tuple[int, ...]") -> EnergyEfficiencyObjective:
-        cached = self._cache.get(levels)
-        if cached is not None:
-            return cached
+    def _conditioned(self, levels: "tuple[int, ...]") -> tuple:
+        """``(ips, power, util, idle, sleep)`` conditioned onto
+        ``levels``, before the objective's cleaning."""
         from repro.governor.ladder import applied_types
 
         applied = applied_types(self.ladders, levels, self.n_cores)
@@ -208,6 +219,13 @@ class ConditionedObjectiveFactory:
             ips[:, j], power[:, j], util[:, j], idle[j], sleep[j] = self._rung(
                 j, nom, app
             )
+        return ips, power, util, idle, sleep
+
+    def objective(self, levels: "tuple[int, ...]") -> EnergyEfficiencyObjective:
+        cached = self._cache.get(levels)
+        if cached is not None:
+            return cached
+        ips, power, util, idle, sleep = self._conditioned(levels)
         obj = EnergyEfficiencyObjective(
             ips=ips,
             power=power,
@@ -219,5 +237,66 @@ class ConditionedObjectiveFactory:
             allowed=self.allowed,
         )
         self._cache[levels] = obj
-        self.evaluations += 1
         return obj
+
+    def scores(
+        self, allocation: Allocation, vectors: "list[tuple[int, ...]]"
+    ) -> "list[float]":
+        """``J_E`` of ``allocation`` under each level vector in ``vectors``.
+
+        Each entry is what ``self.objective(levels).evaluate(allocation)``
+        returns, without the affinity penalty: the penalty depends only
+        on the allocation, so it would shift every score alike (and
+        1e30 per violation would swamp them).  Only ``vectors[0]``'s
+        objective is built, for the weights, mode and exponent every
+        vector shares.
+
+        A core's (throughput, power) term depends only on its own
+        cluster's level, so the allocation's threads are summed once
+        per core and rung, with the objective's cleaning and
+        validation; a vector's score folds its cores' terms through
+        the objective's ``aggregates`` and ``scalar_value``.
+        """
+        reference = self.objective(vectors[0])
+        mapping = np.asarray(allocation.mapping(), dtype=np.intp)
+        rows = np.arange(len(mapping))
+        n = self.n_cores
+        n_levels = self.ladders[0].n_levels
+        core_ips = np.empty((n_levels, n))
+        core_power = np.empty((n_levels, n))
+        for level in range(n_levels):
+            # Every cluster at ``level`` at once: column j holds core j's
+            # rung at that level, and its term needs nothing else.
+            ips, power, util, idle, sleep = self._conditioned(
+                (level,) * len(self.ladders)
+            )
+            ips, power = checked_terms(
+                ips, power, util, np.asarray(idle), np.asarray(sleep)
+            )
+            u = util[rows, mapping]
+            sum_u = np.bincount(mapping, weights=u, minlength=n)
+            sum_uips = np.bincount(
+                mapping, weights=u * ips[rows, mapping], minlength=n
+            )
+            sum_up = np.bincount(
+                mapping, weights=u * power[rows, mapping], minlength=n
+            )
+            for j in range(n):
+                core_ips[level, j], core_power[level, j] = per_core_terms(
+                    sum_u[j], sum_uips[j], sum_up[j], idle[j], sleep[j]
+                )
+        cluster = np.empty(n, dtype=np.intp)
+        for index, ladder in enumerate(self.ladders):
+            cluster[list(ladder.core_ids)] = index
+        # levels[v, j]: core j's rung under vector v.
+        levels = np.asarray(vectors, dtype=np.intp)[:, cluster]
+        cores = np.arange(n)
+        weighted_ips, total_power, ratio_sum = reference.aggregates(
+            core_ips[levels, cores], core_power[levels, cores]
+        )
+        return [
+            reference.scalar_value(*terms)
+            for terms in zip(
+                weighted_ips.tolist(), total_power.tolist(), ratio_sum.tolist()
+            )
+        ]

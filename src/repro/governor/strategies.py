@@ -7,6 +7,8 @@ the experiments compare against:
     Outer search over cluster OPP level vectors, inner Algorithm-1
     annealing per candidate at a reduced iteration budget; the winning
     vector gets a full-budget anneal and the combined adoption gate.
+    Past ``SCREEN_TOP`` vectors, a screen scores every vector by the
+    incumbent allocation's ``J_E`` and anneals only the best.
 
 ``coupled_anneal``
     One annealing walk over the product space: the move set mixes
@@ -55,6 +57,7 @@ from repro.governor.config import (
     MAX_ENUMERATION,
     OPP_MIN_IMPROVEMENT,
     OPP_MOVE_PERIOD,
+    SCREEN_TOP,
     GovernorConfig,
 )
 from repro.governor.scaling import ConditionedObjectiveFactory
@@ -86,7 +89,11 @@ class GovernorOutcome:
     incumbent_value: float
     #: Adopted level vector (equals the current one when no OPP moved).
     levels: tuple[int, ...]
-    #: OPP candidate vectors scored this epoch.
+    #: OPP candidate vectors scored this epoch.  ``two_level`` counts
+    #: every enumerated vector, annealed or not (past ``SCREEN_TOP`` its
+    #: screen scores them all), plus one for a fallback anneal; the
+    #: count does not shrink when a time budget stops the candidate
+    #: loop early.
     candidates_evaluated: int
     best_value: float
     adopted_opp: bool
@@ -94,6 +101,27 @@ class GovernorOutcome:
 
 def _levels_changed(a: "tuple[int, ...]", b: "tuple[int, ...]") -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def _screened(
+    ctx: SearchContext, candidates: "list[tuple[int, ...]]"
+) -> "list[tuple[int, ...]]":
+    """The candidates that get an inner anneal, in enumeration order.
+
+    Up to ``SCREEN_TOP`` candidates all pass.  Past it, every vector is
+    scored by the incumbent allocation's ``J_E`` under it
+    (:meth:`ConditionedObjectiveFactory.scores`), and the incumbent
+    vector (``candidates[0]``) passes with the ``SCREEN_TOP - 1``
+    best-scored others; a tie goes to the vector enumerated first.
+    """
+    if len(candidates) <= SCREEN_TOP:
+        return candidates
+    scores = ctx.factory.scores(ctx.incumbent, candidates)
+    others = sorted(
+        range(1, len(candidates)), key=scores.__getitem__, reverse=True
+    )
+    kept = sorted([0] + others[: SCREEN_TOP - 1])
+    return [candidates[i] for i in kept]
 
 
 def _candidate_levels(ctx: SearchContext) -> "list[tuple[int, ...]]":
@@ -142,7 +170,8 @@ def _until(deadline: "float | None", config: SAConfig) -> SAConfig:
 
 
 def two_level(ctx: SearchContext) -> GovernorOutcome:
-    """Outer OPP enumeration, inner annealing, full anneal on the winner.
+    """Outer OPP enumeration, inner annealing of the screened
+    candidates, full anneal on the winner.
 
     A time budget in ``ctx.sa_config`` covers the whole search: the
     candidate loop stops once it is spent, and every anneal gets only
@@ -166,14 +195,14 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
 
     best_levels = current
     best_inner = -math.inf
-    evaluated = 0
-    for levels in _candidate_levels(ctx):
+    candidates = _candidate_levels(ctx)
+    evaluated = len(candidates)
+    for levels in _screened(ctx, candidates):
         if deadline is not None and time.perf_counter() >= deadline:
             break
         result = anneal(
             factory.objective(levels), ctx.incumbent, _until(deadline, inner_cfg)
         )
-        evaluated += 1
         if result.best_value > best_inner:
             best_inner = result.best_value
             best_levels = levels
@@ -346,7 +375,7 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
             sa_result=sa_result,
             incumbent_value=incumbent_value,
             levels=best_levels,
-            candidates_evaluated=len(factory._cache),
+            candidates_evaluated=factory.evaluations,
             best_value=best_value,
             adopted_opp=n_opp > 0,
         )
@@ -355,7 +384,7 @@ def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
         sa_result=sa_result,
         incumbent_value=incumbent_value,
         levels=current_levels,
-        candidates_evaluated=len(factory._cache),
+        candidates_evaluated=factory.evaluations,
         best_value=best_value,
         adopted_opp=False,
     )

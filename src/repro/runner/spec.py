@@ -53,7 +53,9 @@ from repro.runner.factories import check_balancer, check_platform, check_workloa
 #: ``SimulationConfig.periods_per_epoch`` (L) instead of every 10
 #: periods, so their cached runs at L != 10 are stale; runs at L = 10
 #: are unchanged.
-CACHE_FORMAT = 9
+#: 10: the ``two_level`` governor screens its OPP vectors and anneals
+#: only the best ``SCREEN_TOP``, so governed decisions can differ.
+CACHE_FORMAT = 10
 
 
 def _code_version() -> str:

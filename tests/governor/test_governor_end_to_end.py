@@ -139,25 +139,9 @@ class TestEpochBudget:
         execute_spec(spec("two_level", epochs=2))
         return contexts[-1]
 
-    def test_two_level_budget_spans_the_candidate_loop(self, two_level_context):
-        """A budget far below one enumeration stops the loop after at
-        most one candidate, and the final anneal truncates."""
-        ctx = two_level_context
-        full = strategies.two_level(ctx)
-        assert full.candidates_evaluated >= len(strategies._candidate_levels(ctx))
-        budgeted = dataclasses.replace(
-            ctx, sa_config=dataclasses.replace(ctx.sa_config, time_budget_s=1e-6)
-        )
-        outcome = strategies.two_level(budgeted)
-        assert outcome.candidates_evaluated <= 1
-        assert outcome.sa_result.truncated
-
-    def test_two_level_without_budget_passes_the_config_through(
-        self, two_level_context, monkeypatch
-    ):
-        """Unbudgeted anneals get ``ctx.sa_config`` itself (the final one)
-        or one shared reduced-iteration copy (the inner ones)."""
-        ctx = two_level_context
+    @staticmethod
+    def spy_configs(monkeypatch):
+        """Every config ``strategies.anneal`` is called with, in order."""
         configs = []
         original = strategies.anneal
 
@@ -166,9 +150,39 @@ class TestEpochBudget:
             return original(objective, initial, config, **kwargs)
 
         monkeypatch.setattr(strategies, "anneal", spy)
+        return configs
+
+    def test_two_level_budget_spans_the_candidate_loop(
+        self, two_level_context, monkeypatch
+    ):
+        """A budget far below one inner anneal stops the candidate loop
+        after at most one of them, and the final anneal truncates.  The
+        screen has scored every vector, so the count does not shrink."""
+        ctx = two_level_context
+        budgeted = dataclasses.replace(
+            ctx, sa_config=dataclasses.replace(ctx.sa_config, time_budget_s=1e-6)
+        )
+        configs = self.spy_configs(monkeypatch)
+        outcome = strategies.two_level(budgeted)
+        inner = [
+            c for c in configs if c.max_iterations != ctx.sa_config.max_iterations
+        ]
+        assert len(inner) <= 1
+        assert outcome.sa_result.truncated
+        assert outcome.candidates_evaluated >= len(strategies._candidate_levels(ctx))
+
+    def test_two_level_without_budget_passes_the_config_through(
+        self, two_level_context, monkeypatch
+    ):
+        """Unbudgeted anneals get ``ctx.sa_config`` itself (the final one)
+        or one shared reduced-iteration copy (the screened inner ones)."""
+        ctx = two_level_context
+        configs = self.spy_configs(monkeypatch)
         strategies.two_level(ctx)
         inner = [c for c in configs if c is not ctx.sa_config]
-        assert len(inner) == len(strategies._candidate_levels(ctx))
+        assert len(inner) == min(
+            len(strategies._candidate_levels(ctx)), strategies.SCREEN_TOP
+        )
         assert all(c is inner[0] for c in inner)
         assert configs[len(inner)] is ctx.sa_config
 
@@ -196,6 +210,17 @@ class TestObservability:
         assert "opp_change" in types
         rendered = render_report(build_report(events))
         assert "Governor (joint placement + DVFS)" in rendered
+
+    def test_governor_search_span_and_traced_digest(self):
+        """Each governed decision is timed as ``span.governor_search``,
+        and tracing leaves the simulated metrics byte-identical."""
+        obs = ObsContext()
+        traced = execute_spec(spec("two_level"), obs=obs)
+        timings = obs.metrics.snapshot()["timings"]
+        assert traced.governor["epochs"] == 5
+        assert timings["span.governor_search"]["count"] == traced.governor["epochs"]
+        untraced = execute_spec(spec("two_level"))
+        assert metrics_digest(traced) == metrics_digest(untraced)
 
     def test_governor_summary_counts_match_stats(self):
         obs = ObsContext()

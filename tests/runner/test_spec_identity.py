@@ -61,54 +61,54 @@ CORPUS = {
 
 #: (spec_key, label) per corpus entry.  Moving any of them is a cache
 #: format change, never a side effect of how the knobs are declared.
-#: The keys last moved at CACHE_FORMAT 9, when SmartBalance's decision
-#: interval became the config's ``periods_per_epoch`` (results at L != 10
-#: changed); no label moved.
+#: The keys last moved at CACHE_FORMAT 10, when the ``two_level``
+#: governor began screening its OPP vectors (governed decisions can
+#: differ); no label moved.
 PINNED = {
     "default": (
-        "1613993da594d855ae91bb2d45f207a23c8cc1dc",
+        "d3c798964b82ed1f1a81e87eb35ce96b184a5449",
         "quad/MTMI/x8/smartbalance/seed=0",
     ),
     "seeds_faults_no_mitigations": (
-        "3de260b48cc8bad212b7056ce31c31277cb60200",
+        "32d7a41fd162c9d4d44f33d8d86ac28b2747acd4",
         "hmp:6/Mix3/x2/gts/faults=sensor/seed=42",
     ),
     "adaptation_combined": (
-        "62a78e89846b0635ac68836cffccb34aad48a055",
+        "582d44aafeb89a77cdb5aac45c13583f83c80264",
         "quad/random/x6/smartbalance/faults=combined/seed=0",
     ),
     "two_level": (
-        "e0b36366a06470308de45067a81449d5a417a49c",
+        "76bed86612d4cecd33edfada15b7b5d85f74fc1a",
         "dvfsquad/MTMI/x8/smartbalance/gov=two_level/seed=0",
     ),
     "coupled_anneal": (
-        "07244f824bbd17b255aa75596fea16871f51403a",
+        "ea46db0ba4eabbff5113e73f56471eed058a9705",
         "dvfsquad/HTHI/x4/smartbalance/gov=coupled_anneal/seed=5",
     ),
     "pinned": (
-        "4289b2e6fd40c3f64538da96806b3d17dd0e5dd1",
+        "da53b4bcfcea46493c8805cc2a9e82940eb8aa73",
         "dvfsquad/LTLI/x8/smartbalance/gov=pinned:1/seed=0",
     ),
     "openloop": (
-        "afe6431acd92eecbe2cbf4888a2e01986a429a48",
+        "012705b358351f612daa547f77e354bd23930af5",
         "biglittle/MTMI/x4/slo/scenario=openloop:rate=80,slo_ms=15,"
         "work_minstr=2/seed=0",
     ),
     "barrier": (
-        "c27ea0c749e264bb071a8b979d8a6527f2c65446",
+        "dcfaf872fefe557398de17880499733dff9aa659",
         "biglittle/MTMI/x4/tpeq/scenario=barrier:groups=1,members=3,"
         "intervals=3/seed=0",
     ),
     "smt": (
-        "6c1027d0cbe3a482c3bdc495917c44d8ac1bc990",
+        "d8e215e4be1d5649bae88b7a4329da51a51db377",
         "biglittle/bodytrack/x8/smartbalance/scenario=smt:cores=big/seed=0",
     ),
     "governor_scenario": (
-        "b07a84236dd6b75d6f9580fc2edb663a9592342f",
+        "d4b45ca462cc4d338cf25cde8abee06c2d7512ea",
         "dvfsquad/MTMI/x4/smartbalance/gov=two_level/scenario=openloop/seed=0",
     ),
     "config": (
-        "8535b85d21bc42eda92ad06d894ac721ed1f42ae",
+        "c4aac3dc570b7dafa0f98a6762b376acd4ee563f",
         "quad/MTMI/x2/smartbalance/seed=0",
     ),
 }
