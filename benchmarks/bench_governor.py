@@ -213,7 +213,7 @@ def measure_screen(monkeypatch) -> dict:
         if pair < len(contexts):
             agreed += all(
                 getattr(outcomes[True], field) == getattr(outcomes[False], field)
-                for field in ("changes", "levels", "adopted_opp")
+                for field in ("changes", "levels")
             )
     speedups = [full / screen for screen, full in zip(times[True], times[False])]
     return {

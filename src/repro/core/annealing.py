@@ -24,8 +24,6 @@ Design notes / deliberate choices:
 * Iterations are capped per platform scale by
   :func:`default_iteration_cap` — the Fig. 8(a) trade of solution
   quality for bounded overhead on large systems.
-* The acceptance rule is one function, :func:`accept_move`, shared
-  with the governor's joint (allocation, OPP) walk.
 
 Bit-identity contract: the loop is written for host speed (hot names
 bound to locals, one evaluator call per move, positions drawn as

@@ -12,13 +12,12 @@ baselines that bracket it:
   ``l`` for the whole run (placement still optimised per epoch).  The
   best of these plus ``fixed`` is the **oracle static OPP**: the best
   single operating-point vector knowable only in hindsight.
-* ``two_level`` — the outer-ladder-search governor.
-* ``coupled_anneal`` — the single-annealer governor whose move set
-  mixes thread swaps and OPP steps.
+* ``two_level`` — the joint governor: an outer OPP-ladder search
+  around the stock annealer.
 
 Every run shares platform, workload, seed and epoch count, so the
 columns differ only in the governor strategy.  The headline findings
-are the J_E (IPS/Watt) gain of the dynamic governors over ``fixed``
+are the J_E (IPS/Watt) gain of the dynamic governor over ``fixed``
 and over the oracle static OPP — a dynamic governor that cannot beat
 the best *static* setting is just a slower way to configure the chip.
 
@@ -52,7 +51,7 @@ SEED = 0
 PIN_LEVELS = (0, 1, 2)
 
 #: The dynamic strategies under test.
-DYNAMIC = ("two_level", "coupled_anneal")
+DYNAMIC = ("two_level",)
 
 
 def governor_specs(scale: Scale) -> "list[RunSpec]":
@@ -151,8 +150,6 @@ def governor_build(
                     cell["opp_changes"],
                 ]
             )
-    two_level_gain = data["mean_gain_vs_fixed_pct"]["two_level"]
-    coupled_gain = data["mean_gain_vs_fixed_pct"]["coupled_anneal"]
     return ExperimentResult(
         experiment_id="governor",
         title=(
@@ -173,22 +170,12 @@ def governor_build(
         findings=(
             Finding(
                 name="two_level mean J_E gain vs fixed V/f",
-                measured=two_level_gain,
-                unit="%",
-            ),
-            Finding(
-                name="coupled_anneal mean J_E gain vs fixed V/f",
-                measured=coupled_gain,
+                measured=data["mean_gain_vs_fixed_pct"]["two_level"],
                 unit="%",
             ),
             Finding(
                 name="two_level mean J_E gain vs oracle static OPP",
                 measured=data["mean_gain_vs_oracle_pct"]["two_level"],
-                unit="%",
-            ),
-            Finding(
-                name="coupled_anneal mean J_E gain vs oracle static OPP",
-                measured=data["mean_gain_vs_oracle_pct"]["coupled_anneal"],
                 unit="%",
             ),
         ),

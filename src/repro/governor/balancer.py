@@ -52,7 +52,7 @@ class GovernorSmartBalance(SmartBalance):
                 "strategy 'fixed' means no governor: use the stock "
                 "SmartBalance instead"
             )
-        self.name = f"governor:{self._strategy_label()}"
+        self.name = f"governor:{self.governor.label}"
         #: Lazily built from the first view's (nominal) platform.
         self._ladders = None
         self._levels: tuple[int, ...] = ()
@@ -63,7 +63,7 @@ class GovernorSmartBalance(SmartBalance):
         #: Adopted OPP switches awaiting pickup by the simulator.
         self._pending_opp: list[OppChange] = []
         self.governor_stats: dict = {
-            "strategy": self._strategy_label(),
+            "strategy": self.governor.label,
             "n_points": N_POINTS,
             "epochs": 0,
             "opp_changes": 0,
@@ -72,11 +72,6 @@ class GovernorSmartBalance(SmartBalance):
             "transition_latency_s": 0.0,
             "levels": {},
         }
-
-    def _strategy_label(self) -> str:
-        if self.governor.strategy == "pinned":
-            return f"pinned:{self.governor.pinned_level}"
-        return self.governor.strategy
 
     # ------------------------------------------------------------------
 
@@ -174,16 +169,14 @@ class GovernorSmartBalance(SmartBalance):
         )
         with oc.span("governor_search"):
             outcome = STRATEGIES[self.governor.strategy](ctx)
-        sa_result = outcome.sa_result
-        if sa_result is not None:
-            self._note_anneal(view, sa_result, t_s)
+        self._note_anneal(view, outcome.sa_result, t_s)
 
         # Adopt the OPP side of the decision: queue one OppChange per
         # switched cluster for the simulator to apply after the
         # placement lands.
         changes: list[OppChange] = []
         transition_energy = 0.0
-        if outcome.adopted_opp and outcome.levels != self._levels:
+        if outcome.levels != self._levels:
             for index, ladder in enumerate(self._ladders):
                 if outcome.levels[index] != self._levels[index]:
                     change = opp_change(
@@ -221,12 +214,12 @@ class GovernorSmartBalance(SmartBalance):
                 obs_events.GOVERNOR_DECISION,
                 t_s,
                 epoch=view.epoch_index,
-                strategy=self._strategy_label(),
+                strategy=self.governor.label,
                 opp_levels=list(self._levels),
                 candidates_evaluated=outcome.candidates_evaluated,
                 opp_changes=len(changes),
                 incumbent_value=outcome.incumbent_value,
-                best_value=outcome.best_value,
+                best_value=outcome.sa_result.best_value,
                 transition_energy_j=transition_energy,
                 adopted=bool(placement or changes),
             )
@@ -234,4 +227,4 @@ class GovernorSmartBalance(SmartBalance):
             if changes:
                 oc.metrics.inc("governor.opp_changes", len(changes))
 
-        return placement, sa_result, outcome.incumbent_value
+        return placement, outcome.sa_result, outcome.incumbent_value

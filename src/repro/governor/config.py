@@ -17,7 +17,7 @@ from typing import Optional
 #: ``pinned:<level>`` on the CLI (e.g. ``pinned:0`` clamps every
 #: cluster to its lowest OPP; ``pinned:3`` with the 4-point ladder is
 #: race-to-idle at nominal V/f).
-GOVERNOR_STRATEGIES = ("fixed", "two_level", "coupled_anneal", "pinned")
+GOVERNOR_STRATEGIES = ("fixed", "two_level", "pinned")
 
 #: OPP ladder depth per cluster (levels 0..N_POINTS-1, ascending
 #: frequency; the top level is the exact nominal core type).
@@ -42,16 +42,13 @@ MAX_ENUMERATION = 256
 #: adaptation at seeds 1-2) the screened and the full search agreed on
 #: 34, 37, 37 and 38 at 8, 16, 24 and 32.
 SCREEN_TOP = 16
-#: In the coupled annealer, roughly one in ``OPP_MOVE_PERIOD`` moves
-#: is an OPP step instead of a thread swap.
-OPP_MOVE_PERIOD = 8
 
 
 @dataclass(frozen=True)
 class GovernorConfig:
     """Knobs of the joint (allocation, OPP) optimisation."""
 
-    #: ``fixed`` | ``two_level`` | ``coupled_anneal`` | ``pinned``.
+    #: ``fixed`` | ``two_level`` | ``pinned``.
     strategy: str = "fixed"
     #: Target level for the ``pinned`` strategy (clamped to the ladder).
     pinned_level: Optional[int] = None
@@ -64,8 +61,19 @@ class GovernorConfig:
             )
         if self.strategy == "pinned" and self.pinned_level is None:
             raise ValueError("pinned strategy requires pinned_level")
+        if self.strategy != "pinned" and self.pinned_level is not None:
+            raise ValueError(
+                f"pinned_level needs the pinned strategy, got {self.strategy!r}"
+            )
         if self.pinned_level is not None and self.pinned_level < 0:
             raise ValueError("pinned_level must be non-negative")
+
+    @property
+    def label(self) -> str:
+        """Canonical spelling: the strategy name, or ``pinned:<level>``."""
+        if self.strategy == "pinned":
+            return f"pinned:{self.pinned_level}"
+        return self.strategy
 
 
 def parse_governor(spec: str) -> GovernorConfig:
@@ -74,8 +82,8 @@ def parse_governor(spec: str) -> GovernorConfig:
     Accepts a bare strategy name or ``pinned:<level>``.
     """
     spec = spec.strip()
-    if spec.startswith("pinned"):
-        _, _, level = spec.partition(":")
+    name, _, level = spec.partition(":")
+    if name == "pinned":
         if not level:
             raise ValueError("pinned governor needs a level, e.g. pinned:0")
         try:

@@ -175,11 +175,6 @@ class ConditionedObjectiveFactory:
         #: only ever sees its own ladder's few rungs.
         self._rungs: dict = {}
 
-    @property
-    def evaluations(self) -> int:
-        """Distinct level vectors whose objective has been built."""
-        return len(self._cache)
-
     def _rung(self, j: int, nom: CoreType, app: CoreType) -> tuple:
         """Core ``j``'s conditioned matrix columns and idle/sleep power
         at applied type ``app`` (memoised)."""

@@ -1,7 +1,7 @@
 """Joint (allocation, OPP-vector) search strategies.
 
-Two real optimisers behind one interface, plus the ``pinned`` baseline
-the experiments compare against:
+One optimiser behind the strategy interface, plus the ``pinned``
+baseline the experiments compare against:
 
 ``two_level``
     Outer search over cluster OPP level vectors, inner Algorithm-1
@@ -9,15 +9,6 @@ the experiments compare against:
     vector gets a full-budget anneal and the combined adoption gate.
     Past ``SCREEN_TOP`` vectors, a screen scores every vector by the
     incumbent allocation's ``J_E`` and anneals only the best.
-
-``coupled_anneal``
-    One annealing walk over the product space: the move set mixes
-    thread swaps (incremental O(1) evaluation) with single-cluster
-    OPP steps (full re-evaluation + evaluator rebuild on acceptance).
-    Both move kinds go through Algorithm 1's acceptance rule,
-    :func:`repro.core.annealing.accept_move`, the one
-    :func:`repro.core.annealing.anneal` uses (xorshift32, fixed-point
-    ``e^x``, the integer acceptance trick).
 
 ``pinned``
     Clamp every cluster to one level and run the stock placement
@@ -39,24 +30,19 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.core.allocation import Allocation
 from repro.core.annealing import (
     SAConfig,
     SAResult,
-    accept_move,
     anneal,
     default_iteration_cap,
 )
 from repro.core.balancer import adoption_threshold
-from repro.core.fixed_point import Xorshift32
-from repro.core.objective import IncrementalEvaluator
 from repro.governor.config import (
     INNER_ITERATION_FRACTION,
     MAX_ENUMERATION,
     OPP_MIN_IMPROVEMENT,
-    OPP_MOVE_PERIOD,
     SCREEN_TOP,
     GovernorConfig,
 )
@@ -84,7 +70,9 @@ class GovernorOutcome:
 
     #: Adopted thread moves, ``thread index -> core`` (empty = keep).
     changes: dict[int, int]
-    sa_result: Optional[SAResult]
+    #: The decision's last full anneal; its ``best_value`` is the
+    #: value the adoption gate judged.
+    sa_result: SAResult
     #: Incumbent allocation's value under the *current* OPP vector.
     incumbent_value: float
     #: Adopted level vector (equals the current one when no OPP moved).
@@ -95,8 +83,6 @@ class GovernorOutcome:
     #: count does not shrink when a time budget stops the candidate
     #: loop early.
     candidates_evaluated: int
-    best_value: float
-    adopted_opp: bool
 
 
 def _levels_changed(a: "tuple[int, ...]", b: "tuple[int, ...]") -> int:
@@ -225,8 +211,6 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
             incumbent_value=incumbent_value,
             levels=best_levels,
             candidates_evaluated=evaluated,
-            best_value=result.best_value,
-            adopted_opp=n_opp > 0,
         )
     if best_levels != current:
         # The joint winner failed the gate: fall back to the stock
@@ -251,142 +235,6 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
         incumbent_value=incumbent_value,
         levels=current,
         candidates_evaluated=evaluated,
-        best_value=result.best_value,
-        adopted_opp=False,
-    )
-
-
-def coupled_anneal(ctx: SearchContext) -> GovernorOutcome:
-    """One annealing walk over the joint (allocation, OPP) space."""
-    factory = ctx.factory
-    config = ctx.sa_config
-    current_levels = ctx.current_levels
-    incumbent_value = factory.objective(current_levels).evaluate(ctx.incumbent)
-
-    working = ctx.incumbent.copy()
-    levels = list(current_levels)
-    objective = factory.objective(tuple(levels))
-    evaluator = IncrementalEvaluator(objective, working)
-    rng = Xorshift32(config.seed)
-    total_slots = len(working)
-    iterations = config.max_iterations
-    if iterations is None:
-        iterations = default_iteration_cap(
-            objective.n_cores, objective.n_threads
-        )
-
-    n_clusters = len(ctx.ladders)
-    n_levels = ctx.ladders[0].n_levels if n_clusters else 1
-    opp_moves_possible = n_clusters > 0 and n_levels > 1
-
-    perturb = config.initial_perturbation
-    acceptance = config.initial_acceptance
-    current = evaluator.value
-    initial_value = current
-    best_value = current
-    best_allocation = working.copy()
-    best_levels = tuple(levels)
-    accepted = 0
-    uphill = 0
-    truncated = False
-    deadline = None
-    if config.time_budget_s is not None:
-        deadline = time.perf_counter() + config.time_budget_s
-
-    performed = 0
-    for _ in range(iterations):
-        if deadline is not None and performed % 32 == 0 and performed > 0:
-            if time.perf_counter() >= deadline:
-                truncated = True
-                break
-        performed += 1
-        opp_move = (
-            opp_moves_possible
-            and rng.randi() % OPP_MOVE_PERIOD == 0
-        )
-        if opp_move:
-            cluster = rng.randi_range(0, n_clusters)
-            step = 1 if rng.randi() % 2 == 0 else -1
-            new_level = levels[cluster] + step
-            if 0 <= new_level < n_levels:
-                trial = list(levels)
-                trial[cluster] = new_level
-                trial_objective = factory.objective(tuple(trial))
-                new_value = trial_objective.evaluate(working)
-                diff = new_value - current
-                if accept_move(
-                    diff, current, acceptance, config.use_fixed_point_exp, rng
-                ):
-                    levels = trial
-                    objective = trial_objective
-                    # The running sums are per-objective: rebuild the
-                    # O(1) tracker against the new rung's matrices.
-                    evaluator = IncrementalEvaluator(objective, working)
-                    current = new_value
-                    accepted += 1
-                    if diff < 0:
-                        uphill += 1
-                    if current > best_value:
-                        best_value = current
-                        best_allocation = working.copy()
-                        best_levels = tuple(levels)
-            # An out-of-ladder step is simply a rejected move.
-        else:
-            pos = rng.randi_range(0, total_slots)
-            span = math.sqrt(perturb)
-            offset = rng.randi_range(-pos, total_slots - pos)
-            pos_new = pos + int(span * offset)
-            pos_new = min(max(pos_new, 0), total_slots - 1)
-            new_value = evaluator.apply_swap(pos, pos_new)
-            diff = new_value - current
-            if accept_move(
-                diff, current, acceptance, config.use_fixed_point_exp, rng
-            ):
-                current = new_value
-                accepted += 1
-                if diff < 0:
-                    uphill += 1
-                if current > best_value:
-                    best_value = current
-                    best_allocation = working.copy()
-                    best_levels = tuple(levels)
-            else:
-                evaluator.apply_swap(pos, pos_new)
-        perturb *= config.perturbation_decay
-        acceptance *= config.acceptance_decay
-
-    sa_result = SAResult(
-        best_allocation=best_allocation,
-        best_value=best_value,
-        initial_value=initial_value,
-        iterations=performed,
-        accepted_moves=accepted,
-        uphill_accepts=uphill,
-        truncated=truncated,
-    )
-    changes = ctx.incumbent.diff(best_allocation)
-    n_opp = _levels_changed(best_levels, current_levels)
-    required = adoption_threshold(
-        len(changes), ctx.participants, OPP_MIN_IMPROVEMENT * n_opp
-    )
-    if (changes or n_opp) and best_value > incumbent_value * required:
-        return GovernorOutcome(
-            changes=changes,
-            sa_result=sa_result,
-            incumbent_value=incumbent_value,
-            levels=best_levels,
-            candidates_evaluated=factory.evaluations,
-            best_value=best_value,
-            adopted_opp=n_opp > 0,
-        )
-    return GovernorOutcome(
-        changes={},
-        sa_result=sa_result,
-        incumbent_value=incumbent_value,
-        levels=current_levels,
-        candidates_evaluated=factory.evaluations,
-        best_value=best_value,
-        adopted_opp=False,
     )
 
 
@@ -416,13 +264,10 @@ def pinned(ctx: SearchContext) -> GovernorOutcome:
         incumbent_value=incumbent_value,
         levels=target,
         candidates_evaluated=1,
-        best_value=result.best_value,
-        adopted_opp=target != ctx.current_levels,
     )
 
 
 STRATEGIES = {
     "two_level": two_level,
-    "coupled_anneal": coupled_anneal,
     "pinned": pinned,
 }

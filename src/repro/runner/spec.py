@@ -154,7 +154,9 @@ def _at_least_one(name: str, value: int) -> None:
 def _governor(name: str, value: str) -> None:
     from repro.governor.config import parse_governor
 
-    parse_governor(value)
+    label = parse_governor(value).label
+    if value != label:
+        raise ValueError(f"write governor {value!r} as {label!r}")
 
 
 def _scenario(name: str, value: str) -> None:
@@ -223,15 +225,17 @@ class RunSpec:
         "with registry rollback (smartbalance only; default off)",
     )
     #: DVFS governor strategy (smartbalance only): ``"fixed"`` (no
-    #: governor — byte-identical to pre-governor builds), ``"two_level"``,
-    #: ``"coupled_anneal"`` or ``"pinned:<level>"``.  Parsed by
-    #: :func:`repro.governor.parse_governor`.
+    #: governor — byte-identical to pre-governor builds), ``"two_level"``
+    #: or ``"pinned:<level>"``.  Parsed by
+    #: :func:`repro.governor.parse_governor`; only the canonical
+    #: spelling (:attr:`repro.governor.GovernorConfig.label`) is a
+    #: valid value, so one governor has one spec key.
     governor: str = knob(
         "fixed", flag="--governor", commands=("run", "submit"),
         metavar="STRATEGY", check=_governor, smart_only=True,
         help="joint placement + per-cluster DVFS co-optimisation "
-        "(smartbalance only): fixed (off, default), two_level, "
-        "coupled_anneal or pinned:<level>",
+        "(smartbalance only): fixed (off, default), two_level or "
+        "pinned:<level>",
         label=(4, "gov={}"), label_when_set=True,
     )
     #: Workload scenario from :mod:`repro.scenarios`: ``"none"`` (no

@@ -5,7 +5,7 @@ tests only compare a run with itself, so a host-speed change to the
 annealer (Algorithm 1's loop, its acceptance rule or the O(1)
 evaluator) could move a decision unnoticed.  Each spec below runs
 anneals that its digest depends on: the paper-scale smartbalance run,
-all three governor strategies, the scenario-aware balancers, faults
+both governor strategies, the scenario-aware balancers, faults
 with adaptation (stock and under ``two_level``), and a hotplug run
 whose offline-core mask makes ``objective.allowed`` non-None.  The
 thermal pins below cover the balance phase's thermal weights.
@@ -32,10 +32,6 @@ SPECS = {
     "two_level": RunSpec(
         workload="MTMI", platform="dvfsquad", threads=8, governor="two_level",
         n_epochs=3, seed=1,
-    ),
-    "coupled_anneal": RunSpec(
-        workload="MTMI", platform="dvfsquad", threads=8,
-        governor="coupled_anneal", n_epochs=4, seed=1,
     ),
     "pinned": RunSpec(
         workload="MTMI", platform="dvfsquad", threads=8, governor="pinned:1",
@@ -69,9 +65,6 @@ PINNED_DIGESTS = {
     ),
     "two_level": (
         "5670268fd8e5886f014067ce8791ff326ff8d21fcfdffd05fa49a0f8203e33cd"
-    ),
-    "coupled_anneal": (
-        "4435412e5e87675f9fd3e6d66934fef6363008272d6592cabf46ea7d4570f1e9"
     ),
     "pinned": (
         "c1b56a6364b2c87236891bef8add51cfa6809349f580b682f13c19fd68280076"

@@ -53,7 +53,7 @@ class TestFixedIdentity:
 
 
 class TestGovernedRuns:
-    @pytest.mark.parametrize("strategy", ["two_level", "coupled_anneal"])
+    @pytest.mark.parametrize("strategy", ["two_level"])
     def test_dynamic_strategy_switches_and_reports(self, strategy):
         result = execute_spec(spec(strategy))
         stats = result.governor
@@ -65,7 +65,7 @@ class TestGovernedRuns:
         assert stats["transition_energy_j"] > 0.0
         assert set(stats["levels"]) == {"Huge", "Big", "Medium", "Small"}
 
-    @pytest.mark.parametrize("strategy", ["two_level", "coupled_anneal"])
+    @pytest.mark.parametrize("strategy", ["two_level"])
     def test_opp_hysteresis_gates_every_switch(self, strategy, monkeypatch):
         """The adoption gate charges ``OPP_MIN_IMPROVEMENT`` per switched
         cluster: priced out of reach, no OPP switch is ever adopted."""
@@ -188,7 +188,7 @@ class TestEpochBudget:
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("strategy", ["two_level", "coupled_anneal"])
+    @pytest.mark.parametrize("strategy", ["two_level"])
     def test_soa_matches_reference_under_opp_changes(self, strategy):
         """The SoA engine's on_core_type_changed path must track
         mid-run OPP re-basing exactly."""
@@ -279,6 +279,18 @@ class TestServiceApi:
             spec_from_payload(self.payload(governor="pinned"))
         assert excinfo.value.field == "governor"
 
+    @pytest.mark.parametrize(
+        "value, canonical",
+        [(" fixed", "fixed"), ("pinned:01", "pinned:1")],
+        ids=["padded_name", "padded_level"],
+    )
+    def test_non_canonical_spelling_rejected(self, value, canonical):
+        """A second spelling would queue a job under a second spec key
+        (and ``" fixed"`` would die in the worker as a governor)."""
+        with pytest.raises(ApiError, match=f"as '{canonical}'") as excinfo:
+            spec_from_payload(self.payload(governor=value))
+        assert excinfo.value.field == "governor"
+
 
 class TestSpecValidation:
     """A governor no worker could build fails at RunSpec construction."""
@@ -291,6 +303,8 @@ class TestSpecValidation:
             {"governor": "pinned:-1"},
             {"governor": "two_level", "balancer": "vanilla"},
             {"governor": "two_level", "balancer": "tpeq"},
+            {"governor": " fixed"},
+            {"governor": "pinned:01"},
         ],
     )
     def test_unbuildable_governor_refused(self, overrides):

@@ -21,7 +21,6 @@ SPECS = {
     "tpeq": {"balancer": "tpeq", "platform": "biglittle", "scenario": "barrier"},
     "slo": {"balancer": "slo", "platform": "biglittle", "scenario": "openloop"},
     "two_level": {"platform": "dvfsquad", "governor": "two_level"},
-    "coupled_anneal": {"platform": "dvfsquad", "governor": "coupled_anneal"},
     "pinned": {"platform": "dvfsquad", "governor": "pinned:1"},
 }
 

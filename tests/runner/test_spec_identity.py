@@ -30,10 +30,6 @@ CORPUS = {
     "two_level": RunSpec(
         workload="MTMI", platform="dvfsquad", n_epochs=8, governor="two_level",
     ),
-    "coupled_anneal": RunSpec(
-        workload="HTHI", platform="dvfsquad", threads=4,
-        governor="coupled_anneal", seed=5,
-    ),
     "pinned": RunSpec(workload="LTLI", platform="dvfsquad", governor="pinned:1"),
     "openloop": RunSpec(
         workload="MTMI", platform="biglittle", threads=4, balancer="slo",
@@ -80,10 +76,6 @@ PINNED = {
     "two_level": (
         "76bed86612d4cecd33edfada15b7b5d85f74fc1a",
         "dvfsquad/MTMI/x8/smartbalance/gov=two_level/seed=0",
-    ),
-    "coupled_anneal": (
-        "ea46db0ba4eabbff5113e73f56471eed058a9705",
-        "dvfsquad/HTHI/x4/smartbalance/gov=coupled_anneal/seed=5",
     ),
     "pinned": (
         "da53b4bcfcea46493c8805cc2a9e82940eb8aa73",
