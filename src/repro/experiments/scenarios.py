@@ -50,7 +50,7 @@ SEEDS_FULL = (1, 2, 3, 4, 5)
 #: makespan is always defined.
 CASES = {
     "barrier": (
-        "barrier:groups=2,members=4,intervals=4,interval_minstr=25,imbalance=0.8",
+        "barrier:intervals=4,interval_minstr=25,imbalance=0.8",
         ("smartbalance", "tpeq", "gts", "vanilla"),
     ),
     "openloop": (
@@ -58,7 +58,7 @@ CASES = {
         ("smartbalance", "slo", "gts", "vanilla"),
     ),
     "smt": (
-        "smt:cores=big,corunners=4",
+        "smt:cores=big",
         ("smartbalance", "gts", "vanilla"),
     ),
 }

@@ -244,25 +244,24 @@ class FaultInjector:
         #: channel key -> (latched value, reads remaining).
         self._stuck: dict[object, tuple[float, int]] = {}
         self.counts = InjectionCounts()
-        #: Observability sink plus a clock returning the current
-        #: *simulated* time; the owning simulator assigns both so every
-        #: injected fault emits a timestamped ``fault_injected`` event.
-        #: The fault draws themselves never consult either, so traced
-        #: and untraced runs inject bit-identical fault schedules.
+        #: Observability sink plus the current *simulated* time; the
+        #: owning simulator assigns the sink and advances the time so
+        #: every injected fault emits a timestamped ``fault_injected``
+        #: event.  The fault draws themselves never consult either, so
+        #: traced and untraced runs inject bit-identical fault schedules.
         self.obs = NULL_OBS
-        self.clock = None
+        self.time_s = 0.0
 
     def _emit(self, kind: str, channel: object = None, **extra: object) -> None:
         """Record one delivered fault as an event + metrics counter."""
         obs = self.obs
         if not obs.enabled:
             return
-        t_s = self.clock() if self.clock is not None else 0.0
         payload: dict = {"kind": kind}
         if channel is not None:
             payload["channel"] = _channel_str(channel)
         payload.update(extra)
-        obs.tracer.emit(FAULT_INJECTED, t_s, **payload)
+        obs.tracer.emit(FAULT_INJECTED, self.time_s, **payload)
         obs.metrics.inc(f"faults.injected[{kind}]")
 
     # -- sensor channel faults -----------------------------------------

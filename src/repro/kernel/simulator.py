@@ -18,6 +18,7 @@ scheduling periods.  At each balancer interval boundary the simulator
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -152,7 +153,6 @@ class System:
         if self.config.faults is not None and self.config.faults.active:
             self.faults = FaultInjector(self.config.faults)
             self.faults.obs = self.obs
-            self.faults.clock = lambda: self.time_s
         self.sensing = SensingInterface(
             counter_noise=self.config.counter_noise,
             power_noise=self.config.power_noise,
@@ -210,6 +210,14 @@ class System:
             for t in self.tasks
             if t.state is TaskState.PENDING
         )
+        #: Tids the next view lists, ascending: every arrived thread
+        #: except those that exited before the current sensing window
+        #: began.  ``do_exit`` takes a dead task off its run queue and
+        #: out of load tracking; a thread that exits inside a window
+        #: keeps that window's final measurement.
+        self._view_tids = [
+            t.tid for t in self.tasks if t.state is not TaskState.PENDING
+        ]
         #: The kernel engine: every numeric scheduling state (progress,
         #: utilisation, warm-up, counters, energy, temperatures) lives
         #: in its arrays.
@@ -262,9 +270,7 @@ class System:
         if core_id == task.core_id:
             return
         from_core = task.core_id
-        self.runqueues[from_core].dequeue(task)
-        self.runqueues[core_id].enqueue(task)
-        self.engine.on_migration(task.tid, CACHE_WARMUP_S + MIGRATION_KERNEL_COST_S)
+        self._move(task, core_id, CACHE_WARMUP_S + MIGRATION_KERNEL_COST_S)
         task.migrations += 1
         self.total_migrations += 1
         self._window_migrations += 1
@@ -279,6 +285,12 @@ class System:
                 cause=cause,
             )
             self.obs.metrics.inc(f"migrations.applied[{cause}]")
+
+    def _move(self, task: Task, core_id: int, warmup_s: float) -> None:
+        """Re-queue ``task`` on ``core_id`` with ``warmup_s`` of warm-up."""
+        self.runqueues[task.core_id].dequeue(task)
+        self.runqueues[core_id].enqueue(task)
+        self.engine.on_migration(task.tid, warmup_s)
 
     def apply_placement(self, placement: Placement) -> int:
         """Apply a balancer's placement delta; returns migration count.
@@ -356,10 +368,15 @@ class System:
         # Offline path: the kernel migrates the dead queue's tasks to
         # the least-loaded online core their cpuset allows; a task
         # allowed nowhere else stays parked (and starves) — exactly
-        # what Linux does with an impossible cpuset.
+        # what Linux does with an impossible cpuset.  An exited thread
+        # has nothing left to move, and a pending one has never run:
+        # it is re-placed the way fork balancing would place it, with
+        # no migration and no cache to warm.
         queue = self.runqueues[core_id]
         utilization = self.engine.util.tolist()
         for task in list(queue.tasks):
+            if task.state is TaskState.EXITED:
+                continue
             candidates = [
                 q
                 for q in self.runqueues
@@ -370,7 +387,10 @@ class System:
             if not candidates:
                 continue
             target = min(candidates, key=lambda q: q.load(utilization))
-            self.migrate(task, target.core.core_id, cause="hotplug")
+            if task.state is TaskState.PENDING:
+                self._move(task, target.core.core_id, warmup_s=0.0)
+            else:
+                self.migrate(task, target.core.core_id, cause="hotplug")
 
     def _set_throttle(self, core_id: int, freq_scale: Optional[float]) -> None:
         """Apply (or with ``None`` lift) a thermal throttle on a core.
@@ -496,8 +516,11 @@ class System:
 
         Gathers the window's counters, energy and utilisation from the
         engine's arrays and reads them through the sensing interface in
-        one batch (tasks in tid order, skipping pending ones, then
-        cores in id order — the noise draw order).  An attached fault
+        one batch (tasks in tid order, then cores in id order — the
+        noise draw order).  The tasks are the threads alive in the
+        window: a pending thread has not arrived yet, and a thread that
+        exited before the window began is gone; one that exited inside
+        it is listed with its final measurement.  An attached fault
         plan then corrupts the noisy readings owner by owner in that
         same order: each task's counters, then its power if it ran;
         each core's power, then its counters.  Rates are derived from
@@ -509,8 +532,8 @@ class System:
         extras_by_tid: "dict[int, dict]" = (
             self.scenario.task_extras(self) if self.scenario is not None else {}
         )
-        live = [t for t in self.tasks if t.state is not TaskState.PENDING]
-        tids = [t.tid for t in live]
+        tids = self._view_tids
+        live = [self.tasks[tid] for tid in tids]
         task_true = engine.t_cnt[tids]
         busy = task_true[:, BUSY_COLUMN]
         task_power = np.divide(
@@ -631,6 +654,12 @@ class System:
     def _reset_window_accounting(self) -> None:
         self.engine.reset_window_accounting()
         self._window_migrations = 0
+        # Threads that have exited by now are out of every later view.
+        tasks = self.tasks
+        self._view_tids = [
+            tid for tid in self._view_tids
+            if tasks[tid].state is not TaskState.EXITED
+        ]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -829,11 +858,14 @@ class System:
             if task.state is TaskState.PENDING:
                 task.state = TaskState.ACTIVE
                 self.engine.on_arrival(tid)
+                bisect.insort(self._view_tids, tid)
 
     def _simulate_period(self) -> tuple[float, float]:
         """Advance all cores by one CFS period; returns (instr, energy)."""
         instructions, energy = self.engine.simulate_period(self.config.period_s)
         self.time_s += self.config.period_s
+        if self.faults is not None:
+            self.faults.time_s = self.time_s
         return instructions, energy
 
     def _result(self) -> RunResult:

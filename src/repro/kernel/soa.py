@@ -104,8 +104,12 @@ class SoaKernel:
     """
 
     def __init__(self, system: "System") -> None:
-        self.system = system
-        tasks = system.tasks
+        # The System's task and queue lists, not the System itself: the
+        # System owns the engine, and a back-reference would keep every
+        # finished run alive until a full garbage collection.
+        self.tasks = tasks = system.tasks
+        self.runqueues = system.runqueues
+        self._thermal_on = system.config.thermal_enabled
         n = len(tasks)
         m = len(system.runqueues)
         self.n_tasks = n
@@ -404,7 +408,7 @@ class SoaKernel:
     def on_migration(self, tid: int, warmup_s: float) -> None:
         """A task moved queues: follow it and start its cache warm-up."""
         self.warmup[tid] = warmup_s
-        self.core_of[tid] = self.system.tasks[tid].core_id
+        self.core_of[tid] = self.tasks[tid].core_id
         self.mark_structure_dirty()
 
     def _ensure_layout(self) -> None:
@@ -413,7 +417,7 @@ class SoaKernel:
             return
         members: list[int] = []
         member_queue: list[int] = []
-        for q in self.system.runqueues:
+        for q in self.runqueues:
             qid = q.core.core_id
             self.smt_core[qid] = q.smt
             for task in q.tasks:
@@ -691,7 +695,7 @@ class SoaKernel:
 
         # _account(): thermal feedback, then the per-core totals.
         thermal_e_q = np.zeros(m)
-        if self.system.config.thermal_enabled and self._thermal_idx.size:
+        if self._thermal_on and self._thermal_idx.size:
             idx = self._thermal_idx[self.online[self._thermal_idx]]
             if idx.size:
                 base_e_q = busy_e_q + idle_e_q + sleep_e_q
@@ -729,7 +733,7 @@ class SoaKernel:
         # Exits: flip state eagerly so queue membership checks stay valid.
         if exited.any():
             for t in np.nonzero(exited)[0].tolist():
-                self.system.tasks[t].state = TaskState.EXITED
+                self.tasks[t].state = TaskState.EXITED
             self.active[exited] = False
             self._struct_ver += 1
 

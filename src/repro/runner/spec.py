@@ -55,7 +55,10 @@ from repro.runner.factories import check_balancer, check_platform, check_workloa
 #: are unchanged.
 #: 10: the ``two_level`` governor screens its OPP vectors and anneals
 #: only the best ``SCREEN_TOP``, so governed decisions can differ.
-CACHE_FORMAT = 10
+#: 11: a view lists only the threads alive in its window and hotplug
+#: moves only arrived, live threads, so runs whose threads exit or
+#: arrive (the openloop and barrier scenarios) can differ.
+CACHE_FORMAT = 11
 
 
 def _code_version() -> str:
@@ -162,7 +165,9 @@ def _governor(name: str, value: str) -> None:
 def _scenario(name: str, value: str) -> None:
     from repro.scenarios import parse_scenario
 
-    parse_scenario(value)
+    label = parse_scenario(value).label
+    if value != label:
+        raise ValueError(f"write scenario {value!r} as {label!r}")
 
 
 def _no_fault_plan(name: str, config: SimulationConfig) -> None:
@@ -261,6 +266,7 @@ class RunSpec:
         # not minutes later inside a worker.
         for f, spec_knob in KNOBS:
             value = getattr(self, f.name)
+            check_type(f.name, value)
             if value == f.default:
                 continue
             if spec_knob.check is not None:
@@ -335,6 +341,31 @@ def knob_type(name: str) -> "tuple[type, bool]":
     hint = _FIELD_TYPES[name]
     args = getattr(hint, "__args__", (hint,))
     return args[0], type(None) in args
+
+
+#: How each field type reads in an error message: the JSON names the
+#: job service's clients know.
+TYPE_NAMES = {
+    int: "an integer",
+    str: "a string",
+    bool: "a boolean",
+    SimulationConfig: "a SimulationConfig",
+}
+
+
+def check_type(name: str, value: object) -> None:
+    """Raise :class:`SpecError` unless ``value`` has field ``name``'s
+    type.  A ``bool`` is not an integer, and only a nullable field
+    takes ``None``."""
+    base, nullable = knob_type(name)
+    if nullable and value is None:
+        return
+    if not isinstance(value, base) or (base is not bool and isinstance(value, bool)):
+        raise SpecError(
+            name,
+            f"{name} must be {TYPE_NAMES[base]}"
+            f"{' or null' if nullable else ''}, got {value!r}",
+        )
 
 
 def derive_seed(base_seed: int, spec: RunSpec) -> int:

@@ -14,7 +14,7 @@ paper's steady-state experiments do not reach:
 * **smt** — SMT-style core sharing: selected cores co-run their
   runnable threads with characteristics-driven interference.
 
-A scenario is selected by string (``--scenario barrier:groups=2``),
+A scenario is selected by string (``--scenario barrier:groups=3``),
 is part of a run's cached identity, and is strictly additive: a run
 with ``scenario="none"`` is byte-identical to a run before this
 package existed.

@@ -1,12 +1,15 @@
 """Scenario string parsing and the family catalogue.
 
 A scenario is named by a compact string — ``"openloop"``,
-``"barrier:groups=2,members=4"``, ``"smt:cores=big,corunners=4"`` —
+``"barrier:groups=3,members=2"``, ``"smt:cores=big,corunners=2"`` —
 the same shape the fault layer uses for its named plans.  The string
 is the *identity*: it lives verbatim in :class:`repro.runner.spec.RunSpec`
 (so it hashes into the cache key) and resolves to a
-:class:`ScenarioSpec` here.  ``"none"`` is the absence of a scenario
-and never reaches this parser.
+:class:`ScenarioSpec` here.  :func:`parse_scenario` accepts any
+spelling, but one scenario has one canonical string,
+:attr:`ScenarioSpec.label`, and that is the only one a ``RunSpec``
+takes.  ``"none"`` is the absence of a scenario and never reaches this
+parser.
 
 Three families (see ``docs/scenarios.md``):
 
@@ -85,8 +88,32 @@ class ScenarioSpec:
     family: str
     #: Fully-defaulted parameter mapping (every declared key present).
     params: "Mapping[str, object]"
-    #: The original string, kept for labels and round-tripping.
+    #: The string as given.
     text: str
+
+    @property
+    def label(self) -> str:
+        """The canonical spelling: the family, then every non-default
+        parameter in declaration order, each number in the shortest
+        form that parses back to it (``rate=120``, not ``rate=120.0``
+        or ``rate=1.2e2``)."""
+        items = [
+            f"{key}={_spell(self.params[key])}"
+            for key, (_, default) in _FAMILY_PARAMS[self.family].items()
+            if self.params[key] != default
+        ]
+        return f"{self.family}:{','.join(items)}" if items else self.family
+
+
+def _spell(value: object) -> str:
+    """``repr`` without its redundant parts: a float's ``.0`` tail and
+    the ``+`` sign and leading zeros of its exponent."""
+    if not isinstance(value, float):
+        return str(value)
+    mantissa, e, exponent = repr(value).partition("e")
+    if mantissa.endswith(".0"):
+        mantissa = mantissa[:-2]
+    return f"{mantissa}e{int(exponent)}" if e else mantissa
 
 
 def parse_scenario(text: str) -> ScenarioSpec:

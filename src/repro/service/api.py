@@ -21,9 +21,11 @@ from repro.hardware.sensors import NoiseModel
 from repro.kernel.simulator import SimulationConfig
 from repro.runner.spec import (
     KNOBS,
+    TYPE_NAMES,
     Knob,
     RunSpec,
     SpecError,
+    check_type,
     config_fingerprint,
     knob_type,
 )
@@ -55,8 +57,6 @@ CONFIG_FIELDS = {
     "counter_noise": dict,
     "power_noise": dict,
 }
-
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def _noise_model(data: object, key: str) -> NoiseModel:
@@ -91,9 +91,7 @@ def _config_from_payload(data: object) -> SimulationConfig:
             kwargs[key] = _noise_model(value, key)
         elif expected is bool:
             if not isinstance(value, expected):
-                raise ApiError(
-                    f"{key} must be {_JSON_TYPE_NAMES[expected]}", field=key
-                )
+                raise ApiError(f"{key} must be {TYPE_NAMES[expected]}", field=key)
             kwargs[key] = value
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -108,17 +106,14 @@ def _config_from_payload(data: object) -> SimulationConfig:
 
 def _knob_value(name: str, spec_knob: Knob, value: object) -> object:
     """Type-check one payload value and its name against the catalogue."""
-    base, nullable = knob_type(name)
-    if base is SimulationConfig:
+    if knob_type(name)[0] is SimulationConfig:
         return SimulationConfig() if value is None else _config_from_payload(value)
-    if nullable and value is None:
+    try:
+        check_type(name, value)
+    except SpecError as exc:
+        raise ApiError(str(exc), field=name) from None
+    if value is None:
         return None
-    if not isinstance(value, base) or (base is not bool and isinstance(value, bool)):
-        raise ApiError(
-            f"{name} must be {_JSON_TYPE_NAMES[base]}"
-            f"{' or null' if nullable else ''}, got {value!r}",
-            field=name,
-        )
     if spec_knob.choices and value not in spec_knob.choices:
         raise ApiError(
             f"unknown {name} {value!r}; one of {list(spec_knob.choices)}",

@@ -75,8 +75,12 @@ PINNED_DIGESTS = {
     "slo_openloop": (
         "ac478ffb960e225a78da5fcab158736f381d54ce0e4900b3fdc865ad94e8db36"
     ),
+    # Re-pinned when views began listing only the threads alive in
+    # their window and hotplug stopped migrating pending and exited
+    # threads: the fault stream no longer draws for dead threads'
+    # registers (J_E 8.5714e8 -> 8.3947e8, 25 -> 13 migrations).
     "openloop_faults_adaptation": (
-        "2d65f3e1d82b079eb3e85378db07adcc3d46c2955ddab4afb37877c3e08db984"
+        "839cb73185f869c70f5795f590fb73d5f9564d1e0838735b47cfc2f25fad20cd"
     ),
     "hotplug": (
         "a395f01db1d413f174d17d0adbcd01b6e008df52d20ee3e33488f717e6347242"

@@ -23,7 +23,7 @@ from repro.scenarios import SCENARIO_FAMILIES
 
 #: Small, fast scenario strings, one per family.
 FAMILY_STRINGS = {
-    "openloop": "openloop:rate=80,slo_ms=15,work_minstr=2",
+    "openloop": "openloop:slo_ms=15,work_minstr=2",
     "barrier": "barrier:groups=1,members=3,intervals=3,interval_minstr=8",
     "smt": "smt:cores=half,corunners=2",
 }

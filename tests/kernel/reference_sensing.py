@@ -14,8 +14,14 @@ to it field for field:
 * :func:`read_power` reads one power sensor;
 * :func:`derive_rates` is the scalar form of
   :func:`repro.hardware.counters.derived_rates`;
-* :func:`build_view` walks tasks (tid order, pending ones skipped) and
-  then cores (id order), exactly the draw order the batched read fixes.
+* :func:`build_view` walks the tasks alive in the window (tid order)
+  and then the cores (id order), exactly the draw order the batched
+  read fixes.  A task is alive in the window unless it is pending or
+  exited without running in it: a thread only exits by retiring its
+  last instruction, so one that exited inside the window has busy time
+  there.  ``System`` states the same rule as a tid list it updates at
+  arrivals and window resets; the differential suite holds the two
+  statements to each other.
 
 Both paths draw from the system's own sensing RNG and fault injector,
 so a test compares them by restoring those states in between.
@@ -146,9 +152,11 @@ def build_view(system, window_s: float) -> SystemView:
     utilization = engine.util.tolist()
     task_views = []
     for task in system.tasks:
-        if task.state is TaskState.PENDING:
-            continue
         counters = CounterBlock(*task_counters[task.tid])
+        if task.state is TaskState.PENDING or (
+            task.state is TaskState.EXITED and counters.busy_time_s == 0
+        ):
+            continue
         owner = ("task", task.tid)
         noisy = read_counters(sensing, counters, owner, faults)
         busy = counters.busy_time_s

@@ -32,7 +32,7 @@ SPECS = {
         "717d6b22fe8393756654b2b7bb060c9f4c32a1e3166b975b725de8bf58c54dcc",
     ),
     "scenario-openloop": (
-        RunSpec(scenario="openloop:rate=80,slo_ms=15,work_minstr=2", **SCENARIO_SMOKE),
+        RunSpec(scenario="openloop:slo_ms=15,work_minstr=2", **SCENARIO_SMOKE),
         "021fa7137c2f92f1dd360ba784cca4408560392adbc5c7a7731fc2bb35e08f37",
     ),
     "scenario-barrier": (

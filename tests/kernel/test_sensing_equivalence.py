@@ -56,7 +56,7 @@ def _restore(system, state) -> None:
 
 def run_checked(monkeypatch, spec):
     """Run ``spec`` with every view checked; returns one record per view:
-    (live tasks in the view, pending tasks, exited tasks)."""
+    (tids in the view, number of pending tasks, tids of exited tasks)."""
     batched = System.build_view
     records = []
 
@@ -72,9 +72,9 @@ def run_checked(monkeypatch, spec):
         states = [t.state for t in system.tasks]
         records.append(
             (
-                len(view.tasks),
+                {t.tid for t in view.tasks},
                 states.count(TaskState.PENDING),
-                states.count(TaskState.EXITED),
+                {t.tid for t in system.tasks if t.state is TaskState.EXITED},
             )
         )
         return view
@@ -147,11 +147,18 @@ def test_faults_with_defences_and_adaptation_match_oracle(monkeypatch):
 
 
 def test_openloop_pending_and_exited_tasks(monkeypatch):
-    """Pending threads are left out of the view and exited ones stay in;
-    both must keep the draw order."""
+    """Pending threads are left out of the view, a thread that exited
+    inside the window is in it once more, and one that had exited by
+    the previous view is gone; all of it must keep the draw order."""
     records = run_checked(
         monkeypatch,
         spec(platform="biglittle", threads=4, scenario="openloop", n_epochs=8),
     )
     assert any(pending > 0 for _, pending, _ in records)
-    assert any(exited > 0 for _, _, exited in records)
+    dead_before = set()
+    final_views = 0
+    for tids, _, exited in records:
+        assert not tids & dead_before
+        final_views += len(tids & (exited - dead_before))
+        dead_before = exited
+    assert final_views > 0

@@ -1,5 +1,7 @@
 """Engine mechanics: jobs resolution, dedup, crash disposition, sweeps."""
 
+import gc
+
 import pytest
 
 from repro.runner import (
@@ -12,6 +14,7 @@ from repro.runner import (
     run_specs,
     run_sweep,
 )
+from repro.runner.engine import execute_spec
 
 TINY = RunSpec(workload="MTMI", threads=2, balancer="vanilla", n_epochs=2)
 TINY_B = RunSpec(workload="HTHI", threads=2, balancer="vanilla", n_epochs=2)
@@ -105,3 +108,36 @@ class TestRunSweep:
         report_a, report_b = run_sweep([first, second], scale=None, cache=cache)
         assert cache.misses == 2, "the union should deduplicate across experiments"
         assert metrics_digest(report_a) == metrics_digest(report_b)
+
+
+class TestReferenceCounting:
+    """A finished run holds no reference cycle, so the last reference
+    to it frees the whole ``System`` at once instead of leaving it for
+    a full garbage collection (which otherwise decides peak RSS)."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(workload="MTMI", platform="hmp:16", threads=32, n_epochs=3),
+            RunSpec(
+                workload="MTMI", platform="dvfsquad", n_epochs=3,
+                governor="two_level",
+            ),
+            RunSpec(
+                workload="MTMI", platform="biglittle", threads=4, n_epochs=6,
+                scenario="openloop", faults="combined", adaptation=True,
+            ),
+        ],
+        ids=["clean", "governed", "openloop_faults_adaptation"],
+    )
+    def test_finished_run_leaves_no_cyclic_garbage(self, spec):
+        # The first run pays one-off lazy initialisation (imports,
+        # introspection caches) that may leave garbage of its own.
+        execute_spec(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            execute_spec(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

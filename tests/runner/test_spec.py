@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.kernel.simulator import SimulationConfig
 from repro.runner import RunSpec, config_fingerprint, derive_seed
-from repro.runner.spec import stable_hash
+from repro.runner.spec import SpecError, stable_hash
 
 
 class TestCanonical:
@@ -53,6 +53,26 @@ class TestCanonical:
             RunSpec(workload="MTMI", threads=0)
         with pytest.raises(ValueError):
             RunSpec(workload="MTMI", n_epochs=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("governor", 3, "governor must be a string, got 3"),
+            ("governor", None, "governor must be a string, got None"),
+            ("scenario", 3, "scenario must be a string, got 3"),
+            ("threads", "4", "threads must be an integer, got '4'"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("mitigations", 1, "mitigations must be a boolean, got 1"),
+            ("fault_seed", 1.0, "fault_seed must be an integer or null, got 1.0"),
+        ],
+    )
+    def test_wrongly_typed_value_refused(self, field, value, message):
+        """Python callers get the job service's type check and text,
+        also for a value equal to the field's default (``False == 0``)."""
+        with pytest.raises(SpecError) as excinfo:
+            RunSpec(workload="MTMI", **{field: value})
+        assert excinfo.value.field == field
+        assert str(excinfo.value) == message
 
     def test_label_mentions_the_essentials(self):
         label = RunSpec(

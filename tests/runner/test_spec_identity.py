@@ -33,7 +33,7 @@ CORPUS = {
     "pinned": RunSpec(workload="LTLI", platform="dvfsquad", governor="pinned:1"),
     "openloop": RunSpec(
         workload="MTMI", platform="biglittle", threads=4, balancer="slo",
-        scenario="openloop:rate=80,slo_ms=15,work_minstr=2",
+        scenario="openloop:slo_ms=15,work_minstr=2",
     ),
     "barrier": RunSpec(
         workload="MTMI", platform="biglittle", threads=4, balancer="tpeq",
@@ -57,50 +57,51 @@ CORPUS = {
 
 #: (spec_key, label) per corpus entry.  Moving any of them is a cache
 #: format change, never a side effect of how the knobs are declared.
-#: The keys last moved at CACHE_FORMAT 10, when the ``two_level``
-#: governor began screening its OPP vectors (governed decisions can
-#: differ); no label moved.
+#: The keys last moved at CACHE_FORMAT 11, when views began listing
+#: only the threads alive in their window; the ``openloop`` entry's
+#: scenario was re-spelled canonically then (``rate=80`` is the
+#: default), which moved its label.
 PINNED = {
     "default": (
-        "d3c798964b82ed1f1a81e87eb35ce96b184a5449",
+        "40a8a9585680f592ee834321dbde5027e408ee69",
         "quad/MTMI/x8/smartbalance/seed=0",
     ),
     "seeds_faults_no_mitigations": (
-        "32d7a41fd162c9d4d44f33d8d86ac28b2747acd4",
+        "736dcabb4a7b2dc70ecc34bbdd6f82e3187a896e",
         "hmp:6/Mix3/x2/gts/faults=sensor/seed=42",
     ),
     "adaptation_combined": (
-        "582d44aafeb89a77cdb5aac45c13583f83c80264",
+        "cfdc2cfce52faf87e494c9acc61c20622de168e7",
         "quad/random/x6/smartbalance/faults=combined/seed=0",
     ),
     "two_level": (
-        "76bed86612d4cecd33edfada15b7b5d85f74fc1a",
+        "47efa2e7b0a5839656c41509ceef4af0cd43d63e",
         "dvfsquad/MTMI/x8/smartbalance/gov=two_level/seed=0",
     ),
     "pinned": (
-        "da53b4bcfcea46493c8805cc2a9e82940eb8aa73",
+        "a39e0e7fe50ea61cd60878084a34a641fbce64f0",
         "dvfsquad/LTLI/x8/smartbalance/gov=pinned:1/seed=0",
     ),
     "openloop": (
-        "012705b358351f612daa547f77e354bd23930af5",
-        "biglittle/MTMI/x4/slo/scenario=openloop:rate=80,slo_ms=15,"
+        "d411882b79c90d110889cd11e961f64fe0348fe4",
+        "biglittle/MTMI/x4/slo/scenario=openloop:slo_ms=15,"
         "work_minstr=2/seed=0",
     ),
     "barrier": (
-        "dcfaf872fefe557398de17880499733dff9aa659",
+        "838c02e39564ee80d6f8cea5fb239202559f993f",
         "biglittle/MTMI/x4/tpeq/scenario=barrier:groups=1,members=3,"
         "intervals=3/seed=0",
     ),
     "smt": (
-        "d8e215e4be1d5649bae88b7a4329da51a51db377",
+        "6fd4a05d6da48b9ad937a29ee992435075e7a80e",
         "biglittle/bodytrack/x8/smartbalance/scenario=smt:cores=big/seed=0",
     ),
     "governor_scenario": (
-        "d4b45ca462cc4d338cf25cde8abee06c2d7512ea",
+        "b7d1cdbcfc11f7ae7c93903396b935064584988c",
         "dvfsquad/MTMI/x4/smartbalance/gov=two_level/scenario=openloop/seed=0",
     ),
     "config": (
-        "c4aac3dc570b7dafa0f98a6762b376acd4ee563f",
+        "98a5d0a109110086e683d82c8e149fb002c0e46c",
         "quad/MTMI/x2/smartbalance/seed=0",
     ),
 }

@@ -6,8 +6,11 @@ unknown parameters, malformed items, out-of-range values — rather
 than silently running defaults.
 """
 
+import re
+
 import pytest
 
+from repro.runner.spec import RunSpec, SpecError
 from repro.scenarios import (
     SCENARIO_FAMILIES,
     parse_scenario,
@@ -84,6 +87,53 @@ class TestParseScenario:
     def test_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
             parse_scenario(bad)
+
+
+#: Non-canonical spellings and the one canonical spelling of each.
+SPELLINGS = [
+    ("openloop:rate=120.0", "openloop:rate=120"),
+    ("openloop:rate=1.2e2", "openloop:rate=120"),
+    ("barrier:members=3,groups=1", "barrier:groups=1,members=3"),
+    ("openloop:rate=80", "openloop"),
+    ("smt:cores=big,corunners=4", "smt:cores=big"),
+    ("barrier:groups=03", "barrier:groups=3"),
+    ("openloop:rate=0.00001", "openloop:rate=1e-5"),
+]
+
+
+class TestCanonicalLabel:
+    """One scenario, one string: ``RunSpec`` takes only the canonical
+    spelling, so one scenario has one spec key and one cache entry."""
+
+    @pytest.mark.parametrize("text, canonical", SPELLINGS)
+    def test_every_spelling_has_one_label(self, text, canonical):
+        spec = parse_scenario(text)
+        assert spec.text == text
+        assert spec.label == canonical
+        again = parse_scenario(canonical)
+        assert again.params == spec.params
+        assert again.label == canonical
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "openloop",
+            "openloop:rate=120",
+            "openloop:pattern=spike,rate=40,slo_ms=12.5",
+            "barrier:groups=1,members=3,intervals=3,interval_minstr=8",
+            "barrier:intervals=4,interval_minstr=25,imbalance=0.8",
+            "smt:cores=half,corunners=2",
+        ],
+    )
+    def test_canonical_spellings_are_their_own_label(self, text):
+        assert parse_scenario(text).label == text
+        assert RunSpec(workload="MTMI", scenario=text).scenario == text
+
+    @pytest.mark.parametrize("text, canonical", SPELLINGS)
+    def test_run_spec_refuses_other_spellings(self, text, canonical):
+        with pytest.raises(SpecError, match=re.escape(f"as '{canonical}'")) as excinfo:
+            RunSpec(workload="MTMI", scenario=text)
+        assert excinfo.value.field == "scenario"
 
 
 class TestCatalogue:
