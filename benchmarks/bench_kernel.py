@@ -40,6 +40,14 @@ from the same RNG state, after a one-epoch vanilla run on hmp:128 ×
 views and leave the sensing RNG in the same state; the median per-pair
 speedup must be **>= 1.5x** at 128 cores.  Its numbers go to
 ``benchmark.extra_info`` only.
+
+The steady-period gate runs the paper's shape — quad, MTMI x 8,
+SmartBalance, 40 epochs, seeds 100-102 — on the stock engine and on
+``NoReplayKernel`` (the same engine with its steady-period memo off),
+alternating which goes first.  Every pair must produce equal digests
+and the stock engine must replay at least 80% of its periods; a full
+run also needs a median per-pair speedup of **>= 1.3x** on
+``System.run``.  ``--quick`` reports the speedup without gating it.
 """
 
 import contextlib
@@ -48,7 +56,7 @@ import os
 import statistics
 import time
 
-from reference_kernel import reference_kernel
+from reference_kernel import NoReplayKernel, kernel_engine, reference_kernel
 from reference_sensing import build_view as reference_build_view
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner.factories import make_balancer, make_platform, make_workload
@@ -248,3 +256,75 @@ def bench_sensing_view_speedup(benchmark, quick):
                 f"{row['oracle_ms_per_view']} ms per view)"
             )
 
+
+STEADY_SEEDS = (100, 101, 102)
+STEADY_EPOCHS = 40
+STEADY_THREADS = 8
+STEADY_SHARE_FLOOR = 0.8
+STEADY_SPEEDUP_FLOOR = 1.3
+#: Timed (stock, no-replay) pairs per seed, after one untimed warm-up.
+STEADY_REPEATS_QUICK = 1
+STEADY_REPEATS_FULL = 3
+
+
+def steady_run(engine, seed):
+    """(seconds, digest, replayed periods) of one quad MTMI x 8
+    SmartBalance run built inside the ``engine`` context."""
+    with engine:
+        system = System(
+            make_platform("quad"),
+            make_workload(WORKLOAD, STEADY_THREADS, seed=seed),
+            make_balancer("smartbalance"),
+            SimulationConfig(seed=seed),
+        )
+    start = time.perf_counter()
+    result = system.run(n_epochs=STEADY_EPOCHS)
+    elapsed = time.perf_counter() - start
+    return elapsed, metrics_digest(result), system.engine.steady_periods
+
+
+def bench_steady_period_replay(benchmark, quick):
+    repeats = STEADY_REPEATS_QUICK if quick else STEADY_REPEATS_FULL
+    engines = {
+        "stock": contextlib.nullcontext,
+        "full": lambda: kernel_engine(NoReplayKernel),
+    }
+
+    def measure():
+        steady_run(contextlib.nullcontext(), STEADY_SEEDS[0])  # warm-up
+        times = {name: [] for name in engines}
+        ratios, replayed = [], 0
+        for pair in range(repeats * len(STEADY_SEEDS)):
+            seed = STEADY_SEEDS[pair % len(STEADY_SEEDS)]
+            order = ("stock", "full") if pair % 2 == 0 else ("full", "stock")
+            runs = {name: steady_run(engines[name](), seed) for name in order}
+            assert runs["stock"][1] == runs["full"][1], (
+                f"steady-period replay changed the digest at seed {seed}"
+            )
+            for name in engines:
+                times[name].append(runs[name][0])
+            ratios.append(runs["full"][0] / runs["stock"][0])
+            replayed += runs["stock"][2]
+        periods = (
+            len(ratios) * STEADY_EPOCHS * SimulationConfig().periods_per_epoch
+        )
+        return {
+            "stock_ms_per_run": round(statistics.median(times["stock"]) * 1e3, 2),
+            "full_ms_per_run": round(statistics.median(times["full"]) * 1e3, 2),
+            "speedup": round(statistics.median(ratios), 3),
+            "replay_share": round(replayed / periods, 4),
+        }
+
+    row = benchmark.pedantic(measure, rounds=1, iterations=1)
+    for key, value in row.items():
+        benchmark.extra_info[f"steady_{key}"] = value
+    assert row["replay_share"] >= STEADY_SHARE_FLOOR, (
+        f"only {row['replay_share']:.1%} of the steady-shape periods "
+        f"replayed (floor {STEADY_SHARE_FLOOR:.0%})"
+    )
+    if not quick:
+        assert row["speedup"] >= STEADY_SPEEDUP_FLOOR, (
+            f"steady-period replay below the {STEADY_SPEEDUP_FLOOR}x floor: "
+            f"{row['speedup']}x ({row['stock_ms_per_run']} vs "
+            f"{row['full_ms_per_run']} ms per run)"
+        )

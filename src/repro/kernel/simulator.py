@@ -19,6 +19,7 @@ scheduling periods.  At each balancer interval boundary the simulator
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -93,8 +94,10 @@ class SimulationConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {self.period_s}")
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError(
+                f"period_s must be finite and positive, got {self.period_s}"
+            )
         if self.periods_per_epoch < 1:
             raise ValueError(
                 f"periods_per_epoch must be >= 1, got {self.periods_per_epoch}"
@@ -696,6 +699,7 @@ class System:
                 faults=bool(plan is not None and plan.active),
             )
 
+        steady_before = self.engine.steady_periods
         window_instructions = 0.0
         window_energy = 0.0
         window_start = self.time_s
@@ -796,6 +800,11 @@ class System:
             obs.metrics.set_gauge("run.ips_per_watt", result.ips_per_watt)
             obs.metrics.set_gauge("run.energy_j", result.energy_j)
             obs.metrics.set_gauge("run.instructions", result.instructions)
+            obs.metrics.inc("kernel.periods", periods_total)
+            obs.metrics.inc(
+                "kernel.steady_periods",
+                self.engine.steady_periods - steady_before,
+            )
         return result
 
     def _core_snapshot(self) -> "list[tuple[float, float, float]]":
@@ -862,7 +871,10 @@ class System:
 
     def _simulate_period(self) -> tuple[float, float]:
         """Advance all cores by one CFS period; returns (instr, energy)."""
-        instructions, energy = self.engine.simulate_period(self.config.period_s)
+        with self.obs.span("kernel_period"):
+            instructions, energy = self.engine.simulate_period(
+                self.config.period_s
+            )
         self.time_s += self.config.period_s
         if self.faults is not None:
             self.faults.time_s = self.time_s

@@ -35,8 +35,11 @@ level) group and broadcast, so the floats are identical by
 construction.  Tasks that sub-step within one slice (phase boundary or
 exit inside the slice) fall back to a scalar loop that mirrors the
 reference's ``_execute_slice`` line for line; everything else takes the
-single-step vector path.  The differential-equivalence suite
-(``tests/kernel/test_soa_equivalence.py``) enforces the contract.
+single-step vector path.  A steady period, one whose structure and
+demand versions match the last replayable period's, re-applies that
+period's memoised increments through the same accumulation code.  The
+differential-equivalence suite (``tests/kernel/test_soa_equivalence.py``)
+enforces the contract.
 
 See ``docs/kernel.md`` for the array layout and the rules to follow
 when extending the kernel.
@@ -89,6 +92,55 @@ _MAX_CTYPES = 1 << 20
 
 _WQ = microarch.WARMUP_QUANTISATION
 _SMT_Q = microarch.SMT_QUANTISATION
+
+
+class PeriodIncrements:
+    """What one CFS period adds to the kernel state, before it is added.
+
+    :meth:`SoaKernel._increments` computes it and :meth:`SoaKernel._apply`
+    folds it into the accumulators, progress, phases and utilisation.
+    A *replayable* period — no warm-up decaying, no slow-path task, no
+    SMT core, no thermal step — has increments that are a pure
+    function of ``key``, so :meth:`SoaKernel.simulate_period` keeps the
+    last one and applies it again while the key holds.
+    """
+
+    __slots__ = (
+        # (structure version, demand version, period) computed under.
+        "key",
+        "replayable",
+        # The replay check's operands: grants and per-task IPS.
+        "granted",
+        "ips_t",
+        # Tasks on the one-step path, and whether there are any.
+        "fast",
+        "any_fast",
+        # Per task: the 12 counters, energy and busy time of the slice.
+        "S",
+        "E",
+        "gu",
+        # Exits on the slow path (None when no task took it).
+        "slow_exited",
+        # ``np.add.at`` scatter of the runnable tasks' counter rows
+        # into ``c_cnt``, in run-queue slot order (rows None if none).
+        "add_at_q",
+        "add_at_rows",
+        # Per core: instructions, the two sleep-cycle addends of
+        # ``c_cnt[:, 2]`` and the energy/time/busy/idle/sleep splits.
+        "ci_q",
+        "sleep_cy_empty",
+        "sleep_cy_deep",
+        "energy_q",
+        "time_q",
+        "busy_q",
+        "idle_q",
+        "sleep_q",
+        # The period's user instructions and energy (the return value).
+        "period_instr",
+        "period_energy",
+        # Per-task demand before execution (the EWMA input).
+        "demand_t",
+    )
 
 
 class SoaKernel:
@@ -146,6 +198,14 @@ class SoaKernel:
         #: against it is then the identity, keeping barrier-free runs
         #: bit-identical.  Updated through :meth:`set_barrier_stop`.
         self.barrier_stop = np.full(n, np.inf)
+        #: Whether a slice can end at an exit (some finite instruction
+        #: total) or, once a stop is set, at a barrier.  Without either
+        #: the slice limit is the distance to the next phase boundary.
+        self._exits = bool(np.isfinite(self.behavior_total).any())
+        self._bounded = self._exits
+        #: Whether a warm-up may be decaying: set by a migration that
+        #: starts one, cleared by the first period that finds none.
+        self._warming = False
 
         # --- per-core state -------------------------------------------------
         self.c_cnt = np.zeros((m, N_COUNTERS))
@@ -234,6 +294,15 @@ class SoaKernel:
                     self._mseg_phase[row, s] = self._register_phase(
                         segment.phase
                     )
+            # Each row's current segment as the bracket [lo, hi) of
+            # (wrapped) progress that keeps it there; ``_mB_lo[:, k]``
+            # is the boundary before column k.  Empty until the first
+            # refresh.
+            self._mB_lo = np.hstack(
+                [np.full((n_multi, 1), -np.inf), self._mB[:, :-1]]
+            )
+            self._m_lo = np.full(n_multi, np.inf)
+            self._m_hi = np.full(n_multi, -np.inf)
         self._n_multi = n_multi
 
         # --- (phase, ctype, warm-up level) -> value-table row ---------------
@@ -256,6 +325,10 @@ class SoaKernel:
         #: type changes (throttle fault).
         self._ctype_change_ver = 0
         self._core_pw_cache: "tuple[int, np.ndarray, np.ndarray, np.ndarray] | None" = None
+        #: The last replayable period's increments, and how many
+        #: periods re-applied them (:meth:`simulate_period`).
+        self._memo: "PeriodIncrements | None" = None
+        self.steady_periods = 0
         if n_multi:
             self._refresh_phase_state()
 
@@ -370,6 +443,7 @@ class SoaKernel:
         the stop only enters the per-period slice limit, which is
         recomputed from the arrays every period)."""
         self.barrier_stop[tid] = stop_instr
+        self._bounded = True
 
     def _core_power_rows(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         cache = self._core_pw_cache
@@ -381,7 +455,7 @@ class SoaKernel:
             self._core_pw_cache = cache
         return cache[1], cache[2], cache[3]
 
-    def _refresh_phase_state(self) -> np.ndarray:
+    def _refresh_phase_state(self) -> "np.ndarray | None":
         """Vectorised ``phase_at`` + ``instructions_until_phase_change``.
 
         Recomputes the active phase and the instructions remaining in
@@ -389,25 +463,35 @@ class SoaKernel:
         progress, exactly as :class:`~repro.workload.phases.PhaseSchedule`
         does scalar-wise (``%`` on positive floats is ``np.mod``;
         ``bisect_right`` is a row count of boundaries <= progress).
-        Returns the changed-phase mask over the multi-segment rows and
-        bumps the demand version when any phase moved.
+        Returns the changed-phase mask over the multi-segment rows, or
+        None when no phase moved; bumps the demand version when one did.
         """
         p = self.progress[self._multi_idx]
         p2 = np.where(self._mcyc, np.mod(p, self._mC), p)
-        idx = np.sum(self._mB <= p2[:, None], axis=1)
-        idx_phase = np.minimum(idx, self._mk - 1)
-        new_key = self._mseg_phase[self._mrow, idx_phase]
-        until = self._mB[self._mrow, idx] - p2
-        self.until_boundary[self._multi_idx] = until
-        changed = new_key != self.phase_key[self._multi_idx]
-        if changed.any():
-            self.phase_key[self._multi_idx] = new_key
-            self._demand_ver += 1
+        if not ((self._m_lo <= p2) & (p2 < self._m_hi)).all():
+            # Some task left its segment: count the boundaries again.
+            # Inside the bracket the count cannot move (the boundaries
+            # ascend), so only the distance to the segment end does.
+            idx = np.sum(self._mB <= p2[:, None], axis=1)
+            self._m_lo = self._mB_lo[self._mrow, idx]
+            self._m_hi = self._mB[self._mrow, idx]
+            idx_phase = np.minimum(idx, self._mk - 1)
+            new_key = self._mseg_phase[self._mrow, idx_phase]
+            changed = new_key != self.phase_key[self._multi_idx]
+        else:
+            changed = None
+        self.until_boundary[self._multi_idx] = self._m_hi - p2
+        if changed is None or not changed.any():
+            return None
+        self.phase_key[self._multi_idx] = new_key
+        self._demand_ver += 1
         return changed
 
     def on_migration(self, tid: int, warmup_s: float) -> None:
         """A task moved queues: follow it and start its cache warm-up."""
         self.warmup[tid] = warmup_s
+        if warmup_s > 0.0:
+            self._warming = True
         self.core_of[tid] = self.tasks[tid].core_id
         self.mark_structure_dirty()
 
@@ -440,14 +524,78 @@ class SoaKernel:
     # ------------------------------------------------------------------
 
     def simulate_period(self, period_s: float) -> "tuple[float, float]":
-        """Advance every online core by one period; returns (instr, energy)."""
+        """Advance every online core by one period; returns (instr, energy).
+
+        A steady period re-applies the increments of the last full
+        period computed under the same key instead of recomputing them
+        (``docs/kernel.md``, "Steady periods").  Warm-ups, progress and
+        barrier stops move without a version bump, so it replays only
+        when no warm-up is decaying and no task's slice limit falls
+        below its grant.
+        """
         self._ensure_layout()
-        n, m = self.n_tasks, self.n_cores
 
         # Phase + boundary state is maintained by _refresh_phase_state
         # (at init and after each period's execution), so the per-task
-        # rows below are already positioned at the current progress.
-        any_warm = bool((self.warmup > 0.0).any())
+        # rows are already positioned at the current progress.
+        any_warm = self._warming = (
+            self._warming and bool((self.warmup > 0.0).any())
+        )
+        key = (self._struct_ver, self._demand_ver, period_s)
+        memo = self._memo
+        limit_over_ips = slow = None
+        if not any_warm and memo is not None and memo.key == key:
+            # The memo's tasks on the one-step path are this period's
+            # executing tasks; one that would sub-step sends the period
+            # down the full path, which reuses both arrays.
+            limit_over_ips = self._limit_over_ips(memo.ips_t)
+            slow = memo.fast & (limit_over_ips < memo.granted)
+            if not slow.any():
+                self.steady_periods += 1
+                return self._apply(memo, any_warm)
+        inc = self._increments(period_s, any_warm, limit_over_ips, slow)
+        if inc.replayable:
+            inc.key = key
+            self._memo = inc
+        return self._apply(inc, any_warm)
+
+    def _limit_over_ips(self, ips_t: np.ndarray) -> np.ndarray:
+        """Each task's slice limit in seconds at its current rate: the
+        instructions to its next phase boundary, exit or barrier stop,
+        over its IPS."""
+        if not self._bounded:
+            # min(b, inf) == b bit for bit: no total, no stop.  The
+            # boundary distance is positive, so no 0/0 can arise.
+            return self.until_boundary / ips_t
+        with np.errstate(invalid="ignore"):
+            limit = np.minimum(
+                self.until_boundary,
+                np.maximum(self.behavior_total - self.progress, 0.0),
+            )
+            # Barrier stop: ``inf`` (no barrier) keeps the minimum an
+            # identity; a near stop forces the slow path, which breaks
+            # at the barrier exactly like the reference slice loop.
+            limit = np.minimum(
+                limit, np.maximum(self.barrier_stop - self.progress, 0.0)
+            )
+            return limit / ips_t
+
+    def _increments(
+        self,
+        period_s: float,
+        any_warm: bool,
+        limit_over_ips: "np.ndarray | None",
+        slow: "np.ndarray | None",
+    ) -> "PeriodIncrements":
+        """Compute what one period adds to the kernel state.
+
+        Leaves the accumulators, progress, phases and utilisation to
+        :meth:`_apply`; only slow-path tasks (which sub-step through
+        their own progress and warm-up) and the thermal RC state are
+        advanced here.  ``limit_over_ips`` and ``slow`` are the arrays a
+        failed replay check already computed, or None.
+        """
+        n, m = self.n_tasks, self.n_cores
 
         # Scheduling structure (who is runnable where) and fair shares.
         # Built before the perf rows: on SMT cores the per-task
@@ -567,33 +715,31 @@ class SoaKernel:
 
         # Execute the granted slices.
         ips_t = V[:, _IPS]
-        with np.errstate(invalid="ignore"):
-            limit = np.minimum(
-                self.until_boundary,
-                np.maximum(self.behavior_total - self.progress, 0.0),
-            )
-            # Barrier stop: ``inf`` (no barrier) keeps the minimum an
-            # identity; a near stop forces the slow path, which breaks
-            # at the barrier exactly like the reference slice loop.
-            limit = np.minimum(
-                limit, np.maximum(self.barrier_stop - self.progress, 0.0)
-            )
-            limit_over_ips = limit / ips_t
+        if limit_over_ips is None:
+            limit_over_ips = self._limit_over_ips(ips_t)
         runnable_t = np.zeros(n, dtype=bool)
         runnable_t[r_mem] = True
         # The slice loop in the reference (`while remaining > 1e-12`)
         # never runs for grants at or below its floor — an underweight
         # task can be granted ~1e-150 s and execute exactly nothing.
         exec_t = runnable_t & (granted > 1e-12)
-        slow = exec_t & (limit_over_ips < granted)
+        if slow is None:
+            slow = exec_t & (limit_over_ips < granted)
         fast = exec_t & ~slow
 
+        inc = PeriodIncrements()
+        inc.granted = granted
+        inc.ips_t = ips_t
+        inc.fast = fast
+        inc.any_fast = any_fast = bool(fast.any())
+        inc.demand_t = demand_t
         S = np.zeros((n, N_COUNTERS))
         E = np.zeros(n)
         gu = np.zeros(n)
-        exited = np.zeros(n, dtype=bool)
 
-        if fast.any():
+        if any_fast:
+            # Column 3 (instructions) and column 11 (the slice) carry
+            # the fast tasks' progress and warm-up steps to _apply.
             step = np.where(fast, granted, 0.0)
             freq = V[:, _FREQ]
             cycles = step * freq
@@ -616,13 +762,11 @@ class SoaKernel:
             S[~fast] = 0.0
             E = np.where(fast, V[:, _POWER_W] * step, 0.0)
             gu = step
-            self.progress = np.where(fast, self.progress + instr, self.progress)
-            self.warmup = np.where(
-                fast, np.maximum(self.warmup - step, 0.0), self.warmup
-            )
-            exited = fast & (self.behavior_total - self.progress <= 0.0)
 
-        if slow.any():
+        inc.slow_exited = None
+        any_slow = bool(slow.any())
+        if any_slow:
+            inc.slow_exited = exited = np.zeros(n, dtype=bool)
             for t in np.nonzero(slow)[0].tolist():
                 contention = (
                     float(smt_cont[t]) if smt_cont is not None else 0.0
@@ -630,18 +774,16 @@ class SoaKernel:
                 self._execute_slow(
                     int(t), float(granted[t]), S, E, gu, exited, contention
                 )
-
-        # Merge once per task (matches the reference's slice-local merge).
-        self.t_cnt += S
-        instr_slice = S[:, 3]
-        self.total_instr += instr_slice
-        self.total_busy += gu
-        self.total_energy += E
-        self.epoch_energy += E
+        inc.S = S
+        inc.E = E
+        inc.gu = gu
 
         # Core-side accounting, in run-queue slot order.
+        instr_slice = S[:, 3]
+        inc.add_at_q = r_q
+        inc.add_at_rows = None
         if r_mem.size:
-            np.add.at(self.c_cnt, r_q, S[r_mem])
+            inc.add_at_rows = S[r_mem]
             gu_pad = np.where(valid, gu[M_safe], 0.0)
             busy_q = (
                 np.cumsum(gu_pad, axis=1)[:, -1] if gu_pad.shape[1] else
@@ -668,7 +810,8 @@ class SoaKernel:
             busy_e_q = np.zeros(m)
             ci_q = np.zeros(m)
             period_instr = 0.0
-        self.core_instr += ci_q
+        inc.ci_q = ci_q
+        inc.period_instr = period_instr
 
         # Idle / sleep split per core.
         freq_q, idle_w_q, sleep_w_q = self._core_power_rows()
@@ -682,7 +825,7 @@ class SoaKernel:
 
         sleep_s_q[empty] = period_s
         sleep_e_q[empty] = sleep_w_q[empty] * period_s
-        self.c_cnt[:, 2] += np.where(empty, period_s * freq_q, 0.0)
+        inc.sleep_cy_empty = np.where(empty, period_s * freq_q, 0.0)
 
         leftover = np.where(has_run, np.maximum(period_s - busy_q, 0.0), 0.0)
         shallow = np.minimum(leftover, IDLE_TO_SLEEP_LATENCY_S)
@@ -691,13 +834,15 @@ class SoaKernel:
         idle_e_q = np.where(has_run, idle_w_q * shallow, idle_e_q)
         sleep_s_q = np.where(has_run, deep, sleep_s_q)
         sleep_e_q = np.where(has_run, sleep_w_q * deep, sleep_e_q)
-        self.c_cnt[:, 2] += np.where(has_run, deep * freq_q, 0.0)
+        inc.sleep_cy_deep = np.where(has_run, deep * freq_q, 0.0)
 
         # _account(): thermal feedback, then the per-core totals.
+        thermal_stepped = False
         thermal_e_q = np.zeros(m)
         if self._thermal_on and self._thermal_idx.size:
             idx = self._thermal_idx[self.online[self._thermal_idx]]
             if idx.size:
+                thermal_stepped = True
                 base_e_q = busy_e_q + idle_e_q + sleep_e_q
                 base_power = base_e_q[idx] / period_s
                 new_t, new_p = thermal.step_batch(
@@ -719,19 +864,62 @@ class SoaKernel:
 
         energy_q = busy_e_q + idle_e_q + sleep_e_q + thermal_e_q
         online_f = self.online
-        self.q_total_energy += np.where(online_f, energy_q, 0.0)
-        self.q_epoch_energy += np.where(online_f, energy_q, 0.0)
-        self.q_epoch_time += np.where(online_f, period_s, 0.0)
-        self.q_total_busy += np.where(online_f, busy_q, 0.0)
-        self.q_total_idle += np.where(online_f, idle_s_q, 0.0)
-        self.q_total_sleep += np.where(online_f, sleep_s_q, 0.0)
+        inc.energy_q = np.where(online_f, energy_q, 0.0)
+        inc.time_q = np.where(online_f, period_s, 0.0)
+        inc.busy_q = np.where(online_f, busy_q, 0.0)
+        inc.idle_q = np.where(online_f, idle_s_q, 0.0)
+        inc.sleep_q = np.where(online_f, sleep_s_q, 0.0)
+        inc.period_energy = float(np.cumsum(inc.energy_q)[-1]) if m else 0.0
 
-        period_energy = float(
-            np.cumsum(np.where(online_f, energy_q, 0.0))[-1]
-        ) if m else 0.0
+        inc.replayable = not (
+            any_warm or any_slow or self._any_smt or thermal_stepped
+        )
+        return inc
+
+    def _apply(
+        self, inc: "PeriodIncrements", any_warm: bool
+    ) -> "tuple[float, float]":
+        """Fold one period's increments into the state, in the order the
+        reference kernel accumulates them; returns (instr, energy).
+
+        Reads ``inc`` and never writes it, so a memoised period can be
+        applied again.
+        """
+        S = inc.S
+        fast = inc.fast
+        exited = inc.slow_exited
+        if inc.any_fast:
+            self.progress = np.where(fast, self.progress + S[:, 3], self.progress)
+            if any_warm:
+                self.warmup = np.where(
+                    fast, np.maximum(self.warmup - S[:, 11], 0.0), self.warmup
+                )
+            if self._exits:
+                done = fast & (self.behavior_total - self.progress <= 0.0)
+                exited = done if exited is None else done | exited
+
+        # Merge once per task (matches the reference's slice-local merge).
+        self.t_cnt += S
+        self.total_instr += S[:, 3]
+        self.total_busy += inc.gu
+        self.total_energy += inc.E
+        self.epoch_energy += inc.E
+
+        # Core-side accounting, in run-queue slot order.
+        if inc.add_at_rows is not None:
+            np.add.at(self.c_cnt, inc.add_at_q, inc.add_at_rows)
+        self.core_instr += inc.ci_q
+        self.c_cnt[:, 2] += inc.sleep_cy_empty
+        self.c_cnt[:, 2] += inc.sleep_cy_deep
+        self.q_total_energy += inc.energy_q
+        self.q_epoch_energy += inc.energy_q
+        self.q_epoch_time += inc.time_q
+        self.q_total_busy += inc.busy_q
+        self.q_total_idle += inc.idle_q
+        self.q_total_sleep += inc.sleep_q
 
         # Exits: flip state eagerly so queue membership checks stay valid.
-        if exited.any():
+        if exited is not None and exited.any():
             for t in np.nonzero(exited)[0].tolist():
                 self.tasks[t].state = TaskState.EXITED
             self.active[exited] = False
@@ -742,10 +930,10 @@ class SoaKernel:
         # phase can only move for a task that executed, so correcting
         # just the changed rows reproduces the reference's full
         # re-evaluation (unchanged rows re-derive the same value).
-        demand_post = demand_t
+        demand_post = inc.demand_t
         if self._n_multi:
             changed = self._refresh_phase_state()
-            if changed.any():
+            if changed is not None:
                 ids = self._multi_idx[changed]
                 codes = (
                     (
@@ -756,7 +944,7 @@ class SoaKernel:
                 ) * (_SMT_Q + 1)
                 # Two statements: _lookup_rows may grow (rebind) _V.
                 rows2 = self._lookup_rows(codes)
-                demand_post = demand_t.copy()
+                demand_post = demand_post.copy()
                 demand_post[ids] = self._V[rows2, _DEMAND]
         util_mask = self.active & self.online[self.core_of]
         self.util = np.where(
@@ -764,7 +952,7 @@ class SoaKernel:
             UTIL_DECAY * self.util + self._one_minus_decay * demand_post,
             self.util,
         )
-        return period_instr, period_energy
+        return inc.period_instr, inc.period_energy
 
     # ------------------------------------------------------------------
     # Batched waterfill (fair_shares across every queue at once)

@@ -26,6 +26,7 @@ Three families (see ``docs/scenarios.md``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -159,6 +160,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _validate(family: str, params: "dict[str, object]", text: str) -> None:
+    # NaN compares false against every bound below, and inf passes
+    # ``> 0``; neither is a rate, a work size or a latency.
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite in {text!r}")
+
     def positive(key: str) -> None:
         if params[key] <= 0:  # type: ignore[operator]
             raise ValueError(f"{key} must be positive in {text!r}")

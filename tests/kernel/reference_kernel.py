@@ -32,7 +32,8 @@ states, online flags and core types from the ``System`` objects
 themselves, so ``SoaKernel``'s mirrors of those are checked too.
 Tests swap it in with :func:`reference_kernel` — a context manager,
 because hypothesis examples cannot take function-scoped fixtures — and
-:func:`kernel_engine` swaps in any engine class the same way.
+:func:`kernel_engine` swaps in any engine class the same way, such as
+:class:`NoReplayKernel`, the engine with its steady-period memo off.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.kernel.cfs import (
     UTIL_DECAY,
     CfsRunQueue,
 )
+from repro.kernel.soa import SoaKernel
 from repro.kernel.task import Task, TaskState
 from repro.workload.characteristics import WorkloadPhase
 from repro.workload.demand import demanded_fraction_on
@@ -526,6 +528,9 @@ class RefQueue:
 class ReferenceKernel:
     """The engine interface of ``SoaKernel``, run by the object loop."""
 
+    #: Every period runs the object loop; none is replayed.
+    steady_periods = 0
+
     def __init__(self, system) -> None:
         self.system = system
         self.records = {task.tid: RefTask(task) for task in system.tasks}
@@ -652,3 +657,12 @@ def kernel_engine(engine_cls):
 def reference_kernel():
     """Run the block's ``System``s on the reference kernel."""
     return kernel_engine(ReferenceKernel)
+
+
+class NoReplayKernel(SoaKernel):
+    """``SoaKernel`` computing every period in full: the memo of the
+    last steady period is dropped before each, so none replays."""
+
+    def simulate_period(self, period_s):
+        self._memo = None
+        return super().simulate_period(period_s)

@@ -68,6 +68,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimulationConfig(periods_per_epoch=0)
 
+    @pytest.mark.parametrize("period_s", [float("nan"), float("inf")])
+    def test_non_finite_period_rejected(self, period_s):
+        """A NaN period used to run to the end with NaN energy and
+        duration and an ips_per_watt of 0.0."""
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(period_s=period_s)
+
 
 class TestRun:
     def test_duration_vs_epochs_exclusive(self):

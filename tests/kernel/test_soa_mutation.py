@@ -8,7 +8,9 @@ period, through the same substitution that installs the reference
 kernel — and assert the run's :func:`metrics_digest` diverges from the
 unperturbed one.  If a refactor ever stops folding an array into the
 observable results, the corresponding test here fails even though
-every equivalence test still (vacuously) passes.
+every equivalence test still (vacuously) passes.  One test corrupts the
+memoised increments of a steady period instead, which only the periods
+that replay them carry into the arrays.
 """
 
 from reference_kernel import kernel_engine, reference_kernel
@@ -38,9 +40,9 @@ def digest(system):
     return metrics_digest(system.run(n_epochs=N_EPOCHS))
 
 
-def perturbed_digest(mutate, balancer="vanilla"):
-    """Digest of a SoA run whose arrays ``mutate`` edits once, right
-    after period ``PERTURB_PERIOD``."""
+def perturbed_run(mutate, balancer="vanilla"):
+    """(digest, engine) of a SoA run whose arrays ``mutate`` edits
+    once, right after period ``PERTURB_PERIOD``."""
 
     class PerturbedKernel(SoaKernel):
         periods = 0
@@ -54,7 +56,11 @@ def perturbed_digest(mutate, balancer="vanilla"):
 
     with kernel_engine(PerturbedKernel):
         system = build(balancer)
-    return digest(system)
+    return digest(system), system.engine
+
+
+def perturbed_digest(mutate, balancer="vanilla"):
+    return perturbed_run(mutate, balancer)[0]
 
 
 def reference_digest(balancer="vanilla"):
@@ -97,3 +103,18 @@ class TestMutationsDiverge:
             engine.total_energy[0] += 1.0
 
         assert perturbed_digest(mutate) != reference_digest()
+
+    def test_memoised_increment_perturbation_diverges(self):
+        """Half a billion phantom instructions in task 0's memoised
+        increment must reach the digest through the periods that
+        replay it: the memo is applied, not bypassed."""
+        replays = []
+
+        def mutate(engine):
+            assert engine._memo is not None, "no period was memoised"
+            engine._memo.S[0, INSTR_COL] += 5e8
+            replays.append(engine.steady_periods)
+
+        digest, engine = perturbed_run(mutate)
+        assert engine.steady_periods > replays[0], "the memo never replayed"
+        assert digest != reference_digest()

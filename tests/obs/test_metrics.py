@@ -93,6 +93,17 @@ class TestRunMetrics:
         for phase in ("span.predict", "span.balance"):
             assert 1 <= timings[phase]["count"] <= 6
 
+    def test_kernel_periods_timed_and_counted(self, traced, traced_spec):
+        """Every CFS period is one ``span.kernel_period``; the counters
+        say how many periods ran and how many the kernel replayed."""
+        obs, _ = traced
+        snapshot = obs.metrics.snapshot()
+        periods = traced_spec.n_epochs * traced_spec.config.periods_per_epoch
+        assert snapshot["timings"]["span.kernel_period"]["count"] == periods
+        counters = snapshot["counters"]
+        assert counters["kernel.periods"] == periods
+        assert 0 < counters["kernel.steady_periods"] < periods
+
 
 #: Batch used for the worker-count determinism check: three distinct
 #: SmartBalance jobs, small enough to finish quickly even serially.

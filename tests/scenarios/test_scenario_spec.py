@@ -10,12 +10,15 @@ import re
 
 import pytest
 
+import repro.cli
+from repro.cli import main
 from repro.runner.spec import RunSpec, SpecError
 from repro.scenarios import (
     SCENARIO_FAMILIES,
     parse_scenario,
     scenario_catalogue,
 )
+from repro.service.api import ApiError, spec_from_payload
 
 
 class TestParseScenario:
@@ -87,6 +90,47 @@ class TestParseScenario:
     def test_out_of_range_values(self, bad):
         with pytest.raises(ValueError):
             parse_scenario(bad)
+
+
+#: Non-finite numbers parse as floats, but no scenario can run on them:
+#: NaN slips past every range check and inf past every positivity one.
+NON_FINITE = [
+    "openloop:rate=nan",
+    "openloop:rate=inf",
+    "openloop:slo_ms=inf",
+    "openloop:work_minstr=nan",
+    "barrier:interval_minstr=inf",
+]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_parser_refuses(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_scenario(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_run_spec_refuses_with_scenario_field(self, bad):
+        with pytest.raises(SpecError, match="must be finite") as excinfo:
+            RunSpec(workload="MTMI", platform="biglittle", threads=4, scenario=bad)
+        assert excinfo.value.field == "scenario"
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_payload_refused_with_scenario_field(self, bad):
+        with pytest.raises(ApiError) as excinfo:
+            spec_from_payload({"workload": "MTMI", "scenario": bad})
+        assert excinfo.value.field == "scenario"
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cli_exits_before_simulating(self, bad, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated an invalid spec")
+
+        monkeypatch.setattr(repro.cli, "execute_spec", never)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "MTMI", "--scenario", bad])
+        assert "must be finite" in str(excinfo.value.code)
 
 
 #: Non-canonical spellings and the one canonical spelling of each.
