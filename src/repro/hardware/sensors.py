@@ -11,10 +11,12 @@ seeded, reproducible noise model so that:
 
 Noise is multiplicative Gaussian, clipped to keep readings physical.
 A sensing window is read in one batch over the kernel engine's counter
-matrices and power vectors (:meth:`SensingInterface.read`).  Hard
-sensor faults — dropout, stuck-at, spikes, counter wrap — are applied
-on top of the noisy readings by the simulator, per owner, through
-:class:`~repro.faults.FaultInjector`.
+matrices and power vectors (:meth:`SensingInterface.read`), and its
+noise is drawn in one batch too (:func:`gauss_batch`): the same values
+and the same RNG state as one ``random.Random.gauss`` call per slot.
+Hard sensor faults — dropout, stuck-at, spikes, counter wrap — are
+applied on top of the noisy readings by the simulator, per owner,
+through :class:`~repro.faults.FaultInjector`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,58 @@ from repro.hardware.counters import COUNT_FIELDS
 #: :class:`~repro.hardware.counters.CounterBlock` column except the
 #: last, ``busy_time_s`` (kernel bookkeeping, read exactly).
 N_REGISTERS = len(COUNT_FIELDS)
+
+#: ``random.TWOPI``: the angle scale of ``Random.gauss``.
+_TWOPI = 2.0 * math.pi
+#: ``Random.random()``'s scale, ``2**-53``.
+_RECIP_BPF = 1.0 / 9007199254740992.0
+
+
+def gauss_batch(rng: random.Random, sigma: np.ndarray) -> np.ndarray:
+    """``[rng.gauss(1.0, s) for s in sigma]`` as one array, in one batch.
+
+    Returns the same floats and leaves ``rng`` in the same state
+    (``getstate()``, ``gauss_next`` included) as those calls.
+    ``Random.gauss`` takes a pending ``gauss_next`` first; otherwise it
+    draws a Box–Muller pair from two ``random()`` values, returns the
+    cosine and keeps the sine for the next call.  So a batch uses the
+    pending value, if any, then the pairs' values in the order cosine,
+    sine; an odd count leaves its last sine pending, and an empty batch
+    touches nothing.
+
+    The pairs come from one ``getrandbits(128 * pairs)``: its
+    little-endian 32-bit words are the Mersenne Twister outputs in
+    order, and ``random()`` is ``((w0 >> 5) * 2**26 + (w1 >> 6)) *
+    2**-53``, exact in float64.  Products, sums, ``1.0 - u`` and
+    ``sqrt`` are correctly rounded in numpy as in Python; ``log``,
+    ``cos`` and ``sin`` are mapped through :mod:`math`, the libm calls
+    ``gauss`` makes, since numpy's own may differ in the last bit.
+    """
+    n = len(sigma)
+    z = np.empty(n)
+    start = 0
+    if n and rng.gauss_next is not None:
+        z[0] = rng.gauss_next
+        rng.gauss_next = None
+        start = 1
+    count = n - start
+    if count:
+        pairs = (count + 1) // 2
+        block = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+        words = np.frombuffer(block, dtype="<u4").reshape(pairs, 2, 2)
+        # u[:, 0] is each pair's first random(), u[:, 1] its second.
+        u = ((words[:, :, 0] >> 5) * 67108864.0 + (words[:, :, 1] >> 6)) * _RECIP_BPF
+        x2pi = (u[:, 0] * _TWOPI).tolist()
+        log_u = np.fromiter(map(math.log, (1.0 - u[:, 1]).tolist()), float, pairs)
+        g2rad = np.sqrt(-2.0 * log_u)
+        normal = np.empty((pairs, 2))
+        normal[:, 0] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+        normal[:, 1] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+        normal = normal.ravel()
+        z[start:] = normal[:count]
+        if count % 2:
+            rng.gauss_next = float(normal[count])
+    return 1.0 + z * sigma
 
 
 @dataclass(frozen=True)
@@ -108,7 +162,9 @@ class SensingInterface:
         core's power, then its eleven counters.  A slot whose value or
         whose model's sigma is zero takes no draw; every other slot
         takes one ``gauss(1.0, sigma)``, clipped to ``[1 - clip,
-        1 + clip]``, as its multiplier.  The three cycle counters of a
+        1 + clip]``, as its multiplier.  The window's draws are made as
+        one :func:`gauss_batch`, which gives those calls' values and
+        RNG state.  The three cycle counters of a
         bank are then rescaled so ``cy_busy + cy_idle + cy_sleep``
         matches the true total exactly: the cycle budget is anchored to
         the core clock and the window, so a sensor may mis-split it but
@@ -136,8 +192,7 @@ class SensingInterface:
         sigma = np.where(is_power, pn.sigma, cn.sigma)
         drawn = np.flatnonzero((values != 0.0) & (sigma != 0.0))
         if len(drawn):
-            gauss = self._rng.gauss
-            draws = np.array([gauss(1.0, s) for s in sigma[drawn].tolist()])
+            draws = gauss_batch(self._rng, sigma[drawn])
             power_slot = is_power[drawn]
             lo = np.where(power_slot, 1.0 - pn.clip, 1.0 - cn.clip)
             hi = np.where(power_slot, 1.0 + pn.clip, 1.0 + cn.clip)

@@ -53,7 +53,7 @@ from repro.kernel.metrics import (
 )
 from repro.kernel.soa import SoaKernel
 from repro.kernel.task import Task, TaskState
-from repro.kernel.view import CoreView, SystemView, TaskView
+from repro.kernel.view import CoreView, SystemView, TaskView, new_record
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
 from repro.obs.log import get_logger
@@ -582,21 +582,26 @@ class System:
             for core_id in range(len(self.runqueues))
         ]
         utilization = engine.util.tolist()
+        # TaskView's fields in declaration order, scenario extras by
+        # keyword: TaskView(*row, **extras) without per-field setattr.
         task_views = [
-            TaskView(
-                tid=task.tid,
-                name=task.name,
-                core_id=task.core_id,
-                core_type=core_types[task.core_id],
-                weight=task.weight,
-                is_user=task.is_user,
-                utilization=utilization[task.tid],
-                counters=block,
-                rates=DerivedRates(*task_rates),
-                power_w=power_w,
-                busy_time_s=busy_time_s,
-                allowed_cores=task.behavior.allowed_cores,
-                **extras_by_tid.get(task.tid, {}),
+            new_record(
+                TaskView,
+                (
+                    task.tid,
+                    task.name,
+                    task.core_id,
+                    core_types[task.core_id],
+                    task.weight,
+                    task.is_user,
+                    utilization[task.tid],
+                    block,
+                    new_record(DerivedRates, task_rates),
+                    power_w,
+                    busy_time_s,
+                    task.behavior.allowed_cores,
+                ),
+                extras_by_tid.get(task.tid),
             )
             for task, block, task_rates, power_w, busy_time_s in zip(
                 live, task_blocks, rates, task_power_w, busy_s
@@ -629,20 +634,24 @@ class System:
                 if task.state is TaskState.ACTIVE:
                     nr_running += 1
                     load += task.weight * max(utilization[task.tid], 0.05)
+            # CoreView's fields in declaration order; the temperature
+            # is ambient on every core when the thermal model is off.
             core_views.append(
-                CoreView(
-                    core_id=core_id,
-                    core_type=core_type,
-                    cluster=queue.core.cluster,
-                    power_w=core_power_w[core_id],
-                    idle_power_w=idle_sleep[0],
-                    sleep_power_w=idle_sleep[1],
-                    counters=core_blocks[core_id],
-                    nr_running=nr_running,
-                    load=load,
-                    # Ambient on every core when the thermal model is off.
-                    temperature_c=temperature[core_id],
-                    online=self._online[core_id],
+                new_record(
+                    CoreView,
+                    (
+                        core_id,
+                        core_type,
+                        queue.core.cluster,
+                        core_power_w[core_id],
+                        idle_sleep[0],
+                        idle_sleep[1],
+                        core_blocks[core_id],
+                        nr_running,
+                        load,
+                        temperature[core_id],
+                        self._online[core_id],
+                    ),
                 )
             )
         return SystemView(

@@ -919,10 +919,14 @@ class SoaKernel:
         self.q_total_sleep += inc.sleep_q
 
         # Exits: flip state eagerly so queue membership checks stay valid.
+        # A thread can retire its last instruction mid-warm-up; it never
+        # runs again, so its warm-up is dropped rather than left to keep
+        # every later period off the steady path.
         if exited is not None and exited.any():
             for t in np.nonzero(exited)[0].tolist():
                 self.tasks[t].state = TaskState.EXITED
             self.active[exited] = False
+            self.warmup[exited] = 0.0
             self._struct_ver += 1
 
         # Re-position multi-segment tasks at their new progress, then

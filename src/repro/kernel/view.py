@@ -19,7 +19,8 @@ assert that no ground-truth phase objects leak through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.hardware.counters import CounterBlock, DerivedRates
 from repro.hardware.features import CoreType
@@ -124,3 +125,52 @@ class SystemView:
             if core.core_id == core_id:
                 return core
         raise KeyError(f"no core with id {core_id}")
+
+
+#: Per record class: a template of its fields in declaration order,
+#: each holding its default (``MISSING`` if it has none), and the
+#: number of leading fields without a default.
+_LAYOUTS: "dict[type, tuple[dict[str, Any], int]]" = {}
+
+
+def _layout(cls: type) -> "tuple[dict[str, Any], int]":
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(
+            f"{cls.__name__} defines __post_init__, which new_record would skip"
+        )
+    template = {field.name: field.default for field in fields(cls)}
+    # A field without a default never follows one with a default.
+    layout = _LAYOUTS[cls] = (template, list(template.values()).count(MISSING))
+    return layout
+
+
+def new_record(
+    cls: type, row: Sequence[Any], extras: Optional[Mapping[str, Any]] = None
+) -> Any:
+    """``cls(*row, **extras)`` for a dataclass, without its ``__init__``.
+
+    A frozen dataclass's ``__init__`` stores each field through
+    ``object.__setattr__``, and ``build_view`` makes a :class:`TaskView`
+    and a :class:`DerivedRates` per thread in every view.  A ``row``
+    that sets every field without a default builds the instance with
+    ``object.__new__`` and one ``__dict__`` update, fields in
+    declaration order, so ``==``, ``repr``, ``hash``,
+    ``dataclasses.replace`` and ``asdict`` see the record the
+    constructor would make.  Keyword ``extras`` (scenario observables)
+    and a row of the wrong length go through the constructor itself,
+    so they bind and fail (``TypeError``) exactly as it does.  A class
+    with ``__post_init__`` is refused, since skipping ``__init__``
+    would skip it.
+    """
+    template, n_required = _LAYOUTS.get(cls) or _layout(cls)
+    if extras or not n_required <= len(row) <= len(template):
+        return cls(*row, **(extras or {}))
+    if len(row) == len(template):
+        state: Any = zip(template, row)
+    else:
+        # The trailing fields keep their defaults.
+        state = template.copy()
+        state.update(zip(template, row))
+    record = object.__new__(cls)
+    record.__dict__.update(state)
+    return record

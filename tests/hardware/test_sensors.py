@@ -9,7 +9,12 @@ import pytest
 from repro.hardware import microarch
 from repro.hardware.counters import COUNT_FIELDS, CounterBlock
 from repro.hardware.features import BIG
-from repro.hardware.sensors import IDEAL_NOISE, NoiseModel, SensingInterface
+from repro.hardware.sensors import (
+    IDEAL_NOISE,
+    NoiseModel,
+    SensingInterface,
+    gauss_batch,
+)
 from repro.workload.characteristics import COMPUTE_PHASE
 
 
@@ -141,6 +146,55 @@ class TestSensingInterface:
         assert sensing._rng.getstate() == rng.getstate()
 
 
+class TestGaussBatch:
+    """``gauss_batch`` against ``Random.gauss`` on the running
+    interpreter: the same floats, bit for bit, and the same RNG state,
+    ``gauss_next`` included, after every batch."""
+
+    @staticmethod
+    def assert_same(batch, scalar):
+        assert np.asarray(batch).tobytes() == np.asarray(scalar).tobytes()
+
+    @staticmethod
+    def sigmas(n, rng):
+        """Mixed sigmas: the two default models and arbitrary ones."""
+        return np.array([rng.choice((0.015, 0.025, rng.random())) for _ in range(n)])
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 10, 101, 1600])
+    def test_matches_scalar_calls(self, n, pending):
+        sigma = self.sigmas(n, random.Random(n))
+        batched, scalar = random.Random(42), random.Random(42)
+        if pending:
+            assert batched.gauss(0.0, 1.0) == scalar.gauss(0.0, 1.0)
+            assert scalar.gauss_next is not None
+        expected = [scalar.gauss(1.0, s) for s in sigma.tolist()]
+        self.assert_same(gauss_batch(batched, sigma), expected)
+        assert batched.getstate() == scalar.getstate()
+
+    def test_empty_batch_keeps_pending_value(self):
+        rng = random.Random(1)
+        rng.gauss(0.0, 1.0)
+        before = rng.getstate()
+        assert len(gauss_batch(rng, np.empty(0))) == 0
+        assert rng.getstate() == before
+        assert rng.gauss_next is not None
+
+    def test_interleaved_with_scalar_calls(self):
+        """Batches of every parity between scalar gauss calls: the
+        pending sine passes both ways."""
+        plan = random.Random(5)
+        batched, scalar = random.Random(9), random.Random(9)
+        for _ in range(300):
+            if plan.random() < 0.3:
+                assert batched.gauss(1.0, 0.5) == scalar.gauss(1.0, 0.5)
+            else:
+                sigma = self.sigmas(plan.randrange(12), plan)
+                expected = [scalar.gauss(1.0, s) for s in sigma.tolist()]
+                self.assert_same(gauss_batch(batched, sigma), expected)
+            assert batched.getstate() == scalar.getstate()
+
+
 # ----------------------------------------------------------------------
 # Property tests (hypothesis)
 # ----------------------------------------------------------------------
@@ -158,6 +212,26 @@ def read_flat(value, model, seed):
     sensing = SensingInterface(counter_noise=model, power_noise=model, seed=seed)
     noisy, power = read_task(sensing, block, power_w=value)
     return list(astuple(noisy)[EVENT_REGISTERS]) + [power]
+
+
+class TestGaussBatchProperties:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        warm=st.integers(min_value=0, max_value=3),
+        sizes=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+        sigma=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @settings(max_examples=200)
+    def test_batches_equal_scalar_calls(self, seed, warm, sizes, sigma):
+        batched, scalar = random.Random(seed), random.Random(seed)
+        for _ in range(warm):
+            assert batched.gauss(0.0, 1.0) == scalar.gauss(0.0, 1.0)
+        for size in sizes:
+            sigmas = np.full(size, sigma)
+            expected = [scalar.gauss(1.0, sigma) for _ in range(size)]
+            got = gauss_batch(batched, sigmas)
+            assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+            assert batched.getstate() == scalar.getstate()
 
 
 class TestNoiseModelProperties:

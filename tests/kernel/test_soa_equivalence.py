@@ -25,9 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_kernel import reference_kernel
+from reference_kernel import kernel_engine, reference_kernel
 from repro.faults import SCENARIOS, scenario
+from repro.hardware.platform import quad_hmp
 from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.soa import SoaKernel
+from repro.kernel.task import TaskState
 from repro.runner.factories import make_balancer, make_platform, make_workload
 from repro.runner.serialize import metrics_digest
 from repro.workload.characteristics import (
@@ -36,7 +39,7 @@ from repro.workload.characteristics import (
     PEAK_PHASE,
 )
 from repro.workload.phases import PhaseSchedule, PhaseSegment
-from repro.workload.thread import ThreadBehavior
+from repro.workload.thread import ThreadBehavior, steady_thread
 
 PHASES = (PEAK_PHASE, COMPUTE_PHASE, MEMORY_PHASE)
 
@@ -379,6 +382,53 @@ class TestScenarioEquivalence:
             n_epochs=3,
             seed=3,
         )
+
+
+class TestFastPathExit:
+    """A thread whose one-step slice retires exactly its remaining
+    instructions exits on the SoA fast path (``SoaKernel._apply``),
+    not through the scalar slow path, and both kernels agree."""
+
+    @staticmethod
+    def build(total, period_s):
+        return System(
+            quad_hmp(),
+            [steady_thread("t", COMPUTE_PHASE, total_instructions=total)],
+            make_balancer("none"),
+            SimulationConfig(period_s=period_s),
+        )
+
+    def test_exact_slice_exits_on_the_fast_path(self):
+        slow = []
+
+        class Counting(SoaKernel):
+            def _execute_slow(self, t, *args):
+                slow.append(t)
+                return super()._execute_slow(t, *args)
+
+        # Whether total / IPS rounds below the grant depends on the
+        # operands; try neighbouring grants until the slice stays on
+        # the one-step path.
+        for k in range(20):
+            period_s = 0.006 + k * 1e-6
+            probe = self.build(None, period_s)
+            probe.engine.simulate_period(period_s)
+            total = float(probe.engine.progress[0])
+            slow.clear()
+            with kernel_engine(Counting):
+                system = self.build(total, period_s)
+            system.engine.simulate_period(period_s)
+            if not slow:
+                break
+        else:
+            pytest.fail("no grant kept the exact slice on the fast path")
+        assert system.tasks[0].state is TaskState.EXITED
+        assert system.engine.total_instr[0] == total
+
+        soa = metrics_digest(self.build(total, period_s).run(n_epochs=1))
+        with reference_kernel():
+            reference = self.build(total, period_s)
+        assert soa == metrics_digest(reference.run(n_epochs=1))
 
 
 class TestPlatformPresets:

@@ -13,12 +13,18 @@ reaches the digest lives in ``test_soa_mutation.py``.
 
 import pytest
 
-from reference_kernel import NoReplayKernel, kernel_engine
-from repro.kernel.simulator import SimulationConfig
+from reference_kernel import NoReplayKernel, kernel_engine, reference_kernel
+from repro.hardware.platform import quad_hmp
+from repro.kernel.balancers.base import NullBalancer
+from repro.kernel.cfs import CACHE_WARMUP_S
+from repro.kernel.simulator import SimulationConfig, System
 from repro.kernel.soa import SoaKernel
+from repro.kernel.task import TaskState
 from repro.runner.engine import execute_spec
 from repro.runner.serialize import metrics_digest
 from repro.runner.spec import RunSpec
+from repro.workload.characteristics import COMPUTE_PHASE
+from repro.workload.thread import steady_thread
 
 
 def run(spec, engine_cls=SoaKernel):
@@ -113,3 +119,40 @@ def test_thermal_and_smt_periods_never_replay(name):
     _, steady, periods = run(spec)
     assert periods > 0
     assert steady == 0
+
+
+def test_exit_mid_warm_up_leaves_no_warm_up():
+    """A thread that retires its last instruction before its migration
+    warm-up has decayed drops the rest of it: an exited thread never
+    runs again, so the periods after its exit replay instead of taking
+    the full path for the rest of the run, and the digest stays the
+    reference kernel's."""
+
+    def build():
+        system = System(
+            quad_hmp(),
+            [
+                steady_thread("short", COMPUTE_PHASE, total_instructions=1e6),
+                steady_thread("long", COMPUTE_PHASE),
+            ],
+            NullBalancer(),
+        )
+        system.migrate(system.tasks[0], 2)
+        return system
+
+    system = build()
+    engine = system.engine
+    engine.simulate_period(system.config.period_s)
+    assert system.tasks[0].state is TaskState.EXITED
+    assert engine.total_busy[0] < CACHE_WARMUP_S
+    assert engine.warmup[0] == 0.0
+
+    system = build()
+    digest = metrics_digest(system.run(n_epochs=1))
+    # The exit period is warm and the next one has a new key; every
+    # later period replays.
+    periods = system.config.periods_per_epoch
+    assert system.engine.steady_periods == periods - 2
+    with reference_kernel():
+        reference = build()
+    assert digest == metrics_digest(reference.run(n_epochs=1))

@@ -1,12 +1,17 @@
 """Tests for the SystemView observable boundary."""
 
+from dataclasses import FrozenInstanceError, asdict, astuple, dataclass, replace
+
 import pytest
 
+from repro.hardware.counters import DerivedRates
 from repro.hardware.platform import big_little_octa, quad_hmp
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.view import CoreView, TaskView, new_record
 from repro.runner.engine import execute_spec
 from repro.runner.spec import RunSpec
+from repro.scenarios.runtime import ScenarioRuntime
 from repro.workload.synthetic import imb_threads
 
 
@@ -132,3 +137,108 @@ class TestTaskCoreType:
         assert scaled, "no view taken after an OPP change"
         for view, _ in recorded:
             self.assert_consistent(view)
+
+
+class TestNewRecord:
+    """``new_record(cls, row, extras)`` builds the record that
+    ``cls(*row, **extras)`` builds, and fails where it fails."""
+
+    @pytest.fixture(scope="class")
+    def view(self):
+        return view_for(n_threads=6)
+
+    @staticmethod
+    def assert_same_record(built, constructed):
+        assert type(built) is type(constructed)
+        assert built == constructed
+        assert repr(built) == repr(constructed)
+        assert asdict(built) == asdict(constructed)
+        assert list(vars(built)) == list(vars(constructed))
+
+    @staticmethod
+    def task_row(task):
+        """The TaskView fields build_view passes by position."""
+        return tuple(vars(task).values())[:12]
+
+    def test_matches_constructor(self, view):
+        for task in view.tasks:
+            rates = new_record(DerivedRates, astuple(task.rates))
+            self.assert_same_record(rates, DerivedRates(*astuple(task.rates)))
+            assert hash(rates) == hash(task.rates)
+            row = self.task_row(task)
+            self.assert_same_record(new_record(TaskView, row), TaskView(*row))
+        for core in view.cores:
+            row = tuple(vars(core).values())
+            self.assert_same_record(new_record(CoreView, row), CoreView(*row))
+
+    def test_replace_and_frozen(self, view):
+        row = self.task_row(view.tasks[0])
+        built = new_record(TaskView, row)
+        moved = replace(built, core_id=3, progress_frac=0.5)
+        assert moved == replace(TaskView(*row), core_id=3, progress_frac=0.5)
+        assert (built.core_id, built.progress_frac) == (row[2], None)
+        with pytest.raises(FrozenInstanceError):
+            built.core_id = 2
+        with pytest.raises(FrozenInstanceError):
+            built.rates.ipc = 0.0
+
+    @pytest.mark.parametrize(
+        "extras", [{"bogus": 1}, {"tid": 5}, {"allowed_cores": None}]
+    )
+    def test_bad_extras_raise_like_the_constructor(self, view, extras):
+        row = self.task_row(view.tasks[0])
+        with pytest.raises(TypeError):
+            TaskView(*row, **extras)
+        with pytest.raises(TypeError):
+            new_record(TaskView, row, extras)
+
+    def test_wrong_value_counts_raise(self, view):
+        row = astuple(view.tasks[0].rates)
+        with pytest.raises(TypeError):
+            new_record(DerivedRates, row + (1.0,))
+        with pytest.raises(TypeError):
+            new_record(DerivedRates, row[:-1])
+
+    def test_post_init_is_refused(self):
+        @dataclass(frozen=True)
+        class Checked:
+            value: float
+
+            def __post_init__(self):
+                if self.value < 0:
+                    raise ValueError("negative")
+
+        with pytest.raises(TypeError, match="__post_init__"):
+            new_record(Checked, (1.0,))
+
+    @pytest.mark.parametrize(
+        "extras", [{"bogus": 1.0}, {"tid": 5}, {"utilization": 0.5}]
+    )
+    def test_build_view_rejects_bad_scenario_extras(self, extras):
+        """A scenario observable that is no TaskView field, or one that
+        build_view sets itself, fails the view with TypeError."""
+
+        class Extras(ScenarioRuntime):
+            def task_extras(self, system):
+                return {0: dict(extras)}
+
+        system = System(
+            quad_hmp(), imb_threads("MTMI", 2), NullBalancer(), scenario=Extras()
+        )
+        with pytest.raises(TypeError):
+            system.build_view(window_s=0.006)
+
+    def test_build_view_applies_scenario_extras(self):
+        class Slack(ScenarioRuntime):
+            def task_extras(self, system):
+                return {1: {"slo_slack_frac": 0.25}}
+
+        system = System(
+            quad_hmp(), imb_threads("MTMI", 2), NullBalancer(), scenario=Slack()
+        )
+        system.run(n_epochs=1)
+        view = system.build_view(window_s=0.06)
+        assert [t.slo_slack_frac for t in view.tasks] == [None, 0.25]
+        assert [t.progress_frac for t in view.tasks] == [None, None]
+        task = view.tasks[1]
+        assert task == TaskView(*self.task_row(task), slo_slack_frac=0.25)
