@@ -85,13 +85,10 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
             CoreView(
                 core_id=core.core_id,
                 core_type=core_type,
-                cluster=core.cluster,
                 power_w=power_model.idle_power(core_type).total_w,
                 idle_power_w=power_model.idle_power(core_type).total_w,
                 sleep_power_w=power_model.sleep_power(core_type),
                 counters=CounterBlock(),
-                nr_running=0,
-                load=0.0,
             )
         )
     return SystemView(

@@ -56,7 +56,7 @@ def normalize_thread(task: TaskView, nominal: CoreType) -> TaskView:
     """Re-express one scaled-OPP measurement in the nominal frame.
 
     Identity when the task was already measured at nominal — the
-    common case returns the frozen task view untouched.
+    common case returns the (immutable) task view itself.
 
     The inverse laws: ``ips_nom = ips / r`` (IPC invariant, so the
     clock identity ``ips_nom / ipc ≈ f_nom`` still holds and throttle
@@ -76,10 +76,9 @@ def normalize_thread(task: TaskView, nominal: CoreType) -> TaskView:
     power_w = task.power_w
     if power_w > 0:
         power_w = max((power_w - leak_applied) / s + leak_nominal, 0.0)
-    return replace(
-        task,
+    return task._replace(
         core_type=nominal,
-        rates=replace(task.rates, ips=task.rates.ips / r),
+        rates=task.rates._replace(ips=task.rates.ips / r),
         utilization=min(task.utilization * r, 1.0),
         power_w=power_w,
     )
@@ -103,8 +102,7 @@ def normalize_view(
         normalize_thread(t, nominal_by_core[t.core_id]) for t in view.tasks
     )
     cores = tuple(
-        replace(
-            core,
+        core._replace(
             core_type=nominal_by_core[core.core_id],
             idle_power_w=idle_w,
             sleep_power_w=sleep_w,

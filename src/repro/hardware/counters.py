@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +157,7 @@ def apply_saturation(block: CounterBlock, ceiling: float) -> int:
     return clamped
 
 
-@dataclass(frozen=True)
-class DerivedRates:
+class DerivedRates(NamedTuple):
     """Per-epoch rates derived from a :class:`CounterBlock`.
 
     ``ipc`` counts only non-sleep cycles; ``ips`` is instructions per

@@ -82,11 +82,12 @@ class IksBalancer(LoadBalancer):
             core_to_pair[little] = index
 
         pair_util = [0.0] * len(pairs)
-        pair_tasks: list[list[int]] = [[] for _ in pairs]
+        # Per pair: the (tid, core_id) of each task on it.
+        pair_tasks: list[list[tuple[int, int]]] = [[] for _ in pairs]
         for task in view.tasks:
             pair = core_to_pair[task.core_id]
             pair_util[pair] += task.utilization * task.weight
-            pair_tasks[pair].append(task.tid)
+            pair_tasks[pair].append((task.tid, task.core_id))
 
         placement: Placement = {}
         for index, (big, little) in enumerate(pairs):
@@ -97,8 +98,7 @@ class IksBalancer(LoadBalancer):
                 if pair_util[index] > self.up_threshold:
                     self._big_active[index] = True
             active = big if self._big_active[index] else little
-            for tid in pair_tasks[index]:
-                current = view.placement[tid]
+            for tid, current in pair_tasks[index]:
                 if current != active:
                     placement[tid] = active
         return placement or None

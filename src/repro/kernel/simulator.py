@@ -53,7 +53,7 @@ from repro.kernel.metrics import (
 )
 from repro.kernel.soa import SoaKernel
 from repro.kernel.task import Task, TaskState
-from repro.kernel.view import CoreView, SystemView, TaskView, new_record
+from repro.kernel.view import CoreView, SystemView, TaskView
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
 from repro.obs.log import get_logger
@@ -582,26 +582,23 @@ class System:
             for core_id in range(len(self.runqueues))
         ]
         utilization = engine.util.tolist()
-        # TaskView's fields in declaration order, scenario extras by
-        # keyword: TaskView(*row, **extras) without per-field setattr.
+        # Scenario extras go by keyword: one that is no field, or that
+        # is set here, raises TypeError.
         task_views = [
-            new_record(
-                TaskView,
-                (
-                    task.tid,
-                    task.name,
-                    task.core_id,
-                    core_types[task.core_id],
-                    task.weight,
-                    task.is_user,
-                    utilization[task.tid],
-                    block,
-                    new_record(DerivedRates, task_rates),
-                    power_w,
-                    busy_time_s,
-                    task.behavior.allowed_cores,
-                ),
-                extras_by_tid.get(task.tid),
+            TaskView(
+                task.tid,
+                task.name,
+                task.core_id,
+                core_types[task.core_id],
+                task.weight,
+                task.is_user,
+                utilization[task.tid],
+                block,
+                DerivedRates(*task_rates),
+                power_w,
+                busy_time_s,
+                task.behavior.allowed_cores,
+                **extras_by_tid.get(task.tid, {}),
             )
             for task, block, task_rates, power_w, busy_time_s in zip(
                 live, task_blocks, rates, task_power_w, busy_s
@@ -614,10 +611,11 @@ class System:
         # lookup per distinct core type.
         shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
         firmware: "dict[object, tuple[float, float]]" = {}
+        # The temperature is ambient on every core when the thermal
+        # model is off.
         temperature = engine.thermal_temp.tolist()
         core_views = []
-        for core_id, queue in enumerate(self.runqueues):
-            core_type = core_types[core_id]
+        for core_id, core_type in enumerate(core_types):
             idle_sleep = firmware.get(core_type)
             if idle_sleep is None:
                 sleep = power_model.sleep_power(core_type)
@@ -626,32 +624,16 @@ class System:
                     + (1.0 - shallow_frac) * sleep,
                     sleep,
                 )
-            # Run-queue statistics in one walk; the load is summed in
-            # queue order, as CfsRunQueue.load sums it.
-            nr_running = 0
-            load = 0
-            for task in queue.tasks:
-                if task.state is TaskState.ACTIVE:
-                    nr_running += 1
-                    load += task.weight * max(utilization[task.tid], 0.05)
-            # CoreView's fields in declaration order; the temperature
-            # is ambient on every core when the thermal model is off.
             core_views.append(
-                new_record(
-                    CoreView,
-                    (
-                        core_id,
-                        core_type,
-                        queue.core.cluster,
-                        core_power_w[core_id],
-                        idle_sleep[0],
-                        idle_sleep[1],
-                        core_blocks[core_id],
-                        nr_running,
-                        load,
-                        temperature[core_id],
-                        self._online[core_id],
-                    ),
+                CoreView(
+                    core_id,
+                    core_type,
+                    core_power_w[core_id],
+                    idle_sleep[0],
+                    idle_sleep[1],
+                    core_blocks[core_id],
+                    temperature[core_id],
+                    self._online[core_id],
                 )
             )
         return SystemView(

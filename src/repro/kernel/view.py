@@ -19,16 +19,15 @@ assert that no ground-truth phase objects leak through it.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hardware.counters import CounterBlock, DerivedRates
 from repro.hardware.features import CoreType
 from repro.hardware.platform import Platform
 
 
-@dataclass(frozen=True)
-class TaskView:
+class TaskView(NamedTuple):
     """Observed state of one task over the last sensing window.
 
     This is the sense phase's per-thread record (Section 4.1):
@@ -72,13 +71,15 @@ class TaskView:
         return self.busy_time_s > 0 and self.counters.instructions > 0
 
 
-@dataclass(frozen=True)
-class CoreView:
-    """Observed state of one core over the last sensing window."""
+class CoreView(NamedTuple):
+    """Observed state of one core over the last sensing window.
+
+    A core's cluster is ``view.platform[core_id].cluster``; the threads
+    on it are the :class:`TaskView` records with its ``core_id``.
+    """
 
     core_id: int
     core_type: CoreType
-    cluster: str
     #: Measured average power over the window (W), from the sensor.
     power_w: float
     #: Idle and sleep power from firmware tables (W).
@@ -86,9 +87,6 @@ class CoreView:
     sleep_power_w: float
     #: Noisy per-core counter snapshot.
     counters: CounterBlock
-    #: Run-queue statistics (exact — kernel bookkeeping).
-    nr_running: int
-    load: float
     #: Core temperature (deg C) from the thermal sensor; ambient when
     #: the thermal model is disabled.
     temperature_c: float = 45.0
@@ -99,7 +97,11 @@ class CoreView:
 
 @dataclass(frozen=True)
 class SystemView:
-    """Everything a balancer may observe at a rebalancing point."""
+    """Everything a balancer may observe at a rebalancing point.
+
+    ``cores`` lists every core in id order, so ``cores[core_id]`` is
+    that core's record.
+    """
 
     epoch_index: int
     time_s: float
@@ -109,68 +111,5 @@ class SystemView:
     cores: tuple[CoreView, ...]
 
     @property
-    def placement(self) -> dict[int, int]:
-        """Current ``tid -> core_id`` mapping."""
-        return {t.tid: t.core_id for t in self.tasks}
-
-    @property
     def user_tasks(self) -> tuple[TaskView, ...]:
         return tuple(t for t in self.tasks if t.is_user)
-
-    def tasks_on_core(self, core_id: int) -> tuple[TaskView, ...]:
-        return tuple(t for t in self.tasks if t.core_id == core_id)
-
-    def core(self, core_id: int) -> CoreView:
-        for core in self.cores:
-            if core.core_id == core_id:
-                return core
-        raise KeyError(f"no core with id {core_id}")
-
-
-#: Per record class: a template of its fields in declaration order,
-#: each holding its default (``MISSING`` if it has none), and the
-#: number of leading fields without a default.
-_LAYOUTS: "dict[type, tuple[dict[str, Any], int]]" = {}
-
-
-def _layout(cls: type) -> "tuple[dict[str, Any], int]":
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(
-            f"{cls.__name__} defines __post_init__, which new_record would skip"
-        )
-    template = {field.name: field.default for field in fields(cls)}
-    # A field without a default never follows one with a default.
-    layout = _LAYOUTS[cls] = (template, list(template.values()).count(MISSING))
-    return layout
-
-
-def new_record(
-    cls: type, row: Sequence[Any], extras: Optional[Mapping[str, Any]] = None
-) -> Any:
-    """``cls(*row, **extras)`` for a dataclass, without its ``__init__``.
-
-    A frozen dataclass's ``__init__`` stores each field through
-    ``object.__setattr__``, and ``build_view`` makes a :class:`TaskView`
-    and a :class:`DerivedRates` per thread in every view.  A ``row``
-    that sets every field without a default builds the instance with
-    ``object.__new__`` and one ``__dict__`` update, fields in
-    declaration order, so ``==``, ``repr``, ``hash``,
-    ``dataclasses.replace`` and ``asdict`` see the record the
-    constructor would make.  Keyword ``extras`` (scenario observables)
-    and a row of the wrong length go through the constructor itself,
-    so they bind and fail (``TypeError``) exactly as it does.  A class
-    with ``__post_init__`` is refused, since skipping ``__init__``
-    would skip it.
-    """
-    template, n_required = _LAYOUTS.get(cls) or _layout(cls)
-    if extras or not n_required <= len(row) <= len(template):
-        return cls(*row, **(extras or {}))
-    if len(row) == len(template):
-        state: Any = zip(template, row)
-    else:
-        # The trailing fields keep their defaults.
-        state = template.copy()
-        state.update(zip(template, row))
-    record = object.__new__(cls)
-    record.__dict__.update(state)
-    return record

@@ -175,7 +175,7 @@ from repro.core.sensing import observation_fault
 def corrupt_task(view, index=0, **overrides):
     """Return a copy of ``view`` with one task's fields overridden."""
     tasks = list(view.tasks)
-    tasks[index] = replace(tasks[index], **overrides)
+    tasks[index] = tasks[index]._replace(**overrides)
     return replace(view, tasks=tuple(tasks))
 
 
@@ -203,12 +203,12 @@ class TestObservationFault:
 
     def test_impossible_ipc_rejected(self):
         obs = observation_from(synthetic_view(4, 4, seed=1))
-        bad = replace(obs, rates=replace(obs.rates, ipc=100.0))
+        bad = obs._replace(rates=obs.rates._replace(ipc=100.0))
         assert observation_fault(bad) == "impossible IPC"
 
     def test_ratio_outside_unit_interval_rejected(self):
         obs = observation_from(synthetic_view(4, 4, seed=1))
-        bad = replace(obs, rates=replace(obs.rates, mem_share=15.0))
+        bad = obs._replace(rates=obs.rates._replace(mem_share=15.0))
         assert observation_fault(bad) == "rate outside [0, 1]"
 
     def test_clock_identity_violation_rejected(self):
@@ -217,7 +217,7 @@ class TestObservationFault:
         obs = observation_from(synthetic_view(4, 4, seed=1))
         # x3 keeps the IPC itself plausible while the implied clock
         # (ips/ipc = f/3) deviates 67 % from the nominal frequency.
-        bad = replace(obs, rates=replace(obs.rates, ipc=obs.rates.ipc * 3.0))
+        bad = obs._replace(rates=obs.rates._replace(ipc=obs.rates.ipc * 3.0))
         assert observation_fault(bad) == "cycle/clock identity violated"
 
 
@@ -235,9 +235,7 @@ class TestAdversarialViews:
 
     def test_all_cores_offline_but_one(self, monkeypatch):
         view = synthetic_view(4, 6, seed=4)
-        cores = tuple(
-            replace(c, online=(c.core_id == 1)) for c in view.cores
-        )
+        cores = tuple(c._replace(online=(c.core_id == 1)) for c in view.cores)
         view = replace(view, cores=cores)
         monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
         eng = engine()
@@ -248,7 +246,7 @@ class TestAdversarialViews:
 
     def test_hotplug_unaware_engine_ignores_offline(self):
         view = synthetic_view(4, 6, seed=4)
-        cores = tuple(replace(c, online=(c.core_id == 1)) for c in view.cores)
+        cores = tuple(c._replace(online=(c.core_id == 1)) for c in view.cores)
         view = replace(view, cores=cores)
         eng = engine(mitigations=False)
         eng.decide(view)

@@ -81,8 +81,8 @@ class TestResilienceConfig:
 
         view = synthetic_view(4, 4, seed=10)
         tasks = list(view.tasks)
-        tasks[0] = replace(tasks[0], power_w=1e9)
-        cores = tuple(replace(c, online=c.core_id != 3) for c in view.cores)
+        tasks[0] = tasks[0]._replace(power_w=1e9)
+        cores = tuple(c._replace(online=c.core_id != 3) for c in view.cores)
         view = replace(view, tasks=tuple(tasks), cores=cores)
         balancer = SmartBalance(config=SmartBalanceConfig(mitigations=False))
         decision = balancer.decide(view)

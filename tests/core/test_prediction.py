@@ -157,9 +157,7 @@ class TestMatrixBuilder:
             observation_for(COMPUTE_PHASE, HUGE, tid=0),
             observation_for(MEMORY_PHASE, SMALL, tid=1),
         ]
-        observations[1] = observations[1].__class__(
-            **{**observations[1].__dict__, "core_id": 3}
-        )
+        observations[1] = observations[1]._replace(core_id=3)
         cores = [t for t in TABLE2_TYPES]
         matrices = MatrixBuilder(model).build(observations, cores)
         assert matrices.ips.shape == (2, 4)
@@ -198,9 +196,7 @@ class TestMatrixBuilder:
 
     def test_unmeasured_thread_rejected(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE)
-        empty = obs.__class__(
-            **{**obs.__dict__, "busy_time_s": 0.0, "counters": CounterBlock()}
-        )
+        empty = obs._replace(busy_time_s=0.0, counters=CounterBlock())
         with pytest.raises(ValueError, match="no measurement"):
             MatrixBuilder(model).build([empty], list(TABLE2_TYPES))
 

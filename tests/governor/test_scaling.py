@@ -1,7 +1,5 @@
 """Frequency-conditioning laws: normalisation inverts OPP scaling."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,7 +42,7 @@ def observation_at(core_type, ips, utilization, power_w, tid=1, core_id=0):
         is_user=True,
         utilization=utilization,
         counters=CounterBlock(instructions=ips * 0.004, busy_time_s=0.004),
-        rates=replace(RATES, ips=ips),
+        rates=RATES._replace(ips=ips),
         power_w=power_w,
         busy_time_s=0.004,
     )
@@ -139,11 +137,11 @@ class TestNormalizeThread:
         nominal = BIG
         applied = type_at_opp(nominal, opp_table(nominal, 4)[1])
         obs = observation_at(applied, ips=1e9, utilization=0.5, power_w=1.0)
-        obs = replace(obs, allowed_cores=frozenset({0, 2}))
+        obs = obs._replace(allowed_cores=frozenset({0, 2}))
         recovered = normalize_thread(obs, nominal)
         assert recovered.tid == obs.tid
         assert recovered.counters is obs.counters
-        assert replace(recovered.rates, ips=obs.rates.ips) == obs.rates
+        assert recovered.rates._replace(ips=obs.rates.ips) == obs.rates
         assert recovered.busy_time_s == obs.busy_time_s
         assert recovered.allowed_cores == frozenset({0, 2})
 
@@ -162,13 +160,10 @@ def view_at(applied_by_core):
         CoreView(
             core_id=core.core_id,
             core_type=applied,
-            cluster=core.cluster,
             power_w=1.0,
             idle_power_w=power_model.idle_power(applied).total_w,
             sleep_power_w=power_model.sleep_power(applied),
             counters=CounterBlock(),
-            nr_running=1,
-            load=1.0,
         )
         for core, applied in zip(platform, applied_by_core)
     )
@@ -212,4 +207,4 @@ class TestNormalizeView:
         assert view.cores[1].idle_power_w != self.IDLE[1]
         assert view.cores[1].sleep_power_w != self.SLEEP[1]
         for task in normalized.tasks:
-            assert task.core_type == normalized.core(task.core_id).core_type
+            assert task.core_type == normalized.cores[task.core_id].core_type

@@ -202,15 +202,12 @@ def build_view(system, window_s: float) -> SystemView:
             CoreView(
                 core_id=core_id,
                 core_type=core_type,
-                cluster=queue.core.cluster,
                 power_w=read_power(sensing, avg_power, owner, faults),
                 idle_power_w=effective_idle,
                 sleep_power_w=power_model.sleep_power(core_type),
                 counters=read_counters(
                     sensing, CounterBlock(*core_counters[core_id]), owner, faults
                 ),
-                nr_running=len(queue.runnable_tasks()),
-                load=queue.load(utilization),
                 temperature_c=temperature[core_id],
                 online=system._online[core_id],
             )

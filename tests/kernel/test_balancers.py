@@ -41,13 +41,10 @@ def make_view(platform, placements, utils=None):
             CoreView(
                 core_id=core.core_id,
                 core_type=t,
-                cluster=core.cluster,
                 power_w=0.0,
                 idle_power_w=power_model.idle_power(t).total_w,
                 sleep_power_w=power_model.sleep_power(t),
                 counters=CounterBlock(),
-                nr_running=sum(1 for c in placements.values() if c == core.core_id),
-                load=0.0,
             )
         )
     return SystemView(

@@ -38,10 +38,10 @@ class PingPongMigrator(LoadBalancer):
     interval_periods = 1
 
     def rebalance(self, view):
-        current = view.placement.get(0)
-        if current is None:
-            return None
-        return {0: 1 if current == 0 else 0}
+        for task in view.tasks:
+            if task.tid == 0:
+                return {0: 1 if task.core_id == 0 else 0}
+        return None
 
 
 class TestMigrationMechanics:

@@ -263,14 +263,21 @@ class TestView:
                 assert task_view.power_w == pytest.approx(expected)
 
     def test_placement_map(self):
-        system = make_system()
+        """The view's tid -> core_id map is the kernel's placement, also
+        after threads have moved off their fork cores."""
+        system = make_system(6)
         system.run(n_epochs=1)
+        assert system.apply_placement({0: 3, 4: 2}) == 2
         view = system.build_view(window_s=0.06)
-        assert view.placement == {t.tid: t.core_id for t in view.tasks}
+        placement = {
+            task.tid: queue.core.core_id
+            for queue in system.runqueues
+            for task in queue.runnable_tasks()
+        }
+        assert {t.tid: t.core_id for t in view.tasks} == placement
 
     def test_core_lookup(self):
+        """``view.cores[core_id]`` is that core's record."""
         system = make_system()
         view = system.build_view(window_s=0.0)
-        assert view.core(2).core_id == 2
-        with pytest.raises(KeyError):
-            view.core(9)
+        assert [core.core_id for core in view.cores] == list(range(4))

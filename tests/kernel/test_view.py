@@ -1,14 +1,12 @@
 """Tests for the SystemView observable boundary."""
 
-from dataclasses import FrozenInstanceError, asdict, astuple, dataclass, replace
-
 import pytest
 
 from repro.hardware.counters import DerivedRates
 from repro.hardware.platform import big_little_octa, quad_hmp
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
-from repro.kernel.view import CoreView, TaskView, new_record
+from repro.kernel.view import CoreView, TaskView
 from repro.runner.engine import execute_spec
 from repro.runner.spec import RunSpec
 from repro.scenarios.runtime import ScenarioRuntime
@@ -33,23 +31,10 @@ class TestSystemViewHelpers:
         assert len(view.user_tasks) == 4
         assert all(t.is_user for t in view.user_tasks)
 
-    def test_tasks_on_core(self):
-        view = view_for(n_threads=8)
-        for core_id in range(4):
-            members = view.tasks_on_core(core_id)
-            assert all(t.core_id == core_id for t in members)
-        total = sum(len(view.tasks_on_core(c)) for c in range(4))
-        assert total == len(view.tasks)
-
-    def test_placement_consistent_with_tasks(self):
-        view = view_for()
-        for task in view.tasks:
-            assert view.placement[task.tid] == task.core_id
-
     def test_core_views_cover_platform(self):
         view = view_for(platform=big_little_octa(), n_threads=4)
-        assert len(view.cores) == 8
-        clusters = {c.cluster for c in view.cores}
+        assert [c.core_id for c in view.cores] == list(range(8))
+        clusters = {view.platform[c.core_id].cluster for c in view.cores}
         assert clusters == {"A15big", "A7little"}
 
     def test_has_measurement_semantics(self):
@@ -63,8 +48,8 @@ class TestSystemViewHelpers:
         """Loaded big cores read more power than the idle/sleeping
         leftovers."""
         view = view_for(n_threads=8)
-        huge = view.core(0)
-        small = view.core(3)
+        huge = view.cores[0]
+        small = view.cores[3]
         assert huge.power_w > small.power_w
 
     def test_window_metadata(self):
@@ -88,7 +73,7 @@ class TestTaskCoreType:
         def recording(system, window_s):
             view = build_view(system, window_s)
             throttled = any(
-                queue.core.core_type != view.core(queue.core.core_id).core_type
+                queue.core.core_type != view.cores[queue.core.core_id].core_type
                 for queue in system.runqueues
             )
             recorded.append((view, throttled))
@@ -100,7 +85,7 @@ class TestTaskCoreType:
     @staticmethod
     def assert_consistent(view):
         for task in view.tasks:
-            assert task.core_type == view.core(task.core_id).core_type
+            assert task.core_type == view.cores[task.core_id].core_type
 
     def test_thermal_throttle_is_invisible(self, monkeypatch):
         recorded, result = self.views_of(
@@ -140,79 +125,124 @@ class TestTaskCoreType:
 
 
 class TestNewRecord:
-    """``new_record(cls, row, extras)`` builds the record that
-    ``cls(*row, **extras)`` builds, and fails where it fails."""
+    """Every record build_view makes is a new immutable tuple, built by
+    its own constructor as ``cls(*row, **extras)``."""
+
+    @staticmethod
+    def records_of(view):
+        for task in view.tasks:
+            yield task
+            yield task.rates
+        yield from view.cores
+
+    @staticmethod
+    def task_row(task):
+        """The TaskView fields build_view passes by position."""
+        return tuple(task)[:12]
 
     @pytest.fixture(scope="class")
     def view(self):
         return view_for(n_threads=6)
 
-    @staticmethod
-    def assert_same_record(built, constructed):
-        assert type(built) is type(constructed)
-        assert built == constructed
-        assert repr(built) == repr(constructed)
-        assert asdict(built) == asdict(constructed)
-        assert list(vars(built)) == list(vars(constructed))
+    @pytest.fixture(scope="class", params=["clean", "scenario_extra"])
+    def any_view(self, request, view):
+        if request.param == "clean":
+            return view
 
-    @staticmethod
-    def task_row(task):
-        """The TaskView fields build_view passes by position."""
-        return tuple(vars(task).values())[:12]
+        class Slack(ScenarioRuntime):
+            def task_extras(self, system):
+                return {1: {"slo_slack_frac": 0.25}}
+
+        system = System(
+            quad_hmp(), imb_threads("MTMI", 6), NullBalancer(), scenario=Slack()
+        )
+        system.run(n_epochs=2)
+        view = system.build_view(window_s=0.12)
+        assert view.tasks[1].slo_slack_frac == 0.25
+        return view
+
+    def test_records_are_immutable_and_own_no_dict(self, any_view):
+        """No record owns a ``__dict__``: a record with one costs an
+        extra GC-tracked object, which pushed an hmp:64 view past
+        CPython's gen-0 threshold of 700 allocations."""
+        assert (len(any_view.tasks), len(any_view.cores)) == (6, 4)
+        for record in self.records_of(any_view):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            for name in (record._fields[0], "not_a_field"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
 
     def test_matches_constructor(self, view):
+        """build_view's positional rows land in the named fields: each
+        record is its own class rather than a bare tuple, its rates are
+        those of its own counters, and each core's record carries that
+        core's id and nominal type."""
         for task in view.tasks:
-            rates = new_record(DerivedRates, astuple(task.rates))
-            self.assert_same_record(rates, DerivedRates(*astuple(task.rates)))
-            assert hash(rates) == hash(task.rates)
-            row = self.task_row(task)
-            self.assert_same_record(new_record(TaskView, row), TaskView(*row))
-        for core in view.cores:
-            row = tuple(vars(core).values())
-            self.assert_same_record(new_record(CoreView, row), CoreView(*row))
+            assert type(task) is TaskView
+            assert type(task.rates) is DerivedRates
+            assert task == TaskView(**task._asdict())
+            assert task.rates == task.counters.derive_rates()
+            assert task.core_type == view.cores[task.core_id].core_type
+        for core_id, core in enumerate(view.cores):
+            assert type(core) is CoreView
+            assert core == CoreView(**core._asdict())
+            assert core.core_id == core_id
+            assert core.core_type == view.platform[core_id].core_type
 
     def test_replace_and_frozen(self, view):
-        row = self.task_row(view.tasks[0])
-        built = new_record(TaskView, row)
-        moved = replace(built, core_id=3, progress_frac=0.5)
-        assert moved == replace(TaskView(*row), core_id=3, progress_frac=0.5)
-        assert (built.core_id, built.progress_frac) == (row[2], None)
-        with pytest.raises(FrozenInstanceError):
-            built.core_id = 2
-        with pytest.raises(FrozenInstanceError):
-            built.rates.ipc = 0.0
+        """``_replace`` is how code changes a record's fields: it returns
+        a changed copy and leaves the record, and its rates, as built."""
+        task = view.tasks[0]
+        row = self.task_row(task)
+        moved = task._replace(core_id=3, progress_frac=0.5)
+        assert moved == TaskView(*row[:2], 3, *row[3:], progress_frac=0.5)
+        assert (task.core_id, task.progress_frac) == (row[2], None)
+        assert moved._replace(core_id=row[2], progress_frac=None) == task
+        with pytest.raises(AttributeError):
+            task.core_id = 2
+        with pytest.raises(AttributeError):
+            task.rates.ipc = 0.0
 
     @pytest.mark.parametrize(
         "extras", [{"bogus": 1}, {"tid": 5}, {"allowed_cores": None}]
     )
     def test_bad_extras_raise_like_the_constructor(self, view, extras):
-        row = self.task_row(view.tasks[0])
-        with pytest.raises(TypeError):
-            TaskView(*row, **extras)
-        with pytest.raises(TypeError):
-            new_record(TaskView, row, extras)
+        """A bad scenario extra fails build_view with the constructor's
+        own TypeError, which names the offending field."""
+        with pytest.raises(TypeError) as constructed:
+            TaskView(*self.task_row(view.tasks[0]), **extras)
+        (field,) = extras
+        assert field in str(constructed.value)
+
+        class Extras(ScenarioRuntime):
+            def task_extras(self, system):
+                return {0: dict(extras)}
+
+        system = System(
+            quad_hmp(), imb_threads("MTMI", 2), NullBalancer(), scenario=Extras()
+        )
+        with pytest.raises(TypeError) as built:
+            system.build_view(window_s=0.006)
+        assert str(built.value) == str(constructed.value)
 
     def test_wrong_value_counts_raise(self, view):
-        row = astuple(view.tasks[0].rates)
+        """A row one value too long or too short fails the constructor
+        instead of shifting fields: DerivedRates has no defaults, and
+        TaskView's start after ``busy_time_s``."""
+        rates = tuple(view.tasks[0].rates)
         with pytest.raises(TypeError):
-            new_record(DerivedRates, row + (1.0,))
+            DerivedRates(*rates, 1.0)
         with pytest.raises(TypeError):
-            new_record(DerivedRates, row[:-1])
-
-    def test_post_init_is_refused(self):
-        @dataclass(frozen=True)
-        class Checked:
-            value: float
-
-            def __post_init__(self):
-                if self.value < 0:
-                    raise ValueError("negative")
-
-        with pytest.raises(TypeError, match="__post_init__"):
-            new_record(Checked, (1.0,))
+            DerivedRates(*rates[:-1])
+        task = tuple(view.tasks[0])
+        with pytest.raises(TypeError):
+            TaskView(*task, 1.0)
+        with pytest.raises(TypeError):
+            TaskView(*task[:10])
 
     @pytest.mark.parametrize(
-        "extras", [{"bogus": 1.0}, {"tid": 5}, {"utilization": 0.5}]
+        "extras",
+        [{"bogus": 1.0}, {"tid": 5}, {"utilization": 0.5}, {"allowed_cores": None}],
     )
     def test_build_view_rejects_bad_scenario_extras(self, extras):
         """A scenario observable that is no TaskView field, or one that
@@ -241,4 +271,4 @@ class TestNewRecord:
         assert [t.slo_slack_frac for t in view.tasks] == [None, 0.25]
         assert [t.progress_frac for t in view.tasks] == [None, None]
         task = view.tasks[1]
-        assert task == TaskView(*self.task_row(task), slo_slack_frac=0.25)
+        assert task == TaskView(*task[:12], slo_slack_frac=0.25)
