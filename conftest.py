@@ -1,13 +1,18 @@
 """Ensure the in-tree package is importable when running pytest from the
 repository root, independent of whether an editable install succeeded,
-and that the reference-kernel oracle (``tests/kernel/reference_kernel.py``)
-is importable from every test and benchmark directory."""
+and that the reference oracles (``tests/kernel/reference_kernel.py``,
+``tests/core/sa_oracle.py``, ...) are importable from every test and
+benchmark directory."""
 
 import os
 import sys
 
 _ROOT = os.path.dirname(__file__)
-for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests", "kernel")):
+for _path in (
+    os.path.join(_ROOT, "src"),
+    os.path.join(_ROOT, "tests", "kernel"),
+    os.path.join(_ROOT, "tests", "core"),
+):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 

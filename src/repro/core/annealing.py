@@ -25,16 +25,36 @@ Design notes / deliberate choices:
   :func:`default_iteration_cap` — the Fig. 8(a) trade of solution
   quality for bounded overhead on large systems.
 
-Bit-identity contract: the loop is written for host speed (hot names
-bound to locals, one evaluator call per move, positions drawn as
-``randi() % total_slots``), but every decision is a pure function of
-the seed and the objective.  Each RNG draw keeps its position, every
-float operation keeps its operands and order, the evaluator's starting
-aggregates are numpy reductions and ``J_E``'s power is a scalar
-``**`` (see :class:`~repro.core.objective.IncrementalEvaluator`), so
-run digests do not depend on how fast the loop is.  A differential
-fuzz against a reference copy of the straightforward loop pins this
-with exact equality.
+Bit-identity contract: the loop is written for host speed, but every
+decision is a pure function of the seed and the objective, so run
+digests do not depend on how fast the loop is.  Each RNG draw keeps its
+position, every float operation keeps its operands and order, the
+evaluator's starting aggregates are numpy reductions and ``J_E``'s
+power is a scalar ``**`` (see
+:class:`~repro.core.objective.IncrementalEvaluator`).  Three shortcuts
+keep that contract:
+
+* **Block draws.**  The draws come from
+  :meth:`~repro.core.fixed_point.Xorshift32.randi_block`, which returns
+  exactly the next ``randi()`` outputs; a move takes two (``pos`` and
+  the offset, each ``randi() % total_slots``) and a worse move its
+  acceptance draw, in that order.  What is left of the last block is
+  never used, and the generator is private to the run.
+* **No-op moves.**  A self or empty–empty swap changes no slot, so in
+  incremental mode the loop skips ``apply_swap`` and reads the value
+  the evaluator already holds.  That value is not always ``current``:
+  undoing a worse move leaves the running sums a few ULPs off, so the
+  move's ``diff`` still goes through the acceptance rule and may draw,
+  exactly as the straightforward loop's does.  The full re-evaluation
+  mode scores every move.
+* **The best-state journal.**  Instead of copying the allocation at
+  each new best, the loop logs the accepted slot-changing swaps made
+  since the last one and, at the end, undoes them in reverse on one
+  copy of the final state.  Swaps are involutions, so this rebuilds the
+  best state's slots and thread map exactly, truncated runs included.
+
+A differential fuzz against a reference copy of the straightforward
+loop (``tests/core/sa_oracle.py``) pins this with exact equality.
 
 Rejected alternative: batching the governor's short inner anneals
 (up to 16 per decision once its OPP screen has run) into one numpy walk
@@ -49,10 +69,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 from repro.core.allocation import Allocation
-from repro.core.fixed_point import Xorshift32, exp_neg
+from repro.core.fixed_point import DRAW_BLOCK, Xorshift32, exp_neg
 from repro.core.objective import EnergyEfficiencyObjective, IncrementalEvaluator
 
 #: Hard ceiling on iterations regardless of system size (Fig. 8(a)'s
@@ -188,33 +209,6 @@ class SAResult:
         return (self.best_value - self.initial_value) / abs(self.initial_value)
 
 
-def accept_move(
-    diff: float,
-    current: float,
-    acceptance: float,
-    use_fixed_point_exp: bool,
-    rng: Xorshift32,
-) -> bool:
-    """Algorithm 1's acceptance rule for a move that changes ``J`` by ``diff``.
-
-    Improving and neutral moves (e.g. an empty–empty swap) are taken: a
-    neutral move costs nothing and keeps the walk moving.  A worse move
-    is taken with probability ``e^(-|ΔJ| / (accept·|J|))`` through the
-    paper's integer trick ``randi() mod round(1/p) == 0``, which draws
-    from ``rng`` only when ``p > 0``.
-    """
-    if not diff < 0:
-        return True
-    scale = acceptance * max(abs(current), 1e-30)
-    # An underflowed scale makes the ratio +inf, which the cap absorbs.
-    x = min(-diff / scale, 11.0) if scale else 11.0
-    probability = exp_neg(x) if use_fixed_point_exp else math.exp(-x)
-    if probability > 0:
-        inverse = max(int(round(1.0 / probability)), 1)
-        return rng.randi() % inverse == 0
-    return False
-
-
 def anneal(
     objective: EnergyEfficiencyObjective,
     initial: Allocation,
@@ -242,7 +236,9 @@ def anneal(
     current = evaluator.value
     initial_value = current
     best_value = current
-    best_allocation = working.copy()
+    # Accepted slot-changing swaps since the last new best: undone in
+    # reverse on a copy of the final state, they give the best one.
+    journal: "list[tuple[int, int]]" = []
     accepted = 0
     uphill = 0
     truncated = False
@@ -254,21 +250,29 @@ def anneal(
         trace = SATrace(stride=max(iterations // TRACE_SAMPLES, 1))
         trace.record(0, current, best_value, perturb, accept)
 
-    # Hot-loop locals.  ``randi() % total_slots`` is exactly
-    # ``randi_range(0, total_slots)``, and ``randi() % total_slots - pos``
+    # Hot-loop locals.  ``draw()`` is the next ``randi()`` output, taken
+    # from blocks of DRAW_BLOCK; ``draw() % total_slots`` is exactly
+    # ``randi_range(0, total_slots)``, and ``draw() % total_slots - pos``
     # is ``randi_range(-pos, total_slots - pos)``: same draws, same order.
-    randi = rng.randi
+    draw = chain.from_iterable(map(rng.randi_block, repeat(DRAW_BLOCK))).__next__
     sqrt = math.sqrt
-    if config.incremental:
-        move = undo = evaluator.apply_swap
-    else:
+    exp = exp_neg if config.use_fixed_point_exp else lambda x: math.exp(-x)
+    slots = working.slots
+    full = not config.incremental
+    # The evaluator's value for ``working`` as it stands.
+    value = current
+    if full:
 
         def move(pos_a: int, pos_b: int) -> float:
             working.swap(pos_a, pos_b)
             return objective.evaluate(working)
 
-        undo = working.swap
-    fixed_point = config.use_fixed_point_exp
+        def undo(pos_a: int, pos_b: int) -> float:
+            working.swap(pos_a, pos_b)
+            return math.nan  # never read: this mode scores every move
+
+    else:
+        move = undo = evaluator.apply_swap
     perturbation_decay = config.perturbation_decay
     acceptance_decay = config.acceptance_decay
     last_slot = total_slots - 1
@@ -279,34 +283,61 @@ def anneal(
                 truncated = True
                 break
         performed += 1
-        pos = randi() % total_slots
+        pos = draw() % total_slots
         span = sqrt(perturb)
-        offset = randi() % total_slots - pos
+        offset = draw() % total_slots - pos
         pos_new = pos + int(span * offset)
         if pos_new < 0:
             pos_new = 0
         elif pos_new > last_slot:
             pos_new = last_slot
 
-        new_value = move(pos, pos_new)
-        diff = new_value - current
-        if accept_move(diff, current, accept, fixed_point, rng):
-            current = new_value
+        # A self or empty–empty swap changes nothing: ``apply_swap``
+        # would return ``value`` as it stands.  That value can sit a few
+        # ULPs off ``current`` after an undo, so even such a no-op move
+        # goes through the acceptance rule.
+        changed = slots[pos] != slots[pos_new]
+        if changed or full:
+            value = move(pos, pos_new)
+        diff = value - current
+        if diff < 0:
+            # Algorithm 1's acceptance rule for a worse move: take it
+            # with probability e^(-|ΔJ| / (accept·|J|)) through the
+            # paper's integer trick ``randi() mod round(1/p) == 0``,
+            # which draws only when p > 0.  An underflowed scale makes
+            # the ratio +inf, which the cap absorbs.
+            scale = accept * max(abs(current), 1e-30)
+            probability = exp(min(-diff / scale, 11.0) if scale else 11.0)
+            take = (
+                probability > 0
+                and draw() % max(int(round(1.0 / probability)), 1) == 0
+            )
+        else:
+            # Improving and neutral moves (e.g. an empty–empty swap) are
+            # taken: a neutral move costs nothing and keeps the walk moving.
+            take = True
+        if take:
+            current = value
             accepted += 1
             if diff < 0:
                 uphill += 1
             if current > best_value:
                 best_value = current
-                best_allocation = working.copy()
-        else:
+                journal.clear()
+            elif changed:
+                journal.append((pos, pos_new))
+        elif changed:
             # Swaps are involutive: undo by re-applying.
-            undo(pos, pos_new)
+            value = undo(pos, pos_new)
 
         perturb *= perturbation_decay
         accept *= acceptance_decay
         if trace is not None and performed % trace.stride == 0:
             trace.record(performed, current, best_value, perturb, accept)
 
+    best_allocation = working.copy()
+    for pos_a, pos_b in reversed(journal):
+        best_allocation.swap(pos_a, pos_b)
     if trace is not None and trace.samples[-1]["iteration"] != performed:
         trace.record(performed, current, best_value, perturb, accept)
     return SAResult(

@@ -208,14 +208,16 @@ class SmartBalance(LoadBalancer):
         #: so every emission below is one attribute check when off.
         self.obs = obs if obs is not None else NULL_OBS
         self._builder = MatrixBuilder(predictor)
-        #: Per-tid smoothed characterisation rows (EWMA across epochs,
-        #: in prediction space: aligned to platform cores, so smoothing
-        #: survives migrations).  Doubles as the last-good-row store
-        #: the fallback defence reads when a fresh sample is rejected.
-        self._rows: dict[int, tuple] = {}
-        #: Per-tid IPS row the balancer believed last epoch, for the
-        #: predictor-divergence watchdog.
-        self._last_prediction: dict[int, np.ndarray] = {}
+        #: Smoothed characterisation rows (EWMA across epochs, in
+        #: prediction space: aligned to platform cores, so smoothing
+        #: survives migrations): ``_smoothed[0/1/2]`` are the IPS, power
+        #: and demand matrices of the last predict phase, rejected
+        #: threads' carried rows included, and ``_smoothed_row[tid]`` is
+        #: a thread's row in them.  Doubles as the last-good-row store
+        #: the fallback defence reads when a fresh sample is rejected,
+        #: and as last epoch's predictions for the watchdog.
+        self._smoothed = np.zeros((3, 0, 0))
+        self._smoothed_row: dict[int, int] = {}
         self._watchdog_strikes = 0
         self._watchdog_recoveries = 0
         self._watchdog_tripped = False
@@ -225,12 +227,11 @@ class SmartBalance(LoadBalancer):
         #: Per-epoch phase timings of :meth:`rebalance` (Fig. 7 raw data).
         self.timings: list[PhaseTimings] = []
         #: Observability-only prediction provenance, maintained only
-        #: while ``obs.enabled`` (the simulation never reads these):
-        #: the core-type name each thread ran on when the last
-        #: prediction was made, and the predicted power row — together
-        #: they turn next epoch's measurement into a Table 4 sample.
+        #: while ``obs.enabled`` (the simulation never reads it): the
+        #: core-type name each thread ran on when the last prediction
+        #: was made — with the smoothed rows it turns next epoch's
+        #: measurement into a Table 4 sample.
         self._obs_src_type: dict[int, str] = {}
-        self._obs_power_prediction: dict[int, np.ndarray] = {}
         #: Online model maintenance (None unless opted in): the
         #: controller owns the model registry; the balancer feeds it
         #: the epoch's observations and swaps its own predictor when a
@@ -343,7 +344,7 @@ class SmartBalance(LoadBalancer):
     def _blend(
         self,
         matrices: CharacterisationMatrices,
-        keep: "frozenset[int] | set[int]" = frozenset(),
+        keep: "Sequence[int]" = (),
     ) -> CharacterisationMatrices:
         """EWMA-smooth per-thread matrix rows across epochs.
 
@@ -356,30 +357,39 @@ class SmartBalance(LoadBalancer):
         thread happened to run — so smoothing survives migrations.
 
         ``keep`` lists tids that are alive but absent from this epoch's
-        matrices (their sample was rejected); their stored rows must
-        survive the garbage collection so the last-good-row fallback
-        can read them.
+        matrices (their sample was rejected); their stored rows are
+        carried over, after the blended ones, so the last-good-row
+        fallback can read them.  One gather takes both the history of
+        the blended threads and the carried rows.
         """
         beta = SMOOTHING
-        ips = matrices.ips.copy()
-        power = matrices.power.copy()
-        util = matrices.utilization.copy()
-        # Blend all threads with history in one vectorized pass.
-        prev = [self._rows.get(tid) for tid in matrices.tids]
-        known = [i for i, row in enumerate(prev) if row is not None]
-        if known:
-            prev_ips = np.array([prev[i][0] for i in known])
-            prev_power = np.array([prev[i][1] for i in known])
-            prev_util = np.array([prev[i][2] for i in known])
-            ips[known] = (1.0 - beta) * prev_ips + beta * ips[known]
-            power[known] = (1.0 - beta) * prev_power + beta * power[known]
-            util[known] = (1.0 - beta) * prev_util + beta * util[known]
-        for i, tid in enumerate(matrices.tids):
-            self._rows[tid] = (ips[i].copy(), power[i].copy(), util[i].copy())
-        live = set(matrices.tids) | set(keep)
-        for tid in list(self._rows):
-            if tid not in live:
-                del self._rows[tid]
+        row_of = self._smoothed_row
+        tids = matrices.tids
+        known = [i for i, tid in enumerate(tids) if tid in row_of]
+        kept = [tid for tid in keep if tid in row_of]
+        fresh = np.stack((matrices.ips, matrices.power, matrices.utilization))
+        store = fresh
+        if known or kept:
+            prev = self._smoothed.take(
+                [row_of[tids[i]] for i in known] + [row_of[tid] for tid in kept],
+                axis=1,
+            )
+            if known:
+                # (1 − β)·prev + β·new, each product rounded once and
+                # summed in one addition, without full-size temporaries.
+                history = prev[:, : len(known)]
+                history *= 1.0 - beta
+                whole = len(known) == len(tids)
+                blended = fresh if whole else fresh[:, known]
+                blended *= beta
+                blended += history
+                if not whole:
+                    fresh[:, known] = blended
+            if kept:
+                store = np.concatenate((fresh, prev[:, len(known) :]), axis=1)
+        self._smoothed = store
+        self._smoothed_row = {tid: row for row, tid in enumerate((*tids, *kept))}
+        ips, power, util = fresh
         return replace(matrices, ips=ips, power=power, utilization=util)
 
     def _append_fallback_rows(
@@ -388,28 +398,32 @@ class SmartBalance(LoadBalancer):
         fallback: list[TaskView],
     ) -> CharacterisationMatrices:
         """Extend the matrices with stored last-good rows for threads
-        whose fresh sample was rejected (all of them must be in
-        ``self._rows``)."""
+        whose fresh sample was rejected (all of them must be in the
+        smoothed store)."""
         n = matrices.ips.shape[1]
-        ips_rows = []
-        power_rows = []
-        util_rows = []
-        for task in fallback:
-            row_ips, row_power, row_util = self._rows[task.tid]
-            ips_rows.append(row_ips)
-            power_rows.append(row_power)
-            util_rows.append(row_util)
-        extra = len(fallback)
+        ips, power, util = self._smoothed[
+            :, [self._smoothed_row[task.tid] for task in fallback]
+        ]
         return replace(
             matrices,
             tids=matrices.tids + tuple(task.tid for task in fallback),
-            ips=np.vstack([matrices.ips, np.array(ips_rows)]),
-            power=np.vstack([matrices.power, np.array(power_rows)]),
-            utilization=np.vstack([matrices.utilization, np.array(util_rows)]),
+            ips=np.vstack([matrices.ips, ips]),
+            power=np.vstack([matrices.power, power]),
+            utilization=np.vstack([matrices.utilization, util]),
             measured_mask=np.vstack(
-                [matrices.measured_mask, np.zeros((extra, n), dtype=bool)]
+                [matrices.measured_mask, np.zeros((len(fallback), n), dtype=bool)]
             ),
         )
+
+    def _last_prediction(self, task: TaskView) -> "tuple[float, float] | None":
+        """Last epoch's smoothed (IPS, power) prediction for ``task`` on
+        the core it ran on, or None when there is none."""
+        row = self._smoothed_row.get(task.tid)
+        smoothed = self._smoothed
+        core = task.core_id
+        if row is None or not 0 <= core < smoothed.shape[2]:
+            return None
+        return smoothed[0, row, core], smoothed[1, row, core]
 
     def _watchdog_update(
         self, healthy: list[TaskView], t_s: float = 0.0
@@ -425,10 +439,10 @@ class SmartBalance(LoadBalancer):
         """
         errors = []
         for task in healthy:
-            row = self._last_prediction.get(task.tid)
-            if row is None or not 0 <= task.core_id < len(row):
+            last = self._last_prediction(task)
+            if last is None:
                 continue
-            predicted = row[task.core_id]
+            predicted = last[0]
             if predicted > 0:
                 errors.append(abs(task.rates.ips - predicted) / predicted)
         if not errors:
@@ -512,16 +526,16 @@ class SmartBalance(LoadBalancer):
         """Score last epoch's per-thread predictions against this
         epoch's realised measurements (the Table 4 accuracy data).
 
-        Reads the *previous* ``_last_prediction``/``_obs_power_prediction``
-        rows, so it must run before this epoch overwrites them.  Only
-        called while ``obs.enabled``; touches no simulation state.
+        Reads the *previous* epoch's smoothed rows, so it must run
+        before this epoch's :meth:`_blend` overwrites them.  Only called
+        while ``obs.enabled``; touches no simulation state.
         """
         oc = self.obs
         for task in healthy:
-            row = self._last_prediction.get(task.tid)
-            if row is None or not 0 <= task.core_id < len(row):
+            last = self._last_prediction(task)
+            if last is None:
                 continue
-            predicted = float(row[task.core_id])
+            predicted = float(last[0])
             measured = task.rates.ips
             src_type = self._obs_src_type.get(task.tid)
             if predicted <= 0 or measured <= 0 or src_type is None:
@@ -537,16 +551,14 @@ class SmartBalance(LoadBalancer):
                 "measured_ips": measured,
                 "ipc_abs_pct_error": ipc_error,
             }
-            power_row = self._obs_power_prediction.get(task.tid)
-            if power_row is not None and 0 <= task.core_id < len(power_row):
-                predicted_power = float(power_row[task.core_id])
-                measured_power = task.power_w
-                if predicted_power > 0 and measured_power > 0:
-                    payload["predicted_power_w"] = predicted_power
-                    payload["measured_power_w"] = measured_power
-                    payload["power_abs_pct_error"] = (
-                        abs(measured_power - predicted_power) / measured_power * 100.0
-                    )
+            predicted_power = float(last[1])
+            measured_power = task.power_w
+            if predicted_power > 0 and measured_power > 0:
+                payload["predicted_power_w"] = predicted_power
+                payload["measured_power_w"] = measured_power
+                payload["power_abs_pct_error"] = (
+                    abs(measured_power - predicted_power) / measured_power * 100.0
+                )
             oc.tracer.emit(obs_events.PREDICTION_CHECK, t_s, **payload)
             pair = f"{src_type}->{dst_type}"
             oc.metrics.observe(f"prediction.ipc.abs_pct_error[{pair}]", ipc_error)
@@ -774,7 +786,7 @@ class SmartBalance(LoadBalancer):
             fallback: list[TaskView] = []
             dropped: list[TaskView] = []
             for task in rejected:
-                if task.tid in self._rows:
+                if task.tid in self._smoothed_row:
                     fallback.append(task)
                     self.health.fallback_rows_used += 1
                 else:
@@ -863,20 +875,12 @@ class SmartBalance(LoadBalancer):
             core_types = [core.core_type for core in view.platform]
             matrices = self._blend(
                 self._builder.build(healthy, core_types),
-                keep={task.tid for task in fallback},
+                keep=[task.tid for task in fallback],
             )
             if fallback:
                 matrices = self._append_fallback_rows(matrices, fallback)
             participants = healthy + fallback
-
-            self._last_prediction = {
-                tid: matrices.ips[i].copy() for i, tid in enumerate(matrices.tids)
-            }
             if oc.enabled:
-                self._obs_power_prediction = {
-                    tid: matrices.power[i].copy()
-                    for i, tid in enumerate(matrices.tids)
-                }
                 for task in participants:
                     self._obs_src_type[task.tid] = task.core_type.name
 

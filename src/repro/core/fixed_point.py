@@ -13,6 +13,8 @@ implementable form (integer-only operations):
 * :class:`Xorshift32` — the classic 32-bit xorshift PRNG: three shifts
   and xors per draw, no multiplies, matching ``randi()`` returning a
   uniform integer in ``[0, 2^32)`` and ``randi(x, y)`` in ``[x, y)``.
+  :meth:`Xorshift32.randi_block` returns the next ``n`` ``randi()``
+  outputs at once, for the annealer's hot loop.
 * :func:`exp_neg_q16` — ``e^-x`` for ``x >= 0`` in Q16.16 fixed point,
   via the identity ``e^-x = 2^-(x·log2 e)``: an integer shift for the
   integral part and an 8-entry lookup table with linear interpolation
@@ -24,6 +26,10 @@ The annealer can run on these primitives or on float math; the
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 #: Number of fractional bits of the Q16.16 format.
 Q = 16
@@ -45,6 +51,25 @@ _POW2_TABLE = (
 )
 
 _MASK32 = 0xFFFFFFFF
+#: Outputs per row of the block-draw table.
+DRAW_BLOCK = 512
+#: ``_BITS[b]`` selects bit ``b`` of a state.
+_BITS = np.int64(1) << np.arange(32, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _draw_table() -> np.ndarray:
+    """Row ``b``: the first :data:`DRAW_BLOCK` outputs of xorshift32
+    started from the state ``1 << b`` (built once, on first use)."""
+    state = np.uint32(1) << np.arange(32, dtype=np.uint32)
+    table = np.empty((32, DRAW_BLOCK), dtype=np.uint32)
+    for k in range(DRAW_BLOCK):
+        state ^= state << np.uint32(13)
+        state ^= state >> np.uint32(17)
+        state ^= state << np.uint32(5)
+        table[:, k] = state
+    table.flags.writeable = False
+    return table
 
 
 class Xorshift32:
@@ -66,6 +91,26 @@ class Xorshift32:
         x ^= (x << 5) & _MASK32
         self.state = x
         return x
+
+    def randi_block(self, n: int) -> "list[int]":
+        """The next ``n`` :meth:`randi` outputs, leaving the state where
+        ``n`` calls would.
+
+        Each xorshift step is linear over GF(2), so the ``k``-th output
+        from a state is the XOR of the ``k``-th outputs from the state's
+        set bits taken alone: a block of :data:`DRAW_BLOCK` draws is one
+        XOR-reduction over rows of a precomputed table.
+        """
+        table = _draw_table()
+        out: "list[int]" = []
+        state = self.state
+        while len(out) < n:
+            rows = table[(state & _BITS) != 0, : min(n - len(out), DRAW_BLOCK)]
+            block = np.bitwise_xor.reduce(rows, axis=0).tolist()
+            out += block
+            state = block[-1]
+        self.state = state
+        return out
 
     def randi_range(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)`` (paper's ``randi(x, y)``).

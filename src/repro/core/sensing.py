@@ -49,34 +49,22 @@ def observation_fault(task: TaskView) -> "str | None":
       wrapped instruction or cycle count breaks the ratio even though
       each value alone still looks plausible.
     """
-    rates = task.rates
-    ratio_fields = (
-        rates.mem_share,
-        rates.branch_share,
-        rates.branch_miss_rate,
-        rates.l1i_miss_rate,
-        rates.l1d_miss_rate,
-        rates.itlb_miss_rate,
-        rates.dtlb_miss_rate,
-        rates.stall_fraction,
-    )
-    values = (
-        rates.ips,
-        rates.ipc,
-        task.power_w,
-        task.utilization,
-    ) + ratio_fields
-    if not all(math.isfinite(v) for v in values):
+    ipc, *ratio_fields, ips = task.rates  # DerivedRates field order
+    power_w = task.power_w
+    if not all(
+        map(math.isfinite, (ips, ipc, power_w, task.utilization, *ratio_fields))
+    ):
         return "non-finite reading"
-    if rates.ipc <= 0 or rates.ipc > MAX_IPC:
+    if ipc <= 0 or ipc > MAX_IPC:
         return "impossible IPC"
-    if task.power_w < MIN_POWER_W or task.power_w > MAX_POWER_W:
+    if power_w < MIN_POWER_W or power_w > MAX_POWER_W:
         return "implausible power"
-    if rates.ips <= 0:
+    if ips <= 0:
         return "non-positive throughput"
-    if any(r < 0 or r > 1 for r in ratio_fields):
-        return "rate outside [0, 1]"
-    implied_clock_hz = rates.ips / rates.ipc
+    for ratio in ratio_fields:
+        if ratio < 0 or ratio > 1:
+            return "rate outside [0, 1]"
+    implied_clock_hz = ips / ipc
     nominal_hz = task.core_type.freq_hz
     if nominal_hz > 0:
         deviation = abs(implied_clock_hz - nominal_hz) / nominal_hz

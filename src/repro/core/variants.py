@@ -6,8 +6,8 @@ point only: the IPS matrix the objective scores.  Scaling a thread's
 predicted-IPS row makes its placement *worth more* to the optimiser,
 steering capable cores toward the threads that currently matter most,
 without touching the energy model or the watchdog's prediction-error
-accounting (``_last_prediction`` is captured from the unscaled
-matrices before :meth:`_optimize` runs).
+accounting (the watchdog reads the unscaled smoothed rows that
+:meth:`_blend` stores before :meth:`_optimize` runs).
 
 * :class:`TpeqBalance` ("thread progress equalisation", after Lee et
   al.'s TPEq): in a barrier-synchronised program the group's makespan

@@ -105,10 +105,13 @@ class TestDecide:
     def test_smoothing_state_tracks_threads(self):
         eng = engine()
         eng.decide(synthetic_view(4, 6, seed=6))
-        assert len(eng._rows) == 6
+        assert len(eng._smoothed_row) == 6
+        assert eng._smoothed.shape == (3, 6, 4)
         # A later view with fewer threads drops stale rows.
         eng.decide(synthetic_view(4, 3, seed=7))
-        assert len(eng._rows) == 3
+        assert len(eng._smoothed_row) == 3
+        assert eng._smoothed.shape == (3, 3, 4)
+        assert sorted(eng._smoothed_row.values()) == [0, 1, 2]
 
     def test_blend_moves_toward_new_observation(self, monkeypatch):
         monkeypatch.setattr(balancer_module, "SMOOTHING", 0.5)
@@ -116,8 +119,11 @@ class TestDecide:
         first = eng.decide(synthetic_view(4, 4, seed=8))
         second = eng.decide(synthetic_view(4, 4, seed=9))
         assert first.matrices is not None and second.matrices is not None
-        # smoothed rows exist and differ from the raw second build
-        assert len(eng._rows) == 4
+        # The store holds the blended rows the second decision used.
+        assert len(eng._smoothed_row) == 4
+        for i, tid in enumerate(second.matrices.tids):
+            row = eng._smoothed_row[tid]
+            assert (eng._smoothed[0, row] == second.matrices.ips[i]).all()
 
 
 class TestKernelAdapter:
@@ -307,9 +313,10 @@ class TestWatchdog:
         eng = engine()
         view = synthetic_view(4, 4, seed=13)
         healthy = measured_tasks(view)
-        eng._last_prediction = {
-            obs.tid: np.full(4, obs.rates.ips) for obs in healthy
-        }
+        # Last epoch predicted every thread's measured IPS exactly.
+        eng._smoothed = np.ones((3, len(healthy), 4))
+        eng._smoothed[0] = [[obs.rates.ips] * 4 for obs in healthy]
+        eng._smoothed_row = {obs.tid: i for i, obs in enumerate(healthy)}
         eng._watchdog_tripped = True
         eng._watchdog_update(healthy)
         assert eng._watchdog_tripped  # one in-band epoch is not enough

@@ -73,6 +73,34 @@ class TestXorshift32:
             assert rng.state != start or False  # no cycle in 10k draws
 
 
+class TestRandiBlock:
+    """``randi_block(n)`` is ``n`` successive ``randi()`` calls: the same
+    values, as Python ints, and the same state afterwards."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 0x5EED5EED])
+    def test_equals_successive_randi(self, seed, n):
+        block, scalar = Xorshift32(seed), Xorshift32(seed)
+        values = block.randi_block(n)
+        assert values == [scalar.randi() for _ in range(n)]
+        assert all(type(value) is int for value in values)
+        assert block.state == scalar.state
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(0, 1100), st.integers(0, 3)), max_size=6
+        ),
+    )
+    def test_blocks_interleaved_with_scalar_calls(self, seed, steps):
+        block, scalar = Xorshift32(seed), Xorshift32(seed)
+        for n, singles in steps:
+            assert block.randi_block(n) == [scalar.randi() for _ in range(n)]
+            for _ in range(singles):
+                assert block.randi() == scalar.randi()
+            assert block.state == scalar.state
+
+
 class TestExpNeg:
     def test_exact_at_zero(self):
         assert exp_neg_q16(0) == ONE_Q16

@@ -11,7 +11,12 @@ empty:
   swaps included), the tracked value, the slot array and the mapping
   match — ``greedy_allocate`` and ``random_search`` use only these;
 * ``anneal`` returns the same best allocation, values, counters and
-  trace for both exponent implementations and both evaluation paths.
+  trace for both exponent implementations and both evaluation paths;
+* so it does where the fast loop's shortcuts matter: a walk whose
+  undos leave the evaluator a few ULPs below ``current`` before a
+  no-op move, a 64-core × 128-thread problem of 8192 mostly empty
+  slots, and a run cut by its time budget, whose best allocation is
+  rebuilt from the undo journal.
 
 A one-ULP nudge of one ``u·ips`` cell must break the agreement, so the
 equality cannot hold vacuously.
@@ -265,3 +270,123 @@ def test_one_ulp_nudge_changes_anneal_result():
         assert_same_result(
             anneal(nudged, allocation, config, keep_trace=True), want
         )
+
+
+# ----------------------------------------------------------------------
+# The fast loop's shortcuts: no-op moves, block draws, the best-state
+# journal.
+
+
+def drifted_problem():
+    """A small problem whose walk undoes worse moves often enough that
+    the evaluator's value drifts off ``current`` by a few ULPs."""
+    rng = np.random.default_rng(1)
+    m, n = 4, 3
+    objective = EnergyEfficiencyObjective(
+        ips=rng.uniform(1e6, 5e9, (m, n)),
+        power=rng.uniform(0.05, 8.0, (m, n)),
+        utilization=rng.uniform(0.0, 1.0, (m, n)),
+        idle_power=rng.uniform(0.05, 1.0, n),
+    )
+    allocation = Allocation.from_mapping([int(c) for c in rng.integers(0, n, m)], n)
+    # Under 64 iterations the trace records ``current`` after every move.
+    return objective, allocation, SAConfig(max_iterations=60, seed=3)
+
+
+def drifted_noops(objective, allocation, config, monkeypatch):
+    """Moves of the reference walk that change no slot while the
+    evaluator's value, left by an undo, sits below ``current``.
+
+    A recording evaluator logs every ``apply_swap`` (the move, then the
+    undo when the move is rejected); the stride-1 trace gives
+    ``current`` after each move.  A worse move was rejected exactly
+    when ``current`` did not become its value.
+    """
+    calls = []
+
+    class Recording(sa_oracle.IncrementalEvaluator):
+        def apply_swap(self, pos_a, pos_b):
+            noop = self.allocation.slots[pos_a] == self.allocation.slots[pos_b]
+            value = super().apply_swap(pos_a, pos_b)
+            calls.append((noop, value))
+            return value
+
+    monkeypatch.setattr(sa_oracle, "IncrementalEvaluator", Recording)
+    result = sa_oracle.anneal(objective, allocation, config, keep_trace=True)
+    currents = [sample["current"] for sample in result.trace.samples]
+    assert len(currents) == result.iterations + 1
+    found = []
+    calls_iter = iter(calls)
+    for move in range(1, result.iterations + 1):
+        noop, value = next(calls_iter)
+        if noop and value < currents[move - 1]:
+            found.append(move)
+        if value < currents[move - 1] and currents[move] != value:
+            next(calls_iter)  # the undo of this rejected move
+    assert next(calls_iter, None) is None
+    return found
+
+
+def test_drifted_noop_moves_go_through_the_acceptance_rule(monkeypatch):
+    """After an undo, the evaluator's value can sit a few ULPs below
+    ``current``; a self or empty–empty swap then reads as a worse move.
+    The fast loop skips ``apply_swap`` on such a move but must still
+    apply the acceptance rule to it, draw included."""
+    objective, allocation, config = drifted_problem()
+    assert drifted_noops(objective, allocation, config, monkeypatch)
+    monkeypatch.undo()
+    for fixed_point in (True, False):
+        run = dataclasses.replace(config, use_fixed_point_exp=fixed_point)
+        assert_same_result(
+            anneal(objective, allocation, run, keep_trace=True),
+            sa_oracle.anneal(objective, allocation, run, keep_trace=True),
+        )
+
+
+def test_large_sparse_problem_matches_oracle():
+    """64 cores × 128 threads at the default slots per core: 8192
+    slots, nearly every move a no-op the fast loop skips."""
+    rng = np.random.default_rng(64)
+    m, n = 128, 64
+    objective = EnergyEfficiencyObjective(
+        ips=rng.uniform(1e8, 5e9, (m, n)),
+        power=rng.uniform(0.05, 8.0, (m, n)),
+        utilization=rng.uniform(0.05, 1.0, (m, n)),
+        idle_power=rng.uniform(0.05, 1.0, n),
+    )
+    allocation = Allocation.from_mapping([t % n for t in range(m)], n)
+    got = anneal(objective, allocation, SAConfig(), keep_trace=True)
+    assert_same_result(
+        got, sa_oracle.anneal(objective, allocation, SAConfig(), keep_trace=True)
+    )
+    assert got.iterations == 4000
+    assert got.best_value > got.initial_value
+
+
+def test_truncated_run_rebuilds_its_best_allocation():
+    """A run cut by its time budget returns the best state it visited,
+    rebuilt by undoing the swaps accepted after it."""
+    rng = np.random.default_rng(8)
+    m, n = 12, 4
+    objective = EnergyEfficiencyObjective(
+        ips=rng.uniform(1e8, 5e9, (m, n)),
+        power=rng.uniform(0.05, 8.0, (m, n)),
+        utilization=rng.uniform(0.05, 1.0, (m, n)),
+        idle_power=rng.uniform(0.05, 1.0, n),
+    )
+    allocation = Allocation.from_mapping([t % n for t in range(m)], n, 4)
+    # The clock is read every 32 moves; a 1 ns budget is gone by then.
+    config = SAConfig(max_iterations=4000, time_budget_s=1e-9)
+    got = anneal(objective, allocation, config, keep_trace=True)
+    assert got.truncated and got.iterations == 32
+    assert_same_result(
+        got, sa_oracle.anneal(objective, allocation, config, keep_trace=True)
+    )
+    # The walk ended away from its best, so the journal was replayed.
+    assert got.trace.samples[-1]["current"] < got.best_value
+    best = got.best_allocation
+    assert best.is_complete()
+    assert sorted(t for t in best.slots if t >= 0) == list(range(m))
+    assert IncrementalEvaluator(objective, best.copy()).value == pytest.approx(
+        got.best_value, rel=1e-12
+    )
