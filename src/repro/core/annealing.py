@@ -31,15 +31,17 @@ digests do not depend on how fast the loop is.  Each RNG draw keeps its
 position, every float operation keeps its operands and order, the
 evaluator's starting aggregates are numpy reductions and ``J_E``'s
 power is a scalar ``**`` (see
-:class:`~repro.core.objective.IncrementalEvaluator`).  Three shortcuts
+:class:`~repro.core.objective.IncrementalEvaluator`).  Four shortcuts
 keep that contract:
 
 * **Block draws.**  The draws come from
-  :meth:`~repro.core.fixed_point.Xorshift32.randi_block`, which returns
-  exactly the next ``randi()`` outputs; a move takes two (``pos`` and
-  the offset, each ``randi() % total_slots``) and a worse move its
-  acceptance draw, in that order.  What is left of the last block is
-  never used, and the generator is private to the run.
+  :meth:`~repro.core.fixed_point.Xorshift32.randi_block` (as an array,
+  ``randi_array``, where the run scans), which returns exactly the
+  next ``randi()`` outputs; a move takes two (``pos`` and the offset,
+  each ``randi() % total_slots``) and a worse move its acceptance
+  draw, in that order.  A move takes at most three draws, so the first
+  block holds ``min(DRAW_BLOCK, 3·iterations)``.  What is left of the
+  last block is never used, and the generator is private to the run.
 * **No-op moves.**  A self or empty–empty swap changes no slot, so in
   incremental mode the loop skips ``apply_swap`` and reads the value
   the evaluator already holds.  That value is not always ``current``:
@@ -52,6 +54,33 @@ keep that contract:
   since the last one and, at the end, undoes them in reverse on one
   copy of the final state.  Swaps are involutions, so this rebuilds the
   best state's slots and thread map exactly, truncated runs included.
+* **Runs of no-op moves.**  While the evaluator's value equals
+  ``current``, a no-op move is a neutral accept that takes exactly two
+  draws and changes only ``accepted``, the iteration count and the two
+  schedules.  On a sparse slot array the loop skips each run of them
+  in one numpy step: from the buffered draws it computes a window of
+  the moves ahead, ``pos = d % S`` and ``pos_new = clip(pos +
+  trunc(span_k·(d′ % S − pos)), 0, S − 1)`` with ``span_k`` from a
+  per-run :func:`schedule` table (``np.multiply.accumulate`` and
+  ``np.sqrt`` give the same floats as repeated ``*=`` and
+  ``math.sqrt``), finds the first move that swaps two distinct slots,
+  one of them occupied, and advances the counters, the draws, both
+  schedules and any trace samples across the moves before it at once;
+  that move runs through the loop body as before.  An acceptance draw
+  shifts the pairing of the draws and rebuilds the window; a change of
+  occupancy only recomputes which of its moves are no-ops.  With a
+  time budget, a skip stops at each 32-move clock check.  The rule
+  that decides whether a run scans reads the allocation's empty-slot
+  fraction ``e``: the expected no-op run, about ``1 / (1 − e²)``
+  (:func:`expected_noop_run`), must reach :data:`SCAN_MIN_RUN` = 16.
+  That is the measured break-even (2-vCPU VM, Python 3.11, numpy 2.4,
+  stock schedule, per-anneal time of the loop over the scan's): on
+  default-slot problems of 16–40 cores × 8–64 threads it was
+  0.55–0.97× at an expected run of 8, 0.74–1.26× at 12 and
+  1.05–1.60× from 16 to 20.  hmp:128 × 256 (a run of 64) scans and
+  takes about 1.8× less time per anneal; dvfsquad × 8 (2.3) and
+  biglittle's problems (4.3) keep the loop and its cost.  The full
+  re-evaluation mode never scans.
 
 A differential fuzz against a reference copy of the straightforward
 loop (``tests/core/sa_oracle.py``) pins this with exact equality.
@@ -68,11 +97,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional
 
-from repro.core.allocation import Allocation
+import numpy as np
+
+from repro.core.allocation import EMPTY, Allocation
 from repro.core.fixed_point import DRAW_BLOCK, Xorshift32, exp_neg
 from repro.core.objective import EnergyEfficiencyObjective, IncrementalEvaluator
 
@@ -209,6 +241,145 @@ class SAResult:
         return (self.best_value - self.initial_value) / abs(self.initial_value)
 
 
+#: A run skips its runs of no-op moves in numpy steps when
+#: :func:`expected_noop_run` reaches this (the measured break-even: see
+#: the module docstring).
+SCAN_MIN_RUN = 16.0
+#: Moves per look-ahead window of the scan.
+SCAN_WINDOW = 256
+
+
+def expected_noop_run(allocation: Allocation) -> float:
+    """Expected length of a run of no-op moves on ``allocation``.
+
+    A move whose two slots fall independently on a fraction ``e`` of
+    empty slots swaps two of them with probability ``e²``; the run of
+    such moves is geometric, about ``1 / (1 - e²)`` long.
+    """
+    empty = 1.0 - allocation.n_threads / len(allocation)
+    return math.inf if empty == 1.0 else 1.0 / (1.0 - empty * empty)
+
+
+def schedule(initial: float, decay: float, n: int) -> np.ndarray:
+    """``initial`` after 0, 1, …, ``n - 1`` decays: entry ``k`` is the
+    float that ``k`` repeated ``*= decay`` leave (``accumulate``
+    multiplies left to right, each product rounded once)."""
+    factors = np.full(n, decay)
+    factors[:1] = initial
+    return np.multiply.accumulate(factors)
+
+
+class _NoopScan:
+    """The moves ahead of a sparse run, computed from its buffered draws.
+
+    While the evaluator's value equals ``current``, a move that changes
+    no slot is a neutral accept that takes exactly two draws, so the
+    moves ahead follow from the draws alone: move ``j`` of a window
+    built at move ``k`` from draw ``q`` has ``pos = d[q + 2j] % S`` and
+    spans ``sqrt(perturbation[k + j])``.  :meth:`skip` takes the moves
+    before the first that swaps two distinct slots, one of them
+    occupied; the loop runs that move itself and reports it to
+    :meth:`moved`.  A move that took an acceptance draw shifts the
+    pairing of the draws, so the next :meth:`skip` builds a new window;
+    a change of occupancy only recomputes which moves are no-ops.
+    """
+
+    def __init__(
+        self, rng: Xorshift32, allocation: Allocation, iterations: int, config: SAConfig
+    ) -> None:
+        self._rng = rng
+        self._slots = allocation.slots
+        self._n_slots = len(allocation)
+        # One byte per slot, read by :meth:`moved` and, as a bool array
+        # over the same memory, by the window's no-op test.
+        self._occupancy = bytearray(self._n_slots)
+        self._occupied = np.frombuffer(self._occupancy, dtype=bool)
+        for slot in allocation._thread_slot:
+            self._occupancy[slot] = 1
+        self._iterations = iterations
+        self._perturbation = schedule(
+            config.initial_perturbation, config.perturbation_decay, iterations + 1
+        )
+        self._acceptance = schedule(
+            config.initial_acceptance, config.acceptance_decay, iterations + 1
+        )
+        self._span = np.sqrt(self._perturbation)
+        # A move takes at most three draws.  ``_raw[:_filled]`` are the
+        # run's draws so far (``_mod`` them mod S); ``_next`` is the next.
+        self._raw = np.empty(3 * iterations, dtype=np.int64)
+        self._mod = np.empty_like(self._raw)
+        self._filled = self._next = 0
+        self._window_move = self._window_draw = 0
+        self._pos = self._new = self._moving = self._raw[:0]
+        # Window moves that change a slot; None until computed.
+        self._hits: "Optional[list[int]]" = None
+
+    def draw(self) -> int:
+        """The run's next draw: the next ``randi()`` output."""
+        i = self._next
+        if i == self._filled:
+            self._fill(i + 1)
+        self._next = i + 1
+        return int(self._raw[i])
+
+    def _fill(self, end: int) -> None:
+        while self._filled < end:
+            start = self._filled
+            stop = min(start + DRAW_BLOCK, len(self._raw))
+            self._raw[start:stop] = self._rng.randi_array(stop - start)
+            np.remainder(
+                self._raw[start:stop], self._n_slots, out=self._mod[start:stop]
+            )
+            self._filled = stop
+
+    def _build(self, move: int) -> None:
+        n = min(SCAN_WINDOW, self._iterations - move)
+        first = self._next
+        self._fill(first + 2 * n)
+        pos = self._mod[first : first + 2 * n : 2]
+        offset = self._mod[first + 1 : first + 2 * n : 2] - pos
+        new = pos + (self._span[move : move + n] * offset).astype(np.int64)
+        np.maximum(new, 0, out=new)
+        np.minimum(new, self._n_slots - 1, out=new)
+        self._pos, self._new, self._moving = pos, new, pos != new
+        self._window_move, self._window_draw = move, first
+        self._hits = None
+
+    def skip(self, move: int, limit: int) -> int:
+        """Take the no-op moves from ``move`` on, at most ``limit`` of
+        them, with their draws; return how many were taken."""
+        taken = 0
+        while taken < limit:
+            j = move + taken - self._window_move
+            if j >= len(self._pos) or self._next != self._window_draw + 2 * j:
+                self._build(move + taken)
+                j = 0
+            if self._hits is None:
+                occupied = self._occupied
+                touched = occupied[self._pos] | occupied[self._new]
+                self._hits = (self._moving & touched).nonzero()[0].tolist()
+            hit = bisect_left(self._hits, j)
+            stop = self._hits[hit] if hit < len(self._hits) else len(self._pos)
+            run = min(stop - j, limit - taken)
+            taken += run
+            self._next += 2 * run
+            if hit < len(self._hits):
+                break
+        return taken
+
+    def schedules(self, move: int) -> "tuple[float, float]":
+        """The perturbation and acceptance after ``move`` decays."""
+        return float(self._perturbation[move]), float(self._acceptance[move])
+
+    def moved(self, pos_a: int, pos_b: int) -> None:
+        """Follow the loop's move of ``(pos_a, pos_b)``: an accepted swap
+        of a thread with an empty slot moves an occupied slot."""
+        occupancy = self._occupancy
+        if occupancy[pos_a] != (self._slots[pos_a] != EMPTY):
+            occupancy[pos_a], occupancy[pos_b] = occupancy[pos_b], occupancy[pos_a]
+            self._hits = None
+
+
 def anneal(
     objective: EnergyEfficiencyObjective,
     initial: Allocation,
@@ -250,15 +421,22 @@ def anneal(
         trace = SATrace(stride=max(iterations // TRACE_SAMPLES, 1))
         trace.record(0, current, best_value, perturb, accept)
 
-    # Hot-loop locals.  ``draw()`` is the next ``randi()`` output, taken
-    # from blocks of DRAW_BLOCK; ``draw() % total_slots`` is exactly
-    # ``randi_range(0, total_slots)``, and ``draw() % total_slots - pos``
-    # is ``randi_range(-pos, total_slots - pos)``: same draws, same order.
-    draw = chain.from_iterable(map(rng.randi_block, repeat(DRAW_BLOCK))).__next__
+    # Hot-loop locals.  ``draw()`` is the next ``randi()`` output;
+    # ``draw() % total_slots`` is exactly ``randi_range(0, total_slots)``,
+    # and ``draw() % total_slots - pos`` is ``randi_range(-pos,
+    # total_slots - pos)``: same draws, same order.  A move takes at most
+    # three draws, so a short run needs only part of the first block.
+    full = not config.incremental
+    scan = None
+    if not full and expected_noop_run(working) >= SCAN_MIN_RUN:
+        scan = _NoopScan(rng, working, iterations, config)
+        draw = scan.draw
+    else:
+        blocks = chain((min(DRAW_BLOCK, 3 * iterations),), repeat(DRAW_BLOCK))
+        draw = chain.from_iterable(map(rng.randi_block, blocks)).__next__
     sqrt = math.sqrt
     exp = exp_neg if config.use_fixed_point_exp else lambda x: math.exp(-x)
     slots = working.slots
-    full = not config.incremental
     # The evaluator's value for ``working`` as it stands.
     value = current
     if full:
@@ -277,63 +455,93 @@ def anneal(
     acceptance_decay = config.acceptance_decay
     last_slot = total_slots - 1
     performed = 0
-    for _ in range(iterations):
-        if deadline is not None and performed % 32 == 0 and performed > 0:
-            if time.perf_counter() >= deadline:
-                truncated = True
-                break
-        performed += 1
-        pos = draw() % total_slots
-        span = sqrt(perturb)
-        offset = draw() % total_slots - pos
-        pos_new = pos + int(span * offset)
-        if pos_new < 0:
-            pos_new = 0
-        elif pos_new > last_slot:
-            pos_new = last_slot
+    # A dense run makes every move in one pass of the inner loop.  A
+    # sparse run alternates: while ``value == current`` it skips the
+    # no-op moves ahead at once (each a neutral accept), leaving at
+    # least one, then the inner loop makes one move.  With a time
+    # budget, a skip stops at the next clock check, which that move
+    # makes.
+    while performed < iterations:
+        moves = iterations - performed
+        if scan is not None:
+            if value == current:
+                limit = moves - 1
+                if deadline is not None:
+                    limit = min(limit, -performed % 32)
+                skipped = scan.skip(performed, limit)
+                if skipped:
+                    accepted += skipped
+                    if trace is not None:
+                        stride = trace.stride
+                        first = (performed // stride + 1) * stride
+                        last = performed + skipped
+                        for done in range(first, last + 1, stride):
+                            schedules = scan.schedules(done)
+                            trace.record(done, current, best_value, *schedules)
+                    performed += skipped
+                    perturb, accept = scan.schedules(performed)
+            moves = 1
+        for _ in range(moves):
+            if deadline is not None and performed % 32 == 0 and performed > 0:
+                if time.perf_counter() >= deadline:
+                    truncated = True
+                    break
+            performed += 1
+            pos = draw() % total_slots
+            span = sqrt(perturb)
+            offset = draw() % total_slots - pos
+            pos_new = pos + int(span * offset)
+            if pos_new < 0:
+                pos_new = 0
+            elif pos_new > last_slot:
+                pos_new = last_slot
 
-        # A self or empty–empty swap changes nothing: ``apply_swap``
-        # would return ``value`` as it stands.  That value can sit a few
-        # ULPs off ``current`` after an undo, so even such a no-op move
-        # goes through the acceptance rule.
-        changed = slots[pos] != slots[pos_new]
-        if changed or full:
-            value = move(pos, pos_new)
-        diff = value - current
-        if diff < 0:
-            # Algorithm 1's acceptance rule for a worse move: take it
-            # with probability e^(-|ΔJ| / (accept·|J|)) through the
-            # paper's integer trick ``randi() mod round(1/p) == 0``,
-            # which draws only when p > 0.  An underflowed scale makes
-            # the ratio +inf, which the cap absorbs.
-            scale = accept * max(abs(current), 1e-30)
-            probability = exp(min(-diff / scale, 11.0) if scale else 11.0)
-            take = (
-                probability > 0
-                and draw() % max(int(round(1.0 / probability)), 1) == 0
-            )
-        else:
-            # Improving and neutral moves (e.g. an empty–empty swap) are
-            # taken: a neutral move costs nothing and keeps the walk moving.
-            take = True
-        if take:
-            current = value
-            accepted += 1
+            # A self or empty–empty swap changes nothing: ``apply_swap``
+            # would return ``value`` as it stands.  That value can sit a few
+            # ULPs off ``current`` after an undo, so even such a no-op move
+            # goes through the acceptance rule.
+            changed = slots[pos] != slots[pos_new]
+            if changed or full:
+                value = move(pos, pos_new)
+            diff = value - current
             if diff < 0:
-                uphill += 1
-            if current > best_value:
-                best_value = current
-                journal.clear()
+                # Algorithm 1's acceptance rule for a worse move: take it
+                # with probability e^(-|ΔJ| / (accept·|J|)) through the
+                # paper's integer trick ``randi() mod round(1/p) == 0``,
+                # which draws only when p > 0.  An underflowed scale makes
+                # the ratio +inf, which the cap absorbs.
+                scale = accept * max(abs(current), 1e-30)
+                probability = exp(min(-diff / scale, 11.0) if scale else 11.0)
+                take = (
+                    probability > 0
+                    and draw() % max(int(round(1.0 / probability)), 1) == 0
+                )
+            else:
+                # Improving and neutral moves (e.g. an empty–empty swap) are
+                # taken: a neutral move costs nothing and keeps the walk moving.
+                take = True
+            if take:
+                current = value
+                accepted += 1
+                if diff < 0:
+                    uphill += 1
+                if current > best_value:
+                    best_value = current
+                    journal.clear()
+                elif changed:
+                    journal.append((pos, pos_new))
             elif changed:
-                journal.append((pos, pos_new))
-        elif changed:
-            # Swaps are involutive: undo by re-applying.
-            value = undo(pos, pos_new)
+                # Swaps are involutive: undo by re-applying.
+                value = undo(pos, pos_new)
 
-        perturb *= perturbation_decay
-        accept *= acceptance_decay
-        if trace is not None and performed % trace.stride == 0:
-            trace.record(performed, current, best_value, perturb, accept)
+            perturb *= perturbation_decay
+            accept *= acceptance_decay
+            if trace is not None and performed % trace.stride == 0:
+                trace.record(performed, current, best_value, perturb, accept)
+        if truncated:
+            break
+        if scan is not None:
+            scan.moved(pos, pos_new)
 
     best_allocation = working.copy()
     for pos_a, pos_b in reversed(journal):

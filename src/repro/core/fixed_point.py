@@ -14,7 +14,8 @@ implementable form (integer-only operations):
   and xors per draw, no multiplies, matching ``randi()`` returning a
   uniform integer in ``[0, 2^32)`` and ``randi(x, y)`` in ``[x, y)``.
   :meth:`Xorshift32.randi_block` returns the next ``n`` ``randi()``
-  outputs at once, for the annealer's hot loop.
+  outputs at once (``randi_array``: as a ``uint32`` array), for the
+  annealer's hot loop.
 * :func:`exp_neg_q16` — ``e^-x`` for ``x >= 0`` in Q16.16 fixed point,
   via the identity ``e^-x = 2^-(x·log2 e)``: an integer shift for the
   integral part and an 8-entry lookup table with linear interpolation
@@ -101,14 +102,18 @@ class Xorshift32:
         set bits taken alone: a block of :data:`DRAW_BLOCK` draws is one
         XOR-reduction over rows of a precomputed table.
         """
+        return self.randi_array(n).tolist()
+
+    def randi_array(self, n: int) -> np.ndarray:
+        """:meth:`randi_block` as a ``uint32`` array."""
         table = _draw_table()
-        out: "list[int]" = []
+        out = np.empty(n, dtype=np.uint32)
         state = self.state
-        while len(out) < n:
-            rows = table[(state & _BITS) != 0, : min(n - len(out), DRAW_BLOCK)]
-            block = np.bitwise_xor.reduce(rows, axis=0).tolist()
-            out += block
-            state = block[-1]
+        for start in range(0, n, DRAW_BLOCK):
+            block = out[start : start + DRAW_BLOCK]
+            rows = table[(state & _BITS) != 0, : len(block)]
+            np.bitwise_xor.reduce(rows, axis=0, out=block)
+            state = int(block[-1])
         self.state = state
         return out
 

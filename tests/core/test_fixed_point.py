@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +100,16 @@ class TestRandiBlock:
             for _ in range(singles):
                 assert block.randi() == scalar.randi()
             assert block.state == scalar.state
+
+    @pytest.mark.parametrize("n", [0, 1, 300, 512, 1025])
+    def test_array_form(self, n):
+        """``randi_array(n)`` is the same draws as a ``uint32`` array,
+        with the same state afterwards."""
+        array, scalar = Xorshift32(7), Xorshift32(7)
+        values = array.randi_array(n)
+        assert values.dtype == np.uint32 and values.shape == (n,)
+        assert values.tolist() == [scalar.randi() for _ in range(n)]
+        assert type(array.state) is int and array.state == scalar.state
 
 
 class TestExpNeg:

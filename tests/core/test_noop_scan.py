@@ -1,0 +1,289 @@
+"""The annealer's scan over runs of no-op moves, against the reference loop.
+
+On a sparse slot array :func:`repro.core.annealing.anneal` skips each
+run of no-op moves in one numpy step (see the module's bit-identity
+contract).  These tests hold it to ``tests/core/sa_oracle.py`` with
+``==`` where the scan's own rules matter:
+
+* random sparse problems (16–128 cores, 1–2 threads per core, default
+  slots) under both exponents, with and without a trace, at iteration
+  caps from 1 to the default;
+* time budgets: a 1 ns budget on an hmp:128 × 256-sized problem and a
+  fake clock that runs out at a later check, so a skip must stop at
+  each 32-move clock check;
+* a walk where an undo leaves the evaluator's value off ``current``:
+  the scan must wait until the value is back on ``current``;
+* the schedule tables, which must equal the loop's repeated ``*=``.
+
+The scan is also forced onto ``test_sa_oracle``'s small, dense
+problems, and the rule that picks the scan is checked: sparse
+incremental runs only.
+"""
+
+import dataclasses
+import itertools
+import math
+import time
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sa_oracle
+from repro.core import annealing
+from repro.core.allocation import Allocation
+from repro.core.annealing import (
+    SCAN_MIN_RUN,
+    SAConfig,
+    anneal,
+    default_iteration_cap,
+    expected_noop_run,
+    schedule,
+)
+from repro.core.fixed_point import DRAW_BLOCK, Xorshift32
+from repro.core.objective import MODES, EnergyEfficiencyObjective
+from test_sa_oracle import drifted_noops, problems, sa_configs, same
+
+
+def sparse_problem(n_cores, n_threads, seed, mode="global"):
+    """Random matrices, a random complete mapping, default slots: an
+    array of ``n_cores × n_threads`` slots, ``1 - 1/n_cores`` empty."""
+    rng = np.random.default_rng(seed)
+    shape = (n_threads, n_cores)
+    objective = EnergyEfficiencyObjective(
+        ips=rng.uniform(1e8, 5e9, shape),
+        power=rng.uniform(0.05, 8.0, shape),
+        utilization=rng.uniform(0.05, 1.0, shape),
+        idle_power=rng.uniform(0.05, 1.0, n_cores),
+        mode=mode,
+        power_cap_w=5.0 * n_cores if mode == "power_cap" else None,
+    )
+    mapping = rng.integers(0, n_cores, n_threads).tolist()
+    return objective, Allocation.from_mapping(mapping, n_cores)
+
+
+def assert_same(got, want):
+    """Every ``SAResult`` field, the best state's thread map and the
+    trace, floats compared with ``==``."""
+    assert got.best_allocation.slots == want.best_allocation.slots
+    assert got.best_allocation._thread_slot == want.best_allocation._thread_slot
+    for name in ("best_value", "initial_value"):
+        assert same(getattr(got, name), getattr(want, name)), name
+    for name in ("iterations", "accepted_moves", "uphill_accepts", "truncated"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.trace is None:
+        assert got.trace is None
+        return
+    assert got.trace.stride == want.trace.stride
+    assert len(got.trace.samples) == len(want.trace.samples)
+    for mine, theirs in zip(got.trace.samples, want.trace.samples):
+        assert mine.keys() == theirs.keys()
+        assert all(same(mine[k], theirs[k]) for k in mine), (mine, theirs)
+        # A skip sets the schedules from its tables as Python floats.
+        assert type(mine["perturbation"]) is type(mine["acceptance"]) is float
+
+
+class Spy(annealing._NoopScan):
+    """The scan, recording each run it makes and each skip it takes."""
+
+    runs = 0
+    skips: "list[tuple[int, int]]" = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        Spy.runs += 1
+
+    def skip(self, move, limit):
+        taken = super().skip(move, limit)
+        Spy.skips.append((move, taken))
+        return taken
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    monkeypatch.setattr(annealing, "_NoopScan", Spy)
+    monkeypatch.setattr(Spy, "runs", 0)
+    monkeypatch.setattr(Spy, "skips", [])
+    return Spy
+
+
+@st.composite
+def sparse_runs(draw):
+    n_cores = draw(st.integers(16, 128))
+    n_threads = draw(st.integers(n_cores, 2 * n_cores))
+    objective, allocation = sparse_problem(
+        n_cores,
+        n_threads,
+        draw(st.integers(0, 2**32 - 1)),
+        mode=draw(st.sampled_from(MODES)),
+    )
+    cap = default_iteration_cap(n_cores, n_threads)
+    config = SAConfig(
+        max_iterations=draw(st.one_of(st.none(), st.integers(1, cap))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        use_fixed_point_exp=draw(st.booleans()),
+    )
+    return objective, allocation, config, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_runs())
+def test_scan_matches_oracle_on_sparse_problems(run):
+    """Every drawn run scans (the break-even is lowered to 0, so the
+    16–31-core problems below it scan too) and equals the oracle."""
+    objective, allocation, config, keep_trace = run
+    with mock.patch.multiple(annealing, _NoopScan=Spy, SCAN_MIN_RUN=0.0):
+        with mock.patch.multiple(Spy, runs=0, skips=[]):
+            got = anneal(objective, allocation, config, keep_trace=keep_trace)
+            assert Spy.runs == 1
+    assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forced_scan_matches_oracle_on_small_problems(data):
+    """The scan forced onto ``test_sa_oracle``'s small problems (masks,
+    boundary cells, every mode, wider slot arrays) and random schedules,
+    with and without a time budget."""
+    objective, allocation = data.draw(problems())
+    config = dataclasses.replace(
+        data.draw(sa_configs),
+        use_fixed_point_exp=data.draw(st.booleans()),
+        time_budget_s=data.draw(st.sampled_from([None, 1e-9])),
+    )
+    with mock.patch.object(annealing, "SCAN_MIN_RUN", 0.0):
+        got = anneal(objective, allocation, config, keep_trace=True)
+    assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
+
+
+def test_which_runs_scan(spy):
+    """A sparse incremental run scans; a dense one (dvfsquad's 4 cores
+    × 8 threads, biglittle's 8 × 4) and the full re-evaluation mode
+    keep the loop."""
+    for n_cores, n_threads in ((4, 8), (8, 4), (128, 256)):
+        objective, allocation = sparse_problem(n_cores, n_threads, seed=1)
+        assert (expected_noop_run(allocation) >= SCAN_MIN_RUN) == (n_cores == 128)
+        runs = spy.runs
+        anneal(objective, allocation, SAConfig(max_iterations=50))
+        assert spy.runs == runs + (n_cores == 128)
+        anneal(objective, allocation, SAConfig(max_iterations=5, incremental=False))
+        assert spy.runs == runs + (n_cores == 128)
+
+
+def test_expected_noop_run():
+    """``1 / (1 - e²)`` for an empty-slot fraction ``e``: 64.25 for
+    hmp:128 × 256, 2.29 for 4 cores × 8 threads, 4.27 for 8 × 4, 1 for
+    a full array."""
+    assert expected_noop_run(Allocation.round_robin(256, 128)) == pytest.approx(
+        128**2 / 255
+    )
+    assert expected_noop_run(Allocation.round_robin(8, 4)) == pytest.approx(16 / 7)
+    assert expected_noop_run(Allocation.round_robin(4, 8)) == pytest.approx(64 / 15)
+    assert expected_noop_run(Allocation.from_mapping([0, 1], 2, 1)) == 1.0
+
+
+def test_hmp128_sized_run_cut_at_move_32(spy):
+    """With a 1 ns budget the first clock check, before move 33, ends
+    the run: the scan must not carry it past move 32."""
+    objective, allocation = sparse_problem(128, 256, seed=2)
+    config = SAConfig(time_budget_s=1e-9)
+    got = anneal(objective, allocation, config, keep_trace=True)
+    assert got.truncated and got.iterations == 32
+    assert spy.runs == 1 and sum(taken for _, taken in spy.skips) > 0
+    assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
+
+
+@pytest.mark.parametrize("checks", [1, 3, 40])
+def test_budget_runs_out_at_a_later_clock_check(checks, spy, monkeypatch):
+    """A fake clock that ticks once per read runs the budget out at
+    the ``checks``-th check: both loops must read it at the same moves
+    and stop at move ``32 · checks``."""
+
+    def run(fn):
+        ticks = itertools.count()
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+            return fn(objective, allocation, config, keep_trace=True)
+
+    objective, allocation = sparse_problem(64, 96, seed=3)
+    config = SAConfig(time_budget_s=checks - 0.5)
+    got = run(anneal)
+    assert got.truncated and got.iterations == 32 * checks
+    assert spy.runs == 1
+    assert_same(got, run(sa_oracle.anneal))
+
+
+def test_scan_resumes_after_an_undo_leaves_the_value_off_current(spy, monkeypatch):
+    """An undo can leave the evaluator a few ULPs off ``current``; the
+    no-op moves after it are then not neutral and must go through the
+    acceptance rule.  The scan waits, and takes over again right after
+    the move that puts ``current`` back on the value."""
+    objective, allocation = sparse_problem(32, 48, seed=0)
+    config = SAConfig(seed=1)
+    assert expected_noop_run(allocation) >= SCAN_MIN_RUN
+    with monkeypatch.context() as patch:
+        # A stride-1 trace of the reference walk gives ``current``
+        # after every move.
+        patch.setattr(sa_oracle, "TRACE_SAMPLES", math.inf)
+        drifted = drifted_noops(objective, allocation, config, patch)
+    assert drifted
+    for fixed_point in (True, False):
+        run = dataclasses.replace(config, use_fixed_point_exp=fixed_point)
+        spy.skips.clear()
+        assert_same(
+            anneal(objective, allocation, run, keep_trace=True),
+            sa_oracle.anneal(objective, allocation, run, keep_trace=True),
+        )
+        resumed = {move for move, taken in spy.skips if taken}
+        assert resumed & set(drifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.floats(0.0, 1.0),
+    decay=st.floats(0.0, 1.0, exclude_min=True),
+    n=st.integers(1, 4001),
+)
+def test_schedule_equals_repeated_products(initial, decay, n):
+    """Entry ``k`` is what ``k`` repeated ``*= decay`` leave, and its
+    ``np.sqrt`` is ``math.sqrt`` of it."""
+    table = schedule(initial, decay, n)
+    value, want = initial, []
+    for _ in range(n):
+        want.append(value)
+        value *= decay
+    assert table.tolist() == want
+    assert np.sqrt(table).tolist() == [math.sqrt(v) for v in want]
+
+
+@pytest.mark.parametrize(
+    "initial, decay",
+    [(1.0, 0.995), (0.05, 0.99), (0.05, 0.01), (0.3, 1.0)],
+    ids=["perturbation", "acceptance", "underflow", "no-decay"],
+)
+def test_stock_schedules_equal_repeated_products(initial, decay):
+    table = schedule(initial, decay, 4001).tolist()
+    value = initial
+    for k in range(4001):
+        assert table[k] == value, k
+        value *= decay
+
+
+def test_short_dense_run_draws_one_block_of_three_per_move(monkeypatch):
+    """A move takes at most three draws: a 100-iteration anneal (the
+    governor's inner anneal) computes one 300-draw block, not 512."""
+    sizes = []
+    block = Xorshift32.randi_block
+
+    def recording(self, n):
+        sizes.append(n)
+        return block(self, n)
+
+    monkeypatch.setattr(Xorshift32, "randi_block", recording)
+    objective, allocation = sparse_problem(4, 8, seed=6)
+    anneal(objective, allocation, SAConfig(max_iterations=100))
+    assert sizes == [300]
+    sizes.clear()
+    anneal(objective, allocation, SAConfig(max_iterations=400))
+    assert sizes[0] == DRAW_BLOCK
