@@ -4,8 +4,9 @@
 stream of the reference traced run (``conftest.TRACED_SPEC``), and
 ``obs_report.txt`` the report rendered from it — the prediction-accuracy
 table (Table 4), annealer convergence (Algorithm 1/Fig. 8) and
-fault/defence tallies.  Any change to event emission or aggregation
-shows up as a diff here; regenerate deliberately with:
+fault/defence tallies.  The live run is compared with both, line for
+line, so any change to event emission or aggregation shows up as a
+diff here; regenerate deliberately with:
 
     PYTHONPATH=src python -m pytest tests/obs/test_report.py --update-golden
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import build_report, deterministic_events, render_report
-from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.export import dumps_jsonl, read_jsonl, write_jsonl
 from repro.obs.report import build_annealer_summary, build_prediction_accuracy
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
@@ -42,6 +43,10 @@ class TestGoldenReport:
     def test_report_of_golden_trace_matches_golden_text(self):
         events = read_jsonl(str(GOLDEN_JSONL))
         assert render_report(build_report(events)) == GOLDEN_REPORT.read_text()
+
+    def test_live_run_reproduces_golden_events(self, traced_events):
+        live = dumps_jsonl(deterministic_events(traced_events)).splitlines()
+        assert live == GOLDEN_JSONL.read_text().splitlines()
 
     def test_live_run_reproduces_golden_report(self, traced_events):
         events = deterministic_events(traced_events)
