@@ -77,7 +77,6 @@ def summary(result):
         result.iterations,
         result.accepted_moves,
         result.uphill_accepts,
-        result.truncated,
         result.trace.stride,
         result.trace.samples,
     )

@@ -27,8 +27,9 @@ Design notes / deliberate choices:
 
 Bit-identity contract: the loop is written for host speed, but every
 decision is a pure function of the seed and the objective, so run
-digests do not depend on how fast the loop is.  Each RNG draw keeps its
-position, every float operation keeps its operands and order, the
+digests do not depend on how fast the loop is.  No decision reads the
+clock: the iteration cap is the run's only bound.  Each RNG draw keeps
+its position, every float operation keeps its operands and order, the
 evaluator's starting aggregates are numpy reductions and ``J_E``'s
 power is a scalar ``**`` (see
 :class:`~repro.core.objective.IncrementalEvaluator`).  Four shortcuts
@@ -53,7 +54,7 @@ keep that contract:
   each new best, the loop logs the accepted slot-changing swaps made
   since the last one and, at the end, undoes them in reverse on one
   copy of the final state.  Swaps are involutions, so this rebuilds the
-  best state's slots and thread map exactly, truncated runs included.
+  best state's slots and thread map exactly.
 * **Runs of no-op moves.**  While the evaluator's value equals
   ``current``, a no-op move is a neutral accept that takes exactly two
   draws and changes only ``accepted``, the iteration count and the two
@@ -68,8 +69,7 @@ keep that contract:
   schedules and any trace samples across the moves before it at once;
   that move runs through the loop body as before.  An acceptance draw
   shifts the pairing of the draws and rebuilds the window; a change of
-  occupancy only recomputes which of its moves are no-ops.  With a
-  time budget, a skip stops at each 32-move clock check.  The rule
+  occupancy only recomputes which of its moves are no-ops.  The rule
   that decides whether a run scans reads the allocation's empty-slot
   fraction ``e``: the expected no-op run, about ``1 / (1 − e²)``
   (:func:`expected_noop_run`), must reach :data:`SCAN_MIN_RUN` = 16.
@@ -96,7 +96,6 @@ decision and move digests.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -155,21 +154,10 @@ class SAConfig:
     #: Use the O(1) incremental objective (paper's optimisation) or a
     #: full re-evaluation per move (ablation).
     incremental: bool = True
-    #: Wall-clock budget (seconds) for the annealing run; the loop
-    #: checks the clock every few moves and truncates cleanly when the
-    #: budget is exhausted, returning the best allocation found so far.
-    #: ``None`` disables the budget (iteration-bounded only).  This is
-    #: the epoch-time-budget defence: the balance phase can never eat
-    #: into the next epoch no matter how large the platform is.
-    time_budget_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError(
-                f"time_budget_s must be positive, got {self.time_budget_s}"
-            )
         if not 0.0 <= self.initial_perturbation <= 1.0:
             raise ValueError("initial_perturbation must be in [0, 1]")
         for name in ("perturbation_decay", "acceptance_decay"):
@@ -228,8 +216,6 @@ class SAResult:
     iterations: int
     accepted_moves: int
     uphill_accepts: int
-    #: True when the wall-clock budget cut the run short.
-    truncated: bool = False
     #: Sampled convergence trace; None unless the caller asked for one.
     trace: Optional[SATrace] = None
 
@@ -345,9 +331,11 @@ class _NoopScan:
         self._window_move, self._window_draw = move, first
         self._hits = None
 
-    def skip(self, move: int, limit: int) -> int:
-        """Take the no-op moves from ``move`` on, at most ``limit`` of
-        them, with their draws; return how many were taken."""
+    def skip(self, move: int) -> int:
+        """Take the no-op moves from ``move`` on, with their draws, and
+        return how many were taken.  The run's last move is always left
+        to the loop."""
+        limit = self._iterations - 1 - move
         taken = 0
         while taken < limit:
             j = move + taken - self._window_move
@@ -412,10 +400,6 @@ def anneal(
     journal: "list[tuple[int, int]]" = []
     accepted = 0
     uphill = 0
-    truncated = False
-    deadline = None
-    if config.time_budget_s is not None:
-        deadline = time.perf_counter() + config.time_budget_s
     trace = None
     if keep_trace:
         trace = SATrace(stride=max(iterations // TRACE_SAMPLES, 1))
@@ -458,17 +442,12 @@ def anneal(
     # A dense run makes every move in one pass of the inner loop.  A
     # sparse run alternates: while ``value == current`` it skips the
     # no-op moves ahead at once (each a neutral accept), leaving at
-    # least one, then the inner loop makes one move.  With a time
-    # budget, a skip stops at the next clock check, which that move
-    # makes.
+    # least one, then the inner loop makes one move.
     while performed < iterations:
         moves = iterations - performed
         if scan is not None:
             if value == current:
-                limit = moves - 1
-                if deadline is not None:
-                    limit = min(limit, -performed % 32)
-                skipped = scan.skip(performed, limit)
+                skipped = scan.skip(performed)
                 if skipped:
                     accepted += skipped
                     if trace is not None:
@@ -482,10 +461,6 @@ def anneal(
                     perturb, accept = scan.schedules(performed)
             moves = 1
         for _ in range(moves):
-            if deadline is not None and performed % 32 == 0 and performed > 0:
-                if time.perf_counter() >= deadline:
-                    truncated = True
-                    break
             performed += 1
             pos = draw() % total_slots
             span = sqrt(perturb)
@@ -538,8 +513,6 @@ def anneal(
             accept *= acceptance_decay
             if trace is not None and performed % trace.stride == 0:
                 trace.record(performed, current, best_value, perturb, accept)
-        if truncated:
-            break
         if scan is not None:
             scan.moved(pos, pos_new)
 
@@ -555,6 +528,5 @@ def anneal(
         iterations=performed,
         accepted_moves=accepted,
         uphill_accepts=uphill,
-        truncated=truncated,
         trace=trace,
     )

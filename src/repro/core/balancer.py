@@ -17,7 +17,6 @@ views in tests and benchmarks.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -45,9 +44,7 @@ from repro.obs import events as obs_events
 # Fixed tuning values.  Each is read when it is used, so a test can
 # monkeypatch it on this module.
 
-#: Algorithm 1's inputs for every epoch's anneal; the epoch time budget
-#: (``SmartBalanceConfig.epoch_time_budget_s``) is the only per-epoch
-#: change.
+#: Algorithm 1's inputs for every epoch's anneal.
 SA_CONFIG = SAConfig()
 #: Relative objective gain the annealer must find before the new
 #: allocation is adopted; guards against migration churn when the
@@ -119,8 +116,8 @@ class BalancerHealth:
     """Cumulative resilience counters of one SmartBalance instance.
 
     The defence layer's own telemetry: how many samples it refused,
-    how often it leaned on stale rows, whether the predictor watchdog
-    ever tripped, and how often the epoch time budget bit.
+    how often it leaned on stale rows and whether the predictor
+    watchdog ever tripped.
     """
 
     samples_rejected: int = 0
@@ -136,10 +133,6 @@ class BalancerHealth:
     watchdog_trips: int = 0
     #: Epochs decided by capability fallback instead of the predictor.
     watchdog_fallback_epochs: int = 0
-    #: Epochs whose SA run was cut short by the time budget.
-    truncated_epochs: int = 0
-    #: Epochs where sensing/predicting alone exhausted the budget.
-    budget_skipped_epochs: int = 0
     #: Epochs in which at least one core was masked out as offline.
     hotplug_masked_epochs: int = 0
     #: Adaptation-layer telemetry (zero while adaptation is disabled).
@@ -614,48 +607,9 @@ class SmartBalance(LoadBalancer):
             )
         return self.config.core_weights
 
-    def _epoch_sa_config(self, t0: float, t_s: float) -> "Optional[SAConfig]":
-        """The annealer configuration left by the epoch time budget.
-
-        Whatever sensing and predicting consumed since ``t0`` is gone;
-        the balance phase gets only the remainder and truncates cleanly
-        when it runs out.  Returns ``None`` when nothing is left (the
-        epoch keeps its incumbent) and :data:`SA_CONFIG` itself when no
-        budget is set.
-        """
-        sa_config = SA_CONFIG
-        if self.config.epoch_time_budget_s is None:
-            return sa_config
-        remaining = self.config.epoch_time_budget_s - (time.perf_counter() - t0)
-        if remaining <= 0:
-            self.health.budget_skipped_epochs += 1
-            oc = self.obs
-            if oc.enabled:
-                oc.tracer.emit(
-                    obs_events.MITIGATION,
-                    t_s,
-                    kind="budget_skip",
-                    cause="epoch_budget_exhausted",
-                )
-                oc.metrics.inc("balancer.epoch_budget_overruns")
-            return None
-        if sa_config.time_budget_s is not None:
-            remaining = min(remaining, sa_config.time_budget_s)
-        return replace(sa_config, time_budget_s=remaining)
-
     def _note_anneal(self, view: SystemView, result: SAResult, t_s: float) -> None:
-        """Count a truncated run and emit the epoch's ``anneal`` event."""
+        """Emit the epoch's ``anneal`` event."""
         oc = self.obs
-        if result.truncated:
-            self.health.truncated_epochs += 1
-            if oc.enabled:
-                oc.tracer.emit(
-                    obs_events.MITIGATION,
-                    t_s,
-                    kind="sa_truncated",
-                    cause="sa_time_budget",
-                )
-                oc.metrics.inc("balancer.truncated_epochs")
         if oc.enabled:
             oc.tracer.emit(
                 obs_events.ANNEAL,
@@ -664,7 +618,6 @@ class SmartBalance(LoadBalancer):
                 iterations=result.iterations,
                 accepted=result.accepted_moves,
                 uphill=result.uphill_accepts,
-                truncated=result.truncated,
                 initial_value=result.initial_value,
                 best_value=result.best_value,
                 improvement_pct=result.improvement * 100.0,
@@ -680,8 +633,7 @@ class SmartBalance(LoadBalancer):
         matrices: CharacterisationMatrices,
         participants: list[TaskView],
         allowed: "Optional[np.ndarray]",
-        t0: float,
-    ) -> "tuple[Optional[dict[int, int]], Optional[SAResult], float]":
+    ) -> "tuple[Optional[dict[int, int]], SAResult, float]":
         """Balance-phase hook: pick the next placement given this
         epoch's characterisation matrices.
 
@@ -707,11 +659,8 @@ class SmartBalance(LoadBalancer):
             [task.core_id for task in participants], n_cores=len(view.platform)
         )
         incumbent_value = objective.evaluate(incumbent)
-        sa_config = self._epoch_sa_config(t0, t_s)
-        if sa_config is None:
-            return None, None, incumbent_value
         result = anneal(
-            objective, incumbent, sa_config, keep_trace=self.obs.enabled
+            objective, incumbent, SA_CONFIG, keep_trace=self.obs.enabled
         )
         self._note_anneal(view, result, t_s)
         changes = incumbent.diff(result.best_allocation)
@@ -736,7 +685,6 @@ class SmartBalance(LoadBalancer):
         """Run one epoch's sense → predict → balance pass."""
         oc = self.obs
         t_s = view.time_s
-        t0 = time.perf_counter()
         mitigations = self.config.mitigations
         with oc.span("sense") as sense_span:
             view = self._sense(view)
@@ -947,7 +895,7 @@ class SmartBalance(LoadBalancer):
                 fallback_mode = True
             else:
                 placement, sa_result, incumbent_value = self._optimize(
-                    view, matrices, participants, allowed, t0
+                    view, matrices, participants, allowed
                 )
 
         timings = PhaseTimings(

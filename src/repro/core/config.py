@@ -75,21 +75,10 @@ class SmartBalanceConfig:
     thermal_knee_c: float = 75.0
     thermal_zero_c: float = 95.0
     objective_mode: str = "global"
-    #: Wall-clock budget (seconds) for one full decide() pass; time
-    #: already spent sensing and predicting is deducted from the SA
-    #: balance phase, which truncates cleanly when it runs out.  None
-    #: disables the budget.  Set this to a fraction of the epoch length
-    #: so a slow epoch can never push balancing into the next one.
-    epoch_time_budget_s: Optional[float] = None
     mitigations: bool = True
     adaptation: bool = False
 
     def __post_init__(self) -> None:
-        if self.epoch_time_budget_s is not None and self.epoch_time_budget_s <= 0:
-            raise ValueError(
-                "epoch_time_budget_s must be positive, got "
-                f"{self.epoch_time_budget_s}"
-            )
         if self.objective_mode not in SMARTBALANCE_MODES:
             raise ValueError(
                 f"objective_mode must be one of {SMARTBALANCE_MODES}, "

@@ -50,7 +50,7 @@ class _RowScaledBalance(SmartBalance):
         """Weight for one thread, or ``None`` to leave it unscaled."""
         raise NotImplementedError
 
-    def _optimize(self, view, matrices, participants, allowed, t0):
+    def _optimize(self, view, matrices, participants, allowed):
         weights = {}
         for task_view in view.tasks:
             weight = self._row_weight(task_view)
@@ -63,7 +63,7 @@ class _RowScaledBalance(SmartBalance):
                 if weight is not None:
                     ips[row] *= weight
             matrices = dataclasses.replace(matrices, ips=ips)
-        return super()._optimize(view, matrices, participants, allowed, t0)
+        return super()._optimize(view, matrices, participants, allowed)
 
 
 class TpeqBalance(_RowScaledBalance):

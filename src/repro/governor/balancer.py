@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core import balancer as core_balancer
 from repro.core.allocation import Allocation
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
@@ -132,7 +133,6 @@ class GovernorSmartBalance(SmartBalance):
         matrices,
         participants,
         allowed,
-        t0: float,
     ):
         oc = self.obs
         t_s = view.time_s
@@ -152,18 +152,13 @@ class GovernorSmartBalance(SmartBalance):
         incumbent = Allocation.from_mapping(
             [task.core_id for task in participants], n_cores=len(core_types)
         )
-        sa_config = self._epoch_sa_config(t0, t_s)
-        if sa_config is None:
-            incumbent_value = factory.objective(self._levels).evaluate(incumbent)
-            return None, None, incumbent_value
-
         ctx = SearchContext(
             factory=factory,
             ladders=self._ladders,
             incumbent=incumbent,
             current_levels=self._levels,
             participants=len(participants),
-            sa_config=sa_config,
+            sa_config=core_balancer.SA_CONFIG,
             gov=self.governor,
             keep_trace=oc.enabled,
         )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, replace
 
 from repro.core.allocation import Allocation
@@ -79,9 +78,7 @@ class GovernorOutcome:
     levels: tuple[int, ...]
     #: OPP candidate vectors scored this epoch.  ``two_level`` counts
     #: every enumerated vector, annealed or not (past ``SCREEN_TOP`` its
-    #: screen scores them all), plus one for a fallback anneal; the
-    #: count does not shrink when a time budget stops the candidate
-    #: loop early.
+    #: screen scores them all), plus one for a fallback anneal.
     candidates_evaluated: int
 
 
@@ -138,34 +135,15 @@ def _candidate_levels(ctx: SearchContext) -> "list[tuple[int, ...]]":
     return candidates
 
 
-#: Budget handed to an anneal that starts after the deadline.
-_MIN_BUDGET_S = 1e-9
-
-
-def _until(deadline: "float | None", config: SAConfig) -> SAConfig:
-    """``config`` with the time left before ``deadline`` as its budget.
-
-    With no deadline the config is returned as the same object.  Past
-    the deadline the budget is the smallest one ``SAConfig`` accepts,
-    so the anneal stops at its first clock check.
-    """
-    if deadline is None:
-        return config
-    remaining = max(deadline - time.perf_counter(), _MIN_BUDGET_S)
-    return replace(config, time_budget_s=remaining)
-
-
 def two_level(ctx: SearchContext) -> GovernorOutcome:
     """Outer OPP enumeration, inner annealing of the screened
     candidates, full anneal on the winner.
 
-    A time budget in ``ctx.sa_config`` covers the whole search: the
-    candidate loop stops once it is spent, and every anneal gets only
-    what is left of it.
+    The inner anneals share one reduced-iteration copy of
+    ``ctx.sa_config``; the final and the fallback anneal get
+    ``ctx.sa_config`` itself, which is how ``e2ebench/layers.py`` tells
+    them apart.
     """
-    deadline = None
-    if ctx.sa_config.time_budget_s is not None:
-        deadline = time.perf_counter() + ctx.sa_config.time_budget_s
     factory = ctx.factory
     current = ctx.current_levels
     incumbent_value = factory.objective(current).evaluate(ctx.incumbent)
@@ -184,11 +162,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     candidates = _candidate_levels(ctx)
     evaluated = len(candidates)
     for levels in _screened(ctx, candidates):
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        result = anneal(
-            factory.objective(levels), ctx.incumbent, _until(deadline, inner_cfg)
-        )
+        result = anneal(factory.objective(levels), ctx.incumbent, inner_cfg)
         if result.best_value > best_inner:
             best_inner = result.best_value
             best_levels = levels
@@ -196,7 +170,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
     result = anneal(
         factory.objective(best_levels),
         ctx.incumbent,
-        _until(deadline, ctx.sa_config),
+        ctx.sa_config,
         keep_trace=ctx.keep_trace,
     )
     changes = ctx.incumbent.diff(result.best_allocation)
@@ -219,7 +193,7 @@ def two_level(ctx: SearchContext) -> GovernorOutcome:
         result = anneal(
             factory.objective(current),
             ctx.incumbent,
-            _until(deadline, ctx.sa_config),
+            ctx.sa_config,
             keep_trace=ctx.keep_trace,
         )
         changes = ctx.incumbent.diff(result.best_allocation)

@@ -99,6 +99,9 @@ class ResilienceStats:
     samples_rebaselined: int = 0
     watchdog_trips: int = 0
     watchdog_fallback_epochs: int = 0
+    #: Always 0: the annealer has no time budget to cut a run short or
+    #: skip an epoch.  Kept because every serialised result, and so
+    #: every result digest and cached run, carries both fields.
     truncated_epochs: int = 0
     budget_skipped_epochs: int = 0
     hotplug_masked_epochs: int = 0

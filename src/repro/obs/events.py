@@ -156,8 +156,6 @@ MITIGATION_KINDS = (
     "thread_dropped",
     "rebaseline",
     "watchdog_fallback",
-    "budget_skip",
-    "sa_truncated",
     "hotplug_mask",
     "offline_placement_blocked",
     "telemetry_rejected",
@@ -213,7 +211,6 @@ EVENT_SCHEMA: "dict[str, tuple[tuple[str, ...], tuple[str, ...]]]" = {
             "iterations",
             "accepted",
             "uphill",
-            "truncated",
             "initial_value",
             "best_value",
         ),

@@ -209,7 +209,6 @@ def to_chrome_trace(events: Sequence[dict]) -> dict:
                         "accepted": event.get("accepted"),
                         "uphill": event.get("uphill"),
                         "improvement_pct": event.get("improvement_pct"),
-                        "truncated": event.get("truncated"),
                     },
                     "balancer",
                 )

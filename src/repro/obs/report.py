@@ -86,7 +86,6 @@ def build_annealer_summary(events: Iterable[dict]) -> dict:
         "acceptance_rate": (
             sum(accepted) / sum(iterations) if sum(iterations) else 0.0
         ),
-        "truncated_runs": sum(1 for e in runs if e.get("truncated")),
         "improvement_pct_mean": _mean(improvements),
     }
 
@@ -375,7 +374,6 @@ def render_report(report: dict) -> str:
             f"(rate {annealer['acceptance_rate']:.1%}, "
             f"uphill {annealer['uphill_total']})"
         )
-        lines.append(f"  truncated runs    {annealer['truncated_runs']}")
         lines.append(
             f"  mean improvement  {annealer['improvement_pct_mean']:.2f}%"
         )

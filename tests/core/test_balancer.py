@@ -332,19 +332,3 @@ class TestWatchdog:
         placement = eng._capability_placement(healthy, view, allowed)
         for core_id in placement.values():
             assert core_id == 2
-
-
-class TestEpochBudget:
-    def test_exhausted_budget_keeps_placement(self, monkeypatch):
-        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
-        eng = engine(epoch_time_budget_s=1e-9)
-        decision = eng.decide(synthetic_view(4, 8, seed=15))
-        assert decision.placement is None
-        assert eng.health.budget_skipped_epochs == 1
-
-    def test_generous_budget_changes_nothing(self, monkeypatch):
-        monkeypatch.setattr(balancer_module, "MIN_IMPROVEMENT", 0.0)
-        eng = engine(epoch_time_budget_s=60.0)
-        decision = eng.decide(synthetic_view(4, 8, seed=16))
-        assert decision.sa_result is not None
-        assert eng.health.budget_skipped_epochs == 0

@@ -33,7 +33,6 @@ class TestDefaults:
             "thermal_knee_c",
             "thermal_zero_c",
             "objective_mode",
-            "epoch_time_budget_s",
             "mitigations",
             "adaptation",
         ]
@@ -102,16 +101,3 @@ class TestResilienceConfig:
             "smartbalance", mitigations=True, adaptation=False, governor="two_level"
         ).config
         assert (config.mitigations, config.adaptation) == (True, False)
-
-
-class TestEpochTimeBudget:
-    def test_none_by_default(self):
-        assert SmartBalanceConfig().epoch_time_budget_s is None
-
-    def test_positive_accepted(self):
-        assert SmartBalanceConfig(epoch_time_budget_s=0.01).epoch_time_budget_s == 0.01
-
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
-    def test_nonpositive_rejected(self, budget):
-        with pytest.raises(ValueError):
-            SmartBalanceConfig(epoch_time_budget_s=budget)

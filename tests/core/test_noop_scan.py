@@ -8,9 +8,8 @@ contract).  These tests hold it to ``tests/core/sa_oracle.py`` with
 * random sparse problems (16–128 cores, 1–2 threads per core, default
   slots) under both exponents, with and without a trace, at iteration
   caps from 1 to the default;
-* time budgets: a 1 ns budget on an hmp:128 × 256-sized problem and a
-  fake clock that runs out at a later check, so a skip must stop at
-  each 32-move clock check;
+* an hmp:128 × 256-sized run cut at move 32 by its iteration cap: the
+  scan must stop at the cap and leave the last move to the loop;
 * a walk where an undo leaves the evaluator's value off ``current``:
   the scan must wait until the value is back on ``current``;
 * the schedule tables, which must equal the loop's repeated ``*=``.
@@ -21,9 +20,7 @@ incremental runs only.
 """
 
 import dataclasses
-import itertools
 import math
-import time
 from unittest import mock
 
 import numpy as np
@@ -70,7 +67,7 @@ def assert_same(got, want):
     assert got.best_allocation._thread_slot == want.best_allocation._thread_slot
     for name in ("best_value", "initial_value"):
         assert same(getattr(got, name), getattr(want, name)), name
-    for name in ("iterations", "accepted_moves", "uphill_accepts", "truncated"):
+    for name in ("iterations", "accepted_moves", "uphill_accepts"):
         assert getattr(got, name) == getattr(want, name), name
     if want.trace is None:
         assert got.trace is None
@@ -94,8 +91,8 @@ class Spy(annealing._NoopScan):
         super().__init__(*args)
         Spy.runs += 1
 
-    def skip(self, move, limit):
-        taken = super().skip(move, limit)
+    def skip(self, move):
+        taken = super().skip(move)
         Spy.skips.append((move, taken))
         return taken
 
@@ -144,13 +141,10 @@ def test_scan_matches_oracle_on_sparse_problems(run):
 @given(st.data())
 def test_forced_scan_matches_oracle_on_small_problems(data):
     """The scan forced onto ``test_sa_oracle``'s small problems (masks,
-    boundary cells, every mode, wider slot arrays) and random schedules,
-    with and without a time budget."""
+    boundary cells, every mode, wider slot arrays) and random schedules."""
     objective, allocation = data.draw(problems())
     config = dataclasses.replace(
-        data.draw(sa_configs),
-        use_fixed_point_exp=data.draw(st.booleans()),
-        time_budget_s=data.draw(st.sampled_from([None, 1e-9])),
+        data.draw(sa_configs), use_fixed_point_exp=data.draw(st.booleans())
     )
     with mock.patch.object(annealing, "SCAN_MIN_RUN", 0.0):
         got = anneal(objective, allocation, config, keep_trace=True)
@@ -184,34 +178,15 @@ def test_expected_noop_run():
 
 
 def test_hmp128_sized_run_cut_at_move_32(spy):
-    """With a 1 ns budget the first clock check, before move 33, ends
-    the run: the scan must not carry it past move 32."""
+    """A 32-move cap ends the run at move 32: the scan must not carry it
+    past the cap, and it leaves the last move to the loop."""
     objective, allocation = sparse_problem(128, 256, seed=2)
-    config = SAConfig(time_budget_s=1e-9)
+    config = SAConfig(max_iterations=32)
     got = anneal(objective, allocation, config, keep_trace=True)
-    assert got.truncated and got.iterations == 32
+    assert got.iterations == 32
     assert spy.runs == 1 and sum(taken for _, taken in spy.skips) > 0
+    assert max(move + taken for move, taken in spy.skips) < 32
     assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
-
-
-@pytest.mark.parametrize("checks", [1, 3, 40])
-def test_budget_runs_out_at_a_later_clock_check(checks, spy, monkeypatch):
-    """A fake clock that ticks once per read runs the budget out at
-    the ``checks``-th check: both loops must read it at the same moves
-    and stop at move ``32 · checks``."""
-
-    def run(fn):
-        ticks = itertools.count()
-        with monkeypatch.context() as patch:
-            patch.setattr(time, "perf_counter", lambda: float(next(ticks)))
-            return fn(objective, allocation, config, keep_trace=True)
-
-    objective, allocation = sparse_problem(64, 96, seed=3)
-    config = SAConfig(time_budget_s=checks - 0.5)
-    got = run(anneal)
-    assert got.truncated and got.iterations == 32 * checks
-    assert spy.runs == 1
-    assert_same(got, run(sa_oracle.anneal))
 
 
 def test_scan_resumes_after_an_undo_leaves_the_value_off_current(spy, monkeypatch):

@@ -15,8 +15,8 @@ empty:
 * so it does where the fast loop's shortcuts matter: a walk whose
   undos leave the evaluator a few ULPs below ``current`` before a
   no-op move, a 64-core × 128-thread problem of 8192 mostly empty
-  slots, and a run cut by its time budget, whose best allocation is
-  rebuilt from the undo journal.
+  slots, and a run cut short by its iteration cap, whose best
+  allocation is rebuilt from the undo journal.
 
 A one-ULP nudge of one ``u·ips`` cell must break the agreement, so the
 equality cannot hold vacuously.
@@ -145,7 +145,7 @@ def assert_same_result(got, want):
     assert got.best_allocation.slots == want.best_allocation.slots
     for name in ("best_value", "initial_value"):
         assert same(getattr(got, name), getattr(want, name)), name
-    for name in ("iterations", "accepted_moves", "uphill_accepts", "truncated"):
+    for name in ("iterations", "accepted_moves", "uphill_accepts"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.trace.stride == want.trace.stride
     assert len(got.trace.samples) == len(want.trace.samples)
@@ -364,8 +364,8 @@ def test_large_sparse_problem_matches_oracle():
 
 
 def test_truncated_run_rebuilds_its_best_allocation():
-    """A run cut by its time budget returns the best state it visited,
-    rebuilt by undoing the swaps accepted after it."""
+    """A run cut short by its iteration cap returns the best state it
+    visited, rebuilt by undoing the swaps accepted after it."""
     rng = np.random.default_rng(8)
     m, n = 12, 4
     objective = EnergyEfficiencyObjective(
@@ -375,10 +375,9 @@ def test_truncated_run_rebuilds_its_best_allocation():
         idle_power=rng.uniform(0.05, 1.0, n),
     )
     allocation = Allocation.from_mapping([t % n for t in range(m)], n, 4)
-    # The clock is read every 32 moves; a 1 ns budget is gone by then.
-    config = SAConfig(max_iterations=4000, time_budget_s=1e-9)
+    config = SAConfig(max_iterations=32)
     got = anneal(objective, allocation, config, keep_trace=True)
-    assert got.truncated and got.iterations == 32
+    assert got.iterations == 32
     assert_same_result(
         got, sa_oracle.anneal(objective, allocation, config, keep_trace=True)
     )

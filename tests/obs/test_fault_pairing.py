@@ -84,8 +84,6 @@ class TestMitigationEvents:
             mitigations_by_kind["watchdog_fallback"]
             == stats.watchdog_fallback_epochs
         )
-        assert mitigations_by_kind["sa_truncated"] == stats.truncated_epochs
-        assert mitigations_by_kind["budget_skip"] == stats.budget_skipped_epochs
         assert (
             mitigations_by_kind["hotplug_mask"] == stats.hotplug_masked_epochs
         )

@@ -106,11 +106,11 @@ class TestAnnealerSummary:
     def test_aggregates_across_runs(self):
         events = [
             {"type": "anneal", "t_s": 0.1, "epoch": 0, "iterations": 100,
-             "accepted": 80, "uphill": 5, "truncated": False,
+             "accepted": 80, "uphill": 5,
              "initial_value": 1.0, "best_value": 1.2,
              "improvement_pct": 20.0},
             {"type": "anneal", "t_s": 0.2, "epoch": 1, "iterations": 300,
-             "accepted": 120, "uphill": 15, "truncated": True,
+             "accepted": 120, "uphill": 15,
              "initial_value": 1.0, "best_value": 1.1,
              "improvement_pct": 10.0},
         ]
@@ -120,7 +120,6 @@ class TestAnnealerSummary:
         assert summary["accepted_total"] == 200
         assert summary["acceptance_rate"] == pytest.approx(0.5)
         assert summary["uphill_total"] == 20
-        assert summary["truncated_runs"] == 1
         assert summary["improvement_pct_mean"] == pytest.approx(15.0)
 
     def test_empty_stream(self):
