@@ -10,6 +10,8 @@ contract).  These tests hold it to ``tests/core/sa_oracle.py`` with
   caps from 1 to the default;
 * an hmp:128 × 256-sized run cut at move 32 by its iteration cap: the
   scan must stop at the cap and leave the last move to the loop;
+* caps that fall halfway through a run of no-op moves, early, midway
+  and late in a 64 × 96 walk: the skip must stop one move short;
 * a walk where an undo leaves the evaluator's value off ``current``:
   the scan must wait until the value is back on ``current``;
 * the schedule tables, which must equal the loop's repeated ``*=``.
@@ -186,6 +188,26 @@ def test_hmp128_sized_run_cut_at_move_32(spy):
     assert got.iterations == 32
     assert spy.runs == 1 and sum(taken for _, taken in spy.skips) > 0
     assert max(move + taken for move, taken in spy.skips) < 32
+    assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_cap_inside_a_noop_run_cuts_the_skip(which, spy):
+    """A cap that falls halfway through a run of no-op moves of the
+    uncapped walk: the skip there must stop one move short of the cap,
+    leave that last move to the loop, and the run must equal the
+    oracle's.  The walk up to the cap does not depend on the cap."""
+    objective, allocation = sparse_problem(64, 96, seed=3)
+    anneal(objective, allocation, SAConfig())
+    runs = [(move, taken) for move, taken in spy.skips if taken >= 4]
+    move, taken = runs[{"first": 0, "middle": len(runs) // 2, "last": -1}[which]]
+    cap = move + taken // 2 + 1
+    spy.skips.clear()
+    config = SAConfig(max_iterations=cap)
+    got = anneal(objective, allocation, config, keep_trace=True)
+    assert got.iterations == cap
+    assert (move, cap - 1 - move) in spy.skips
+    assert max(move + taken for move, taken in spy.skips) == cap - 1
     assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
 
 

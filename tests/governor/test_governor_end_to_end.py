@@ -147,6 +147,24 @@ class TestTwoLevelConfigs:
         assert all(c is inner[0] for c in inner)
         assert configs[len(inner)] is ctx.sa_config
 
+    def test_two_level_fallback_gets_the_config_itself(
+        self, two_level_context, monkeypatch
+    ):
+        """A joint winner that fails the OPP gate falls back to a
+        placement-only anneal at the incumbent vector; that anneal, like
+        the final one, gets ``ctx.sa_config`` itself."""
+        ctx = two_level_context
+        monkeypatch.setattr(strategies, "OPP_MIN_IMPROVEMENT", 1e9)
+        configs = self.spy_configs(monkeypatch)
+        outcome = strategies.two_level(ctx)
+        n_candidates = len(strategies._candidate_levels(ctx))
+        assert outcome.levels == ctx.current_levels
+        assert outcome.candidates_evaluated == n_candidates + 1
+        inner = min(n_candidates, strategies.SCREEN_TOP)
+        assert len(configs) == inner + 2
+        assert all(c is not ctx.sa_config for c in configs[:inner])
+        assert all(c is ctx.sa_config for c in configs[inner:])
+
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("strategy", ["two_level"])

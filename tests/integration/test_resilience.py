@@ -19,6 +19,7 @@ from repro.faults import SCENARIOS, scenario
 from repro.hardware.platform import quad_hmp
 from repro.kernel.simulator import SimulationConfig, System
 from repro.runner import execute_spec, metrics_digest, run_specs
+from repro.runner.serialize import result_from_dict, result_to_dict
 from repro.workload.generator import random_thread_set
 
 N_EPOCHS = 8
@@ -63,6 +64,18 @@ class TestMitigatedRuns:
             + stats.watchdog_trips
         ) > 0
         assert sum(stats.rejects_by_reason.values()) == stats.samples_rejected
+
+    def test_budget_counters_stay_zero_and_serialised(self):
+        """The annealer has no time budget, so no run cuts an anneal
+        short or skips an epoch; both counters still reach every
+        serialised result, which result digests and cached runs carry."""
+        result = smart_run(plan_for("combined"), n_epochs=16)
+        stats = result.resilience
+        assert stats.truncated_epochs == stats.budget_skipped_epochs == 0
+        data = result_to_dict(result)
+        assert data["resilience"]["truncated_epochs"] == 0
+        assert data["resilience"]["budget_skipped_epochs"] == 0
+        assert result_from_dict(data).resilience == stats
 
     def test_fault_free_run_reports_clean_ledger(self):
         result = smart_run(None)
