@@ -33,16 +33,11 @@ from repro.analysis.trace import write_trace
 from repro.obs import (
     LOG_LEVELS,
     ObsContext,
-    build_report,
     configure_logging,
     get_logger,
-    render_report,
     user_output,
     validate_events,
-    write_chrome_trace,
-    write_jsonl,
 )
-from repro.obs.export import read_jsonl
 from repro.runner.engine import execute_spec
 from repro.runner.factories import make_balancer, make_platform, make_workload  # noqa: F401
 from repro.runner.spec import KNOBS, RunSpec, knob_type
@@ -211,6 +206,8 @@ def cmd_run(args) -> int:
         write_trace(result, args.trace)
         user_output(f"trace written to {args.trace}")
     if args.trace_out:
+        from repro.obs import write_chrome_trace, write_jsonl
+
         events = obs.tracer.events
         if args.trace_out.endswith(".jsonl"):
             write_jsonl(events, args.trace_out)
@@ -303,6 +300,8 @@ def cmd_fleet(args) -> int:
                 f"{row['energy_j']:.2f} J"
             )
     if args.trace_out:
+        from repro.obs import write_chrome_trace, write_jsonl
+
         events = obs.tracer.events
         if args.trace_out.endswith(".jsonl"):
             write_jsonl(events, args.trace_out)
@@ -377,6 +376,8 @@ def cmd_experiments(args) -> int:
 
 def cmd_report(args) -> int:
     """Render the diagnostics report of a JSONL event trace."""
+    from repro.obs import build_report, read_jsonl, render_report
+
     try:
         events = read_jsonl(args.path)
     except (OSError, ValueError) as exc:

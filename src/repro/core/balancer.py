@@ -18,15 +18,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.adaptation.controller import (
-    AdaptationController,
-    PairSample,
-    PowerSample,
-)
 from repro.core.allocation import Allocation
 from repro.core.annealing import SAConfig, SAResult, anneal
 from repro.core.config import SmartBalanceConfig
@@ -40,6 +35,9 @@ from repro.kernel.balancers.base import LoadBalancer, Placement
 from repro.kernel.view import SystemView, TaskView
 from repro.obs import NULL_OBS, ObsContext
 from repro.obs import events as obs_events
+
+if TYPE_CHECKING:
+    from repro.adaptation.controller import AdaptationController
 
 # Fixed tuning values.  Each is read when it is used, so a test can
 # monkeypatch it on this module.
@@ -231,6 +229,9 @@ class SmartBalance(LoadBalancer):
         #: re-fit commits or rolls back.
         self._adaptation: Optional[AdaptationController] = None
         if self.config.adaptation:
+            # Imported here: a run without adaptation never loads it.
+            from repro.adaptation.controller import AdaptationController
+
             self._adaptation = AdaptationController(predictor)
         #: Per-tid ``(core-type name, feature vector)`` of the previous
         #: epoch's measurement, kept only while adaptation is on: a
@@ -262,6 +263,8 @@ class SmartBalance(LoadBalancer):
         matrices are built, so a committed re-fit (or rollback) takes
         effect in the same epoch that triggered it.
         """
+        from repro.adaptation.controller import PairSample, PowerSample
+
         ctrl = self._adaptation
         ipc_samples: list[PairSample] = []
         power_samples: list[PowerSample] = []

@@ -15,16 +15,22 @@ against the simulated hardware:
    ``ipc_dst ≈ Θ_{src→dst} · X``;
 4. per type, fit the affine IPC→power line.
 
-``train_predictor`` returns a :class:`~repro.core.prediction.PredictorModel`;
-``default_predictor`` caches one trained over all built-in core types
-(used by SmartBalance and the experiments).
+``train_predictor`` returns a :class:`~repro.core.prediction.PredictorModel`.
+Like the paper's, the default model is fitted once, offline, and
+deployed as fixed coefficients: ``default_predictor.json`` next to this
+module is ``train_predictor`` over all built-in core types at seed 7
+(``python -m repro train --output src/repro/core/default_predictor.json``
+regenerates it), and ``default_predictor`` loads it (used by
+SmartBalance and the experiments).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import warnings
 from functools import lru_cache
+from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +39,7 @@ from repro.core.estimation import N_FEATURES, features_from_rates
 from repro.core.prediction import PowerLine, PredictorModel, design_vector
 from repro.hardware import microarch
 from repro.hardware import power as power_model
-from repro.hardware.features import BUILTIN_TYPES, CoreType
+from repro.hardware.features import CoreType
 from repro.hardware.sensors import NoiseModel
 from repro.workload.characteristics import WorkloadPhase
 from repro.workload.generator import training_corpus
@@ -226,7 +232,13 @@ def train_predictor(
     )
 
 
-@lru_cache(maxsize=4)
-def default_predictor(seed: int = 7) -> PredictorModel:
-    """A predictor trained over all built-in core types (cached)."""
-    return train_predictor(tuple(BUILTIN_TYPES.values()), seed=seed)
+@lru_cache(maxsize=None)
+def default_predictor() -> PredictorModel:
+    """The shipped predictor over all built-in core types (cached).
+
+    Loaded from ``default_predictor.json``, the exact output of
+    ``train_predictor(tuple(BUILTIN_TYPES.values()), seed=7)`` (JSON
+    floats round-trip exactly), so no process pays for the training.
+    """
+    text = resources.files(__package__).joinpath("default_predictor.json").read_text()
+    return PredictorModel.from_dict(json.loads(text))

@@ -240,9 +240,11 @@ class System:
         freshly exec'd thread before any balancer runs), respecting
         each task's cpuset affinity."""
         for index, task in enumerate(self.tasks):
-            candidates = [
-                q for q in self.runqueues if task.may_run_on(q.core.core_id)
-            ]
+            candidates = self.runqueues
+            if task.behavior.allowed_cores is not None:
+                candidates = [
+                    q for q in candidates if task.may_run_on(q.core.core_id)
+                ]
             if not candidates:
                 raise ValueError(
                     f"task {task.name!r} has no allowed core on this platform"

@@ -24,6 +24,7 @@ Typical use::
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional
 
 from repro.obs.events import (
@@ -37,15 +38,8 @@ from repro.obs.events import (
     validate_event,
     validate_events,
 )
-from repro.obs.export import (
-    read_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
 from repro.obs.log import LOG_LEVELS, configure_logging, get_logger, user_output
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import build_report, render_report
 from repro.obs.spans import Span
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -77,6 +71,26 @@ class ObsContext:
 #: optional.  It never buffers or records, so one instance is safe to
 #: share across systems, balancers and runs.
 NULL_OBS = ObsContext(enabled=False, tracer=NULL_TRACER)
+
+#: Names this package re-exports from a submodule that a run never
+#: needs; each submodule is imported when one of its names is first
+#: read (``from repro.obs import build_report`` included).
+_LAZY = {
+    "read_jsonl": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "to_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "build_report": "repro.obs.report",
+    "render_report": "repro.obs.report",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ObsContext",

@@ -6,6 +6,9 @@ and ``t_s`` (the *simulated* time it happened at, seconds) — plus the
 per-type payload described in :data:`EVENT_SCHEMA`.  Keeping the schema
 as data rather than classes means a trace written by one version can be
 validated and rendered by another, and the JSONL files stay greppable.
+A field or kind that a version stops writing moves to
+:data:`RETIRED_FIELDS` or :data:`RETIRED_MITIGATION_KINDS` instead of
+disappearing, so older traces keep validating.
 
 Timestamps are simulation time on purpose: wall-clock durations live in
 the metrics registry's timing section and in the single
@@ -168,6 +171,14 @@ MITIGATION_KINDS = (
 #: Known causes of a thread migration.
 MIGRATION_CAUSES = ("balancer", "hotplug", "fault_delay")
 
+#: What earlier versions wrote and this one no longer does, so that
+#: their traces still validate: ``type -> retired payload fields`` and
+#: the retired ``mitigation`` kinds.  The report ignores them.  The
+#: annealer's wall-clock budget left ``anneal.truncated`` and the
+#: ``budget_skip`` / ``sa_truncated`` mitigations behind.
+RETIRED_FIELDS: "dict[str, tuple[str, ...]]" = {ANNEAL: ("truncated",)}
+RETIRED_MITIGATION_KINDS = ("budget_skip", "sa_truncated")
+
 # ---------------------------------------------------------------------------
 # Schema: required / optional payload fields per type
 # ---------------------------------------------------------------------------
@@ -307,15 +318,16 @@ def validate_event(event: object) -> "str | None":
     missing = [name for name in required if name not in event]
     if missing:
         return f"{etype}: missing required field(s) {missing}"
-    allowed = {"type", "t_s", *required, *optional}
+    allowed = {"type", "t_s", *required, *optional, *RETIRED_FIELDS.get(etype, ())}
     unknown = [name for name in event if name not in allowed]
     if unknown:
         return f"{etype}: unknown field(s) {unknown}"
     if etype == FAULT_INJECTED and event["kind"] not in FAULT_KINDS:
         return f"{etype}: unknown kind {event['kind']!r}"
     if etype == MITIGATION:
-        if event["kind"] not in MITIGATION_KINDS:
-            return f"{etype}: unknown kind {event['kind']!r}"
+        kind = event["kind"]
+        if kind not in MITIGATION_KINDS and kind not in RETIRED_MITIGATION_KINDS:
+            return f"{etype}: unknown kind {kind!r}"
         if not isinstance(event["cause"], str) or not event["cause"]:
             return f"{etype}: cause must be a non-empty string"
     if etype == MIGRATION and not isinstance(event["cause"], str):

@@ -299,7 +299,11 @@ def build_report(events: Sequence[dict]) -> dict:
         "annealer": build_annealer_summary(events),
         "migration_causes": _count_by(events, ev.MIGRATION, "cause"),
         "faults_injected": _count_by(events, ev.FAULT_INJECTED, "kind"),
-        "mitigations": _count_by(events, ev.MITIGATION, "kind"),
+        "mitigations": {
+            kind: count
+            for kind, count in _count_by(events, ev.MITIGATION, "kind").items()
+            if kind not in ev.RETIRED_MITIGATION_KINDS
+        },
         "degradation_transitions": _count_by(events, ev.DEGRADATION, "state"),
         "adaptation": build_adaptation_summary(events),
         "governor": build_governor_summary(events),

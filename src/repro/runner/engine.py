@@ -110,11 +110,11 @@ def execute_spec(spec: RunSpec, obs=None) -> RunResult:
 
 
 def _warm_shared_state() -> None:
-    """Train the default predictor once per process.
+    """Load the shipped default predictor once per process.
 
     Called in the parent before the pool forks (so fork-start workers
-    inherit the LRU-cached model for free) and again in each worker's
-    initializer (a no-op under fork, a one-off cost under spawn).
+    inherit the cached model for free) and again in each worker's
+    initializer (a no-op under fork, one small JSON read under spawn).
     """
     from repro.core.training import default_predictor
 

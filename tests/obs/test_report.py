@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import build_report, deterministic_events, render_report
+from repro.cli import main
+from repro.obs import build_report, deterministic_events, render_report, validate_events
 from repro.obs.export import dumps_jsonl, read_jsonl, write_jsonl
 from repro.obs.report import build_annealer_summary, build_prediction_accuracy
 
@@ -124,3 +125,55 @@ class TestAnnealerSummary:
 
     def test_empty_stream(self):
         assert build_annealer_summary([]) == {"runs": 0}
+
+
+class TestRetiredFields:
+    """A trace written before the annealer's wall-clock budget was
+    deleted carries ``anneal.truncated`` and the ``budget_skip`` /
+    ``sa_truncated`` mitigations; it must still validate, and the
+    report must read it as if they were not there."""
+
+    @staticmethod
+    def old_style(events):
+        old = []
+        for event in events:
+            if event["type"] == "anneal":
+                event = {**event, "truncated": False}
+            old.append(event)
+            if event["type"] == "decision":
+                old.append({"type": "mitigation", "t_s": event["t_s"],
+                            "kind": "sa_truncated", "cause": "sa_time_budget"})
+        old.append({"type": "mitigation", "t_s": old[-1]["t_s"],
+                    "kind": "budget_skip", "cause": "epoch_budget_exhausted"})
+        return old
+
+    def test_old_trace_validates_and_reports_like_the_new(self):
+        events = read_jsonl(str(GOLDEN_JSONL))
+        old = self.old_style(events)
+        assert validate_events(old) == []
+        old_report = build_report(old)
+        assert old_report.pop("events") > len(events)
+        new_report = build_report(events)
+        new_report.pop("events")
+        assert old_report == new_report
+
+    def test_report_validate_accepts_an_old_trace(self, tmp_path, capsys):
+        events = read_jsonl(str(GOLDEN_JSONL))
+        path = tmp_path / "old.jsonl"
+        write_jsonl(self.old_style(events), str(path))
+        assert main(["report", str(path), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "budget_skip" not in out and "sa_truncated" not in out
+        # Only the event count in the header differs from the golden.
+        golden = GOLDEN_REPORT.read_text().splitlines()
+        assert out.splitlines()[3:] == golden[3:]
+
+    def test_retired_names_stay_rejected_elsewhere(self):
+        decision = {"type": "decision", "t_s": 0.0, "epoch": 0,
+                    "migrations": 0, "fallback": False, "rejected": 0}
+        assert validate_events([decision]) == []
+        (error,) = validate_events([{**decision, "truncated": True}])
+        assert "unknown field(s) ['truncated']" in error
+        (error,) = validate_events([{"type": "mitigation", "t_s": 0.0,
+                                     "kind": "budget_overrun", "cause": "x"}])
+        assert "unknown kind 'budget_overrun'" in error
