@@ -5,6 +5,11 @@ per-thread estimation (Eqs. 4–7), cross-core-type throughput/power
 prediction (Eqs. 8–9, Table 4), the energy-efficiency objective
 (Eqs. 10–11) with O(1) incremental evaluation, and the fixed-point
 simulated-annealing optimizer (Algorithm 1).
+
+The comparison optimizers (:mod:`repro.core.optimizers`) and sparse
+virtual sensing (:mod:`repro.core.virtual_sensing`) are extensions no
+run uses: they are imported from their own modules, so a run does not
+load them.
 """
 
 from repro.core.allocation import EMPTY, Allocation
@@ -27,14 +32,6 @@ from repro.core.estimation import (
 )
 from repro.core.fixed_point import Xorshift32, exp_neg, exp_neg_q16, from_q16, to_q16
 from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
-from repro.core.optimizers import (
-    OPTIMIZERS,
-    OptimizeResult,
-    exhaustive_search,
-    greedy_allocate,
-    optimize,
-    random_search,
-)
 from repro.core.prediction import (
     CharacterisationMatrices,
     MatrixBuilder,
@@ -47,13 +44,6 @@ from repro.core.training import (
     parsec_training_corpus,
     profile_phase,
     train_predictor,
-)
-from repro.core.virtual_sensing import (
-    MINIMAL_OBSERVED,
-    VirtualSensorModel,
-    hidden_features,
-    sparsify,
-    train_virtual_sensors,
 )
 
 __all__ = [
@@ -70,17 +60,6 @@ __all__ = [
     "EnergyEfficiencyObjective",
     "IncrementalEvaluator",
     "MODES",
-    "OptimizeResult",
-    "OPTIMIZERS",
-    "optimize",
-    "greedy_allocate",
-    "random_search",
-    "exhaustive_search",
-    "VirtualSensorModel",
-    "train_virtual_sensors",
-    "hidden_features",
-    "sparsify",
-    "MINIMAL_OBSERVED",
     "parsec_training_corpus",
     "PredictorModel",
     "PowerLine",

@@ -5,9 +5,10 @@ iteration perturbs one random slot position to a second position whose
 distance contracts with the perturbation schedule, swaps them, and
 accepts the move if the objective improves — otherwise with a
 probability ``e^(-|ΔJ|/accept)`` that shrinks with the acceptance
-schedule.  The probabilistic primitives can run on the paper's
-fixed-point ``rand``/``e^x`` (:mod:`repro.core.fixed_point`) or on
-float math (the ablation benchmark compares both).
+schedule.  The probabilistic primitives are the paper's fixed-point
+``rand``/``e^x`` (:mod:`repro.core.fixed_point`); the float-math and
+full re-evaluation ablations run on the reference loop in
+``tests/core/sa_oracle.py``.
 
 Design notes / deliberate choices:
 
@@ -19,8 +20,7 @@ Design notes / deliberate choices:
   ``randi() mod round(1/probability) == 0``.
 * The objective is evaluated incrementally (O(1) per move) via
   :class:`~repro.core.objective.IncrementalEvaluator`, the paper's
-  "keeping track of previous computations" optimisation; a full
-  re-evaluation mode exists for the ablation.
+  "keeping track of previous computations" optimisation.
 * Iterations are capped per platform scale by
   :func:`default_iteration_cap` — the Fig. 8(a) trade of solution
   quality for bounded overhead on large systems.
@@ -43,13 +43,12 @@ keep that contract:
   draw, in that order.  A move takes at most three draws, so the first
   block holds ``min(DRAW_BLOCK, 3·iterations)``.  What is left of the
   last block is never used, and the generator is private to the run.
-* **No-op moves.**  A self or empty–empty swap changes no slot, so in
-  incremental mode the loop skips ``apply_swap`` and reads the value
-  the evaluator already holds.  That value is not always ``current``:
-  undoing a worse move leaves the running sums a few ULPs off, so the
-  move's ``diff`` still goes through the acceptance rule and may draw,
-  exactly as the straightforward loop's does.  The full re-evaluation
-  mode scores every move.
+* **No-op moves.**  A self or empty–empty swap changes no slot, so
+  the loop skips ``apply_swap`` and reads the value the evaluator
+  already holds.  That value is not always ``current``: undoing a
+  worse move leaves the running sums a few ULPs off, so the move's
+  ``diff`` still goes through the acceptance rule and may draw,
+  exactly as the straightforward loop's does.
 * **The best-state journal.**  Instead of copying the allocation at
   each new best, the loop logs the accepted slot-changing swaps made
   since the last one and, at the end, undoes them in reverse on one
@@ -79,8 +78,7 @@ keep that contract:
   0.55–0.97× at an expected run of 8, 0.74–1.26× at 12 and
   1.05–1.60× from 16 to 20.  hmp:128 × 256 (a run of 64) scans and
   takes about 1.8× less time per anneal; dvfsquad × 8 (2.3) and
-  biglittle's problems (4.3) keep the loop and its cost.  The full
-  re-evaluation mode never scans.
+  biglittle's problems (4.3) keep the loop and its cost.
 
 A differential fuzz against a reference copy of the straightforward
 loop (``tests/core/sa_oracle.py``) pins this with exact equality.
@@ -148,12 +146,6 @@ class SAConfig:
     acceptance_decay: float = 0.99
     #: PRNG seed (xorshift32 state).
     seed: int = 0x5EED5EED
-    #: Use the fixed-point ``e^x`` (paper's kernel implementation) or
-    #: float math (ablation).
-    use_fixed_point_exp: bool = True
-    #: Use the O(1) incremental objective (paper's optimisation) or a
-    #: full re-evaluation per move (ablation).
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -410,31 +402,18 @@ def anneal(
     # and ``draw() % total_slots - pos`` is ``randi_range(-pos,
     # total_slots - pos)``: same draws, same order.  A move takes at most
     # three draws, so a short run needs only part of the first block.
-    full = not config.incremental
     scan = None
-    if not full and expected_noop_run(working) >= SCAN_MIN_RUN:
+    if expected_noop_run(working) >= SCAN_MIN_RUN:
         scan = _NoopScan(rng, working, iterations, config)
         draw = scan.draw
     else:
         blocks = chain((min(DRAW_BLOCK, 3 * iterations),), repeat(DRAW_BLOCK))
         draw = chain.from_iterable(map(rng.randi_block, blocks)).__next__
     sqrt = math.sqrt
-    exp = exp_neg if config.use_fixed_point_exp else lambda x: math.exp(-x)
+    apply_swap = evaluator.apply_swap
     slots = working.slots
     # The evaluator's value for ``working`` as it stands.
     value = current
-    if full:
-
-        def move(pos_a: int, pos_b: int) -> float:
-            working.swap(pos_a, pos_b)
-            return objective.evaluate(working)
-
-        def undo(pos_a: int, pos_b: int) -> float:
-            working.swap(pos_a, pos_b)
-            return math.nan  # never read: this mode scores every move
-
-    else:
-        move = undo = evaluator.apply_swap
     perturbation_decay = config.perturbation_decay
     acceptance_decay = config.acceptance_decay
     last_slot = total_slots - 1
@@ -476,8 +455,8 @@ def anneal(
             # ULPs off ``current`` after an undo, so even such a no-op move
             # goes through the acceptance rule.
             changed = slots[pos] != slots[pos_new]
-            if changed or full:
-                value = move(pos, pos_new)
+            if changed:
+                value = apply_swap(pos, pos_new)
             diff = value - current
             if diff < 0:
                 # Algorithm 1's acceptance rule for a worse move: take it
@@ -486,7 +465,7 @@ def anneal(
                 # which draws only when p > 0.  An underflowed scale makes
                 # the ratio +inf, which the cap absorbs.
                 scale = accept * max(abs(current), 1e-30)
-                probability = exp(min(-diff / scale, 11.0) if scale else 11.0)
+                probability = exp_neg(min(-diff / scale, 11.0) if scale else 11.0)
                 take = (
                     probability > 0
                     and draw() % max(int(round(1.0 / probability)), 1) == 0
@@ -507,7 +486,7 @@ def anneal(
                     journal.append((pos, pos_new))
             elif changed:
                 # Swaps are involutive: undo by re-applying.
-                value = undo(pos, pos_new)
+                value = apply_swap(pos, pos_new)
 
             perturb *= perturbation_decay
             accept *= acceptance_decay

@@ -22,8 +22,9 @@ implementable form (integer-only operations):
   for the fractional part.  Absolute error is bounded below 0.004
   (property-tested against ``math.exp``).
 
-The annealer can run on these primitives or on float math; the
-``ablation`` benchmark compares quality and speed of the two.
+The annealer runs on these primitives; the ``ablation`` benchmark
+compares their quality and speed with float math on the reference loop
+``tests/core/sa_oracle.py``.
 """
 
 from __future__ import annotations

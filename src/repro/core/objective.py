@@ -96,7 +96,7 @@ MODES = ("global", "per_core_sum", "performance", "power_cap")
 #: work aggressively on heterogeneous chips), 2 is inverse EDP (fully
 #: throughput-preserving); 1.7 balances the two the way the paper's
 #: results do and is the calibrated default.  Read when an objective
-#: is built without an explicit exponent, so a test can monkeypatch it.
+#: is built, so a test can monkeypatch it.
 THROUGHPUT_EXPONENT = 1.7
 #: Penalty subtracted per affinity violation; large enough to dominate
 #: any J value the models can produce.
@@ -172,25 +172,18 @@ class EnergyEfficiencyObjective:
         sleep_power: Optional[Sequence[float]] = None,
         weights: Optional[Sequence[float]] = None,
         mode: str = "global",
-        throughput_exponent: Optional[float] = None,
         power_cap_w: Optional[float] = None,
         allowed: Optional[np.ndarray] = None,
     ) -> None:
-        if throughput_exponent is None:
-            throughput_exponent = THROUGHPUT_EXPONENT
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if throughput_exponent < 1.0:
-            raise ValueError(
-                f"throughput_exponent must be >= 1, got {throughput_exponent}"
-            )
         if mode == "power_cap" and (power_cap_w is None or power_cap_w <= 0):
             raise ValueError(
                 "power_cap mode requires a positive power_cap_w, got "
                 f"{power_cap_w}"
             )
         self.mode = mode
-        self.throughput_exponent = throughput_exponent
+        self.throughput_exponent = THROUGHPUT_EXPONENT
         self.power_cap_w = power_cap_w
         self.ips = np.asarray(ips, dtype=float)
         self.power = np.asarray(power, dtype=float)

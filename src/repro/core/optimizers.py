@@ -8,39 +8,34 @@ module provides the comparison points that motivation implies:
   from the incumbent (cheap, gets stuck in local optima);
 * :func:`random_search` — same move set as the annealer but pure
   random restarts of moves, no acceptance schedule (the "is SA's
-  schedule doing anything?" control);
-* :func:`exhaustive_search` — the true optimum by enumeration, only
-  feasible for small problems (used by Fig. 8(a)'s distance-to-optimal
-  and the optimizer-comparison ablation);
-* :func:`optimize` — a uniform entry point.
+  schedule doing anything?" control).
 
-All optimizers share the annealer's contract: the initial allocation
+The true optimum of a small problem is
+:func:`repro.experiments.fig8.brute_force_optimum`'s enumeration.
+Both optimizers share the annealer's contract: the initial allocation
 is never mutated, and the result is a complete allocation no worse
 than the start.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.allocation import EMPTY, Allocation
-from repro.core.annealing import SAConfig, SAResult, anneal
 from repro.core.fixed_point import Xorshift32
 from repro.core.objective import EnergyEfficiencyObjective, IncrementalEvaluator
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Uniform result across optimizers."""
+    """Result of :func:`greedy_allocate` or :func:`random_search`."""
 
     best_allocation: Allocation
     best_value: float
     initial_value: float
     #: Number of candidate evaluations performed.
     evaluations: int
-    method: str
 
     @property
     def improvement(self) -> float:
@@ -95,7 +90,6 @@ def greedy_allocate(
         best_value=evaluator.value,
         initial_value=initial_value,
         evaluations=evaluations,
-        method="greedy",
     )
 
 
@@ -105,7 +99,8 @@ def random_search(
     iterations: int = 1000,
     seed: int = 0x5EED,
 ) -> OptimizeResult:
-    """Random swap proposals, accepting only strict improvements."""
+    """Random swap proposals, accepting every swap that does not lower
+    ``J_E`` (neutral swaps included)."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     working = initial.copy()
@@ -127,85 +122,7 @@ def random_search(
         best_value=current,
         initial_value=initial_value,
         evaluations=iterations,
-        method="random",
     )
-
-
-#: Enumeration guard: n_cores ** n_threads must stay below this.
-EXHAUSTIVE_LIMIT = 2_000_000
-
-
-def exhaustive_search(
-    objective: EnergyEfficiencyObjective,
-    initial: Optional[Allocation] = None,
-) -> OptimizeResult:
-    """The global optimum by full enumeration (small problems only)."""
-    m, n = objective.n_threads, objective.n_cores
-    if n ** m > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"{n}^{m} allocations exceed the exhaustive-search limit "
-            f"({EXHAUSTIVE_LIMIT}); use the annealer"
-        )
-    initial_value = (
-        objective.evaluate(initial) if initial is not None else float("-inf")
-    )
-    best_mapping: Optional[tuple[int, ...]] = None
-    best_value = float("-inf")
-    evaluations = 0
-    for mapping in itertools.product(range(n), repeat=m):
-        value = objective.evaluate_mapping(mapping)
-        evaluations += 1
-        if value > best_value:
-            best_value = value
-            best_mapping = mapping
-    assert best_mapping is not None
-    return OptimizeResult(
-        best_allocation=Allocation.from_mapping(list(best_mapping), n),
-        best_value=best_value,
-        initial_value=initial_value if initial is not None else best_value,
-        evaluations=evaluations,
-        method="exhaustive",
-    )
-
-
-def _sa_as_optimize(
-    objective: EnergyEfficiencyObjective,
-    initial: Allocation,
-    config: Optional[SAConfig] = None,
-) -> OptimizeResult:
-    result: SAResult = anneal(objective, initial, config or SAConfig())
-    return OptimizeResult(
-        best_allocation=result.best_allocation,
-        best_value=result.best_value,
-        initial_value=result.initial_value,
-        evaluations=result.iterations,
-        method="annealing",
-    )
-
-
-#: Registry of optimizers by name.
-OPTIMIZERS: dict[str, Callable[..., OptimizeResult]] = {
-    "annealing": _sa_as_optimize,
-    "greedy": greedy_allocate,
-    "random": random_search,
-    "exhaustive": exhaustive_search,
-}
-
-
-def optimize(
-    method: str,
-    objective: EnergyEfficiencyObjective,
-    initial: Allocation,
-    **kwargs,
-) -> OptimizeResult:
-    """Run a named optimizer; see :data:`OPTIMIZERS`."""
-    try:
-        runner = OPTIMIZERS[method]
-    except KeyError:
-        raise KeyError(
-            f"unknown optimizer {method!r}; known: {sorted(OPTIMIZERS)}"
-        ) from None
-    return runner(objective, initial, **kwargs)
 
 
 def _free_slot(allocation: Allocation, core: int) -> Optional[int]:

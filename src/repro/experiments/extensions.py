@@ -21,8 +21,8 @@ from repro.analysis.replication import replicate
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
 from repro.core.allocation import Allocation
-from repro.core.annealing import SAConfig
-from repro.core.optimizers import optimize
+from repro.core.annealing import SAConfig, anneal
+from repro.core.optimizers import greedy_allocate, random_search
 from repro.core.training import default_predictor, profile_phase
 from repro.core.virtual_sensing import (
     MINIMAL_OBSERVED,
@@ -126,16 +126,17 @@ def run_optimizer_comparison(
         objective = synthetic_problem(n_threads, n_cores, seed)
         optimum = brute_force_optimum(objective)
         initial = Allocation.round_robin(n_threads, n_cores)
-        for method in methods:
-            kwargs = {}
-            if method == "annealing":
-                kwargs["config"] = SAConfig(max_iterations=budget, seed=seed + 1)
-            elif method == "random":
-                kwargs["iterations"] = budget
-            result = optimize(method, objective, initial, **kwargs)
-            fresh = objective.evaluate(result.best_allocation)
+        sa = anneal(objective, initial, SAConfig(max_iterations=budget, seed=seed + 1))
+        greedy = greedy_allocate(objective, initial)
+        rand = random_search(objective, initial, iterations=budget)
+        for method, best, count in (
+            ("annealing", sa.best_allocation, sa.iterations),
+            ("greedy", greedy.best_allocation, greedy.evaluations),
+            ("random", rand.best_allocation, rand.evaluations),
+        ):
+            fresh = objective.evaluate(best)
             gaps[method].append(max(0.0, (optimum - fresh) / optimum))
-            evaluations[method].append(result.evaluations)
+            evaluations[method].append(count)
     rows = [
         [
             method,

@@ -131,8 +131,8 @@ def run_fig8b() -> ExperimentResult:
         ["Opt_dperturb (perturbation decay)", config.perturbation_decay],
         ["Opt_accept (initial acceptance)", config.initial_acceptance],
         ["Opt_daccept (acceptance decay)", config.acceptance_decay],
-        ["fixed-point exp", config.use_fixed_point_exp],
-        ["incremental objective", config.incremental],
+        ["fixed-point exp", True],
+        ["incremental objective", True],
         ["PRNG", "xorshift32"],
     ]
     return ExperimentResult(

@@ -134,6 +134,8 @@ def anneal(
     initial: Allocation,
     config: SAConfig = SAConfig(),
     keep_trace: bool = False,
+    incremental: bool = True,
+    fixed_point_exp: bool = True,
 ) -> SAResult:
     """Run Algorithm 1 from ``initial`` and return the best allocation.
 
@@ -173,7 +175,7 @@ def anneal(
         pos_new = pos + int(span * offset)
         pos_new = min(max(pos_new, 0), total_slots - 1)
 
-        if config.incremental:
+        if incremental:
             new_value = evaluator.apply_swap(pos, pos_new)
         else:
             working.swap(pos, pos_new)
@@ -186,7 +188,7 @@ def anneal(
         elif diff < 0:
             scale = accept * max(abs(current), 1e-30)
             x = min(-diff / scale, 11.0)
-            probability = exp_neg(x) if config.use_fixed_point_exp else math.exp(-x)
+            probability = exp_neg(x) if fixed_point_exp else math.exp(-x)
             if probability > 0:
                 inverse = max(int(round(1.0 / probability)), 1)
                 take = rng.randi() % inverse == 0
@@ -205,7 +207,7 @@ def anneal(
                 best_allocation = working.copy()
         else:
             # Swaps are involutive: undo by re-applying.
-            if config.incremental:
+            if incremental:
                 evaluator.apply_swap(pos, pos_new)
             else:
                 working.swap(pos, pos_new)

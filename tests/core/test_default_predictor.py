@@ -49,9 +49,16 @@ def test_default_predictor_never_trains(monkeypatch):
     assert default_predictor() is model
 
 
-#: Imported only by runs that opt in to them (adaptation) or by the
-#: commands that write or read traces.
-UNUSED_BY_STOCK_RUNS = ("repro.adaptation", "repro.obs.export", "repro.obs.report")
+#: Imported only by runs that opt in to them (adaptation), by the
+#: commands that write or read traces, or by the extension experiments
+#: (the comparison optimizers and sparse virtual sensing).
+UNUSED_BY_STOCK_RUNS = (
+    "repro.adaptation",
+    "repro.obs.export",
+    "repro.obs.report",
+    "repro.core.optimizers",
+    "repro.core.virtual_sensing",
+)
 
 #: Two ways into a smartbalance run; ``run(adapt)`` is true on success.
 _RUNNER = """

@@ -63,17 +63,15 @@ def test_digest_does_not_depend_on_host_speed(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_cores, n_threads, incremental",
-    [(128, 256, True), (4, 8, True), (4, 8, False)],
-    ids=["scan", "loop", "full"],
+    "n_cores, n_threads", [(128, 256), (4, 8)], ids=["scan", "loop"]
 )
-def test_anneal_reads_no_clock(n_cores, n_threads, incremental, monkeypatch):
-    """The scan over no-op runs (hmp:128 × 256), the incremental loop
-    (dvfsquad's 4 × 8) and full re-evaluation each run to the cap."""
+def test_anneal_reads_no_clock(n_cores, n_threads, monkeypatch):
+    """The scan over no-op runs (hmp:128 × 256) and the per-move loop
+    (dvfsquad's 4 × 8) each run to the cap."""
     objective, allocation = sparse_problem(n_cores, n_threads, seed=4)
     with monkeypatch.context() as patch:
         stop_clocks(patch)
-        result = anneal(objective, allocation, SAConfig(incremental=incremental))
+        result = anneal(objective, allocation, SAConfig())
     assert result.iterations == default_iteration_cap(n_cores, n_threads)
 
 

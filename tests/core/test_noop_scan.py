@@ -6,8 +6,8 @@ contract).  These tests hold it to ``tests/core/sa_oracle.py`` with
 ``==`` where the scan's own rules matter:
 
 * random sparse problems (16–128 cores, 1–2 threads per core, default
-  slots) under both exponents, with and without a trace, at iteration
-  caps from 1 to the default;
+  slots), with and without a trace, at iteration caps from 1 to the
+  default;
 * an hmp:128 × 256-sized run cut at move 32 by its iteration cap: the
   scan must stop at the cap and leave the last move to the loop;
 * caps that fall halfway through a run of no-op moves, early, midway
@@ -17,11 +17,10 @@ contract).  These tests hold it to ``tests/core/sa_oracle.py`` with
 * the schedule tables, which must equal the loop's repeated ``*=``.
 
 The scan is also forced onto ``test_sa_oracle``'s small, dense
-problems, and the rule that picks the scan is checked: sparse
-incremental runs only.
+problems, and the rule that picks the scan is checked: sparse runs
+only.
 """
 
-import dataclasses
 import math
 from unittest import mock
 
@@ -121,7 +120,6 @@ def sparse_runs(draw):
     config = SAConfig(
         max_iterations=draw(st.one_of(st.none(), st.integers(1, cap))),
         seed=draw(st.integers(0, 2**32 - 1)),
-        use_fixed_point_exp=draw(st.booleans()),
     )
     return objective, allocation, config, draw(st.booleans())
 
@@ -145,25 +143,20 @@ def test_forced_scan_matches_oracle_on_small_problems(data):
     """The scan forced onto ``test_sa_oracle``'s small problems (masks,
     boundary cells, every mode, wider slot arrays) and random schedules."""
     objective, allocation = data.draw(problems())
-    config = dataclasses.replace(
-        data.draw(sa_configs), use_fixed_point_exp=data.draw(st.booleans())
-    )
+    config = data.draw(sa_configs)
     with mock.patch.object(annealing, "SCAN_MIN_RUN", 0.0):
         got = anneal(objective, allocation, config, keep_trace=True)
     assert_same(got, sa_oracle.anneal(objective, allocation, config, keep_trace=True))
 
 
 def test_which_runs_scan(spy):
-    """A sparse incremental run scans; a dense one (dvfsquad's 4 cores
-    × 8 threads, biglittle's 8 × 4) and the full re-evaluation mode
-    keep the loop."""
+    """A sparse run scans; a dense one (dvfsquad's 4 cores × 8 threads,
+    biglittle's 8 × 4) keeps the loop."""
     for n_cores, n_threads in ((4, 8), (8, 4), (128, 256)):
         objective, allocation = sparse_problem(n_cores, n_threads, seed=1)
         assert (expected_noop_run(allocation) >= SCAN_MIN_RUN) == (n_cores == 128)
         runs = spy.runs
         anneal(objective, allocation, SAConfig(max_iterations=50))
-        assert spy.runs == runs + (n_cores == 128)
-        anneal(objective, allocation, SAConfig(max_iterations=5, incremental=False))
         assert spy.runs == runs + (n_cores == 128)
 
 
@@ -225,15 +218,13 @@ def test_scan_resumes_after_an_undo_leaves_the_value_off_current(spy, monkeypatc
         patch.setattr(sa_oracle, "TRACE_SAMPLES", math.inf)
         drifted = drifted_noops(objective, allocation, config, patch)
     assert drifted
-    for fixed_point in (True, False):
-        run = dataclasses.replace(config, use_fixed_point_exp=fixed_point)
-        spy.skips.clear()
-        assert_same(
-            anneal(objective, allocation, run, keep_trace=True),
-            sa_oracle.anneal(objective, allocation, run, keep_trace=True),
-        )
-        resumed = {move for move, taken in spy.skips if taken}
-        assert resumed & set(drifted)
+    spy.skips.clear()
+    assert_same(
+        anneal(objective, allocation, config, keep_trace=True),
+        sa_oracle.anneal(objective, allocation, config, keep_trace=True),
+    )
+    resumed = {move for move, taken in spy.skips if taken}
+    assert resumed & set(drifted)
 
 
 @settings(max_examples=200, deadline=None)

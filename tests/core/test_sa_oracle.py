@@ -11,7 +11,7 @@ empty:
   swaps included), the tracked value, the slot array and the mapping
   match — ``greedy_allocate`` and ``random_search`` use only these;
 * ``anneal`` returns the same best allocation, values, counters and
-  trace for both exponent implementations and both evaluation paths;
+  trace;
 * so it does where the fast loop's shortcuts matter: a walk whose
   undos leave the evaluator a few ULPs below ``current`` before a
   no-op move, a 64-core × 128-thread problem of 8192 mostly empty
@@ -22,14 +22,15 @@ A one-ULP nudge of one ``u·ips`` cell must break the agreement, so the
 equality cannot hold vacuously.
 """
 
-import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sa_oracle
+from repro.core import objective as objective_module
 from repro.core.allocation import Allocation
 from repro.core.annealing import SAConfig, anneal
 from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
@@ -85,20 +86,23 @@ def problems(draw):
             if not row.any():
                 row[(mapping[thread] + 1 + draw(st.integers(0, n - 2))) % n] = True
     idle = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
-    objective = EnergyEfficiencyObjective(
-        ips=matrices["ips"],
-        power=matrices["power"],
-        utilization=matrices["util"],
-        idle_power=idle,
-        sleep_power=[draw(st.floats(0.0, 1.0)) * p for p in idle],
-        weights=draw(
-            st.one_of(st.none(), st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-        ),
-        mode=mode,
-        throughput_exponent=draw(st.sampled_from([1.0, 1.7, 2.0, 2.5])),
-        power_cap_w=draw(st.floats(0.1, 10.0)) if mode == "power_cap" else None,
-        allowed=allowed,
-    )
+    alpha = draw(st.sampled_from([1.0, 1.7, 2.0, 2.5]))
+    with mock.patch.object(objective_module, "THROUGHPUT_EXPONENT", alpha):
+        objective = EnergyEfficiencyObjective(
+            ips=matrices["ips"],
+            power=matrices["power"],
+            utilization=matrices["util"],
+            idle_power=idle,
+            sleep_power=[draw(st.floats(0.0, 1.0)) * p for p in idle],
+            weights=draw(
+                st.one_of(
+                    st.none(), st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)
+                )
+            ),
+            mode=mode,
+            power_cap_w=draw(st.floats(0.1, 10.0)) if mode == "power_cap" else None,
+            allowed=allowed,
+        )
     # The default slots_per_core (m) leaves most slots empty; a wider
     # one makes empty–empty swaps dominate.
     spc = draw(st.one_of(st.none(), st.integers(m, 3 * m)))
@@ -165,17 +169,11 @@ sa_configs = st.builds(
 )
 
 
-@pytest.mark.parametrize("fixed_point", [True, False])
-@pytest.mark.parametrize("incremental", [True, False])
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_anneal_matches_oracle(fixed_point, incremental, data):
+def test_anneal_matches_oracle(data):
     objective, allocation = data.draw(problems())
-    config = dataclasses.replace(
-        data.draw(sa_configs),
-        use_fixed_point_exp=fixed_point,
-        incremental=incremental,
-    )
+    config = data.draw(sa_configs)
     got = anneal(objective, allocation, config, keep_trace=True)
     want = sa_oracle.anneal(objective, allocation, config, keep_trace=True)
     assert_same_result(got, want)
@@ -204,8 +202,7 @@ def test_round_off_negative_throughput_is_nan_like_the_reference():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("fixed_point", [True, False])
-def test_underflowed_acceptance_temperature(fixed_point):
+def test_underflowed_acceptance_temperature():
     """A fast acceptance decay drives ``accept`` to 0.0 within the run;
     a worse move then sees an infinite ratio (capped at 11) as in the
     reference, instead of dividing by zero."""
@@ -217,15 +214,17 @@ def test_underflowed_acceptance_temperature(fixed_point):
         idle_power=[0.2, 0.3, 0.4],
     )
     allocation = Allocation.round_robin(6, 3)
-    config = SAConfig(
-        max_iterations=400, acceptance_decay=0.01, use_fixed_point_exp=fixed_point
-    )
+    config = SAConfig(max_iterations=400, acceptance_decay=0.01)
     got = anneal(objective, allocation, config, keep_trace=True)
     assert got.trace.samples[-1]["acceptance"] == 0.0
     want = sa_oracle.anneal(objective, allocation, config, keep_trace=True)
     assert_same_result(got, want)
-    # The full re-evaluation path divides Python floats: it must not raise.
-    anneal(objective, allocation, dataclasses.replace(config, incremental=False))
+    # The float ``e^x`` ablation runs through the underflow too.
+    ablated = sa_oracle.anneal(
+        objective, allocation, config, keep_trace=True, fixed_point_exp=False
+    )
+    assert ablated.trace.samples[-1]["acceptance"] == 0.0
+    assert ablated.iterations == 400
 
 
 # ----------------------------------------------------------------------
@@ -335,12 +334,10 @@ def test_drifted_noop_moves_go_through_the_acceptance_rule(monkeypatch):
     objective, allocation, config = drifted_problem()
     assert drifted_noops(objective, allocation, config, monkeypatch)
     monkeypatch.undo()
-    for fixed_point in (True, False):
-        run = dataclasses.replace(config, use_fixed_point_exp=fixed_point)
-        assert_same_result(
-            anneal(objective, allocation, run, keep_trace=True),
-            sa_oracle.anneal(objective, allocation, run, keep_trace=True),
-        )
+    assert_same_result(
+        anneal(objective, allocation, config, keep_trace=True),
+        sa_oracle.anneal(objective, allocation, config, keep_trace=True),
+    )
 
 
 def test_large_sparse_problem_matches_oracle():
