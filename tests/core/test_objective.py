@@ -141,6 +141,32 @@ class TestModes:
         pwr = sum(x[1] for x in terms)
         assert value == pytest.approx(ips ** 2 / pwr)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.7, 2.0, 2.5])
+    def test_exponent_is_fixed_when_built(self, alpha):
+        """An objective keeps the ``THROUGHPUT_EXPONENT`` it was built
+        with, and so does its incremental evaluator, after the constant
+        is restored: the α fuzzing of the oracle tests relies on it."""
+        obj = make_objective(m=3, n=3, mode="global", seed=5, alpha=alpha)
+        assert objective_module.THROUGHPUT_EXPONENT == 1.7
+        assert obj.throughput_exponent == alpha
+        alloc = Allocation.from_mapping([0, 1, 2], n_cores=3)
+        terms = [
+            obj.core_terms(
+                core,
+                obj.utilization[core, core],
+                obj.utilization[core, core] * obj.ips[core, core],
+                obj.utilization[core, core] * obj.power[core, core],
+            )
+            for core in range(3)
+        ]
+        ips = sum(term[0] for term in terms)
+        pwr = sum(term[1] for term in terms)
+        assert obj.evaluate(alloc) == pytest.approx(ips ** alpha / pwr, rel=1e-12)
+        evaluator = IncrementalEvaluator(obj, alloc)
+        assert evaluator.value == pytest.approx(obj.evaluate(alloc), rel=1e-12)
+        evaluator.apply_swap(0, len(alloc) - 1)
+        assert evaluator.value == pytest.approx(obj.evaluate(alloc), rel=1e-9)
+
     def test_per_core_sum_mode_matches_eq11(self):
         obj = make_objective(m=2, n=2, mode="per_core_sum")
         alloc = Allocation.from_mapping([0, 1], n_cores=2)

@@ -91,6 +91,36 @@ class TestExhaustive:
             assert fresh <= optimum * (1 + 1e-9)
 
 
+class TestSharedContract:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda objective, initial: anneal(
+                objective, initial, SAConfig(max_iterations=300, seed=2)
+            ),
+            greedy_allocate,
+            lambda objective, initial: random_search(
+                objective, initial, iterations=300
+            ),
+        ],
+        ids=["annealing", "greedy", "random"],
+    )
+    def test_each_compared_optimizer_keeps_it(self, run):
+        """Each optimizer of the comparison table leaves the initial
+        allocation alone and returns a complete allocation, no worse
+        than the start, whose value a fresh evaluation reproduces."""
+        objective = make_objective(m=4, n=2, seed=1)
+        initial = Allocation.round_robin(4, 2)
+        before = initial.mapping()
+        result = run(objective, initial)
+        assert initial.mapping() == before
+        assert result.best_allocation.is_complete()
+        assert result.best_value >= result.initial_value
+        assert objective.evaluate(result.best_allocation) == pytest.approx(
+            result.best_value, rel=1e-9
+        )
+
+
 class TestOptimizeDispatch:
     def test_annealing_close_to_exhaustive(self):
         """The paper's claim: SA is near-optimal on small problems."""
