@@ -35,8 +35,11 @@ full-fidelity numbers.
 The sensing gate times ``System.build_view`` (one batched read of the
 window) against the per-owner scalar oracle
 (``tests/kernel/reference_sensing.py``), alternating in one process
-from the same RNG state, after a one-epoch vanilla run on hmp:128 ×
-256 threads (and hmp:1024 in full mode).  Every pair must build equal
+from the same RNG state, after an untimed one-epoch SmartBalance run on
+hmp:128 × 256 threads (and hmp:1024 in full mode).  SmartBalance reads
+sensors, so every timed view carries the PMU part: the noisy counter
+and power read, the rates and the records; a baseline's view would
+skip all of it.  Every pair must build equal
 views and leave the sensing RNG in the same state; the median per-pair
 speedup must be **>= 2.55x** at 128 cores (ten quick-gate readings on a
 2-vCPU VM, Python 3.11, were 3.00-3.44x; the floor sits 15% below the
@@ -191,13 +194,15 @@ SENSING_PAIRS = 30
 def measure_sensing(n_cores, n_pairs):
     """Per-view times of the batched and the oracle ``build_view``.
 
-    The speedup is the median over pairs of oracle time / batched time:
-    each pair runs back to back, so host drift between pairs cancels.
+    The system's balancer is SmartBalance, which reads sensors, so both
+    paths build the PMU part.  The speedup is the median over pairs of
+    oracle time / batched time: each pair runs back to back, so host
+    drift between pairs cancels.
     """
     system = System(
         make_platform(platform_spec(n_cores)),
         make_workload(WORKLOAD, THREADS_PER_CORE * n_cores, seed=0),
-        make_balancer("vanilla"),
+        make_balancer("smartbalance"),
         SimulationConfig(seed=0),
     )
     system.run(n_epochs=1)

@@ -184,6 +184,8 @@ class SmartBalance(LoadBalancer):
     name = "smartbalance"
     #: Once per simulator epoch: ``System.run`` supplies L.
     interval_periods = None
+    #: The sense phase reads per-thread counters and power (Section 4.1).
+    reads_sensors = True
 
     def __init__(
         self,

@@ -15,6 +15,13 @@ The contract:
   ``None`` means once per simulator epoch, every
   ``SimulationConfig.periods_per_epoch`` (L) periods: SmartBalance and
   its subclasses decide at that one epoch length.
+* ``reads_sensors`` says whether the policy reads the view's PMU part
+  (counters, rates, power).  It is a fact about the policy, not a
+  setting: ``False`` here and on the kernel baselines, which decide
+  from task weight and PELT utilisation as Linux CFS and ARM GTS do;
+  ``True`` on :class:`~repro.core.balancer.SmartBalance` and its
+  subclasses.  The simulator senses a view only for a balancer that
+  reads it; otherwise those fields are ``None``.
 * Balancers must decide from the view alone; they never see workload
   ground truth.
 * After each run the simulator reads four hooks, whose defaults here
@@ -48,6 +55,8 @@ class LoadBalancer(abc.ABC):
     name: str = "abstract"
     #: CFS periods between rebalance calls; ``None`` is once per epoch.
     interval_periods: Optional[int] = 1
+    #: Whether views carry the PMU part (counters, rates, power).
+    reads_sensors: bool = False
     #: Observability sink; the simulator assigns its own context here
     #: before the run starts.  Balancers that trace must guard every
     #: emission with ``self.obs.enabled``.

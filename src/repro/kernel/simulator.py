@@ -19,6 +19,7 @@ scheduling periods.  At each balancer interval boundary the simulator
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -519,17 +520,18 @@ class System:
     def build_view(self, window_s: float) -> SystemView:
         """Construct the observable system view for the last window.
 
-        Gathers the window's counters, energy and utilisation from the
-        engine's arrays and reads them through the sensing interface in
-        one batch (tasks in tid order, then cores in id order — the
-        noise draw order).  The tasks are the threads alive in the
-        window: a pending thread has not arrived yet, and a thread that
-        exited before the window began is gone; one that exited inside
-        it is listed with its final measurement.  An attached fault
-        plan then corrupts the noisy readings owner by owner in that
-        same order: each task's counters, then its power if it ran;
-        each core's power, then its counters.  Rates are derived from
-        the final counters.
+        Every view carries the OS part (:mod:`repro.kernel.view`): each
+        task's placement, weight, PELT utilisation, busy time, affinity
+        and scenario extras, and each core's nominal type, firmware idle
+        and sleep power, temperature and online flag.  The tasks are the
+        threads alive in the window: a pending thread has not arrived
+        yet, and a thread that exited before the window began is gone;
+        one that exited inside it is listed with its final measurement.
+
+        The PMU part (counters, rates and power) is added only when the
+        balancer reads sensors (``LoadBalancer.reads_sensors``); without
+        it those fields are ``None``, and the view takes no noise draw
+        and delivers no sensor fault.
         """
         engine = self.engine
         # Scenario observables (progress fractions, SLO slack) ride on
@@ -539,42 +541,16 @@ class System:
         )
         tids = self._view_tids
         live = [self.tasks[tid] for tid in tids]
-        task_true = engine.t_cnt[tids]
-        busy = task_true[:, BUSY_COLUMN]
-        task_power = np.divide(
-            engine.epoch_energy[tids], busy, out=np.zeros_like(busy), where=busy > 0
-        )
-        core_time = engine.q_epoch_time
-        core_power = np.divide(
-            engine.q_epoch_energy,
-            core_time,
-            out=np.zeros_like(core_time),
-            where=core_time > 0,
-        )
-        task_counts, task_power, core_counts, core_power = self.sensing.read(
-            task_true, task_power, engine.c_cnt, core_power
-        )
-        task_blocks = [CounterBlock(*row) for row in task_counts.tolist()]
-        core_blocks = [CounterBlock(*row) for row in core_counts.tolist()]
-        task_power_w = task_power.tolist()
-        core_power_w = core_power.tolist()
+        busy = engine.t_cnt[tids, BUSY_COLUMN]
         busy_s = busy.tolist()
-        if self.faults is not None:
-            corrupt_block = self.faults.corrupt_block
-            corrupt_power = self.faults.corrupt_power
-            for i, tid in enumerate(tids):
-                owner = ("task", tid)
-                corrupt_block(owner, task_blocks[i])
-                if busy_s[i] > 0:
-                    task_power_w[i] = corrupt_power(owner, task_power_w[i])
-            for core_id, block in enumerate(core_blocks):
-                owner = ("core", core_id)
-                core_power_w[core_id] = corrupt_power(owner, core_power_w[core_id])
-                corrupt_block(owner, block)
-            task_counts = np.array([counter_row(b) for b in task_blocks]).reshape(
-                task_counts.shape
+        if self.balancer.reads_sensors:
+            task_blocks, task_rates, task_power_w, core_blocks, core_power_w = (
+                self._read_pmu(tids, busy, busy_s)
             )
-        rates = derived_rates(task_counts).tolist()
+        else:
+            task_blocks = task_rates = task_power_w = core_blocks = core_power_w = (
+                itertools.repeat(None)
+            )
 
         # The view reports each core's *nominal* type: firmware-level
         # thermal throttling is invisible to the OS, so a throttled core
@@ -596,14 +572,14 @@ class System:
                 task.is_user,
                 utilization[task.tid],
                 block,
-                DerivedRates(*task_rates),
+                rates,
                 power_w,
                 busy_time_s,
                 task.behavior.allowed_cores,
                 **extras_by_tid.get(task.tid, {}),
             )
-            for task, block, task_rates, power_w, busy_time_s in zip(
-                live, task_blocks, rates, task_power_w, busy_s
+            for task, block, rates, power_w, busy_time_s in zip(
+                live, task_blocks, task_rates, task_power_w, busy_s
             )
         ]
 
@@ -617,7 +593,9 @@ class System:
         # model is off.
         temperature = engine.thermal_temp.tolist()
         core_views = []
-        for core_id, core_type in enumerate(core_types):
+        for core_id, core_type, power_w, block in zip(
+            range(len(core_types)), core_types, core_power_w, core_blocks
+        ):
             idle_sleep = firmware.get(core_type)
             if idle_sleep is None:
                 sleep = power_model.sleep_power(core_type)
@@ -630,10 +608,10 @@ class System:
                 CoreView(
                     core_id,
                     core_type,
-                    core_power_w[core_id],
+                    power_w,
                     idle_sleep[0],
                     idle_sleep[1],
-                    core_blocks[core_id],
+                    block,
                     temperature[core_id],
                     self._online[core_id],
                 )
@@ -646,6 +624,54 @@ class System:
             tasks=tuple(task_views),
             cores=tuple(core_views),
         )
+
+    def _read_pmu(self, tids: "list[int]", busy: np.ndarray, busy_s: "list[float]"):
+        """The view's PMU part: (task blocks, task rates, task power,
+        core blocks, core power), each a list in view order.
+
+        Reads the window's counters and energy through the sensing
+        interface in one batch (tasks in tid order, then cores in id
+        order — the noise draw order).  An attached fault plan then
+        corrupts the noisy readings owner by owner in that same order:
+        each task's counters, then its power if it ran; each core's
+        power, then its counters.  Rates are derived from the final
+        counters.
+        """
+        engine = self.engine
+        task_power = np.divide(
+            engine.epoch_energy[tids], busy, out=np.zeros_like(busy), where=busy > 0
+        )
+        core_time = engine.q_epoch_time
+        core_power = np.divide(
+            engine.q_epoch_energy,
+            core_time,
+            out=np.zeros_like(core_time),
+            where=core_time > 0,
+        )
+        task_counts, task_power, core_counts, core_power = self.sensing.read(
+            engine.t_cnt[tids], task_power, engine.c_cnt, core_power
+        )
+        task_blocks = [CounterBlock(*row) for row in task_counts.tolist()]
+        core_blocks = [CounterBlock(*row) for row in core_counts.tolist()]
+        task_power_w = task_power.tolist()
+        core_power_w = core_power.tolist()
+        if self.faults is not None:
+            corrupt_block = self.faults.corrupt_block
+            corrupt_power = self.faults.corrupt_power
+            for i, tid in enumerate(tids):
+                owner = ("task", tid)
+                corrupt_block(owner, task_blocks[i])
+                if busy_s[i] > 0:
+                    task_power_w[i] = corrupt_power(owner, task_power_w[i])
+            for core_id, block in enumerate(core_blocks):
+                owner = ("core", core_id)
+                core_power_w[core_id] = corrupt_power(owner, core_power_w[core_id])
+                corrupt_block(owner, block)
+            task_counts = np.array([counter_row(b) for b in task_blocks]).reshape(
+                task_counts.shape
+            )
+        task_rates = [DerivedRates(*row) for row in derived_rates(task_counts).tolist()]
+        return task_blocks, task_rates, task_power_w, core_blocks, core_power_w
 
     def _reset_window_accounting(self) -> None:
         self.engine.reset_window_accounting()

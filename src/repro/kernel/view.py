@@ -1,17 +1,34 @@
 """The kernel-side system view handed to load balancers.
 
 This is the boundary between *ground truth* (which only the simulator
-sees) and *observations* (what a real kernel could know):
+sees) and *observations* (what a real kernel could know).  A view has
+two parts.
 
-* per-task hardware counters, read through the noisy sensing interface
-  at the epoch boundary — the paper's per-thread sampling at context
-  switches, aggregated per epoch (Section 4.1);
-* per-task measured power, attributed from per-core power sensors by
-  time share (Eq. 5's ``p = ε / τ``);
-* per-task PELT-style utilisation (runnable-time tracking — standard
-  kernel bookkeeping, also what ARM GTS consumes);
-* per-core static facts a kernel knows from firmware tables: core
-  type parameters, frequency, idle/sleep power.
+The **OS part** is in every view: what the kernel's own bookkeeping and
+firmware tables know.
+
+* per task: ``tid``, ``name``, ``core_id``, ``core_type``, ``weight``,
+  ``is_user``, the PELT-style ``utilization`` (runnable-time tracking —
+  standard kernel bookkeeping, also what ARM GTS consumes),
+  ``busy_time_s``, ``allowed_cores`` and the scenario extras
+  (``progress_frac``, ``slo_slack_frac``);
+* per core: ``core_type`` (frequency and type parameters),
+  ``idle_power_w`` and ``sleep_power_w`` from firmware tables,
+  ``temperature_c`` and the ``online`` flag.
+
+The **PMU part** is what SmartBalance adds (Section 4.1):
+
+* per task: ``counters``, hardware counters read through the noisy
+  sensing interface at the epoch boundary — the paper's per-thread
+  sampling at context switches, aggregated per epoch; ``rates``
+  derived from them; and ``power_w``, measured power attributed from
+  per-core power sensors by time share (Eq. 5's ``p = ε / τ``);
+* per core: ``power_w`` and ``counters``.
+
+The simulator reads the PMU part only for a balancer whose
+``reads_sensors`` is set.  In a view without it those five fields are
+``None`` (never zero placeholders a balancer could take for a
+measurement) and ``TaskView.has_measurement`` is ``False``.
 
 Balancers must make decisions *only* from a :class:`SystemView`; tests
 assert that no ground-truth phase objects leak through it.
@@ -32,7 +49,8 @@ class TaskView(NamedTuple):
 
     This is the sense phase's per-thread record (Section 4.1):
     ``rates.ips`` is Eq. 4's measured throughput and ``power_w`` Eq. 5's
-    measured power, both on ``core_type``.
+    measured power, both on ``core_type``.  ``counters``, ``rates`` and
+    ``power_w`` are the PMU part: ``None`` when the view was not sensed.
     """
 
     tid: int
@@ -45,12 +63,13 @@ class TaskView(NamedTuple):
     is_user: bool
     #: PELT-style demanded-CPU fraction estimate in [0, 1].
     utilization: float
-    #: Noisy counter snapshot for the window.
-    counters: CounterBlock
-    #: Rates derived from the noisy counters (Section 4.1 ratios).
-    rates: DerivedRates
-    #: Measured average power while this task ran (W); 0 if it never ran.
-    power_w: float
+    #: Noisy counter snapshot for the window (PMU).
+    counters: "CounterBlock | None"
+    #: Rates derived from the noisy counters, Section 4.1 ratios (PMU).
+    rates: "DerivedRates | None"
+    #: Measured average power while this task ran (W); 0 if it never
+    #: ran (PMU).
+    power_w: "float | None"
     #: Wall time the task actually executed during the window (s).
     busy_time_s: float
     #: cpuset affinity (core ids); None = any core.
@@ -67,8 +86,14 @@ class TaskView(NamedTuple):
 
     @property
     def has_measurement(self) -> bool:
-        """True when the task ran long enough to be characterised."""
-        return self.busy_time_s > 0 and self.counters.instructions > 0
+        """True when the task ran long enough to be characterised; never
+        in a view without the PMU part."""
+        counters = self.counters
+        return (
+            counters is not None
+            and self.busy_time_s > 0
+            and counters.instructions > 0
+        )
 
 
 class CoreView(NamedTuple):
@@ -76,17 +101,19 @@ class CoreView(NamedTuple):
 
     A core's cluster is ``view.platform[core_id].cluster``; the threads
     on it are the :class:`TaskView` records with its ``core_id``.
+    ``power_w`` and ``counters`` are the PMU part: ``None`` when the
+    view was not sensed.
     """
 
     core_id: int
     core_type: CoreType
-    #: Measured average power over the window (W), from the sensor.
-    power_w: float
+    #: Measured average power over the window (W), from the sensor (PMU).
+    power_w: "float | None"
     #: Idle and sleep power from firmware tables (W).
     idle_power_w: float
     sleep_power_w: float
-    #: Noisy per-core counter snapshot.
-    counters: CounterBlock
+    #: Noisy per-core counter snapshot (PMU).
+    counters: "CounterBlock | None"
     #: Core temperature (deg C) from the thermal sensor; ambient when
     #: the thermal model is disabled.
     temperature_c: float = 45.0

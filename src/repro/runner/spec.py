@@ -58,7 +58,10 @@ from repro.runner.factories import check_balancer, check_platform, check_workloa
 #: 11: a view lists only the threads alive in its window and hotplug
 #: moves only arrived, live threads, so runs whose threads exit or
 #: arrive (the openloop and barrier scenarios) can differ.
-CACHE_FORMAT = 11
+#: 12: a baseline (vanilla, GTS, IKS) reads no sensors, so its faulted
+#: runs no longer deliver sensor or counter faults and their resilience
+#: counts differ; clean runs are unchanged.
+CACHE_FORMAT = 12
 
 
 def _code_version() -> str:

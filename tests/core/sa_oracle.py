@@ -187,7 +187,9 @@ def anneal(
             take = True
         elif diff < 0:
             scale = accept * max(abs(current), 1e-30)
-            x = min(-diff / scale, 11.0)
+            # An underflowed scale is an infinite ratio, which the cap
+            # absorbs (a Python float would raise where numpy gives inf).
+            x = min(-diff / scale, 11.0) if scale else 11.0
             probability = exp_neg(x) if fixed_point_exp else math.exp(-x)
             if probability > 0:
                 inverse = max(int(round(1.0 / probability)), 1)

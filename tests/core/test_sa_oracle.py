@@ -202,13 +202,16 @@ def test_round_off_negative_throughput_is_nan_like_the_reference():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
 @pytest.mark.parametrize("fixed_point", [True, False])
-def test_underflowed_acceptance_temperature(fixed_point):
+def test_underflowed_acceptance_temperature(fixed_point, incremental):
     """A fast acceptance decay drives ``accept`` to 0.0 within the run;
     a worse move then sees an infinite ratio (capped at 11) as in the
-    reference, instead of dividing by zero.  The float ``e^x`` ablation,
-    which only the reference loop runs, goes through the underflow
-    too."""
+    reference, instead of dividing by zero.  The float ``e^x`` and the
+    full re-evaluation ablations, which only the reference loop runs, go
+    through the underflow too: full re-evaluation's values are Python
+    floats, whose division by a zero scale raises rather than giving
+    ``inf``."""
     rng = np.random.default_rng(3)
     objective = EnergyEfficiencyObjective(
         ips=rng.uniform(1e8, 2e9, (6, 3)),
@@ -219,11 +222,12 @@ def test_underflowed_acceptance_temperature(fixed_point):
     allocation = Allocation.round_robin(6, 3)
     config = SAConfig(max_iterations=400, acceptance_decay=0.01)
     want = sa_oracle.anneal(
-        objective, allocation, config, keep_trace=True, fixed_point_exp=fixed_point
+        objective, allocation, config, keep_trace=True,
+        incremental=incremental, fixed_point_exp=fixed_point,
     )
     assert want.trace.samples[-1]["acceptance"] == 0.0
     assert want.iterations == 400
-    if fixed_point:
+    if fixed_point and incremental:
         got = anneal(objective, allocation, config, keep_trace=True)
         assert got.trace.samples[-1]["acceptance"] == 0.0
         assert_same_result(got, want)

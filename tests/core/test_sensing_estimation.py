@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_sensing import SensingNullBalancer
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import (
@@ -13,7 +14,6 @@ from repro.hardware.counters import CounterBlock
 from repro.hardware import microarch
 from repro.hardware.platform import quad_hmp
 from repro.hardware.sensors import NoiseModel
-from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.characteristics import COMPUTE_PHASE
 from repro.workload.synthetic import imb_threads
@@ -29,7 +29,9 @@ def sensed_view(n_threads=4, os_tasks=0, n_epochs=2):
         power_noise=NoiseModel(sigma=0.0),
         os_noise_tasks=os_tasks,
     )
-    system = System(quad_hmp(), imb_threads("MTMI", n_threads), NullBalancer(), config)
+    system = System(
+        quad_hmp(), imb_threads("MTMI", n_threads), SensingNullBalancer(), config
+    )
     system.run(n_epochs=n_epochs)
     return system, system.build_view(window_s=n_epochs * 0.06)
 

@@ -21,10 +21,16 @@ to it field for field:
   last instruction, so one that exited inside the window has busy time
   there.  ``System`` states the same rule as a tid list it updates at
   arrivals and window resets; the differential suite holds the two
-  statements to each other.
+  statements to each other.  For a balancer that reads no sensors
+  (``reads_sensors`` unset: vanilla, GTS, IKS) every owner skips its
+  read: the counter, rate and power fields are ``None`` and nothing is
+  drawn or corrupted.
 
 Both paths draw from the system's own sensing RNG and fault injector,
 so a test compares them by restoring those states in between.
+:class:`SensingNullBalancer` keeps the initial placement, like
+:class:`~repro.kernel.balancers.base.NullBalancer`, but reads sensors,
+for tests that inspect a sensed view of an unbalanced run.
 """
 
 from __future__ import annotations
@@ -35,9 +41,16 @@ from repro.faults import FaultInjector
 from repro.hardware import power as power_model
 from repro.hardware.counters import CounterBlock, DerivedRates
 from repro.hardware.sensors import SensingInterface
+from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.cfs import IDLE_TO_SLEEP_LATENCY_S
 from repro.kernel.task import TaskState
 from repro.kernel.view import CoreView, SystemView, TaskView
+
+
+class SensingNullBalancer(NullBalancer):
+    """Keeps the initial placement; its views carry the PMU part."""
+
+    reads_sensors = True
 
 
 def snapshot(block: CounterBlock) -> CounterBlock:
@@ -144,6 +157,7 @@ def build_view(system, window_s: float) -> SystemView:
     """The observable view of ``system``'s last window, owner by owner."""
     engine = system.engine
     sensing, faults = system.sensing, system.faults
+    sensed = system.balancer.reads_sensors
     extras_by_tid: "dict[int, dict]" = (
         system.scenario.task_extras(system) if system.scenario is not None else {}
     )
@@ -158,13 +172,16 @@ def build_view(system, window_s: float) -> SystemView:
         ):
             continue
         owner = ("task", task.tid)
-        noisy = read_counters(sensing, counters, owner, faults)
         busy = counters.busy_time_s
-        if busy > 0:
-            true_power = task_energy[task.tid] / busy
-            measured_power = read_power(sensing, true_power, owner, faults)
-        else:
-            measured_power = 0.0
+        noisy = rates = measured_power = None
+        if sensed:
+            noisy = read_counters(sensing, counters, owner, faults)
+            rates = derive_rates(noisy)
+            if busy > 0:
+                true_power = task_energy[task.tid] / busy
+                measured_power = read_power(sensing, true_power, owner, faults)
+            else:
+                measured_power = 0.0
         task_views.append(
             TaskView(
                 tid=task.tid,
@@ -175,7 +192,7 @@ def build_view(system, window_s: float) -> SystemView:
                 is_user=task.is_user,
                 utilization=utilization[task.tid],
                 counters=noisy,
-                rates=derive_rates(noisy),
+                rates=rates,
                 power_w=measured_power,
                 busy_time_s=busy,
                 allowed_cores=task.behavior.allowed_cores,
@@ -191,23 +208,27 @@ def build_view(system, window_s: float) -> SystemView:
         core_id = queue.core.core_id
         owner = ("core", core_id)
         core_type = system._base_cores[core_id].core_type
-        elapsed = core_time[core_id]
-        avg_power = core_energy[core_id] / elapsed if elapsed > 0 else 0.0
         shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / system.config.period_s, 1.0)
         effective_idle = (
             shallow_frac * power_model.idle_power(core_type).total_w
             + (1.0 - shallow_frac) * power_model.sleep_power(core_type)
         )
+        power_w = core_block = None
+        if sensed:
+            elapsed = core_time[core_id]
+            avg_power = core_energy[core_id] / elapsed if elapsed > 0 else 0.0
+            power_w = read_power(sensing, avg_power, owner, faults)
+            core_block = read_counters(
+                sensing, CounterBlock(*core_counters[core_id]), owner, faults
+            )
         core_views.append(
             CoreView(
                 core_id=core_id,
                 core_type=core_type,
-                power_w=read_power(sensing, avg_power, owner, faults),
+                power_w=power_w,
                 idle_power_w=effective_idle,
                 sleep_power_w=power_model.sleep_power(core_type),
-                counters=read_counters(
-                    sensing, CounterBlock(*core_counters[core_id]), owner, faults
-                ),
+                counters=core_block,
                 temperature_c=temperature[core_id],
                 online=system._online[core_id],
             )

@@ -15,6 +15,12 @@ views must be equal field for field (``==`` and ``repr``, so an int
 ``0`` for a float ``0.0`` counts as a difference), and they must leave
 the sensing RNG, both fault-injector RNGs, the stuck-at latch table and
 the injection counts in the same state.
+
+The sensed specs run SmartBalance or a variant.  SmartBalance at
+``periods_per_epoch=1`` reads a view every period, as the kernel
+baselines call their balancer, so stuck-at latches are re-read each
+period.  The baselines (vanilla, GTS, IKS) read no sensors: their views
+must match the oracle's and leave every one of those states untouched.
 """
 
 from dataclasses import replace
@@ -54,13 +60,15 @@ def _restore(system, state) -> None:
         faults.counts = replace(state[4])
 
 
-def run_checked(monkeypatch, spec):
+def run_checked(monkeypatch, spec, sensed=True):
     """Run ``spec`` with every view checked; returns one record per view:
-    (tids in the view, number of pending tasks, tids of exited tasks)."""
+    (tids in the view, number of pending tasks, tids of exited tasks).
+    An unsensed view must leave the sensing and fault state as it was."""
     batched = System.build_view
     records = []
 
     def build_view(system, window_s):
+        assert system.balancer.reads_sensors is sensed
         before = _state(system)
         expected = reference_sensing.build_view(system, window_s)
         expected_state = _state(system)
@@ -69,6 +77,8 @@ def run_checked(monkeypatch, spec):
         assert view == expected
         assert repr(view) == repr(expected)
         assert _state(system) == expected_state
+        if not sensed:
+            assert expected_state == before
         states = [t.state for t in system.tasks]
         records.append(
             (
@@ -99,10 +109,11 @@ NOISE_SPECS = {
     ),
     # Wide sigmas so both clips bind often, at different bounds.
     "unequal_clips": spec(
-        balancer="vanilla",
+        n_epochs=30,
         config=SimulationConfig(
             counter_noise=NoiseModel(sigma=0.4, clip=0.1),
             power_noise=NoiseModel(sigma=0.3, clip=0.6),
+            periods_per_epoch=1,
         ),
     ),
     "os_noise_tasks": spec(config=SimulationConfig(os_noise_tasks=4)),
@@ -118,7 +129,10 @@ NOISE_SPECS = {
         platform="biglittle", threads=4, balancer="slo", scenario="openloop",
         n_epochs=6,
     ),
-    "hmp128": spec(platform="hmp:128", threads=256, balancer="vanilla", n_epochs=1),
+    "hmp128": spec(
+        platform="hmp:128", threads=256, n_epochs=10,
+        config=SimulationConfig(periods_per_epoch=1),
+    ),
 }
 
 
@@ -129,11 +143,27 @@ def test_batched_view_matches_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("preset", SCENARIOS)
 def test_fault_presets_match_oracle(monkeypatch, preset):
-    """Vanilla views every period, so stuck-at latches are re-read."""
+    """A view every period, so stuck-at latches are re-read."""
     run_checked(
         monkeypatch,
-        spec(platform="biglittle", balancer="vanilla", faults=preset, n_epochs=4),
+        spec(
+            platform="biglittle", faults=preset, n_epochs=40,
+            config=SimulationConfig(periods_per_epoch=1),
+        ),
     )
+
+
+@pytest.mark.parametrize("preset", (None,) + SCENARIOS)
+@pytest.mark.parametrize("balancer", ["vanilla", "gts", "iks"])
+def test_baselines_take_no_sensor_read(monkeypatch, balancer, preset):
+    """A baseline's view carries only the OS part: no draw from the
+    sensing or fault RNGs, no latch, no injection."""
+    records = run_checked(
+        monkeypatch,
+        spec(platform="biglittle", balancer=balancer, faults=preset, n_epochs=4),
+        sensed=False,
+    )
+    assert len(records) == 40
 
 
 def test_faults_with_defences_and_adaptation_match_oracle(monkeypatch):

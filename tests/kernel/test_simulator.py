@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_sensing import SensingNullBalancer
 from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import quad_hmp
 from repro.hardware.sensors import NoiseModel
@@ -234,7 +235,9 @@ class TestView:
         assert [t.tid for t in view.tasks] == [0]
 
     def test_view_counters_noisy_but_close(self):
-        system = make_system(config=SimulationConfig(seed=3))
+        system = make_system(
+            balancer=SensingNullBalancer(), config=SimulationConfig(seed=3)
+        )
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:
@@ -245,7 +248,7 @@ class TestView:
                 )
 
     def test_ideal_sensors_reproduce_truth(self):
-        system = make_system(config=IDEAL)
+        system = make_system(balancer=SensingNullBalancer(), config=IDEAL)
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:
@@ -253,7 +256,7 @@ class TestView:
             assert task_view.counters.instructions == truth
 
     def test_view_power_attribution(self):
-        system = make_system(config=IDEAL)
+        system = make_system(balancer=SensingNullBalancer(), config=IDEAL)
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
         for task_view in view.tasks:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_sensing import SensingNullBalancer
 from repro.hardware.counters import DerivedRates
 from repro.hardware.platform import big_little_octa, quad_hmp
 from repro.kernel.balancers.base import NullBalancer
@@ -13,11 +14,13 @@ from repro.scenarios.runtime import ScenarioRuntime
 from repro.workload.synthetic import imb_threads
 
 
-def view_for(platform=None, n_threads=4, os_tasks=0):
+def view_for(platform=None, n_threads=4, os_tasks=0, balancer=None):
+    """A view after two epochs of an unbalanced run, sensed unless a
+    ``balancer`` that reads no sensors is given."""
     system = System(
         platform or quad_hmp(),
         imb_threads("MTMI", n_threads),
-        NullBalancer(),
+        balancer or SensingNullBalancer(),
         SimulationConfig(os_noise_tasks=os_tasks),
     )
     system.run(n_epochs=2)
@@ -56,6 +59,23 @@ class TestSystemViewHelpers:
         view = view_for()
         assert view.window_s == pytest.approx(0.12)
         assert view.epoch_index >= 0
+
+
+class TestUnsensedView:
+    def test_os_part_equals_the_sensed_views(self):
+        """The same run seen with and without the PMU read: every OS
+        field agrees, and the PMU fields of the unsensed view are
+        ``None``, not zero placeholders a balancer could take for a
+        measurement."""
+        pmu = {"counters": None, "rates": None, "power_w": None}
+        sensed = view_for(os_tasks=2)
+        unsensed = view_for(os_tasks=2, balancer=NullBalancer())
+        assert [t._replace(**pmu) for t in sensed.tasks] == list(unsensed.tasks)
+        assert [
+            c._replace(power_w=None, counters=None) for c in sensed.cores
+        ] == list(unsensed.cores)
+        assert all(t.has_measurement for t in sensed.tasks)
+        assert not any(t.has_measurement for t in unsensed.tasks)
 
 
 class TestTaskCoreType:
@@ -154,7 +174,8 @@ class TestNewRecord:
                 return {1: {"slo_slack_frac": 0.25}}
 
         system = System(
-            quad_hmp(), imb_threads("MTMI", 6), NullBalancer(), scenario=Slack()
+            quad_hmp(), imb_threads("MTMI", 6), SensingNullBalancer(),
+            scenario=Slack(),
         )
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.12)

@@ -57,51 +57,52 @@ CORPUS = {
 
 #: (spec_key, label) per corpus entry.  Moving any of them is a cache
 #: format change, never a side effect of how the knobs are declared.
-#: The keys last moved at CACHE_FORMAT 11, when views began listing
-#: only the threads alive in their window; the ``openloop`` entry's
-#: scenario was re-spelled canonically then (``rate=80`` is the
-#: default), which moved its label.
+#: The keys last moved at CACHE_FORMAT 12, when the baselines stopped
+#: reading sensors.  At 11, when views began listing only the threads
+#: alive in their window, the ``openloop`` entry's scenario was
+#: re-spelled canonically (``rate=80`` is the default), which moved its
+#: label.
 PINNED = {
     "default": (
-        "40a8a9585680f592ee834321dbde5027e408ee69",
+        "14287e8b3f4e3cd3ff730c66734ad2883bbf9f36",
         "quad/MTMI/x8/smartbalance/seed=0",
     ),
     "seeds_faults_no_mitigations": (
-        "736dcabb4a7b2dc70ecc34bbdd6f82e3187a896e",
+        "7d9a7d16d8632defcf3732eda65b37cdc1e6e8a3",
         "hmp:6/Mix3/x2/gts/faults=sensor/seed=42",
     ),
     "adaptation_combined": (
-        "cfdc2cfce52faf87e494c9acc61c20622de168e7",
+        "ba5ae5abe5a3929c382cb319186747ce1acd09ae",
         "quad/random/x6/smartbalance/faults=combined/seed=0",
     ),
     "two_level": (
-        "47efa2e7b0a5839656c41509ceef4af0cd43d63e",
+        "95e183921007f600c5eb60de25e1e9197ac194d0",
         "dvfsquad/MTMI/x8/smartbalance/gov=two_level/seed=0",
     ),
     "pinned": (
-        "a39e0e7fe50ea61cd60878084a34a641fbce64f0",
+        "161ad965b9774d376417867907bce68c478486f3",
         "dvfsquad/LTLI/x8/smartbalance/gov=pinned:1/seed=0",
     ),
     "openloop": (
-        "d411882b79c90d110889cd11e961f64fe0348fe4",
+        "51577de3a8f5461f2f500794c0a348ba44a13d81",
         "biglittle/MTMI/x4/slo/scenario=openloop:slo_ms=15,"
         "work_minstr=2/seed=0",
     ),
     "barrier": (
-        "838c02e39564ee80d6f8cea5fb239202559f993f",
+        "584595f81e601132bc0851b631aaff59a86253c3",
         "biglittle/MTMI/x4/tpeq/scenario=barrier:groups=1,members=3,"
         "intervals=3/seed=0",
     ),
     "smt": (
-        "6fd4a05d6da48b9ad937a29ee992435075e7a80e",
+        "d5ed489d63ca9ba9a6ac4cdff10157619e42eead",
         "biglittle/bodytrack/x8/smartbalance/scenario=smt:cores=big/seed=0",
     ),
     "governor_scenario": (
-        "b7d1cdbcfc11f7ae7c93903396b935064584988c",
+        "29803adb2f5943cd728925906c256ae8d28b0bf2",
         "dvfsquad/MTMI/x4/smartbalance/gov=two_level/scenario=openloop/seed=0",
     ),
     "config": (
-        "98a5d0a109110086e683d82c8e149fb002c0e46c",
+        "9d08a0fe7b39a0f3f512e8854b9065747d1a31dd",
         "quad/MTMI/x2/smartbalance/seed=0",
     ),
 }
