@@ -602,15 +602,16 @@ class SmartBalance(LoadBalancer):
         return view
 
     def _objective_weights(self, view: SystemView) -> "Optional[Sequence[float]]":
-        """Per-core objective weights: the configured ones, or thermal
-        headroom weights when thermal-aware balancing has temperatures."""
+        """Per-core objective weights: thermal headroom weights when
+        thermal-aware balancing has temperatures, else ``None`` (all
+        ones)."""
         if self.config.thermal_aware and view.cores:
             return thermal_weights(
                 [core.temperature_c for core in view.cores],
                 knee_c=self.config.thermal_knee_c,
                 zero_c=self.config.thermal_zero_c,
             )
-        return self.config.core_weights
+        return None
 
     def _note_anneal(self, view: SystemView, result: SAResult, t_s: float) -> None:
         """Emit the epoch's ``anneal`` event."""
@@ -693,13 +694,10 @@ class SmartBalance(LoadBalancer):
         mitigations = self.config.mitigations
         with oc.span("sense") as sense_span:
             view = self._sense(view)
-            # Only user threads are balanced by default (paper Section
-            # 5.1: kernel threads are marked at ``sched_fork`` and left
-            # to CFS since user threads dominate).
-            tasks = view.user_tasks
-            if self.config.include_kernel_threads:
-                tasks = view.tasks
-            measured = [task for task in tasks if task.has_measurement]
+            # Only user threads are balanced (paper Section 5.1: kernel
+            # threads are marked at ``sched_fork`` and left to CFS since
+            # user threads dominate).
+            measured = [task for task in view.user_tasks if task.has_measurement]
 
             # Sanity-check the samples before they touch the predictor:
             # a corrupt observation poisons not just this epoch but

@@ -10,7 +10,6 @@ and the throughput exponent α is :data:`repro.core.objective.THROUGHPUT_EXPONEN
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.core.objective import MODES
 
@@ -23,13 +22,12 @@ SMARTBALANCE_MODES = tuple(mode for mode in MODES if mode != "power_cap")
 class SmartBalanceConfig:
     """Settings of the full sense-predict-balance loop.
 
+    SmartBalance balances user threads only: the paper (Section 5.1)
+    marks them at ``sched_fork`` and leaves kernel threads to CFS.
+    Eq. 11's ω_j are all ones unless ``thermal_aware`` derives them.
+
     Attributes
     ----------
-    include_kernel_threads:
-        Balance kernel threads too (paper Section 5.1 optimises user
-        threads by default, marking them at ``sched_fork``).
-    core_weights:
-        The ω_j of Eq. 11; ``None`` means all ones.
     objective_mode:
         ``"global"`` (chip-level IPS/Watt, the default),
         ``"per_core_sum"`` (the literal Eq. 11 weighted sum of per-core
@@ -64,11 +62,8 @@ class SmartBalanceConfig:
         never instantiates a controller.
     """
 
-    include_kernel_threads: bool = False
-    core_weights: Optional[Sequence[float]] = None
     #: Derive Eq. 11's ω_j from core temperatures each epoch
-    #: (repro.hardware.thermal.thermal_weights); mutually exclusive
-    #: with explicit core_weights.
+    #: (repro.hardware.thermal.thermal_weights).
     thermal_aware: bool = False
     #: Temperature band of the thermal de-rating: full weight below the
     #: knee, zero weight at/above the zero point.
@@ -83,11 +78,6 @@ class SmartBalanceConfig:
             raise ValueError(
                 f"objective_mode must be one of {SMARTBALANCE_MODES}, "
                 f"got {self.objective_mode!r}"
-            )
-        if self.thermal_aware and self.core_weights is not None:
-            raise ValueError(
-                "thermal_aware derives core weights; do not also pass "
-                "explicit core_weights"
             )
         if not self.thermal_knee_c < self.thermal_zero_c:
             raise ValueError(

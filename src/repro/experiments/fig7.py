@@ -46,10 +46,11 @@ SCALING_SCENARIOS = ((2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (64, 128), (12
 def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
     """A populated :class:`SystemView` at an arbitrary platform scale.
 
-    Tasks carry counters charged from random workloads as one 60 ms
-    epoch of execution would, so ``SmartBalance.decide`` does exactly
-    the work it does inside the simulator — without simulating the
-    epoch itself (which is what makes 128-core full-system runs slow).
+    Tasks carry the rates of counters charged from random workloads as
+    one 60 ms epoch of execution would, so ``SmartBalance.decide`` does
+    exactly the work it does inside the simulator — without simulating
+    the epoch itself (which is what makes 128-core full-system runs
+    slow).
     """
     platform = quad_hmp() if n_cores == 4 else scaled_hmp(n_cores)
     rng = random.Random(seed)
@@ -72,7 +73,6 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
                 weight=1.0,
                 is_user=True,
                 utilization=demanded_fraction_on(phase, core.core_type),
-                counters=block,
                 rates=block.derive_rates(),
                 power_w=power_model.busy_power(core.core_type, perf.ipc).total_w,
                 busy_time_s=busy_s,
@@ -85,10 +85,8 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
             CoreView(
                 core_id=core.core_id,
                 core_type=core_type,
-                power_w=power_model.idle_power(core_type).total_w,
                 idle_power_w=power_model.idle_power(core_type).total_w,
                 sleep_power_w=power_model.sleep_power(core_type),
-                counters=CounterBlock(),
             )
         )
     return SystemView(

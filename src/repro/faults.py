@@ -12,7 +12,8 @@ measurable rather than asserted:
   (a read is multiplied by a large factor), applied per counter channel
   to the noisy readings by :meth:`repro.kernel.simulator.System.build_view`;
 * **counter faults** — overflow wrap at a register width and hard
-  saturation, applied by :func:`repro.hardware.counters.apply_overflow`
+  saturation, applied to a noisy counter row by
+  :func:`repro.hardware.counters.apply_overflow`
   / :func:`repro.hardware.counters.apply_saturation`;
 * **platform events** — core hotplug offline/online and thermal
   throttling, scheduled on the simulator timeline and executed by
@@ -31,12 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hardware.counters import (
-    COUNT_FIELDS,
-    CounterBlock,
-    apply_overflow,
-    apply_saturation,
-)
+from repro.hardware.counters import COUNT_FIELDS, apply_overflow, apply_saturation
 from repro.obs import NULL_OBS
 from repro.obs.events import FAULT_INJECTED
 
@@ -299,22 +295,23 @@ class FaultInjector:
             return value * model.spike_magnitude
         return value
 
-    def corrupt_block(self, owner: object, block: CounterBlock) -> None:
-        """Apply sensor + counter faults to a snapshot, in place."""
+    def corrupt_counts(self, owner: object, row: "list[float]") -> None:
+        """Apply sensor + counter faults to one noisy counter row, in
+        place.  Register ``name`` of ``owner`` is the sensor channel
+        ``(owner, name)``."""
         if self.plan.sensor.active:
             # Every counter register; busy time is kernel bookkeeping
             # and cannot glitch this way.
-            for name in COUNT_FIELDS:
-                corrupted = self.corrupt_value((owner, name), getattr(block, name))
-                setattr(block, name, corrupted)
+            for column, name in enumerate(COUNT_FIELDS):
+                row[column] = self.corrupt_value((owner, name), row[column])
         model = self.plan.counter
         if model.overflow_bits is not None:
-            wrapped = apply_overflow(block, model.overflow_bits)
+            wrapped = apply_overflow(row, model.overflow_bits)
             self.counts.counter_wraps += wrapped
             if wrapped:
                 self._emit("counter_wrap", owner, count=wrapped)
         if model.saturate_at is not None:
-            saturated = apply_saturation(block, model.saturate_at)
+            saturated = apply_saturation(row, model.saturate_at)
             self.counts.counter_saturations += saturated
             if saturated:
                 self._emit("counter_saturation", owner, count=saturated)

@@ -14,11 +14,14 @@ ten counters the paper enumerates:
 order of the kernel engine's per-thread and per-core counter arrays;
 events are charged from the micro-architecture model's
 :class:`~repro.hardware.microarch.PerfEstimate` whenever a thread
-executes for a time slice, and the sensing views carry noisy copies.
-Derived rates (miss rates, instruction shares) are computed by
-:func:`derived_rates`, one vectorised formula over a counter matrix,
-exactly as the paper defines them; :meth:`CounterBlock.derive_rates`
-applies it to one block.
+executes for a time slice.  The engine keeps every bank as a row of
+those arrays, and the sensing read works on rows too: it adds noise to
+them, a fault plan corrupts them as lists (:func:`apply_overflow`,
+:func:`apply_saturation`), and a view carries only the rates derived
+from them.  Derived rates (miss rates, instruction shares) are
+computed by :func:`derived_rates`, one vectorised formula over a
+counter matrix, exactly as the paper defines them;
+:meth:`CounterBlock.derive_rates` applies it to one block.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ class CounterBlock:
     """One set of accumulating hardware counters.
 
     All values are event *counts* since the start of the sensing
-    window (the epoch boundary, in SmartBalance's usage).
+    window (the epoch boundary, in SmartBalance's usage).  The kernel
+    engine charges one time slice into a block on its scalar path, and
+    synthetic views charge one to derive a thread's rates; no view
+    carries a block.
     """
 
     cy_busy: float = 0.0
@@ -122,37 +128,37 @@ BUSY_COLUMN = len(COUNT_FIELDS)
 counter_row = attrgetter(*COUNT_FIELDS, "busy_time_s")
 
 
-def apply_overflow(block: CounterBlock, bits: int) -> int:
-    """Wrap every count field modulo ``2**bits``, in place.
+def apply_overflow(row: "list[float]", bits: int) -> int:
+    """Wrap every register of a counter row modulo ``2**bits``, in place.
 
     Models a counter register narrower than the epoch's event count —
-    the classic unserviced-overflow failure of real PMUs.  Returns the
-    number of fields that actually wrapped.
+    the classic unserviced-overflow failure of real PMUs.  ``row`` is a
+    counter row as a list; its busy time is left alone.  Returns the
+    number of registers that actually wrapped.
     """
     if bits < 1:
         raise ValueError(f"bits must be positive, got {bits}")
     modulus = float(2**bits)
     wrapped = 0
-    for name in COUNT_FIELDS:
-        value = getattr(block, name)
-        if value >= modulus:
-            setattr(block, name, value % modulus)
+    for column in range(BUSY_COLUMN):
+        if row[column] >= modulus:
+            row[column] %= modulus
             wrapped += 1
     return wrapped
 
 
-def apply_saturation(block: CounterBlock, ceiling: float) -> int:
-    """Clamp every count field at ``ceiling``, in place.
+def apply_saturation(row: "list[float]", ceiling: float) -> int:
+    """Clamp every register of a counter row at ``ceiling``, in place.
 
     Models saturating counters that stick at full scale instead of
-    wrapping.  Returns the number of fields clamped.
+    wrapping.  Returns the number of registers clamped.
     """
     if ceiling <= 0:
         raise ValueError(f"ceiling must be positive, got {ceiling}")
     clamped = 0
-    for name in COUNT_FIELDS:
-        if getattr(block, name) > ceiling:
-            setattr(block, name, ceiling)
+    for column in range(BUSY_COLUMN):
+        if row[column] > ceiling:
+            row[column] = ceiling
             clamped += 1
     return clamped
 

@@ -29,13 +29,7 @@ import numpy as np
 
 from repro.faults import DELAY, DELIVER, FaultInjector, FaultPlan
 from repro.hardware import power as power_model
-from repro.hardware.counters import (
-    BUSY_COLUMN,
-    CounterBlock,
-    DerivedRates,
-    counter_row,
-    derived_rates,
-)
+from repro.hardware.counters import BUSY_COLUMN, DerivedRates, derived_rates
 from repro.hardware.platform import Platform
 from repro.hardware.sensors import (
     DEFAULT_COUNTER_NOISE,
@@ -166,6 +160,11 @@ class System:
         #: Nominal (unthrottled) core of each queue; ``queue.core`` is
         #: swapped for a reduced-frequency clone while throttled.
         self._base_cores = {q.core.core_id: q.core for q in self.runqueues}
+        #: Each core's (effective idle, sleep) power from the firmware
+        #: tables of its base type, kept with ``_base_cores``.
+        self._firmware_power = [
+            self._idle_sleep_power(q.core.core_type) for q in self.runqueues
+        ]
         self._online = [True] * len(platform)
         plan = self.config.faults
         self._hotplug_pending = sorted(
@@ -436,6 +435,7 @@ class System:
             return
         new_base = replace(old_base, core_type=core_type)
         self._base_cores[core_id] = new_base
+        self._firmware_power[core_id] = self._idle_sleep_power(core_type)
         queue = self.runqueues[core_id]
         if core_id in self._throttle_until:
             scale = queue.core.core_type.freq_mhz / old_base.core_type.freq_mhz
@@ -448,6 +448,19 @@ class System:
         else:
             queue.core = new_base
         self.engine.on_core_type_changed(core_id, queue.core.core_type)
+
+    def _idle_sleep_power(self, core_type) -> "tuple[float, float]":
+        """``core_type``'s (effective idle, sleep) power from firmware
+        tables.  Unused capacity costs shallow idle up to the cpuidle
+        latency and power-gated sleep beyond — what the kernel's own
+        cpuidle accounting would report."""
+        shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
+        sleep = power_model.sleep_power(core_type)
+        return (
+            shallow_frac * power_model.idle_power(core_type).total_w
+            + (1.0 - shallow_frac) * sleep,
+            sleep,
+        )
 
     def _apply_opp_changes(self, changes) -> None:
         """Apply cluster OPP switches adopted by a governor balancer.
@@ -528,10 +541,10 @@ class System:
         yet, and a thread that exited before the window began is gone;
         one that exited inside it is listed with its final measurement.
 
-        The PMU part (counters, rates and power) is added only when the
-        balancer reads sensors (``LoadBalancer.reads_sensors``); without
-        it those fields are ``None``, and the view takes no noise draw
-        and delivers no sensor fault.
+        The PMU part (each task's rates and power) is added only when
+        the balancer reads sensors (``LoadBalancer.reads_sensors``);
+        without it those fields are ``None``, and the view takes no
+        noise draw and delivers no sensor fault.
         """
         engine = self.engine
         # Scenario observables (progress fractions, SLO slack) ride on
@@ -544,13 +557,9 @@ class System:
         busy = engine.t_cnt[tids, BUSY_COLUMN]
         busy_s = busy.tolist()
         if self.balancer.reads_sensors:
-            task_blocks, task_rates, task_power_w, core_blocks, core_power_w = (
-                self._read_pmu(tids, busy, busy_s)
-            )
+            task_rates, task_power_w = self._read_pmu(tids, busy, busy_s)
         else:
-            task_blocks = task_rates = task_power_w = core_blocks = core_power_w = (
-                itertools.repeat(None)
-            )
+            task_rates = task_power_w = itertools.repeat(None)
 
         # The view reports each core's *nominal* type: firmware-level
         # thermal throttling is invisible to the OS, so a throttled core
@@ -571,51 +580,32 @@ class System:
                 task.weight,
                 task.is_user,
                 utilization[task.tid],
-                block,
                 rates,
                 power_w,
                 busy_time_s,
                 task.behavior.allowed_cores,
                 **extras_by_tid.get(task.tid, {}),
             )
-            for task, block, rates, power_w, busy_time_s in zip(
-                live, task_blocks, task_rates, task_power_w, busy_s
+            for task, rates, power_w, busy_time_s in zip(
+                live, task_rates, task_power_w, busy_s
             )
         ]
-
-        # Effective cost of unused capacity: shallow idle up to the
-        # cpuidle latency, power-gated sleep beyond — what the kernel's
-        # own cpuidle accounting would report.  Firmware tables, so one
-        # lookup per distinct core type.
-        shallow_frac = min(IDLE_TO_SLEEP_LATENCY_S / self.config.period_s, 1.0)
-        firmware: "dict[object, tuple[float, float]]" = {}
         # The temperature is ambient on every core when the thermal
         # model is off.
         temperature = engine.thermal_temp.tolist()
-        core_views = []
-        for core_id, core_type, power_w, block in zip(
-            range(len(core_types)), core_types, core_power_w, core_blocks
-        ):
-            idle_sleep = firmware.get(core_type)
-            if idle_sleep is None:
-                sleep = power_model.sleep_power(core_type)
-                idle_sleep = firmware[core_type] = (
-                    shallow_frac * power_model.idle_power(core_type).total_w
-                    + (1.0 - shallow_frac) * sleep,
-                    sleep,
-                )
-            core_views.append(
-                CoreView(
-                    core_id,
-                    core_type,
-                    power_w,
-                    idle_sleep[0],
-                    idle_sleep[1],
-                    block,
-                    temperature[core_id],
-                    self._online[core_id],
-                )
+        core_views = [
+            CoreView(
+                core_id,
+                core_type,
+                idle_w,
+                sleep_w,
+                temperature[core_id],
+                self._online[core_id],
             )
+            for core_id, (core_type, (idle_w, sleep_w)) in enumerate(
+                zip(core_types, self._firmware_power)
+            )
+        ]
         return SystemView(
             epoch_index=self._view_counter,
             time_s=self.time_s,
@@ -626,16 +616,18 @@ class System:
         )
 
     def _read_pmu(self, tids: "list[int]", busy: np.ndarray, busy_s: "list[float]"):
-        """The view's PMU part: (task blocks, task rates, task power,
-        core blocks, core power), each a list in view order.
+        """The view's PMU part: (task rates, task power), each a list in
+        view order.
 
         Reads the window's counters and energy through the sensing
         interface in one batch (tasks in tid order, then cores in id
         order — the noise draw order).  An attached fault plan then
-        corrupts the noisy readings owner by owner in that same order:
-        each task's counters, then its power if it ran; each core's
-        power, then its counters.  Rates are derived from the final
-        counters.
+        corrupts the noisy rows owner by owner in that same order: each
+        task's counters, then its power if it ran; each core's power,
+        then its counters.  Rates are derived from the final task rows.
+        No view carries a core reading, but the cores are still read
+        and corrupted: their draws come between one window's task
+        readings and the next window's, so they fix every later value.
         """
         engine = self.engine
         task_power = np.divide(
@@ -651,27 +643,25 @@ class System:
         task_counts, task_power, core_counts, core_power = self.sensing.read(
             engine.t_cnt[tids], task_power, engine.c_cnt, core_power
         )
-        task_blocks = [CounterBlock(*row) for row in task_counts.tolist()]
-        core_blocks = [CounterBlock(*row) for row in core_counts.tolist()]
         task_power_w = task_power.tolist()
-        core_power_w = core_power.tolist()
         if self.faults is not None:
-            corrupt_block = self.faults.corrupt_block
+            corrupt_counts = self.faults.corrupt_counts
             corrupt_power = self.faults.corrupt_power
+            task_rows = task_counts.tolist()
             for i, tid in enumerate(tids):
                 owner = ("task", tid)
-                corrupt_block(owner, task_blocks[i])
+                corrupt_counts(owner, task_rows[i])
                 if busy_s[i] > 0:
                     task_power_w[i] = corrupt_power(owner, task_power_w[i])
-            for core_id, block in enumerate(core_blocks):
+            for core_id, (row, power_w) in enumerate(
+                zip(core_counts.tolist(), core_power.tolist())
+            ):
                 owner = ("core", core_id)
-                core_power_w[core_id] = corrupt_power(owner, core_power_w[core_id])
-                corrupt_block(owner, block)
-            task_counts = np.array([counter_row(b) for b in task_blocks]).reshape(
-                task_counts.shape
-            )
+                corrupt_power(owner, power_w)
+                corrupt_counts(owner, row)
+            task_counts = np.array(task_rows).reshape(task_counts.shape)
         task_rates = [DerivedRates(*row) for row in derived_rates(task_counts).tolist()]
-        return task_blocks, task_rates, task_power_w, core_blocks, core_power_w
+        return task_rates, task_power_w
 
     def _reset_window_accounting(self) -> None:
         self.engine.reset_window_accounting()

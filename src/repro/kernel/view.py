@@ -16,17 +16,17 @@ firmware tables know.
   ``idle_power_w`` and ``sleep_power_w`` from firmware tables,
   ``temperature_c`` and the ``online`` flag.
 
-The **PMU part** is what SmartBalance adds (Section 4.1):
-
-* per task: ``counters``, hardware counters read through the noisy
-  sensing interface at the epoch boundary — the paper's per-thread
-  sampling at context switches, aggregated per epoch; ``rates``
-  derived from them; and ``power_w``, measured power attributed from
-  per-core power sensors by time share (Eq. 5's ``p = ε / τ``);
-* per core: ``power_w`` and ``counters``.
+The **PMU part** is what SmartBalance adds (Section 4.1), per task:
+``rates``, derived from the hardware counters read through the noisy
+sensing interface at the epoch boundary (the paper's per-thread
+sampling at context switches, aggregated per epoch), and ``power_w``,
+measured power attributed from per-core power sensors by time share
+(Eq. 5's ``p = ε / τ``).  The counter readings themselves, and the
+per-core counter and power readings, stay in the simulator: no
+balancer reads them.
 
 The simulator reads the PMU part only for a balancer whose
-``reads_sensors`` is set.  In a view without it those five fields are
+``reads_sensors`` is set.  In a view without it both fields are
 ``None`` (never zero placeholders a balancer could take for a
 measurement) and ``TaskView.has_measurement`` is ``False``.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.hardware.counters import CounterBlock, DerivedRates
+from repro.hardware.counters import DerivedRates
 from repro.hardware.features import CoreType
 from repro.hardware.platform import Platform
 
@@ -49,8 +49,8 @@ class TaskView(NamedTuple):
 
     This is the sense phase's per-thread record (Section 4.1):
     ``rates.ips`` is Eq. 4's measured throughput and ``power_w`` Eq. 5's
-    measured power, both on ``core_type``.  ``counters``, ``rates`` and
-    ``power_w`` are the PMU part: ``None`` when the view was not sensed.
+    measured power, both on ``core_type``.  ``rates`` and ``power_w``
+    are the PMU part: ``None`` when the view was not sensed.
     """
 
     tid: int
@@ -63,9 +63,8 @@ class TaskView(NamedTuple):
     is_user: bool
     #: PELT-style demanded-CPU fraction estimate in [0, 1].
     utilization: float
-    #: Noisy counter snapshot for the window (PMU).
-    counters: "CounterBlock | None"
-    #: Rates derived from the noisy counters, Section 4.1 ratios (PMU).
+    #: Rates derived from the window's noisy counters, Section 4.1
+    #: ratios (PMU).
     rates: "DerivedRates | None"
     #: Measured average power while this task ran (W); 0 if it never
     #: ran (PMU).
@@ -86,14 +85,12 @@ class TaskView(NamedTuple):
 
     @property
     def has_measurement(self) -> bool:
-        """True when the task ran long enough to be characterised; never
-        in a view without the PMU part."""
-        counters = self.counters
-        return (
-            counters is not None
-            and self.busy_time_s > 0
-            and counters.instructions > 0
-        )
+        """True when the task ran and retired instructions in the window;
+        never in a view without the PMU part.  ``ips`` is instructions
+        per busy second, so with busy time it is positive exactly when
+        the instruction count is."""
+        rates = self.rates
+        return rates is not None and self.busy_time_s > 0 and rates.ips > 0
 
 
 class CoreView(NamedTuple):
@@ -101,19 +98,15 @@ class CoreView(NamedTuple):
 
     A core's cluster is ``view.platform[core_id].cluster``; the threads
     on it are the :class:`TaskView` records with its ``core_id``.
-    ``power_w`` and ``counters`` are the PMU part: ``None`` when the
-    view was not sensed.
+    A core record is OS part only, so a sensed view's cores equal an
+    unsensed view's.
     """
 
     core_id: int
     core_type: CoreType
-    #: Measured average power over the window (W), from the sensor (PMU).
-    power_w: "float | None"
     #: Idle and sleep power from firmware tables (W).
     idle_power_w: float
     sleep_power_w: float
-    #: Noisy per-core counter snapshot (PMU).
-    counters: "CounterBlock | None"
     #: Core temperature (deg C) from the thermal sensor; ambient when
     #: the thermal model is disabled.
     temperature_c: float = 45.0

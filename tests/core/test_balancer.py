@@ -26,7 +26,6 @@ class TestConfig:
             # at the first decision: power_cap needs a cap it never has.
             {"objective_mode": "power_cap"},
             {"objective_mode": "ips_per_watt"},
-            {"thermal_aware": True, "core_weights": (1.0, 1.0, 1.0, 1.0)},
             {"thermal_knee_c": 95.0},
         ],
     )

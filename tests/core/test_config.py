@@ -20,15 +20,12 @@ class TestDefaults:
         assert balancer_module.MIGRATION_PENALTY > 0
         assert 0 < balancer_module.SMOOTHING < 1
 
-    def test_kernel_threads_excluded_by_default(self):
-        assert SmartBalanceConfig().include_kernel_threads is False
-
     def test_settable_values(self):
         """The epoch length and the tuning values are not settable here:
-        L is the simulator's and the tuning values are constants."""
+        L is the simulator's and the tuning values are constants.  Nor
+        are the threads balanced (always the user threads) or Eq. 11's
+        core weights (all ones unless thermal-aware)."""
         assert [f.name for f in dataclasses.fields(SmartBalanceConfig)] == [
-            "include_kernel_threads",
-            "core_weights",
             "thermal_aware",
             "thermal_knee_c",
             "thermal_zero_c",

@@ -34,7 +34,6 @@ def observation_for(phase, core_type, tid=0, utilization=0.5) -> TaskView:
         weight=1.0,
         is_user=True,
         utilization=utilization,
-        counters=block,
         rates=block.derive_rates(),
         power_w=power_model.busy_power(core_type, perf.ipc).total_w,
         busy_time_s=0.03,
@@ -196,7 +195,7 @@ class TestMatrixBuilder:
 
     def test_unmeasured_thread_rejected(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE)
-        empty = obs._replace(busy_time_s=0.0, counters=CounterBlock())
+        empty = obs._replace(busy_time_s=0.0)
         with pytest.raises(ValueError, match="no measurement"):
             MatrixBuilder(model).build([empty], list(TABLE2_TYPES))
 

@@ -4,7 +4,6 @@ import pytest
 
 from reference_sensing import SensingNullBalancer
 from repro.core.balancer import SmartBalance
-from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import (
     core_ips_from_counters,
     estimate_cores,
@@ -46,18 +45,14 @@ class TestSense:
         assert len(view.user_tasks) == 4
         assert len(measured(view.user_tasks)) == 4
 
-    def test_kernel_threads_excluded_by_default(self):
-        """decide() balances user threads only (marked at sched_fork)
-        unless ``include_kernel_threads`` is set."""
+    def test_kernel_threads_excluded(self):
+        """decide() balances user threads only (marked at sched_fork),
+        though the kernel threads are measured too."""
         _, view = sensed_view(2, os_tasks=3)
         user_tids = {task.tid for task in view.user_tasks}
         assert len(user_tids) == 2 and len(measured(view.tasks)) == 5
         decision = SmartBalance().decide(view)
         assert set(decision.matrices.tids) == user_tids
-        everyone = SmartBalance(
-            config=SmartBalanceConfig(include_kernel_threads=True)
-        ).decide(view)
-        assert len(everyone.matrices.tids) == 5
 
     def test_idle_and_sleep_power_vectors(self):
         _, view = sensed_view(2)

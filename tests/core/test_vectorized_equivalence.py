@@ -31,7 +31,7 @@ from repro.core.prediction import (
     design_vector,
 )
 from repro.core.training import default_predictor
-from repro.hardware.counters import CounterBlock, DerivedRates
+from repro.hardware.counters import DerivedRates
 from repro.hardware.features import BUILTIN_TYPES
 from repro.kernel.view import TaskView
 
@@ -87,9 +87,6 @@ def measured_task(tid, core_id, core_type, utilization, rates, power_w, busy_tim
         weight=1.0,
         is_user=True,
         utilization=utilization,
-        counters=CounterBlock(
-            instructions=rates.ips * busy_time_s, busy_time_s=busy_time_s
-        ),
         rates=rates,
         power_w=power_w,
         busy_time_s=busy_time_s,

@@ -10,7 +10,7 @@ from repro.governor.scaling import (
     normalize_view,
 )
 from repro.hardware import power as power_model
-from repro.hardware.counters import CounterBlock, DerivedRates
+from repro.hardware.counters import DerivedRates
 from repro.hardware.dvfs import opp_table, type_at_opp
 from repro.hardware.features import BIG, HUGE, MEDIUM, SMALL
 from repro.hardware.platform import quad_hmp
@@ -41,7 +41,6 @@ def observation_at(core_type, ips, utilization, power_w, tid=1, core_id=0):
         weight=1.0,
         is_user=True,
         utilization=utilization,
-        counters=CounterBlock(instructions=ips * 0.004, busy_time_s=0.004),
         rates=RATES._replace(ips=ips),
         power_w=power_w,
         busy_time_s=0.004,
@@ -140,7 +139,6 @@ class TestNormalizeThread:
         obs = obs._replace(allowed_cores=frozenset({0, 2}))
         recovered = normalize_thread(obs, nominal)
         assert recovered.tid == obs.tid
-        assert recovered.counters is obs.counters
         assert recovered.rates._replace(ips=obs.rates.ips) == obs.rates
         assert recovered.busy_time_s == obs.busy_time_s
         assert recovered.allowed_cores == frozenset({0, 2})
@@ -160,10 +158,8 @@ def view_at(applied_by_core):
         CoreView(
             core_id=core.core_id,
             core_type=applied,
-            power_w=1.0,
             idle_power_w=power_model.idle_power(applied).total_w,
             sleep_power_w=power_model.sleep_power(applied),
-            counters=CounterBlock(),
         )
         for core, applied in zip(platform, applied_by_core)
     )

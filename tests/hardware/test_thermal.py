@@ -269,9 +269,3 @@ class TestKernelIntegration:
                 )
             digests[kernel] = metrics_digest(system.run(n_epochs=6))
         assert digests["soa"] == digests["reference"]
-
-    def test_thermal_aware_conflicts_with_explicit_weights(self):
-        from repro.core.config import SmartBalanceConfig
-
-        with pytest.raises(ValueError, match="thermal_aware"):
-            SmartBalanceConfig(thermal_aware=True, core_weights=[1, 1, 1, 1])

@@ -16,15 +16,18 @@ to it field for field:
   :func:`repro.hardware.counters.derived_rates`;
 * :func:`build_view` walks the tasks alive in the window (tid order)
   and then the cores (id order), exactly the draw order the batched
-  read fixes.  A task is alive in the window unless it is pending or
-  exited without running in it: a thread only exits by retiring its
-  last instruction, so one that exited inside the window has busy time
-  there.  ``System`` states the same rule as a tid list it updates at
-  arrivals and window resets; the differential suite holds the two
-  statements to each other.  For a balancer that reads no sensors
+  read fixes.  It reads every task bank, core bank and power sensor,
+  though a view carries only each task's rates and power: the core
+  readings' draws fix those of every later reading.  A task is alive
+  in the window unless it is pending or exited without running in it:
+  a thread only exits by retiring its last instruction, so one that
+  exited inside the window has busy time there.  ``System`` states
+  the same rule as a tid list it updates at arrivals and window
+  resets; the differential suite holds the two statements to each
+  other.  For a balancer that reads no sensors
   (``reads_sensors`` unset: vanilla, GTS, IKS) every owner skips its
-  read: the counter, rate and power fields are ``None`` and nothing is
-  drawn or corrupted.
+  read: the rate and power fields are ``None`` and nothing is drawn or
+  corrupted.
 
 Both paths draw from the system's own sensing RNG and fault injector,
 so a test compares them by restoring those states in between.
@@ -39,7 +42,7 @@ from typing import Optional
 
 from repro.faults import FaultInjector
 from repro.hardware import power as power_model
-from repro.hardware.counters import CounterBlock, DerivedRates
+from repro.hardware.counters import CounterBlock, DerivedRates, counter_row
 from repro.hardware.sensors import SensingInterface
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.cfs import IDLE_TO_SLEEP_LATENCY_S
@@ -110,7 +113,9 @@ def read_counters(
         noisy.cy_idle *= scale
         noisy.cy_sleep *= scale
     if faults is not None:
-        faults.corrupt_block(owner if owner is not None else id(block), noisy)
+        row = list(counter_row(noisy))
+        faults.corrupt_counts(owner if owner is not None else id(block), row)
+        noisy = CounterBlock(*row)
     return noisy
 
 
@@ -153,8 +158,14 @@ def derive_rates(block: CounterBlock) -> DerivedRates:
     )
 
 
-def build_view(system, window_s: float) -> SystemView:
-    """The observable view of ``system``'s last window, owner by owner."""
+def build_view(
+    system, window_s: float, noisy_counters: "Optional[dict]" = None
+) -> SystemView:
+    """The observable view of ``system``'s last window, owner by owner.
+
+    ``noisy_counters``, when given, receives each sensed task's noisy
+    counter block (tid to block): the reading its rates come from.
+    """
     engine = system.engine
     sensing, faults = system.sensing, system.faults
     sensed = system.balancer.reads_sensors
@@ -173,9 +184,11 @@ def build_view(system, window_s: float) -> SystemView:
             continue
         owner = ("task", task.tid)
         busy = counters.busy_time_s
-        noisy = rates = measured_power = None
+        rates = measured_power = None
         if sensed:
             noisy = read_counters(sensing, counters, owner, faults)
+            if noisy_counters is not None:
+                noisy_counters[task.tid] = noisy
             rates = derive_rates(noisy)
             if busy > 0:
                 true_power = task_energy[task.tid] / busy
@@ -191,7 +204,6 @@ def build_view(system, window_s: float) -> SystemView:
                 weight=task.weight,
                 is_user=task.is_user,
                 utilization=utilization[task.tid],
-                counters=noisy,
                 rates=rates,
                 power_w=measured_power,
                 busy_time_s=busy,
@@ -213,22 +225,21 @@ def build_view(system, window_s: float) -> SystemView:
             shallow_frac * power_model.idle_power(core_type).total_w
             + (1.0 - shallow_frac) * power_model.sleep_power(core_type)
         )
-        power_w = core_block = None
         if sensed:
+            # No view carries these readings; they are taken for their
+            # draws, latches and faults.
             elapsed = core_time[core_id]
             avg_power = core_energy[core_id] / elapsed if elapsed > 0 else 0.0
-            power_w = read_power(sensing, avg_power, owner, faults)
-            core_block = read_counters(
+            read_power(sensing, avg_power, owner, faults)
+            read_counters(
                 sensing, CounterBlock(*core_counters[core_id]), owner, faults
             )
         core_views.append(
             CoreView(
                 core_id=core_id,
                 core_type=core_type,
-                power_w=power_w,
                 idle_power_w=effective_idle,
                 sleep_power_w=power_model.sleep_power(core_type),
-                counters=core_block,
                 temperature_c=temperature[core_id],
                 online=system._online[core_id],
             )

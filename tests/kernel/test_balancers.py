@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import big_little_octa, build_platform, quad_hmp
 from repro.hardware.features import ARM_BIG, ARM_LITTLE
 from repro.hardware import power as power_model
@@ -18,7 +17,6 @@ def make_view(platform, placements, utils=None):
     utils = utils or {}
     tasks = []
     for tid, core_id in placements.items():
-        block = CounterBlock()
         tasks.append(
             TaskView(
                 tid=tid,
@@ -28,9 +26,8 @@ def make_view(platform, placements, utils=None):
                 weight=1.0,
                 is_user=True,
                 utilization=utils.get(tid, 0.5),
-                counters=block,
-                rates=block.derive_rates(),
-                power_w=0.0,
+                rates=None,
+                power_w=None,
                 busy_time_s=0.0,
             )
         )
@@ -41,10 +38,8 @@ def make_view(platform, placements, utils=None):
             CoreView(
                 core_id=core.core_id,
                 core_type=t,
-                power_w=0.0,
                 idle_power_w=power_model.idle_power(t).total_w,
                 sleep_power_w=power_model.sleep_power(t),
-                counters=CounterBlock(),
             )
         )
     return SystemView(

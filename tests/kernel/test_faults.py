@@ -21,7 +21,7 @@ from repro.faults import (
     ThrottleEvent,
     scenario,
 )
-from repro.hardware.counters import COUNT_FIELDS, CounterBlock
+from repro.hardware.counters import BUSY_COLUMN, COUNT_FIELDS, CounterBlock, counter_row
 from repro.hardware.platform import quad_hmp
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
@@ -123,27 +123,46 @@ class TestInjector:
         assert injector.corrupt_value("a", 99.0) == 1.0
         assert injector.corrupt_value("b", 99.0) == 2.0
 
-    def test_corrupt_block_overflow_wrap(self):
+    @staticmethod
+    def row(**fields):
+        """A counter row as the sensing read hands it to the fault pass."""
+        return list(counter_row(CounterBlock(**fields)))
+
+    def test_corrupt_counts_overflow_wrap(self):
+        """Registers wrap in place; busy time is kernel bookkeeping, not
+        a register, and never wraps."""
         plan = FaultPlan(counter=CounterFaultModel(overflow_bits=16))
         injector = FaultInjector(plan)
-        block = CounterBlock()
-        block.instructions = 2**20 + 7.0
-        block.cy_busy = 2**18
-        injector.corrupt_block("core0", block)
+        row = self.row(instructions=2**20 + 7.0, cy_busy=2.0**18, busy_time_s=2.0**20)
+        injector.corrupt_counts("core0", row)
         modulus = 2.0**16
-        for name in COUNT_FIELDS:
-            assert getattr(block, name) < modulus
-        assert block.instructions == 7.0
+        assert all(value < modulus for value in row[:BUSY_COLUMN])
+        assert row[COUNT_FIELDS.index("instructions")] == 7.0
+        assert row[BUSY_COLUMN] == 2.0**20
         assert injector.counts.counter_wraps == 2
 
-    def test_corrupt_block_saturation(self):
+    def test_corrupt_counts_saturation(self):
         plan = FaultPlan(counter=CounterFaultModel(saturate_at=1000.0))
         injector = FaultInjector(plan)
-        block = CounterBlock()
-        block.instructions = 5000.0
-        injector.corrupt_block("core0", block)
-        assert block.instructions == 1000.0
+        row = self.row(instructions=5000.0, busy_time_s=5000.0)
+        injector.corrupt_counts("core0", row)
+        assert row == self.row(instructions=1000.0, busy_time_s=5000.0)
         assert injector.counts.counter_saturations == 1
+
+    def test_corrupt_counts_sensor_channels(self):
+        """Each register of an owner's row is the sensor channel
+        ``(owner, field name)``; busy time takes no sensor fault."""
+        owner = ("task", 3)
+        stuck = FaultInjector(FaultPlan(sensor=SensorFaultModel(stuck_rate=1.0)))
+        stuck.corrupt_counts(owner, self.row(instructions=1.0))
+        assert set(stuck._stuck) == {(owner, name) for name in COUNT_FIELDS}
+        dropped = FaultInjector(
+            FaultPlan(sensor=SensorFaultModel(dropout_rate=1.0))
+        )
+        row = [1.0] * (BUSY_COLUMN + 1)
+        dropped.corrupt_counts(owner, row)
+        assert row == [0.0] * BUSY_COLUMN + [1.0]
+        assert dropped.counts.sensor_dropouts == BUSY_COLUMN
 
     def test_migration_fates(self):
         lose = FaultInjector(

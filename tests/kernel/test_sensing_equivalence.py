@@ -14,7 +14,10 @@ is rewound, and the batched view is built from the same state.  The two
 views must be equal field for field (``==`` and ``repr``, so an int
 ``0`` for a float ``0.0`` counts as a difference), and they must leave
 the sensing RNG, both fault-injector RNGs, the stuck-at latch table and
-the injection counts in the same state.
+the injection counts in the same state.  A view carries no counter
+readings, so each task's ``has_measurement`` (busy time and a positive
+``rates.ips``) is also held to the rule it stands for: busy time and a
+positive instruction count in the oracle's noisy reading.
 
 The sensed specs run SmartBalance or a variant.  SmartBalance at
 ``periods_per_epoch=1`` reads a view every period, as the kernel
@@ -62,15 +65,17 @@ def _restore(system, state) -> None:
 
 def run_checked(monkeypatch, spec, sensed=True):
     """Run ``spec`` with every view checked; returns one record per view:
-    (tids in the view, number of pending tasks, tids of exited tasks).
-    An unsensed view must leave the sensing and fault state as it was."""
+    (tids in the view, number of pending tasks, tids of exited tasks,
+    number of tasks that ran but read no instructions).  An unsensed
+    view must leave the sensing and fault state as it was."""
     batched = System.build_view
     records = []
 
     def build_view(system, window_s):
         assert system.balancer.reads_sensors is sensed
         before = _state(system)
-        expected = reference_sensing.build_view(system, window_s)
+        noisy = {}
+        expected = reference_sensing.build_view(system, window_s, noisy)
         expected_state = _state(system)
         _restore(system, before)
         view = batched(system, window_s)
@@ -78,13 +83,21 @@ def run_checked(monkeypatch, spec, sensed=True):
         assert repr(view) == repr(expected)
         assert _state(system) == expected_state
         if not sensed:
-            assert expected_state == before
+            assert expected_state == before and not noisy
+        ran_dark = 0
+        for task in view.tasks:
+            block = noisy.get(task.tid)
+            ran = task.busy_time_s > 0
+            retired = block is not None and block.instructions > 0
+            assert task.has_measurement == (ran and retired), task
+            ran_dark += ran and block is not None and not retired
         states = [t.state for t in system.tasks]
         records.append(
             (
                 {t.tid for t in view.tasks},
                 states.count(TaskState.PENDING),
                 {t.tid for t in system.tasks if t.state is TaskState.EXITED},
+                ran_dark,
             )
         )
         return view
@@ -143,14 +156,18 @@ def test_batched_view_matches_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("preset", SCENARIOS)
 def test_fault_presets_match_oracle(monkeypatch, preset):
-    """A view every period, so stuck-at latches are re-read."""
-    run_checked(
+    """A view every period, so stuck-at latches are re-read.  Under
+    sensor faults a dropout zeroes the instruction register of a task
+    that ran, which ``has_measurement`` must report as no measurement."""
+    records = run_checked(
         monkeypatch,
         spec(
             platform="biglittle", faults=preset, n_epochs=40,
             config=SimulationConfig(periods_per_epoch=1),
         ),
     )
+    if preset in ("sensor", "combined"):
+        assert sum(ran_dark for *_, ran_dark in records) > 0
 
 
 @pytest.mark.parametrize("preset", (None,) + SCENARIOS)
@@ -184,10 +201,10 @@ def test_openloop_pending_and_exited_tasks(monkeypatch):
         monkeypatch,
         spec(platform="biglittle", threads=4, scenario="openloop", n_epochs=8),
     )
-    assert any(pending > 0 for _, pending, _ in records)
+    assert any(pending > 0 for _, pending, _, _ in records)
     dead_before = set()
     final_views = 0
-    for tids, _, exited in records:
+    for tids, _, exited, _ in records:
         assert not tids & dead_before
         final_views += len(tids & (exited - dead_before))
         dead_before = exited

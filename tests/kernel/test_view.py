@@ -3,8 +3,10 @@
 import pytest
 
 from reference_sensing import SensingNullBalancer
-from repro.hardware.counters import DerivedRates
+from repro.faults import scenario
+from repro.hardware.counters import COUNT_FIELDS, CounterBlock, DerivedRates
 from repro.hardware.platform import big_little_octa, quad_hmp
+from repro.hardware.sensors import IDEAL_NOISE
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
 from repro.kernel.view import CoreView, TaskView
@@ -14,17 +16,21 @@ from repro.scenarios.runtime import ScenarioRuntime
 from repro.workload.synthetic import imb_threads
 
 
-def view_for(platform=None, n_threads=4, os_tasks=0, balancer=None):
-    """A view after two epochs of an unbalanced run, sensed unless a
-    ``balancer`` that reads no sensors is given."""
+def run_for(platform=None, n_threads=4, os_tasks=0, balancer=None, **config):
+    """A system after two epochs of an unbalanced run, and its view,
+    sensed unless a ``balancer`` that reads no sensors is given."""
     system = System(
         platform or quad_hmp(),
         imb_threads("MTMI", n_threads),
         balancer or SensingNullBalancer(),
-        SimulationConfig(os_noise_tasks=os_tasks),
+        SimulationConfig(os_noise_tasks=os_tasks, **config),
     )
     system.run(n_epochs=2)
-    return system.build_view(window_s=0.12)
+    return system, system.build_view(window_s=0.12)
+
+
+def view_for(**kwargs):
+    return run_for(**kwargs)[1]
 
 
 class TestSystemViewHelpers:
@@ -41,19 +47,29 @@ class TestSystemViewHelpers:
         assert clusters == {"A15big", "A7little"}
 
     def test_has_measurement_semantics(self):
-        view = view_for()
+        """A task is measured when it ran and retired instructions in
+        the window; sensor noise scales a count but never zeroes it, so
+        that is the true count here.  Every task ran in the last window
+        of the run, and none in the empty window before the first."""
+        system, view = run_for(os_tasks=3)
+        instructions = system.engine.t_cnt[:, COUNT_FIELDS.index("instructions")]
         for task in view.tasks:
             assert task.has_measurement == (
-                task.busy_time_s > 0 and task.counters.instructions > 0
+                task.busy_time_s > 0 and instructions[task.tid] > 0
             )
+        assert all(task.has_measurement for task in view.tasks)
+        fresh = System(quad_hmp(), imb_threads("MTMI", 4), SensingNullBalancer())
+        first = fresh.build_view(window_s=0.0)
+        assert first.tasks and not any(t.has_measurement for t in first.tasks)
 
     def test_core_power_ordering_plausible(self):
-        """Loaded big cores read more power than the idle/sleeping
-        leftovers."""
-        view = view_for(n_threads=8)
-        huge = view.cores[0]
-        small = view.cores[3]
-        assert huge.power_w > small.power_w
+        """Loaded big cores draw more power than the idle/sleeping
+        leftovers (the engine's true window power: a view carries no
+        core power)."""
+        system, _ = run_for(n_threads=8)
+        engine = system.engine
+        power = engine.q_epoch_energy / engine.q_epoch_time
+        assert power[0] > power[3] > 0
 
     def test_window_metadata(self):
         view = view_for()
@@ -67,15 +83,35 @@ class TestUnsensedView:
         field agrees, and the PMU fields of the unsensed view are
         ``None``, not zero placeholders a balancer could take for a
         measurement."""
-        pmu = {"counters": None, "rates": None, "power_w": None}
+        pmu = {"rates": None, "power_w": None}
         sensed = view_for(os_tasks=2)
         unsensed = view_for(os_tasks=2, balancer=NullBalancer())
         assert [t._replace(**pmu) for t in sensed.tasks] == list(unsensed.tasks)
-        assert [
-            c._replace(power_w=None, counters=None) for c in sensed.cores
-        ] == list(unsensed.cores)
         assert all(t.has_measurement for t in sensed.tasks)
         assert not any(t.has_measurement for t in unsensed.tasks)
+
+    def test_core_records_equal_the_unsensed_views(self):
+        """A core record is OS part only: at every view of a thermal run
+        under combined faults, which corrupt the core readings, take a
+        core offline and throttle another, a sensed view's cores are an
+        unsensed view's."""
+        config = SimulationConfig(
+            thermal_enabled=True,
+            faults=scenario("combined", seed=2, n_cores=4, duration_s=0.6),
+        )
+        systems = [
+            System(quad_hmp(), imb_threads("MTMI", 6), balancer, config)
+            for balancer in (SensingNullBalancer(), NullBalancer())
+        ]
+        offline_views = 0
+        for _ in range(10):
+            for system in systems:
+                system.run(n_epochs=1)
+            sensed, unsensed = (s.build_view(window_s=0.06) for s in systems)
+            assert sensed.cores == unsensed.cores
+            offline_views += not all(core.online for core in sensed.cores)
+        assert offline_views > 0
+        assert systems[0].faults.counts.sensor_dropouts > 0
 
 
 class TestTaskCoreType:
@@ -150,19 +186,27 @@ class TestNewRecord:
 
     @staticmethod
     def records_of(view):
-        for task in view.tasks:
-            yield task
-            yield task.rates
-        yield from view.cores
+        """Every record a view holds: its task and core records and
+        each record-valued field of them (a task's rates)."""
+        for record in (*view.tasks, *view.cores):
+            yield record
+            yield from (value for value in record if hasattr(value, "_fields"))
 
     @staticmethod
     def task_row(task):
         """The TaskView fields build_view passes by position."""
-        return tuple(task)[:12]
+        return tuple(task)[:11]
 
     @pytest.fixture(scope="class")
-    def view(self):
-        return view_for(n_threads=6)
+    def ideal_run(self):
+        """A sensed run whose noise-free readings are the true counts."""
+        return run_for(
+            n_threads=6, counter_noise=IDEAL_NOISE, power_noise=IDEAL_NOISE
+        )
+
+    @pytest.fixture(scope="class")
+    def view(self, ideal_run):
+        return ideal_run[1]
 
     @pytest.fixture(scope="class", params=["clean", "scenario_extra"])
     def any_view(self, request, view):
@@ -193,16 +237,34 @@ class TestNewRecord:
                 with pytest.raises(AttributeError):
                     setattr(record, name, 0)
 
-    def test_matches_constructor(self, view):
+    def test_no_held_object_owns_a_dict(self, any_view):
+        """Every value a view's records hold is a record, a number, a
+        string, a frozenset, ``None`` or a core type the platform owns
+        and the view only shares: none of its own owns a ``__dict__``.
+        A counter snapshot per task and per core, each a dataclass
+        with one, was 384 extra objects in a sensed hmp:128 view."""
+        shared = {id(core.core_type) for core in any_view.platform}
+        for record in self.records_of(any_view):
+            for value in record:
+                if id(value) not in shared:
+                    assert not hasattr(value, "__dict__"), (
+                        type(record).__name__,
+                        type(value).__name__,
+                    )
+
+    def test_matches_constructor(self, ideal_run):
         """build_view's positional rows land in the named fields: each
         record is its own class rather than a bare tuple, its rates are
-        those of its own counters, and each core's record carries that
-        core's id and nominal type."""
+        those of its own counters (noise-free here, so the true ones),
+        and each core's record carries that core's id and nominal
+        type."""
+        system, view = ideal_run
         for task in view.tasks:
+            truth = CounterBlock(*system.engine.t_cnt[task.tid].tolist())
             assert type(task) is TaskView
             assert type(task.rates) is DerivedRates
             assert task == TaskView(**task._asdict())
-            assert task.rates == task.counters.derive_rates()
+            assert task.rates == truth.derive_rates()
             assert task.core_type == view.cores[task.core_id].core_type
         for core_id, core in enumerate(view.cores):
             assert type(core) is CoreView
@@ -259,7 +321,7 @@ class TestNewRecord:
         with pytest.raises(TypeError):
             TaskView(*task, 1.0)
         with pytest.raises(TypeError):
-            TaskView(*task[:10])
+            TaskView(*task[:9])
 
     @pytest.mark.parametrize(
         "extras",
@@ -292,4 +354,4 @@ class TestNewRecord:
         assert [t.slo_slack_frac for t in view.tasks] == [None, 0.25]
         assert [t.progress_frac for t in view.tasks] == [None, None]
         task = view.tasks[1]
-        assert task == TaskView(*task[:12], slo_slack_frac=0.25)
+        assert task == TaskView(*task[:11], slo_slack_frac=0.25)
