@@ -25,7 +25,6 @@ from repro.core.estimation import (
     FEATURE_NAMES,
     N_FEATURES,
     CoreEstimate,
-    core_ips_from_counters,
     estimate_cores,
     feature_vector,
     features_from_rates,
@@ -67,7 +66,6 @@ __all__ = [
     "CharacterisationMatrices",
     "CoreEstimate",
     "estimate_cores",
-    "core_ips_from_counters",
     "feature_vector",
     "features_from_rates",
     "FEATURE_NAMES",

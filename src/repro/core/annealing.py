@@ -388,7 +388,7 @@ def anneal(
     initial_value = current
     best_value = current
     # Accepted slot-changing swaps since the last new best: undone in
-    # reverse on a copy of the final state, they give the best one.
+    # reverse on the final state, they give the best one.
     journal: "list[tuple[int, int]]" = []
     accepted = 0
     uphill = 0
@@ -495,7 +495,9 @@ def anneal(
         if scan is not None:
             scan.moved(pos, pos_new)
 
-    best_allocation = working.copy()
+    # ``working`` is this run's own copy, and the evaluator and the scan
+    # that follow it are done: undo the journal on it in place.
+    best_allocation = working
     for pos_a, pos_b in reversed(journal):
         best_allocation.swap(pos_a, pos_b)
     if trace is not None and trace.samples[-1]["iteration"] != performed:

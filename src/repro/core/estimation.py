@@ -7,10 +7,11 @@ aggregates the paper defines —
 * Eq. 6: ``IPS_j``, the average of the member threads' throughputs,
 * Eq. 7: ``P_j``, the average of the member threads' powers,
 
-plus the epoch-average core IPC identity
-``IPS_j = IPC_j · F_j = I_total · F / (cyBusy + cyIdle)`` used for
-validation, and the feature vector ``X_ij`` (the regressor input of
-Eq. 8, with the Table 4 feature ordering).
+and the feature vector ``X_ij`` (the regressor input of Eq. 8, with
+the Table 4 feature ordering).  The core IPC identity
+``IPS_j = IPC_j · F_j = I_total · F / (cyBusy + cyIdle)`` is checked
+in ``tests/core/test_sensing_estimation.py``: no view carries core
+counters, so no run evaluates it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.hardware.counters import CounterBlock
-from repro.hardware.features import CoreType
 from repro.kernel.view import TaskView
 
 #: Feature ordering of the Θ regressor — the Table 4 columns (source
@@ -123,14 +122,3 @@ def estimate_cores(tasks: Iterable[TaskView]) -> dict[int, CoreEstimate]:
             n_threads=n,
         )
     return estimates
-
-
-def core_ips_from_counters(counters: CounterBlock, core_type: CoreType) -> float:
-    """The paper's core-IPS identity: ``I_total · F / (cyBusy + cyIdle)``.
-
-    Used to cross-check Eq. 6 aggregation against raw core counters.
-    """
-    active_cycles = counters.cy_busy + counters.cy_idle
-    if active_cycles <= 0:
-        return 0.0
-    return counters.instructions * core_type.freq_hz / active_cycles

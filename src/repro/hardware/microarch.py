@@ -210,8 +210,13 @@ def _estimate_cached(
     )
 
 
+@lru_cache(maxsize=None)
 def peak_ipc(core: CoreType) -> float:
-    """Peak sustainable IPC of a core type (Table 2 'Peak Throughput')."""
+    """Peak sustainable IPC of a core type (Table 2 'Peak Throughput').
+
+    Memoised per type: ``power.busy_power`` reads it on every call, and
+    a run makes a handful of types (OPP variants and throttle clones).
+    """
     return estimate(PEAK_PHASE, core).ipc
 
 

@@ -69,21 +69,57 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: field order (``cy_busy`` … ``busy_time_s``).
 N_COUNTERS = 12
 
-#: Columns of the per-group value table ``_V``.
-_IPC = 0
-_BASE_CPI = 1
-_MEM_SHARE = 2
-_BR_SHARE = 3
-_BR_MISS = 4
-_L1I = 5
+#: Rows of the per-task accumulator block after the 12 window
+#: counters (``t_cnt``): the run's instructions, busy time and energy,
+#: then the window's energy.
+_T_INSTR = N_COUNTERS
+_T_BUSY = N_COUNTERS + 1
+_T_ENERGY = N_COUNTERS + 2
+_T_EPOCH_ENERGY = N_COUNTERS + 3
+_T_ROWS = N_COUNTERS + 4
+#: The per-task addend rows a core sums over its run-queue slots:
+#: instructions, busy time and energy (rows 0 and 1 of the per-core
+#: block take the first two), shaped to index a (queue, slot) matrix.
+_SLOT_ROWS = np.array([3, _T_BUSY, _T_ENERGY], dtype=np.intp)[:, None, None]
+
+#: Rows of the per-core accumulator block.
+_Q_INSTR = 0
+_Q_BUSY = 1
+_Q_ENERGY = 2
+_Q_EPOCH_ENERGY = 3
+_Q_EPOCH_TIME = 4
+_Q_IDLE = 5
+_Q_SLEEP = 6
+_Q_ROWS = 7
+
+#: Rows of the value table ``_V`` (one column per group).  The first
+#: five are the slice's per-instruction rates, the next three the rates
+#: of derived counts, each in the order of the counters they produce.
+_BASE_CPI = 0
+_MEM_SHARE = 1
+_BR_SHARE = 2
+_L1I = 3
+_ITLB = 4
+_BR_MISS = 5
 _L1D = 6
-_ITLB = 7
-_DTLB = 8
+_DTLB = 7
+_IPC = 8
 _POWER_W = 9
 _FREQ = 10
 _DEMAND = 11
 _IPS = 12
-_N_COLS = 13
+_N_VALUES = 13
+#: One-step slice counters, as ``S[rows] = base * V[rates]``: busy
+#: cycles, memory and branch instructions, L1I and ITLB misses per
+#: instruction; then branch mispredicts per branch, L1D and DTLB
+#: misses per memory instruction.
+_PER_INSTR_ROWS = np.array([0, 4, 5, 7, 9], dtype=np.intp)
+_DERIVED_ROWS = np.array([6, 8, 10], dtype=np.intp)
+_DERIVED_BASES = np.array([5, 4, 4], dtype=np.intp)
+#: Rows that repeat the slice's instructions and its length (busy
+#: time).
+_INSTR_ROWS = np.array([3, _T_INSTR], dtype=np.intp)
+_STEP_ROWS = np.array([11, _T_BUSY], dtype=np.intp)
 
 #: Core-type registry capacity folded into group codes.  Throttle
 #: events register fresh clones, but even fault-heavy runs create a
@@ -115,26 +151,20 @@ class PeriodIncrements:
         # Tasks on the one-step path, and whether there are any.
         "fast",
         "any_fast",
-        # Per task: the 12 counters, energy and busy time of the slice.
+        # The addend of the per-task accumulator block (16 x n): per
+        # task, the slice's 12 counters, then its instructions, busy
+        # time, energy and energy again.
         "S",
-        "E",
-        "gu",
         # Exits on the slow path (None when no task took it).
         "slow_exited",
         # ``np.add.at`` scatter of the runnable tasks' counter rows
         # into ``c_cnt``, in run-queue slot order (rows None if none).
         "add_at_q",
         "add_at_rows",
-        # Per core: instructions, the two sleep-cycle addends of
-        # ``c_cnt[:, 2]`` and the energy/time/busy/idle/sleep splits.
-        "ci_q",
-        "sleep_cy_empty",
-        "sleep_cy_deep",
-        "energy_q",
-        "time_q",
-        "busy_q",
-        "idle_q",
-        "sleep_q",
+        # Per core: the sleep-cycle addend of ``c_cnt[:, 2]``, and the
+        # addend of the per-core accumulator block (7 x m).
+        "sleep_cy",
+        "core",
         # The period's user instructions and energy (the return value).
         "period_instr",
         "period_energy",
@@ -172,11 +202,15 @@ class SoaKernel:
         self.progress = np.zeros(n)
         self.warmup = np.zeros(n)
         self.util = np.zeros(n)
-        self.epoch_energy = np.zeros(n)
-        self.total_instr = np.zeros(n)
-        self.total_busy = np.zeros(n)
-        self.total_energy = np.zeros(n)
-        self.t_cnt = np.zeros((n, N_COUNTERS))
+        # Every per-task accumulator is a row of one block, so a period
+        # folds them all in with one add; ``t_cnt`` is the (task,
+        # counter) view of its first 12 rows.
+        self._task_acc = np.zeros((_T_ROWS, n))
+        self.t_cnt = self._task_acc[:N_COUNTERS].T
+        self.total_instr = self._task_acc[_T_INSTR]
+        self.total_busy = self._task_acc[_T_BUSY]
+        self.total_energy = self._task_acc[_T_ENERGY]
+        self.epoch_energy = self._task_acc[_T_EPOCH_ENERGY]
         self.active = np.array(
             [t.state is TaskState.ACTIVE for t in tasks], dtype=bool
         )
@@ -199,23 +233,25 @@ class SoaKernel:
         #: bit-identical.  Updated through :meth:`set_barrier_stop`.
         self.barrier_stop = np.full(n, np.inf)
         #: Whether a slice can end at an exit (some finite instruction
-        #: total) or, once a stop is set, at a barrier.  Without either
+        #: total) or, once a stop is set, at a barrier.  Without them
         #: the slice limit is the distance to the next phase boundary.
         self._exits = bool(np.isfinite(self.behavior_total).any())
-        self._bounded = self._exits
+        self._barriers = False
         #: Whether a warm-up may be decaying: set by a migration that
         #: starts one, cleared by the first period that finds none.
         self._warming = False
 
         # --- per-core state -------------------------------------------------
         self.c_cnt = np.zeros((m, N_COUNTERS))
-        self.q_total_energy = np.zeros(m)
-        self.q_total_busy = np.zeros(m)
-        self.q_total_idle = np.zeros(m)
-        self.q_total_sleep = np.zeros(m)
-        self.q_epoch_energy = np.zeros(m)
-        self.q_epoch_time = np.zeros(m)
-        self.core_instr = np.zeros(m)
+        # The seven per-core accumulators are the rows of one block.
+        self._core_acc = np.zeros((_Q_ROWS, m))
+        self.core_instr = self._core_acc[_Q_INSTR]
+        self.q_total_busy = self._core_acc[_Q_BUSY]
+        self.q_total_energy = self._core_acc[_Q_ENERGY]
+        self.q_epoch_energy = self._core_acc[_Q_EPOCH_ENERGY]
+        self.q_epoch_time = self._core_acc[_Q_EPOCH_TIME]
+        self.q_total_idle = self._core_acc[_Q_IDLE]
+        self.q_total_sleep = self._core_acc[_Q_SLEEP]
         self.online = np.array(system._online, dtype=bool)
         #: Opt-in SMT cores (``CfsRunQueue.smt``, read with the queue
         #: layout): doubled period capacity, co-runner contention fed
@@ -306,20 +342,25 @@ class SoaKernel:
         self._n_multi = n_multi
 
         # --- (phase, ctype, warm-up level) -> value-table row ---------------
-        self._code2row: dict[int, int] = {}
-        self._V = np.zeros((0, _N_COLS))
-        self._codes_sorted = np.zeros(0, dtype=np.int64)
-        self._rows_sorted = np.zeros(0, dtype=np.int64)
+        self._V = np.zeros((_N_VALUES, 0))
+        #: Registered group codes in ascending order (row 0) over their
+        #: value-table columns (row 1).
+        self._code_table = np.zeros((2, 0), dtype=np.int64)
 
         # --- caches and dirty flags -----------------------------------------
         self._layout_dirty = True
         self._struct_ver = 0  # bumps on membership/active/online changes
         self._demand_ver = 0  # bumps on phase/core-type changes
-        self._rows_cache: (
-            "tuple[tuple[int, int], np.ndarray, np.ndarray] | None"
-        ) = None
+        self._placement_ver = 0  # bumps when a task changes core
+        #: Per-task value rows, under (placement, demand, structure on
+        #: SMT) versions.
+        self._rows_cache: "tuple[tuple, np.ndarray] | None" = None
+        #: Run-queue structure (``_schedule``), under ``_struct_ver`` and
+        #: the period length.
         self._sched_cache: "dict | None" = None
-        self._grants_cache: "tuple[tuple[int, int], np.ndarray] | None" = None
+        #: Grants and the executing mask, under (structure, demand,
+        #: period length).
+        self._grants_cache: "tuple[tuple, np.ndarray, np.ndarray] | None" = None
         self._one_minus_decay = 1.0 - UTIL_DECAY
         #: Per-core (freq, idle W, sleep W) rows; rebuilt when a core's
         #: type changes (throttle fault).
@@ -361,17 +402,18 @@ class SoaKernel:
 
     def _lookup_rows(self, codes: np.ndarray) -> np.ndarray:
         """Map group codes to value-table rows, registering new groups."""
-        if self._codes_sorted.size:
-            pos = np.searchsorted(self._codes_sorted, codes)
-            pos_c = np.minimum(pos, self._codes_sorted.size - 1)
-            hit = self._codes_sorted[pos_c] == codes
+        table = self._code_table
+        if table.shape[1]:
+            pos = np.searchsorted(table[0], codes)
+            pos_c = np.minimum(pos, table.shape[1] - 1)
+            hit = table[0, pos_c] == codes
             if hit.all():
-                return self._rows_sorted[pos_c]
+                return table[1, pos_c]
             missing = np.unique(codes[~hit])
         else:
             missing = np.unique(codes)
         new_rows = []
-        next_row = self._V.shape[0]
+        first_row = self._V.shape[1]
         for code in missing.tolist():
             smt_level = code % (_SMT_Q + 1)
             rest = code // (_SMT_Q + 1)
@@ -386,31 +428,31 @@ class SoaKernel:
             )
             new_rows.append(
                 [
-                    perf.ipc,
                     perf.base_cpi,
                     phase.mem_share,
                     phase.branch_share,
-                    perf.branch_miss_rate,
                     perf.icache_miss_rate,
-                    perf.dcache_miss_rate,
                     perf.itlb_miss_rate,
+                    perf.branch_miss_rate,
+                    perf.dcache_miss_rate,
                     perf.dtlb_miss_rate,
+                    perf.ipc,
                     power.busy_power(ctype, perf.ipc).total_w,
                     ctype.freq_hz,
                     demanded_fraction_on(phase, ctype),
                     perf.ips(ctype),
                 ]
             )
-            self._code2row[code] = next_row
-            next_row += 1
-        self._V = np.vstack([self._V, np.array(new_rows)])
-        order = np.argsort(np.fromiter(self._code2row, dtype=np.int64))
-        all_codes = np.fromiter(self._code2row, dtype=np.int64)
-        all_rows = np.fromiter(self._code2row.values(), dtype=np.int64)
-        self._codes_sorted = all_codes[order]
-        self._rows_sorted = all_rows[order]
-        pos = np.searchsorted(self._codes_sorted, codes)
-        return self._rows_sorted[pos]
+        self._V = np.hstack([self._V, np.array(new_rows).T])
+        # ``missing`` is sorted and absent from the table, so inserting
+        # it at its search positions keeps the table sorted.
+        self._code_table = table = np.insert(
+            table,
+            np.searchsorted(table[0], missing),
+            (missing, np.arange(first_row, self._V.shape[1])),
+            axis=1,
+        )
+        return table[1, np.searchsorted(table[0], codes)]
 
     # ------------------------------------------------------------------
     # Structure maintenance (called by System)
@@ -443,7 +485,7 @@ class SoaKernel:
         the stop only enters the per-period slice limit, which is
         recomputed from the arrays every period)."""
         self.barrier_stop[tid] = stop_instr
-        self._bounded = True
+        self._barriers = True
 
     def _core_power_rows(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         cache = self._core_pw_cache
@@ -493,6 +535,7 @@ class SoaKernel:
         if warmup_s > 0.0:
             self._warming = True
         self.core_of[tid] = self.tasks[tid].core_id
+        self._placement_ver += 1
         self.mark_structure_dirty()
 
     def _ensure_layout(self) -> None:
@@ -563,22 +606,83 @@ class SoaKernel:
         """Each task's slice limit in seconds at its current rate: the
         instructions to its next phase boundary, exit or barrier stop,
         over its IPS."""
-        if not self._bounded:
-            # min(b, inf) == b bit for bit: no total, no stop.  The
-            # boundary distance is positive, so no 0/0 can arise.
-            return self.until_boundary / ips_t
-        with np.errstate(invalid="ignore"):
-            limit = np.minimum(
-                self.until_boundary,
-                np.maximum(self.behavior_total - self.progress, 0.0),
-            )
-            # Barrier stop: ``inf`` (no barrier) keeps the minimum an
-            # identity; a near stop forces the slow path, which breaks
-            # at the barrier exactly like the reference slice loop.
-            limit = np.minimum(
-                limit, np.maximum(self.barrier_stop - self.progress, 0.0)
-            )
+        # min(b, inf) == b bit for bit, so a run without finite totals
+        # skips the exit term and one without stops the barrier term.
+        limit = self.until_boundary
+        if not (self._exits or self._barriers):
+            # The boundary distance is positive, so no 0/0 can arise.
             return limit / ips_t
+        with np.errstate(invalid="ignore"):
+            if self._exits:
+                limit = np.minimum(
+                    limit, np.maximum(self.behavior_total - self.progress, 0.0)
+                )
+            if self._barriers:
+                # A near stop forces the slow path, which breaks at the
+                # barrier exactly like the reference slice loop.
+                limit = np.minimum(
+                    limit, np.maximum(self.barrier_stop - self.progress, 0.0)
+                )
+            return limit / ips_t
+
+    def _schedule(self, period_s: float) -> dict:
+        """Gather the run-queue structure of the current structure version.
+
+        Everything here is a function of membership, task states, online
+        flags and the period length, so it is rebuilt only when
+        ``_struct_ver`` or ``period_s`` moves: the runnable members in
+        slot order, the padded (queue, slot) matrices, capacities, and
+        the masks the period reads.
+        """
+        n, m = self.n_tasks, self.n_cores
+        run_m = self.active[self._members] & self.online[self._member_queue]
+        r_mem = self._members[run_m]
+        r_q = self._member_queue[run_m]
+        nr = np.bincount(r_q, minlength=m)
+        capacity = np.maximum(
+            period_s - CONTEXT_SWITCH_COST_S * nr.astype(np.float64), 0.0
+        )
+        if self._any_smt:
+            # Two hardware threads per SMT core, but only when the
+            # queue is shared — a lone occupant owns the core as on
+            # a non-SMT core (matches the reference's conditional
+            # ``capacity * 2.0`` — exact in binary FP).
+            capacity = np.where(
+                self.smt_core & (nr > 1), capacity * 2.0, capacity
+            )
+        # (queue, slot) matrices of the runnable members: ``M_safe``
+        # holds the tid (0 in a padding slot), ``valid`` the real slots.
+        width = int(nr.max()) if r_mem.size else 0
+        valid = np.zeros((m, width), dtype=bool)
+        M_safe = np.zeros((m, width), dtype=np.intp)
+        if r_mem.size:
+            starts = np.zeros(m, dtype=np.intp)
+            np.cumsum(nr[:-1], out=starts[1:])
+            col = np.arange(r_mem.size, dtype=np.intp) - starts[r_q]
+            valid[r_q, col] = True
+            M_safe[r_q, col] = r_mem
+        runnable = np.zeros(n, dtype=bool)
+        runnable[r_mem] = True
+        sc = {
+            "key": (self._struct_ver, period_s),
+            "r_mem": r_mem,
+            "r_q": r_q,
+            "capacity": capacity,
+            "valid": valid,
+            "M_safe": M_safe,
+            "weights_pad": np.where(valid, self.weight[M_safe], 0.0),
+            "runnable": runnable,
+            # Runnable user members in slot order: the period's
+            # instruction count sums them.
+            "user_mem": r_mem[self.is_user[r_mem]],
+            # Cores that ran (only online queues have runnable
+            # members), and the tasks whose utilisation decays.
+            "has_run": nr > 0,
+            "util_mask": self.active & self.online[self.core_of],
+            "time_q": np.where(self.online, period_s, 0.0),
+        }
+        self._sched_cache = sc
+        return sc
 
     def _increments(
         self,
@@ -601,53 +705,11 @@ class SoaKernel:
         # Built before the perf rows: on SMT cores the per-task
         # contention level is part of the row code and needs the
         # run-queue slot layout.
-        sched_key = self._struct_ver
-        if self._sched_cache is None or self._sched_cache["key"] != sched_key:
-            run_m = self.active[self._members] & self.online[self._member_queue]
-            r_mem = self._members[run_m]
-            r_q = self._member_queue[run_m]
-            nr = np.bincount(r_q, minlength=m)
-            capacity = np.maximum(
-                period_s - CONTEXT_SWITCH_COST_S * nr.astype(np.float64), 0.0
-            )
-            if self._any_smt:
-                # Two hardware threads per SMT core, but only when the
-                # queue is shared — a lone occupant owns the core as on
-                # a non-SMT core (matches the reference's conditional
-                # ``capacity * 2.0`` — exact in binary FP).
-                capacity = np.where(
-                    self.smt_core & (nr > 1), capacity * 2.0, capacity
-                )
-            if r_mem.size:
-                starts = np.zeros(m, dtype=np.intp)
-                np.cumsum(nr[:-1], out=starts[1:])
-                col = np.arange(r_mem.size, dtype=np.intp) - starts[r_q]
-                width = int(nr.max())
-                M = np.full((m, width), -1, dtype=np.intp)
-                M[r_q, col] = r_mem
-                valid = M >= 0
-                M_safe = np.where(valid, M, 0)
-            else:
-                M = np.zeros((m, 0), dtype=np.intp)
-                valid = np.zeros((m, 0), dtype=bool)
-                M_safe = M
-            self._sched_cache = {
-                "key": sched_key,
-                "run_m": run_m,
-                "r_mem": r_mem,
-                "r_q": r_q,
-                "nr": nr,
-                "capacity": capacity,
-                "M": M,
-                "valid": valid,
-                "M_safe": M_safe,
-            }
-            self._grants_cache = None
         sc = self._sched_cache
-        r_mem, r_q, nr = sc["r_mem"], sc["r_q"], sc["nr"]
-        capacity, M, valid, M_safe = (
-            sc["capacity"], sc["M"], sc["valid"], sc["M_safe"],
-        )
+        if sc is None or sc["key"] != (self._struct_ver, period_s):
+            sc = self._schedule(period_s)
+        r_mem, r_q = sc["r_mem"], sc["r_q"]
+        valid, M_safe = sc["valid"], sc["M_safe"]
 
         # Per-task SMT contention, fixed for the period: the summed
         # memory share of the *other* runnable tasks on the same SMT
@@ -674,13 +736,20 @@ class SoaKernel:
                 np.clip(smt_cont, 0.0, 1.0) * _SMT_Q
             ).astype(np.int64)
 
-        # Per-task perf/demand rows (cached while no warm-up is decaying
-        # and no phase/core-type/placement change occurred — a migration
-        # can move a task onto a different core type, so the structure
-        # version is part of the key; SMT contention only moves with
-        # the phase/membership state the key already covers).
-        rows_key = (self._struct_ver, self._demand_ver)
-        if any_warm or self._rows_cache is None or self._rows_cache[0] != rows_key:
+        # Per-task perf/demand rows.  A row's code is its phase, its
+        # core's type, its warm-up level and, on SMT cores, its
+        # contention level, so the rows are cached while no warm-up is
+        # decaying and no phase, core type or placement moved; with an
+        # SMT core the membership is an input too.  Arrivals, exits,
+        # barrier blocks and a core going on or offline leave them (a
+        # thread that hotplug moves is a migration).
+        rows_key = (
+            self._placement_ver,
+            self._demand_ver,
+            self._struct_ver if self._any_smt else None,
+        )
+        cache = self._rows_cache
+        if any_warm or cache is None or cache[0] != rows_key:
             if any_warm:
                 frac = np.clip(
                     np.where(self.warmup > 0.0, self.warmup / CACHE_WARMUP_S, 0.0),
@@ -697,33 +766,32 @@ class SoaKernel:
             ) * (_SMT_Q + 1)
             if smt_level is not None:
                 codes = codes + smt_level
+            # Two statements: _lookup_rows may grow (rebind) _V.
             rows = self._lookup_rows(codes)
-            V = self._V[rows]
-            self._rows_cache = None if any_warm else (rows_key, rows, V)
+            V = self._V[:, rows]
+            self._rows_cache = None if any_warm else (rows_key, V)
         else:
-            _, rows, V = self._rows_cache
+            V = cache[1]
 
-        demand_t = V[:, _DEMAND]
-        gkey = (self._struct_ver, self._demand_ver)
-        if self._grants_cache is not None and self._grants_cache[0] == gkey:
-            granted = self._grants_cache[1]
+        demand_t = V[_DEMAND]
+        gkey = (self._struct_ver, self._demand_ver, period_s)
+        grants = self._grants_cache
+        if grants is not None and grants[0] == gkey:
+            _, granted, exec_t = grants
         else:
-            granted = self._fair_shares_batched(
-                demand_t, period_s, capacity, M, valid, M_safe
-            )
-            self._grants_cache = (gkey, granted)
+            granted = self._fair_shares_batched(demand_t, period_s, sc)
+            # The slice loop in the reference (`while remaining >
+            # 1e-12`) never runs for grants at or below its floor — an
+            # underweight task can be granted ~1e-150 s and execute
+            # exactly nothing.
+            exec_t = sc["runnable"] & (granted > 1e-12)
+            self._grants_cache = (gkey, granted, exec_t)
 
         # Execute the granted slices.
-        ips_t = V[:, _IPS]
-        if limit_over_ips is None:
-            limit_over_ips = self._limit_over_ips(ips_t)
-        runnable_t = np.zeros(n, dtype=bool)
-        runnable_t[r_mem] = True
-        # The slice loop in the reference (`while remaining > 1e-12`)
-        # never runs for grants at or below its floor — an underweight
-        # task can be granted ~1e-150 s and execute exactly nothing.
-        exec_t = runnable_t & (granted > 1e-12)
+        ips_t = V[_IPS]
         if slow is None:
+            if limit_over_ips is None:
+                limit_over_ips = self._limit_over_ips(ips_t)
             slow = exec_t & (limit_over_ips < granted)
         fast = exec_t & ~slow
 
@@ -733,35 +801,21 @@ class SoaKernel:
         inc.fast = fast
         inc.any_fast = any_fast = bool(fast.any())
         inc.demand_t = demand_t
-        S = np.zeros((n, N_COUNTERS))
-        E = np.zeros(n)
-        gu = np.zeros(n)
+        S = np.zeros((_T_ROWS, n))
 
         if any_fast:
-            # Column 3 (instructions) and column 11 (the slice) carry
-            # the fast tasks' progress and warm-up steps to _apply.
+            # Row 3 (instructions) and row 11 (the slice) carry the
+            # fast tasks' progress and warm-up steps to _apply.
             step = np.where(fast, granted, 0.0)
-            freq = V[:, _FREQ]
-            cycles = step * freq
-            instr = V[:, _IPC] * cycles
-            busy_cy = instr * V[:, _BASE_CPI]
-            idle_cy = np.maximum(cycles - busy_cy, 0.0)
-            mem_i = instr * V[:, _MEM_SHARE]
-            br_i = instr * V[:, _BR_SHARE]
-            S[:, 0] = busy_cy
-            S[:, 1] = idle_cy
-            S[:, 3] = instr
-            S[:, 4] = mem_i
-            S[:, 5] = br_i
-            S[:, 6] = br_i * V[:, _BR_MISS]
-            S[:, 7] = instr * V[:, _L1I]
-            S[:, 8] = mem_i * V[:, _L1D]
-            S[:, 9] = instr * V[:, _ITLB]
-            S[:, 10] = mem_i * V[:, _DTLB]
-            S[:, 11] = step
-            S[~fast] = 0.0
-            E = np.where(fast, V[:, _POWER_W] * step, 0.0)
-            gu = step
+            cycles = step * V[_FREQ]
+            instr = V[_IPC] * cycles
+            S[_PER_INSTR_ROWS] = instr * V[_BASE_CPI:_BR_MISS]
+            S[_DERIVED_ROWS] = S[_DERIVED_BASES] * V[_BR_MISS:_IPC]
+            S[1] = np.maximum(cycles - S[0], 0.0)
+            S[_INSTR_ROWS] = instr
+            S[_STEP_ROWS] = step
+            S[_T_ENERGY:] = V[_POWER_W] * step
+            S[:, ~fast] = 0.0
 
         inc.slow_exited = None
         any_slow = bool(slow.any())
@@ -772,79 +826,55 @@ class SoaKernel:
                     float(smt_cont[t]) if smt_cont is not None else 0.0
                 )
                 self._execute_slow(
-                    int(t), float(granted[t]), S, E, gu, exited, contention
+                    int(t), float(granted[t]), S, exited, contention
                 )
         inc.S = S
-        inc.E = E
-        inc.gu = gu
 
-        # Core-side accounting, in run-queue slot order.
-        instr_slice = S[:, 3]
+        # Core-side accounting, in run-queue slot order.  One masked
+        # cumsum over (addend row, queue, slot) sums each core's
+        # instructions, busy time and energy (rows 0-1 of ``core``,
+        # and the energy's first term).
         inc.add_at_q = r_q
         inc.add_at_rows = None
         if r_mem.size:
-            inc.add_at_rows = S[r_mem]
-            gu_pad = np.where(valid, gu[M_safe], 0.0)
-            busy_q = (
-                np.cumsum(gu_pad, axis=1)[:, -1] if gu_pad.shape[1] else
-                np.zeros(m)
+            inc.add_at_rows = S[:N_COUNTERS, r_mem].T
+            slots = np.where(sc["valid"], S[_SLOT_ROWS, M_safe], 0.0)
+            sums = np.cumsum(slots, axis=2)[:, :, -1]
+            # Skipping the masked-out members skips only ``+ 0.0``s.
+            user_instr = S[3, sc["user_mem"]]
+            inc.period_instr = (
+                float(np.cumsum(user_instr)[-1]) if user_instr.size else 0.0
             )
-            e_pad = np.where(valid, E[M_safe], 0.0)
-            busy_e_q = (
-                np.cumsum(e_pad, axis=1)[:, -1] if e_pad.shape[1] else
-                np.zeros(m)
-            )
-            ci_pad = np.where(valid, instr_slice[M_safe], 0.0)
-            ci_q = (
-                np.cumsum(ci_pad, axis=1)[:, -1] if ci_pad.shape[1] else
-                np.zeros(m)
-            )
-            u_mem = np.where(
-                sc["run_m"] & self.is_user[self._members],
-                instr_slice[self._members],
-                0.0,
-            )
-            period_instr = float(np.cumsum(u_mem)[-1]) if u_mem.size else 0.0
         else:
-            busy_q = np.zeros(m)
-            busy_e_q = np.zeros(m)
-            ci_q = np.zeros(m)
-            period_instr = 0.0
-        inc.ci_q = ci_q
-        inc.period_instr = period_instr
+            sums = np.zeros((3, m))
+            inc.period_instr = 0.0
+        core = np.empty((_Q_ROWS, m))
+        core[:_Q_BUSY + 1] = sums[:2]
+        busy_q = core[_Q_BUSY]
+        busy_e_q = sums[2]
 
-        # Idle / sleep split per core.
+        # Idle / sleep split per core.  A core that ran idles shallow
+        # up to the cpuidle latency and sleeps the rest; an online core
+        # with nothing to run (no busy time) sleeps the whole period;
+        # an offline core has none of either.
         freq_q, idle_w_q, sleep_w_q = self._core_power_rows()
-        has_run = (nr > 0) & self.online
-        empty = self.online & ~has_run
-
-        idle_s_q = np.zeros(m)
-        sleep_s_q = np.zeros(m)
-        idle_e_q = np.zeros(m)
-        sleep_e_q = np.zeros(m)
-
-        sleep_s_q[empty] = period_s
-        sleep_e_q[empty] = sleep_w_q[empty] * period_s
-        inc.sleep_cy_empty = np.where(empty, period_s * freq_q, 0.0)
-
-        leftover = np.where(has_run, np.maximum(period_s - busy_q, 0.0), 0.0)
-        shallow = np.minimum(leftover, IDLE_TO_SLEEP_LATENCY_S)
-        deep = leftover - shallow
-        idle_s_q = np.where(has_run, shallow, idle_s_q)
-        idle_e_q = np.where(has_run, idle_w_q * shallow, idle_e_q)
-        sleep_s_q = np.where(has_run, deep, sleep_s_q)
-        sleep_e_q = np.where(has_run, sleep_w_q * deep, sleep_e_q)
-        inc.sleep_cy_deep = np.where(has_run, deep * freq_q, 0.0)
+        leftover = np.maximum(period_s - busy_q, 0.0)
+        shallow = np.where(
+            sc["has_run"], np.minimum(leftover, IDLE_TO_SLEEP_LATENCY_S), 0.0
+        )
+        deep = np.where(self.online, leftover - shallow, 0.0)
+        core[_Q_IDLE] = shallow
+        core[_Q_SLEEP] = deep
+        inc.sleep_cy = deep * freq_q
+        energy_q = busy_e_q + idle_w_q * shallow + sleep_w_q * deep
 
         # _account(): thermal feedback, then the per-core totals.
         thermal_stepped = False
-        thermal_e_q = np.zeros(m)
         if self._thermal_on and self._thermal_idx.size:
             idx = self._thermal_idx[self.online[self._thermal_idx]]
             if idx.size:
                 thermal_stepped = True
-                base_e_q = busy_e_q + idle_e_q + sleep_e_q
-                base_power = base_e_q[idx] / period_s
+                base_power = energy_q[idx] / period_s
                 new_t, new_p = thermal.step_batch(
                     self.thermal_temp[idx],
                     self.thermal_peak[idx],
@@ -854,22 +884,20 @@ class SoaKernel:
                 )
                 self.thermal_temp[idx] = new_t
                 self.thermal_peak[idx] = new_p
-                powered_fraction = (busy_q[idx] + idle_s_q[idx]) / period_s
+                powered_fraction = (busy_q[idx] + shallow[idx]) / period_s
                 base_leak = np.asarray(self._ct_leak_w)[self.ctype_idx[idx]]
+                thermal_e_q = np.zeros(m)
                 thermal_e_q[idx] = (
                     thermal.extra_leakage_batch(new_t, base_leak)
                     * powered_fraction
                     * period_s
                 )
+                energy_q = energy_q + thermal_e_q
 
-        energy_q = busy_e_q + idle_e_q + sleep_e_q + thermal_e_q
-        online_f = self.online
-        inc.energy_q = np.where(online_f, energy_q, 0.0)
-        inc.time_q = np.where(online_f, period_s, 0.0)
-        inc.busy_q = np.where(online_f, busy_q, 0.0)
-        inc.idle_q = np.where(online_f, idle_s_q, 0.0)
-        inc.sleep_q = np.where(online_f, sleep_s_q, 0.0)
-        inc.period_energy = float(np.cumsum(inc.energy_q)[-1]) if m else 0.0
+        core[_Q_ENERGY:_Q_EPOCH_ENERGY + 1] = energy_q
+        core[_Q_EPOCH_TIME] = sc["time_q"]
+        inc.core = core
+        inc.period_energy = float(np.cumsum(energy_q)[-1]) if m else 0.0
 
         inc.replayable = not (
             any_warm or any_slow or self._any_smt or thermal_stepped
@@ -889,45 +917,35 @@ class SoaKernel:
         fast = inc.fast
         exited = inc.slow_exited
         if inc.any_fast:
-            self.progress = np.where(fast, self.progress + S[:, 3], self.progress)
+            np.add(self.progress, S[3], out=self.progress, where=fast)
             if any_warm:
                 self.warmup = np.where(
-                    fast, np.maximum(self.warmup - S[:, 11], 0.0), self.warmup
+                    fast, np.maximum(self.warmup - S[11], 0.0), self.warmup
                 )
             if self._exits:
                 done = fast & (self.behavior_total - self.progress <= 0.0)
                 exited = done if exited is None else done | exited
 
-        # Merge once per task (matches the reference's slice-local merge).
-        self.t_cnt += S
-        self.total_instr += S[:, 3]
-        self.total_busy += inc.gu
-        self.total_energy += inc.E
-        self.epoch_energy += inc.E
-
-        # Core-side accounting, in run-queue slot order.
+        # Merge once per task (matches the reference's slice-local
+        # merge), then the core side in run-queue slot order.
+        self._task_acc += S
         if inc.add_at_rows is not None:
             np.add.at(self.c_cnt, inc.add_at_q, inc.add_at_rows)
-        self.core_instr += inc.ci_q
-        self.c_cnt[:, 2] += inc.sleep_cy_empty
-        self.c_cnt[:, 2] += inc.sleep_cy_deep
-        self.q_total_energy += inc.energy_q
-        self.q_epoch_energy += inc.energy_q
-        self.q_epoch_time += inc.time_q
-        self.q_total_busy += inc.busy_q
-        self.q_total_idle += inc.idle_q
-        self.q_total_sleep += inc.sleep_q
+        self.c_cnt[:, 2] += inc.sleep_cy
+        self._core_acc += inc.core
 
         # Exits: flip state eagerly so queue membership checks stay valid.
         # A thread can retire its last instruction mid-warm-up; it never
         # runs again, so its warm-up is dropped rather than left to keep
         # every later period off the steady path.
+        util_mask = self._sched_cache["util_mask"]
         if exited is not None and exited.any():
             for t in np.nonzero(exited)[0].tolist():
                 self.tasks[t].state = TaskState.EXITED
             self.active[exited] = False
             self.warmup[exited] = 0.0
             self._struct_ver += 1
+            util_mask = self.active & self.online[self.core_of]
 
         # Re-position multi-segment tasks at their new progress, then
         # fold the post-execution demand into the utilisation EWMA.  A
@@ -949,8 +967,7 @@ class SoaKernel:
                 # Two statements: _lookup_rows may grow (rebind) _V.
                 rows2 = self._lookup_rows(codes)
                 demand_post = demand_post.copy()
-                demand_post[ids] = self._V[rows2, _DEMAND]
-        util_mask = self.active & self.online[self.core_of]
+                demand_post[ids] = self._V[_DEMAND, rows2]
         self.util = np.where(
             util_mask,
             UTIL_DECAY * self.util + self._one_minus_decay * demand_post,
@@ -963,13 +980,7 @@ class SoaKernel:
     # ------------------------------------------------------------------
 
     def _fair_shares_batched(
-        self,
-        demand_t: np.ndarray,
-        period_s: float,
-        capacity: np.ndarray,
-        M: np.ndarray,
-        valid: np.ndarray,
-        M_safe: np.ndarray,
+        self, demand_t: np.ndarray, period_s: float, sc: dict
     ) -> np.ndarray:
         """Replay the reference kernel's ``fair_shares`` for all queues.
 
@@ -977,34 +988,42 @@ class SoaKernel:
         the scalar set iteration visits).  Masked lanes contribute
         ``0.0`` to every cumulative sum, which is the identity, so each
         row's float trajectory is bit-identical to the scalar loop's.
+        ``sc`` is the run-queue structure (:meth:`_schedule`).
         """
-        n = self.n_tasks
-        granted = np.zeros(n)
-        if not M.shape[1]:
+        granted = np.zeros(self.n_tasks)
+        valid = sc["valid"]
+        if not valid.shape[1]:
             return granted
-        demands_pad = np.where(valid, demand_t[M_safe] * period_s, 0.0)
-        weights_pad = np.where(valid, self.weight[M_safe], 0.0)
+        demands_pad = np.where(valid, demand_t[sc["M_safe"]] * period_s, 0.0)
+        weights_pad = sc["weights_pad"]
+        floor = demands_pad - 1e-15
         grants = np.zeros_like(demands_pad)
+        available = sc["capacity"]
         rem = demands_pad > 0.0
-        available = capacity.copy()
         row_alive = rem.any(axis=1) & (available > 1e-15)
-        while row_alive.any():
-            lanes = rem & row_alive[:, None]
-            w_eff = np.where(lanes, weights_pad, 0.0)
-            tw = np.cumsum(w_eff, axis=1)[:, -1]
-            tw_safe = np.where(row_alive, tw, 1.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                offer = available[:, None] * weights_pad / tw_safe[:, None]
-            need = demands_pad - grants
-            take = np.where(lanes, np.minimum(offer, need), 0.0)
-            grants = grants + take
-            consumed = np.cumsum(take, axis=1)[:, -1]
-            available = available - consumed
-            satisfied = lanes & (grants >= demands_pad - 1e-15)
-            row_alive &= satisfied.any(axis=1)
-            rem &= ~satisfied
-            row_alive &= rem.any(axis=1) & (available > 1e-15)
-        granted[M[valid]] = grants[valid]
+        # A dead row's 0/0 offer is masked out of ``take``.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while row_alive.any():
+                lanes = rem & row_alive[:, None]
+                tw = np.cumsum(np.where(lanes, weights_pad, 0.0), axis=1)[:, -1]
+                offer = available[:, None] * weights_pad / tw[:, None]
+                take = np.where(
+                    lanes, np.minimum(offer, demands_pad - grants), 0.0
+                )
+                grants = grants + take
+                satisfied = lanes & (grants >= floor)
+                rem = lanes ^ satisfied
+                # The reference stops a queue whose round satisfied
+                # nobody or everybody; only a queue with both goes on,
+                # and only while capacity is left.
+                row_alive = satisfied.any(axis=1) & rem.any(axis=1)
+                if not row_alive.any():
+                    break
+                available = available - np.cumsum(take, axis=1)[:, -1]
+                row_alive &= available > 1e-15
+        # Row-major order over the real slots is the runnable members'
+        # order.
+        granted[sc["r_mem"]] = grants[valid]
         return granted
 
     # ------------------------------------------------------------------
@@ -1016,8 +1035,6 @@ class SoaKernel:
         t: int,
         granted_s: float,
         S: np.ndarray,
-        E: np.ndarray,
-        gu: np.ndarray,
         exited: np.ndarray,
         smt_contention: float = 0.0,
     ) -> None:
@@ -1025,7 +1042,8 @@ class SoaKernel:
 
         Runs when a slice sub-steps (phase boundary, exit or barrier
         stop inside the slice) — the identical scalar float sequence,
-        reading/writing the arrays instead of a Task object.
+        reading/writing the arrays instead of a Task object.  Writes
+        the task's column of the per-task addend block ``S``.
         """
         schedule = self._schedules[t]
         total = float(self.behavior_total[t])
@@ -1035,7 +1053,6 @@ class SoaKernel:
         warmup = float(self.warmup[t])
         slice_block = CounterBlock()
         remaining = granted_s
-        instructions = 0.0
         energy = 0.0
         is_active = True
         while remaining > 1e-12 and is_active:
@@ -1068,23 +1085,26 @@ class SoaKernel:
                 is_active = False
             warmup = max(warmup - step_s, 0.0)
 
-            instructions += retired
             energy += slice_energy
             remaining -= step_s
         self.progress[t] = progress
         self.warmup[t] = warmup
         exited[t] = not is_active
-        S[t, 0] = slice_block.cy_busy
-        S[t, 1] = slice_block.cy_idle
-        S[t, 2] = slice_block.cy_sleep
-        S[t, 3] = slice_block.instructions
-        S[t, 4] = slice_block.mem_instructions
-        S[t, 5] = slice_block.branch_instructions
-        S[t, 6] = slice_block.branch_mispredicts
-        S[t, 7] = slice_block.l1i_misses
-        S[t, 8] = slice_block.l1d_misses
-        S[t, 9] = slice_block.itlb_misses
-        S[t, 10] = slice_block.dtlb_misses
-        S[t, 11] = slice_block.busy_time_s
-        E[t] = energy
-        gu[t] = granted_s - remaining
+        S[:, t] = (
+            slice_block.cy_busy,
+            slice_block.cy_idle,
+            slice_block.cy_sleep,
+            slice_block.instructions,
+            slice_block.mem_instructions,
+            slice_block.branch_instructions,
+            slice_block.branch_mispredicts,
+            slice_block.l1i_misses,
+            slice_block.l1d_misses,
+            slice_block.itlb_misses,
+            slice_block.dtlb_misses,
+            slice_block.busy_time_s,
+            slice_block.instructions,
+            granted_s - remaining,
+            energy,
+            energy,
+        )

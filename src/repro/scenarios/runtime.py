@@ -76,10 +76,15 @@ class OpenLoopRuntime(ScenarioRuntime):
     ``total_instructions``, future ``arrival_s``) the builder appended
     to the workload; the simulator's arrival machinery starts them and
     the kernel retires them.  This runtime only *observes*: each
-    period it scans the still-pending requests for newly ``EXITED``
-    tasks and records ``latency = now - arrival``.  Completion is
-    therefore quantised to the CFS period — the same resolution the
-    kernel's own accounting has.
+    period it scans the arrived, incomplete requests for newly
+    ``EXITED`` tasks and records ``latency = now - arrival``.
+    Completion is therefore quantised to the CFS period — the same
+    resolution the kernel's own accounting has.
+
+    The builder appends the requests in arrival order (the arrival
+    processes return non-decreasing times) and the simulator starts
+    tasks in arrival order, so the still-``PENDING`` requests are a
+    suffix of the incomplete ones: each scan stops at the first.
     """
 
     family = "openloop"
@@ -115,13 +120,16 @@ class OpenLoopRuntime(ScenarioRuntime):
             return
         now = system.time_s
         obs = system.obs
+        tasks = system.tasks
+        pending = self._pending
         still_pending: "list[_Request]" = []
-        for request in self._pending:
-            task = system.tasks[request.tid]
-            if obs.enabled and (
-                task.state is not TaskState.PENDING
-                and request.tid not in self._announced
-            ):
+        for index, request in enumerate(pending):
+            task = tasks[request.tid]
+            if task.state is TaskState.PENDING:
+                # Not arrived, and neither has any later request.
+                still_pending += pending[index:]
+                break
+            if obs.enabled and request.tid not in self._announced:
                 self._announced.add(request.tid)
                 obs.tracer.emit(
                     obs_events.REQUEST_ARRIVED,
@@ -162,9 +170,13 @@ class OpenLoopRuntime(ScenarioRuntime):
         a weighting scheme).
         """
         now = system.time_s
+        tasks = system.tasks
         extras: "dict[int, dict]" = {}
         for request in self._pending:
-            if system.tasks[request.tid].state is not TaskState.ACTIVE:
+            state = tasks[request.tid].state
+            if state is TaskState.PENDING:
+                break
+            if state is not TaskState.ACTIVE:
                 continue
             slack = (self.slo_s - (now - request.arrival_s)) / self.slo_s
             extras[request.tid] = {"slo_slack_frac": max(slack, -1.0)}

@@ -4,13 +4,10 @@ import pytest
 
 from reference_sensing import SensingNullBalancer
 from repro.core.balancer import SmartBalance
-from repro.core.estimation import (
-    core_ips_from_counters,
-    estimate_cores,
-    feature_vector,
-)
+from repro.core.estimation import estimate_cores, feature_vector
 from repro.hardware.counters import CounterBlock
 from repro.hardware import microarch
+from repro.hardware.features import CoreType
 from repro.hardware.platform import quad_hmp
 from repro.hardware.sensors import NoiseModel
 from repro.kernel.simulator import SimulationConfig, System
@@ -97,6 +94,18 @@ class TestEstimateCores:
         _, view = sensed_view(2)  # cores 2, 3 have no threads
         estimates = estimate_cores(view.user_tasks)
         assert set(estimates) == {0, 1}
+
+
+def core_ips_from_counters(counters: CounterBlock, core_type: CoreType) -> float:
+    """The paper's core-IPS identity: ``I_total · F / (cyBusy + cyIdle)``.
+
+    The cross-check of Eq. 6 aggregation against raw core counters; no
+    view carries core counters, so only this test evaluates it.
+    """
+    active_cycles = counters.cy_busy + counters.cy_idle
+    if active_cycles <= 0:
+        return 0.0
+    return counters.instructions * core_type.freq_hz / active_cycles
 
 
 class TestCoreIpsIdentity:

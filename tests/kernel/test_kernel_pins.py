@@ -5,8 +5,9 @@ Each spec runs on the SoA engine and on the reference kernel
 must be equal, and equal to the digest recorded when both engines
 still lived in ``src/`` — so neither engine can drift, even in step.
 The specs are the command lines the kernel, governor and scenario CI
-smoke jobs run, plus the 128-core ``balancer=none`` row of
-``benchmarks/BENCH_kernel.json``.
+smoke jobs run, the e2ebench openloop shape (pinned before the full
+path began folding only what an event changed) and the 128-core
+``balancer=none`` row of ``benchmarks/BENCH_kernel.json``.
 """
 
 import pytest
@@ -55,6 +56,17 @@ GOVERNOR_SMOKE = RunSpec(
 #: Re-pinned when two_level began screening its OPP vectors.
 GOVERNOR_DIGEST = "0acc6d50a77f40c524e81b08c30c3dd8f4d0ae07d7e7d161a6fa67be15936edd"
 
+#: The e2ebench ``openloop-faults-biglittle`` shape, cut to six epochs:
+#: request threads arrive and exit, hotplug and throttling move cores,
+#: and the adaptation controller runs, so most periods take the full
+#: path.
+OPENLOOP_E2E = RunSpec(
+    platform="biglittle", workload="MTMI", threads=4, balancer="smartbalance",
+    scenario="openloop", faults="combined", adaptation=True, n_epochs=6,
+    seed=100,
+)
+OPENLOOP_E2E_DIGEST = "dc73786cae63f4a1d7b6b30c3b49deabb8180c54ea71081237215ac6ea0afc64"
+
 #: ``BENCH_kernel.json``'s 128-core ``none`` row: hmp:128, MTMI x 256,
 #: seed 0, 5 epochs.
 BENCH_128_DIGEST = "a8b113be3e215a611618b692e0a1ad99d7956a3b33d4cbb6c33453d1d3d00125"
@@ -79,6 +91,12 @@ def test_governor_faults_adaptation_digest_pinned():
     soa, reference = both_kernels(GOVERNOR_SMOKE)
     assert soa.governor["opp_changes"] >= 1, "governor never changed an OPP"
     assert metrics_digest(soa) == metrics_digest(reference) == GOVERNOR_DIGEST
+
+
+def test_openloop_faults_adaptation_digest_pinned():
+    soa, reference = both_kernels(OPENLOOP_E2E)
+    assert soa.scenario["completed"] > 0, "no request completed"
+    assert metrics_digest(soa) == metrics_digest(reference) == OPENLOOP_E2E_DIGEST
 
 
 def test_bench_kernel_128_core_row_pinned():

@@ -112,7 +112,8 @@ class TestMutationsDiverge:
 
         def mutate(engine):
             assert engine._memo is not None, "no period was memoised"
-            engine._memo.S[0, INSTR_COL] += 5e8
+            # The increment block is indexed (counter, task).
+            engine._memo.S[INSTR_COL, 0] += 5e8
             replays.append(engine.steady_periods)
 
         digest, engine = perturbed_run(mutate)

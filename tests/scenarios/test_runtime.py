@@ -8,10 +8,13 @@ the emitted events rather than on internals.
 import pytest
 
 from repro.kernel.simulator import SimulationConfig, System
+from repro.kernel.task import TaskState
 from repro.obs import ObsContext
 from repro.obs import events as ev
 from repro.runner.factories import make_balancer, make_platform
+from repro.runner.serialize import metrics_digest
 from repro.scenarios import build_scenario
+from repro.scenarios.runtime import OpenLoopRuntime
 from repro.workload.characteristics import COMPUTE_PHASE
 from repro.workload.thread import steady_thread
 
@@ -79,8 +82,6 @@ class TestOpenLoopRuntime:
         )
 
     def test_builder_name_mismatch_raises(self):
-        from repro.scenarios.runtime import OpenLoopRuntime
-
         plat = make_platform("quad")
         config = SimulationConfig(seed=0)
         runtime = OpenLoopRuntime({"req/9999": 0.01}, slo_s=0.02)
@@ -92,6 +93,141 @@ class TestOpenLoopRuntime:
                 config,
                 scenario=runtime,
             )
+
+
+class BruteForceOpenLoop(OpenLoopRuntime):
+    """The open-loop runtime as a scan of every incomplete request each
+    period, arrived or not: the reference for the runtime's early stop
+    at the first pending request.  Also records, per period, which
+    requests were first seen arrived and which completed."""
+
+    def __init__(self, request_names, slo_s):
+        super().__init__(request_names, slo_s)
+        self.periods = []
+
+    def on_period(self, system):
+        now = system.time_s
+        obs = system.obs
+        still_pending = []
+        seen, done = [], []
+        for request in self._pending:
+            task = system.tasks[request.tid]
+            if task.state is not TaskState.PENDING and (
+                request.tid not in self._announced
+            ):
+                self._announced.add(request.tid)
+                seen.append(request.tid)
+                if obs.enabled:
+                    obs.tracer.emit(
+                        ev.REQUEST_ARRIVED,
+                        request.arrival_s,
+                        tid=request.tid,
+                        name=request.name,
+                    )
+            if task.state is not TaskState.EXITED:
+                still_pending.append(request)
+                continue
+            done.append(request.tid)
+            request.completed_s = now
+            latency = now - request.arrival_s
+            self.latencies_s.append(latency)
+            miss = latency > self.slo_s
+            if miss:
+                self.slo_misses += 1
+            if obs.enabled:
+                obs.tracer.emit(
+                    ev.REQUEST_COMPLETED,
+                    now,
+                    tid=request.tid,
+                    name=request.name,
+                    latency_s=latency,
+                    slo_s=self.slo_s,
+                    slo_miss=miss,
+                )
+                obs.metrics.inc("scenario.requests_completed")
+                if miss:
+                    obs.metrics.inc("scenario.slo_misses")
+        self._pending = still_pending
+        self.periods.append((seen, done))
+
+    def task_extras(self, system):
+        now = system.time_s
+        extras = {}
+        for request in self._pending:
+            if system.tasks[request.tid].state is not TaskState.ACTIVE:
+                continue
+            slack = (self.slo_s - (now - request.arrival_s)) / self.slo_s
+            extras[request.tid] = {"slo_slack_frac": max(slack, -1.0)}
+        return extras
+
+
+def run_openloop(text, runtime_cls, n_epochs=4, seed=3):
+    """(result, runtime, request events, per-view extras) of one
+    biglittle run with ``runtime_cls`` as the runtime.  The vanilla
+    balancer takes a view every period, so every period's in-flight
+    requests reach ``task_extras``."""
+    config = SimulationConfig(seed=seed)
+    behaviors, built = build_scenario(
+        text,
+        [steady_thread(f"base/{i}", COMPUTE_PHASE) for i in range(2)],
+        seed=seed,
+        period_s=config.period_s,
+        periods_per_epoch=config.periods_per_epoch,
+        n_epochs=n_epochs,
+    )
+    runtime = runtime_cls(built._names, built.slo_s)
+    extras = []
+    task_extras = runtime.task_extras
+
+    def recording_extras(system):
+        out = task_extras(system)
+        extras.append(out)
+        return out
+
+    runtime.task_extras = recording_extras
+    obs = ObsContext()
+    system = System(
+        make_platform("biglittle"), behaviors, make_balancer("vanilla"), config,
+        obs=obs, scenario=runtime,
+    )
+    result = system.run(n_epochs=n_epochs)
+    events = [
+        e for e in obs.tracer.events
+        if e["type"] in (ev.REQUEST_ARRIVED, ev.REQUEST_COMPLETED)
+    ]
+    return result, runtime, events, extras
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "openloop:pattern=spike,rate=400,work_minstr=0.5",
+        "openloop:rate=200,slo_ms=5,work_minstr=20",
+    ],
+)
+def test_openloop_runtime_equals_brute_force_scan(text):
+    result, runtime, events, extras = run_openloop(text, OpenLoopRuntime)
+    ref, reference, ref_events, ref_extras = run_openloop(
+        text, BruteForceOpenLoop
+    )
+    assert metrics_digest(result) == metrics_digest(ref)
+    assert result.scenario == ref.scenario
+    assert runtime.latencies_s == reference.latencies_s
+    assert events == ref_events
+    assert extras == ref_extras
+    assert any(extras), "no view carried an in-flight request"
+    order = {r.tid: i for i, r in enumerate(reference._requests)}
+    # The stop at the first pending request is exercised where it
+    # matters: many requests arrive in one period, and a request
+    # completes in the period a later one is first seen.
+    assert max(len(seen) for seen, _ in reference.periods) >= 3
+    assert any(
+        done and seen and min(order[t] for t in done) < max(
+            order[t] for t in seen
+        )
+        for seen, done in reference.periods
+    )
+    assert result.scenario["completed"] > 0
 
 
 class TestBarrierRuntime:
