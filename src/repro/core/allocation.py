@@ -57,10 +57,22 @@ class Allocation:
         n_cores: int,
         slots_per_core: int | None = None,
     ) -> "Allocation":
-        """Build from a ``thread index -> core id`` sequence."""
+        """Build from a ``thread index -> core id`` sequence: each
+        thread takes its core's next free slot, as :meth:`place` would."""
         alloc = cls(len(thread_cores), n_cores, slots_per_core)
+        per_core = alloc.slots_per_core
+        slots = alloc.slots
+        thread_slot = alloc._thread_slot
+        next_free = list(range(0, n_cores * per_core, per_core))
         for thread, core in enumerate(thread_cores):
-            alloc.place(thread, core)
+            if not 0 <= core < n_cores:
+                raise IndexError(f"core {core} out of range")
+            slot = next_free[core]
+            if slot == (core + 1) * per_core:
+                raise ValueError(f"core {core} has no free slot")
+            next_free[core] = slot + 1
+            slots[slot] = thread
+            thread_slot[thread] = slot
         return alloc
 
     @classmethod
@@ -106,7 +118,11 @@ class Allocation:
 
     def mapping(self) -> list[int]:
         """The ``thread -> core`` list."""
-        return [self.core_of(t) for t in range(self.n_threads)]
+        thread_slot = self._thread_slot
+        if EMPTY in thread_slot:
+            raise ValueError(f"thread {thread_slot.index(EMPTY)} is not placed")
+        per_core = self.slots_per_core
+        return [slot // per_core for slot in thread_slot]
 
     def is_complete(self) -> bool:
         """True when every thread is placed exactly once."""
@@ -156,10 +172,9 @@ class Allocation:
         """
         if other.n_threads != self.n_threads:
             raise ValueError("allocations describe different thread sets")
-        changes: dict[int, int] = {}
-        for thread in range(self.n_threads):
-            before = self.core_of(thread)
-            after = other.core_of(thread)
-            if before != after:
-                changes[thread] = after
-        return changes
+        before, after = self.mapping(), other.mapping()
+        return {
+            thread: core
+            for thread, (old, core) in enumerate(zip(before, after))
+            if old != core
+        }

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -28,7 +30,14 @@ from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import feature_vector
 from repro.core.objective import EnergyEfficiencyObjective
 from repro.core.prediction import CharacterisationMatrices, MatrixBuilder, PredictorModel
-from repro.core.sensing import observation_fault
+from repro.core.sensing import (
+    FAULT_REASONS,
+    IPS,
+    PLAUSIBLE,
+    TaskColumns,
+    gather_tasks,
+    observation_faults,
+)
 from repro.core.training import default_predictor
 from repro.hardware.thermal import thermal_weights
 from repro.kernel.balancers.base import LoadBalancer, Placement
@@ -74,6 +83,8 @@ WATCHDOG_RECOVERY_EPOCHS = 2
 #: readings are the new truth — staying blind to them forever would be
 #: worse than any fault.
 REBASELINE_EPOCHS = 3
+
+_TID = attrgetter("tid")
 
 
 def adoption_threshold(
@@ -359,34 +370,45 @@ class SmartBalance(LoadBalancer):
         carried over, after the blended ones, so the last-good-row
         fallback can read them.  One gather takes both the history of
         the blended threads and the carried rows.
+
+        The blend is written into ``matrices.rows()``, which becomes
+        the new store: the block :meth:`MatrixBuilder.build` wrote S, P
+        and U into.  The old store is only read, so matrices an earlier
+        decision returned (views of it) never change.
         """
         beta = SMOOTHING
         row_of = self._smoothed_row
         tids = matrices.tids
-        known = [i for i, tid in enumerate(tids) if tid in row_of]
+        fresh = matrices.rows()
         kept = [tid for tid in keep if tid in row_of]
-        fresh = np.stack((matrices.ips, matrices.power, matrices.utilization))
         store = fresh
-        if known or kept:
-            prev = self._smoothed.take(
-                [row_of[tids[i]] for i in known] + [row_of[tid] for tid in kept],
-                axis=1,
-            )
-            if known:
-                # (1 − β)·prev + β·new, each product rounded once and
-                # summed in one addition, without full-size temporaries.
-                history = prev[:, : len(known)]
-                history *= 1.0 - beta
-                whole = len(known) == len(tids)
-                blended = fresh if whole else fresh[:, known]
-                blended *= beta
-                blended += history
-                if not whole:
-                    fresh[:, known] = blended
-            if kept:
-                store = np.concatenate((fresh, prev[:, len(known) :]), axis=1)
+        if not kept and tuple(row_of) == tids:
+            # The store holds these threads' rows in this order: blend
+            # against it as it is, out of place.
+            fresh *= beta
+            fresh += np.multiply(self._smoothed, 1.0 - beta)
+        else:
+            known = [i for i, tid in enumerate(tids) if tid in row_of]
+            if known or kept:
+                prev = self._smoothed.take(
+                    [row_of[tids[i]] for i in known] + [row_of[tid] for tid in kept],
+                    axis=1,
+                )
+                if known:
+                    # (1 − β)·prev + β·new, each product rounded once and
+                    # summed in one addition, without full-size temporaries.
+                    history = prev[:, : len(known)]
+                    history *= 1.0 - beta
+                    whole = len(known) == len(tids)
+                    blended = fresh if whole else fresh[:, known]
+                    blended *= beta
+                    blended += history
+                    if not whole:
+                        fresh[:, known] = blended
+                if kept:
+                    store = np.concatenate((fresh, prev[:, len(known) :]), axis=1)
+            self._smoothed_row = {tid: row for row, tid in enumerate((*tids, *kept))}
         self._smoothed = store
-        self._smoothed_row = {tid: row for row, tid in enumerate((*tids, *kept))}
         ips, power, util = fresh
         return replace(matrices, ips=ips, power=power, utilization=util)
 
@@ -423,9 +445,7 @@ class SmartBalance(LoadBalancer):
             return None
         return smoothed[0, row, core], smoothed[1, row, core]
 
-    def _watchdog_update(
-        self, healthy: list[TaskView], t_s: float = 0.0
-    ) -> None:
+    def _watchdog_update(self, healthy: TaskColumns, t_s: float = 0.0) -> None:
         """Advance the predictor-divergence watchdog one epoch.
 
         The check the paper cannot fail but a deployment can: compare
@@ -435,17 +455,22 @@ class SmartBalance(LoadBalancer):
         systematically wrong (model drift, corrupt Θ, throttled clocks
         it cannot see) pushes the median out of band epoch after epoch.
         """
-        errors = []
-        for task in healthy:
-            last = self._last_prediction(task)
-            if last is None:
-                continue
-            predicted = last[0]
-            if predicted > 0:
-                errors.append(abs(task.rates.ips - predicted) / predicted)
-        if not errors:
+        smoothed = self._smoothed
+        rows = np.fromiter(
+            map(self._smoothed_row.get, map(_TID, healthy.records), repeat(-1)),
+            dtype=np.intp,
+            count=len(healthy),
+        )
+        cores = healthy.core_id
+        known = (rows >= 0) & (cores >= 0) & (cores < smoothed.shape[2])
+        predicted = smoothed[0, rows[known], cores[known]]
+        positive = predicted > 0
+        predicted = predicted[positive]
+        measured = healthy.values[known, IPS][positive]
+        if not predicted.size:
             return
-        out_of_band = statistics.median(errors) > WATCHDOG_TOLERANCE
+        errors = np.abs(measured - predicted) / predicted
+        out_of_band = statistics.median(errors.tolist()) > WATCHDOG_TOLERANCE
         if self._watchdog_tripped:
             if out_of_band:
                 self._watchdog_recoveries = 0
@@ -697,39 +722,47 @@ class SmartBalance(LoadBalancer):
             # Only user threads are balanced (paper Section 5.1: kernel
             # threads are marked at ``sched_fork`` and left to CFS since
             # user threads dominate).
-            measured = [task for task in view.user_tasks if task.has_measurement]
+            users = gather_tasks(view.user_tasks)
 
             # Sanity-check the samples before they touch the predictor:
             # a corrupt observation poisons not just this epoch but
             # (through the EWMA) several following ones.
-            healthy = measured
+            keep = users.measured
             rejected: list[TaskView] = []
             reject_reasons: dict[int, str] = {}
             rebaselined: list[TaskView] = []
-            if mitigations and measured:
-                healthy = []
-                for task in measured:
-                    reason = observation_fault(task)
-                    if reason is None:
-                        healthy.append(task)
-                        self._reject_streak.pop(task.tid, None)
-                        continue
-                    streak = self._reject_streak.get(task.tid, 0) + 1
+            if mitigations:
+                faults = observation_faults(users)
+                records = users.records
+                streaks = self._reject_streak
+                if streaks:
+                    # A plausible sample ends its thread's streak.
+                    for row in np.flatnonzero(keep & (faults == PLAUSIBLE)).tolist():
+                        streaks.pop(records[row].tid, None)
+                rejected_rows = []
+                for row in np.flatnonzero(keep & (faults != PLAUSIBLE)).tolist():
+                    task = records[row]
+                    streak = streaks.get(task.tid, 0) + 1
                     if streak >= REBASELINE_EPOCHS:
                         # The anomaly has persisted long enough that it
                         # is the new normal (e.g. a silently throttled
                         # core): accept the sample and re-baseline
                         # rather than optimise against a world that no
                         # longer exists.
-                        self._reject_streak.pop(task.tid, None)
+                        streaks.pop(task.tid, None)
                         self.health.samples_rebaselined += 1
                         rebaselined.append(task)
-                        healthy.append(task)
                     else:
-                        self._reject_streak[task.tid] = streak
+                        reason = FAULT_REASONS[faults[row]]
+                        streaks[task.tid] = streak
                         rejected.append(task)
                         reject_reasons[task.tid] = reason
                         self.health.note_reject(reason)
+                        rejected_rows.append(row)
+                if rejected_rows:
+                    keep = keep.copy()
+                    keep[rejected_rows] = False
+            healthy = users if keep.all() else users.take(np.flatnonzero(keep))
             # Last-good-row fallback: a rejected thread with history
             # keeps participating through its stored EWMA row; one with
             # no history sits this epoch out.  (Only the enabled
@@ -751,7 +784,7 @@ class SmartBalance(LoadBalancer):
                 epoch=view.epoch_index,
                 window_s=view.window_s,
                 threads=len(view.tasks),
-                measured=len(measured),
+                measured=int(users.measured.sum()),
                 healthy=len(healthy),
                 rejected=len(rejected),
                 fallback_rows=len(fallback),
@@ -794,7 +827,7 @@ class SmartBalance(LoadBalancer):
                 )
                 oc.metrics.inc("balancer.threads_dropped")
 
-        if not healthy:
+        if not len(healthy):
             # Nothing trustworthy sensed this epoch (first epoch, or
             # every sensor glitched at once): freeze the placement.
             timings = PhaseTimings(
@@ -811,7 +844,7 @@ class SmartBalance(LoadBalancer):
             if oc.enabled:
                 # Before this epoch's rows overwrite the prediction
                 # state, score last epoch's predictions (Table 4 data).
-                self._emit_prediction_checks(healthy, t_s)
+                self._emit_prediction_checks(list(healthy.records), t_s)
             if mitigations:
                 self._watchdog_update(healthy, t_s=t_s)
             if self._adaptation is not None:
@@ -820,7 +853,7 @@ class SmartBalance(LoadBalancer):
                 # swaps the predictor before the matrices are built.  A
                 # tripped watchdog asks for repair first — capability
                 # fallback below is the last resort.
-                self._adaptation_step(healthy, view, t_s)
+                self._adaptation_step(list(healthy.records), view, t_s)
                 if mitigations and self._watchdog_tripped:
                     self._attempt_watchdog_repair(view, t_s)
             core_types = [core.core_type for core in view.platform]
@@ -830,7 +863,7 @@ class SmartBalance(LoadBalancer):
             )
             if fallback:
                 matrices = self._append_fallback_rows(matrices, fallback)
-            participants = healthy + fallback
+            participants = [*healthy.records, *fallback]
             if oc.enabled:
                 for task in participants:
                     self._obs_src_type[task.tid] = task.core_type.name

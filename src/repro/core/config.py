@@ -39,7 +39,7 @@ class SmartBalanceConfig:
         counters wrap or cores disappear:
 
         * sanity checks reject physically impossible observations
-          (see :func:`repro.core.sensing.observation_fault`) before
+          (see :func:`repro.core.sensing.observation_faults`) before
           they can poison the characterisation matrices; a thread
           rejected ``REBASELINE_EPOCHS`` epochs in a row is accepted
           anyway, as a regime change rather than a glitch;

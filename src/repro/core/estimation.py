@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.sensing import COLUMNS, TaskColumns
 from repro.kernel.view import TaskView
 
 #: Feature ordering of the Θ regressor — the Table 4 columns (source
@@ -46,6 +47,19 @@ FEATURE_NAMES = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
+#: The column of :attr:`TaskColumns.values <repro.core.sensing.TaskColumns>`
+#: each feature but the intercept is read from, in :data:`FEATURE_NAMES`
+#: order.
+FEATURE_COLUMNS = np.array(
+    [
+        COLUMNS.index(column)
+        for column in (
+            "freq_mhz", "l1i_miss_rate", "l1d_miss_rate", "mem_share", "branch_share",
+            "branch_miss_rate", "itlb_miss_rate", "dtlb_miss_rate", "ipc", "stall_fraction",
+        )
+    ]
+)
+
 
 def feature_vector(task: TaskView) -> np.ndarray:
     """The ``X_ij`` characterisation vector of Eq. 8 for one thread."""
@@ -62,6 +76,14 @@ def feature_vector(task: TaskView) -> np.ndarray:
         ipc_src=rates.ipc,
         stall_frac=rates.stall_fraction,
     )
+
+
+def feature_matrix(tasks: TaskColumns) -> np.ndarray:
+    """The ``X_ij`` vectors of every row of ``tasks``: row ``i`` is
+    :func:`feature_vector` of ``tasks.records[i]``."""
+    features = np.ones((len(tasks), N_FEATURES))
+    features[:, :-1] = tasks.values[:, FEATURE_COLUMNS]
+    return features
 
 
 def features_from_rates(

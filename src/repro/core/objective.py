@@ -312,11 +312,7 @@ class EnergyEfficiencyObjective:
 
     def _mapping_array(self, allocation: Allocation) -> np.ndarray:
         """``thread index -> core id`` as an index array."""
-        return np.fromiter(
-            (allocation.core_of(t) for t in range(self.n_threads)),
-            dtype=np.intp,
-            count=self.n_threads,
-        )
+        return np.fromiter(allocation.mapping(), dtype=np.intp, count=self.n_threads)
 
     def violations(self, allocation: Allocation) -> int:
         """Number of threads placed on cores their affinity forbids."""

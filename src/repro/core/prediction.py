@@ -25,12 +25,13 @@ thread actually ran, predictions everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_vector
+from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_matrix
+from repro.core.sensing import IPC, POWER, UTILIZATION, TaskColumns
 from repro.hardware.features import CoreType
-from repro.kernel.view import TaskView
 
 #: Index of the source-IPC feature, inverted to CPI in design space.
 IPC_FEATURE_INDEX = FEATURE_NAMES.index("ipc_src")
@@ -293,6 +294,28 @@ class CharacterisationMatrices:
     utilization: np.ndarray
     measured_mask: np.ndarray
 
+    @classmethod
+    def from_rows(
+        cls, tids: "tuple[int, ...]", rows: np.ndarray, measured_mask: np.ndarray
+    ) -> "CharacterisationMatrices":
+        """Matrices whose S, P and U are the three rows of one
+        ``(3, m, n)`` block, which :meth:`rows` then returns as it is."""
+        matrices = cls(tids, rows[0], rows[1], rows[2], measured_mask)
+        object.__setattr__(matrices, "_rows", rows)
+        return matrices
+
+    def rows(self) -> np.ndarray:
+        """S, P and U as one ``(3, m, n)`` array: the block of
+        :meth:`from_rows`, or a stacked copy of matrices made field by
+        field (``dataclasses.replace`` makes them so too)."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = np.stack((self.ips, self.power, self.utilization))
+        return rows
+
+
+_TID = attrgetter("tid")
+_TYPE_NAME = attrgetter("core_type.name")
 
 #: Observed utilisation above which a thread is treated as CPU-bound
 #: (it would saturate any core, so its demand does not shrink on a
@@ -308,13 +331,13 @@ class MatrixBuilder:
 
     def build(
         self,
-        tasks: list[TaskView],
+        tasks: TaskColumns,
         cores: list[CoreType],
     ) -> CharacterisationMatrices:
-        """Assemble S and P for ``tasks`` across ``cores``.
+        """Assemble S and P for the rows of ``tasks`` across ``cores``.
 
-        Every task must carry a measurement (filter on
-        ``TaskView.has_measurement`` first).
+        Every row must carry a measurement (take the
+        ``TaskColumns.measured`` rows first).
 
         This is the vectorized epoch hot path: threads are grouped by
         source core type and each group's Eq. 8 predictions for *all*
@@ -322,22 +345,20 @@ class MatrixBuilder:
         memoized Θ stack, instead of a per-(thread, target) Python
         loop.  ``tests/core/scalar_matrices.py`` keeps the literal
         per-thread formulation as the equivalence-tested reference.
+        S, P and U are written into one ``(3, m, n)`` block
+        (:meth:`CharacterisationMatrices.from_rows`).
         """
         m, n = len(tasks), len(cores)
         if m == 0:
             raise ValueError("need at least one measured thread")
-        features = np.empty((m, len(FEATURE_NAMES)))
-        for i, task in enumerate(tasks):
-            if not task.has_measurement:
-                raise ValueError(
-                    f"thread {task.tid} ({task.name}) has no measurement"
-                )
-            features[i] = feature_vector(task)
-        src_names = [task.core_type.name for task in tasks]
-        ipc_meas = np.array([task.rates.ipc for task in tasks])
-        power_meas = np.array([task.power_w for task in tasks])
-        util_obs = np.array([task.utilization for task in tasks])
-        core_ids = np.array([task.core_id for task in tasks], dtype=np.intp)
+        if not tasks.measured.all():
+            task = tasks.records[int(np.argmin(tasks.measured))]
+            raise ValueError(f"thread {task.tid} ({task.name}) has no measurement")
+        features = feature_matrix(tasks)
+        values = tasks.values
+        ipc_meas = values[:, IPC]
+        util_obs = values[:, UTILIZATION]
+        core_ids = tasks.core_id
 
         # Distinct target types, in first-appearance platform order.
         core_type_names = [core.name for core in cores]
@@ -348,41 +369,39 @@ class MatrixBuilder:
             [type_index[name] for name in core_type_names], dtype=np.intp
         )
         freq_hz = np.array([core.freq_hz for core in cores])
+        #: Each thread's source type's column.
+        src_type_col = np.fromiter(
+            map(type_index.__getitem__, map(_TYPE_NAME, tasks.records)),
+            dtype=np.intp,
+            count=m,
+        )
 
         # Eq. 8, one matmul per distinct source type.
         ipc_by_type = np.empty((m, len(dst_types)))
-        for src in dict.fromkeys(src_names):
-            rows = np.array(
-                [i for i, name in enumerate(src_names) if name == src],
-                dtype=np.intp,
-            )
-            ipc_by_type[rows] = self.model.predict_ipc_batch(
-                src, dst_types, features[rows], measured_ipc=ipc_meas[rows]
-            )
+        for j, src in enumerate(dst_types):
+            rows = np.flatnonzero(src_type_col == j)
+            if rows.size:
+                ipc_by_type[rows] = self.model.predict_ipc_batch(
+                    src, dst_types, features[rows], measured_ipc=ipc_meas[rows]
+                )
         # Eq. 9, one affine map over the whole batch.
         power_by_type = self.model.predict_power_batch(dst_types, ipc_by_type)
 
-        ips = ipc_by_type[:, core_type_col] * freq_hz[None, :]
-        power = power_by_type[:, core_type_col]
+        block = np.empty((3, m, n))
+        ips, power, util = block
+        np.multiply(ipc_by_type[:, core_type_col], freq_hz, out=ips)
+        np.take(power_by_type, core_type_col, axis=1, out=power)
         # Same-type entries are measurements, not predictions.
-        src_type_col = np.array(
-            [type_index[name] for name in src_names], dtype=np.intp
-        )
         measured = core_type_col[None, :] == src_type_col[:, None]
-        power = np.where(measured, np.maximum(power_meas, 1e-6)[:, None], power)
+        np.copyto(power, np.maximum(values[:, POWER], 1e-6)[:, None], where=measured)
 
         # Demand translation across cores (see class docstring).
         delivered_rate = util_obs * ips[np.arange(m), core_ids]
         with np.errstate(divide="ignore"):
-            util = np.minimum(
-                delivered_rate[:, None] / np.maximum(ips, 1e-9), 1.0
-            )
+            np.divide(delivered_rate[:, None], np.maximum(ips, 1e-9), out=util)
+        np.minimum(util, 1.0, out=util)
         util[util_obs >= CPU_BOUND_UTILIZATION] = 1.0
 
-        return CharacterisationMatrices(
-            tids=tuple(task.tid for task in tasks),
-            ips=ips,
-            power=power,
-            utilization=util,
-            measured_mask=measured,
+        return CharacterisationMatrices.from_rows(
+            tuple(map(_TID, tasks.records)), block, measured
         )

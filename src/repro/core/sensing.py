@@ -1,4 +1,5 @@
-"""Sense phase: the plausibility check on each thread's measurement.
+"""Sense phase: one view's thread records in columns, and the
+plausibility check on each measurement.
 
 Section 4.1/4.2.1 of the paper: per-thread counters sampled at context
 switches are aggregated over the epoch, giving each thread's measured
@@ -6,18 +7,29 @@ throughput ``ips_ij = Σ I / Σ τ`` (Eq. 4) and power ``p_ij = Σ ε / Σ τ``
 (Eq. 5) *on the core it actually ran on*.  The kernel's
 :class:`~repro.kernel.view.TaskView` already carries both
 (``rates.ips`` and ``power_w``) together with the counter-derived
-characterisation rates the predictor consumes; this module decides
-whether such a measurement is physically plausible.
+characterisation rates the predictor consumes.
 
-Threads with no execution time in the window (e.g. just-arrived) carry
-``has_measurement=False`` and are passed through to the balance phase
-with utilisation only.
+:func:`gather_tasks` reads those numbers out of the records once per
+decision into :class:`TaskColumns`; the plausibility check
+(:func:`observation_faults`), the predictor watchdog and the S/P
+matrix assembly all work on its columns.
+
+Threads with no execution time in the window (e.g. just-arrived) are
+unmeasured (``TaskColumns.measured``, the mask of
+``TaskView.has_measurement``) and sit the epoch out.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import chain
+from operator import add, attrgetter
+from typing import Sequence
 
+import numpy as np
+
+from repro.hardware.counters import DerivedRates
 from repro.kernel.view import TaskView
 
 #: No core retires more instructions per cycle than this generous
@@ -30,18 +42,117 @@ MAX_POWER_W = 64.0
 #: (``ips / ipc``) from the core clock (catches counter wrap).
 CLOCK_IDENTITY_TOLERANCE = 0.5
 
+#: The record fields read after the rates, in column order.
+_FIELDS = ("power_w", "utilization", "core_type.freq_mhz", "busy_time_s", "core_id")
+#: Columns of :attr:`TaskColumns.values`: the :class:`DerivedRates`
+#: fields in their order, then the record's measured power,
+#: utilisation, core-type frequency (MHz), busy time and core id.
+COLUMNS = DerivedRates._fields + tuple(name.rpartition(".")[2] for name in _FIELDS)
+IPC = COLUMNS.index("ipc")
+IPS = COLUMNS.index("ips")
+POWER = COLUMNS.index("power_w")
+UTILIZATION = COLUMNS.index("utilization")
+FREQ_MHZ = COLUMNS.index("freq_mhz")
+BUSY_TIME_S = COLUMNS.index("busy_time_s")
+CORE_ID = COLUMNS.index("core_id")
 
-def observation_fault(task: TaskView) -> "str | None":
-    """Sanity-check one measured task view; returns the fault reason
-    or ``None`` when the sample is physically plausible.
+_RATES = attrgetter("rates")
+_OTHERS = attrgetter(*_FIELDS)
+#: The readings of a record without the PMU part: NaN, so it is never
+#: measured.
+_NO_RATES = (math.nan,) * len(DerivedRates._fields)
 
-    The checks encode invariants no healthy sensor can violate:
+
+@dataclass(frozen=True, eq=False)
+class TaskColumns:
+    """Thread records and their numbers in columns: row ``i`` of each
+    array is ``records[i]``."""
+
+    records: "tuple[TaskView, ...]"
+    #: ``(k, len(COLUMNS))`` floats; NaN readings for a record without
+    #: the PMU part.
+    values: np.ndarray
+    core_id: np.ndarray
+    #: ``TaskView.has_measurement`` of each record.
+    measured: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def take(self, rows: np.ndarray) -> "TaskColumns":
+        """The rows at the indices ``rows``, in that order."""
+        return TaskColumns(
+            tuple(map(self.records.__getitem__, rows.tolist())),
+            self.values[rows],
+            self.core_id[rows],
+            self.measured[rows],
+        )
+
+
+def gather_tasks(tasks: Sequence[TaskView]) -> TaskColumns:
+    """Read ``tasks``' numbers into columns in one pass: each record's
+    rates and other fields join into one tuple, and one
+    ``np.fromiter`` reads them all."""
+    records = tuple(tasks)
+    rates = list(map(_RATES, records))
+    others = map(_OTHERS, records)
+    if None in rates:
+        rates = [r or _NO_RATES for r in rates]
+        others = [(math.nan, *o[1:]) if o[0] is None else o for o in others]
+    values = np.fromiter(
+        chain.from_iterable(map(add, rates, others)),
+        dtype=float,
+        count=len(COLUMNS) * len(records),
+    ).reshape(len(records), len(COLUMNS))
+    measured = (values[:, BUSY_TIME_S] > 0) & (values[:, IPS] > 0)
+    return TaskColumns(records, values, values[:, CORE_ID].astype(np.intp), measured)
+
+
+#: The plausibility checks' fault reasons, in check order; the code
+#: :data:`PLAUSIBLE` (``None``) means every check passed.
+FAULT_REASONS = (
+    "non-finite reading",
+    "impossible IPC",
+    "implausible power",
+    "non-positive throughput",
+    "rate outside [0, 1]",
+    "cycle/clock identity violated",
+    None,
+)
+PLAUSIBLE = FAULT_REASONS.index(None)
+_CLOCK = FAULT_REASONS.index("cycle/clock identity violated")
+
+#: Per checked column (the rates, power and utilisation): the range a
+#: healthy reading lies in and the fault a reading outside it is.
+#: ``x <= 0`` is ``x <`` the smallest positive float.
+_CHECKED = UTILIZATION + 1
+_TINY = float(np.nextafter(0.0, 1.0))
+_LOW = np.zeros(_CHECKED)
+_HIGH = np.ones(_CHECKED)
+_RANGE_FAULT = np.full(_CHECKED, FAULT_REASONS.index("rate outside [0, 1]"))
+_LOW[IPC], _HIGH[IPC] = _TINY, MAX_IPC
+_RANGE_FAULT[IPC] = FAULT_REASONS.index("impossible IPC")
+_LOW[IPS], _HIGH[IPS] = _TINY, math.inf
+_RANGE_FAULT[IPS] = FAULT_REASONS.index("non-positive throughput")
+_LOW[POWER], _HIGH[POWER] = MIN_POWER_W, MAX_POWER_W
+_RANGE_FAULT[POWER] = FAULT_REASONS.index("implausible power")
+_LOW[UTILIZATION], _HIGH[UTILIZATION] = -math.inf, math.inf
+
+
+def observation_faults(tasks: TaskColumns) -> np.ndarray:
+    """Sanity-check each row's measurement; returns each row's first
+    failing check as an index into :data:`FAULT_REASONS`
+    (:data:`PLAUSIBLE` when the sample is physically plausible).
+
+    The checks, in order, encode invariants no healthy sensor can
+    violate:
 
     * every reading is finite;
     * IPC lies in ``(0, MAX_IPC]``;
     * per-thread power lies in ``[MIN_POWER_W, MAX_POWER_W]``;
-    * every derived rate is a ratio of event counts and must lie in
-      [0, 1] — a memory-instruction share of 15 can only mean a
+    * throughput is positive;
+    * every other derived rate is a ratio of event counts and must lie
+      in [0, 1] — a memory-instruction share of 15 can only mean a
       corrupted numerator;
     * the cycle/clock identity holds: a thread's non-sleep cycles per
       second of its own busy time must match the core clock
@@ -49,25 +160,14 @@ def observation_fault(task: TaskView) -> "str | None":
       wrapped instruction or cycle count breaks the ratio even though
       each value alone still looks plausible.
     """
-    ipc, *ratio_fields, ips = task.rates  # DerivedRates field order
-    power_w = task.power_w
-    if not all(
-        map(math.isfinite, (ips, ipc, power_w, task.utilization, *ratio_fields))
-    ):
-        return "non-finite reading"
-    if ipc <= 0 or ipc > MAX_IPC:
-        return "impossible IPC"
-    if power_w < MIN_POWER_W or power_w > MAX_POWER_W:
-        return "implausible power"
-    if ips <= 0:
-        return "non-positive throughput"
-    for ratio in ratio_fields:
-        if ratio < 0 or ratio > 1:
-            return "rate outside [0, 1]"
-    implied_clock_hz = ips / ipc
-    nominal_hz = task.core_type.freq_hz
-    if nominal_hz > 0:
-        deviation = abs(implied_clock_hz - nominal_hz) / nominal_hz
-        if deviation > CLOCK_IDENTITY_TOLERANCE:
-            return "cycle/clock identity violated"
-    return None
+    values = tasks.values
+    checked = values[:, :_CHECKED]
+    out_of_range = (checked < _LOW) | (checked > _HIGH)
+    faults = np.where(
+        np.isfinite(checked), np.where(out_of_range, _RANGE_FAULT, PLAUSIBLE), 0
+    ).min(axis=1)
+    nominal_hz = values[:, FREQ_MHZ] * 1e6
+    with np.errstate(all="ignore"):
+        deviation = np.abs(values[:, IPS] / values[:, IPC] - nominal_hz) / nominal_hz
+    clock_off = (deviation > CLOCK_IDENTITY_TOLERANCE) & (nominal_hz > 0)
+    return np.minimum(faults, np.where(clock_off, _CLOCK, PLAUSIBLE))

@@ -174,7 +174,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.sensing import observation_fault
+from repro.core.sensing import FAULT_REASONS, gather_tasks, observation_faults
 
 
 def corrupt_task(view, index=0, **overrides):
@@ -191,6 +191,13 @@ def measured_tasks(view):
 
 def observation_from(view, index=0):
     return measured_tasks(view)[index]
+
+
+def observation_fault(task):
+    """The plausibility check's reason for one record, through the
+    gather ``decide`` runs."""
+    (fault,) = observation_faults(gather_tasks([task]))
+    return FAULT_REASONS[fault]
 
 
 class TestObservationFault:
@@ -317,9 +324,9 @@ class TestWatchdog:
         eng._smoothed[0] = [[obs.rates.ips] * 4 for obs in healthy]
         eng._smoothed_row = {obs.tid: i for i, obs in enumerate(healthy)}
         eng._watchdog_tripped = True
-        eng._watchdog_update(healthy)
+        eng._watchdog_update(gather_tasks(healthy))
         assert eng._watchdog_tripped  # one in-band epoch is not enough
-        eng._watchdog_update(healthy)
+        eng._watchdog_update(gather_tasks(healthy))
         assert not eng._watchdog_tripped
 
     def test_fallback_placement_respects_masks(self):

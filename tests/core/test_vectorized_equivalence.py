@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from scalar_matrices import build_scalar
 from repro.core.allocation import Allocation
-from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_vector
+from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_matrix, feature_vector
 from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
 from repro.core.prediction import (
     IPC_FEATURE_INDEX,
@@ -30,7 +30,9 @@ from repro.core.prediction import (
     design_matrix,
     design_vector,
 )
+from repro.core.sensing import gather_tasks
 from repro.core.training import default_predictor
+from repro.experiments.fig7 import synthetic_view
 from repro.hardware.counters import DerivedRates
 from repro.hardware.features import BUILTIN_TYPES
 from repro.kernel.view import TaskView
@@ -176,7 +178,7 @@ class TestMatrixBuilderEquivalence:
                 )
             )
         builder = MatrixBuilder(model)
-        fast = builder.build(observations, cores)
+        fast = builder.build(gather_tasks(observations), cores)
         reference = build_scalar(model, observations, cores)
         assert fast.tids == reference.tids
         assert np.array_equal(fast.measured_mask, reference.measured_mask)
@@ -185,7 +187,8 @@ class TestMatrixBuilderEquivalence:
         assert_allclose(fast.utilization, reference.utilization, "utilization")
 
     def test_feature_vector_round_trip(self):
-        """The stacked feature matrix is built from feature_vector itself."""
+        """Each row of the columnar feature matrix is the record's
+        feature_vector."""
         big = BUILTIN_TYPES["Big"]
         obs = measured_task(
             0, 0, big, utilization=0.5, power_w=1.0,
@@ -198,6 +201,13 @@ class TestMatrixBuilderEquivalence:
             busy_time_s=0.03,
         )
         assert feature_vector(obs).shape == (N_FEATURES,)
+        records = [obs]
+        for cores, threads, seed in ((4, 8, 1), (128, 64, 2)):
+            records += synthetic_view(cores, threads, seed=seed).user_tasks
+        features = feature_matrix(gather_tasks(records))
+        assert features.shape == (len(records), N_FEATURES)
+        for row, task in zip(features, records):
+            assert (row == feature_vector(task)).all()
 
 
 class TestIncrementalObjectiveEquivalence:
