@@ -56,7 +56,7 @@ def format_bar_chart(
     if width < 1:
         raise ValueError("width must be positive")
     peak = max(max(values), 1e-30)
-    label_w = max(len(l) for l in labels)
+    label_w = max(len(label) for label in labels)
     lines = []
     if title:
         lines.append(title)

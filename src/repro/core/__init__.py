@@ -1,7 +1,7 @@
 """SmartBalance — the paper's primary contribution.
 
 The closed-loop sense-predict-balance load balancer: epoch sensing and
-per-thread estimation (Eqs. 4–7), cross-core-type throughput/power
+per-thread estimation (Eqs. 4–5), cross-core-type throughput/power
 prediction (Eqs. 8–9, Table 4), the energy-efficiency objective
 (Eqs. 10–11) with O(1) incremental evaluation, and the fixed-point
 simulated-annealing optimizer (Algorithm 1).
@@ -24,9 +24,6 @@ from repro.core.config import SmartBalanceConfig
 from repro.core.estimation import (
     FEATURE_NAMES,
     N_FEATURES,
-    CoreEstimate,
-    estimate_cores,
-    feature_vector,
     features_from_rates,
 )
 from repro.core.fixed_point import Xorshift32, exp_neg, exp_neg_q16, from_q16, to_q16
@@ -64,9 +61,6 @@ __all__ = [
     "PowerLine",
     "MatrixBuilder",
     "CharacterisationMatrices",
-    "CoreEstimate",
-    "estimate_cores",
-    "feature_vector",
     "features_from_rates",
     "FEATURE_NAMES",
     "N_FEATURES",

@@ -27,13 +27,15 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.annealing import SAConfig, SAResult, anneal
 from repro.core.config import SmartBalanceConfig
-from repro.core.estimation import feature_vector
+from repro.core.estimation import feature_matrix
 from repro.core.objective import EnergyEfficiencyObjective
 from repro.core.prediction import CharacterisationMatrices, MatrixBuilder, PredictorModel
 from repro.core.sensing import (
     FAULT_REASONS,
+    IPC,
     IPS,
     PLAUSIBLE,
+    POWER,
     TaskColumns,
     gather_tasks,
     observation_faults,
@@ -268,7 +270,7 @@ class SmartBalance(LoadBalancer):
         nothing to bin by; the governor subclass overrides this."""
         return None
 
-    def _adaptation_step(self, healthy: list[TaskView], view, t_s: float) -> None:
+    def _adaptation_step(self, healthy: TaskColumns, view, t_s: float) -> None:
         """Feed this epoch's observations to the adaptation controller
         and adopt whatever model it decides is active afterwards.
 
@@ -281,9 +283,10 @@ class SmartBalance(LoadBalancer):
         ctrl = self._adaptation
         ipc_samples: list[PairSample] = []
         power_samples: list[PowerSample] = []
-        for task in healthy:
+        records = healthy.records
+        readings = healthy.values[:, [IPC, POWER]].tolist()
+        for task, (ipc, power_w) in zip(records, readings):
             dst = task.core_type.name
-            ipc = task.rates.ipc
             prev = self._adapt_prev.get(task.tid)
             if prev is not None and prev[0] != dst and ipc > 0:
                 ipc_samples.append(
@@ -295,12 +298,12 @@ class SmartBalance(LoadBalancer):
                         opp_bin=self._opp_bin_for(task),
                     )
                 )
-            if ipc > 0 and task.power_w > 0:
+            if ipc > 0 and power_w > 0:
                 power_samples.append(
                     PowerSample(
                         type_name=dst,
                         ipc=ipc,
-                        power_w=task.power_w,
+                        power_w=power_w,
                     )
                 )
         report = ctrl.observe_epoch(
@@ -319,8 +322,8 @@ class SmartBalance(LoadBalancer):
         self.health.model_rollbacks = ctrl.model_rollbacks
         # Remember this epoch's measurement context for next epoch's
         # cross-type samples; forget threads that no longer exist.
-        for task in healthy:
-            self._adapt_prev[task.tid] = (task.core_type.name, feature_vector(task))
+        for task, features in zip(records, feature_matrix(healthy)):
+            self._adapt_prev[task.tid] = (task.core_type.name, features)
         live = {task.tid for task in view.tasks}
         for tid in list(self._adapt_prev):
             if tid not in live:
@@ -545,7 +548,7 @@ class SmartBalance(LoadBalancer):
                 placement[task.tid] = best
         return placement
 
-    def _emit_prediction_checks(self, healthy: list[TaskView], t_s: float) -> None:
+    def _emit_prediction_checks(self, healthy: TaskColumns, t_s: float) -> None:
         """Score last epoch's per-thread predictions against this
         epoch's realised measurements (the Table 4 accuracy data).
 
@@ -554,12 +557,12 @@ class SmartBalance(LoadBalancer):
         while ``obs.enabled``; touches no simulation state.
         """
         oc = self.obs
-        for task in healthy:
+        readings = healthy.values[:, [IPS, POWER]].tolist()
+        for task, (measured, measured_power) in zip(healthy.records, readings):
             last = self._last_prediction(task)
             if last is None:
                 continue
             predicted = float(last[0])
-            measured = task.rates.ips
             src_type = self._obs_src_type.get(task.tid)
             if predicted <= 0 or measured <= 0 or src_type is None:
                 continue
@@ -575,7 +578,6 @@ class SmartBalance(LoadBalancer):
                 "ipc_abs_pct_error": ipc_error,
             }
             predicted_power = float(last[1])
-            measured_power = task.power_w
             if predicted_power > 0 and measured_power > 0:
                 payload["predicted_power_w"] = predicted_power
                 payload["measured_power_w"] = measured_power
@@ -722,7 +724,7 @@ class SmartBalance(LoadBalancer):
             # Only user threads are balanced (paper Section 5.1: kernel
             # threads are marked at ``sched_fork`` and left to CFS since
             # user threads dominate).
-            users = gather_tasks(view.user_tasks)
+            users = gather_tasks(view)
 
             # Sanity-check the samples before they touch the predictor:
             # a corrupt observation poisons not just this epoch but
@@ -844,7 +846,7 @@ class SmartBalance(LoadBalancer):
             if oc.enabled:
                 # Before this epoch's rows overwrite the prediction
                 # state, score last epoch's predictions (Table 4 data).
-                self._emit_prediction_checks(list(healthy.records), t_s)
+                self._emit_prediction_checks(healthy, t_s)
             if mitigations:
                 self._watchdog_update(healthy, t_s=t_s)
             if self._adaptation is not None:
@@ -853,7 +855,7 @@ class SmartBalance(LoadBalancer):
                 # swaps the predictor before the matrices are built.  A
                 # tripped watchdog asks for repair first — capability
                 # fallback below is the last resort.
-                self._adaptation_step(list(healthy.records), view, t_s)
+                self._adaptation_step(healthy, view, t_s)
                 if mitigations and self._watchdog_tripped:
                     self._attempt_watchdog_repair(view, t_s)
             core_types = [core.core_type for core in view.platform]

@@ -1,28 +1,21 @@
-"""Estimation phase: per-thread and per-core aggregates (Eqs. 4–7).
+"""Estimation phase: the feature vectors of Eq. 8.
 
-The per-thread measured throughput and power (Eqs. 4–5) arrive with the
-:class:`~repro.kernel.view.TaskView`; this module adds the core-level
-aggregates the paper defines —
-
-* Eq. 6: ``IPS_j``, the average of the member threads' throughputs,
-* Eq. 7: ``P_j``, the average of the member threads' powers,
-
-and the feature vector ``X_ij`` (the regressor input of Eq. 8, with
-the Table 4 feature ordering).  The core IPC identity
-``IPS_j = IPC_j · F_j = I_total · F / (cyBusy + cyIdle)`` is checked
-in ``tests/core/test_sensing_estimation.py``: no view carries core
-counters, so no run evaluates it.
+The per-thread measured throughput and power (Eqs. 4–5) arrive in the
+view's PMU block (:attr:`~repro.kernel.view.SystemView.pmu`); this
+module turns each thread's row into the feature vector ``X_ij`` (the
+regressor input of Eq. 8, with the Table 4 feature ordering).  The
+per-core aggregates the paper defines (Eq. 6: ``IPS_j``, the average of
+the member threads' throughputs; Eq. 7: ``P_j``, the average of their
+powers) feed no decision: they and the core IPC identity
+``IPS_j = IPC_j · F_j = I_total · F / (cyBusy + cyIdle)`` are checked
+in ``tests/core/test_sensing_estimation.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from repro.core.sensing import COLUMNS, TaskColumns
-from repro.kernel.view import TaskView
 
 #: Feature ordering of the Θ regressor — the Table 4 columns (source
 #: frequency, L1I/L1D miss rates, memory/branch instruction shares,
@@ -61,26 +54,9 @@ FEATURE_COLUMNS = np.array(
 )
 
 
-def feature_vector(task: TaskView) -> np.ndarray:
-    """The ``X_ij`` characterisation vector of Eq. 8 for one thread."""
-    rates = task.rates
-    return features_from_rates(
-        freq_mhz=task.core_type.freq_mhz,
-        mr_l1i=rates.l1i_miss_rate,
-        mr_l1d=rates.l1d_miss_rate,
-        i_msh=rates.mem_share,
-        i_bsh=rates.branch_share,
-        mr_b=rates.branch_miss_rate,
-        mr_itlb=rates.itlb_miss_rate,
-        mr_dtlb=rates.dtlb_miss_rate,
-        ipc_src=rates.ipc,
-        stall_frac=rates.stall_fraction,
-    )
-
-
 def feature_matrix(tasks: TaskColumns) -> np.ndarray:
-    """The ``X_ij`` vectors of every row of ``tasks``: row ``i`` is
-    :func:`feature_vector` of ``tasks.records[i]``."""
+    """The ``X_ij`` characterisation vectors of Eq. 8, one row per row
+    of ``tasks``, in :data:`FEATURE_NAMES` order."""
     features = np.ones((len(tasks), N_FEATURES))
     features[:, :-1] = tasks.values[:, FEATURE_COLUMNS]
     return features
@@ -114,33 +90,3 @@ def features_from_rates(
             1.0,
         ]
     )
-
-
-@dataclass(frozen=True)
-class CoreEstimate:
-    """Eqs. 6–7 aggregates for one core over one epoch."""
-
-    core_id: int
-    #: Eq. 6 — mean of member threads' measured IPS.
-    ips_avg: float
-    #: Eq. 7 — mean of member threads' measured power (W).
-    power_avg: float
-    n_threads: int
-
-
-def estimate_cores(tasks: Iterable[TaskView]) -> dict[int, CoreEstimate]:
-    """Per-core Eq. 6/7 estimates from the measured threads among ``tasks``."""
-    groups: dict[int, list[TaskView]] = {}
-    for task in tasks:
-        if task.has_measurement:
-            groups.setdefault(task.core_id, []).append(task)
-    estimates = {}
-    for core_id, threads in groups.items():
-        n = len(threads)
-        estimates[core_id] = CoreEstimate(
-            core_id=core_id,
-            ips_avg=sum(t.rates.ips for t in threads) / n,
-            power_avg=sum(t.power_w for t in threads) / n,
-            n_threads=n,
-        )
-    return estimates

@@ -1,36 +1,36 @@
-"""Sense phase: one view's thread records in columns, and the
+"""Sense phase: one view's user threads in columns, and the
 plausibility check on each measurement.
 
 Section 4.1/4.2.1 of the paper: per-thread counters sampled at context
 switches are aggregated over the epoch, giving each thread's measured
 throughput ``ips_ij = Σ I / Σ τ`` (Eq. 4) and power ``p_ij = Σ ε / Σ τ``
 (Eq. 5) *on the core it actually ran on*.  The kernel's
-:class:`~repro.kernel.view.TaskView` already carries both
-(``rates.ips`` and ``power_w``) together with the counter-derived
-characterisation rates the predictor consumes.
+:class:`~repro.kernel.view.SystemView` already carries both, with the
+counter-derived characterisation rates the predictor consumes, as its
+PMU block (``view.pmu``, columns
+:data:`~repro.kernel.view.PMU_COLUMNS`).
 
-:func:`gather_tasks` reads those numbers out of the records once per
-decision into :class:`TaskColumns`; the plausibility check
-(:func:`observation_faults`), the predictor watchdog and the S/P
-matrix assembly all work on its columns.
+:func:`gather_tasks` joins the user threads' PMU rows to four OS
+numbers of their records once per decision, into :class:`TaskColumns`;
+the plausibility check (:func:`observation_faults`), the predictor
+watchdog, the adaptation hooks and the S/P matrix assembly all work on
+its columns.
 
-Threads with no execution time in the window (e.g. just-arrived) are
-unmeasured (``TaskColumns.measured``, the mask of
-``TaskView.has_measurement``) and sit the epoch out.
+Threads with no execution time or no retired instruction in the window
+(e.g. just-arrived) are unmeasured (``TaskColumns.measured``) and sit
+the epoch out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, attrgetter
-from typing import Sequence
+from itertools import chain, compress
+from operator import attrgetter
 
 import numpy as np
 
-from repro.hardware.counters import DerivedRates
-from repro.kernel.view import TaskView
+from repro.kernel.view import PMU_COLUMNS, SystemView, TaskView
 
 #: No core retires more instructions per cycle than this generous
 #: multiple of its issue width.
@@ -42,12 +42,12 @@ MAX_POWER_W = 64.0
 #: (``ips / ipc``) from the core clock (catches counter wrap).
 CLOCK_IDENTITY_TOLERANCE = 0.5
 
-#: The record fields read after the rates, in column order.
-_FIELDS = ("power_w", "utilization", "core_type.freq_mhz", "busy_time_s", "core_id")
-#: Columns of :attr:`TaskColumns.values`: the :class:`DerivedRates`
-#: fields in their order, then the record's measured power,
-#: utilisation, core-type frequency (MHz), busy time and core id.
-COLUMNS = DerivedRates._fields + tuple(name.rpartition(".")[2] for name in _FIELDS)
+#: The record fields read after the PMU columns, in column order.
+_FIELDS = ("utilization", "core_type.freq_mhz", "busy_time_s", "core_id")
+#: Columns of :attr:`TaskColumns.values`: the view's PMU columns (the
+#: rates, then the measured power), then the record's utilisation,
+#: core-type frequency (MHz), busy time and core id.
+COLUMNS = PMU_COLUMNS + tuple(name.rpartition(".")[2] for name in _FIELDS)
 IPC = COLUMNS.index("ipc")
 IPS = COLUMNS.index("ips")
 POWER = COLUMNS.index("power_w")
@@ -56,11 +56,9 @@ FREQ_MHZ = COLUMNS.index("freq_mhz")
 BUSY_TIME_S = COLUMNS.index("busy_time_s")
 CORE_ID = COLUMNS.index("core_id")
 
-_RATES = attrgetter("rates")
+_N_PMU = len(PMU_COLUMNS)
+_IS_USER = attrgetter("is_user")
 _OTHERS = attrgetter(*_FIELDS)
-#: The readings of a record without the PMU part: NaN, so it is never
-#: measured.
-_NO_RATES = (math.nan,) * len(DerivedRates._fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +67,12 @@ class TaskColumns:
     array is ``records[i]``."""
 
     records: "tuple[TaskView, ...]"
-    #: ``(k, len(COLUMNS))`` floats; NaN readings for a record without
-    #: the PMU part.
+    #: ``(k, len(COLUMNS))`` floats; NaN PMU readings when the view
+    #: had no PMU part.
     values: np.ndarray
     core_id: np.ndarray
-    #: ``TaskView.has_measurement`` of each record.
+    #: Rows whose thread ran (busy time) and retired instructions
+    #: (``ips > 0``) in the window; never a row without PMU readings.
     measured: np.ndarray
 
     def __len__(self) -> int:
@@ -89,21 +88,25 @@ class TaskColumns:
         )
 
 
-def gather_tasks(tasks: Sequence[TaskView]) -> TaskColumns:
-    """Read ``tasks``' numbers into columns in one pass: each record's
-    rates and other fields join into one tuple, and one
-    ``np.fromiter`` reads them all."""
-    records = tuple(tasks)
-    rates = list(map(_RATES, records))
-    others = map(_OTHERS, records)
-    if None in rates:
-        rates = [r or _NO_RATES for r in rates]
-        others = [(math.nan, *o[1:]) if o[0] is None else o for o in others]
-    values = np.fromiter(
-        chain.from_iterable(map(add, rates, others)),
+def gather_tasks(view: SystemView) -> TaskColumns:
+    """The user threads of ``view`` in columns: their rows of
+    ``view.pmu`` (NaN when the view has none), joined to four numbers
+    of each record, which one ``np.fromiter`` reads."""
+    tasks = view.tasks
+    users = list(map(_IS_USER, tasks))
+    records = tuple(compress(tasks, users))
+    k = len(records)
+    pmu = view.pmu
+    if pmu is None:
+        pmu = np.full((k, _N_PMU), math.nan)
+    elif k != len(tasks):
+        pmu = pmu[users]
+    others = np.fromiter(
+        chain.from_iterable(map(_OTHERS, records)),
         dtype=float,
-        count=len(COLUMNS) * len(records),
-    ).reshape(len(records), len(COLUMNS))
+        count=len(_FIELDS) * k,
+    ).reshape(k, len(_FIELDS))
+    values = np.concatenate((pmu, others), axis=1)
     measured = (values[:, BUSY_TIME_S] > 0) & (values[:, IPS] > 0)
     return TaskColumns(records, values, values[:, CORE_ID].astype(np.intp), measured)
 

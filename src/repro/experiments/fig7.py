@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.analysis.reporting import ExperimentResult, Finding
 from repro.analysis.stats import mean
 from repro.core.annealing import default_iteration_cap
@@ -29,7 +31,7 @@ from repro.hardware import power as power_model
 from repro.hardware.counters import CounterBlock
 from repro.hardware.platform import quad_hmp, scaled_hmp
 from repro.kernel.simulator import MIGRATION_KERNEL_COST_S
-from repro.kernel.view import CoreView, SystemView, TaskView
+from repro.kernel.view import PMU_COLUMNS, CoreView, SystemView, TaskView
 from repro.workload.demand import demanded_fraction_on
 from repro.workload.generator import random_phase
 
@@ -46,15 +48,16 @@ SCALING_SCENARIOS = ((2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (64, 128), (12
 def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
     """A populated :class:`SystemView` at an arbitrary platform scale.
 
-    Tasks carry the rates of counters charged from random workloads as
-    one 60 ms epoch of execution would, so ``SmartBalance.decide`` does
-    exactly the work it does inside the simulator — without simulating
-    the epoch itself (which is what makes 128-core full-system runs
-    slow).
+    Its PMU block holds the rates of counters charged from random
+    workloads as one 60 ms epoch of execution would, so
+    ``SmartBalance.decide`` does exactly the work it does inside the
+    simulator — without simulating the epoch itself (which is what
+    makes 128-core full-system runs slow).
     """
     platform = quad_hmp() if n_cores == 4 else scaled_hmp(n_cores)
     rng = random.Random(seed)
     task_views = []
+    pmu = []
     for tid in range(n_threads):
         core = platform[tid % n_cores]
         phase = random_phase(rng)
@@ -73,9 +76,13 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
                 weight=1.0,
                 is_user=True,
                 utilization=demanded_fraction_on(phase, core.core_type),
-                rates=block.derive_rates(),
-                power_w=power_model.busy_power(core.core_type, perf.ipc).total_w,
                 busy_time_s=busy_s,
+            )
+        )
+        pmu.append(
+            (
+                *block.derive_rates(),
+                power_model.busy_power(core.core_type, perf.ipc).total_w,
             )
         )
     core_views = []
@@ -96,6 +103,7 @@ def synthetic_view(n_cores: int, n_threads: int, seed: int = 0) -> SystemView:
         platform=platform,
         tasks=tuple(task_views),
         cores=tuple(core_views),
+        pmu=np.array(pmu).reshape(n_threads, len(PMU_COLUMNS)),
     )
 
 

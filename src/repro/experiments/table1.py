@@ -27,11 +27,11 @@ RELATED_WORK = [
 SMARTBALANCE_EVIDENCE = {
     "core types > 2": "quad_hmp() runs 4 types; scaled_hmp(n) arbitrary",
     "thread:core > 1": "CFS run queues multiplex; objective compresses D_j > 1",
-    "per-thread IPC": "TaskView.rates.ipc and .ips (Eq. 4)",
-    "per-thread power": "TaskView.power_w (Eq. 5)",
+    "per-thread IPC": "SystemView.pmu columns ipc and ips (Eq. 4)",
+    "per-thread power": "SystemView.pmu column power_w (Eq. 5)",
     "per-thread util": "SoaKernel.util (PELT-style EWMA)",
-    "per-core IPC": "CoreEstimate.ips_avg (Eq. 6)",
-    "per-core power": "CoreEstimate.power_avg (Eq. 7)",
+    "per-core IPC": "J_E's per-core IPS_j, objective.per_core_terms",
+    "per-core power": "J_E's per-core P_j, objective.per_core_terms",
     "implemented in OS": "SmartBalance.rebalance replaces rebalance_domains()",
 }
 

@@ -37,7 +37,7 @@ from repro.core.objective import (
 )
 from repro.hardware import power as power_model
 from repro.hardware.features import CoreType
-from repro.kernel.view import SystemView, TaskView
+from repro.kernel.view import PMU_COLUMNS, SystemView
 
 
 def freq_ratio(nominal: CoreType, applied: CoreType) -> float:
@@ -52,36 +52,9 @@ def dynamic_ratio(nominal: CoreType, applied: CoreType) -> float:
     )
 
 
-def normalize_thread(task: TaskView, nominal: CoreType) -> TaskView:
-    """Re-express one scaled-OPP measurement in the nominal frame.
-
-    Identity when the task was already measured at nominal — the
-    common case returns the (immutable) task view itself.
-
-    The inverse laws: ``ips_nom = ips / r`` (IPC invariant, so the
-    clock identity ``ips_nom / ipc ≈ f_nom`` still holds and throttle
-    faults stay detectable), ``util_nom = util · r`` (exact unless the
-    thread saturated the slowed core, where the saturation clipped the
-    information away), ``p_nom = (p − leak_opp) / s + leak_nom``
-    (clamped non-negative; sensor noise can push the dynamic part
-    below zero).
-    """
-    applied = task.core_type
-    if applied == nominal:
-        return task
-    r = freq_ratio(nominal, applied)
-    s = dynamic_ratio(nominal, applied)
-    leak_applied = power_model.leakage_power(applied)
-    leak_nominal = power_model.leakage_power(nominal)
-    power_w = task.power_w
-    if power_w > 0:
-        power_w = max((power_w - leak_applied) / s + leak_nominal, 0.0)
-    return task._replace(
-        core_type=nominal,
-        rates=task.rates._replace(ips=task.rates.ips / r),
-        utilization=min(task.utilization * r, 1.0),
-        power_w=power_w,
-    )
+#: Columns of ``SystemView.pmu`` that normalisation rewrites.
+_IPS = PMU_COLUMNS.index("ips")
+_POWER = PMU_COLUMNS.index("power_w")
 
 
 def normalize_view(
@@ -94,13 +67,41 @@ def normalize_view(
 
     Returns ``view`` itself while every core runs its nominal type;
     otherwise every task and core is re-expressed at nominal, with the
-    firmware idle/sleep power of the nominal types.
+    firmware idle/sleep power of the nominal types.  A task measured
+    off nominal gets its record's ``core_type`` and ``utilization``
+    and its PMU row's ``ips`` and ``power_w`` rewritten, the row in a
+    copy of the view's block.
+
+    The inverse laws: ``ips_nom = ips / r`` (IPC invariant, so the
+    clock identity ``ips_nom / ipc ≈ f_nom`` still holds and throttle
+    faults stay detectable), ``util_nom = util · r`` (exact unless the
+    thread saturated the slowed core, where the saturation clipped the
+    information away), ``p_nom = (p − leak_opp) / s + leak_nom``
+    (clamped non-negative; sensor noise can push the dynamic part
+    below zero).
     """
     if all(core.core_type == nominal_by_core[core.core_id] for core in view.cores):
         return view
-    tasks = tuple(
-        normalize_thread(t, nominal_by_core[t.core_id]) for t in view.tasks
-    )
+    tasks = list(view.tasks)
+    pmu = None if view.pmu is None else view.pmu.copy()
+    for i, task in enumerate(tasks):
+        applied = task.core_type
+        nominal = nominal_by_core[task.core_id]
+        if applied == nominal:
+            continue
+        r = freq_ratio(nominal, applied)
+        tasks[i] = task._replace(
+            core_type=nominal, utilization=min(task.utilization * r, 1.0)
+        )
+        if pmu is not None:
+            power_w = float(pmu[i, _POWER])
+            if power_w > 0:
+                s = dynamic_ratio(nominal, applied)
+                leak_applied = power_model.leakage_power(applied)
+                leak_nominal = power_model.leakage_power(nominal)
+                power_w = max((power_w - leak_applied) / s + leak_nominal, 0.0)
+            pmu[i, _IPS] = float(pmu[i, _IPS]) / r
+            pmu[i, _POWER] = power_w
     cores = tuple(
         core._replace(
             core_type=nominal_by_core[core.core_id],
@@ -109,7 +110,7 @@ def normalize_view(
         )
         for core, idle_w, sleep_w in zip(view.cores, nominal_idle_w, nominal_sleep_w)
     )
-    return replace(view, tasks=tasks, cores=cores)
+    return replace(view, tasks=tuple(tasks), cores=cores, pmu=pmu)
 
 
 class ConditionedObjectiveFactory:

@@ -19,7 +19,6 @@ scheduling periods.  At each balancer interval boundary the simulator
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.faults import DELAY, DELIVER, FaultInjector, FaultPlan
 from repro.hardware import power as power_model
-from repro.hardware.counters import BUSY_COLUMN, DerivedRates, derived_rates
+from repro.hardware.counters import BUSY_COLUMN, derived_rates
 from repro.hardware.platform import Platform
 from repro.hardware.sensors import (
     DEFAULT_COUNTER_NOISE,
@@ -541,10 +540,11 @@ class System:
         yet, and a thread that exited before the window began is gone;
         one that exited inside it is listed with its final measurement.
 
-        The PMU part (each task's rates and power) is added only when
-        the balancer reads sensors (``LoadBalancer.reads_sensors``);
-        without it those fields are ``None``, and the view takes no
-        noise draw and delivers no sensor fault.
+        The PMU part (each task's rates and power, ``SystemView.pmu``)
+        is added only when the balancer reads sensors
+        (``LoadBalancer.reads_sensors``); without it ``pmu`` is
+        ``None``, and the view takes no noise draw and delivers no
+        sensor fault.
         """
         engine = self.engine
         # Scenario observables (progress fractions, SLO slack) ride on
@@ -556,10 +556,7 @@ class System:
         live = [self.tasks[tid] for tid in tids]
         busy = engine.t_cnt[tids, BUSY_COLUMN]
         busy_s = busy.tolist()
-        if self.balancer.reads_sensors:
-            task_rates, task_power_w = self._read_pmu(tids, busy, busy_s)
-        else:
-            task_rates = task_power_w = itertools.repeat(None)
+        pmu = self._read_pmu(tids, busy, busy_s) if self.balancer.reads_sensors else None
 
         # The view reports each core's *nominal* type: firmware-level
         # thermal throttling is invisible to the OS, so a throttled core
@@ -580,15 +577,11 @@ class System:
                 task.weight,
                 task.is_user,
                 utilization[task.tid],
-                rates,
-                power_w,
                 busy_time_s,
                 task.behavior.allowed_cores,
                 **extras_by_tid.get(task.tid, {}),
             )
-            for task, rates, power_w, busy_time_s in zip(
-                live, task_rates, task_power_w, busy_s
-            )
+            for task, busy_time_s in zip(live, busy_s)
         ]
         # The temperature is ambient on every core when the thermal
         # model is off.
@@ -613,11 +606,14 @@ class System:
             platform=self.platform,
             tasks=tuple(task_views),
             cores=tuple(core_views),
+            pmu=pmu,
         )
 
-    def _read_pmu(self, tids: "list[int]", busy: np.ndarray, busy_s: "list[float]"):
-        """The view's PMU part: (task rates, task power), each a list in
-        view order.
+    def _read_pmu(
+        self, tids: "list[int]", busy: np.ndarray, busy_s: "list[float]"
+    ) -> np.ndarray:
+        """The view's PMU part, ``SystemView.pmu``: each task's rates and
+        power, one row per task in view order.
 
         Reads the window's counters and energy through the sensing
         interface in one batch (tasks in tid order, then cores in id
@@ -643,11 +639,11 @@ class System:
         task_counts, task_power, core_counts, core_power = self.sensing.read(
             engine.t_cnt[tids], task_power, engine.c_cnt, core_power
         )
-        task_power_w = task_power.tolist()
         if self.faults is not None:
             corrupt_counts = self.faults.corrupt_counts
             corrupt_power = self.faults.corrupt_power
             task_rows = task_counts.tolist()
+            task_power_w = task_power.tolist()
             for i, tid in enumerate(tids):
                 owner = ("task", tid)
                 corrupt_counts(owner, task_rows[i])
@@ -660,8 +656,8 @@ class System:
                 corrupt_power(owner, power_w)
                 corrupt_counts(owner, row)
             task_counts = np.array(task_rows).reshape(task_counts.shape)
-        task_rates = [DerivedRates(*row) for row in derived_rates(task_counts).tolist()]
-        return task_rates, task_power_w
+            task_power = task_power_w
+        return np.column_stack((derived_rates(task_counts), task_power))
 
     def _reset_window_accounting(self) -> None:
         self.engine.reset_window_accounting()

@@ -5,7 +5,8 @@ sees) and *observations* (what a real kernel could know).  A view has
 two parts.
 
 The **OS part** is in every view: what the kernel's own bookkeeping and
-firmware tables know.
+firmware tables know, as one :class:`TaskView` record per task and one
+:class:`CoreView` per core.
 
 * per task: ``tid``, ``name``, ``core_id``, ``core_type``, ``weight``,
   ``is_user``, the PELT-style ``utilization`` (runnable-time tracking —
@@ -17,18 +18,19 @@ firmware tables know.
   ``temperature_c`` and the ``online`` flag.
 
 The **PMU part** is what SmartBalance adds (Section 4.1), per task:
-``rates``, derived from the hardware counters read through the noisy
+the rates derived from the hardware counters read through the noisy
 sensing interface at the epoch boundary (the paper's per-thread
-sampling at context switches, aggregated per epoch), and ``power_w``,
-measured power attributed from per-core power sensors by time share
-(Eq. 5's ``p = ε / τ``).  The counter readings themselves, and the
-per-core counter and power readings, stay in the simulator: no
+sampling at context switches, aggregated per epoch), and the measured
+power attributed from per-core power sensors by time share (Eq. 5's
+``p = ε / τ``).  It is one read-only float array,
+:attr:`SystemView.pmu`: row ``i`` belongs to ``tasks[i]`` and the
+columns are :data:`PMU_COLUMNS`.  The counter readings themselves, and
+the per-core counter and power readings, stay in the simulator: no
 balancer reads them.
 
 The simulator reads the PMU part only for a balancer whose
-``reads_sensors`` is set.  In a view without it both fields are
-``None`` (never zero placeholders a balancer could take for a
-measurement) and ``TaskView.has_measurement`` is ``False``.
+``reads_sensors`` is set.  A view without it has ``pmu`` ``None``,
+never zero placeholders a balancer could take for a measurement.
 
 Balancers must make decisions *only* from a :class:`SystemView`; tests
 assert that no ground-truth phase objects leak through it.
@@ -37,20 +39,25 @@ assert that no ground-truth phase objects leak through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from repro.hardware.counters import DerivedRates
 from repro.hardware.features import CoreType
 from repro.hardware.platform import Platform
 
+#: Columns of :attr:`SystemView.pmu`: the :class:`DerivedRates` fields
+#: in their order (``ips`` is Eq. 4's measured throughput), then the
+#: measured power in W (Eq. 5; 0 for a task that never ran).
+PMU_COLUMNS = DerivedRates._fields + ("power_w",)
+
 
 class TaskView(NamedTuple):
-    """Observed state of one task over the last sensing window.
+    """OS-visible state of one task over the last sensing window.
 
-    This is the sense phase's per-thread record (Section 4.1):
-    ``rates.ips`` is Eq. 4's measured throughput and ``power_w`` Eq. 5's
-    measured power, both on ``core_type``.  ``rates`` and ``power_w``
-    are the PMU part: ``None`` when the view was not sensed.
+    The task's PMU readings, taken on ``core_type``, are its row of
+    :attr:`SystemView.pmu`.
     """
 
     tid: int
@@ -63,12 +70,6 @@ class TaskView(NamedTuple):
     is_user: bool
     #: PELT-style demanded-CPU fraction estimate in [0, 1].
     utilization: float
-    #: Rates derived from the window's noisy counters, Section 4.1
-    #: ratios (PMU).
-    rates: "DerivedRates | None"
-    #: Measured average power while this task ran (W); 0 if it never
-    #: ran (PMU).
-    power_w: "float | None"
     #: Wall time the task actually executed during the window (s).
     busy_time_s: float
     #: cpuset affinity (core ids); None = any core.
@@ -82,15 +83,6 @@ class TaskView(NamedTuple):
     #: overdue).  ``None`` for every thread outside an open-loop
     #: scenario.
     slo_slack_frac: "float | None" = None
-
-    @property
-    def has_measurement(self) -> bool:
-        """True when the task ran and retired instructions in the window;
-        never in a view without the PMU part.  ``ips`` is instructions
-        per busy second, so with busy time it is positive exactly when
-        the instruction count is."""
-        rates = self.rates
-        return rates is not None and self.busy_time_s > 0 and rates.ips > 0
 
 
 class CoreView(NamedTuple):
@@ -115,12 +107,16 @@ class CoreView(NamedTuple):
     online: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemView:
     """Everything a balancer may observe at a rebalancing point.
 
     ``cores`` lists every core in id order, so ``cores[core_id]`` is
-    that core's record.
+    that core's record.  ``pmu`` is the PMU part: ``(len(tasks),
+    len(PMU_COLUMNS))`` float64 in ``tasks`` order, or ``None`` when
+    the view was not sensed.  Building a view marks its block
+    read-only.  Views compare by identity: compare their records and
+    ``pmu.tobytes()``.
     """
 
     epoch_index: int
@@ -129,7 +125,8 @@ class SystemView:
     platform: Platform
     tasks: tuple[TaskView, ...]
     cores: tuple[CoreView, ...]
+    pmu: Optional[np.ndarray] = None
 
-    @property
-    def user_tasks(self) -> tuple[TaskView, ...]:
-        return tuple(t for t in self.tasks if t.is_user)
+    def __post_init__(self) -> None:
+        if self.pmu is not None:
+            self.pmu.flags.writeable = False

@@ -2,9 +2,11 @@
 differential tests.
 
 This is :func:`repro.core.sensing.observation_fault` as it was when it
-read each record field by attribute.  ``test_observation_fault.py``
-requires the function in ``repro.core.sensing`` to return the same
-reason as this copy on every planted corruption.
+read each record field by attribute.  It reads a view's task through
+``sensed_tasks.SensedTask``, the record with its PMU readings.
+``test_observation_fault.py`` requires the columnar check in
+``repro.core.sensing`` to return the same reason as this copy on every
+planted corruption.
 
 Keep it as it is: it is the specification, not code to optimise.
 """
@@ -19,10 +21,10 @@ from repro.core.sensing import (
     MAX_POWER_W,
     MIN_POWER_W,
 )
-from repro.kernel.view import TaskView
+from sensed_tasks import SensedTask
 
 
-def observation_fault(task: TaskView) -> "str | None":
+def observation_fault(task: SensedTask) -> "str | None":
     """Sanity-check one measured task view; returns the fault reason
     or ``None`` when the sample is physically plausible.
 

@@ -3,8 +3,9 @@ differential tests.
 
 This is ``SmartBalance._watchdog_update`` as it was when it walked the
 healthy records one at a time, reading each thread's last smoothed IPS
-prediction on the core it ran on through ``_last_prediction``.
-``test_watchdog_columns.py`` requires the columnar watchdog to make
+prediction on the core it ran on through ``_last_prediction``.  It
+reads each thread through ``sensed_tasks.SensedTask``, the record with
+its PMU readings.  ``test_watchdog_columns.py`` requires the columnar watchdog to make
 the same strikes, trips and recoveries as this copy.
 
 Keep it as it is: it is the specification, not code to optimise.
@@ -15,10 +16,10 @@ from __future__ import annotations
 import statistics
 
 from repro.core import balancer as balancer_module
-from repro.kernel.view import TaskView
+from sensed_tasks import SensedTask
 
 
-def last_prediction(balancer, task: TaskView):
+def last_prediction(balancer, task: SensedTask):
     row = balancer._smoothed_row.get(task.tid)
     smoothed = balancer._smoothed
     core = task.core_id
@@ -27,7 +28,7 @@ def last_prediction(balancer, task: TaskView):
     return smoothed[0, row, core], smoothed[1, row, core]
 
 
-def watchdog_update(balancer, healthy: "list[TaskView]") -> None:
+def watchdog_update(balancer, healthy: "list[SensedTask]") -> None:
     """Advance ``balancer``'s watchdog one epoch (no trace events)."""
     errors = []
     for task in healthy:

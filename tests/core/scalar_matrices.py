@@ -3,26 +3,46 @@
 ``MatrixBuilder.build`` groups threads by source core type and predicts
 every target type with one matrix multiply; this is the literal
 per-(thread, target) loop it replaced, kept for the vectorization
-property tests in ``test_vectorized_equivalence.py``.
+property tests in ``test_vectorized_equivalence.py``.  It reads each
+thread through ``sensed_tasks.SensedTask``, the record with its PMU
+readings, and :func:`feature_vector` is the scalar form of
+:func:`repro.core.estimation.feature_matrix`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.estimation import feature_vector
+from repro.core.estimation import features_from_rates
 from repro.core.prediction import (
     CPU_BOUND_UTILIZATION,
     CharacterisationMatrices,
     PredictorModel,
 )
 from repro.hardware.features import CoreType
-from repro.kernel.view import TaskView
+from sensed_tasks import SensedTask
+
+
+def feature_vector(task: SensedTask) -> np.ndarray:
+    """The ``X_ij`` characterisation vector of Eq. 8 for one thread."""
+    rates = task.rates
+    return features_from_rates(
+        freq_mhz=task.core_type.freq_mhz,
+        mr_l1i=rates.l1i_miss_rate,
+        mr_l1d=rates.l1d_miss_rate,
+        i_msh=rates.mem_share,
+        i_bsh=rates.branch_share,
+        mr_b=rates.branch_miss_rate,
+        mr_itlb=rates.itlb_miss_rate,
+        mr_dtlb=rates.dtlb_miss_rate,
+        ipc_src=rates.ipc,
+        stall_frac=rates.stall_fraction,
+    )
 
 
 def build_scalar(
     model: PredictorModel,
-    tasks: list[TaskView],
+    tasks: list[SensedTask],
     cores: list[CoreType],
 ) -> CharacterisationMatrices:
     """Reference per-thread scalar formulation of ``MatrixBuilder.build``.

@@ -1,15 +1,20 @@
 """Tests for the SmartBalance sense-predict-balance engine."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core import balancer as balancer_module
 from repro.core.balancer import SmartBalance
 from repro.core.config import SmartBalanceConfig
+from repro.core.sensing import FAULT_REASONS, observation_faults
 from repro.core.training import default_predictor
 from repro.experiments.fig7 import synthetic_view
 from repro.hardware.platform import quad_hmp
 from repro.kernel.simulator import SimulationConfig, System
 from repro.workload.synthetic import imb_threads
+from sensed_tasks import gather, sensed_tasks, sensed_view
 
 
 def engine(**config_kwargs) -> SmartBalance:
@@ -170,23 +175,19 @@ def _null():
 # Resilience layer
 # ----------------------------------------------------------------------
 
-from dataclasses import replace
-
-import numpy as np
-
-from repro.core.sensing import FAULT_REASONS, gather_tasks, observation_faults
-
 
 def corrupt_task(view, index=0, **overrides):
-    """Return a copy of ``view`` with one task's fields overridden."""
-    tasks = list(view.tasks)
+    """Return a copy of ``view`` with one task's fields (record or PMU
+    readings) overridden."""
+    tasks = sensed_tasks(view)
     tasks[index] = tasks[index]._replace(**overrides)
-    return replace(view, tasks=tuple(tasks))
+    return sensed_view(tasks, view)
 
 
 def measured_tasks(view):
-    """The user threads ``decide`` would sanity-check this epoch."""
-    return [task for task in view.user_tasks if task.has_measurement]
+    """The user threads ``decide`` would sanity-check this epoch, each
+    with its PMU readings."""
+    return [t for t in sensed_tasks(view) if t.is_user and t.has_measurement]
 
 
 def observation_from(view, index=0):
@@ -194,9 +195,9 @@ def observation_from(view, index=0):
 
 
 def observation_fault(task):
-    """The plausibility check's reason for one record, through the
+    """The plausibility check's reason for one task, through the
     gather ``decide`` runs."""
-    (fault,) = observation_faults(gather_tasks([task]))
+    (fault,) = observation_faults(gather([task]))
     return FAULT_REASONS[fault]
 
 
@@ -235,7 +236,7 @@ class TestObservationFault:
 
 class TestAdversarialViews:
     def test_empty_thread_set(self):
-        view = replace(synthetic_view(4, 4, seed=2), tasks=())
+        view = sensed_view([], synthetic_view(4, 4, seed=2))
         decision = engine().decide(view)
         assert decision.placement is None
         assert decision.sa_result is None
@@ -324,9 +325,9 @@ class TestWatchdog:
         eng._smoothed[0] = [[obs.rates.ips] * 4 for obs in healthy]
         eng._smoothed_row = {obs.tid: i for i, obs in enumerate(healthy)}
         eng._watchdog_tripped = True
-        eng._watchdog_update(gather_tasks(healthy))
+        eng._watchdog_update(gather(healthy))
         assert eng._watchdog_tripped  # one in-band epoch is not enough
-        eng._watchdog_update(gather_tasks(healthy))
+        eng._watchdog_update(gather(healthy))
         assert not eng._watchdog_tripped
 
     def test_fallback_placement_respects_masks(self):
@@ -335,6 +336,7 @@ class TestWatchdog:
         healthy = measured_tasks(view)
         allowed = np.zeros((len(healthy), 4), dtype=bool)
         allowed[:, 2] = True
-        placement = eng._capability_placement(healthy, view, allowed)
+        records = [task.record for task in healthy]
+        placement = eng._capability_placement(records, view, allowed)
         for core_id in placement.values():
             assert core_id == 2

@@ -74,12 +74,13 @@ class TestResilienceConfig:
 
         from repro.core.balancer import SmartBalance
         from repro.experiments.fig7 import synthetic_view
+        from sensed_tasks import sensed_tasks, sensed_view
 
         view = synthetic_view(4, 4, seed=10)
-        tasks = list(view.tasks)
+        tasks = sensed_tasks(view)
         tasks[0] = tasks[0]._replace(power_w=1e9)
         cores = tuple(c._replace(online=c.core_id != 3) for c in view.cores)
-        view = replace(view, tasks=tuple(tasks), cores=cores)
+        view = sensed_view(tasks, replace(view, cores=cores))
         balancer = SmartBalance(config=SmartBalanceConfig(mitigations=False))
         decision = balancer.decide(view)
         assert decision.rejected_samples == 0

@@ -3,11 +3,12 @@ against its reference copy.
 
 :mod:`reference_observation` holds ``observation_fault`` as it read
 each field of one record by attribute.  Starting from measured threads
-of real views, the test plants NaN, ±inf and out-of-range values into
+of real views (``sensed_tasks.SensedTask``, each record with its PMU
+readings), the test plants NaN, ±inf and out-of-range values into
 every rate, the power and the utilisation, alone and several at a
-time, and requires :func:`observation_faults` over the records'
-:func:`gather_tasks` columns to give each row the reference's reason
-(or ``None``), one row at a time and as one batch.
+time, and requires :func:`observation_faults` over the
+:func:`gather_tasks` columns of a view of them to give each row the
+reference's reason (or ``None``), one row at a time and as one batch.
 """
 
 import math
@@ -27,6 +28,7 @@ from repro.core.sensing import (
 )
 from repro.experiments.fig7 import synthetic_view
 from repro.hardware.counters import DerivedRates
+from sensed_tasks import gather, sensed_tasks, sensed_view
 
 RATE_FIELDS = DerivedRates._fields
 TASK_FIELDS = ("power_w", "utilization")
@@ -60,7 +62,7 @@ values = st.one_of(
 
 
 def measured(view):
-    return [task for task in view.tasks if task.has_measurement]
+    return [task for task in sensed_tasks(view) if task.has_measurement]
 
 
 BASES = measured(synthetic_view(4, 8, seed=1)) + measured(synthetic_view(128, 16, seed=2))
@@ -73,8 +75,8 @@ def plant(task, field, value):
 
 
 def columnar_faults(tasks):
-    """Each record's reason from one columnar check over all of them."""
-    return [FAULT_REASONS[code] for code in observation_faults(gather_tasks(tasks))]
+    """Each task's reason from one columnar check over all of them."""
+    return [FAULT_REASONS[code] for code in observation_faults(gather(tasks))]
 
 
 def planted_task(base, plants, clock_scale):
@@ -170,8 +172,8 @@ def test_every_reason_is_reached():
 
 class TestGather:
     def test_columns_are_the_record_fields(self):
-        columns = gather_tasks(BASES)
-        assert columns.records == tuple(BASES)
+        columns = gather(BASES)
+        assert columns.records == tuple(task.record for task in BASES)
         for row, task in enumerate(BASES):
             assert columns.values[row].tolist() == [
                 *task.rates,
@@ -186,31 +188,57 @@ class TestGather:
 
     def test_measured_mask_is_has_measurement(self):
         view = synthetic_view(4, 8, seed=3)
-        tasks = list(view.tasks)
+        tasks = sensed_tasks(view)
         tasks[1] = tasks[1]._replace(busy_time_s=0.0)
         tasks[2] = tasks[2]._replace(rates=tasks[2].rates._replace(ips=0.0))
         tasks[3] = tasks[3]._replace(rates=tasks[3].rates._replace(ips=math.nan))
-        # A record without the PMU part stays unmeasured.
-        tasks[4] = tasks[4]._replace(rates=None, power_w=None)
-        tasks[5] = tasks[5]._replace(rates=None)
-        columns = gather_tasks(tasks)
+        tasks[4] = tasks[4]._replace(rates=tasks[4].rates._replace(ips=-1.0))
+        columns = gather(tasks)
         assert columns.measured.tolist() == [task.has_measurement for task in tasks]
-        assert columns.measured.tolist() == [True, False, False, False, False, False, True, True]
-        assert np.isnan(columns.values[4, : len(RATE_FIELDS) + 1]).all()
-        assert np.isnan(columns.values[5, : len(RATE_FIELDS)]).all()
-        assert columns.values[5, len(RATE_FIELDS)] == tasks[5].power_w
+        assert columns.measured.tolist() == [True, False, False, False, False, True, True, True]
+
+    def test_view_without_pmu_reads_nan_and_is_unmeasured(self):
+        """A view without the PMU part gives every row NaN readings, so
+        no row is measured, and the OS columns as in a sensed view."""
+        sensed = synthetic_view(4, 8, seed=3)
+        unsensed = sensed_view(
+            [task._replace(rates=None, power_w=None) for task in sensed_tasks(sensed)],
+            sensed,
+            sensed=False,
+        )
+        assert unsensed.pmu is None
+        columns = gather_tasks(unsensed)
+        assert not columns.measured.any()
+        assert np.isnan(columns.values[:, : len(RATE_FIELDS) + 1]).all()
+        pmu_width = sensed.pmu.shape[1]
+        assert (columns.values[:, pmu_width:] == gather_tasks(sensed).values[:, pmu_width:]).all()
+
+    def test_user_rows_only(self):
+        """Only user threads are gathered, each with its own PMU row, in
+        view order."""
+        tasks = sensed_tasks(synthetic_view(4, 8, seed=4))
+        for i in (0, 3, 4, 7):
+            tasks[i] = tasks[i]._replace(is_user=False)
+        view = sensed_view(tasks)
+        columns = gather_tasks(view)
+        users = [task for task in tasks if task.is_user]
+        assert columns.records == tuple(task.record for task in users)
+        assert columns.values.tolist() == gather(users).values.tolist()
+        assert (columns.values[:, : view.pmu.shape[1]] == view.pmu[[1, 2, 5, 6]]).all()
+        none = sensed_view([task._replace(is_user=False) for task in tasks])
+        assert gather_tasks(none).values.shape == (0, len(RATE_FIELDS) + 5)
 
     def test_take_keeps_rows_together(self):
-        columns = gather_tasks(BASES)
+        columns = gather(BASES)
         rows = np.array([3, 0, 5])
         taken = columns.take(rows)
-        assert taken.records == tuple(BASES[i] for i in (3, 0, 5))
+        assert taken.records == tuple(BASES[i].record for i in (3, 0, 5))
         assert (taken.values == columns.values[rows]).all()
         assert (taken.core_id == columns.core_id[rows]).all()
         assert len(taken) == 3
 
     def test_empty(self):
-        columns = gather_tasks([])
+        columns = gather([])
         assert len(columns) == 0
         assert columns.values.shape == (0, len(RATE_FIELDS) + 5)
         assert observation_faults(columns).shape == (0,)

@@ -12,22 +12,21 @@ from repro.core.prediction import (
     PredictorModel,
     design_vector,
 )
-from repro.core.sensing import gather_tasks
 from repro.core.training import default_predictor, profile_phase, train_predictor
 from repro.hardware import microarch
 from repro.hardware import power as power_model
 from repro.hardware.counters import CounterBlock
 from repro.hardware.features import BIG, HUGE, MEDIUM, SMALL, TABLE2_TYPES
-from repro.kernel.view import TaskView
 from repro.workload.characteristics import COMPUTE_PHASE, MEMORY_PHASE
+from sensed_tasks import SensedTask, gather
 
 
-def observation_for(phase, core_type, tid=0, utilization=0.5) -> TaskView:
+def observation_for(phase, core_type, tid=0, utilization=0.5) -> SensedTask:
     """Ground-truth-driven view of a thread measured on one core type."""
     block = CounterBlock()
     perf = microarch.estimate(phase, core_type)
     block.charge_execution(perf, core_type, 0.03, phase.mem_share, phase.branch_share)
-    return TaskView(
+    return SensedTask(
         tid=tid,
         name=f"t{tid}",
         core_id=0,
@@ -159,7 +158,7 @@ class TestMatrixBuilder:
         ]
         observations[1] = observations[1]._replace(core_id=3)
         cores = [t for t in TABLE2_TYPES]
-        matrices = MatrixBuilder(model).build(gather_tasks(observations), cores)
+        matrices = MatrixBuilder(model).build(gather(observations), cores)
         assert matrices.ips.shape == (2, 4)
         assert matrices.power.shape == (2, 4)
         assert matrices.utilization.shape == (2, 4)
@@ -169,7 +168,7 @@ class TestMatrixBuilder:
 
     def test_measured_entries_exact(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE, tid=0)
-        matrices = MatrixBuilder(model).build(gather_tasks([obs]), list(TABLE2_TYPES))
+        matrices = MatrixBuilder(model).build(gather([obs]), list(TABLE2_TYPES))
         assert matrices.ips[0, 0] == pytest.approx(
             obs.rates.ipc * HUGE.freq_hz
         )
@@ -178,17 +177,17 @@ class TestMatrixBuilder:
     def test_same_type_cores_get_same_prediction(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE)
         cores = [HUGE, SMALL, SMALL]
-        matrices = MatrixBuilder(model).build(gather_tasks([obs]), cores)
+        matrices = MatrixBuilder(model).build(gather([obs]), cores)
         assert matrices.ips[0, 1] == matrices.ips[0, 2]
 
     def test_cpu_bound_thread_demands_everywhere(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE, utilization=0.99)
-        matrices = MatrixBuilder(model).build(gather_tasks([obs]), list(TABLE2_TYPES))
+        matrices = MatrixBuilder(model).build(gather([obs]), list(TABLE2_TYPES))
         assert np.all(matrices.utilization[0] == 1.0)
 
     def test_rate_limited_demand_scales_inversely_with_speed(self, model):
         obs = observation_for(COMPUTE_PHASE, HUGE, utilization=0.2)
-        matrices = MatrixBuilder(model).build(gather_tasks([obs]), list(TABLE2_TYPES))
+        matrices = MatrixBuilder(model).build(gather([obs]), list(TABLE2_TYPES))
         util = matrices.utilization[0]
         # Huge is fastest: demand there is lowest.
         assert util[0] == pytest.approx(0.2)
@@ -198,11 +197,11 @@ class TestMatrixBuilder:
         obs = observation_for(COMPUTE_PHASE, HUGE)
         empty = obs._replace(busy_time_s=0.0)
         with pytest.raises(ValueError, match="no measurement"):
-            MatrixBuilder(model).build(gather_tasks([empty]), list(TABLE2_TYPES))
+            MatrixBuilder(model).build(gather([empty]), list(TABLE2_TYPES))
 
     def test_empty_observation_list_rejected(self, model):
         with pytest.raises(ValueError, match="at least one"):
-            MatrixBuilder(model).build(gather_tasks([]), list(TABLE2_TYPES))
+            MatrixBuilder(model).build(gather([]), list(TABLE2_TYPES))
 
     def test_cpu_bound_threshold_constant_sane(self):
         assert 0.8 < CPU_BOUND_UTILIZATION < 1.0

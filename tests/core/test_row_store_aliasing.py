@@ -9,22 +9,21 @@ thread carried through its fallback row, the matrices returned at
 epoch t still equal their copies after the epoch t+1 decision.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.core.balancer import SmartBalance
 from repro.core.training import default_predictor
 from repro.experiments.fig7 import synthetic_view
+from sensed_tasks import sensed_tasks, sensed_view
 
 FIELDS = ("ips", "power", "utilization", "measured_mask")
 
 
 def corrupt_power(view, index):
-    tasks = list(view.tasks)
+    tasks = sensed_tasks(view)
     tasks[index] = tasks[index]._replace(power_w=1e9)
-    return replace(view, tasks=tuple(tasks))
+    return sensed_view(tasks, view)
 
 
 def steady(seed):

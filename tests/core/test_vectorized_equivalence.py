@@ -22,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from scalar_matrices import build_scalar
 from repro.core.allocation import Allocation
-from repro.core.estimation import FEATURE_NAMES, N_FEATURES, feature_matrix, feature_vector
+from repro.core.estimation import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    feature_matrix,
+    features_from_rates,
+)
 from repro.core.objective import MODES, EnergyEfficiencyObjective, IncrementalEvaluator
 from repro.core.prediction import (
     IPC_FEATURE_INDEX,
@@ -30,12 +35,11 @@ from repro.core.prediction import (
     design_matrix,
     design_vector,
 )
-from repro.core.sensing import gather_tasks
 from repro.core.training import default_predictor
 from repro.experiments.fig7 import synthetic_view
 from repro.hardware.counters import DerivedRates
 from repro.hardware.features import BUILTIN_TYPES
-from repro.kernel.view import TaskView
+from sensed_tasks import SensedTask, gather, sensed_tasks
 
 RTOL = 1e-9
 
@@ -80,8 +84,8 @@ def derived_rates(draw):
 
 
 def measured_task(tid, core_id, core_type, utilization, rates, power_w, busy_time_s):
-    """A user thread's view carrying ``rates`` as its measurement."""
-    return TaskView(
+    """A user thread carrying ``rates`` as its measurement."""
+    return SensedTask(
         tid=tid,
         name=f"t{tid}",
         core_id=core_id,
@@ -178,7 +182,7 @@ class TestMatrixBuilderEquivalence:
                 )
             )
         builder = MatrixBuilder(model)
-        fast = builder.build(gather_tasks(observations), cores)
+        fast = builder.build(gather(observations), cores)
         reference = build_scalar(model, observations, cores)
         assert fast.tids == reference.tids
         assert np.array_equal(fast.measured_mask, reference.measured_mask)
@@ -187,8 +191,8 @@ class TestMatrixBuilderEquivalence:
         assert_allclose(fast.utilization, reference.utilization, "utilization")
 
     def test_feature_vector_round_trip(self):
-        """Each row of the columnar feature matrix is the record's
-        feature_vector."""
+        """Each row of the columnar feature matrix is
+        ``features_from_rates`` over the record and its PMU row."""
         big = BUILTIN_TYPES["Big"]
         obs = measured_task(
             0, 0, big, utilization=0.5, power_w=1.0,
@@ -200,14 +204,27 @@ class TestMatrixBuilderEquivalence:
             ),
             busy_time_s=0.03,
         )
-        assert feature_vector(obs).shape == (N_FEATURES,)
-        records = [obs]
+        tasks = [obs]
         for cores, threads, seed in ((4, 8, 1), (128, 64, 2)):
-            records += synthetic_view(cores, threads, seed=seed).user_tasks
-        features = feature_matrix(gather_tasks(records))
-        assert features.shape == (len(records), N_FEATURES)
-        for row, task in zip(features, records):
-            assert (row == feature_vector(task)).all()
+            tasks += sensed_tasks(synthetic_view(cores, threads, seed=seed))
+        features = feature_matrix(gather(tasks))
+        assert features.shape == (len(tasks), N_FEATURES)
+        for row, task in zip(features, tasks):
+            rates = task.rates
+            vector = features_from_rates(
+                freq_mhz=task.core_type.freq_mhz,
+                mr_l1i=rates.l1i_miss_rate,
+                mr_l1d=rates.l1d_miss_rate,
+                i_msh=rates.mem_share,
+                i_bsh=rates.branch_share,
+                mr_b=rates.branch_miss_rate,
+                mr_itlb=rates.itlb_miss_rate,
+                mr_dtlb=rates.dtlb_miss_rate,
+                ipc_src=rates.ipc,
+                stall_frac=rates.stall_fraction,
+            )
+            assert vector.shape == (N_FEATURES,)
+            assert (row == vector).all()
 
 
 class TestIncrementalObjectiveEquivalence:

@@ -1,12 +1,13 @@
 """Differential test: the columnar predictor watchdog against its
 per-thread reference copy.
 
-:mod:`reference_watchdog` walks the healthy records one at a time.
+:mod:`reference_watchdog` walks the healthy threads one at a time
+(``sensed_tasks.SensedTask``, each record with its PMU readings).
 Over random row stores and healthy sets (threads without a stored
 row, cores outside the store, zero and negative predictions, odd and
 even counts of scored threads), ``SmartBalance._watchdog_update`` on
-the records' :func:`gather_tasks` columns must make the same strikes,
-trips and recoveries, epoch by epoch.
+the :func:`gather_tasks` columns of a view of them must make the same
+strikes, trips and recoveries, epoch by epoch.
 """
 
 import numpy as np
@@ -16,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 from reference_watchdog import watchdog_update as reference_update
 from repro.core import balancer as balancer_module
 from repro.core.balancer import SmartBalance
-from repro.core.sensing import gather_tasks
 from repro.core.training import default_predictor
 from repro.experiments.fig7 import synthetic_view
+from sensed_tasks import gather, sensed_tasks
 
 TID_POOL = 10
-BASE = next(task for task in synthetic_view(4, 4, seed=1).tasks if task.has_measurement)
+BASE = next(
+    task for task in sensed_tasks(synthetic_view(4, 4, seed=1)) if task.has_measurement
+)
 
 
 def watchdog_state(balancer):
@@ -67,7 +70,7 @@ def run_both(sequence):
         for balancer in (columnar, reference):
             balancer._smoothed = store
             balancer._smoothed_row = row_of
-        columnar._watchdog_update(gather_tasks(healthy))
+        columnar._watchdog_update(gather(healthy))
         reference_update(reference, healthy)
         assert watchdog_state(columnar) == watchdog_state(reference)
         states.append(watchdog_state(reference))

@@ -3,18 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.governor.scaling import (
-    dynamic_ratio,
-    freq_ratio,
-    normalize_thread,
-    normalize_view,
-)
+from reference_scaling import normalize_thread
+from repro.governor.scaling import dynamic_ratio, freq_ratio, normalize_view
 from repro.hardware import power as power_model
 from repro.hardware.counters import DerivedRates
 from repro.hardware.dvfs import opp_table, type_at_opp
 from repro.hardware.features import BIG, HUGE, MEDIUM, SMALL
 from repro.hardware.platform import quad_hmp
-from repro.kernel.view import CoreView, SystemView, TaskView
+from repro.kernel.view import CoreView, SystemView
+from sensed_tasks import SensedTask, sensed_tasks, sensed_view
 
 CORE_TYPES = (HUGE, BIG, MEDIUM, SMALL)
 
@@ -33,7 +30,7 @@ RATES = DerivedRates(
 
 
 def observation_at(core_type, ips, utilization, power_w, tid=1, core_id=0):
-    return TaskView(
+    return SensedTask(
         tid=tid,
         name=f"t{tid}",
         core_id=core_id,
@@ -59,10 +56,22 @@ class TestRatios:
         assert dynamic_ratio(BIG, low) < freq_ratio(BIG, low)
 
 
+def normalize_one(task, nominal):
+    """``task`` normalised by ``normalize_view``, as the one task of a
+    one-core view whose core runs ``task.core_type``."""
+    core = CoreView(task.core_id, task.core_type, 0.0, 0.0)
+    view = sensed_view([task], SystemView(1, 0.06, 0.06, None, (), (core,)))
+    normalized = normalize_view(view, {task.core_id: nominal}, (0.0,), (0.0,))
+    (recovered,) = sensed_tasks(normalized)
+    return recovered
+
+
 class TestNormalizeThread:
+    """The per-task laws, one task at a time."""
+
     def test_nominal_observation_is_identity(self):
         obs = observation_at(BIG, ips=2e9, utilization=0.5, power_w=1.0)
-        assert normalize_thread(obs, BIG) is obs
+        assert normalize_one(obs, BIG) == obs
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -95,7 +104,7 @@ class TestNormalizeThread:
             utilization=util_scaled,
             power_w=dyn_w * s + leak_app,
         )
-        recovered = normalize_thread(scaled, nominal)
+        recovered = normalize_one(scaled, nominal)
         assert recovered.core_type == nominal
         assert recovered.rates.ips == pytest.approx(ips_nom, rel=1e-12)
         assert recovered.utilization == pytest.approx(util_nom, rel=1e-12)
@@ -110,7 +119,7 @@ class TestNormalizeThread:
         applied = type_at_opp(nominal, opp_table(nominal, 4)[1])
         ips_scaled = RATES.ipc * applied.freq_mhz * 1e6
         obs = observation_at(applied, ips=ips_scaled, utilization=0.4, power_w=0.8)
-        recovered = normalize_thread(obs, nominal)
+        recovered = normalize_one(obs, nominal)
         clock_hz = recovered.rates.ips / recovered.rates.ipc
         assert clock_hz == pytest.approx(nominal.freq_mhz * 1e6, rel=1e-9)
 
@@ -123,21 +132,21 @@ class TestNormalizeThread:
         obs = observation_at(
             applied, ips=1e8, utilization=0.3, power_w=0.5 * leak_app
         )
-        recovered = normalize_thread(obs, nominal)
+        recovered = normalize_one(obs, nominal)
         assert recovered.power_w >= 0.0
 
     def test_zero_power_passes_through(self):
         nominal = BIG
         applied = type_at_opp(nominal, opp_table(nominal, 4)[0])
         obs = observation_at(applied, ips=1e8, utilization=0.3, power_w=0.0)
-        assert normalize_thread(obs, nominal).power_w == 0.0
+        assert normalize_one(obs, nominal).power_w == 0.0
 
     def test_other_fields_untouched(self):
         nominal = BIG
         applied = type_at_opp(nominal, opp_table(nominal, 4)[1])
         obs = observation_at(applied, ips=1e9, utilization=0.5, power_w=1.0)
         obs = obs._replace(allowed_cores=frozenset({0, 2}))
-        recovered = normalize_thread(obs, nominal)
+        recovered = normalize_one(obs, nominal)
         assert recovered.tid == obs.tid
         assert recovered.rates._replace(ips=obs.rates.ips) == obs.rates
         assert recovered.busy_time_s == obs.busy_time_s
@@ -147,13 +156,13 @@ class TestNormalizeThread:
 def view_at(applied_by_core):
     """A quad-HMP view, one task per core, each core at ``applied_by_core``."""
     platform = quad_hmp()
-    tasks = tuple(
+    tasks = [
         observation_at(
             applied, ips=1e9, utilization=0.5, power_w=1.0, tid=core_id,
             core_id=core_id,
         )
         for core_id, applied in enumerate(applied_by_core)
-    )
+    ]
     cores = tuple(
         CoreView(
             core_id=core.core_id,
@@ -163,9 +172,12 @@ def view_at(applied_by_core):
         )
         for core, applied in zip(platform, applied_by_core)
     )
-    return SystemView(
-        epoch_index=1, time_s=0.06, window_s=0.06, platform=platform,
-        tasks=tasks, cores=cores,
+    return sensed_view(
+        tasks,
+        SystemView(
+            epoch_index=1, time_s=0.06, window_s=0.06, platform=platform,
+            tasks=(), cores=cores,
+        ),
     )
 
 
@@ -186,7 +198,7 @@ class TestNormalizeView:
         applied[1] = type_at_opp(applied[1], opp_table(applied[1], 4)[0])
         view = view_at(applied)
         normalized = self.normalize(view)
-        scaled, nominal = view.tasks[1], normalized.tasks[1]
+        scaled, nominal = sensed_tasks(view)[1], sensed_tasks(normalized)[1]
         r = freq_ratio(self.NOMINAL[1], applied[1])
         assert nominal.core_type == self.NOMINAL[1]
         assert nominal.rates.ips == pytest.approx(scaled.rates.ips / r)

@@ -5,6 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware import microarch
 from repro.hardware.counters import COUNT_FIELDS, CounterBlock
@@ -198,8 +199,6 @@ class TestGaussBatch:
 # ----------------------------------------------------------------------
 # Property tests (hypothesis)
 # ----------------------------------------------------------------------
-
-from hypothesis import given, settings, strategies as st
 
 #: Registers the cycle-total repair leaves alone.
 EVENT_REGISTERS = slice(3, len(COUNT_FIELDS))

@@ -17,8 +17,10 @@ to it field for field:
 * :func:`build_view` walks the tasks alive in the window (tid order)
   and then the cores (id order), exactly the draw order the batched
   read fixes.  It reads every task bank, core bank and power sensor,
-  though a view carries only each task's rates and power: the core
-  readings' draws fix those of every later reading.  A task is alive
+  though a view carries only each task's rates and power (one
+  :class:`~sensed_tasks.SensedTask` per task, whose records and rows
+  make the view): the core readings' draws fix those of every later
+  reading.  A task is alive
   in the window unless it is pending or exited without running in it:
   a thread only exits by retiring its last instruction, so one that
   exited inside the window has busy time there.  ``System`` states
@@ -26,8 +28,8 @@ to it field for field:
   resets; the differential suite holds the two statements to each
   other.  For a balancer that reads no sensors
   (``reads_sensors`` unset: vanilla, GTS, IKS) every owner skips its
-  read: the rate and power fields are ``None`` and nothing is drawn or
-  corrupted.
+  read: the rate and power fields are ``None``, so the view has no PMU
+  block, and nothing is drawn or corrupted.
 
 Both paths draw from the system's own sensing RNG and fault injector,
 so a test compares them by restoring those states in between.
@@ -47,7 +49,8 @@ from repro.hardware.sensors import SensingInterface
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.cfs import IDLE_TO_SLEEP_LATENCY_S
 from repro.kernel.task import TaskState
-from repro.kernel.view import CoreView, SystemView, TaskView
+from repro.kernel.view import CoreView, SystemView
+from sensed_tasks import SensedTask, sensed_view
 
 
 class SensingNullBalancer(NullBalancer):
@@ -196,7 +199,7 @@ def build_view(
             else:
                 measured_power = 0.0
         task_views.append(
-            TaskView(
+            SensedTask(
                 tid=task.tid,
                 name=task.name,
                 core_id=task.core_id,
@@ -244,11 +247,15 @@ def build_view(
                 online=system._online[core_id],
             )
         )
-    return SystemView(
-        epoch_index=system._view_counter,
-        time_s=system.time_s,
-        window_s=window_s,
-        platform=system.platform,
-        tasks=tuple(task_views),
-        cores=tuple(core_views),
+    return sensed_view(
+        task_views,
+        SystemView(
+            epoch_index=system._view_counter,
+            time_s=system.time_s,
+            window_s=window_s,
+            platform=system.platform,
+            tasks=(),
+            cores=tuple(core_views),
+        ),
+        sensed,
     )

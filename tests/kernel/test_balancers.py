@@ -26,8 +26,6 @@ def make_view(platform, placements, utils=None):
                 weight=1.0,
                 is_user=True,
                 utilization=utils.get(tid, 0.5),
-                rates=None,
-                power_w=None,
                 busy_time_s=0.0,
             )
         )

@@ -12,12 +12,14 @@ Every spec below runs with ``System.build_view`` wrapped: at every view
 the oracle builds the view first, the sensing and fault-injector state
 is rewound, and the batched view is built from the same state.  The two
 views must be equal field for field (``==`` and ``repr``, so an int
-``0`` for a float ``0.0`` counts as a difference), and they must leave
-the sensing RNG, both fault-injector RNGs, the stuck-at latch table and
-the injection counts in the same state.  A view carries no counter
-readings, so each task's ``has_measurement`` (busy time and a positive
-``rates.ips``) is also held to the rule it stands for: busy time and a
-positive instruction count in the oracle's noisy reading.
+``0`` for a float ``0.0`` counts as a difference; the PMU blocks by
+dtype, shape and bytes, see ``sensed_tasks.comparable``), and they must
+leave the sensing RNG, both fault-injector RNGs, the stuck-at latch
+table and the injection counts in the same state.  A view carries no
+counter readings, so the sense phase's measured rule (busy time and a
+positive ``ips`` in the PMU block, ``gather_tasks``' mask) is also held
+to the rule it stands for: busy time and a positive instruction count
+in the oracle's noisy reading.
 
 The sensed specs run SmartBalance or a variant.  SmartBalance at
 ``periods_per_epoch=1`` reads a view every period, as the kernel
@@ -31,12 +33,15 @@ from dataclasses import replace
 import pytest
 
 import reference_sensing
+from repro.core.sensing import gather_tasks
 from repro.faults import SCENARIOS
 from repro.hardware.sensors import IDEAL_NOISE, NoiseModel
 from repro.kernel.simulator import SimulationConfig, System
 from repro.kernel.task import TaskState
+from repro.kernel.view import PMU_COLUMNS
 from repro.runner.engine import execute_spec
 from repro.runner.spec import RunSpec
+from sensed_tasks import comparable
 
 
 def _state(system):
@@ -79,17 +84,23 @@ def run_checked(monkeypatch, spec, sensed=True):
         expected_state = _state(system)
         _restore(system, before)
         view = batched(system, window_s)
-        assert view == expected
-        assert repr(view) == repr(expected)
+        assert comparable(view) == comparable(expected)
         assert _state(system) == expected_state
-        if not sensed:
+        if sensed:
+            assert view.pmu.dtype == float
+            assert view.pmu.shape == (len(view.tasks), len(PMU_COLUMNS))
+            with pytest.raises(ValueError):
+                view.pmu[:1] = 0.0
+        else:
+            assert view.pmu is None
             assert expected_state == before and not noisy
+        users = gather_tasks(view)
         ran_dark = 0
-        for task in view.tasks:
+        for task, measured in zip(users.records, users.measured.tolist()):
             block = noisy.get(task.tid)
             ran = task.busy_time_s > 0
             retired = block is not None and block.instructions > 0
-            assert task.has_measurement == (ran and retired), task
+            assert measured == (ran and retired), task
             ran_dark += ran and block is not None and not retired
         states = [t.state for t in system.tasks]
         records.append(
@@ -158,7 +169,7 @@ def test_batched_view_matches_oracle(monkeypatch, name):
 def test_fault_presets_match_oracle(monkeypatch, preset):
     """A view every period, so stuck-at latches are re-read.  Under
     sensor faults a dropout zeroes the instruction register of a task
-    that ran, which ``has_measurement`` must report as no measurement."""
+    that ran, which the measured mask must report as no measurement."""
     records = run_checked(
         monkeypatch,
         spec(

@@ -14,6 +14,7 @@ from repro.workload.characteristics import COMPUTE_PHASE
 from repro.workload.demand import with_duty
 from repro.workload.synthetic import imb_threads
 from repro.workload.thread import steady_thread
+from sensed_tasks import sensed_tasks
 
 IDEAL = SimulationConfig(
     counter_noise=NoiseModel(sigma=0.0), power_noise=NoiseModel(sigma=0.0)
@@ -242,7 +243,7 @@ class TestView:
         )
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
-        for task_view in view.tasks:
+        for task_view in sensed_tasks(view):
             truth = true_counters(system, task_view.tid).derive_rates().ips
             if truth > 0:
                 assert task_view.rates.ips == pytest.approx(truth, rel=0.3)
@@ -251,7 +252,7 @@ class TestView:
         system = make_system(balancer=SensingNullBalancer(), config=IDEAL)
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
-        for task_view in view.tasks:
+        for task_view in sensed_tasks(view):
             truth = true_counters(system, task_view.tid).derive_rates()
             assert task_view.rates == truth
 
@@ -259,7 +260,7 @@ class TestView:
         system = make_system(balancer=SensingNullBalancer(), config=IDEAL)
         system.run(n_epochs=2)
         view = system.build_view(window_s=0.06)
-        for task_view in view.tasks:
+        for task_view in sensed_tasks(view):
             busy = true_counters(system, task_view.tid).busy_time_s
             if busy > 0:
                 expected = system.engine.epoch_energy[task_view.tid] / busy

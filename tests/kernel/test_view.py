@@ -1,19 +1,25 @@
 """Tests for the SystemView observable boundary."""
 
+import numpy as np
 import pytest
 
 from reference_sensing import SensingNullBalancer
+from repro.core.sensing import gather_tasks
 from repro.faults import scenario
 from repro.hardware.counters import COUNT_FIELDS, CounterBlock, DerivedRates
 from repro.hardware.platform import big_little_octa, quad_hmp
 from repro.hardware.sensors import IDEAL_NOISE
 from repro.kernel.balancers.base import NullBalancer
 from repro.kernel.simulator import SimulationConfig, System
-from repro.kernel.view import CoreView, TaskView
+from repro.kernel.view import PMU_COLUMNS, CoreView, TaskView
 from repro.runner.engine import execute_spec
+from repro.runner.factories import make_balancer
 from repro.runner.spec import RunSpec
 from repro.scenarios.runtime import ScenarioRuntime
 from repro.workload.synthetic import imb_threads
+from sensed_tasks import sensed_tasks
+
+IPS = PMU_COLUMNS.index("ips")
 
 
 def run_for(platform=None, n_threads=4, os_tasks=0, balancer=None, **config):
@@ -35,10 +41,12 @@ def view_for(**kwargs):
 
 class TestSystemViewHelpers:
     def test_user_tasks_filter(self):
+        """The sense phase gathers the user threads only."""
         view = view_for(os_tasks=3)
         assert len(view.tasks) == 7
-        assert len(view.user_tasks) == 4
-        assert all(t.is_user for t in view.user_tasks)
+        users = gather_tasks(view).records
+        assert len(users) == 4
+        assert users == tuple(t for t in view.tasks if t.is_user)
 
     def test_core_views_cover_platform(self):
         view = view_for(platform=big_little_octa(), n_threads=4)
@@ -46,21 +54,23 @@ class TestSystemViewHelpers:
         clusters = {view.platform[c.core_id].cluster for c in view.cores}
         assert clusters == {"A15big", "A7little"}
 
-    def test_has_measurement_semantics(self):
+    def test_measured_rule(self):
         """A task is measured when it ran and retired instructions in
-        the window; sensor noise scales a count but never zeroes it, so
-        that is the true count here.  Every task ran in the last window
-        of the run, and none in the empty window before the first."""
+        the window: busy time and a positive ``ips`` in its PMU row.
+        Sensor noise scales a count but never zeroes it, so that is the
+        true count here.  Every task ran in the last window of the run,
+        and none in the empty window before the first."""
         system, view = run_for(os_tasks=3)
         instructions = system.engine.t_cnt[:, COUNT_FIELDS.index("instructions")]
-        for task in view.tasks:
-            assert task.has_measurement == (
-                task.busy_time_s > 0 and instructions[task.tid] > 0
-            )
-        assert all(task.has_measurement for task in view.tasks)
+        for task, ips in zip(view.tasks, view.pmu[:, IPS].tolist()):
+            ran = task.busy_time_s > 0
+            assert (ran and ips > 0) == (ran and instructions[task.tid] > 0)
+            assert ran and ips > 0
+        users = gather_tasks(view)
+        assert len(users) == 4 and users.measured.all()
         fresh = System(quad_hmp(), imb_threads("MTMI", 4), SensingNullBalancer())
         first = fresh.build_view(window_s=0.0)
-        assert first.tasks and not any(t.has_measurement for t in first.tasks)
+        assert first.tasks and not gather_tasks(first).measured.any()
 
     def test_core_power_ordering_plausible(self):
         """Loaded big cores draw more power than the idle/sleeping
@@ -77,18 +87,54 @@ class TestSystemViewHelpers:
         assert view.epoch_index >= 0
 
 
+class TestPmuBlock:
+    """A sensed view's PMU part is one read-only float64 block with a
+    row per task; a baseline's view has none."""
+
+    def test_sensed_block(self):
+        view = view_for(os_tasks=2)
+        pmu = view.pmu
+        assert pmu.dtype == np.float64
+        assert pmu.shape == (len(view.tasks), len(PMU_COLUMNS)) == (6, 11)
+        assert PMU_COLUMNS == (*DerivedRates._fields, "power_w")
+        before = pmu.tobytes()
+        for write in (
+            lambda: pmu.__setitem__((0, 0), 1.0),
+            lambda: pmu.__setitem__(slice(None), 0.0),
+            lambda: pmu.__imul__(2.0),
+        ):
+            with pytest.raises(ValueError):
+                write()
+        assert pmu.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["vanilla", "gts", "iks"])
+    def test_baselines_have_no_block(self, name):
+        system, view = run_for(
+            platform=big_little_octa(), n_threads=6, balancer=make_balancer(name)
+        )
+        assert not system.balancer.reads_sensors
+        assert view.pmu is None
+        assert view.tasks and not gather_tasks(view).measured.any()
+
+    def test_views_compare_by_identity(self):
+        """``==`` on a view is ``is``: a field-wise ``==`` over the block
+        would raise, and one that skipped it would hide a difference."""
+        view = view_for()
+        assert view == view
+        assert view != view_for()
+
+
 class TestUnsensedView:
     def test_os_part_equals_the_sensed_views(self):
         """The same run seen with and without the PMU read: every OS
-        field agrees, and the PMU fields of the unsensed view are
-        ``None``, not zero placeholders a balancer could take for a
-        measurement."""
-        pmu = {"rates": None, "power_w": None}
+        field agrees, and the unsensed view has no PMU block, not zero
+        placeholders a balancer could take for a measurement."""
         sensed = view_for(os_tasks=2)
         unsensed = view_for(os_tasks=2, balancer=NullBalancer())
-        assert [t._replace(**pmu) for t in sensed.tasks] == list(unsensed.tasks)
-        assert all(t.has_measurement for t in sensed.tasks)
-        assert not any(t.has_measurement for t in unsensed.tasks)
+        assert sensed.tasks == unsensed.tasks
+        assert sensed.pmu is not None and unsensed.pmu is None
+        assert gather_tasks(sensed).measured.all()
+        assert not gather_tasks(unsensed).measured.any()
 
     def test_core_records_equal_the_unsensed_views(self):
         """A core record is OS part only: at every view of a thermal run
@@ -187,7 +233,7 @@ class TestNewRecord:
     @staticmethod
     def records_of(view):
         """Every record a view holds: its task and core records and
-        each record-valued field of them (a task's rates)."""
+        each record-valued field of them (none today)."""
         for record in (*view.tasks, *view.cores):
             yield record
             yield from (value for value in record if hasattr(value, "_fields"))
@@ -195,7 +241,7 @@ class TestNewRecord:
     @staticmethod
     def task_row(task):
         """The TaskView fields build_view passes by position."""
-        return tuple(task)[:11]
+        return tuple(task)[:9]
 
     @pytest.fixture(scope="class")
     def ideal_run(self):
@@ -259,12 +305,12 @@ class TestNewRecord:
         and each core's record carries that core's id and nominal
         type."""
         system, view = ideal_run
-        for task in view.tasks:
+        assert len(TaskView._fields) == 11
+        for task, sensed in zip(view.tasks, sensed_tasks(view)):
             truth = CounterBlock(*system.engine.t_cnt[task.tid].tolist())
             assert type(task) is TaskView
-            assert type(task.rates) is DerivedRates
             assert task == TaskView(**task._asdict())
-            assert task.rates == truth.derive_rates()
+            assert sensed.rates == truth.derive_rates()
             assert task.core_type == view.cores[task.core_id].core_type
         for core_id, core in enumerate(view.cores):
             assert type(core) is CoreView
@@ -274,7 +320,8 @@ class TestNewRecord:
 
     def test_replace_and_frozen(self, view):
         """``_replace`` is how code changes a record's fields: it returns
-        a changed copy and leaves the record, and its rates, as built."""
+        a changed copy and leaves the record, and the PMU block, as
+        built."""
         task = view.tasks[0]
         row = self.task_row(task)
         moved = task._replace(core_id=3, progress_frac=0.5)
@@ -283,8 +330,8 @@ class TestNewRecord:
         assert moved._replace(core_id=row[2], progress_frac=None) == task
         with pytest.raises(AttributeError):
             task.core_id = 2
-        with pytest.raises(AttributeError):
-            task.rates.ipc = 0.0
+        with pytest.raises(ValueError):
+            view.pmu[0, PMU_COLUMNS.index("ipc")] = 0.0
 
     @pytest.mark.parametrize(
         "extras", [{"bogus": 1}, {"tid": 5}, {"allowed_cores": None}]
@@ -312,7 +359,7 @@ class TestNewRecord:
         """A row one value too long or too short fails the constructor
         instead of shifting fields: DerivedRates has no defaults, and
         TaskView's start after ``busy_time_s``."""
-        rates = tuple(view.tasks[0].rates)
+        rates = tuple(view.pmu[0, :-1].tolist())
         with pytest.raises(TypeError):
             DerivedRates(*rates, 1.0)
         with pytest.raises(TypeError):
@@ -321,7 +368,7 @@ class TestNewRecord:
         with pytest.raises(TypeError):
             TaskView(*task, 1.0)
         with pytest.raises(TypeError):
-            TaskView(*task[:9])
+            TaskView(*task[:7])
 
     @pytest.mark.parametrize(
         "extras",
@@ -354,4 +401,4 @@ class TestNewRecord:
         assert [t.slo_slack_frac for t in view.tasks] == [None, 0.25]
         assert [t.progress_frac for t in view.tasks] == [None, None]
         task = view.tasks[1]
-        assert task == TaskView(*task[:11], slo_slack_frac=0.25)
+        assert task == TaskView(*task[:9], slo_slack_frac=0.25)

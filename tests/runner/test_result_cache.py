@@ -4,7 +4,6 @@ import dataclasses
 import json
 
 import repro
-from repro.kernel.simulator import SimulationConfig
 from repro.runner import (
     CACHE_DIR_ENV,
     ResultCache,

@@ -1,7 +1,5 @@
 """Builder determinism and geometry for the three scenario families."""
 
-import math
-
 from repro.scenarios import build_scenario
 from repro.scenarios.builders import _ARRIVAL_WINDOW, _scenario_rng
 from repro.workload.characteristics import COMPUTE_PHASE
